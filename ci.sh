@@ -192,4 +192,10 @@ echo "== crash-recovery smoke: oat chaos --kill9 =="
   --faults "seed:7,drop:0.05,dup:0.05,kill:0-1@3,torn-tail:64" \
   --kill9 0@6,2@5
 
+echo "== benchmark gate: benchmark/smoke.sh =="
+# The standalone benchmark package (BENCHMARK.json's command): its own
+# fmt, clippy and tests, then every workload at 1/20 size with all
+# oracles on. It builds into benchmark/target, not ./target.
+benchmark/smoke.sh
+
 echo "== ci: all green =="

@@ -899,6 +899,10 @@ pub struct ClusterClient<V> {
     _value: std::marker::PhantomData<fn() -> V>,
 }
 
+/// A client stream read: [`ClientStream::read`] (waits up to the read
+/// timeout) or [`ClientStream::read_nowait`].
+type StreamRead = fn(&mut ClientStream, &mut [u8]) -> io::Result<usize>;
+
 impl<V: WireValue> ClusterClient<V> {
     /// Connects and announces itself as a client. Accepts anything
     /// convertible to a [`NodeAddr`] (a bare `SocketAddr` dials TCP).
@@ -953,6 +957,12 @@ impl<V: WireValue> ClusterClient<V> {
         self.reconnects
     }
 
+    /// Pushed partials a synchronous call set aside that
+    /// [`ClusterClient::try_next_response`] has not handed over yet.
+    pub fn parked_partials(&self) -> usize {
+        self.parked_partials.len()
+    }
+
     /// True when `err` means the connection died (as opposed to a
     /// timeout or a protocol error) — recoverable by redialing.
     fn is_disconnect(err: &io::Error) -> bool {
@@ -1004,12 +1014,19 @@ impl<V: WireValue> ClusterClient<V> {
     /// (or any error) leaves partially received bytes buffered, so the
     /// stream stays frame-aligned across retries.
     fn read_frame_buffered(&mut self) -> io::Result<(u8, Vec<u8>)> {
+        self.read_frame_via(ClientStream::read)
+    }
+
+    /// [`ClusterClient::read_frame_buffered`] over either stream read:
+    /// with [`ClientStream::read_nowait`] a frame not yet complete is
+    /// `WouldBlock`, its bytes kept for the next call.
+    fn read_frame_via(&mut self, read: StreamRead) -> io::Result<(u8, Vec<u8>)> {
         loop {
             if let Some(frame) = self.dec.try_frame()? {
                 return Ok(frame);
             }
             let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            match read(&mut self.stream, &mut chunk) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -1285,9 +1302,11 @@ impl<V: WireValue> ClusterClient<V> {
     /// included); `Ok(None)` when nothing arrived in time. Unlike
     /// [`ClusterClient::next_response`] this never blocks indefinitely,
     /// so a subscriber can interleave polling for partials with
-    /// submitting work. A dead connection is replaced (with pending
-    /// requests re-driven and subscriptions re-registered) and reported
-    /// as `Ok(None)` for this round.
+    /// submitting work. `Duration::ZERO` means "do not block": it
+    /// returns what has already arrived, and an empty poll costs one
+    /// zero-timeout poll(2). A dead connection is replaced (with
+    /// pending requests re-driven and subscriptions re-registered) and
+    /// reported as `Ok(None)` for this round.
     pub fn try_next_response(&mut self, wait: Duration) -> io::Result<Option<(u64, Response<V>)>> {
         if let Some(parked) = self.parked_partials.pop_front() {
             return Ok(Some(parked));
@@ -1299,20 +1318,21 @@ impl<V: WireValue> ClusterClient<V> {
             }
             return Err(e);
         }
-        // Swap the bounded wait in for this read only (zero is not a
-        // valid read timeout — clamp up to a millisecond).
-        self.stream
-            .set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
-        let got = self.try_read_response();
+        if wait.is_zero() {
+            return self.try_read_response(ClientStream::read_nowait);
+        }
+        // Swap the bounded wait in for this read only.
+        self.stream.set_read_timeout(Some(wait))?;
+        let got = self.try_read_response(ClientStream::read);
         self.stream.set_read_timeout(self.timeout)?;
         got
     }
 
-    fn try_read_response(&mut self) -> io::Result<Option<(u64, Response<V>)>> {
+    fn try_read_response(&mut self, read: StreamRead) -> io::Result<Option<(u64, Response<V>)>> {
         loop {
             let (tag, payload) = match self.queued.pop_front() {
                 Some(frame) => frame,
-                None => match self.read_frame_buffered() {
+                None => match self.read_frame_via(read) {
                     Ok(frame) => frame,
                     Err(e) if Self::is_timeout(&e) => return Ok(None),
                     Err(e) if Self::is_disconnect(&e) => {

@@ -73,6 +73,7 @@ mod tests {
     use oat_core::policy::rww::RwwSpec;
     use oat_core::request::Request;
     use oat_core::tree::{NodeId, Tree};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn pair_combine_write_combine_matches_figure() {
@@ -219,5 +220,87 @@ mod tests {
         let logs = report.logs.expect("ghost enabled");
         assert_eq!(logs.len(), 2);
         assert!(logs[0].len() >= 2, "write + combine recorded at node 0");
+    }
+
+    /// `try_next_response(Duration::ZERO)` does not block — 1 000 empty
+    /// polls used to take 4 s, each clamped up to a 1 ms read timeout —
+    /// and still returns a push once it is there.
+    fn zero_wait_polls_return_at_once(transport: TransportKind) {
+        let cfg = NetConfig {
+            transport,
+            ..NetConfig::default()
+        };
+        let cluster = Cluster::spawn_with(
+            &Tree::pair(),
+            SumI64,
+            &RwwSpec,
+            false,
+            Default::default(),
+            cfg,
+        )
+        .unwrap();
+        let mut sub = cluster.client(NodeId(0)).unwrap();
+        sub.subscribe(1).unwrap();
+        // A non-zero wait still waits: the priming push lands inside it.
+        let primed = sub.try_next_response(Duration::from_secs(5)).unwrap();
+        assert!(
+            matches!(
+                primed,
+                Some((
+                    _,
+                    Response::Partial {
+                        tree: 1,
+                        value: 0,
+                        ..
+                    }
+                ))
+            ),
+            "no priming push: {primed:?}"
+        );
+
+        let started = Instant::now();
+        for _ in 0..1000 {
+            assert_eq!(sub.try_next_response(Duration::ZERO).unwrap(), None);
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(250), "empty polls: {took:?}");
+
+        cluster.client(NodeId(1)).unwrap().write_tree(1, 7).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let pushed = loop {
+            if let Some((_, resp)) = sub.try_next_response(Duration::ZERO).unwrap() {
+                break resp;
+            }
+            assert!(Instant::now() < deadline, "the push never arrived");
+            std::thread::yield_now();
+        };
+        assert!(
+            matches!(
+                pushed,
+                Response::Partial {
+                    tree: 1,
+                    value: 7,
+                    ..
+                }
+            ),
+            "pushed: {pushed:?}"
+        );
+        cluster.quiesce();
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn zero_wait_polls_return_at_once_tcp() {
+        zero_wait_polls_return_at_once(TransportKind::Tcp);
+    }
+
+    #[test]
+    fn zero_wait_polls_return_at_once_uds() {
+        zero_wait_polls_return_at_once(TransportKind::Uds);
+    }
+
+    #[test]
+    fn zero_wait_polls_return_at_once_ring() {
+        zero_wait_polls_return_at_once(TransportKind::Ring);
     }
 }

@@ -23,6 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
+use oat_poll::{poll_fds, PollFd, POLLIN};
+
 /// Which connection transport a cluster uses for edges and clients.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
@@ -271,6 +273,13 @@ impl RingStream {
     /// remains. `Ok(0)` means the peer closed; `WouldBlock`/`TimedOut`
     /// surface exactly like a socket (nothing ready / read timeout).
     pub(crate) fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        self.read_inner(out, false)
+    }
+
+    /// [`RingStream::read`]; with `nowait` a blocking endpoint does not
+    /// park either: an empty ring with a silent doorbell is
+    /// `WouldBlock` after one zero-timeout poll(2).
+    fn read_inner(&mut self, out: &mut [u8], nowait: bool) -> io::Result<usize> {
         let mut scratch = [0u8; NUDGE_CHUNK];
         loop {
             let n = self.rx().pop(out);
@@ -280,6 +289,9 @@ impl RingStream {
             }
             if self.rx().closed.load(Ordering::SeqCst) {
                 return Ok(0);
+            }
+            if nowait && !readable_now(self.sock.as_raw_fd())? {
+                return Err(io::ErrorKind::WouldBlock.into());
             }
             match (&self.sock).read(&mut scratch) {
                 Ok(0) => {
@@ -655,6 +667,12 @@ impl AsRawFd for Listener {
 // Blocking client stream
 // ---------------------------------------------------------------------------
 
+/// True when a read on `fd` would return at once (bytes, EOF or an
+/// error are waiting).
+fn readable_now(fd: RawFd) -> io::Result<bool> {
+    Ok(poll_fds(&mut [PollFd::new(fd, POLLIN)], Some(Duration::ZERO))? > 0)
+}
+
 /// Blocking client-side connection over any transport.
 pub(crate) enum ClientStream {
     Tcp(TcpStream),
@@ -695,6 +713,21 @@ impl ClientStream {
             ClientStream::Uds(s) => s.read(buf),
             ClientStream::Ring(s) => s.read(buf),
         }
+    }
+
+    /// Reads what is already there: `WouldBlock` instead of waiting
+    /// when nothing is, whatever read timeout is set. An empty poll is
+    /// one zero-timeout poll(2).
+    pub(crate) fn read_nowait(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let fd = match self {
+            ClientStream::Tcp(s) => s.as_raw_fd(),
+            ClientStream::Uds(s) => s.as_raw_fd(),
+            ClientStream::Ring(s) => return s.read_inner(buf, true),
+        };
+        if !readable_now(fd)? {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        self.read(buf)
     }
 
     pub(crate) fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {

@@ -17,22 +17,40 @@
 //! accumulator during [`run`]'s settlement phase and the tree recovers
 //! exactly.
 //!
+//! ## Visibility contract
+//!
+//! A write ack means "applied at that node"; the updates it caused may
+//! still be on their way to the root (the paper promises strict
+//! consistency only for sequential executions, causal otherwise). So
+//! an exact read needs a **propagation barrier** first: every write
+//! acked, then [`Cluster::quiesce`] — sufficient because the engine is
+//! the cluster's only client and is blocked meanwhile. Nothing in the
+//! engine waits on a timer: it writes one fact at a time (a sequential
+//! client), waits for that ack, takes the pushes that have already
+//! arrived, and moves on.
+//!
 //! ## Refinement sources
 //!
 //! Partials are emitted from three places, all stamped with an
-//! engine-assigned per-key `refine_seq`, the ack high-water mark, the
-//! outstanding-write staleness bound, and coverage:
+//! engine-assigned per-key `refine_seq`, the ack high-water mark and
+//! coverage:
 //!
 //! 1. **Pushed refinements** — the engine subscribes to each key's tree
 //!    at node 0; the node pushes `TAG_PARTIAL` whenever the tree's
-//!    aggregate changes (plus one priming push at subscribe time).
-//! 2. **Window finals** — a tumbling window is finalized when the
-//!    group's first fact of a later window arrives: outstanding writes
-//!    for the group are drained, a synchronous combine reads the exact
-//!    window value, and the group's shards reset to identity.
+//!    aggregate changes (plus one priming push at subscribe time). The
+//!    engine drains the arrived pushes after every fact.
+//! 2. **Window finals** — facts arrive in non-decreasing `at_ms` order,
+//!    so the first fact of a later tumbling window closes every open
+//!    window at once: one propagation barrier, the keys' combines
+//!    pipelined on the subscriber connection, one exact final per key,
+//!    and the keys' shards reset to identity.
 //! 3. **Settlement** — after the stream ends: one pre-final snapshot
-//!    per key, then heal (re-write all accumulators), drain, quiesce,
-//!    and one exact final combine per key.
+//!    per key, then heal (re-write all accumulators), the barrier, and
+//!    one exact final per key whose window is still open.
+//!
+//! The subscriber connection is FIFO, so every push sent before a
+//! combine's response is read — and emitted — before that response:
+//! no partial of a window surfaces after the window's final.
 //!
 //! Every key therefore emits at least three partials (priming push,
 //! pre-final snapshot, final), and finals equal the sequential oracle
@@ -68,7 +86,9 @@ pub struct PartialRecord {
     /// Count of acknowledged fact writes when this partial was emitted
     /// (the "last applied write" high-water mark).
     pub last_write_seq: u64,
-    /// Staleness bound: fact writes submitted but not yet acknowledged.
+    /// Fact writes submitted but not yet acknowledged. The engine
+    /// awaits each write's ack before it takes the next fact, so this
+    /// is 0 on every partial; the field stays for `oat-query-v1`.
     pub staleness: u64,
     /// Fact-stream time high-water mark (ms) at emission.
     pub at_ms: u64,
@@ -145,38 +165,28 @@ impl QueryRun {
     }
 }
 
-/// What an unacknowledged write was for, so acks can settle coverage
-/// and the per-key staleness bound.
-#[derive(Clone, Copy)]
-struct PendTag {
-    key: u32,
-    /// True for the one write that carries a fact's contribution;
-    /// false for refolds, window resets, and heal re-writes.
-    is_fact: bool,
-}
-
-struct Driver<'a> {
+struct Driver<'a, A: AggOp<Value = i64>> {
+    cluster: &'a Cluster<A>,
     spec: &'a QuerySpec,
     n: usize,
     total: u64,
     start: Instant,
     sub: ClusterClient<i64>,
     writers: Vec<ClusterClient<i64>>,
-    pending: Vec<HashMap<u64, PendTag>>,
-    outstanding_by_key: HashMap<u32, u64>,
     /// Absolute per-(key, shard) accumulators — the engine-side truth
     /// the forest is healed from.
     accs: BTreeMap<(u32, usize), i64>,
-    /// Shards written in the current window, per key (tumbling reset
-    /// set).
-    touched: HashMap<u32, BTreeSet<usize>>,
+    /// Shards written in the key's open window; a key is here exactly
+    /// while a final is owed for it.
+    touched: BTreeMap<u32, BTreeSet<usize>>,
     /// Sliding-window rings: the last N `(mapped value, shard)` per
     /// key.
     rings: HashMap<u32, VecDeque<(i64, usize)>>,
+    /// The window each key's tree is accumulating.
     cur_window: HashMap<u32, u64>,
     key_count: BTreeMap<u32, u64>,
     subscribed: HashSet<u32>,
-    submitted: u64,
+    /// Fact writes acknowledged so far.
     acked: u64,
     at_hw: u64,
     refine_seq: HashMap<u32, u64>,
@@ -197,11 +207,8 @@ fn ms(d: Duration) -> f64 {
 const CLIENT_TIMEOUT: Duration = Duration::from_millis(500);
 const CLIENT_RETRIES: u32 = 120;
 
-impl<'a> Driver<'a> {
-    fn new<A>(cluster: &Cluster<A>, spec: &'a QuerySpec, total: usize) -> io::Result<Driver<'a>>
-    where
-        A: AggOp<Value = i64>,
-    {
+impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
+    fn new(cluster: &'a Cluster<A>, spec: &'a QuerySpec, total: usize) -> io::Result<Self> {
         let n = cluster.tree().len();
         let mut sub = cluster.client(NodeId(0))?;
         sub.set_timeout(Some(CLIENT_TIMEOUT), CLIENT_RETRIES)?;
@@ -212,21 +219,19 @@ impl<'a> Driver<'a> {
             writers.push(c);
         }
         Ok(Driver {
+            cluster,
             spec,
             n,
             total: total as u64,
             start: Instant::now(),
             sub,
             writers,
-            pending: (0..n).map(|_| HashMap::new()).collect(),
-            outstanding_by_key: HashMap::new(),
             accs: BTreeMap::new(),
-            touched: HashMap::new(),
+            touched: BTreeMap::new(),
             rings: HashMap::new(),
             cur_window: HashMap::new(),
             key_count: BTreeMap::new(),
             subscribed: HashSet::new(),
-            submitted: 0,
             acked: 0,
             at_hw: 0,
             refine_seq: HashMap::new(),
@@ -240,6 +245,11 @@ impl<'a> Driver<'a> {
 
     fn tree_of(key: u32) -> u32 {
         key + 1
+    }
+
+    /// The window `key`'s tree is accumulating (0 unless tumbling).
+    fn window_of(&self, key: u32) -> u64 {
+        self.cur_window.get(&key).copied().unwrap_or(0)
     }
 
     fn emit(&mut self, key: u32, window: u64, value: i64, is_final: bool) {
@@ -263,106 +273,110 @@ impl<'a> Driver<'a> {
             value,
             coverage,
             last_write_seq: self.acked,
-            staleness: self.submitted - self.acked,
+            staleness: 0,
             at_ms: self.at_hw,
             wall_ms: wall,
             is_final,
         });
     }
 
-    fn record_ack(&mut self, tag: PendTag) {
-        if let Some(c) = self.outstanding_by_key.get_mut(&tag.key) {
-            *c = c.saturating_sub(1);
-        }
-        if tag.is_fact {
+    /// Writes one absolute value to the key's tree at node `shard` and
+    /// waits for the ack. One write at a time keeps the engine a
+    /// sequential client — the execution the paper's consistency
+    /// guarantee is stated for — and each wait is where the pushes of
+    /// earlier facts get the time to arrive. `is_fact` marks the one
+    /// write that carries a fact's contribution; refolds, window resets
+    /// and heal re-writes do not count towards coverage.
+    fn write(&mut self, shard: usize, key: u32, value: i64, is_fact: bool) -> io::Result<()> {
+        self.writers[shard].write_tree(Self::tree_of(key), value)?;
+        if is_fact {
             self.acked += 1;
-            if self.t95_ms.is_none()
-                && self.total > 0
-                && self.acked as f64 / self.total as f64 >= 0.95
-            {
+            if self.t95_ms.is_none() && self.acked as f64 / self.total as f64 >= 0.95 {
                 self.t95_ms = Some(ms(self.start.elapsed()));
             }
         }
+        Ok(())
     }
 
-    /// Blocks until writer `i` has at most `down_to` unacked writes.
-    fn drain_writer(&mut self, i: usize, down_to: usize) -> io::Result<()> {
-        while self.pending[i].len() > down_to {
-            let (id, _resp) = self.writers[i].next_response()?;
-            if let Some(tag) = self.pending[i].remove(&id) {
-                self.record_ack(tag);
-            }
+    /// Emits one partial for a pushed refinement.
+    fn on_push(&mut self, resp: Response<i64>) {
+        if let Response::Partial { tree, value, .. } = resp {
+            self.pushes_rx += 1;
+            let key = tree - 1;
+            self.emit(key, self.window_of(key), value, false);
+        }
+    }
+
+    /// Emits the pushed refinements that have already arrived; never
+    /// waits for one.
+    fn drain_pushes(&mut self) -> io::Result<()> {
+        while let Some((_sid, resp)) = self.sub.try_next_response(Duration::ZERO)? {
+            self.on_push(resp);
         }
         Ok(())
     }
 
-    /// Blocks until no writer holds an unacked write touching `key`.
-    fn drain_key(&mut self, key: u32) -> io::Result<()> {
-        for i in 0..self.n {
-            while self.pending[i].values().any(|t| t.key == key) {
-                let (id, _resp) = self.writers[i].next_response()?;
-                if let Some(tag) = self.pending[i].remove(&id) {
-                    self.record_ack(tag);
+    /// Reads each key's tree at the root, the combines pipelined on the
+    /// subscriber connection; pushes that arrive ahead of the responses
+    /// are emitted on the way.
+    fn combine_keys(&mut self, keys: &[u32]) -> io::Result<Vec<i64>> {
+        let mut slot: HashMap<u64, usize> = HashMap::with_capacity(keys.len());
+        for (i, &key) in keys.iter().enumerate() {
+            slot.insert(self.sub.submit_combine_tree(Self::tree_of(key))?, i);
+        }
+        let mut values = vec![self.spec.op.identity(); keys.len()];
+        while !slot.is_empty() {
+            let (id, resp) = self.sub.next_response()?;
+            match resp {
+                Response::Combine(v) => {
+                    if let Some(i) = slot.remove(&id) {
+                        values[i] = v;
+                    }
                 }
+                push => self.on_push(push),
             }
         }
-        Ok(())
+        Ok(values)
     }
 
-    /// Submits one absolute-value write on writer `shard` and applies
-    /// light backpressure so unacked writes stay bounded.
-    fn submit(&mut self, shard: usize, key: u32, value: i64, is_fact: bool) -> io::Result<()> {
-        let id = self.writers[shard].submit_write_tree(Self::tree_of(key), value)?;
-        self.writers[shard].flush_retry()?;
-        self.pending[shard].insert(id, PendTag { key, is_fact });
-        *self.outstanding_by_key.entry(key).or_insert(0) += 1;
-        if is_fact {
-            self.submitted += 1;
-        }
-        // Keep at most one write in flight per writer: acks settle
-        // promptly (coverage tracks the stream closely) while writes
-        // still pipeline across the round-robin shards.
-        if self.pending[shard].len() >= 2 {
-            self.drain_writer(shard, 1)?;
-        }
-        Ok(())
+    /// Emits `value`, read behind the propagation barrier, as the exact
+    /// final of the key's current window.
+    fn emit_final(&mut self, key: u32, value: i64) {
+        // The engine reads `sub` only through `next_response` and
+        // `try_next_response`, which hand pushes over in arrival order;
+        // a parked one would be emitted after this final, stamped with
+        // the next window.
+        debug_assert_eq!(
+            self.sub.parked_partials(),
+            0,
+            "a pushed partial is parked behind a final"
+        );
+        let window = self.window_of(key);
+        self.emit(key, window, value, true);
+        self.finals.push(Final { key, window, value });
     }
 
-    /// Drains pushed refinements, emitting one partial per push.
-    fn poll_sub(&mut self, wait: Duration) -> io::Result<()> {
-        while let Some((_sid, resp)) = self.sub.try_next_response(wait)? {
-            if let Response::Partial { tree, value, .. } = resp {
-                self.pushes_rx += 1;
-                let key = tree - 1;
-                let w = self.cur_window.get(&key).copied().unwrap_or(0);
-                self.emit(key, w, value, false);
-            }
+    /// Closes every open tumbling window — the stream's clock has moved
+    /// on to window `next` — behind one shared propagation barrier: an
+    /// exact final per key, then the key's shards reset to identity.
+    fn close_windows(&mut self, next: u64) -> io::Result<()> {
+        let open = std::mem::take(&mut self.touched);
+        let keys: Vec<u32> = open.keys().copied().collect();
+        // The propagation barrier: every write is acked, so once the
+        // cluster is quiet a combine at the root is the sequential fold
+        // of everything written so far.
+        self.cluster.quiesce();
+        let values = self.combine_keys(&keys)?;
+        for (&key, &v) in keys.iter().zip(&values) {
+            self.emit_final(key, v);
         }
-        Ok(())
-    }
-
-    /// Finalizes tumbling window `w` of `key` exactly: drain the key's
-    /// outstanding writes, read the window value synchronously, emit it
-    /// as a final, and reset the key's shards to identity for the next
-    /// window.
-    fn finalize_window(&mut self, key: u32, w: u64) -> io::Result<()> {
-        self.drain_key(key)?;
-        let v = self.sub.combine_tree(Self::tree_of(key))?;
-        self.emit(key, w, v, true);
-        self.finals.push(Final {
-            key,
-            window: w,
-            value: v,
-        });
         let ident = self.spec.op.identity();
-        let shards: Vec<usize> = self
-            .touched
-            .remove(&key)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        for s in shards {
-            self.accs.insert((key, s), ident);
-            self.submit(s, key, ident, false)?;
+        for (key, shards) in open {
+            self.cur_window.insert(key, next);
+            for s in shards {
+                self.accs.insert((key, s), ident);
+                self.write(s, key, ident, false)?;
+            }
         }
         Ok(())
     }
@@ -371,11 +385,10 @@ impl<'a> Driver<'a> {
         let key = if self.spec.group_by_key { f.key } else { 0 };
         if let WindowSpec::Tumbling(width) = self.spec.window {
             let w = f.at_ms / width;
-            let cur = *self.cur_window.entry(key).or_insert(w);
-            if w > cur {
-                self.finalize_window(key, cur)?;
-                self.cur_window.insert(key, w);
+            if w > self.at_hw / width && !self.touched.is_empty() {
+                self.close_windows(w)?;
             }
+            self.cur_window.insert(key, w);
         }
         if self.subscribed.insert(key) {
             self.sub.subscribe(Self::tree_of(key))?;
@@ -429,13 +442,11 @@ impl<'a> Driver<'a> {
         marks.insert(shard);
         if let Some((s, v)) = retired {
             marks.insert(s);
-            self.submit(s, key, v, false)?;
+            self.write(s, key, v, false)?;
         }
         let v = self.accs[&(key, shard)];
-        self.submit(shard, key, v, true)?;
-        // One bounded poll per fact: collect pushed refinements as they
-        // arrive and pace the stream.
-        self.poll_sub(Duration::from_millis(1))
+        self.write(shard, key, v, true)?;
+        self.drain_pushes()
     }
 }
 
@@ -460,10 +471,9 @@ where
     let keys: Vec<u32> = d.key_count.keys().copied().collect();
     // Pre-final snapshots: one last in-flight refinement per key before
     // the heal, so consumers see where the answer stood at stream end.
-    for &key in &keys {
-        let v = d.sub.combine_tree(Driver::tree_of(key))?;
-        let w = d.cur_window.get(&key).copied().unwrap_or(0);
-        d.emit(key, w, v, false);
+    let snapshots = d.combine_keys(&keys)?;
+    for (&key, &v) in keys.iter().zip(&snapshots) {
+        d.emit(key, d.window_of(key), v, false);
     }
     // Heal: forest values are volatile, so a crash or kill9 during the
     // stream may have zeroed node-local state. Re-writing every
@@ -471,25 +481,15 @@ where
     // writes are no-op overwrites.
     let heal: Vec<((u32, usize), i64)> = d.accs.iter().map(|(&k, &v)| (k, v)).collect();
     for ((key, shard), v) in heal {
-        d.submit(shard, key, v, false)?;
-    }
-    for i in 0..d.n {
-        d.drain_writer(i, 0)?;
+        d.write(shard, key, v, false)?;
     }
     cluster.quiesce();
-    // Late pushes (including any parked during sync combines).
-    d.poll_sub(Duration::from_millis(5))?;
-    // Exact finals: every fact write is acked and the cluster is quiet,
-    // so the synchronous combine equals the sequential oracle.
-    for &key in &keys {
-        let v = d.sub.combine_tree(Driver::tree_of(key))?;
-        let w = d.cur_window.get(&key).copied().unwrap_or(0);
-        d.emit(key, w, v, true);
-        d.finals.push(Final {
-            key,
-            window: w,
-            value: v,
-        });
+    // Exact finals for the windows still open (every key, unless the
+    // query tumbles and the key's last window already closed).
+    let open: Vec<u32> = d.touched.keys().copied().collect();
+    let values = d.combine_keys(&open)?;
+    for (&key, &v) in open.iter().zip(&values) {
+        d.emit_final(key, v);
     }
 
     let elapsed_ms = ms(d.start.elapsed());

@@ -1,8 +1,8 @@
-//! End-to-end engine properties over the in-process ring transport:
-//! partial sequences are monotone in coverage, refinement sequences
-//! strictly increase per key, and finals converge to the sequential
-//! oracle exactly — per key and per window, across operators, window
-//! modes, and seeds.
+//! End-to-end engine properties over the in-process ring transport
+//! (the barrier test runs all three): partial sequences are monotone in
+//! coverage, refinement sequences strictly increase per key, and finals
+//! converge to the sequential oracle exactly — per key and per window,
+//! across operators, window modes, and seeds.
 
 use oat_core::agg::{MaxI64, MinI64, SumI64};
 use oat_core::policy::rww::RwwSpec;
@@ -10,16 +10,17 @@ use oat_core::tree::Tree;
 use oat_net::{Cluster, NetConfig, TransportKind};
 use oat_query::{oracle_finals, run, OpKind, QuerySpec};
 use oat_workloads::facts::{phase_facts, uniform_facts, zipf_facts, Fact};
-
-fn ring_cfg() -> NetConfig {
-    NetConfig {
-        transport: TransportKind::Ring,
-        ..NetConfig::default()
-    }
-}
+use std::collections::HashMap;
 
 fn check(spec: &QuerySpec, facts: &[Fact], tree: &Tree) {
-    let cfg = ring_cfg();
+    check_on(TransportKind::Ring, spec, facts, tree);
+}
+
+fn check_on(transport: TransportKind, spec: &QuerySpec, facts: &[Fact], tree: &Tree) {
+    let cfg = NetConfig {
+        transport,
+        ..NetConfig::default()
+    };
     let run = match spec.op {
         OpKind::Sum | OpKind::Count => {
             let c = Cluster::spawn_with(tree, SumI64, &RwwSpec, false, Default::default(), cfg)
@@ -45,6 +46,20 @@ fn check(spec: &QuerySpec, facts: &[Fact], tree: &Tree) {
         run.finals,
         oracle_finals(spec, facts)
     );
+    // A final closes its window: the key's later partials belong to
+    // later windows.
+    let mut closed: HashMap<u32, u64> = HashMap::new();
+    for p in &run.partials {
+        if let Some(&w) = closed.get(&p.key) {
+            assert!(
+                p.window > w,
+                "{spec}: {p:?} follows the final of window {w}"
+            );
+        }
+        if p.is_final {
+            closed.insert(p.key, p.window);
+        }
+    }
     if !facts.is_empty() {
         assert!(
             run.min_partials_per_key() >= 3,
@@ -99,6 +114,22 @@ fn tumbling_windows_finalize_exactly() {
     // 2ms gap, 40ms windows: ~20 facts per window, several windows.
     let facts = zipf_facts(150, 4, 1.2, 2, 17);
     check(&spec(OpKind::Sum, true, "tumbling(40ms)"), &facts, &tree);
+}
+
+#[test]
+fn window_finals_wait_for_propagation() {
+    // 2ms gaps, 4ms windows: a boundary every other fact, so each final
+    // is read right behind the acks of the writes it must reflect. An
+    // ack means "applied at that node", not "visible at the root":
+    // without the barrier's quiesce these finals miss the oracle.
+    let tree = Tree::kary(7, 2);
+    let s = spec(OpKind::Sum, true, "tumbling(4ms)");
+    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+        for seed in 0..20 {
+            eprintln!("barrier: {} seed={seed}", transport.name());
+            check_on(transport, &s, &zipf_facts(60, 4, 1.2, 2, seed), &tree);
+        }
+    }
 }
 
 #[test]
