@@ -10,20 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy --workspace (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy --workspace --features epoll (deny warnings) =="
-cargo clippy --workspace --all-targets --features epoll -- -D warnings
-
 echo "== tier 1: cargo build --release =="
 cargo build --release
 
 echo "== tier 1: cargo test -q =="
 cargo test -q
-
-echo "== epoll backend: cargo test -q --features epoll =="
-# The same suite again with the reactor on epoll(7) instead of poll(2):
-# the backend is a drop-in swap behind compat/poll's Poller, so every
-# parity, chaos, and reactor test must pass unchanged.
-cargo test -q --features epoll
 
 echo "== bench smoke: oat bench --quick --threads 2 --trace =="
 # Quick-mode run of the measured baseline: validates the oat-bench-v4

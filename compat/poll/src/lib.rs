@@ -1,31 +1,37 @@
-//! Minimal `poll(2)` readiness layer, vendored for the offline build.
+//! Readiness layer for the offline build: a persistent epoll instance
+//! for the reactor, a one-shot `poll(2)` for everyone else.
 //!
-//! The reactor in `oat-net` needs exactly one thing the standard library
-//! does not expose: "block until any of these sockets is readable or
-//! writable". On Linux that is the `poll` syscall, reachable through the
-//! libc that `std` already links — no external crate required. This
-//! shim confines the `unsafe` FFI to one function so `oat-net` can keep
-//! its `#![forbid(unsafe_code)]`.
+//! The reactor in `oat-net` needs one thing the standard library does
+//! not expose: "block until any of these sockets is ready". Both
+//! syscall families are reachable through the libc that `std` already
+//! links — no external crate required. This shim confines the `unsafe`
+//! FFI to three small functions so `oat-net` can keep its
+//! `#![forbid(unsafe_code)]`.
 //!
-//! `poll` is level-triggered: a descriptor keeps reporting readiness
-//! until the condition is consumed, so callers may read or write a
-//! bounded amount per event and rely on the next call to re-report
-//! whatever is left. The interest set is rebuilt per call (plain
-//! `poll`, not `epoll`) — at the fleet sizes oat runs (hundreds of
-//! descriptors) the rebuild is noise next to one syscall.
+//! ## [`Poller`]: registration, not a per-call set
 //!
-//! ## The `epoll` feature
+//! A [`Poller`] is a level-triggered `epoll(7)` instance. The interest
+//! set lives in the kernel: a descriptor is [`Poller::add`]ed once with
+//! a caller-chosen `u64` token, re-armed or re-tokened with
+//! [`Poller::set_interest`], and [`Poller::remove`]d before it is closed
+//! — one `epoll_ctl` each, nothing else. [`Poller::wait`] fills an
+//! [`Events`] buffer with the *ready* `(token, bits)` pairs only, so a
+//! wakeup costs O(ready) however many descriptors are registered. No
+//! userspace mirror of the set exists; the caller's token is the only
+//! mapping back to its own state.
 //!
-//! `poll(2)` hands the kernel the whole interest set every call and the
-//! kernel scans it — O(fds) per wakeup, which stops scaling somewhere
-//! around ~1k sockets per reactor. The `epoll` cargo feature swaps the
-//! implementation behind [`Poller`] for a persistent level-triggered
-//! epoll instance: the interest set lives in the kernel, [`Poller::wait`]
-//! diffs the caller's `PollFd` slice against what is registered
-//! (add/modify/delete only what changed), and `epoll_wait` returns just
-//! the ready descriptors. The `PollFd` slice remains the API either way,
-//! so the reactor is byte-identical under both backends; `poll(2)` stays
-//! the portable default.
+//! Level-triggered means a descriptor keeps reporting readiness until
+//! the condition is consumed, so callers may read or write a bounded
+//! amount per event and rely on the next wait to re-report whatever is
+//! left. One epoll rule shapes the caller: hang-up and error are
+//! reported *whatever* the interest mask, so "stop listening to this
+//! socket for a while" must be a `remove`, not an empty mask.
+//!
+//! ## [`poll_fds`]: the one-shot
+//!
+//! `poll(2)` over a caller-built slice survives for waits that have no
+//! set to keep — a client's zero-wait "is a byte already here?" probe on
+//! one descriptor. It is O(slice) per call by construction.
 
 use std::io;
 use std::os::raw::{c_int, c_ulong};
@@ -87,6 +93,23 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
 }
 
+/// Millisecond timeout argument shared by `poll` and `epoll_wait`:
+/// `None` blocks indefinitely (-1); a non-zero wait under 1 ms rounds
+/// up, so a 100 µs deadline cannot spin at timeout 0.
+fn timeout_ms(timeout: Option<Duration>) -> c_int {
+    match timeout {
+        None => -1,
+        Some(d) => {
+            let ms = d.as_millis();
+            if d > Duration::ZERO && ms == 0 {
+                1
+            } else {
+                ms.min(c_int::MAX as u128) as c_int
+            }
+        }
+    }
+}
+
 /// Blocks until at least one entry of `fds` is ready, the timeout
 /// elapses (`Ok(0)`), or a signal interrupts the wait (also `Ok(0)` —
 /// spurious wakeups are part of the contract; callers loop).
@@ -98,21 +121,10 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usi
     for fd in fds.iter_mut() {
         fd.revents = 0;
     }
-    let timeout_ms: c_int = match timeout {
-        None => -1,
-        Some(d) => {
-            let ms = d.as_millis();
-            if d > Duration::ZERO && ms == 0 {
-                1
-            } else {
-                ms.min(c_int::MAX as u128) as c_int
-            }
-        }
-    };
     // SAFETY: `PollFd` is `#[repr(C)]` and layout-identical to `struct
     // pollfd`; the pointer/length pair comes from a live mutable slice,
     // and the kernel writes only within `nfds` entries.
-    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms(timeout)) };
     if rc >= 0 {
         return Ok(rc as usize);
     }
@@ -124,258 +136,176 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usi
     Err(err)
 }
 
-/// Records that `fd` has been closed by its owner.
-///
-/// The epoll backend keeps a persistent per-thread interest set and
-/// diffs it against each [`Poller::wait`] call, issuing `epoll_ctl`
-/// only for descriptors that changed. That diff has one blind spot: a
-/// closed descriptor number reused by a new connection with the same
-/// interest bits looks "already registered" even though the kernel
-/// auto-removed the old registration at close. Owners therefore note
-/// every close here (a thread-local queue — connections are
-/// single-owner per reactor thread), and `wait` evicts noted
-/// descriptors from its map so the successor gets a fresh
-/// registration. A no-op without the `epoll` feature.
-pub fn note_closed(fd: RawFd) {
-    #[cfg(feature = "epoll")]
-    CLOSED_FDS.with(|c| c.borrow_mut().push(fd));
-    #[cfg(not(feature = "epoll"))]
-    let _ = fd;
+const EPOLL_CLOEXEC: c_int = 0x80000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+/// Readiness bits epoll shares bit-for-bit with the poll(2) constants.
+const EVENT_MASK: u32 = (POLLIN | POLLOUT | POLLERR | POLLHUP) as u32;
+
+/// Mirrors `struct epoll_event`: packed on x86-64 (the kernel ABI
+/// quirk), naturally aligned elsewhere.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    /// The caller's token, returned verbatim with each event.
+    data: u64,
 }
 
-#[cfg(feature = "epoll")]
-thread_local! {
-    static CLOSED_FDS: std::cell::RefCell<Vec<RawFd>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn close(fd: c_int) -> c_int;
 }
 
-/// Readiness selector over a `&mut [PollFd]` interest set.
-///
-/// Without the `epoll` feature this is a stateless shim over
-/// [`poll_fds`]; with it, a persistent epoll instance whose kernel-side
-/// interest set is diffed against each call's slice (see the module
-/// docs). The contract is identical either way: level-triggered,
-/// spurious `Ok(0)` wakeups allowed, `revents` filled in place.
-#[cfg(not(feature = "epoll"))]
-pub struct Poller;
+/// One ready descriptor: the token it was registered under and the
+/// readiness bits the kernel reported.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Event {
+    /// The token passed to [`Poller::add`] / [`Poller::set_interest`].
+    pub token: u64,
+    /// [`POLLIN`] / [`POLLOUT`] / [`POLLERR`] / [`POLLHUP`] bits.
+    pub bits: i16,
+}
 
-#[cfg(not(feature = "epoll"))]
+impl Event {
+    /// True when a read will make progress: data, an error, or a hangup
+    /// (the read then returns 0 or the error, which the caller handles).
+    pub fn readable(&self) -> bool {
+        self.bits & (POLLIN | POLLERR | POLLHUP) != 0
+    }
+
+    /// True when a write would make progress (or fail fast).
+    pub fn writable(&self) -> bool {
+        self.bits & (POLLOUT | POLLERR | POLLHUP) != 0
+    }
+}
+
+/// Reusable buffer [`Poller::wait`] fills with ready events. Its
+/// capacity bounds the events returned per wait; level-triggered
+/// readiness re-reports the rest on the next one.
+pub struct Events {
+    buf: Vec<EpollEvent>,
+    len: usize,
+}
+
+impl Events {
+    /// A buffer for up to `capacity` events per wait (at least one).
+    pub fn with_capacity(capacity: usize) -> Events {
+        Events {
+            buf: vec![EpollEvent { events: 0, data: 0 }; capacity.max(1)],
+            len: 0,
+        }
+    }
+
+    /// Events returned by the last wait.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the last wait returned nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The last wait's events, in kernel order.
+    pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
+        self.buf[..self.len].iter().map(|ev| Event {
+            token: ev.data,
+            bits: (ev.events & EVENT_MASK) as i16,
+        })
+    }
+}
+
+/// Persistent level-triggered epoll instance; see the crate docs.
+///
+/// Every method takes `&self`: the kernel object is the only state, so
+/// connection owners can share one poller and register themselves.
+pub struct Poller {
+    epfd: RawFd,
+}
+
 impl Poller {
-    /// Creates a poller (no kernel state in the poll(2) build).
+    /// Creates the epoll instance.
     pub fn new() -> io::Result<Poller> {
-        Ok(Poller)
+        // SAFETY: plain syscall, no pointers.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller { epfd })
     }
 
-    /// Blocks until readiness or timeout; same contract as [`poll_fds`].
-    pub fn wait(&mut self, fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-        poll_fds(fds, timeout)
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: i16) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: interest as u32 & EVENT_MASK,
+            data: token,
+        };
+        // SAFETY: `ev` is a live, layout-correct epoll_event; the kernel
+        // reads it for ADD/MOD and ignores it for DEL.
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
+        if rc == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
+    }
+
+    /// Registers `fd` under `token` with the given interest bits. Fails
+    /// with `AlreadyExists` when `fd` is registered already.
+    pub fn add(&self, fd: RawFd, token: u64, interest: i16) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+    }
+
+    /// Replaces a registered descriptor's token and interest bits.
+    pub fn set_interest(&self, fd: RawFd, token: u64, interest: i16) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+    }
+
+    /// Deregisters `fd`; no event for it is reported by a later wait.
+    /// Call before closing the descriptor, so its number can be reused
+    /// by a new connection without any stale state behind it.
+    pub fn remove(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    /// Blocks until a registered descriptor is ready, the timeout
+    /// elapses, or a signal interrupts the wait; fills `events` with
+    /// the ready `(token, bits)` pairs and returns their count (`Ok(0)`
+    /// on timeout or interrupt — callers loop). Timeouts round as in
+    /// [`poll_fds`].
+    pub fn wait(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
+        events.len = 0;
+        // SAFETY: the buffer is live and `maxevents` is its length (at
+        // least one); the kernel writes only within it.
+        let rc = unsafe {
+            epoll_wait(
+                self.epfd,
+                events.buf.as_mut_ptr(),
+                events.buf.len().min(c_int::MAX as usize) as c_int,
+                timeout_ms(timeout),
+            )
+        };
+        if rc >= 0 {
+            events.len = rc as usize;
+            return Ok(events.len);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() == io::ErrorKind::Interrupted {
+            return Ok(0);
+        }
+        Err(err)
     }
 }
 
-#[cfg(feature = "epoll")]
-pub use epoll_impl::Poller;
-
-#[cfg(feature = "epoll")]
-mod epoll_impl {
-    use super::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::raw::c_int;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    const EPOLL_CLOEXEC: c_int = 0x80000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    /// Readiness bits shared bit-for-bit with the poll(2) constants.
-    const EVENT_MASK: u32 = (POLLIN | POLLOUT | POLLERR | POLLHUP) as u32;
-
-    /// Mirrors `struct epoll_event`: packed on x86-64 (the kernel ABI
-    /// quirk), naturally aligned elsewhere.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        /// We store the watched fd here to map results back to the slice.
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    /// Persistent epoll instance; see the crate docs for the contract.
-    pub struct Poller {
-        epfd: RawFd,
-        /// Kernel-side interest set as last synced: fd → interest bits.
-        registered: HashMap<RawFd, i16>,
-        events: Vec<EpollEvent>,
-    }
-
-    impl Poller {
-        /// Creates the epoll instance.
-        pub fn new() -> io::Result<Poller> {
-            // SAFETY: plain syscall, no pointers.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller {
-                epfd,
-                registered: HashMap::new(),
-                events: Vec::new(),
-            })
-        }
-
-        fn ctl(&mut self, op: c_int, fd: RawFd, interest: i16) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: interest as u32 & EVENT_MASK,
-                data: fd as u64,
-            };
-            // SAFETY: `ev` is a live, layout-correct epoll_event; the
-            // kernel reads it only for ADD/MOD.
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc == 0 {
-                Ok(())
-            } else {
-                Err(io::Error::last_os_error())
-            }
-        }
-
-        /// Syncs the kernel interest set to exactly `fds`, then waits.
-        /// Same contract as [`super::poll_fds`].
-        pub fn wait(&mut self, fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-            for fd in fds.iter_mut() {
-                fd.revents = 0;
-            }
-            // Evict descriptors whose owners reported a close: the
-            // kernel already auto-removed them, and the number may have
-            // been reused (see `note_closed`).
-            super::CLOSED_FDS.with(|c| {
-                for fd in c.borrow_mut().drain(..) {
-                    self.registered.remove(&fd);
-                }
-            });
-            let mut wanted: HashMap<RawFd, usize> = HashMap::with_capacity(fds.len());
-            for (i, pfd) in fds.iter().enumerate() {
-                wanted.insert(pfd.fd, i);
-            }
-            // Deregister what the caller no longer watches.
-            let stale: Vec<RawFd> = self
-                .registered
-                .keys()
-                .filter(|fd| !wanted.contains_key(fd))
-                .copied()
-                .collect();
-            for fd in stale {
-                // Already-closed fds fail EBADF/ENOENT; both just mean
-                // "not in the set", which is what we want.
-                let _ = self.ctl(EPOLL_CTL_DEL, fd, 0);
-                self.registered.remove(&fd);
-            }
-            // Register / update the rest, retrying across the ADD/MOD
-            // boundary so a map that drifted from kernel state heals.
-            for pfd in fds.iter_mut() {
-                let interest = pfd.events;
-                let up_to_date = self.registered.get(&pfd.fd) == Some(&interest);
-                if up_to_date {
-                    continue;
-                }
-                let op = if self.registered.contains_key(&pfd.fd) {
-                    EPOLL_CTL_MOD
-                } else {
-                    EPOLL_CTL_ADD
-                };
-                let mut res = self.ctl(op, pfd.fd, interest);
-                if let Err(e) = &res {
-                    match (op, e.raw_os_error()) {
-                        // Kernel has it but our map didn't: update in place.
-                        (EPOLL_CTL_ADD, Some(17 /* EEXIST */)) => {
-                            res = self.ctl(EPOLL_CTL_MOD, pfd.fd, interest);
-                        }
-                        // Map has it but the kernel lost it (close we
-                        // were not told about): re-add.
-                        (EPOLL_CTL_MOD, Some(2 /* ENOENT */)) => {
-                            res = self.ctl(EPOLL_CTL_ADD, pfd.fd, interest);
-                        }
-                        _ => {}
-                    }
-                }
-                match res {
-                    Ok(()) => {
-                        self.registered.insert(pfd.fd, interest);
-                    }
-                    Err(_) => {
-                        // EBADF and friends: surface like poll(2) does,
-                        // so the caller's readable() path retires it.
-                        self.registered.remove(&pfd.fd);
-                        pfd.revents = POLLNVAL;
-                    }
-                }
-            }
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(d) => {
-                    let ms = d.as_millis();
-                    if d > Duration::ZERO && ms == 0 {
-                        1
-                    } else {
-                        ms.min(c_int::MAX as u128) as c_int
-                    }
-                }
-            };
-            self.events
-                .resize(fds.len().max(64), EpollEvent { events: 0, data: 0 });
-            // SAFETY: the buffer is live and `maxevents` matches its
-            // length; the kernel writes only within it.
-            let rc = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.events.as_mut_ptr(),
-                    self.events.len() as c_int,
-                    timeout_ms,
-                )
-            };
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(err);
-            }
-            let mut ready = 0;
-            for ev in &self.events[..rc as usize] {
-                let fd = ev.data as RawFd;
-                if let Some(&i) = wanted.get(&fd) {
-                    let bits = (ev.events & EVENT_MASK) as i16;
-                    if bits != 0 && fds[i].revents == 0 {
-                        ready += 1;
-                    }
-                    fds[i].revents |= bits;
-                }
-            }
-            // Count entries pre-marked POLLNVAL during registration too.
-            ready += fds.iter().filter(|f| f.revents == POLLNVAL).count();
-            Ok(ready)
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            // SAFETY: closing the epoll fd we own.
-            unsafe {
-                close(self.epfd);
-            }
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: closing the epoll fd we own; errors are unreportable.
+        unsafe {
+            close(self.epfd);
         }
     }
 }
@@ -435,79 +365,163 @@ mod tests {
         assert_eq!(n, 0);
     }
 
-    // Poller tests run under whichever backend the build selected, so
-    // `cargo test` and `cargo test --features epoll` exercise the same
-    // contract against both implementations.
-
-    #[test]
-    fn poller_reports_readable_then_level_clears() {
-        let (mut a, b) = UnixStream::pair().unwrap();
-        let mut poller = Poller::new().unwrap();
-        let mut fds = [PollFd::new(b.as_raw_fd(), POLLIN)];
-        assert_eq!(
-            poller
-                .wait(&mut fds, Some(Duration::from_millis(5)))
-                .unwrap(),
-            0
-        );
-        a.write_all(&[7]).unwrap();
-        let n = poller.wait(&mut fds, Some(Duration::from_secs(1))).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].readable());
-        let mut byte = [0u8; 1];
-        (&b).read_exact(&mut byte).unwrap();
-        let n = poller
-            .wait(&mut fds, Some(Duration::from_millis(5)))
+    fn wait_ms(poller: &Poller, events: &mut Events, ms: u64) -> Vec<Event> {
+        poller
+            .wait(events, Some(Duration::from_millis(ms)))
             .unwrap();
-        assert_eq!(n, 0);
-        assert!(!fds[0].readable());
+        events.iter().collect()
     }
 
     #[test]
-    fn poller_tracks_interest_changes_and_removals() {
-        let (a, mut b) = UnixStream::pair().unwrap();
-        let (c, _d) = UnixStream::pair().unwrap();
-        let mut poller = Poller::new().unwrap();
-        // Watch both; only writability should fire.
-        let mut fds = [
-            PollFd::new(a.as_raw_fd(), POLLOUT),
-            PollFd::new(c.as_raw_fd(), POLLIN),
-        ];
-        let n = poller.wait(&mut fds, Some(Duration::from_secs(1))).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].writable());
-        assert!(!fds[1].readable());
-        // Drop `c` from the set and flip `a` to read interest.
-        b.write_all(&[9]).unwrap();
-        let mut fds = [PollFd::new(a.as_raw_fd(), POLLIN)];
-        let n = poller.wait(&mut fds, Some(Duration::from_secs(1))).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].readable());
+    fn poller_re_reports_readiness_until_it_is_consumed() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        poller.add(b.as_raw_fd(), 7, POLLIN).unwrap();
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
+        a.write_all(&[1, 2]).unwrap();
+        // Level-triggered: the same readiness comes back on every wait
+        // while a byte is still unread.
+        for _ in 0..3 {
+            let got = wait_ms(&poller, &mut events, 1000);
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].token, 7);
+            assert!(got[0].readable() && !got[0].writable());
+            assert_eq!(events.len(), 1);
+        }
+        let mut bytes = [0u8; 2];
+        (&b).read_exact(&mut bytes).unwrap();
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
+        assert!(events.is_empty());
     }
 
     #[test]
-    fn poller_survives_fd_close_and_reuse() {
-        // Close a watched socket, note it, and immediately create a new
-        // pair (which typically reuses the lowest free fd number): the
-        // successor must still get registered and report readiness.
-        let mut poller = Poller::new().unwrap();
-        let (a, b) = UnixStream::pair().unwrap();
-        let fd = b.as_raw_fd();
-        let mut fds = [PollFd::new(fd, POLLIN)];
-        assert_eq!(
-            poller
-                .wait(&mut fds, Some(Duration::from_millis(1)))
-                .unwrap(),
-            0
-        );
+    fn set_interest_arms_and_disarms_pollout_and_retokens() {
+        let (a, _b) = UnixStream::pair().unwrap();
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        let fd = a.as_raw_fd();
+        poller.add(fd, 1, POLLIN).unwrap();
+        // An idle socket is writable, but nobody asked.
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
+        poller.set_interest(fd, 2, POLLIN | POLLOUT).unwrap();
+        let got = wait_ms(&poller, &mut events, 1000);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].token, 2, "set_interest replaces the token too");
+        assert!(got[0].writable() && !got[0].readable());
+        poller.set_interest(fd, 2, POLLIN).unwrap();
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
+        // Registering twice is the caller's bug and says so.
+        let again = poller.add(fd, 3, POLLIN).unwrap_err();
+        assert_eq!(again.kind(), io::ErrorKind::AlreadyExists);
+    }
+
+    #[test]
+    fn remove_silences_a_ready_descriptor() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        poller.add(b.as_raw_fd(), 9, POLLIN).unwrap();
+        a.write_all(&[1]).unwrap();
+        assert_eq!(wait_ms(&poller, &mut events, 1000).len(), 1);
+        poller.remove(b.as_raw_fd()).unwrap();
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
+        // Removing what is not registered is an error, not a no-op.
+        assert!(poller.remove(b.as_raw_fd()).is_err());
+    }
+
+    #[test]
+    fn a_closed_and_reused_fd_number_registers_afresh() {
+        // Remove, close, and open a new pair (which takes the lowest
+        // free numbers, so the old one comes back): the successor adds
+        // under its own token with no helper call, and nothing of the
+        // predecessor's registration is reported.
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        let (mut a, b) = UnixStream::pair().unwrap();
+        let old_fds = [a.as_raw_fd(), b.as_raw_fd()];
+        poller.add(b.as_raw_fd(), 100, POLLIN).unwrap();
+        a.write_all(&[1]).unwrap();
+        assert_eq!(wait_ms(&poller, &mut events, 1000)[0].token, 100);
+        poller.remove(b.as_raw_fd()).unwrap();
         drop(b);
         drop(a);
-        note_closed(fd);
         let (mut a2, b2) = UnixStream::pair().unwrap();
+        assert!(
+            old_fds.contains(&b2.as_raw_fd()) || old_fds.contains(&a2.as_raw_fd()),
+            "the kernel hands out the lowest free descriptor numbers"
+        );
+        poller.add(b2.as_raw_fd(), 200, POLLIN).unwrap();
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
         a2.write_all(&[1]).unwrap();
-        let mut fds = [PollFd::new(b2.as_raw_fd(), POLLIN)];
-        let n = poller.wait(&mut fds, Some(Duration::from_secs(1))).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].readable());
+        let got = wait_ms(&poller, &mut events, 1000);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].token, 200);
+    }
+
+    #[test]
+    fn hangup_is_delivered_under_an_empty_interest_mask() {
+        // Why a stalled node removes its client sockets instead of
+        // masking them: epoll reports HUP/ERR whatever the mask, on
+        // every wait, so a masked socket whose peer left spins the loop.
+        let (a, b) = UnixStream::pair().unwrap();
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        poller.add(b.as_raw_fd(), 5, 0).unwrap();
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
+        drop(a);
+        for _ in 0..2 {
+            let got = wait_ms(&poller, &mut events, 1000);
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].token, 5);
+            assert!(got[0].bits & POLLHUP != 0);
+            assert!(got[0].readable(), "a hangup must route to the read path");
+        }
+        poller.remove(b.as_raw_fd()).unwrap();
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
+    }
+
+    #[test]
+    fn one_ready_among_512_registered_returns_exactly_one_event() {
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(64);
+        let mut pairs: Vec<(UnixStream, UnixStream)> =
+            (0..512).map(|_| UnixStream::pair().unwrap()).collect();
+        for (i, (_, rx)) in pairs.iter().enumerate() {
+            poller.add(rx.as_raw_fd(), i as u64, POLLIN).unwrap();
+        }
+        assert!(wait_ms(&poller, &mut events, 5).is_empty());
+        pairs[317].0.write_all(&[1]).unwrap();
+        let got = wait_ms(&poller, &mut events, 1000);
+        assert_eq!(
+            got,
+            vec![Event {
+                token: 317,
+                bits: POLLIN
+            }]
+        );
+    }
+
+    #[test]
+    fn a_full_event_buffer_defers_the_rest_to_the_next_wait() {
+        let poller = Poller::new().unwrap();
+        let mut events = Events::with_capacity(2);
+        let mut pairs: Vec<(UnixStream, UnixStream)> =
+            (0..5).map(|_| UnixStream::pair().unwrap()).collect();
+        for (i, (tx, rx)) in pairs.iter_mut().enumerate() {
+            poller.add(rx.as_raw_fd(), i as u64, POLLIN).unwrap();
+            tx.write_all(&[1]).unwrap();
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        while seen.len() < 5 {
+            let got = wait_ms(&poller, &mut events, 1000);
+            assert!(!got.is_empty() && got.len() <= 2);
+            for ev in got {
+                let (_, rx) = &pairs[ev.token as usize];
+                let mut byte = [0u8; 1];
+                (&*rx).read_exact(&mut byte).unwrap();
+                seen.insert(ev.token);
+            }
+        }
     }
 }

@@ -12,8 +12,9 @@
 //! with a socketpair doorbell — the protocol and every fault/recovery
 //! seam are identical across the three.
 //!
-//! The runtime is a readiness-based reactor (poll(2) by default, epoll(7)
-//! behind the `epoll` feature): a fixed pool of event-loop threads
+//! The runtime is a readiness-based reactor over a persistent epoll(7)
+//! registration (a wakeup costs what is ready, not what is open;
+//! DESIGN.md §11): a fixed pool of event-loop threads
 //! (default `min(cores, 4)`, tunable via [`NetConfig`]) drives
 //! every connection non-blocking, with nodes sharded across the pool by
 //! `node_id % pool`. All of a node's connections live on its owning

@@ -9,8 +9,9 @@
 //! the parked combine waiters. There are no per-node threads, no inbox
 //! channel, and no locks: every byte this node reads or writes moves
 //! through its owning reactor's event loop, which calls the `on_*`
-//! handlers below when a socket is ready and [`NodeRt::flush`] once per
-//! loop iteration.
+//! handlers below when a socket is ready and [`NodeRt::flush`] after
+//! every wakeup that touched the node (an event, or a timer that
+//! fired).
 //!
 //! Inbound bytes land in per-connection [`FrameDecoder`]s, so a frame
 //! split across arbitrarily many TCP segments (or a client that stalls
@@ -37,8 +38,11 @@
 //! retransmit buffer is bounded by *backpressure* instead of eviction:
 //! past [`RTX_DEFAULT_HIGH`] (configurable via `NetConfig`) the node
 //! stops reading its **client** connections — the intake that generates
-//! new work — until the buffer drains below the low watermark. Edge
-//! connections are never stalled: acks and peer traffic must keep
+//! new work — until the buffer drains below the low watermark. The
+//! client sockets leave the poller outright for the duration
+//! ([`Conn::park`]): epoll reports a hangup whatever the interest mask,
+//! so a client that left mid-stall would spin a merely masked socket.
+//! Edge connections are never stalled: acks and peer traffic must keep
 //! flowing or the stall could never clear. Stall entries are counted in
 //! [`NodeMetrics::backpressure_stalls`].
 //!
@@ -105,9 +109,10 @@ use oat_core::policy::PolicySpec;
 use oat_core::request::ReqOp;
 use oat_core::tree::{NodeId, Tree};
 use oat_core::wire::{put_u32, put_u64, WireReader, WireValue};
-use oat_poll::{PollFd, POLLIN, POLLOUT};
+use oat_poll::{Poller, POLLIN};
 use oat_sim::stats::MsgStats;
 use std::os::unix::io::AsRawFd;
+use std::rc::Rc;
 
 use crate::durability::{Durability, LinkState, WalState};
 use crate::frame::{
@@ -239,6 +244,8 @@ pub(crate) struct Ctx<'a, S, A: AggOp> {
     /// Retransmit-buffer backpressure watermarks.
     pub rtx_high: usize,
     pub rtx_low: usize,
+    /// The owning reactor's poller; every [`Conn`] registers itself.
+    pub poller: &'a Rc<Poller>,
 }
 
 /// Send + receive state of one edge: the sequenced link, its live
@@ -434,6 +441,9 @@ impl<V> Default for TreeSubs<V> {
 /// One tree node: automaton + transport, owned by a reactor thread.
 pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     id: NodeId,
+    /// This node's index in its reactor's shard: the node half of every
+    /// [`Tok`] its sockets are registered under.
+    slot: usize,
     degree: usize,
     listener: Listener,
     mech: MechNode<S::Node, A>,
@@ -503,6 +513,7 @@ where
     A::Value: WireValue,
 {
     pub(crate) fn new(
+        slot: usize,
         seed: NodeSeed,
         ctx: &Ctx<'_, S, A>,
         plan: &FaultPlan,
@@ -514,6 +525,11 @@ where
             backend,
         } = seed;
         let degree = ctx.tree.degree(id);
+        // The listener stays registered for the reactor's lifetime (a
+        // kill9 leaves it open: the "new process" inherits the address).
+        ctx.poller
+            .add(listener.as_raw_fd(), Tok::Listener(slot).pack(), POLLIN)
+            .expect("register listener");
         let now = Instant::now();
         let links: Vec<EdgeLink> = ctx
             .tree
@@ -557,6 +573,7 @@ where
         let durable = backend.active();
         let mut node = NodeRt {
             id,
+            slot,
             degree,
             listener,
             mech,
@@ -619,58 +636,14 @@ where
         self.links.iter().filter_map(|l| l.redial_at).min()
     }
 
-    /// Appends this node's poll interest set: listener, pre-hello
-    /// connections, edges (live + dialing), clients. A stalled node
-    /// drops `POLLIN` interest on its clients only — the intake that
-    /// creates new sequenced frames — never on edges.
-    pub(crate) fn register(&self, idx: usize, fds: &mut Vec<PollFd>, toks: &mut Vec<Tok>) {
-        fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
-        toks.push(Tok::Listener(idx));
-        for (&pid, conn) in &self.pending {
-            fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
-            toks.push(Tok::Pending(idx, pid));
-        }
-        // POLLOUT interest is transport-gated: ring doorbells are almost
-        // always writable, so arming POLLOUT on them would busy-spin. A
-        // blocked ring write recovers via the peer's space-freed nudge
-        // (POLLIN) plus the unconditional flush pass each iteration.
-        for (wi, link) in self.links.iter().enumerate() {
-            if let Some(conn) = &link.conn {
-                let mut ev = POLLIN;
-                if !conn.out.is_empty() && conn.stream.wants_pollout() {
-                    ev |= POLLOUT;
-                }
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), ev));
-                toks.push(Tok::Edge(idx, wi));
-            }
-            if let Some(conn) = &link.pending_dial {
-                let mut ev = POLLIN;
-                if !conn.out.is_empty() && conn.stream.wants_pollout() {
-                    ev |= POLLOUT;
-                }
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), ev));
-                toks.push(Tok::Dial(idx, wi));
-            }
-        }
-        for (&cid, conn) in &self.clients {
-            let mut ev = if self.stalled { 0 } else { POLLIN };
-            if !conn.out.is_empty() && conn.stream.wants_pollout() {
-                ev |= POLLOUT;
-            }
-            if ev != 0 {
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), ev));
-                toks.push(Tok::Client(idx, cid));
-            }
-        }
-    }
-
     /// Accepts everything the listener has ready; connections park in
     /// `pending` until their hello classifies them.
-    pub(crate) fn on_accept_ready(&mut self) {
+    pub(crate) fn on_accept_ready(&mut self, ctx: &Ctx<'_, S, A>) {
         loop {
             match self.listener.accept() {
                 Ok(stream) => {
-                    if let Ok(conn) = Conn::new(stream) {
+                    let tok = Tok::Pending(self.slot, self.next_pending);
+                    if let Ok(conn) = Conn::new(stream, ctx.poller, tok) {
                         self.pending.insert(self.next_pending, conn);
                         self.next_pending += 1;
                     }
@@ -712,8 +685,11 @@ where
                 }
             }
             Ok(Some((TAG_HELLO_CLIENT, _))) => {
-                let conn = self.pending.remove(&pid).expect("present above");
+                let mut conn = self.pending.remove(&pid).expect("present above");
                 let cid = self.next_client;
+                if conn.retoken(Tok::Client(self.slot, cid)).is_err() {
+                    return;
+                }
                 self.next_client += 1;
                 self.clients.insert(cid, conn);
                 // Clients may pipeline requests behind the hello in one
@@ -2114,10 +2090,12 @@ where
         }
     }
 
-    /// Fires due redial timers: a blocking `connect` to a pre-bound
-    /// loopback listener completes (or fails) immediately, then the
-    /// hello waits for its reply under poll like any other read.
-    pub(crate) fn run_dial_timers(&mut self, ctx: &Ctx<'_, S, A>, now: Instant) {
+    /// Fires this node's due timers — the retransmission tick when
+    /// `rto_tick` says the reactor's RTO cadence came round, and redials
+    /// whose time has come. Memory-only unless something is due; returns
+    /// `true` when a timer queued bytes, i.e. the node needs a flush.
+    pub(crate) fn run_timers(&mut self, ctx: &Ctx<'_, S, A>, now: Instant, rto_tick: bool) -> bool {
+        let mut fired = rto_tick && self.rto_tick();
         for wi in 0..self.links.len() {
             let link = &mut self.links[wi];
             if link.conn.is_some() || link.pending_dial.is_some() {
@@ -2126,17 +2104,24 @@ where
             }
             match link.redial_at {
                 Some(at) if at <= now => {
+                    // A blocking `connect` to a pre-bound loopback
+                    // listener completes (or fails) immediately, then
+                    // the hello waits for its reply like any other read.
                     link.redial_at = None;
                     self.try_dial(wi, ctx);
+                    fired = true;
                 }
                 _ => {}
             }
         }
+        fired
     }
 
     fn try_dial(&mut self, wi: usize, ctx: &Ctx<'_, S, A>) {
         let link = &mut self.links[wi];
-        let attempt = Stream::connect(&ctx.addrs[link.peer.idx()]).and_then(Conn::new);
+        let tok = Tok::Dial(self.slot, wi);
+        let attempt = Stream::connect(&ctx.addrs[link.peer.idx()])
+            .and_then(|stream| Conn::new(stream, ctx.poller, tok));
         match attempt {
             Ok(mut conn) => {
                 let mut hello = Vec::with_capacity(20);
@@ -2161,8 +2146,10 @@ where
     /// Go-back-N on every up edge whose ack watermark stalled since the
     /// previous tick. A stalled watermark alone is not evidence of loss
     /// — the oldest unacked frame must also be at least one RTO old.
-    pub(crate) fn rto_tick(&mut self) {
+    /// Returns `true` when anything was re-queued.
+    fn rto_tick(&mut self) -> bool {
         let id = self.id;
+        let mut resent = false;
         for link in self.links.iter_mut() {
             let stale = link
                 .rtx
@@ -2184,57 +2171,61 @@ where
                         queue_seq(&mut conn.out, *seq, *inner, body);
                         *sent = now;
                     }
+                    resent = true;
                 }
             }
             link.acked_at_tick = link.acked;
         }
+        resent
     }
 
-    /// The per-iteration flush: piggy-back a cumulative ack on every
-    /// edge whose receive watermark advanced, push every write queue
-    /// into its socket (edges before clients, so a flushed client
+    /// The flush of one touched node: piggy-back a cumulative ack on
+    /// every edge whose receive watermark advanced, push every write
+    /// queue into its socket (edges before clients, so a flushed client
     /// response always trails the mechanism messages of the request
     /// that produced it), and update the backpressure stall state.
-    pub(crate) fn flush(&mut self, ctx: &Ctx<'_, S, A>) {
+    /// Each [`Conn::flush`] keeps its own `POLLOUT` registration in
+    /// step with the outcome.
+    ///
+    /// Returns `true` when bytes stay queued that no readiness event is
+    /// armed for — a ring link waiting for its space-freed nudge (ring
+    /// doorbells get no `POLLOUT`). The reactor retries such a node's
+    /// flush at every wakeup instead of trusting the nudge alone.
+    pub(crate) fn flush(&mut self, ctx: &Ctx<'_, S, A>) -> bool {
+        let mut backlog = false;
+        let mut blocked =
+            |conn: &Conn, drained: bool| backlog |= !drained && !conn.stream.wants_pollout();
         for (wi, link) in self.links.iter_mut().enumerate() {
             if let Some(conn) = link.pending_dial.as_mut() {
-                if !conn.out.is_empty() && conn.flush().is_err() {
-                    link.pending_dial = None;
-                    let backoff = link.backoff_ms;
-                    let jitter = link.next_jitter(backoff);
-                    link.redial_at = Some(Instant::now() + Duration::from_millis(backoff + jitter));
-                    link.backoff_ms = (backoff * 2).min(RECONNECT_CAP_MS);
+                if !conn.out.is_empty() {
+                    match conn.flush() {
+                        Ok(drained) => blocked(conn, drained),
+                        Err(_) => {
+                            link.pending_dial = None;
+                            let backoff = link.backoff_ms;
+                            let jitter = link.next_jitter(backoff);
+                            link.redial_at =
+                                Some(Instant::now() + Duration::from_millis(backoff + jitter));
+                            link.backoff_ms = (backoff * 2).min(RECONNECT_CAP_MS);
+                        }
+                    }
                 }
             }
             if let Some(conn) = link.conn.as_mut() {
                 if link.rx_seq > link.rx_acked || link.reack {
-                    let mut p = Vec::with_capacity(8);
-                    put_u64(&mut p, link.rx_seq);
-                    conn.out.frame(TAG_ACK, &p);
+                    conn.out.frame(TAG_ACK, &link.rx_seq.to_le_bytes());
                     link.rx_acked = link.rx_seq;
                     link.reack = false;
                 }
-                if !conn.out.is_empty() && conn.flush().is_err() {
-                    self.downed.push(wi);
+                if !conn.out.is_empty() {
+                    match conn.flush() {
+                        Ok(drained) => blocked(conn, drained),
+                        Err(_) => self.downed.push(wi),
+                    }
                 }
             }
         }
         self.settle_downed();
-        // Stream whatever each in-progress batch gathered since the last
-        // boundary, before the client write queues flush below.
-        self.stream_batches();
-        let mut dropped: Vec<ClientId> = Vec::new();
-        self.clients.retain(|&cid, conn| {
-            let keep = conn.out.is_empty() || conn.flush().is_ok();
-            if !keep {
-                dropped.push(cid);
-            }
-            keep
-        });
-        for cid in dropped {
-            self.book.purge(cid);
-            self.purge_subs(cid);
-        }
         // Backpressure: enter a stall at the high watermark, leave only
         // once *every* edge drained below the low one (hysteresis).
         if !self.stalled {
@@ -2245,12 +2236,46 @@ where
         } else if self.links.iter().all(|l| l.rtx.len() <= ctx.rtx_low) {
             self.stalled = false;
         }
+        let stalled = self.stalled;
+        // Stream whatever each in-progress batch gathered since the last
+        // boundary, before the client write queues flush below.
+        self.stream_batches();
+        // Clients: flush, and keep each socket out of the poller exactly
+        // while the node is stalled (both calls are no-ops when already
+        // so; a client promoted mid-stall is parked here, before the
+        // reactor sleeps again). One that cannot rejoin is dropped like
+        // a dead one.
+        let mut dropped: Vec<ClientId> = Vec::new();
+        self.clients.retain(|&cid, conn| {
+            let mut serve = || {
+                if !conn.out.is_empty() {
+                    let drained = conn.flush()?;
+                    blocked(conn, drained);
+                }
+                if stalled {
+                    conn.park();
+                    Ok(())
+                } else {
+                    conn.unpark()
+                }
+            };
+            let keep = serve().is_ok();
+            if !keep {
+                dropped.push(cid);
+            }
+            keep
+        });
+        for cid in dropped {
+            self.book.purge(cid);
+            self.purge_subs(cid);
+        }
         // Fold the log into a snapshot once enough has accumulated —
         // at the flush boundary the node's state is self-consistent.
         if self.durable && self.backend.wants_snapshot() {
             let state = self.wal_state();
             self.backend.snapshot(&state);
         }
+        backlog
     }
 
     /// Folds the node's durable state into a snapshot image.
@@ -2352,6 +2377,7 @@ where
         // An unknown peer id is a protocol violation from an untrusted
         // connection: drop it.
         let wi = ctx.tree.nbrs(self.id).iter().position(|&v| v == peer)?;
+        conn.retoken(Tok::Edge(self.slot, wi)).ok()?;
         let rx_before = self.links[wi].rx_seq;
         {
             // Apply the peer's watermarks *before* composing our reply,
@@ -2380,9 +2406,10 @@ where
         let link = &mut self.links[wi];
         let was_up = link.conn.is_some();
         if let Some(old) = link.conn.take() {
-            // Sever the replaced connection. Frames still buffered in its
-            // decoder or queues are dropped — the sequenced replay below
-            // (and the peer's own) re-delivers everything unacknowledged.
+            // Sever the replaced connection (its drop deregisters it).
+            // Frames still buffered in its decoder or queues are dropped
+            // — the sequenced replay below (and the peer's own)
+            // re-delivers everything unacknowledged.
             let _ = old.stream.shutdown(Shutdown::Both);
         }
         link.conn = Some(conn);

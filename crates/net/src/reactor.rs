@@ -1,5 +1,5 @@
-//! The poll-based reactor runtime: event-loop threads driving
-//! non-blocking sockets.
+//! The reactor runtime: event-loop threads driving non-blocking
+//! sockets through a persistent epoll registration.
 //!
 //! ## Thread model
 //!
@@ -16,15 +16,28 @@
 //!
 //! ## The readiness loop
 //!
-//! Each iteration: fire due timers (redial attempts, the retransmission
-//! tick), flush every connection's [`WriteQueue`] with `write_vectored`
-//! (a `WouldBlock` leaves the remainder queued and arms `POLLOUT`),
-//! rebuild the interest set, and block in `poll(2)` until a socket is
-//! ready, a timer is due, or the cluster's waker nudges the loop (the
-//! only cross-thread signal — used for shutdown). Ready sockets are
-//! read in bounded chunks into per-connection [`FrameDecoder`]s
-//! (`poll` is level-triggered, so leftovers re-report next iteration)
-//! and every complete frame is dispatched inline on the owning node.
+//! Each reactor owns one [`Poller`]: a level-triggered epoll instance
+//! whose interest set lives in the kernel. A socket is registered once,
+//! where it is adopted — the waker and every listener at spawn, every
+//! other socket by [`Conn::new`] on accept or dial — under a packed
+//! [`Tok`] naming its node and role. A hello that promotes a connection
+//! to an edge or a client re-tokens it; [`Conn`]'s drop removes it
+//! before the descriptor closes, so a reused fd number never aliases a
+//! dead registration. `POLLOUT` is armed by the flush that hits
+//! `WouldBlock` and disarmed by the one that drains the queue.
+//!
+//! One wakeup then costs what is ready, not what exists. `wait` returns
+//! the ready `(token, bits)` pairs; each is read in bounded chunks into
+//! its connection's [`FrameDecoder`] (level-triggered: leftovers
+//! re-report) and every complete frame is dispatched inline on the
+//! owning node. Dispatches only *queue* bytes; afterwards exactly the
+//! nodes an event named — plus those whose retransmit or redial timer
+//! fired, plus any still holding bytes that no `POLLOUT` can announce
+//! (a ring link waiting for its space-freed nudge) — run
+//! [`NodeRt::flush`], the single point where bytes hit sockets. The
+//! only per-iteration walk over all nodes is the memory-only timer scan
+//! that also yields the sleep bound. The cluster's waker nudges the
+//! loop for shutdown, the only cross-thread signal.
 //!
 //! Cross-node delivery needs no special case: a node writes to the TCP
 //! edge exactly as before, and the peer's socket becomes readable on
@@ -35,6 +48,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,7 +59,7 @@ use oat_core::fault::{FaultPlan, InjectedFaults};
 use oat_core::policy::PolicySpec;
 use oat_core::tree::{NodeId, Tree};
 use oat_core::wire::WireValue;
-use oat_poll::{PollFd, Poller, POLLIN};
+use oat_poll::{Events, Poller, POLLIN, POLLOUT};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 
@@ -208,23 +222,83 @@ impl WriteQueue {
     }
 }
 
-/// One non-blocking connection: the stream plus its incremental frame
-/// decoder (read side) and write queue (write side).
+/// One non-blocking connection: the stream, its incremental frame
+/// decoder (read side) and write queue (write side), and its
+/// registration with the owning reactor's [`Poller`].
+///
+/// The connection owns that registration for its whole life: added on
+/// adoption, re-tokened when a hello reveals what it is, `POLLOUT`
+/// armed and disarmed by its own flushes, and removed on drop — before
+/// the descriptor closes.
 pub(crate) struct Conn {
     pub(crate) stream: Stream,
     pub(crate) dec: FrameDecoder,
     pub(crate) out: WriteQueue,
+    poller: Rc<Poller>,
+    tok: Tok,
+    /// Interest bits currently registered; `None` while parked.
+    interest: Option<i16>,
 }
 
 impl Conn {
-    /// Adopts a freshly accepted/connected stream into reactor mode.
-    pub(crate) fn new(stream: Stream) -> io::Result<Conn> {
+    /// Adopts a freshly accepted/connected stream into reactor mode and
+    /// registers it for reads under `tok`.
+    pub(crate) fn new(stream: Stream, poller: &Rc<Poller>, tok: Tok) -> io::Result<Conn> {
         stream.prepare()?;
+        poller.add(stream.as_raw_fd(), tok.pack(), POLLIN)?;
         Ok(Conn {
             stream,
             dec: FrameDecoder::new(),
             out: WriteQueue::default(),
+            poller: Rc::clone(poller),
+            tok,
+            interest: Some(POLLIN),
         })
+    }
+
+    /// Re-registers the connection under a new token (a hello promoted
+    /// it from pending/dialing to an edge or a client).
+    pub(crate) fn retoken(&mut self, tok: Tok) -> io::Result<()> {
+        self.tok = tok;
+        match self.interest {
+            Some(bits) => self
+                .poller
+                .set_interest(self.stream.as_raw_fd(), tok.pack(), bits),
+            None => Ok(()),
+        }
+    }
+
+    /// The interest this connection should be registered with: reads,
+    /// plus writes while bytes are queued on a transport where `POLLOUT`
+    /// means something. Ring doorbells are almost always writable, so
+    /// arming `POLLOUT` on them would busy-spin; a blocked ring write
+    /// recovers via the peer's space-freed nudge (`POLLIN`).
+    fn wanted(&self) -> i16 {
+        if !self.out.is_empty() && self.stream.wants_pollout() {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
+        }
+    }
+
+    /// Takes the socket out of the poller without closing it. A parked
+    /// connection reports nothing — not even a hangup, which epoll
+    /// delivers whatever the interest mask (so masking would not do).
+    pub(crate) fn park(&mut self) {
+        if self.interest.take().is_some() {
+            let _ = self.poller.remove(self.stream.as_raw_fd());
+        }
+    }
+
+    /// Puts a parked socket back, with `POLLOUT` if bytes are waiting.
+    pub(crate) fn unpark(&mut self) -> io::Result<()> {
+        if self.interest.is_none() {
+            let bits = self.wanted();
+            self.poller
+                .add(self.stream.as_raw_fd(), self.tok.pack(), bits)?;
+            self.interest = Some(bits);
+        }
+        Ok(())
     }
 
     /// Reads a bounded amount of whatever is available into the
@@ -250,14 +324,32 @@ impl Conn {
         }
     }
 
-    /// Flushes the write queue; see [`WriteQueue::flush`].
+    /// Flushes the write queue (see [`WriteQueue::flush`]) and syncs
+    /// the registration to the outcome: `WouldBlock` arms `POLLOUT`, a
+    /// drained queue disarms it. One `epoll_ctl` per transition, none
+    /// in the steady state where every flush drains.
     pub(crate) fn flush(&mut self) -> io::Result<bool> {
-        self.out.flush(&mut self.stream)
+        let drained = self.out.flush(&mut self.stream)?;
+        let bits = self.wanted();
+        if self.interest.is_some_and(|cur| cur != bits) {
+            self.poller
+                .set_interest(self.stream.as_raw_fd(), self.tok.pack(), bits)?;
+            self.interest = Some(bits);
+        }
+        Ok(drained)
     }
 }
 
-/// Cross-thread nudge for a reactor parked in `poll`: one byte down a
-/// socketpair whose read half sits in the reactor's interest set.
+impl Drop for Conn {
+    fn drop(&mut self) {
+        // Explicitly, while the descriptor is still open: whoever gets
+        // this fd number next starts from a clean slate.
+        self.park();
+    }
+}
+
+/// Cross-thread nudge for a reactor parked in its wait: one byte down a
+/// socketpair whose read half is registered with the reactor's poller.
 pub(crate) struct Waker {
     tx: UnixStream,
 }
@@ -310,8 +402,9 @@ pub(crate) struct NodeSeed {
     pub backend: Box<dyn crate::durability::Durability>,
 }
 
-/// What one ready poll entry refers to.
-#[derive(Clone, Copy)]
+/// What a registered descriptor refers to; travels through the kernel
+/// as the registration's `u64` token ([`Tok::pack`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Tok {
     /// The reactor's waker read-half.
     Waker,
@@ -325,6 +418,83 @@ pub(crate) enum Tok {
     Dial(usize, usize),
     /// Node `i`'s client connection `cid`.
     Client(usize, u64),
+}
+
+/// Token layout: `[kind:4][node slot:20][id:40]`. A shard holds far
+/// fewer than 2^20 nodes, and ids are per-node connection counters: a
+/// node would have to accept a connection every microsecond for two
+/// weeks to reach 2^40.
+const TOK_SLOT_BITS: u32 = 20;
+const TOK_ID_BITS: u32 = 40;
+
+impl Tok {
+    pub(crate) fn pack(self) -> u64 {
+        let (kind, slot, id) = match self {
+            Tok::Waker => (0, 0, 0),
+            Tok::Listener(i) => (1, i, 0),
+            Tok::Pending(i, pid) => (2, i, pid),
+            Tok::Edge(i, wi) => (3, i, wi as u64),
+            Tok::Dial(i, wi) => (4, i, wi as u64),
+            Tok::Client(i, cid) => (5, i, cid),
+        };
+        debug_assert!(slot < 1 << TOK_SLOT_BITS && id < 1 << TOK_ID_BITS);
+        (kind << (TOK_SLOT_BITS + TOK_ID_BITS)) | ((slot as u64) << TOK_ID_BITS) | id
+    }
+
+    /// Inverse of [`Tok::pack`]; `None` for a kind this reactor never
+    /// registered.
+    fn unpack(token: u64) -> Option<Tok> {
+        let slot = ((token >> TOK_ID_BITS) & ((1 << TOK_SLOT_BITS) - 1)) as usize;
+        let id = token & ((1 << TOK_ID_BITS) - 1);
+        Some(match token >> (TOK_SLOT_BITS + TOK_ID_BITS) {
+            0 => Tok::Waker,
+            1 => Tok::Listener(slot),
+            2 => Tok::Pending(slot, id),
+            3 => Tok::Edge(slot, id as usize),
+            4 => Tok::Dial(slot, id as usize),
+            5 => Tok::Client(slot, id),
+            _ => return None,
+        })
+    }
+}
+
+/// Events taken per wait. A fuller ready set re-reports on the next
+/// wait (level-triggered), so this bounds latency, not correctness.
+const EVENTS_PER_WAIT: usize = 256;
+
+/// The nodes (by shard slot) that need a flush before the next sleep,
+/// each listed once.
+struct Touched {
+    marked: Vec<bool>,
+    slots: Vec<usize>,
+}
+
+impl Touched {
+    fn mark(&mut self, slot: usize) {
+        if !std::mem::replace(&mut self.marked[slot], true) {
+            self.slots.push(slot);
+        }
+    }
+}
+
+/// How many of the shard's nodes have a timer pending, so the loop
+/// knows its sleep bound — and whether any timer work exists at all —
+/// without walking them. Every wakeup that changes a node ends in that
+/// node's flush, after which [`Timers::note`] brings its entry up to
+/// date.
+struct Timers {
+    /// Per slot: `(wants the RTO tick, has a redial pending)`.
+    noted: Vec<(bool, bool)>,
+    rto: usize,
+    redial: usize,
+}
+
+impl Timers {
+    fn note(&mut self, slot: usize, wants_rto: bool, redialing: bool) {
+        let was = std::mem::replace(&mut self.noted[slot], (wants_rto, redialing));
+        self.rto = self.rto + usize::from(wants_rto) - usize::from(was.0);
+        self.redial = self.redial + usize::from(redialing) - usize::from(was.1);
+    }
 }
 
 /// The reactor thread body: serves its shard until cluster shutdown,
@@ -354,6 +524,10 @@ where
         rtx_high,
         rtx_low,
     } = cfg;
+    let poller = Rc::new(Poller::new().expect("create poller"));
+    poller
+        .add(waker_rx.as_raw_fd(), Tok::Waker.pack(), POLLIN)
+        .expect("register waker");
     let ctx = Ctx {
         tree: &tree,
         addrs: &addrs,
@@ -365,71 +539,72 @@ where
         ledger: &ledger,
         rtx_high,
         rtx_low,
+        poller: &poller,
     };
     let mut nodes: Vec<NodeRt<S, A>> = shard_nodes
         .into_iter()
-        .map(|seed| NodeRt::new(seed, &ctx, &plan, ready_tx.clone()))
+        .enumerate()
+        .map(|(slot, seed)| NodeRt::new(slot, seed, &ctx, &plan, ready_tx.clone()))
         .collect();
     let mut scratch = vec![0u8; READ_CHUNK];
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut toks: Vec<Tok> = Vec::new();
-    // With the `epoll` feature this holds a persistent epoll instance
-    // (interest diffed per iteration); without it, a stateless shim
-    // over poll(2).
-    let mut poller = Poller::new().expect("create poller");
+    let mut events = Events::with_capacity(EVENTS_PER_WAIT);
+    // Every node starts touched: dialers are born with a redial due.
+    let mut touched = Touched {
+        marked: vec![true; nodes.len()],
+        slots: (0..nodes.len()).collect(),
+    };
+    let mut timers = Timers {
+        noted: vec![(false, false); nodes.len()],
+        rto: 0,
+        redial: 0,
+    };
     let mut last_tick = Instant::now();
     loop {
-        // Timers first: retransmission tick at RTO cadence, redials due.
+        // Dispatches only ever *queue* bytes; this is the single point
+        // where they hit sockets — for the nodes the last wakeup
+        // touched. A node stays listed while it holds bytes no POLLOUT
+        // will announce, and is retried at every wakeup.
+        touched.slots.retain(|&slot| {
+            let node = &mut nodes[slot];
+            touched.marked[slot] = node.flush(&ctx);
+            timers.note(slot, node.wants_rto_tick(), node.next_redial().is_some());
+            touched.marked[slot]
+        });
+
+        // Timers: the retransmission tick at RTO cadence, redials due.
+        // The nodes are walked only on a tick (33 Hz at most) or while
+        // some edge is down; a node whose timer queued bytes is flushed
+        // on the spot.
         let now = Instant::now();
-        if now.duration_since(last_tick) >= RTO {
-            for node in nodes.iter_mut() {
-                node.rto_tick();
-            }
+        let tick = now.duration_since(last_tick) >= RTO;
+        if tick {
             last_tick = now;
         }
-        for node in nodes.iter_mut() {
-            node.run_dial_timers(&ctx, now);
-        }
-        // Flush every queue before sleeping: dispatches below only ever
-        // *queue* bytes, this is the single point where they hit sockets.
-        for node in nodes.iter_mut() {
-            node.flush(&ctx);
-        }
-
-        // Sleep bound: the next RTO tick if anyone has unacked frames,
-        // the earliest redial timer, else block until a socket or the
-        // waker fires.
-        let now = Instant::now();
-        let mut timeout: Option<Duration> = None;
-        let mut consider = |d: Duration| {
-            timeout = Some(match timeout {
-                Some(t) if t <= d => t,
-                _ => d,
-            });
-        };
-        for node in &nodes {
-            if node.wants_rto_tick() {
-                consider((last_tick + RTO).saturating_duration_since(now));
-            }
-            if let Some(at) = node.next_redial() {
-                consider(at.saturating_duration_since(now));
+        if tick || timers.redial > 0 {
+            for (slot, node) in nodes.iter_mut().enumerate() {
+                if node.run_timers(&ctx, now, tick) && node.flush(&ctx) {
+                    touched.mark(slot);
+                }
+                timers.note(slot, node.wants_rto_tick(), node.next_redial().is_some());
             }
         }
-
-        fds.clear();
-        toks.clear();
-        fds.push(PollFd::new(waker_rx.as_raw_fd(), POLLIN));
-        toks.push(Tok::Waker);
-        for (i, node) in nodes.iter().enumerate() {
-            node.register(i, &mut fds, &mut toks);
+        // Sleep until the next RTO tick if anyone has unacked frames,
+        // the earliest redial timer, else until a socket or the waker
+        // fires.
+        let mut deadline = (timers.rto > 0).then(|| last_tick + RTO);
+        if timers.redial > 0 {
+            let redials = nodes.iter().filter_map(NodeRt::next_redial);
+            deadline = deadline.into_iter().chain(redials).min();
         }
-        // Poll errors (EBADF from a racing close) surface as an
-        // immediate retry; the per-connection handlers below discover
-        // and retire any genuinely dead socket.
+        let timeout = deadline.map(|at| at.saturating_duration_since(now));
+
+        // A wait error (EINTR aside, which is Ok(0)) leaves the buffer
+        // empty and retries; nothing registered can make epoll_wait
+        // fail persistently.
         let t_poll = oat_obs::now_ns();
-        let _ = poller.wait(&mut fds, timeout);
+        let _ = poller.wait(&mut events, timeout);
         if t_poll != 0 {
-            let ready = fds.iter().filter(|fd| fd.revents != 0).count() as u32;
+            let ready = events.len() as u32;
             oat_obs::trace_span!(oat_obs::EventKind::PollWake, t_poll, shard, ready, 0);
         }
 
@@ -444,51 +619,62 @@ where
         }
 
         let t_dispatch = oat_obs::now_ns();
-        let mut handled: u32 = 0;
-        for (fd, tok) in fds.iter().zip(&toks) {
-            if fd.revents == 0 {
-                continue;
-            }
-            handled += 1;
-            match *tok {
-                Tok::Waker => {
+        for ev in events.iter() {
+            // Handlers tolerate a token whose connection is gone or was
+            // replaced earlier in this batch: the lookup misses, or the
+            // spurious read returns WouldBlock.
+            let slot = match Tok::unpack(ev.token) {
+                None => continue,
+                Some(Tok::Waker) => {
                     // Drain the nudge bytes; the flag check above is the
                     // actual signal.
                     let mut byte = [0u8; 64];
                     while matches!((&waker_rx).read(&mut byte), Ok(n) if n > 0) {}
+                    continue;
                 }
-                Tok::Listener(i) => nodes[i].on_accept_ready(),
-                Tok::Pending(i, pid) => {
-                    if fd.readable() {
+                Some(Tok::Listener(i)) => {
+                    nodes[i].on_accept_ready(&ctx);
+                    i
+                }
+                Some(Tok::Pending(i, pid)) => {
+                    if ev.readable() {
                         nodes[i].on_pending_ready(pid, &ctx, &mut scratch);
                     }
+                    i
                 }
-                Tok::Dial(i, wi) => {
-                    if fd.readable() {
+                Some(Tok::Dial(i, wi)) => {
+                    if ev.readable() {
                         nodes[i].on_dial_ready(wi, &ctx, &mut scratch);
                     }
+                    i
                 }
-                Tok::Edge(i, wi) => {
-                    if fd.readable() {
+                Some(Tok::Edge(i, wi)) => {
+                    if ev.readable() {
                         nodes[i].on_edge_ready(wi, &ctx, &mut scratch);
                     }
+                    i
                 }
-                Tok::Client(i, cid) => {
-                    if fd.readable() {
+                Some(Tok::Client(i, cid)) => {
+                    if ev.readable() {
                         nodes[i].on_client_ready(cid, &ctx, &mut scratch);
                     }
-                } // A pure POLLOUT wakeup needs no handler: the flush pass
-                  // at the top of the next iteration makes the progress.
-            }
+                    i
+                }
+            };
+            // A pure POLLOUT wakeup needs no handler: the flush pass at
+            // the top of the next iteration makes the progress.
+            touched.mark(slot);
         }
         // A kill9 scheduled mid-dispatch demolishes the node's state, so
-        // it runs here, after the token loop is done touching it.
-        for node in nodes.iter_mut() {
-            if node.take_kill9() {
-                node.kill9_restart(&ctx);
+        // it runs here, after the event loop is done touching it. Only a
+        // dispatch can schedule one, so only touched nodes are asked.
+        for &slot in &touched.slots {
+            if nodes[slot].take_kill9() {
+                nodes[slot].kill9_restart(&ctx);
             }
         }
-        if handled > 0 {
+        if !events.is_empty() {
+            let handled = events.len() as u32;
             oat_obs::trace_span!(oat_obs::EventKind::Dispatch, t_dispatch, shard, handled, 0);
         }
     }
@@ -510,7 +696,8 @@ mod tests {
     #[test]
     fn write_queue_coalesces_and_survives_partial_drains() {
         let (a, mut b) = loopback_pair();
-        let mut conn = Conn::new(Stream::Tcp(a)).unwrap();
+        let poller = Rc::new(Poller::new().unwrap());
+        let mut conn = Conn::new(Stream::Tcp(a), &poller, Tok::Pending(0, 0)).unwrap();
         let mut expected = Vec::new();
         for i in 0..100u8 {
             let payload = vec![i; 1 + (i as usize % 300)];
@@ -542,7 +729,8 @@ mod tests {
     #[test]
     fn write_queue_requeues_on_wouldblock_and_finishes_later() {
         let (a, mut b) = loopback_pair();
-        let mut conn = Conn::new(Stream::Tcp(a)).unwrap();
+        let poller = Rc::new(Poller::new().unwrap());
+        let mut conn = Conn::new(Stream::Tcp(a), &poller, Tok::Pending(0, 0)).unwrap();
         // Enough data to overwhelm the kernel buffers of an unread peer.
         let big = vec![0xAB; 256 * 1024];
         for _ in 0..32 {
@@ -574,17 +762,96 @@ mod tests {
     }
 
     #[test]
-    fn waker_unblocks_a_poll() {
+    fn waker_unblocks_a_wait() {
         let (waker, rx) = waker_pair().unwrap();
         let h = std::thread::spawn(move || {
-            let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
-            let mut poller = Poller::new().unwrap();
+            let poller = Poller::new().unwrap();
             poller
-                .wait(&mut fds, Some(Duration::from_secs(10)))
-                .unwrap()
+                .add(rx.as_raw_fd(), Tok::Waker.pack(), POLLIN)
+                .unwrap();
+            let mut events = Events::with_capacity(4);
+            poller
+                .wait(&mut events, Some(Duration::from_secs(10)))
+                .unwrap();
+            events.iter().map(|ev| Tok::unpack(ev.token)).collect()
         });
         std::thread::sleep(Duration::from_millis(10));
         waker.wake();
-        assert_eq!(h.join().unwrap(), 1);
+        let got: Vec<Option<Tok>> = h.join().unwrap();
+        assert_eq!(got, vec![Some(Tok::Waker)]);
+    }
+
+    #[test]
+    fn tokens_round_trip_through_their_packed_form() {
+        let max_id = (1u64 << TOK_ID_BITS) - 1;
+        let max_slot = (1usize << TOK_SLOT_BITS) - 1;
+        for tok in [
+            Tok::Waker,
+            Tok::Listener(0),
+            Tok::Listener(max_slot),
+            Tok::Pending(3, 0),
+            Tok::Pending(max_slot, max_id),
+            Tok::Edge(15, 63),
+            Tok::Dial(15, 63),
+            Tok::Client(0, max_id),
+            Tok::Client(7, 12345),
+        ] {
+            assert_eq!(Tok::unpack(tok.pack()), Some(tok), "{tok:?}");
+        }
+        assert_eq!(Tok::unpack(u64::MAX), None);
+    }
+
+    #[test]
+    fn conn_arms_pollout_on_wouldblock_and_disarms_when_drained() {
+        let (a, mut b) = loopback_pair();
+        let poller = Rc::new(Poller::new().unwrap());
+        let tok = Tok::Client(2, 9);
+        let mut conn = Conn::new(Stream::Tcp(a), &poller, Tok::Pending(2, 0)).unwrap();
+        conn.retoken(tok).unwrap();
+        let mut events = Events::with_capacity(4);
+        let mut wait = |ms| {
+            poller
+                .wait(&mut events, Some(Duration::from_millis(ms)))
+                .unwrap();
+            events.iter().collect::<Vec<_>>()
+        };
+        // Idle and writable, but POLLOUT is not armed: silence.
+        assert!(wait(5).is_empty());
+        let big = vec![0xCD; 256 * 1024];
+        for _ in 0..32 {
+            conn.out.frame(9, &big);
+        }
+        assert!(!conn.flush().unwrap(), "unread peer must WouldBlock");
+        // Armed, but the kernel buffer is full: still silence (no spin).
+        assert!(wait(5).is_empty());
+        // The peer reads; writability is announced under the new token.
+        let mut sink = vec![0u8; 1 << 20];
+        b.set_nonblocking(true).unwrap();
+        let mut total = 0;
+        while total < 32 * (5 + big.len()) {
+            match b.read(&mut sink) {
+                Ok(n) => total += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let got = wait(1000);
+                    assert_eq!(got.len(), 1);
+                    assert_eq!(Tok::unpack(got[0].token), Some(tok));
+                    assert!(got[0].writable());
+                    conn.flush().unwrap();
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert!(conn.out.is_empty());
+        // Drained: disarmed again, so the writable socket is silent.
+        assert!(wait(5).is_empty());
+        // Parked sockets are silent even through a hangup; dropping the
+        // connection leaves nothing registered.
+        conn.park();
+        drop(b);
+        assert!(wait(5).is_empty());
+        conn.unpark().unwrap();
+        assert!(wait(1000)[0].readable());
+        drop(conn);
+        assert!(wait(5).is_empty());
     }
 }

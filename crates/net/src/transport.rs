@@ -624,15 +624,6 @@ impl AsRawFd for Stream {
     }
 }
 
-impl Drop for Stream {
-    fn drop(&mut self) {
-        // The epoll poller diffs a persistent interest set; it must
-        // learn about closed descriptors before their numbers are
-        // reused (no-op under the poll(2) backend).
-        oat_poll::note_closed(self.as_raw_fd());
-    }
-}
-
 /// A node's listener over any transport.
 pub(crate) enum Listener {
     Tcp(TcpListener),

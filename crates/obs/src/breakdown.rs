@@ -7,7 +7,7 @@
 //!
 //! | phase      | interval                        | dominated by |
 //! |------------|---------------------------------|--------------|
-//! | `poll`     | submit → node decodes the frame | kernel + reactor `poll(2)` wake-up |
+//! | `poll`     | submit → node decodes the frame | kernel + reactor readiness wake-up |
 //! | `queue`    | decode → handler starts         | work queued behind other dispatches |
 //! | `dispatch` | handler start → response queued | handler time, plus the probe fan-out wait for parked combines |
 //! | `wire`     | response queued → client reads  | write queue flush + kernel + client wake-up |

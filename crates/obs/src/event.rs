@@ -61,8 +61,8 @@ pub enum EventKind {
     Crash = 16,
     /// A node's automaton was restarted. `a`=node, `c`=new epoch.
     Restart = 17,
-    /// A reactor `poll(2)` call. Span: `ts`=entry, `dur`=blocked time.
-    /// `a`=shard, `b`=ready descriptors.
+    /// A reactor readiness wait. Span: `ts`=entry, `dur`=blocked time.
+    /// `a`=shard, `b`=ready events returned.
     PollWake = 18,
     /// One reactor readiness-dispatch pass. Span. `a`=shard,
     /// `b`=descriptors handled.

@@ -1,7 +1,7 @@
-//! Reactor-transport tests: the poll(2) event-loop runtime under loads
+//! Reactor-transport tests: the epoll event-loop runtime under loads
 //! and failure shapes the thread-per-connection runtime never hit.
 //!
-//! Four properties pinned here:
+//! Five properties pinned here:
 //!
 //! * **Incremental decoding** — a frame dribbled across several writes
 //!   (or a client read timeout firing mid-frame) never desynchronizes
@@ -18,9 +18,16 @@
 //!   chaos (probabilistic drops + a scheduled connection kill).
 //! * **Thread budget** — OS threads scale with the configured reactor
 //!   pool, not with the node count.
+//! * **Quiet registration** — the reactor wakes for readiness, never
+//!   for a socket it merely holds: a blocked write queue waits on
+//!   `POLLOUT` without spinning and disarms it once drained, and a
+//!   client that hangs up while its node is stalled costs no wakeups
+//!   (both counted as `PollWake` events through `oat_obs`).
 
 use std::io::Write;
 use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
+use std::sync::Mutex;
 use std::thread;
 use std::time::Duration;
 
@@ -34,21 +41,74 @@ use oat::net::frame::{
     read_frame, write_frame, TAG_HELLO_CLIENT, TAG_REQ_COMBINE, TAG_REQ_WRITE, TAG_RESP_COMBINE,
     TAG_RESP_WRITE,
 };
-use oat::net::{Cluster, ClusterClient, NetConfig};
+use oat::net::{Cluster, ClusterClient, NetConfig, NodeAddr, TransportKind};
 use oat::workloads::uniform;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_millis(250);
 const CLIENT_RETRIES: u32 = 120;
 const DRAIN: Duration = Duration::from_secs(30);
 
+/// The `oat_obs` sink is process-global and `install` resets it, so the
+/// tests that count reactor wakeups take turns. Tests that do not trace
+/// may run alongside: their events land in their own threads' rings.
+static TRACING: Mutex<()> = Mutex::new(());
+
+/// Per-thread ring size for the wakeup-counting tests: room for every
+/// event their one reactor thread emits, so none is overwritten.
+const TRACE_RING: usize = 1 << 18;
+
+/// `PollWake` spans the reactor thread that served request `marker`
+/// began inside `[from, to]` (`oat_obs::now_ns` stamps). The thread is
+/// found by the `ReqRecv` event carrying the marker's unique request id,
+/// which keeps concurrently running clusters out of the count; send the
+/// marker last, so that even a spinning reactor that wrapped its ring
+/// still holds it.
+fn wakeups_between(trace: &oat_obs::Trace, marker: u64, from: u64, to: u64) -> usize {
+    let tid = trace
+        .events
+        .iter()
+        .find(|e| e.kind == oat_obs::EventKind::ReqRecv && e.c == marker)
+        .expect("the marker request was traced")
+        .tid;
+    trace
+        .events
+        .iter()
+        .filter(|e| e.kind == oat_obs::EventKind::PollWake && e.tid == tid)
+        .filter(|e| (from..=to).contains(&e.ts_ns))
+        .count()
+}
+
+/// `hello` then one combine per id, as raw wire bytes.
+fn hello_and_combines(ids: impl Iterator<Item = u64>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, TAG_HELLO_CLIENT, &[]).unwrap();
+    for id in ids {
+        write_frame(&mut wire, TAG_REQ_COMBINE, &id.to_le_bytes()).unwrap();
+    }
+    wire
+}
+
 /// Sequential replay with retrying clients, asserting every combine
 /// equals the running oracle. Copied shape from `chaos_net.rs`.
 fn replay_against_oracle(cluster: &Cluster<SumI64>, seq: &[Request<i64>]) -> usize {
+    replay_with_hook(cluster, seq, |_, _| {})
+}
+
+/// [`replay_against_oracle`] with a test hook around every request:
+/// `hook(i, false)` runs before request `i` is sent (the cluster is
+/// quiescent), `hook(i, true)` as soon as it was answered — before the
+/// cluster has drained the messages it caused.
+fn replay_with_hook(
+    cluster: &Cluster<SumI64>,
+    seq: &[Request<i64>],
+    mut hook: impl FnMut(usize, bool),
+) -> usize {
     let tree = cluster.tree();
     let mut clients: Vec<Option<ClusterClient<i64>>> = (0..tree.len()).map(|_| None).collect();
     let mut last = vec![0i64; tree.len()];
     let mut combines = 0;
     for (i, q) in seq.iter().enumerate() {
+        hook(i, false);
         let slot = &mut clients[q.node.idx()];
         let client = match slot {
             Some(c) => c,
@@ -75,6 +135,7 @@ fn replay_against_oracle(cluster: &Cluster<SumI64>, seq: &[Request<i64>]) -> usi
                 combines += 1;
             }
         }
+        hook(i, true);
         assert!(
             cluster.quiesce_for(DRAIN),
             "request {i}: cluster failed to drain within {DRAIN:?}"
@@ -177,6 +238,74 @@ fn client_timeout_mid_frame_does_not_desync_the_stream() {
 }
 
 #[test]
+fn blocked_write_queue_waits_on_pollout_without_spinning() {
+    // A client pipelines far more combines than a Unix socket buffers
+    // responses for (~208 KiB) and reads nothing: the node's write
+    // queue hits WouldBlock and arms POLLOUT. While the client sits
+    // there the reactor must sleep, not spin on a socket that is not
+    // writable; when the client resumes every response arrives in
+    // order; and once the queue drained POLLOUT must be disarmed again,
+    // or the now always-writable socket would spin the loop.
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    oat_obs::install(TRACE_RING);
+    const N: u64 = 30_000;
+    const BASE: u64 = 0xB10C_0000_0000;
+    const WINDOW: Duration = Duration::from_millis(200);
+    let cfg = NetConfig {
+        threads: Some(1),
+        transport: TransportKind::Uds,
+        ..NetConfig::default()
+    };
+    let tree = Tree::pair();
+    let cluster = Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, FaultPlan::default(), cfg)
+        .expect("spawn");
+    let NodeAddr::Uds(path) = cluster.addrs()[0].clone() else {
+        panic!("asked for the Unix-socket transport");
+    };
+    let mut s = UnixStream::connect(path).expect("connect");
+    s.write_all(&hello_and_combines(BASE..BASE + N))
+        .expect("pipeline");
+    // Every request dispatched; 21 bytes of response each are queued,
+    // most of them in userspace behind the full socket.
+    assert!(cluster.quiesce_for(DRAIN));
+    thread::sleep(Duration::from_millis(20));
+    let blocked_from = oat_obs::now_ns();
+    thread::sleep(WINDOW);
+    let blocked_to = oat_obs::now_ns();
+
+    for i in 0..N {
+        let (tag, resp) = read_frame(&mut s).expect("response");
+        assert_eq!(tag, TAG_RESP_COMBINE);
+        assert_eq!(resp[..8], (BASE + i).to_le_bytes(), "response {i}");
+    }
+    thread::sleep(Duration::from_millis(20));
+    let drained_from = oat_obs::now_ns();
+    thread::sleep(WINDOW);
+    let drained_to = oat_obs::now_ns();
+    const MARKER: u64 = BASE + N;
+    let mut last = Vec::new();
+    write_frame(&mut last, TAG_REQ_COMBINE, &MARKER.to_le_bytes()).unwrap();
+    s.write_all(&last).expect("marker");
+    read_frame(&mut s).expect("marker response");
+
+    drop(s);
+    let report = cluster.shutdown();
+    assert!(report.dead_nodes.is_empty());
+    oat_obs::disable();
+    let trace = oat_obs::drain();
+    let blocked = wakeups_between(&trace, MARKER, blocked_from, blocked_to);
+    let drained = wakeups_between(&trace, MARKER, drained_from, drained_to);
+    assert!(
+        blocked < 50,
+        "{blocked} wakeups in {WINDOW:?} behind a blocked write queue"
+    );
+    assert!(
+        drained < 50,
+        "{drained} wakeups in {WINDOW:?} after the queue drained: POLLOUT still armed"
+    );
+}
+
+#[test]
 fn backpressure_stalls_client_intake_and_recovers() {
     // A watermark of 1 makes any unacked sequenced frame trip the
     // stall, and heavy injected drops keep frames unacked long enough
@@ -184,6 +313,17 @@ fn backpressure_stalls_client_intake_and_recovers() {
     // (which never stall) eventually drain the retransmit buffers and
     // intake resumes. Everything still completes and matches the
     // oracle.
+    //
+    // Each round also leaves a bystander client on node 0 that hangs up
+    // right after a write there tripped the stall. A stalled node's
+    // client sockets are out of the poller, so the hangup costs nothing
+    // until the stall clears and the socket is retired; were they only
+    // masked, epoll would report the hangup on every wait and the loop
+    // would spin through each dropped frame's 30 ms RTO.
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    oat_obs::install(TRACE_RING);
+    const BASE: u64 = 0x57A1_0000_0000;
+    let started = oat_obs::now_ns();
     let tree = Tree::path(3);
     let plan = FaultPlan {
         seed: 21,
@@ -198,6 +338,9 @@ fn backpressure_stalls_client_intake_and_recovers() {
     };
     let cluster = Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg).expect("spawn");
 
+    let NodeAddr::Tcp(addr) = cluster.addrs()[0].clone() else {
+        panic!("default transport is TCP");
+    };
     let mut seq = Vec::new();
     for round in 0..12i64 {
         seq.push(Request::write(NodeId(0), round + 1));
@@ -205,7 +348,35 @@ fn backpressure_stalls_client_intake_and_recovers() {
         seq.push(Request::combine(NodeId(1)));
         seq.push(Request::combine(NodeId(2)));
     }
-    let combines = replay_against_oracle(&cluster, &seq);
+    let mut bystander = None;
+    let combines = replay_with_hook(&cluster, &seq, |i, answered| {
+        if i % 4 != 0 {
+            return;
+        }
+        // Around each round's write at node 0. From the second round on
+        // node 1 holds a lease there, so the write sends an update: it
+        // is unacked at the flush that answers the write, and the node
+        // stalls — for a whole RTO when the frame was dropped.
+        if answered {
+            bystander = None;
+            return;
+        }
+        // The bystander is a served client before the stall: the first
+        // of its two combines (unique ids, which also mark the reactor
+        // thread in the trace) has been answered. The second answer is
+        // left unread so that closing the socket resets it — a bare FIN
+        // only raises POLLIN, a reset is the ERR|HUP no mask filters.
+        let mut s = std::net::TcpStream::connect(addr).expect("connect");
+        s.set_nodelay(true).unwrap();
+        let id = BASE + 2 * i as u64;
+        s.write_all(&hello_and_combines(id..id + 2))
+            .expect("bystander combines");
+        let (tag, resp) = read_frame(&mut s).expect("bystander response");
+        assert_eq!(tag, TAG_RESP_COMBINE);
+        assert_eq!(resp[..8], id.to_le_bytes());
+        assert!(cluster.quiesce_for(DRAIN));
+        bystander = Some(s);
+    });
     assert_eq!(combines, 24);
 
     let mut stalls = 0;
@@ -227,6 +398,15 @@ fn backpressure_stalls_client_intake_and_recovers() {
     let report = cluster.shutdown();
     assert!(report.dead_nodes.is_empty());
     assert!(report.faults.retransmits > 0);
+    let finished = oat_obs::now_ns();
+    oat_obs::disable();
+    // Healthy runs read ~230; a hangup spinning through the stalls
+    // reads ~20 000. The marker is the last bystander's first combine.
+    let wakeups = wakeups_between(&oat_obs::drain(), BASE + 2 * 44, started, finished);
+    assert!(
+        wakeups < 2_000,
+        "{wakeups} reactor wakeups for 60 requests: a hung-up client spun a stalled node"
+    );
 }
 
 #[test]
