@@ -13,8 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier 1: cargo build --release =="
 cargo build --release
 
-echo "== tier 1: cargo test -q =="
-cargo test -q
+echo "== tier 1: cargo test -q --workspace =="
+# --workspace: a bare `cargo test` at the root runs only the root
+# package's tests/ and src/, not the member crates' own unit and
+# integration tests (oat-core's mechanism tests, oat-net's reactor tests,
+# oat-poll's, crates/query/tests/progressive.rs, ...).
+cargo test -q --workspace
 
 echo "== bench smoke: oat bench --quick --threads 2 --trace =="
 # Quick-mode run of the measured baseline: validates the oat-bench-v4

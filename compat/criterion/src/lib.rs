@@ -2,8 +2,9 @@
 //!
 //! The build environment has no registry access, so this workspace
 //! vendors the slice of the criterion 0.5 API its benches use:
-//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`], [`BenchmarkId`],
-//! [`Throughput`], and the `criterion_group!` / `criterion_main!` macros.
+//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`],
+//! [`Bencher::iter_batched`], [`BenchmarkId`], [`Throughput`], and the
+//! `criterion_group!` / `criterion_main!` macros.
 //!
 //! Instead of criterion's statistical machinery this harness runs a short
 //! warm-up, then a fixed measurement batch, and prints the mean wall-clock
@@ -79,6 +80,38 @@ impl Bencher {
         }
         self.elapsed_per_iter = start.elapsed() / self.iters.max(1) as u32;
     }
+
+    /// Times `routine` on a fresh input from `setup` per iteration;
+    /// neither `setup` nor dropping the routine's output is timed.
+    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+        _size: BatchSize,
+    ) {
+        for _ in 0..self.iters.min(3) {
+            black_box(routine(setup()));
+        }
+        let mut total = Duration::ZERO;
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            total += start.elapsed();
+            drop(output);
+        }
+        self.elapsed_per_iter = total / self.iters.max(1) as u32;
+    }
+}
+
+/// How many inputs criterion prepares ahead of a batch; accepted for API
+/// compatibility, this harness always prepares one per iteration.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs are cheap to hold.
+    SmallInput,
+    /// Inputs are large.
+    LargeInput,
 }
 
 fn fmt_duration(d: Duration) -> String {

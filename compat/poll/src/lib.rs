@@ -316,9 +316,29 @@ mod tests {
     use std::io::{Read, Write};
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// The tests of this crate run on parallel threads of one process and
+    /// every one of them opens descriptors, so which numbers the kernel
+    /// hands out next depends on the others. The one test that asserts on
+    /// a number holds this exclusively; the rest share it.
+    static DESCRIPTOR_NUMBERS: RwLock<()> = RwLock::new(());
+
+    fn descriptor_numbers_shared() -> RwLockReadGuard<'static, ()> {
+        DESCRIPTOR_NUMBERS
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn descriptor_numbers_exclusive() -> RwLockWriteGuard<'static, ()> {
+        DESCRIPTOR_NUMBERS
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn timeout_expires_with_nothing_ready() {
+        let _fds = descriptor_numbers_shared();
         let (a, _b) = UnixStream::pair().unwrap();
         let mut fds = [PollFd::new(a.as_raw_fd(), POLLIN)];
         let n = poll_fds(&mut fds, Some(Duration::from_millis(5))).unwrap();
@@ -328,6 +348,7 @@ mod tests {
 
     #[test]
     fn written_byte_reports_readable() {
+        let _fds = descriptor_numbers_shared();
         let (mut a, b) = UnixStream::pair().unwrap();
         a.write_all(&[7]).unwrap();
         let mut fds = [PollFd::new(b.as_raw_fd(), POLLIN)];
@@ -344,6 +365,7 @@ mod tests {
 
     #[test]
     fn idle_socket_is_writable_and_hangup_is_reported() {
+        let _fds = descriptor_numbers_shared();
         let (a, b) = UnixStream::pair().unwrap();
         let mut fds = [PollFd::new(a.as_raw_fd(), POLLOUT)];
         let n = poll_fds(&mut fds, Some(Duration::from_secs(1))).unwrap();
@@ -358,6 +380,7 @@ mod tests {
 
     #[test]
     fn sub_millisecond_timeouts_round_up_not_down() {
+        let _fds = descriptor_numbers_shared();
         let (a, _b) = UnixStream::pair().unwrap();
         let mut fds = [PollFd::new(a.as_raw_fd(), POLLIN)];
         // Must block (~1ms), not degenerate into a busy spin at 0.
@@ -374,6 +397,7 @@ mod tests {
 
     #[test]
     fn poller_re_reports_readiness_until_it_is_consumed() {
+        let _fds = descriptor_numbers_shared();
         let (mut a, b) = UnixStream::pair().unwrap();
         let poller = Poller::new().unwrap();
         let mut events = Events::with_capacity(8);
@@ -397,6 +421,7 @@ mod tests {
 
     #[test]
     fn set_interest_arms_and_disarms_pollout_and_retokens() {
+        let _fds = descriptor_numbers_shared();
         let (a, _b) = UnixStream::pair().unwrap();
         let poller = Poller::new().unwrap();
         let mut events = Events::with_capacity(8);
@@ -418,6 +443,7 @@ mod tests {
 
     #[test]
     fn remove_silences_a_ready_descriptor() {
+        let _fds = descriptor_numbers_shared();
         let (mut a, b) = UnixStream::pair().unwrap();
         let poller = Poller::new().unwrap();
         let mut events = Events::with_capacity(8);
@@ -432,9 +458,11 @@ mod tests {
 
     #[test]
     fn a_closed_and_reused_fd_number_registers_afresh() {
+        let _fds = descriptor_numbers_exclusive();
         // Remove, close, and open a new pair (which takes the lowest
-        // free numbers, so the old one comes back): the successor adds
-        // under its own token with no helper call, and nothing of the
+        // free numbers, so the old one comes back — no other test opens
+        // or closes a descriptor meanwhile): the successor adds under
+        // its own token with no helper call, and nothing of the
         // predecessor's registration is reported.
         let poller = Poller::new().unwrap();
         let mut events = Events::with_capacity(8);
@@ -461,6 +489,7 @@ mod tests {
 
     #[test]
     fn hangup_is_delivered_under_an_empty_interest_mask() {
+        let _fds = descriptor_numbers_shared();
         // Why a stalled node removes its client sockets instead of
         // masking them: epoll reports HUP/ERR whatever the mask, on
         // every wait, so a masked socket whose peer left spins the loop.
@@ -483,6 +512,7 @@ mod tests {
 
     #[test]
     fn one_ready_among_512_registered_returns_exactly_one_event() {
+        let _fds = descriptor_numbers_shared();
         let poller = Poller::new().unwrap();
         let mut events = Events::with_capacity(64);
         let mut pairs: Vec<(UnixStream, UnixStream)> =
@@ -504,6 +534,7 @@ mod tests {
 
     #[test]
     fn a_full_event_buffer_defers_the_rest_to_the_next_wait() {
+        let _fds = descriptor_numbers_shared();
         let poller = Poller::new().unwrap();
         let mut events = Events::with_capacity(2);
         let mut pairs: Vec<(UnixStream, UnixStream)> =

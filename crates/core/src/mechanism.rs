@@ -17,16 +17,48 @@
 //! | `granted[v]`     | `granted[vi]`         |
 //! | `aval[v]`        | `aval[vi]`            |
 //! | `val`            | `val`                 |
-//! | `uaw[v]`         | `uaw[vi]`             |
+//! | `uaw[v]`         | `uaw[vi]`, kept ascending |
 //! | `pndg`           | `pndg`                |
 //! | `snt[w]`         | `snt` (assoc. list keyed by requester node) |
 //! | `upcntr`         | `upcntr`              |
-//! | `sntupdates`     | `sntupdates`          |
+//! | `sntupdates`     | `sntupdates[vi]`: one queue of `(rcvid, sntid)` per source `v` |
 //!
 //! where `vi` is the index of neighbour `v` in the node's sorted neighbour
 //! list. `snt` is keyed by the *requesting* node (`snt[u] := …` in `T1`
 //! indexes by the node itself), which is either the node or one of its
 //! neighbours.
+//!
+//! ## The ledgers are monotone
+//!
+//! Figure 1 treats `uaw[v]` and `sntupdates` as sets and gives their
+//! operations no cost. Two facts of the paper's model order them for
+//! free, and every ledger operation here leans on that order so that a
+//! handler costs `O(degree)` amortised however long a lease has stood:
+//!
+//! 1. **`uaw[vi]` is ascending.** Update ids from one neighbour are its
+//!    `newid()` values, which increase, and channels are FIFO, so an
+//!    append keeps the list sorted. `min(uaw[v])` is `first()` and
+//!    `onrelease`'s "ids ≥ β" is a `partition_point` plus a front drain.
+//! 2. **`sntupdates[vi]` is strictly increasing in both components,
+//!    front to back.** `sntid` is our own `newid()`; `rcvid` increases
+//!    for the reason above. So "`sntid` below the watermark" and
+//!    "`rcvid < min(uaw[v])`" are both prefixes (pruned by `pop_front`),
+//!    "`sntid ≥ min(S)`" is a suffix, and `β = argmin rcvid` over that
+//!    suffix is its first entry.
+//!
+//! An id that arrives duplicated or out of order (only the simulator's
+//! lossy scheduler does that; it is outside the paper's model) does not
+//! break either invariant: it is inserted into `uaw[vi]` at its sorted
+//! position, duplicates kept, and before its tuple is appended to
+//! `sntupdates[vi]` every entry at the back whose `rcvid` is not below
+//! the new one is popped. That pop loses nothing: the new entry is in
+//! every `sntid`-suffix that contains an older one, so an older entry
+//! with an equal or larger `rcvid` can never again be the `argmin` of a
+//! suffix, nor the max-`sntid` stale representative. Every β answer is
+//! therefore the one the flat ledger of Figure 1 gives on any delivery
+//! order; the differential test in `mechanism/ledger_diff.rs` pins that
+//! against the flat code kept verbatim. [`MechNode::ledger_ok`] audits
+//! both invariants after every handler in debug builds.
 //!
 //! The policy stubs (underlined in the paper) are dispatched through
 //! [`NodePolicy`].
@@ -36,6 +68,7 @@ use crate::ghost::GhostState;
 use crate::message::Message;
 use crate::policy::NodePolicy;
 use crate::tree::{NodeId, Tree};
+use std::collections::VecDeque;
 
 /// Buffer of outgoing `(destination, message)` pairs filled by handlers.
 pub type Outbox<V> = Vec<(NodeId, Message<V>)>;
@@ -53,17 +86,6 @@ pub enum CombineOutcome<V> {
     Coalesced,
 }
 
-/// A record of a forwarded update: `{node, rcvid, sntid}` (Figure 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SntUpdate {
-    /// Neighbour index the triggering update was received from.
-    pub from: usize,
-    /// Identifier of the received update (in the sender's id space).
-    pub rcvid: u64,
-    /// Identifier of the forwarded updates (in our id space).
-    pub sntid: u64,
-}
-
 /// The per-node automaton of Figure 1.
 pub struct MechNode<P: NodePolicy, A: AggOp> {
     id: NodeId,
@@ -78,7 +100,10 @@ pub struct MechNode<P: NodePolicy, A: AggOp> {
     pndg: Vec<NodeId>,
     snt: Vec<(NodeId, Vec<NodeId>)>,
     upcntr: u64,
-    sntupdates: Vec<SntUpdate>,
+    /// Figure 1's `{node, rcvid, sntid}` records of forwarded updates,
+    /// one queue of `(rcvid, sntid)` per source neighbour index, strictly
+    /// increasing in both components front to back (module docs).
+    sntupdates: Vec<VecDeque<(u64, u64)>>,
     /// Incarnation of this automaton (0 for the first). Outgoing probes
     /// carry it; responses echo the probe's epoch; `T4` discards
     /// responses whose echo does not match, so an answer addressed to a
@@ -100,8 +125,10 @@ pub struct MechNode<P: NodePolicy, A: AggOp> {
     /// `uaw`). A future `release(S)` from `w` therefore satisfies
     /// `min(S) ≥ watermark[w]`, so `sntupdates` tuples with `sntid`
     /// below every granted neighbour's watermark can never be consulted
-    /// again and are dropped — keeping the ledger `O(degree)` instead of
-    /// `O(history)`. Pure optimisation: behaviour is unchanged (tested).
+    /// again. They are a prefix of every source queue and are popped from
+    /// its front, which keeps the ledger bounded by what is still
+    /// unacknowledged instead of by history. Pure optimisation: behaviour
+    /// is unchanged (tested).
     watermark: Vec<u64>,
     // --- policy + ghost ---
     policy: P,
@@ -153,8 +180,17 @@ where
         self.pndg.hash(h);
         self.snt.hash(h);
         self.upcntr.hash(h);
-        for t in &self.sntupdates {
-            (t.from, t.rcvid, t.sntid).hash(h);
+        // In `sntid` order, as a flat `{node, rcvid, sntid}` list would
+        // be: the state classes do not depend on the per-source layout.
+        let mut tuples: Vec<(u64, usize, u64)> = self
+            .sntupdates
+            .iter()
+            .enumerate()
+            .flat_map(|(vi, q)| q.iter().map(move |&(rcvid, sntid)| (sntid, vi, rcvid)))
+            .collect();
+        tuples.sort_unstable();
+        for (sntid, vi, rcvid) in tuples {
+            (vi, rcvid, sntid).hash(h);
         }
         self.epoch.hash(h);
         self.probe_epoch.hash(h);
@@ -186,7 +222,7 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
             pndg: Vec::new(),
             snt: Vec::new(),
             upcntr: 0,
-            sntupdates: Vec::new(),
+            sntupdates: vec![VecDeque::new(); k],
             epoch: 0,
             probe_epoch: vec![0; k],
             stale_responses: 0,
@@ -258,7 +294,46 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
 
     /// Current `sntupdates` ledger size (bounded-memory tests).
     pub fn sntupdates_len(&self) -> usize {
-        self.sntupdates.len()
+        self.sntupdates.iter().map(VecDeque::len).sum()
+    }
+
+    /// Self-audit of the two ledgers' ordering invariants (module docs):
+    /// each `uaw[v]` ascending, each `sntupdates[v]` strictly increasing
+    /// in both components, and no `sntid` beyond `upcntr`. Checked after
+    /// every public handler in debug builds.
+    pub fn ledger_ok(&self) -> Result<(), String> {
+        for (vi, ids) in self.uaw.iter().enumerate() {
+            if let Some(w) = ids.windows(2).find(|w| w[0] > w[1]) {
+                return Err(format!(
+                    "{}: uaw[{}] not ascending: {} before {}",
+                    self.id, self.nbrs[vi], w[0], w[1]
+                ));
+            }
+        }
+        for (vi, q) in self.sntupdates.iter().enumerate() {
+            let mut prev: Option<(u64, u64)> = None;
+            for &(rcvid, sntid) in q {
+                if prev.is_some_and(|(r, s)| r >= rcvid || s >= sntid) {
+                    return Err(format!(
+                        "{}: sntupdates[{}] not increasing: {prev:?} before ({rcvid}, {sntid})",
+                        self.id, self.nbrs[vi]
+                    ));
+                }
+                if sntid > self.upcntr {
+                    return Err(format!(
+                        "{}: sntupdates[{}] holds sntid {sntid} > upcntr {}",
+                        self.id, self.nbrs[vi], self.upcntr
+                    ));
+                }
+                prev = Some((rcvid, sntid));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`MechNode::ledger_ok`] as a debug assertion.
+    fn debug_audit(&self) {
+        debug_assert_eq!(self.ledger_ok(), Ok(()));
     }
 
     /// This automaton's incarnation number.
@@ -389,47 +464,43 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
     }
 
     /// Drops `sntupdates` tuples that can no longer influence any future
-    /// `onrelease`, in two provably-equivalent steps:
+    /// `onrelease`, in two provably-equivalent steps, each a `pop_front`
+    /// loop because the tuples it drops are a prefix of a source queue:
     ///
     /// 1. **Watermark**: a future `release(S)` from `w` has
     ///    `min(S) ≥ watermark[w]`, so tuples with `sntid` below every
     ///    granted neighbour's watermark never match `A` again. With no
-    ///    grants outstanding the whole ledger clears.
+    ///    grants outstanding every queue clears.
     /// 2. **Stale-β collapse**: for a source `v`, tuples with
     ///    `rcvid < min(uaw[v])` all produce the same outcome when they
     ///    win the `β = argmin rcvid` race — "retain all of `uaw[v]`" —
     ///    and `min(uaw[v])` only grows over time. Keeping just the one
     ///    with the largest `sntid` (the most likely to qualify for
-    ///    future `A` sets) preserves behaviour exactly.
+    ///    future `A` sets) preserves behaviour exactly; it is the last
+    ///    stale entry of the queue, so the front goes while the *second*
+    ///    entry is stale too.
     ///
-    /// Together these keep the ledger `O(degree · |uaw|)` instead of
-    /// `O(history)`; the long-run tests pin the bound.
+    /// A call visits each source queue once and otherwise pays only for
+    /// the tuples it drops, so it is `O(degree)` amortised whatever the
+    /// ledger holds; the long-run tests pin the resulting size bound.
     fn prune_sntupdates(&mut self) {
         let min_watermark = (0..self.nbrs.len())
             .filter(|&i| self.granted[i])
             .map(|i| self.watermark[i])
             .min();
-        match min_watermark {
-            Some(wm) => self.sntupdates.retain(|t| t.sntid >= wm),
-            None => {
-                self.sntupdates.clear();
-                return;
+        let Some(wm) = min_watermark else {
+            self.sntupdates.iter_mut().for_each(VecDeque::clear);
+            return;
+        };
+        for (q, ids) in self.sntupdates.iter_mut().zip(&self.uaw) {
+            while q.front().is_some_and(|&(_, sntid)| sntid < wm) {
+                q.pop_front();
+            }
+            let min_uaw = ids.first().copied().unwrap_or(u64::MAX);
+            while q.get(1).is_some_and(|&(rcvid, _)| rcvid < min_uaw) {
+                q.pop_front();
             }
         }
-        // Per source, the best (max-sntid) stale-β representative.
-        let k = self.nbrs.len();
-        let mut best_stale: Vec<Option<u64>> = vec![None; k];
-        for t in &self.sntupdates {
-            let m = self.uaw[t.from].iter().copied().min().unwrap_or(u64::MAX);
-            if t.rcvid < m {
-                let slot = &mut best_stale[t.from];
-                *slot = Some(slot.map_or(t.sntid, |s: u64| s.max(t.sntid)));
-            }
-        }
-        self.sntupdates.retain(|t| {
-            let m = self.uaw[t.from].iter().copied().min().unwrap_or(u64::MAX);
-            t.rcvid >= m || best_stale[t.from] == Some(t.sntid)
-        });
     }
 
     /// `sendresponse(w)`: possibly grant a lease, then reply with
@@ -483,6 +554,15 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         }
     }
 
+    /// `β.rcvid` of `onrelease` for the source whose queue is `q`:
+    /// `A = { α ∈ sntupdates : α.node = v ∧ α.sntid ≥ id }` is a suffix
+    /// of `q`, and `β = argmin` over `A` of `rcvid` is its first entry.
+    /// `None` when `A = ∅`.
+    fn beta_rcvid(q: &VecDeque<(u64, u64)>, id_min: u64) -> Option<u64> {
+        q.get(q.partition_point(|&(_, sntid)| sntid < id_min))
+            .map(|&(rcvid, _)| rcvid)
+    }
+
     /// `onrelease(w, S)`: trim `uaw` sets against the acknowledged update
     /// ids, consult the release policy, then try to cascade the release.
     ///
@@ -503,18 +583,14 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
             if vi == wi || !self.taken[vi] {
                 continue;
             }
-            // A = { α ∈ sntupdates : α.node = v ∧ α.sntid ≥ id }
-            // β = argmin over A of rcvid
-            let beta_rcvid = self
-                .sntupdates
-                .iter()
-                .filter(|t| t.from == vi && t.sntid >= id_min)
-                .map(|t| t.rcvid)
-                .min();
-            match beta_rcvid {
+            let ids = &mut self.uaw[vi];
+            match Self::beta_rcvid(&self.sntupdates[vi], id_min) {
                 // S' = ids in uaw[v] with id ≥ β.rcvid
-                Some(beta) => self.uaw[vi].retain(|&x| x >= beta),
-                None => self.uaw[vi].clear(),
+                Some(beta) => {
+                    let acked = ids.partition_point(|&x| x < beta);
+                    ids.drain(..acked);
+                }
+                None => ids.clear(),
             }
             if self.is_good_for_release(vi) {
                 self.policy.release_policy(vi, self.uaw[vi].len());
@@ -527,6 +603,12 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
 
     /// `T1`: a combine request is initiated at this node.
     pub fn handle_combine(&mut self, out: &mut Outbox<A::Value>) -> CombineOutcome<A::Value> {
+        let outcome = self.t1_combine(out);
+        self.debug_audit();
+        outcome
+    }
+
+    fn t1_combine(&mut self, out: &mut Outbox<A::Value>) -> CombineOutcome<A::Value> {
         let tkn = self.tkn();
         self.policy.on_combine(&tkn);
         for &v in &tkn {
@@ -568,6 +650,7 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
             let id = self.newid();
             self.forward_updates(None, id, out);
         }
+        self.debug_audit();
     }
 
     /// `T3`–`T6`: a message arrives from neighbour `from`.
@@ -581,7 +664,7 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         out: &mut Outbox<A::Value>,
     ) -> Option<A::Value> {
         let wi = self.nbr_index(from);
-        match msg {
+        let completed = match msg {
             Message::Probe { epoch } => {
                 self.probe_epoch[wi] = epoch;
                 self.t3_probe(from, wi, out);
@@ -601,9 +684,10 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
                 if epoch != self.epoch {
                     self.stale_responses += 1;
                     oat_obs::trace_event!(oat_obs::EventKind::StaleDrop, self.id.0, from.0, epoch);
-                    return None;
+                    None
+                } else {
+                    self.t4_response(from, wi, x, flag, wlog, out)
                 }
-                self.t4_response(from, wi, x, flag, wlog, out)
             }
             Message::Update { x, id, wlog } => {
                 self.t5_update(wi, x, id, wlog, out);
@@ -613,7 +697,9 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
                 self.t6_release(wi, &ids, out);
                 None
             }
-        }
+        };
+        self.debug_audit();
+        completed
     }
 
     /// `T3`: probe received from `w`.
@@ -710,14 +796,22 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         if let (Some(gh), Some(wl)) = (self.ghost.as_mut(), wlog.as_ref()) {
             gh.merge_wlog(wl);
         }
-        self.uaw[wi].push(id);
+        // Ascending; off the FIFO model a late or repeated id goes to its
+        // sorted position.
+        let ids = &mut self.uaw[wi];
+        if ids.last().is_some_and(|&last| last > id) {
+            ids.insert(ids.partition_point(|&x| x <= id), id);
+        } else {
+            ids.push(id);
+        }
         if !lone {
             let nid = self.newid();
-            self.sntupdates.push(SntUpdate {
-                from: wi,
-                rcvid: id,
-                sntid: nid,
-            });
+            // Entries the new one supersedes (module docs); none on FIFO.
+            let q = &mut self.sntupdates[wi];
+            while q.back().is_some_and(|&(rcvid, _)| rcvid >= id) {
+                q.pop_back();
+            }
+            q.push_back((id, nid));
             self.forward_updates(Some(wi), nid, out);
             self.prune_sntupdates();
         } else {
@@ -783,7 +877,7 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         self.uaw[wi].clear();
         // Tuples recording forwards of the peer's updates reference its
         // old id space; no future release can match them.
-        self.sntupdates.retain(|t| t.from != wi);
+        self.sntupdates[wi].clear();
         self.watermark[wi] = self.upcntr + 1;
         self.prune_sntupdates();
         // The peer forgot it probed us: drop its pending fan-out. Its
@@ -807,6 +901,7 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         if need_probe {
             out.push((from, Message::Probe { epoch: self.epoch }));
         }
+        self.debug_audit();
         revoke
     }
 
@@ -824,6 +919,7 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
             let ids = std::mem::take(&mut self.uaw[wi]);
             out.push((from, Message::Release { ids }));
         }
+        self.debug_audit();
         self.revoke_grants_except(wi)
     }
 
@@ -862,6 +958,9 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         self.snt.iter_mut().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 }
+
+#[cfg(test)]
+mod ledger_diff;
 
 #[cfg(test)]
 mod tests {

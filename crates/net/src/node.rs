@@ -2179,19 +2179,28 @@ where
         resent
     }
 
-    /// The flush of one touched node: piggy-back a cumulative ack on
-    /// every edge whose receive watermark advanced, push every write
-    /// queue into its socket (edges before clients, so a flushed client
-    /// response always trails the mechanism messages of the request
-    /// that produced it), and update the backpressure stall state.
-    /// Each [`Conn::flush`] keeps its own `POLLOUT` registration in
-    /// step with the outcome.
+    /// The flush of one node on its own: [`NodeRt::flush_edges`], then
+    /// [`NodeRt::flush_clients`]. The reactor's per-wakeup pass calls the
+    /// two halves itself, the first on every touched node before the
+    /// second on any; this is for a node flushed alone (a timer that
+    /// queued bytes, shutdown).
     ///
     /// Returns `true` when bytes stay queued that no readiness event is
     /// armed for — a ring link waiting for its space-freed nudge (ring
     /// doorbells get no `POLLOUT`). The reactor retries such a node's
     /// flush at every wakeup instead of trusting the nudge alone.
     pub(crate) fn flush(&mut self, ctx: &Ctx<'_, S, A>) -> bool {
+        let edges = self.flush_edges(ctx);
+        self.flush_clients() | edges
+    }
+
+    /// The peer half of a flush: piggy-back a cumulative ack on every
+    /// edge whose receive watermark advanced, push every edge write
+    /// queue into its socket, and update the backpressure stall state.
+    /// Each [`Conn::flush`] keeps its own `POLLOUT` registration in
+    /// step with the outcome. Returns the backlog flag of
+    /// [`NodeRt::flush`].
+    pub(crate) fn flush_edges(&mut self, ctx: &Ctx<'_, S, A>) -> bool {
         let mut backlog = false;
         let mut blocked =
             |conn: &Conn, drained: bool| backlog |= !drained && !conn.stream.wants_pollout();
@@ -2236,6 +2245,19 @@ where
         } else if self.links.iter().all(|l| l.rtx.len() <= ctx.rtx_low) {
             self.stalled = false;
         }
+        backlog
+    }
+
+    /// The client half of a flush, after [`NodeRt::flush_edges`] (so a
+    /// flushed client response always trails the mechanism messages of
+    /// the request that produced it): stream the batch accumulators,
+    /// push every client write queue into its socket, and fold the log
+    /// into a snapshot when due. Returns the backlog flag of
+    /// [`NodeRt::flush`].
+    pub(crate) fn flush_clients(&mut self) -> bool {
+        let mut backlog = false;
+        let mut blocked =
+            |conn: &Conn, drained: bool| backlog |= !drained && !conn.stream.wants_pollout();
         let stalled = self.stalled;
         // Stream whatever each in-progress batch gathered since the last
         // boundary, before the client write queues flush below.

@@ -33,8 +33,11 @@
 //! owning node. Dispatches only *queue* bytes; afterwards exactly the
 //! nodes an event named — plus those whose retransmit or redial timer
 //! fired, plus any still holding bytes that no `POLLOUT` can announce
-//! (a ring link waiting for its space-freed nudge) — run
-//! [`NodeRt::flush`], the single point where bytes hit sockets. The
+//! (a ring link waiting for its space-freed nudge) — are flushed, the
+//! single point where bytes hit sockets: first every such node's edges
+//! ([`NodeRt::flush_edges`]), then every such node's clients
+//! ([`NodeRt::flush_clients`]), so the thread a client response wakes
+//! never runs ahead of mechanism frames already queued. The
 //! only per-iteration walk over all nodes is the memory-only timer scan
 //! that also yields the sleep bound. The cluster's waker nudges the
 //! loop for shutdown, the only cross-thread signal.
@@ -564,9 +567,18 @@ where
         // where they hit sockets — for the nodes the last wakeup
         // touched. A node stays listed while it holds bytes no POLLOUT
         // will announce, and is retried at every wakeup.
+        //
+        // Two passes: every touched node's edges, then every touched
+        // node's clients. A response written to a client wakes its
+        // thread, which on a busy CPU runs at once in the reactor's
+        // place; node by node, that held back the mechanism frames the
+        // nodes further down the list had already queued.
+        for &slot in &touched.slots {
+            touched.marked[slot] = nodes[slot].flush_edges(&ctx);
+        }
         touched.slots.retain(|&slot| {
             let node = &mut nodes[slot];
-            touched.marked[slot] = node.flush(&ctx);
+            touched.marked[slot] |= node.flush_clients();
             timers.note(slot, node.wants_rto_tick(), node.next_redial().is_some());
             touched.marked[slot]
         });

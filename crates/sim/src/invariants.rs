@@ -9,7 +9,10 @@
 //! * **I3 (Lemma 3.11)** — for every taken neighbour `v`, `u.aval[v]`
 //!   equals `⊕` over the current local values of `subtree(v, u)` (we check
 //!   against ground truth, which subsumes `I1`/`I2` at quiescence),
-//! * **I4 (Lemma 4.2)** — RWW's lease-counter invariant.
+//! * **I4 (Lemma 4.2)** — RWW's lease-counter invariant,
+//! * the mechanism's own ledger audit (`MechNode::ledger_ok`), which is
+//!   ours rather than the paper's: the orderings its `uaw` and
+//!   `sntupdates` operations rely on.
 //!
 //! All checks return `Err(description)` on the first violation so tests
 //! and property tests produce useful diagnostics.
@@ -109,8 +112,16 @@ pub fn check_aval_ground_truth<S: PolicySpec, A: AggOp>(
     Ok(())
 }
 
+/// Every node's ledger self-audit ([`oat_core::mechanism::MechNode::ledger_ok`]):
+/// `uaw` sets ascending, `sntupdates` queues increasing, no id from the
+/// future. Holds in every state, quiescent or not.
+pub fn check_ledgers<S: PolicySpec, A: AggOp>(eng: &Engine<S, A>) -> Result<(), String> {
+    eng.tree().nodes().try_for_each(|u| eng.node(u).ledger_ok())
+}
+
 /// All structural checks applicable to any lease-based algorithm.
 pub fn check_all<S: PolicySpec, A: AggOp>(eng: &Engine<S, A>, op: &A) -> Result<(), String> {
+    check_ledgers(eng)?;
     check_no_pending(eng)?;
     check_taken_granted_symmetry(eng)?;
     check_grant_implies_taken(eng)?;

@@ -5,8 +5,6 @@
 //! oat compare   --tree star:32 --workload zipf:0.3:2000:1.0
 //! oat trace     --tree path:4 --script "c@0,w@3=10,w@3=20,c@0"
 //! oat serve     --tree kary:15:2 --policy rww
-//! oat bench-net --tree star:16 --workload uniform:0.5:500 [--json] [--check]
-//!               [--pipeline N]
 //! oat bench     [--tree SPEC] [--workload SPEC] [--depth N] [--quick]
 //!               [--json] [--out PATH]
 //! oat mlap      [--workload SPEC] [--policy SPEC] [--tree SPEC] [--seed N]
@@ -45,7 +43,6 @@ fn main() {
         Some("compare") => cmd_compare(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench-net") => cmd_bench_net(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("mlap") => cmd_mlap(&args[1..]),
@@ -75,8 +72,6 @@ USAGE:
   oat top       [--tree SPEC] [--workload SPEC] [--policy SPEC] [--seed N]
                 [--pipeline N] [--interval-ms N] [--ticks N]
   oat serve     [--tree SPEC] [--policy SPEC] [--transport tcp|uds|ring]
-  oat bench-net --tree SPEC --workload SPEC [--policy SPEC] [--seed N]
-                [--json] [--check] [--pipeline N]
   oat bench     [--tree SPEC] [--workload SPEC] [--policy SPEC] [--seed N]
                 [--depth N] [--batch N] [--transport tcp|uds|ring]
                 [--threads N] [--sweep-depth A,B,C] [--quick]
@@ -125,11 +120,6 @@ OBSERVABILITY (oat-obs event tracing):
 NET COMMANDS (oat-net TCP cluster on loopback):
   serve      spawns one server thread + TcpListener per tree node and reads
              commands from stdin: c@N | w@N=V | metrics [N] | stats | quit
-  bench-net  replays a seeded workload against the cluster over TCP;
-             --json emits per-edge/per-kind stats as JSON, --check verifies
-             message-count parity against the deterministic simulator,
-             --pipeline N replays again with the concurrent multi-client
-             driver (one client per active node, N requests in flight each)
   bench      the measured baseline: runs one workload through the simulator,
              the sequential replay, the pipelined replay, and the
              batch-frame replay (--batch N requests per REQ_BATCH frame,
@@ -197,7 +187,6 @@ EXAMPLES:
   oat compare --tree star:32 --workload zipf:0.3:2000:1.0
   oat trace --tree path:4 --script \"c@0,w@3=10,w@3=20,c@0\"
   oat serve --tree kary:15:2 --policy rww
-  oat bench-net --tree star:16 --workload uniform:0.5:500 --check
   oat bench --tree kary:31:2 --workload uniform:0.5:600 --depth 8 --json
   oat mlap --workload adv:4:8 --policy all --json
   oat mlap --workload bursty:6:4:5 --tree kary:15:2 --seed 7
@@ -962,124 +951,6 @@ fn serve_command(cluster: &Cluster<SumI64>, cmd: &str) -> Result<Option<String>,
         cluster.total_messages()
     ));
     Ok(Some(out))
-}
-
-fn cmd_bench_net(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let tree = parse_tree(flag(args, "--tree").ok_or("missing --tree")?)?;
-        let policy = parse_policy(flag(args, "--policy").unwrap_or("rww"))?;
-        let seed: u64 = flag(args, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "bad --seed")?;
-        let seq = parse_workload(
-            flag(args, "--workload").ok_or("missing --workload")?,
-            &tree,
-            seed,
-        )?;
-        let json = args.iter().any(|a| a == "--json");
-        let check = args.iter().any(|a| a == "--check");
-        let pipeline: usize = match flag(args, "--pipeline") {
-            Some(s) => s.parse().map_err(|_| "bad --pipeline")?,
-            None => 0,
-        };
-        with_policy!(&policy, spec => bench_net(&tree, &spec, &seq, json, check, pipeline))
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn bench_net<S: PolicySpec>(
-    tree: &Tree,
-    spec: &S,
-    seq: &[Request<i64>],
-    json: bool,
-    check: bool,
-    pipeline: usize,
-) -> Result<(), String>
-where
-    S::Node: 'static,
-{
-    let cluster =
-        Cluster::spawn(tree, SumI64, spec, false).map_err(|e| format!("cluster spawn: {e}"))?;
-    let start = std::time::Instant::now();
-    let net = cluster
-        .replay_sequential(seq)
-        .map_err(|e| format!("replay: {e}"))?;
-    let elapsed = start.elapsed();
-    let stats = cluster.stats().map_err(|e| e.to_string())?;
-    if json {
-        println!("{}", cluster.stats_json().map_err(|e| e.to_string())?);
-    } else {
-        let [probes, responses, updates, releases] = stats.kind_totals();
-        println!(
-            "tree: {} nodes; policy {}; {} requests ({} combines) over TCP in {:.3}s",
-            tree.len(),
-            cluster.policy_name(),
-            seq.len(),
-            net.combines.len(),
-            elapsed.as_secs_f64(),
-        );
-        println!(
-            "  {:>9} msgs  {:>7.3} msgs/req  (probe {probes}, response {responses}, \
-             update {updates}, release {releases})",
-            net.total_msgs(),
-            net.total_msgs() as f64 / seq.len().max(1) as f64,
-        );
-    }
-    if check {
-        let sim = oat::sim::run_sequential(tree, SumI64, spec, Schedule::Fifo, seq, false);
-        if net.combines == sim.combines
-            && net.per_request_msgs == sim.per_request_msgs
-            && stats.per_edge_counts() == sim.engine.stats().per_edge_counts()
-        {
-            println!(
-                "  parity: OK — combine values and per-edge/per-kind counts match the simulator"
-            );
-        } else {
-            return Err("parity FAILED: TCP run diverged from the simulator".into());
-        }
-    }
-    cluster.shutdown();
-    if pipeline > 0 {
-        // The concurrent multi-client driver: same workload on a fresh
-        // cluster, one client per active node, `pipeline` requests in
-        // flight each — the throughput mode the sequential numbers above
-        // are the baseline for.
-        let cluster =
-            Cluster::spawn(tree, SumI64, spec, false).map_err(|e| format!("cluster spawn: {e}"))?;
-        let pipe = cluster
-            .replay_pipelined(seq, pipeline)
-            .map_err(|e| format!("pipelined replay: {e}"))?;
-        cluster.quiesce();
-        let msgs = cluster.total_messages();
-        let secs = pipe.elapsed.as_secs_f64();
-        println!(
-            "  pipelined (depth {pipeline}): {} requests in {:.3}s  {:>9.0} req/s  \
-             {} msgs ({:.3} msgs/req)  [{:.2}x vs sequential]",
-            seq.len(),
-            secs,
-            if secs > 0.0 {
-                seq.len() as f64 / secs
-            } else {
-                0.0
-            },
-            msgs,
-            msgs as f64 / seq.len().max(1) as f64,
-            if secs > 0.0 {
-                elapsed.as_secs_f64() / secs
-            } else {
-                0.0
-            },
-        );
-        cluster.shutdown();
-    }
-    Ok(())
 }
 
 fn cmd_chaos(args: &[String]) -> i32 {

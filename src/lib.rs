@@ -40,7 +40,7 @@
 //! * [`modelcheck`] — exhaustive interleaving exploration,
 //! * [`workloads`] — topology and request generators,
 //! * [`concurrent`] — one-thread-per-node runtime,
-//! * [`net`] — TCP cluster runtime (`oat serve` / `oat bench-net`),
+//! * [`net`] — TCP cluster runtime (`oat serve` / `oat bench`),
 //! * [`bench`] — the `oat bench` throughput/latency baseline harness,
 //! * [`mlap`] — the second problem family: Multi-Level Aggregation
 //!   with deadline and linear-delay cost models (`oat mlap`).

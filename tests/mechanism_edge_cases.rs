@@ -207,3 +207,58 @@ fn min_operator_with_rewrites_tracks_current_values_not_history() {
     sys.write(n(1), 50); // the old minimum is gone
     assert_eq!(sys.read(n(2)), 10);
 }
+
+/// The `read-hot` shape: two leaf frontends of `kary:31:2`, 8 edges apart
+/// through the root, 2 % writes, their streams interleaved one operation
+/// at a time.
+fn standing_lease_requests(len: usize, write_fraction: f64, seed: u64) -> Vec<Request<i64>> {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|i| {
+            let node = [n(15), n(30)][i % 2];
+            if rng.gen_bool(write_fraction) {
+                Request::write(node, rng.gen_range(-100i64..=100))
+            } else {
+                Request::combine(node)
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn standing_lease_replay_is_linear() {
+    // Once both frontends have read, every edge on their path is leased
+    // both ways and nothing breaks again: each frontend sees at most one
+    // write of the other between two of its own reads. The interior
+    // nodes then forward every update under leases that stand for the
+    // whole run, so their `uaw` sets and `sntupdates` queues grow by one
+    // entry per write (an interior node never gets the local combine
+    // that would clear them). Handler cost must not grow with them: with
+    // the flat ledger's rescan per forwarded update this replay was
+    // cubic in the number of writes — 10 s for 100k requests in a
+    // *release* build (EXPERIMENTS.md E21) — where the monotone ledgers
+    // take milliseconds.
+    let tree = Tree::kary(31, 2);
+    let seq = standing_lease_requests(200_000, 0.02, 42);
+    let mut eng: Engine<RwwSpec, SumI64> =
+        Engine::new(tree.clone(), SumI64, &RwwSpec, Schedule::Fifo, false);
+    let start = std::time::Instant::now();
+    let chunk = oat::sim::sequential::run_sequential_on(&mut eng, &seq, 0);
+    let took = start.elapsed();
+    assert!(chunk.combines.len() > 190_000);
+    // The lease really stood: the root holds an entry per write it
+    // forwarded, far beyond any short-lease bound.
+    let root = eng.node(n(0));
+    let outstanding: usize = (0..tree.degree(n(0))).map(|vi| root.uaw(vi).len()).sum();
+    assert!(
+        outstanding > 3_000 && root.sntupdates_len() > 3_000,
+        "no standing lease at the root: {outstanding} ids in uaw, {} tuples",
+        root.sntupdates_len()
+    );
+    invariants::check_all(&eng, &SumI64).unwrap();
+    assert!(
+        took < std::time::Duration::from_secs(20),
+        "standing-lease replay of 200k requests took {took:?}"
+    );
+}
