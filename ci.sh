@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier 1: cargo build --release =="
 cargo build --release
 
+echo "== paper tables: tables | diff docs/tables_output.txt =="
+# The paper's figures and theorem checks, regenerated and diffed against
+# the archived run: a change that moves any table value fails here, by
+# experiment name in the diff. Timings go to stderr and are not diffed.
+cargo build --release -p oat-bench --bin tables
+./target/release/tables 2>/dev/null | diff -u docs/tables_output.txt -
+
 echo "== tier 1: cargo test -q --workspace =="
 # --workspace: a bare `cargo test` at the root runs only the root
 # package's tests/ and src/, not the member crates' own unit and

@@ -49,7 +49,10 @@ fn main() {
             }
         }
         if !csv {
-            println!("[{name} regenerated in {:.2?}]\n", start.elapsed());
+            // Timings go to stderr, so stdout is deterministic and can be
+            // diffed against the archived run in docs/tables_output.txt.
+            eprintln!("[{name} regenerated in {:.2?}]", start.elapsed());
+            println!();
         }
     }
 }

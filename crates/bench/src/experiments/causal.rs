@@ -28,6 +28,10 @@ pub fn run() -> Vec<Table> {
             "causal",
         ],
     );
+    t.note(
+        "threads rows run on OS threads: the number of log pairs the checker \
+         compares varies with the schedule, so they show the verdict only",
+    );
     let topologies = vec![
         ("path-10", Tree::path(10)),
         ("3ary-13", Tree::kary(13, 3)),
@@ -63,7 +67,7 @@ pub fn run() -> Vec<Table> {
         let seq = oat_workloads::uniform(tree, 150, 0.5, 99);
         let res = oat_concurrent::run_threaded(tree, SumI64, &RwwSpec, &seq, None);
         let causal = match check_causal(&SumI64, &res.logs) {
-            Ok(rep) => format!("ok ({} pairs)", rep.checked_pairs),
+            Ok(_) => "ok".to_string(),
             Err(e) => format!("VIOLATION {e:?}"),
         };
         t.row(vec![

@@ -43,9 +43,9 @@ use oat_sim::MsgStats;
 
 use crate::durability::{Durability, MemoryDurability, WalCounters, WalDurability};
 use crate::frame::{
-    decode_batch, encode_batch, write_frame, FrameDecoder, TAG_HELLO_CLIENT, TAG_PARTIAL,
-    TAG_REQ_BATCH, TAG_REQ_COMBINE, TAG_REQ_COMBINE_T, TAG_REQ_METRICS, TAG_REQ_WRITE,
-    TAG_REQ_WRITE_T, TAG_RESP_BATCH, TAG_RESP_COMBINE, TAG_RESP_METRICS, TAG_RESP_WRITE, TAG_SUB,
+    decode_batch, encode_batch, encode_request, write_frame, FrameDecoder, TAG_HELLO_CLIENT,
+    TAG_PARTIAL, TAG_REQ_BATCH, TAG_REQ_METRICS, TAG_RESP_BATCH, TAG_RESP_COMBINE,
+    TAG_RESP_METRICS, TAG_RESP_WRITE, TAG_SUB,
 };
 use crate::metrics::NodeMetrics;
 use crate::node::{FaultCounters, NodeReport, RTX_DEFAULT_HIGH, RTX_DEFAULT_LOW};
@@ -1048,56 +1048,37 @@ impl<V: WireValue> ClusterClient<V> {
     /// Buffered — the frame reaches the wire at the next
     /// [`ClusterClient::flush`] or [`ClusterClient::next_response`].
     pub fn submit_combine(&mut self) -> io::Result<u64> {
-        let id = self.fresh_id();
-        let mut payload = Vec::with_capacity(8);
-        put_u64(&mut payload, id);
-        write_frame(&mut self.wbuf, TAG_REQ_COMBINE, &payload)?;
-        oat_obs::trace_event!(oat_obs::EventKind::ReqStart, self.node.0, 0, id);
-        self.pending.insert(id, (TAG_REQ_COMBINE, payload));
-        Ok(id)
+        self.submit(0, ReqOp::Combine)
     }
 
     /// Submits a write without waiting; returns its request id.
     pub fn submit_write(&mut self, arg: V) -> io::Result<u64> {
-        let id = self.fresh_id();
-        let mut payload = Vec::with_capacity(16);
-        put_u64(&mut payload, id);
-        arg.encode(&mut payload);
-        write_frame(&mut self.wbuf, TAG_REQ_WRITE, &payload)?;
-        oat_obs::trace_event!(oat_obs::EventKind::ReqStart, self.node.0, 0, id);
-        self.pending.insert(id, (TAG_REQ_WRITE, payload));
-        Ok(id)
+        self.submit(0, ReqOp::Write(arg))
     }
 
     /// Submits a combine against forest tree `tree` without waiting;
-    /// returns its request id. Tree 0 is the node's built-in tree —
-    /// `submit_combine_tree(0)` and [`ClusterClient::submit_combine`]
-    /// are answered identically.
+    /// returns its request id. `submit_combine_tree(0)` is
+    /// [`ClusterClient::submit_combine`], down to the bytes.
     pub fn submit_combine_tree(&mut self, tree: u32) -> io::Result<u64> {
-        let id = self.fresh_id();
-        let mut payload = Vec::with_capacity(12);
-        put_u64(&mut payload, id);
-        put_u32(&mut payload, tree);
-        write_frame(&mut self.wbuf, TAG_REQ_COMBINE_T, &payload)?;
-        oat_obs::trace_event!(oat_obs::EventKind::ReqStart, self.node.0, 0, id);
-        self.pending.insert(id, (TAG_REQ_COMBINE_T, payload));
-        Ok(id)
+        self.submit(tree, ReqOp::Combine)
     }
 
     /// Submits a write against forest tree `tree` without waiting;
-    /// returns its request id. Forest writes (tree ≥ 1) are volatile —
+    /// returns its request id. Writes to trees ≥ 1 are volatile —
     /// not WAL-logged — so a kill9 loses them; drive forest trees with
     /// absolute values a caller can re-write to heal (the query engine
     /// does exactly that).
     pub fn submit_write_tree(&mut self, tree: u32, arg: V) -> io::Result<u64> {
+        self.submit(tree, ReqOp::Write(arg))
+    }
+
+    /// Buffers one request for `tree` and tracks it for re-send.
+    fn submit(&mut self, tree: u32, op: ReqOp<V>) -> io::Result<u64> {
         let id = self.fresh_id();
-        let mut payload = Vec::with_capacity(20);
-        put_u64(&mut payload, id);
-        put_u32(&mut payload, tree);
-        arg.encode(&mut payload);
-        write_frame(&mut self.wbuf, TAG_REQ_WRITE_T, &payload)?;
+        let (tag, payload) = encode_request(id, tree, &op);
+        write_frame(&mut self.wbuf, tag, &payload)?;
         oat_obs::trace_event!(oat_obs::EventKind::ReqStart, self.node.0, 0, id);
-        self.pending.insert(id, (TAG_REQ_WRITE_T, payload));
+        self.pending.insert(id, (tag, payload));
         Ok(id)
     }
 
@@ -1132,22 +1113,9 @@ impl<V: WireValue> ClusterClient<V> {
         let mut items = Vec::with_capacity(ops.len());
         for op in ops {
             let id = self.fresh_id();
-            let (tag, payload) = match op {
-                ReqOp::Combine => {
-                    let mut p = Vec::with_capacity(8);
-                    put_u64(&mut p, id);
-                    (TAG_REQ_COMBINE, p)
-                }
-                ReqOp::Write(arg) => {
-                    let mut p = Vec::with_capacity(16);
-                    put_u64(&mut p, id);
-                    arg.encode(&mut p);
-                    (TAG_REQ_WRITE, p)
-                }
-            };
             oat_obs::trace_event!(oat_obs::EventKind::ReqStart, self.node.0, 0, id);
             ids.push(id);
-            items.push((tag, payload));
+            items.push(encode_request(id, 0, op));
         }
         write_frame(&mut self.wbuf, TAG_REQ_BATCH, &encode_batch(&items))?;
         for (&id, (tag, payload)) in ids.iter().zip(items) {

@@ -11,7 +11,7 @@
 //! |-----|--------------------|--------------------------------------|
 //! | 0   | hello (edge peer)  | `u32` node id, `u64` rx watermark    |
 //! | 1   | hello (client)     | empty                                |
-//! | 2   | net message        | *(legacy; edges now use tag 9)*      |
+//! | 2   | *(unassigned)*     |                                      |
 //! | 3   | combine request    | `u64` request id                     |
 //! | 4   | write request      | `u64` request id, `V`                |
 //! | 5   | combine response   | `u64` request id, `V`                |
@@ -41,16 +41,20 @@
 //!
 //! ## The forest extension (tags 13–16, inner tag 3)
 //!
-//! Tags 3/4 and inner tag 0 implicitly address tree 0 — the instance
-//! every node hosts from birth, with the exact legacy byte encodings
-//! (sim parity is pinned against those bytes). The tree-scoped variants
-//! carry an explicit `u32` tree id so one cluster multiplexes a whole
-//! *forest* of aggregation trees over the same sockets and reactor
-//! pool: nodes create automaton instances lazily on the first frame
-//! that names a new tree. `TAG_SUB` registers a continuous-query
-//! subscription on a tree; the node then *pushes* a `TAG_PARTIAL`
-//! frame (unsolicited, no request id) whenever that tree's local
-//! aggregate view refines, carrying a per-tree monotone refine seq.
+//! One cluster multiplexes a whole *forest* of aggregation trees over
+//! the same sockets and reactor pool; every request and edge message
+//! names its tree by a `u32` id. Tree 0 is just the tree whose frames
+//! use the short encodings: tags 3/4, inner tag 0 and an empty-body
+//! revoke leave the id implicit (sim parity is pinned against exactly
+//! those bytes), while every other tree rides tags 13/14, inner tag 3
+//! and a 4-byte revoke body. That choice is made here alone, by
+//! [`encode_request`]/[`decode_request`] and [`EdgePayload`]; the
+//! long forms still decode for id 0. Nodes create automaton instances
+//! lazily on the first frame that names a new tree. `TAG_SUB`
+//! registers a continuous-query subscription on a tree; the node then
+//! *pushes* a `TAG_PARTIAL` frame (unsolicited, no request id) whenever
+//! that tree's local aggregate view refines, carrying a per-tree
+//! monotone refine seq.
 //!
 //! ## The sequenced edge link (tags 0, 9, 10)
 //!
@@ -71,19 +75,21 @@
 //! |-------|----------------|------------------------------|
 //! | 0     | net message    | `Message<V>` wire encoding (tree 0) |
 //! | 1     | peer reset     | empty (sender's automaton restarted) |
-//! | 2     | lease revoke   | empty (cascaded lease teardown)      |
+//! | 2     | lease revoke   | empty for tree 0, else `u32` tree id |
 //! | 3     | net message (tree) | `u32` tree id, `Message<V>` wire encoding |
 //!
 //! [`NodeMetrics`]: crate::metrics::NodeMetrics
 
 use std::io::{self, Read, Write};
 
+use oat_core::message::Message;
+use oat_core::request::ReqOp;
+use oat_core::wire::{put_u32, put_u64, WireError, WireReader, WireValue};
+
 /// Edge-peer handshake: payload is the dialer's node id.
 pub const TAG_HELLO_EDGE: u8 = 0;
 /// Client handshake: empty payload.
 pub const TAG_HELLO_CLIENT: u8 = 1;
-/// A mechanism message between neighbouring nodes.
-pub const TAG_NET: u8 = 2;
 /// Client combine request.
 pub const TAG_REQ_COMBINE: u8 = 3;
 /// Client write request.
@@ -311,6 +317,123 @@ pub fn decode_batch(payload: &[u8]) -> io::Result<Vec<(u8, Vec<u8>)>> {
     Ok(items)
 }
 
+/// Encodes a client request for `tree` as a standalone frame's (or a
+/// batch item's) `(tag, payload)`: tree 0 rides tags 3/4, every other
+/// tree tags 13/14 with the id after the request id.
+pub fn encode_request<V: WireValue>(req_id: u64, tree: u32, op: &ReqOp<V>) -> (u8, Vec<u8>) {
+    let mut p = Vec::with_capacity(20);
+    put_u64(&mut p, req_id);
+    if tree != 0 {
+        put_u32(&mut p, tree);
+    }
+    let tag = match (op, tree) {
+        (ReqOp::Combine, 0) => TAG_REQ_COMBINE,
+        (ReqOp::Combine, _) => TAG_REQ_COMBINE_T,
+        (ReqOp::Write(arg), t) => {
+            arg.encode(&mut p);
+            if t == 0 {
+                TAG_REQ_WRITE
+            } else {
+                TAG_REQ_WRITE_T
+            }
+        }
+    };
+    (tag, p)
+}
+
+/// Decodes a combine or write request frame (or batch item) into
+/// `(req id, tree, op)`. Any other tag, a short or over-long payload,
+/// or an undecodable value is an error.
+pub fn decode_request<V: WireValue>(
+    tag: u8,
+    payload: &[u8],
+) -> Result<(u64, u32, ReqOp<V>), WireError> {
+    let mut r = WireReader::new(payload);
+    let req_id = r.u64("request id")?;
+    let tree = match tag {
+        TAG_REQ_COMBINE | TAG_REQ_WRITE => 0,
+        TAG_REQ_COMBINE_T | TAG_REQ_WRITE_T => r.u32("request tree id")?,
+        _ => {
+            return Err(WireError {
+                context: "request tag",
+                offset: 0,
+            })
+        }
+    };
+    let op = match tag {
+        TAG_REQ_COMBINE | TAG_REQ_COMBINE_T => ReqOp::Combine,
+        _ => ReqOp::Write(V::decode(&mut r)?),
+    };
+    r.finish("request trailing bytes")?;
+    Ok((req_id, tree, op))
+}
+
+/// What a sequenced edge frame (tag 9) carries between neighbours, as
+/// an inner tag plus body.
+#[derive(Debug, PartialEq)]
+pub enum EdgePayload<V> {
+    /// A mechanism message for `tree`.
+    Net {
+        /// The tree whose automaton instances exchange `msg`.
+        tree: u32,
+        /// The message itself.
+        msg: Message<V>,
+    },
+    /// The sender's node restarted, with every instance it hosted.
+    Reset,
+    /// Cascaded involuntary lease teardown on `tree`.
+    Revoke {
+        /// The tree whose leases are torn down.
+        tree: u32,
+    },
+}
+
+impl<V: WireValue> EdgePayload<V> {
+    /// Appends the body to `out` and returns the inner tag. Tree 0
+    /// rides the short forms: inner tag 0 and an empty revoke body.
+    pub fn encode(&self, out: &mut Vec<u8>) -> u8 {
+        match self {
+            EdgePayload::Net { tree: 0, msg } => {
+                msg.encode_wire(out);
+                INNER_NET
+            }
+            EdgePayload::Net { tree, msg } => {
+                put_u32(out, *tree);
+                msg.encode_wire(out);
+                INNER_NET_T
+            }
+            EdgePayload::Reset => INNER_RESET,
+            EdgePayload::Revoke { tree } => {
+                if *tree != 0 {
+                    put_u32(out, *tree);
+                }
+                INNER_REVOKE
+            }
+        }
+    }
+
+    /// Decodes an inner tag + body; `None` when either is malformed.
+    pub fn decode(inner: u8, body: &[u8]) -> Option<Self> {
+        let tree_id = |b: &[u8]| b.try_into().ok().map(u32::from_le_bytes);
+        match inner {
+            INNER_NET => Some(EdgePayload::Net {
+                tree: 0,
+                msg: Message::decode_wire(body).ok()?,
+            }),
+            INNER_NET_T if body.len() >= 4 => Some(EdgePayload::Net {
+                tree: tree_id(&body[..4])?,
+                msg: Message::decode_wire(&body[4..]).ok()?,
+            }),
+            INNER_RESET => Some(EdgePayload::Reset),
+            INNER_REVOKE if body.is_empty() => Some(EdgePayload::Revoke { tree: 0 }),
+            INNER_REVOKE => Some(EdgePayload::Revoke {
+                tree: tree_id(body)?,
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// True when `err` means the peer closed the connection cleanly.
 pub fn is_clean_close(err: &io::Error) -> bool {
     matches!(
@@ -329,10 +452,13 @@ mod tests {
     #[test]
     fn frames_roundtrip_back_to_back() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, TAG_NET, &[1, 2, 3]).unwrap();
+        write_frame(&mut buf, TAG_REQ_COMBINE, &[1, 2, 3]).unwrap();
         write_frame(&mut buf, TAG_HELLO_CLIENT, &[]).unwrap();
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), (TAG_NET, vec![1, 2, 3]));
+        assert_eq!(
+            read_frame(&mut r).unwrap(),
+            (TAG_REQ_COMBINE, vec![1, 2, 3])
+        );
         assert_eq!(read_frame(&mut r).unwrap(), (TAG_HELLO_CLIENT, vec![]));
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
@@ -351,7 +477,7 @@ mod tests {
     #[test]
     fn truncated_header_is_distinguished_from_clean_close() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, TAG_NET, &[9]).unwrap();
+        write_frame(&mut buf, TAG_REQ_COMBINE, &[9]).unwrap();
         let mut r = &buf[..2];
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
@@ -361,7 +487,7 @@ mod tests {
     #[test]
     fn decoder_reassembles_frames_fed_byte_by_byte() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, TAG_NET, &[1, 2, 3]).unwrap();
+        write_frame(&mut wire, TAG_REQ_COMBINE, &[1, 2, 3]).unwrap();
         write_frame(&mut wire, TAG_ACK, b"xyz").unwrap();
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
@@ -373,7 +499,7 @@ mod tests {
         }
         assert_eq!(
             got,
-            vec![(TAG_NET, vec![1, 2, 3]), (TAG_ACK, b"xyz".to_vec())]
+            vec![(TAG_REQ_COMBINE, vec![1, 2, 3]), (TAG_ACK, b"xyz".to_vec())]
         );
         assert!(dec.is_empty());
     }
@@ -460,5 +586,79 @@ mod tests {
         }
         assert_eq!(count, 200);
         assert!(dec.is_empty());
+    }
+
+    #[test]
+    fn tree_zero_rides_the_short_encodings() {
+        // Requests: tree 0 is tags 3/4 with no tree id, byte for byte.
+        let combine = encode_request::<i64>(7, 0, &ReqOp::Combine);
+        assert_eq!(combine, (TAG_REQ_COMBINE, 7u64.to_le_bytes().to_vec()));
+        let (tag, p) = encode_request(7, 0, &ReqOp::Write(-2i64));
+        assert_eq!(tag, TAG_REQ_WRITE);
+        assert_eq!(p, [7u64.to_le_bytes(), (-2i64).to_le_bytes()].concat());
+        // Edges: inner tag 0 with the bare message, an empty revoke body.
+        let msg = Message::<i64>::Probe { epoch: 3 };
+        let mut bare = Vec::new();
+        msg.encode_wire(&mut bare);
+        let mut body = Vec::new();
+        let net = EdgePayload::Net { tree: 0, msg };
+        assert_eq!(net.encode(&mut body), INNER_NET);
+        assert_eq!(body, bare);
+        body.clear();
+        assert_eq!(
+            EdgePayload::<i64>::Revoke { tree: 0 }.encode(&mut body),
+            INNER_REVOKE
+        );
+        assert!(body.is_empty());
+        assert_eq!(EdgePayload::<i64>::Reset.encode(&mut body), INNER_RESET);
+        assert!(body.is_empty());
+    }
+
+    #[test]
+    fn every_tree_roundtrips_and_long_forms_decode_as_tree_zero() {
+        for tree in [0, 1, 9, u32::MAX] {
+            for op in [ReqOp::Combine, ReqOp::Write(-5i64)] {
+                let (tag, p) = encode_request(42, tree, &op);
+                assert_eq!(tag >= TAG_REQ_COMBINE_T, tree != 0);
+                assert_eq!(decode_request(tag, &p), Ok((42, tree, op)));
+            }
+            for payload in [
+                EdgePayload::Net {
+                    tree,
+                    msg: Message::Update {
+                        x: 11i64,
+                        id: 4,
+                        wlog: None,
+                    },
+                },
+                EdgePayload::Revoke { tree },
+                EdgePayload::Reset,
+            ] {
+                let mut body = Vec::new();
+                let inner = payload.encode(&mut body);
+                assert_eq!(EdgePayload::decode(inner, &body), Some(payload));
+            }
+        }
+        // The long forms with id 0 still address tree 0.
+        let mut p = 8u64.to_le_bytes().to_vec();
+        put_u32(&mut p, 0);
+        assert_eq!(
+            decode_request::<i64>(TAG_REQ_COMBINE_T, &p),
+            Ok((8, 0, ReqOp::Combine))
+        );
+        let msg = Message::<i64>::Probe { epoch: 1 };
+        let mut body = 0u32.to_le_bytes().to_vec();
+        msg.encode_wire(&mut body);
+        assert_eq!(
+            EdgePayload::decode(INNER_NET_T, &body),
+            Some(EdgePayload::Net { tree: 0, msg })
+        );
+        // Malformed: unknown tags, short ids, trailing bytes.
+        assert!(decode_request::<i64>(TAG_SUB, &p).is_err());
+        assert!(decode_request::<i64>(TAG_REQ_COMBINE_T, &p[..10]).is_err());
+        assert!(decode_request::<i64>(TAG_REQ_COMBINE, &p).is_err());
+        assert_eq!(EdgePayload::<i64>::decode(INNER_NET_T, &[0, 0]), None);
+        assert_eq!(EdgePayload::<i64>::decode(INNER_REVOKE, &[1, 0]), None);
+        assert_eq!(EdgePayload::<i64>::decode(9, &[]), None);
     }
 }

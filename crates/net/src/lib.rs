@@ -225,8 +225,11 @@ mod tests {
 
     /// `try_next_response(Duration::ZERO)` does not block — 1 000 empty
     /// polls used to take 4 s, each clamped up to a 1 ms read timeout —
-    /// and still returns a push once it is there.
-    fn zero_wait_polls_return_at_once(transport: TransportKind) {
+    /// and still returns a push once it is there. Run on `tree`, after
+    /// `prior` (when non-zero) was written to it at the other node: a
+    /// priming push of that value proves the tree's one instance here
+    /// answered, not a second automaton beside it.
+    fn zero_wait_polls_return_at_once(transport: TransportKind, tree: u32, prior: i64) {
         let cfg = NetConfig {
             transport,
             ..NetConfig::default()
@@ -240,21 +243,22 @@ mod tests {
             cfg,
         )
         .unwrap();
+        if prior != 0 {
+            cluster
+                .client(NodeId(1))
+                .unwrap()
+                .write_tree(tree, prior)
+                .unwrap();
+            cluster.quiesce();
+        }
         let mut sub = cluster.client(NodeId(0)).unwrap();
-        sub.subscribe(1).unwrap();
+        sub.subscribe(tree).unwrap();
         // A non-zero wait still waits: the priming push lands inside it.
         let primed = sub.try_next_response(Duration::from_secs(5)).unwrap();
         assert!(
             matches!(
                 primed,
-                Some((
-                    _,
-                    Response::Partial {
-                        tree: 1,
-                        value: 0,
-                        ..
-                    }
-                ))
+                Some((_, Response::Partial { tree: t, value, .. })) if t == tree && value == prior
             ),
             "no priming push: {primed:?}"
         );
@@ -266,7 +270,11 @@ mod tests {
         let took = started.elapsed();
         assert!(took < Duration::from_millis(250), "empty polls: {took:?}");
 
-        cluster.client(NodeId(1)).unwrap().write_tree(1, 7).unwrap();
+        cluster
+            .client(NodeId(1))
+            .unwrap()
+            .write_tree(tree, 7)
+            .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         let pushed = loop {
             if let Some((_, resp)) = sub.try_next_response(Duration::ZERO).unwrap() {
@@ -278,11 +286,7 @@ mod tests {
         assert!(
             matches!(
                 pushed,
-                Response::Partial {
-                    tree: 1,
-                    value: 7,
-                    ..
-                }
+                Response::Partial { tree: t, value: 7, .. } if t == tree
             ),
             "pushed: {pushed:?}"
         );
@@ -292,16 +296,19 @@ mod tests {
 
     #[test]
     fn zero_wait_polls_return_at_once_tcp() {
-        zero_wait_polls_return_at_once(TransportKind::Tcp);
+        zero_wait_polls_return_at_once(TransportKind::Tcp, 1, 0);
+        zero_wait_polls_return_at_once(TransportKind::Tcp, 0, 5);
     }
 
     #[test]
     fn zero_wait_polls_return_at_once_uds() {
-        zero_wait_polls_return_at_once(TransportKind::Uds);
+        zero_wait_polls_return_at_once(TransportKind::Uds, 1, 0);
+        zero_wait_polls_return_at_once(TransportKind::Uds, 0, 5);
     }
 
     #[test]
     fn zero_wait_polls_return_at_once_ring() {
-        zero_wait_polls_return_at_once(TransportKind::Ring);
+        zero_wait_polls_return_at_once(TransportKind::Ring, 1, 0);
+        zero_wait_polls_return_at_once(TransportKind::Ring, 0, 5);
     }
 }

@@ -3,15 +3,14 @@
 //! ## Ownership model
 //!
 //! A node is plain data — [`NodeRt`] — owned by exactly one reactor
-//! thread (see [`crate::reactor`]): the [`MechNode`] automaton, the
+//! thread (see [`crate::reactor`]): the automaton instances, the
 //! per-edge [`EdgeLink`]s (sequencing + retransmit buffer + the live
-//! connection), the client connections, the per-node [`MsgStats`], and
-//! the parked combine waiters. There are no per-node threads, no inbox
-//! channel, and no locks: every byte this node reads or writes moves
-//! through its owning reactor's event loop, which calls the `on_*`
-//! handlers below when a socket is ready and [`NodeRt::flush`] after
-//! every wakeup that touched the node (an event, or a timer that
-//! fired).
+//! connection), the client connections, and the per-node [`MsgStats`].
+//! There are no per-node threads, no inbox channel, and no locks: every
+//! byte this node reads or writes moves through its owning reactor's
+//! event loop, which calls the `on_*` handlers below when a socket is
+//! ready and [`NodeRt::flush`] after every wakeup that touched the node
+//! (an event, or a timer that fired).
 //!
 //! Inbound bytes land in per-connection [`FrameDecoder`]s, so a frame
 //! split across arbitrarily many TCP segments (or a client that stalls
@@ -19,6 +18,18 @@
 //! up where the last segment left off. Outbound frames are queued on
 //! per-connection [`WriteQueue`]s and leave in vectored writes at the
 //! loop's flush point.
+//!
+//! ## Automaton instances
+//!
+//! A node serves a forest of aggregation trees over one set of links:
+//! one table maps each tree id to an [`Inst`] — a [`MechNode`] plus the
+//! combines parked on it. Every tree goes through the same dispatch
+//! arms, the same outbox and the same waiter path; the frame layer
+//! alone decides how a tree id is encoded ([`EdgePayload`],
+//! [`decode_request`]). Instance 0 exists from birth. The others are
+//! created on the first frame that names their tree. Instance 0 is the
+//! only durable one: its writes and leases are WAL-logged, and it alone
+//! feeds the ghost log and the completion log (the sim-parity records).
 //!
 //! ## The sequenced edge link
 //!
@@ -54,16 +65,17 @@
 //!
 //! ## Crash-restart supervision and durability grades
 //!
-//! The automaton (mechanism + policy + waiters) is *volatile*: an
-//! injected crash (or a caught panic — each dispatch runs under
-//! `catch_unwind`) destroys it. The transport — edge links with their
-//! sequence state and retransmit buffers, client connections — and the
-//! node's last written `val` survive in [`NodeRt`]. On restart the node
-//! rebuilds a fresh automaton, restores `val`, and the new run's first
-//! act is a sequenced `RESET` on every edge; neighbours answer with the
-//! mechanism's peer-reset transition and a revoke cascade tears down
-//! every cached aggregate that included the crashed subtree. Clients
-//! re-drive lost requests via timeout + retry.
+//! The automaton instances (mechanism + policy + waiters) are
+//! *volatile*: an injected crash (or a caught panic — each dispatch
+//! runs under `catch_unwind`) destroys them all. The transport — edge
+//! links with their sequence state and retransmit buffers, client
+//! connections — and tree 0's last written `val` survive in [`NodeRt`].
+//! On restart the node rebuilds instance 0, restores `val`, and the new
+//! run's first act is a sequenced `RESET` on every edge; neighbours
+//! answer with the mechanism's peer-reset transition on every instance
+//! and a revoke cascade tears down every cached aggregate that included
+//! the crashed subtree. Clients re-drive lost requests via timeout +
+//! retry.
 //!
 //! A process-grade kill (`kill9` in the fault grammar) destroys the
 //! whole `NodeRt` — links, retransmit buffers, client connections, the
@@ -104,7 +116,6 @@ use oat_core::agg::AggOp;
 use oat_core::fault::{EdgeFaults, FaultAction, FaultPlan, InjectedFaults};
 use oat_core::ghost::GhostReq;
 use oat_core::mechanism::{CombineOutcome, MechNode, Outbox};
-use oat_core::message::Message;
 use oat_core::policy::PolicySpec;
 use oat_core::request::ReqOp;
 use oat_core::tree::{NodeId, Tree};
@@ -116,10 +127,9 @@ use std::rc::Rc;
 
 use crate::durability::{Durability, LinkState, WalState};
 use crate::frame::{
-    decode_batch, encode_batch, INNER_NET, INNER_NET_T, INNER_RESET, INNER_REVOKE, TAG_ACK,
-    TAG_HELLO_CLIENT, TAG_HELLO_EDGE, TAG_PARTIAL, TAG_REQ_BATCH, TAG_REQ_COMBINE,
-    TAG_REQ_COMBINE_T, TAG_REQ_METRICS, TAG_REQ_WRITE, TAG_REQ_WRITE_T, TAG_RESP_BATCH,
-    TAG_RESP_COMBINE, TAG_RESP_METRICS, TAG_RESP_WRITE, TAG_SEQ, TAG_SUB,
+    decode_batch, decode_request, encode_batch, EdgePayload, TAG_ACK, TAG_HELLO_CLIENT,
+    TAG_HELLO_EDGE, TAG_PARTIAL, TAG_REQ_BATCH, TAG_REQ_METRICS, TAG_RESP_BATCH, TAG_RESP_COMBINE,
+    TAG_RESP_METRICS, TAG_RESP_WRITE, TAG_SEQ, TAG_SUB,
 };
 use crate::metrics::NodeMetrics;
 use crate::reactor::{Conn, InFlight, NodeSeed, Tok, WriteQueue};
@@ -214,11 +224,12 @@ pub struct FaultCounters {
 }
 
 /// Settles one *client* work item's in-flight debt exactly once, when
-/// dropped — at the end of its dispatch arm on the normal path, and
-/// after the `catch_unwind` when a handler panics (the node restarts
-/// the automaton, but a leaked increment would wedge `quiesce()`
-/// forever). Edge frames are not guarded here: their debt belongs to
-/// the sender and settles when the frame leaves its retransmit buffer.
+/// dropped at the end of its dispatch — also when the handler panicked
+/// (the node restarts its automata, but a leaked increment would wedge
+/// `quiesce()` forever), and only after the restart has charged its
+/// `RESET` frames. Edge frames are not guarded here: their debt belongs
+/// to the sender and settles when the frame leaves its retransmit
+/// buffer.
 struct InFlightGuard<'a>(&'a InFlight);
 
 impl Drop for InFlightGuard<'_> {
@@ -301,38 +312,28 @@ impl EdgeLink {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         (z ^ (z >> 31)) % bound.max(1)
     }
+
+    /// Arms the next dial attempt after a failed one: the current
+    /// backoff plus seeded jitter, then doubles the backoff up to the cap.
+    fn schedule_redial(&mut self) {
+        let backoff = self.backoff_ms;
+        let jitter = self.next_jitter(backoff);
+        self.redial_at = Some(Instant::now() + Duration::from_millis(backoff + jitter));
+        self.backoff_ms = (backoff * 2).min(RECONNECT_CAP_MS);
+    }
 }
 
 /// One unit of decoded work, dispatched in decode order.
 enum Work<V> {
-    /// A mechanism message from neighbour `from` — counted in the
-    /// in-flight gauge by the *sender* before the bytes were buffered.
-    Net { from: NodeId, msg: Message<V> },
-    /// A mechanism message for forest tree `tree` (inner tag 3).
-    /// Counted like [`Work::Net`]; tree 0 decodes to `Net` instead.
-    NetT {
+    /// A sequenced frame from neighbour `from`: a mechanism message, a
+    /// peer reset or a revoke — counted in the in-flight gauge by the
+    /// *sender* before the bytes were buffered.
+    Peer {
         from: NodeId,
-        tree: u32,
-        msg: Message<V>,
+        payload: EdgePayload<V>,
     },
-    /// Neighbour `from`'s automaton crashed and restarted (sequenced
-    /// `RESET` frame). Counted in flight like a mechanism message.
-    Reset { from: NodeId },
-    /// Cascaded involuntary lease teardown from `from` (sequenced
-    /// `REVOKE` frame). Counted in flight like a mechanism message.
-    Revoke { from: NodeId },
-    /// Per-tree revoke for a forest tree (`REVOKE` with a 4-byte tree-id
-    /// body). Counted like [`Work::Revoke`].
-    RevokeT { from: NodeId, tree: u32 },
-    /// A client request — counted in flight at decode.
+    /// A combine or write request — counted in flight at decode.
     Client {
-        conn: ClientId,
-        req_id: u64,
-        op: ReqOp<V>,
-    },
-    /// A tree-scoped client request (tags 13/14) for a forest tree.
-    /// Counted like [`Work::Client`]; tree 0 decodes to `Client`.
-    ClientT {
         conn: ClientId,
         req_id: u64,
         tree: u32,
@@ -389,16 +390,16 @@ impl BatchBook {
     }
 }
 
-/// A lazily created automaton instance serving one named tree of the
-/// forest (tree ids ≥ 1, addressed by the `_T` frame variants). Tree 0
-/// is the node's built-in instance (`NodeRt::mech`) and keeps the
-/// legacy wire encodings byte-for-byte. Forest instances are
-/// *volatile*: their writes are not WAL-logged, so a crash or kill9
-/// loses them — the query engine owns re-driving them (its per-key
-/// accumulators are absolute values, so a re-write heals the tree).
+/// The automaton instance serving one tree at this node, in the node's
+/// one instance table. Instance 0 exists from birth and is the only
+/// WAL-logged one; every other instance is created on the first frame
+/// that names its tree and is *volatile*: its writes are not logged,
+/// so a crash or kill9 loses it — the query engine owns re-driving
+/// those trees (its per-key accumulators are absolute values, so a
+/// re-write heals the tree).
 struct Inst<N: oat_core::policy::NodePolicy, A: AggOp> {
     mech: MechNode<N, A>,
-    /// Parked tree-scoped combine requests.
+    /// Parked combine requests, answered at the next completion.
     waiters: Vec<(ClientId, u64)>,
 }
 
@@ -446,7 +447,6 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     slot: usize,
     degree: usize,
     listener: Listener,
-    mech: MechNode<S::Node, A>,
     links: Vec<EdgeLink>,
     /// Accepted connections that have not yet sent their hello.
     pending: HashMap<u64, Conn>,
@@ -455,18 +455,16 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     next_client: ClientId,
     /// In-progress request batches awaiting their combined response.
     book: BatchBook,
-    /// Parked combine requests, answered at the next completion.
-    waiters: Vec<(ClientId, u64)>,
-    /// Lazily created forest automaton instances (tree ids ≥ 1); the
-    /// node's built-in instance (`mech`) serves tree 0.
+    /// The automaton instance of every tree this node has seen, keyed
+    /// by tree id; instance 0 is always present.
     insts: HashMap<u32, Inst<S::Node, A>>,
     /// Continuous-query subscriptions, keyed by tree id.
     tree_subs: HashMap<u32, TreeSubs<A::Value>>,
     stats: MsgStats,
     completions: Vec<(NodeId, A::Value)>,
     delivered: u64,
-    /// The node's last written value; restored into the fresh automaton
-    /// on restart (writes are acknowledged durable).
+    /// Tree 0's last written value at this node; restored into the
+    /// fresh instance 0 on restart (writes are acknowledged durable).
     durable_val: A::Value,
     /// The durability backend: in-memory (no-op) or write-ahead log.
     backend: Box<dyn Durability>,
@@ -498,8 +496,6 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     ready_tx: Sender<()>,
     abandoned: u64,
     gauge: QueueGauge,
-    /// Mechanism outbox scratch, drained after every handler call.
-    out: Outbox<A::Value>,
     /// Neighbour indices whose connection failed mid-handler; settled
     /// (marked down) at the next `settle_downed`.
     downed: Vec<usize>,
@@ -559,13 +555,6 @@ where
                 }
             })
             .collect();
-        let mech = MechNode::new(
-            ctx.tree,
-            id,
-            ctx.op.clone(),
-            ctx.spec.build(degree),
-            ctx.ghost,
-        );
         let ready_sent = degree == 0;
         if ready_sent {
             let _ = ready_tx.send(());
@@ -576,15 +565,13 @@ where
             slot,
             degree,
             listener,
-            mech,
             links,
             pending: HashMap::new(),
             next_pending: 0,
             clients: HashMap::new(),
             next_client: 0,
             book: BatchBook::default(),
-            waiters: Vec::new(),
-            insts: HashMap::new(),
+            insts: HashMap::from([(0, Self::new_inst(ctx, id, 0, 0))]),
             tree_subs: HashMap::new(),
             stats: MsgStats::new(ctx.tree),
             completions: Vec::new(),
@@ -605,7 +592,6 @@ where
             ready_tx,
             abandoned: 0,
             gauge: QueueGauge::default(),
-            out: Vec::new(),
             downed: Vec::new(),
         };
         // Cold start: a durable backend with history means this node is
@@ -734,17 +720,17 @@ where
                             self.drain_edge(wi, ctx);
                         }
                     }
-                    _ => self.schedule_redial(wi),
+                    _ => self.links[wi].schedule_redial(),
                 }
             }
             Ok(Some(_)) | Err(_) => {
                 self.links[wi].pending_dial = None;
-                self.schedule_redial(wi);
+                self.links[wi].schedule_redial();
             }
             Ok(None) => {
                 if closed {
                     self.links[wi].pending_dial = None;
-                    self.schedule_redial(wi);
+                    self.links[wi].schedule_redial();
                 }
             }
         }
@@ -816,79 +802,18 @@ where
                             link.peer.0,
                             (seq << 8) | u64::from(inner)
                         );
-                        match inner {
-                            INNER_NET => match Message::<A::Value>::decode_wire(body) {
-                                Ok(msg) => {
-                                    self.gauge.on_enqueue();
-                                    work.push(Work::Net {
-                                        from: link.peer,
-                                        msg,
-                                    });
-                                }
-                                Err(_) => {
-                                    // Undecodable mechanism payload:
-                                    // degrade, do not panic. The cumulative
-                                    // ack below settles the sender's
-                                    // account like any delivered frame.
-                                    link.dup_drops += 1;
-                                }
-                            },
-                            INNER_NET_T => {
-                                // A forest-tree mechanism message: u32
-                                // tree id, then the ordinary encoding.
-                                if body.len() < 4 {
-                                    link.dup_drops += 1;
-                                    continue;
-                                }
-                                let tree =
-                                    u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-                                match Message::<A::Value>::decode_wire(&body[4..]) {
-                                    Ok(msg) if tree != 0 => {
-                                        self.gauge.on_enqueue();
-                                        work.push(Work::NetT {
-                                            from: link.peer,
-                                            tree,
-                                            msg,
-                                        });
-                                    }
-                                    Ok(msg) => {
-                                        self.gauge.on_enqueue();
-                                        work.push(Work::Net {
-                                            from: link.peer,
-                                            msg,
-                                        });
-                                    }
-                                    Err(_) => {
-                                        link.dup_drops += 1;
-                                    }
-                                }
-                            }
-                            INNER_RESET => {
+                        match EdgePayload::decode(inner, body) {
+                            Some(payload) => {
                                 self.gauge.on_enqueue();
-                                work.push(Work::Reset { from: link.peer });
+                                work.push(Work::Peer {
+                                    from: link.peer,
+                                    payload,
+                                });
                             }
-                            INNER_REVOKE => {
-                                // An empty body is the legacy tree-0
-                                // revoke; a 4-byte body names a forest
-                                // tree.
-                                if body.is_empty() {
-                                    self.gauge.on_enqueue();
-                                    work.push(Work::Revoke { from: link.peer });
-                                } else if body.len() == 4 {
-                                    let tree =
-                                        u32::from_le_bytes(body.try_into().expect("4 bytes"));
-                                    self.gauge.on_enqueue();
-                                    work.push(Work::RevokeT {
-                                        from: link.peer,
-                                        tree,
-                                    });
-                                } else {
-                                    link.dup_drops += 1;
-                                }
-                            }
-                            _ => {
-                                link.dup_drops += 1;
-                            }
+                            // Undecodable payload: degrade, do not panic.
+                            // The cumulative ack below settles the
+                            // sender's account like any delivered frame.
+                            None => link.dup_drops += 1,
                         }
                     }
                     Ok(Some((TAG_ACK, payload))) => {
@@ -1006,129 +931,24 @@ where
             let Some(conn) = self.clients.get_mut(&cid) else {
                 return false;
             };
+            // A combine or write, counted in flight at decode.
+            let admit = |req_id: u64, tree: u32, op: ReqOp<A::Value>| {
+                ctx.in_flight.add(1);
+                self.gauge.on_enqueue();
+                oat_obs::trace_event!(oat_obs::EventKind::ReqRecv, self.id.0, cid as u32, req_id);
+                Work::Client {
+                    conn: cid,
+                    req_id,
+                    tree,
+                    op,
+                }
+            };
             loop {
                 match conn.dec.try_frame() {
                     Ok(None) => break,
                     Err(_) => {
                         keep = false;
                         break;
-                    }
-                    Ok(Some((TAG_REQ_COMBINE, payload))) => {
-                        let mut r = WireReader::new(&payload);
-                        let Ok(req_id) = r.u64("combine req id") else {
-                            keep = false;
-                            break;
-                        };
-                        ctx.in_flight.add(1);
-                        self.gauge.on_enqueue();
-                        oat_obs::trace_event!(
-                            oat_obs::EventKind::ReqRecv,
-                            self.id.0,
-                            cid as u32,
-                            req_id
-                        );
-                        work.push(Work::Client {
-                            conn: cid,
-                            req_id,
-                            op: ReqOp::Combine,
-                        });
-                    }
-                    Ok(Some((TAG_REQ_WRITE, payload))) => {
-                        let mut r = WireReader::new(&payload);
-                        let parsed = r.u64("write req id").and_then(|id| {
-                            let arg = A::Value::decode(&mut r)?;
-                            r.finish("write request trailing bytes")?;
-                            Ok((id, arg))
-                        });
-                        let Ok((req_id, arg)) = parsed else {
-                            keep = false;
-                            break;
-                        };
-                        ctx.in_flight.add(1);
-                        self.gauge.on_enqueue();
-                        oat_obs::trace_event!(
-                            oat_obs::EventKind::ReqRecv,
-                            self.id.0,
-                            cid as u32,
-                            req_id
-                        );
-                        work.push(Work::Client {
-                            conn: cid,
-                            req_id,
-                            op: ReqOp::Write(arg),
-                        });
-                    }
-                    Ok(Some((TAG_REQ_COMBINE_T, payload))) => {
-                        let mut r = WireReader::new(&payload);
-                        let parsed = r.u64("tree combine req id").and_then(|id| {
-                            let tree = r.u32("tree combine tree id")?;
-                            r.finish("tree combine trailing bytes")?;
-                            Ok((id, tree))
-                        });
-                        let Ok((req_id, tree)) = parsed else {
-                            keep = false;
-                            break;
-                        };
-                        ctx.in_flight.add(1);
-                        self.gauge.on_enqueue();
-                        oat_obs::trace_event!(
-                            oat_obs::EventKind::ReqRecv,
-                            self.id.0,
-                            cid as u32,
-                            req_id
-                        );
-                        // Tree 0 is the built-in instance: route through
-                        // the legacy work item so its combines stay on
-                        // the sim-parity path.
-                        work.push(if tree == 0 {
-                            Work::Client {
-                                conn: cid,
-                                req_id,
-                                op: ReqOp::Combine,
-                            }
-                        } else {
-                            Work::ClientT {
-                                conn: cid,
-                                req_id,
-                                tree,
-                                op: ReqOp::Combine,
-                            }
-                        });
-                    }
-                    Ok(Some((TAG_REQ_WRITE_T, payload))) => {
-                        let mut r = WireReader::new(&payload);
-                        let parsed = r.u64("tree write req id").and_then(|id| {
-                            let tree = r.u32("tree write tree id")?;
-                            let arg = A::Value::decode(&mut r)?;
-                            r.finish("tree write trailing bytes")?;
-                            Ok((id, tree, arg))
-                        });
-                        let Ok((req_id, tree, arg)) = parsed else {
-                            keep = false;
-                            break;
-                        };
-                        ctx.in_flight.add(1);
-                        self.gauge.on_enqueue();
-                        oat_obs::trace_event!(
-                            oat_obs::EventKind::ReqRecv,
-                            self.id.0,
-                            cid as u32,
-                            req_id
-                        );
-                        work.push(if tree == 0 {
-                            Work::Client {
-                                conn: cid,
-                                req_id,
-                                op: ReqOp::Write(arg),
-                            }
-                        } else {
-                            Work::ClientT {
-                                conn: cid,
-                                req_id,
-                                tree,
-                                op: ReqOp::Write(arg),
-                            }
-                        });
                     }
                     Ok(Some((TAG_SUB, payload))) => {
                         let mut r = WireReader::new(&payload);
@@ -1166,62 +986,21 @@ where
                         // combine or write with a unique req id before
                         // anything is admitted, so a malformed batch
                         // can't half-execute.
-                        let Ok(items) = decode_batch(&payload) else {
+                        let parsed = decode_batch(&payload).ok().and_then(|items| {
+                            items
+                                .iter()
+                                .map(|(tag, p)| decode_request::<A::Value>(*tag, p).ok())
+                                .collect::<Option<Vec<_>>>()
+                        });
+                        let Some(parsed) = parsed.filter(|reqs| {
+                            let mut ids: Vec<u64> = reqs.iter().map(|(id, ..)| *id).collect();
+                            ids.sort_unstable();
+                            ids.dedup();
+                            !ids.is_empty() && ids.len() == reqs.len()
+                        }) else {
                             keep = false;
                             break;
                         };
-                        let mut parsed: Vec<(u64, u32, ReqOp<A::Value>)> =
-                            Vec::with_capacity(items.len());
-                        let mut bad = items.is_empty();
-                        for (tag, p) in &items {
-                            let mut r = WireReader::new(p);
-                            let item = match *tag {
-                                TAG_REQ_COMBINE => r
-                                    .u64("batched combine req id")
-                                    .map(|id| (id, 0, ReqOp::Combine)),
-                                TAG_REQ_WRITE => r.u64("batched write req id").and_then(|id| {
-                                    let arg = A::Value::decode(&mut r)?;
-                                    r.finish("batched write trailing bytes")?;
-                                    Ok((id, 0, ReqOp::Write(arg)))
-                                }),
-                                TAG_REQ_COMBINE_T => {
-                                    r.u64("batched tree combine req id").and_then(|id| {
-                                        let tree = r.u32("batched tree combine tree id")?;
-                                        r.finish("batched tree combine trailing bytes")?;
-                                        Ok((id, tree, ReqOp::Combine))
-                                    })
-                                }
-                                TAG_REQ_WRITE_T => {
-                                    r.u64("batched tree write req id").and_then(|id| {
-                                        let tree = r.u32("batched tree write tree id")?;
-                                        let arg = A::Value::decode(&mut r)?;
-                                        r.finish("batched tree write trailing bytes")?;
-                                        Ok((id, tree, ReqOp::Write(arg)))
-                                    })
-                                }
-                                _ => {
-                                    bad = true;
-                                    break;
-                                }
-                            };
-                            match item {
-                                Ok(it) => parsed.push(it),
-                                Err(_) => {
-                                    bad = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if !bad {
-                            let mut ids: Vec<u64> = parsed.iter().map(|(id, ..)| *id).collect();
-                            ids.sort_unstable();
-                            ids.dedup();
-                            bad = ids.len() != parsed.len();
-                        }
-                        if bad {
-                            keep = false;
-                            break;
-                        }
                         let key = self.book.next_key;
                         self.book.next_key += 1;
                         self.book.accs.insert(
@@ -1233,34 +1012,16 @@ where
                         );
                         for (req_id, tree, op) in parsed {
                             self.book.member.insert((cid, req_id), key);
-                            ctx.in_flight.add(1);
-                            self.gauge.on_enqueue();
-                            oat_obs::trace_event!(
-                                oat_obs::EventKind::ReqRecv,
-                                self.id.0,
-                                cid as u32,
-                                req_id
-                            );
-                            work.push(if tree == 0 {
-                                Work::Client {
-                                    conn: cid,
-                                    req_id,
-                                    op,
-                                }
-                            } else {
-                                Work::ClientT {
-                                    conn: cid,
-                                    req_id,
-                                    tree,
-                                    op,
-                                }
-                            });
+                            work.push(admit(req_id, tree, op));
                         }
                     }
-                    Ok(Some(_)) => {
-                        keep = false;
-                        break;
-                    }
+                    Ok(Some((tag, payload))) => match decode_request(tag, &payload) {
+                        Ok((req_id, tree, op)) => work.push(admit(req_id, tree, op)),
+                        Err(_) => {
+                            keep = false;
+                            break;
+                        }
+                    },
                 }
             }
         }
@@ -1270,24 +1031,50 @@ where
         keep
     }
 
-    /// Runs one work item through the automaton. Handler panics are
-    /// caught and converted into a crash-restart; the in-flight debt
-    /// settles either way.
+    /// Runs one work item through the automata. Handler panics are
+    /// caught and converted into a crash-restart; a client item's
+    /// in-flight debt settles either way, after the restart.
     fn dispatch(&mut self, work: Work<A::Value>, ctx: &Ctx<'_, S, A>) {
         self.gauge.on_dequeue();
+        let _done = matches!(work, Work::Client { .. } | Work::Sub { .. })
+            .then(|| InFlightGuard(ctx.in_flight));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle(work, ctx)));
+        if run.is_err() {
+            self.crash_restart(ctx);
+        }
+        self.settle_downed();
+        if self.durable {
+            self.sync_leases();
+        }
+    }
+
+    /// The body of [`NodeRt::dispatch`]: one arm per kind of input, the
+    /// same for every tree.
+    fn handle(&mut self, work: Work<A::Value>, ctx: &Ctx<'_, S, A>) {
         match work {
-            Work::Net { from, msg } => {
+            Work::Peer {
+                from,
+                payload: EdgePayload::Net { tree, msg },
+            } => {
                 self.delivered += 1;
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let completed = self.mech.handle_message(from, msg, &mut self.out);
-                    self.send_outbox(ctx);
-                    if let Some(v) = completed {
-                        self.answer_waiters(v);
+                let mut out = Vec::new();
+                let done = self
+                    .inst(tree, ctx)
+                    .mech
+                    .handle_message(from, msg, &mut out);
+                self.send_outbox(tree, out, ctx);
+                match done {
+                    Some(v) => {
+                        self.answer_waiters(tree, &v);
+                        self.push_partial(tree, &v);
                     }
-                }));
-                if run.is_err() {
-                    self.crash_restart(ctx);
-                } else if self.crash_at == Some(self.delivered) {
+                    // Propagated updates/invalidates refresh any
+                    // subscribers served at this node.
+                    None => self.refresh_tree(tree, ctx),
+                }
+                // Injected-fault triggers count delivered messages,
+                // whatever tree carried them.
+                if self.crash_at == Some(self.delivered) {
                     // Injected crash, at a clean point: the message is
                     // fully processed and accounted. Fires once.
                     self.crash_at = None;
@@ -1303,216 +1090,70 @@ where
                     self.kill9_pending = true;
                 }
             }
-            Work::NetT { from, tree, msg } => {
-                self.delivered += 1;
-                let mut inst = self.take_inst(tree, ctx);
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let completed = inst.mech.handle_message(from, msg, &mut self.out);
-                    self.send_outbox_t(tree, ctx);
-                    completed
-                }));
-                match run {
-                    Ok(completed) => {
-                        if let Some(v) = &completed {
-                            self.answer_tree_waiters(&mut inst, v);
-                        }
-                        self.insts.insert(tree, inst);
-                        match completed {
-                            Some(v) => self.push_partial(tree, &v),
-                            // Propagated updates/invalidates refresh any
-                            // subscribers served at this node.
-                            None => self.refresh_tree(tree, ctx),
-                        }
-                    }
-                    Err(_) => self.crash_restart(ctx),
-                }
-                // Forest traffic advances the same injected-fault
-                // schedules as tree 0: triggers count delivered
-                // messages, whatever tree carried them.
-                if self.crash_at == Some(self.delivered) {
-                    self.crash_at = None;
-                    ctx.ledger.crashes.fetch_add(1, Ordering::Relaxed);
-                    self.crash_restart(ctx);
-                } else if self.kill9_at == Some(self.delivered) {
-                    self.kill9_at = None;
-                    self.kill9_pending = true;
+            Work::Peer {
+                from,
+                payload: EdgePayload::Reset,
+            } => {
+                // The peer restarted and took every instance it hosted
+                // with it: run the mechanism's peer-reset transition on
+                // each of ours, tree 0 first (re-probes land in the
+                // outbox), and start the revoke cascade toward unsound
+                // grants.
+                let mut trees: Vec<u32> = self.insts.keys().copied().collect();
+                trees.sort_unstable();
+                for tree in trees {
+                    let mut out = Vec::new();
+                    let revokes = self.inst(tree, ctx).mech.handle_peer_reset(from, &mut out);
+                    self.send_outbox(tree, out, ctx);
+                    self.send_revokes(tree, revokes, ctx);
+                    self.refresh_tree(tree, ctx);
                 }
             }
-            Work::Reset { from } => {
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // The peer's automaton restarted: run the mechanism's
-                    // peer-reset transition (re-probes land in the outbox)
-                    // and start the revoke cascade toward unsound grants.
-                    let revokes = self.mech.handle_peer_reset(from, &mut self.out);
-                    self.send_outbox(ctx);
-                    for t in revokes {
-                        let wi = self.mech.nbr_index(t);
-                        if send_seq(
-                            self.id,
-                            &mut self.links[wi],
-                            &mut *self.backend,
-                            INNER_REVOKE,
-                            &[],
-                            ctx,
-                        ) {
-                            self.downed.push(wi);
-                        }
-                    }
-                }));
-                if run.is_err() {
-                    self.crash_restart(ctx);
-                } else {
-                    // The peer's whole automaton restarted, which took
-                    // every forest instance it hosted with it: run the
-                    // peer-reset transition on each of ours and cascade
-                    // per-tree revokes the same way.
-                    self.forest_peer_reset(from, ctx);
-                }
-            }
-            Work::Revoke { from } => {
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let next_hops = self.mech.handle_revoke(from, &mut self.out);
-                    self.send_outbox(ctx);
-                    for t in next_hops {
-                        let wi = self.mech.nbr_index(t);
-                        if send_seq(
-                            self.id,
-                            &mut self.links[wi],
-                            &mut *self.backend,
-                            INNER_REVOKE,
-                            &[],
-                            ctx,
-                        ) {
-                            self.downed.push(wi);
-                        }
-                    }
-                }));
-                if run.is_err() {
-                    self.crash_restart(ctx);
-                }
-            }
-            Work::RevokeT { from, tree } => {
+            Work::Peer {
+                from,
+                payload: EdgePayload::Revoke { tree },
+            } => {
                 // A revoke for a tree this node never instantiated has
                 // nothing to tear down (and must not instantiate one).
-                if self.insts.contains_key(&tree) {
-                    let mut inst = self.take_inst(tree, ctx);
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let next_hops = inst.mech.handle_revoke(from, &mut self.out);
-                        self.send_outbox_t(tree, ctx);
-                        next_hops
-                    }));
-                    match run {
-                        Ok(next_hops) => {
-                            self.insts.insert(tree, inst);
-                            for t in next_hops {
-                                self.send_revoke_t(tree, t, ctx);
-                            }
-                            self.refresh_tree(tree, ctx);
-                        }
-                        Err(_) => self.crash_restart(ctx),
-                    }
-                }
+                let Some(inst) = self.insts.get_mut(&tree) else {
+                    return;
+                };
+                let mut out = Vec::new();
+                let next_hops = inst.mech.handle_revoke(from, &mut out);
+                self.send_outbox(tree, out, ctx);
+                self.send_revokes(tree, next_hops, ctx);
+                self.refresh_tree(tree, ctx);
             }
-            Work::Client { conn, req_id, op } => {
-                let _done = InFlightGuard(ctx.in_flight);
-                let t0 = oat_obs::now_ns();
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
-                    ReqOp::Write(arg) => {
-                        if self.durable {
-                            // Logged (and fsynced — Write records force
-                            // a sync) before the ack below can flush:
-                            // an acknowledged write survives any kill.
-                            let mut bytes = Vec::with_capacity(16);
-                            arg.encode(&mut bytes);
-                            self.backend.log_write(&bytes);
-                        }
-                        self.durable_val = arg.clone();
-                        self.mech.handle_write(arg, &mut self.out);
-                        self.send_outbox(ctx);
-                        let mut payload = Vec::with_capacity(8);
-                        put_u64(&mut payload, req_id);
-                        respond(
-                            &mut self.clients,
-                            &mut self.book,
-                            conn,
-                            TAG_RESP_WRITE,
-                            &payload,
-                        );
-                        oat_obs::trace_event!(
-                            oat_obs::EventKind::RespTx,
-                            self.id.0,
-                            conn as u32,
-                            req_id
-                        );
-                    }
-                    ReqOp::Combine => {
-                        let outcome = self.mech.handle_combine(&mut self.out);
-                        self.send_outbox(ctx);
-                        match outcome {
-                            CombineOutcome::Done(v) => {
-                                let mut payload = Vec::with_capacity(16);
-                                put_u64(&mut payload, req_id);
-                                v.encode(&mut payload);
-                                respond(
-                                    &mut self.clients,
-                                    &mut self.book,
-                                    conn,
-                                    TAG_RESP_COMBINE,
-                                    &payload,
-                                );
-                                oat_obs::trace_event!(
-                                    oat_obs::EventKind::RespTx,
-                                    self.id.0,
-                                    conn as u32,
-                                    req_id
-                                );
-                                self.completions.push((self.id, v));
-                            }
-                            CombineOutcome::Pending | CombineOutcome::Coalesced => {
-                                // A retried request must not park a second
-                                // waiter (one response per (conn, req-id)).
-                                if !self.waiters.contains(&(conn, req_id)) {
-                                    self.waiters.push((conn, req_id));
-                                }
-                            }
-                        }
-                    }
-                }));
-                oat_obs::trace_span!(
-                    oat_obs::EventKind::ReqServe,
-                    t0,
-                    self.id.0,
-                    conn as u32,
-                    req_id
-                );
-                if run.is_err() {
-                    self.crash_restart(ctx);
-                }
-            }
-            Work::ClientT {
+            Work::Client {
                 conn,
                 req_id,
                 tree,
                 op,
             } => {
-                let _done = InFlightGuard(ctx.in_flight);
                 let t0 = oat_obs::now_ns();
-                let mut inst = self.take_inst(tree, ctx);
-                // Forest writes are *volatile* (not WAL-logged): the
-                // query engine owns healing them after a kill9, so the
-                // durable-value hook is deliberately absent here.
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
+                let mut out = Vec::new();
+                match op {
                     ReqOp::Write(arg) => {
-                        inst.mech.handle_write(arg, &mut self.out);
-                        self.send_outbox_t(tree, ctx);
-                        let mut payload = Vec::with_capacity(8);
-                        put_u64(&mut payload, req_id);
+                        if tree == 0 {
+                            if self.durable {
+                                // Logged (and fsynced — Write records
+                                // force a sync) before the ack below can
+                                // flush: an acknowledged write survives
+                                // any kill.
+                                let mut bytes = Vec::with_capacity(16);
+                                arg.encode(&mut bytes);
+                                self.backend.log_write(&bytes);
+                            }
+                            self.durable_val = arg.clone();
+                        }
+                        self.inst(tree, ctx).mech.handle_write(arg, &mut out);
+                        self.send_outbox(tree, out, ctx);
                         respond(
                             &mut self.clients,
                             &mut self.book,
                             conn,
                             TAG_RESP_WRITE,
-                            &payload,
+                            &req_id.to_le_bytes(),
                         );
                         oat_obs::trace_event!(
                             oat_obs::EventKind::RespTx,
@@ -1520,40 +1161,30 @@ where
                             conn as u32,
                             req_id
                         );
-                        None
+                        self.refresh_tree(tree, ctx);
                     }
                     ReqOp::Combine => {
-                        let outcome = inst.mech.handle_combine(&mut self.out);
-                        self.send_outbox_t(tree, ctx);
+                        let inst = self.inst(tree, ctx);
+                        let outcome = inst.mech.handle_combine(&mut out);
+                        // A retried request must not park a second
+                        // waiter (one response per (conn, req-id)).
+                        if !matches!(outcome, CombineOutcome::Done(_))
+                            && !inst.waiters.contains(&(conn, req_id))
+                        {
+                            inst.waiters.push((conn, req_id));
+                        }
+                        self.send_outbox(tree, out, ctx);
                         match outcome {
                             CombineOutcome::Done(v) => {
-                                let mut payload = Vec::with_capacity(16);
-                                put_u64(&mut payload, req_id);
-                                v.encode(&mut payload);
-                                respond(
-                                    &mut self.clients,
-                                    &mut self.book,
-                                    conn,
-                                    TAG_RESP_COMBINE,
-                                    &payload,
-                                );
-                                oat_obs::trace_event!(
-                                    oat_obs::EventKind::RespTx,
-                                    self.id.0,
-                                    conn as u32,
-                                    req_id
-                                );
-                                Some(v)
+                                self.answer(tree, conn, req_id, &v);
+                                self.push_partial(tree, &v);
                             }
                             CombineOutcome::Pending | CombineOutcome::Coalesced => {
-                                if !inst.waiters.contains(&(conn, req_id)) {
-                                    inst.waiters.push((conn, req_id));
-                                }
-                                None
+                                self.refresh_tree(tree, ctx)
                             }
                         }
                     }
-                }));
+                }
                 oat_obs::trace_span!(
                     oat_obs::EventKind::ReqServe,
                     t0,
@@ -1561,21 +1192,8 @@ where
                     conn as u32,
                     req_id
                 );
-                match run {
-                    Ok(done) => {
-                        self.insts.insert(tree, inst);
-                        match done {
-                            Some(v) => self.push_partial(tree, &v),
-                            // A write (or a parked combine) may have
-                            // changed what subscribers here should see.
-                            None => self.refresh_tree(tree, ctx),
-                        }
-                    }
-                    Err(_) => self.crash_restart(ctx),
-                }
             }
             Work::Sub { conn, sub_id, tree } => {
-                let _done = InFlightGuard(ctx.in_flight);
                 let subs = self.tree_subs.entry(tree).or_default();
                 // Idempotent per (conn, sub id): a retried subscribe
                 // must not register twice.
@@ -1606,17 +1224,15 @@ where
                 );
             }
         }
-        self.settle_downed();
-        if self.durable {
-            self.sync_leases();
-        }
     }
 
-    /// Logs every lease transition since the last call as a diff against
-    /// the cached bits. Called after each dispatch when durable.
+    /// Logs every lease transition of instance 0 since the last call as
+    /// a diff against the cached bits. Called after each dispatch when
+    /// durable.
     fn sync_leases(&mut self) {
+        let mech = &self.insts[&0].mech;
         for vi in 0..self.degree {
-            let bits = (u8::from(self.mech.granted(vi)) << 1) | u8::from(self.mech.taken(vi));
+            let bits = (u8::from(mech.granted(vi)) << 1) | u8::from(mech.taken(vi));
             if bits != self.lease_bits[vi] {
                 self.lease_bits[vi] = bits;
                 self.backend.log_lease(self.links[vi].peer.0, bits);
@@ -1624,11 +1240,35 @@ where
         }
     }
 
-    /// Buffers everything in the mechanism outbox onto the sequenced
-    /// links, recording stats and in-flight accounting per frame.
-    fn send_outbox(&mut self, ctx: &Ctx<'_, S, A>) {
-        let mut payload = Vec::with_capacity(32);
-        let out = std::mem::take(&mut self.out);
+    /// The instance serving `tree`, created on first touch.
+    fn inst(&mut self, tree: u32, ctx: &Ctx<'_, S, A>) -> &mut Inst<S::Node, A> {
+        let (id, epoch) = (self.id, self.epoch);
+        self.insts
+            .entry(tree)
+            .or_insert_with(|| Self::new_inst(ctx, id, epoch, tree))
+    }
+
+    /// A fresh automaton instance for `tree` at incarnation `epoch`: the
+    /// one constructor, used at birth, on first touch and by
+    /// [`NodeRt::reincarnate`]. Only instance 0 keeps a ghost log.
+    fn new_inst(ctx: &Ctx<'_, S, A>, id: NodeId, epoch: u64, tree: u32) -> Inst<S::Node, A> {
+        let mut mech = MechNode::new(
+            ctx.tree,
+            id,
+            ctx.op.clone(),
+            ctx.spec.build(ctx.tree.degree(id)),
+            ctx.ghost && tree == 0,
+        );
+        mech.set_epoch(epoch);
+        Inst {
+            mech,
+            waiters: Vec::new(),
+        }
+    }
+
+    /// Buffers a handler's outbox for `tree` onto the sequenced links,
+    /// recording stats and in-flight accounting per frame.
+    fn send_outbox(&mut self, tree: u32, out: Outbox<A::Value>, ctx: &Ctx<'_, S, A>) {
         for (to, msg) in out {
             self.stats
                 .record(ctx.tree.dir_edge_index(self.id, to), msg.kind());
@@ -1637,123 +1277,67 @@ where
             // and the SeqCst decrement concluding each handler is
             // sequenced after this increment in the same thread.
             ctx.total_sent.fetch_add(1, Ordering::Relaxed);
-            payload.clear();
-            msg.encode_wire(&mut payload);
-            let wi = self.mech.nbr_index(to);
-            if send_seq(
-                self.id,
-                &mut self.links[wi],
-                &mut *self.backend,
-                INNER_NET,
-                &payload,
-                ctx,
-            ) {
-                self.downed.push(wi);
-            }
+            self.send_edge(self.nbr_index(to), EdgePayload::Net { tree, msg }, ctx);
         }
     }
 
-    /// Answers every parked combine waiter with the completed value.
-    fn answer_waiters(&mut self, v: A::Value) {
-        for (conn, req_id) in std::mem::take(&mut self.waiters) {
-            let mut payload = Vec::with_capacity(16);
-            put_u64(&mut payload, req_id);
-            v.encode(&mut payload);
-            respond(
-                &mut self.clients,
-                &mut self.book,
-                conn,
-                TAG_RESP_COMBINE,
-                &payload,
-            );
-            oat_obs::trace_event!(oat_obs::EventKind::RespTx, self.id.0, conn as u32, req_id);
-            self.completions.push((self.id, v.clone()));
+    /// Queues a revoke for `tree` toward each of `to`.
+    fn send_revokes(&mut self, tree: u32, to: Vec<NodeId>, ctx: &Ctx<'_, S, A>) {
+        for t in to {
+            self.send_edge(self.nbr_index(t), EdgePayload::Revoke { tree }, ctx);
         }
     }
 
-    /// Takes the forest instance for `tree` out of the map — creating it
-    /// lazily at the current incarnation epoch — so a handler can run
-    /// against it while the rest of the node stays borrowable. The
-    /// caller reinserts it on success; on a panic it is dropped and the
-    /// node-level crash-restart clears the whole forest.
-    fn take_inst(&mut self, tree: u32, ctx: &Ctx<'_, S, A>) -> Inst<S::Node, A> {
-        self.insts.remove(&tree).unwrap_or_else(|| {
-            let mut mech = MechNode::new(
-                ctx.tree,
-                self.id,
-                ctx.op.clone(),
-                ctx.spec.build(self.degree),
-                false,
-            );
-            mech.set_epoch(self.epoch);
-            Inst {
-                mech,
-                waiters: Vec::new(),
-            }
-        })
-    }
-
-    /// Drains the mechanism outbox for a forest tree: like
-    /// [`NodeRt::send_outbox`] but frames ride `INNER_NET_T` with the
-    /// tree id prefixed. Completions are *not* recorded — the completion
-    /// log is a tree-0 sim-parity artifact.
-    fn send_outbox_t(&mut self, tree: u32, ctx: &Ctx<'_, S, A>) {
-        let mut payload = Vec::with_capacity(36);
-        let out = std::mem::take(&mut self.out);
-        for (to, msg) in out {
-            self.stats
-                .record(ctx.tree.dir_edge_index(self.id, to), msg.kind());
-            ctx.total_sent.fetch_add(1, Ordering::Relaxed);
-            payload.clear();
-            put_u32(&mut payload, tree);
-            msg.encode_wire(&mut payload);
-            // Every forest tree shares the base tree's topology, so the
-            // built-in instance's neighbour table routes for all of them.
-            let wi = self.mech.nbr_index(to);
-            if send_seq(
-                self.id,
-                &mut self.links[wi],
-                &mut *self.backend,
-                INNER_NET_T,
-                &payload,
-                ctx,
-            ) {
-                self.downed.push(wi);
-            }
-        }
-    }
-
-    /// Queues a per-tree revoke (4-byte tree-id body) toward `to`.
-    fn send_revoke_t(&mut self, tree: u32, to: NodeId, ctx: &Ctx<'_, S, A>) {
-        let mut body = Vec::with_capacity(4);
-        put_u32(&mut body, tree);
-        let wi = self.mech.nbr_index(to);
+    /// Encodes `payload` and sends it on edge `wi`'s sequenced link.
+    fn send_edge(&mut self, wi: usize, payload: EdgePayload<A::Value>, ctx: &Ctx<'_, S, A>) {
+        let mut body = Vec::with_capacity(36);
+        let inner = payload.encode(&mut body);
         if send_seq(
             self.id,
             &mut self.links[wi],
             &mut *self.backend,
-            INNER_REVOKE,
-            &body,
+            inner,
+            body,
             ctx,
         ) {
             self.downed.push(wi);
         }
     }
 
-    /// Answers every waiter parked on a forest instance.
-    fn answer_tree_waiters(&mut self, inst: &mut Inst<S::Node, A>, v: &A::Value) {
+    /// Index of neighbour `v` in `links`, which follow `Tree::nbrs`
+    /// order — ascending, like every instance's neighbour table.
+    fn nbr_index(&self, v: NodeId) -> usize {
+        self.links
+            .binary_search_by_key(&v, |l| l.peer)
+            .unwrap_or_else(|_| panic!("{v} is not a neighbour of {}", self.id))
+    }
+
+    /// Answers every combine parked on `tree`'s instance with `v`.
+    fn answer_waiters(&mut self, tree: u32, v: &A::Value) {
+        let Some(inst) = self.insts.get_mut(&tree) else {
+            return;
+        };
         for (conn, req_id) in std::mem::take(&mut inst.waiters) {
-            let mut payload = Vec::with_capacity(16);
-            put_u64(&mut payload, req_id);
-            v.encode(&mut payload);
-            respond(
-                &mut self.clients,
-                &mut self.book,
-                conn,
-                TAG_RESP_COMBINE,
-                &payload,
-            );
-            oat_obs::trace_event!(oat_obs::EventKind::RespTx, self.id.0, conn as u32, req_id);
+            self.answer(tree, conn, req_id, v);
+        }
+    }
+
+    /// Sends the combine response `v` for request `req_id` of `conn`.
+    fn answer(&mut self, tree: u32, conn: ClientId, req_id: u64, v: &A::Value) {
+        let mut payload = Vec::with_capacity(16);
+        put_u64(&mut payload, req_id);
+        v.encode(&mut payload);
+        respond(
+            &mut self.clients,
+            &mut self.book,
+            conn,
+            TAG_RESP_COMBINE,
+            &payload,
+        );
+        oat_obs::trace_event!(oat_obs::EventKind::RespTx, self.id.0, conn as u32, req_id);
+        if tree == 0 {
+            // The completion log is a tree-0 sim-parity artifact.
+            self.completions.push((self.id, v.clone()));
         }
     }
 
@@ -1797,7 +1381,7 @@ where
     /// Re-runs the combine for a subscribed tree and pushes the result
     /// as a partial. Called whenever work touched `tree` at a node that
     /// holds subscriptions: a `Done` pushes immediately; a `Pending`
-    /// probe's completion pushes from the `NetT` path when it lands.
+    /// probe's completion pushes from the message arm when it lands.
     /// No-op on trees without subscribers, so non-serving nodes never
     /// issue extra combines.
     fn refresh_tree(&mut self, tree: u32, ctx: &Ctx<'_, S, A>) {
@@ -1808,113 +1392,68 @@ where
         {
             return;
         }
-        let mut inst = self.take_inst(tree, ctx);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let outcome = inst.mech.handle_combine(&mut self.out);
-            self.send_outbox_t(tree, ctx);
-            outcome
-        }));
-        match run {
-            Ok(outcome) => {
-                self.insts.insert(tree, inst);
-                if let CombineOutcome::Done(v) = outcome {
-                    self.push_partial(tree, &v);
-                }
-            }
-            Err(_) => self.crash_restart(ctx),
+        let mut out = Vec::new();
+        let outcome = self.inst(tree, ctx).mech.handle_combine(&mut out);
+        self.send_outbox(tree, out, ctx);
+        if let CombineOutcome::Done(v) = outcome {
+            self.push_partial(tree, &v);
         }
     }
 
-    /// Runs the peer-reset transition on every forest instance after a
-    /// neighbour's automaton restart, cascading per-tree revokes.
-    fn forest_peer_reset(&mut self, from: NodeId, ctx: &Ctx<'_, S, A>) {
-        let trees: Vec<u32> = self.insts.keys().copied().collect();
-        for tree in trees {
-            let mut inst = self.take_inst(tree, ctx);
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let revokes = inst.mech.handle_peer_reset(from, &mut self.out);
-                self.send_outbox_t(tree, ctx);
-                revokes
-            }));
-            match run {
-                Ok(revokes) => {
-                    self.insts.insert(tree, inst);
-                    for t in revokes {
-                        self.send_revoke_t(tree, t, ctx);
-                    }
-                    self.refresh_tree(tree, ctx);
-                }
-                Err(_) => {
-                    self.crash_restart(ctx);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Destroys and rebuilds the automaton after a crash (injected or
-    /// panicked). The transport and the durable value survive; waiters
-    /// are dropped (clients recover via timeout + retry), and the fresh
-    /// automaton's first act is a sequenced `RESET` on every edge — down
-    /// edges queue it in the retransmit buffer, so the peer learns of
-    /// the restart in FIFO position even across a connection failure.
+    /// Destroys every automaton instance after a crash (injected or
+    /// panicked) and starts the next incarnation. The transport and the
+    /// durable value survive; waiters are dropped (clients recover via
+    /// timeout + retry). Subscriptions are transport state and survive
+    /// too, but fresh instances may regress below the last pushed value,
+    /// so subscribers are re-primed at the next refresh; the refinement
+    /// seq itself stays monotone across the restart.
     fn crash_restart(&mut self, ctx: &Ctx<'_, S, A>) {
         oat_obs::trace_event!(oat_obs::EventKind::Crash, self.id.0, 0, 0);
         self.counters.restarts += 1;
-        self.waiters.clear();
-        // The crash takes the whole forest with it (forest instances are
-        // volatile). Subscriptions are transport state and survive, but
-        // fresh instances may regress below the last pushed value, so
-        // subscribers are re-primed at the next refresh; the refinement
-        // seq itself stays monotone across the restart.
-        self.abandoned += self
-            .insts
-            .values()
-            .map(|i| i.waiters.len() as u64)
-            .sum::<u64>();
-        self.insts.clear();
         for ts in self.tree_subs.values_mut() {
             ts.last_push = None;
             for s in &mut ts.subs {
                 s.primed = false;
             }
         }
-        self.out.clear();
-        self.mech = MechNode::new(
-            ctx.tree,
-            self.id,
-            ctx.op.clone(),
-            ctx.spec.build(self.degree),
-            ctx.ghost,
-        );
-        // The replacement automaton's incarnation number lets it discard
-        // responses addressed to the incarnation that just died (see the
-        // epoch guard in `MechNode::handle_message`).
-        self.epoch += 1;
-        self.mech.set_epoch(self.epoch);
+        self.reincarnate(self.epoch + 1, 0, ctx);
+    }
+
+    /// Starts incarnation `epoch`, persisted before anything else so the
+    /// *next* incarnation moves past it even on a torn tail. The epoch
+    /// lets the new automata discard responses addressed to the one that
+    /// died (see the epoch guard in `MechNode::handle_message`). Every
+    /// instance is dropped with its waiters; instance 0 comes back
+    /// holding the durable value; and the new run's first act is a
+    /// sequenced `RESET` on every edge — down edges queue it in the
+    /// retransmit buffer, so the peer learns of the restart in FIFO
+    /// position even across a connection failure. `kind` tags the trace
+    /// event: 0 for a crash, 1 for a recovery from the log.
+    fn reincarnate(&mut self, epoch: u64, kind: u32, ctx: &Ctx<'_, S, A>) {
+        self.abandoned += self
+            .insts
+            .values()
+            .map(|i| i.waiters.len() as u64)
+            .sum::<u64>();
+        self.epoch = epoch;
         if self.durable {
-            self.backend.log_epoch(self.epoch);
+            self.backend.log_epoch(epoch);
         }
-        oat_obs::trace_event!(oat_obs::EventKind::Restart, self.id.0, 0, self.epoch);
-        // Restore the durable value. The fresh node holds no grants, so
-        // this emits nothing.
+        oat_obs::trace_event!(oat_obs::EventKind::Restart, self.id.0, kind, epoch);
+        // The fresh instance holds no grants, so restoring the durable
+        // value emits nothing.
+        let mut inst = Self::new_inst(ctx, self.id, epoch, 0);
         let mut sink = Vec::new();
-        self.mech.handle_write(self.durable_val.clone(), &mut sink);
+        inst.mech.handle_write(self.durable_val.clone(), &mut sink);
         debug_assert!(sink.is_empty());
+        self.insts = HashMap::from([(0, inst)]);
         for wi in 0..self.links.len() {
-            if send_seq(
-                self.id,
-                &mut self.links[wi],
-                &mut *self.backend,
-                INNER_RESET,
-                &[],
-                ctx,
-            ) {
-                self.downed.push(wi);
-            }
+            self.send_edge(wi, EdgePayload::Reset, ctx);
         }
         self.settle_downed();
         if self.durable {
+            // The fresh instance holds no leases; log the zeroing of any
+            // recovered lease bits so the WAL tracks the truth.
             self.sync_leases();
         }
     }
@@ -1927,7 +1466,7 @@ where
 
     /// Process-grade kill + recovery: demolish everything a SIGKILL
     /// would take — links, retransmit buffers, client connections, the
-    /// automaton, the in-memory value — then rebuild the node from its
+    /// automata, the in-memory value — then rebuild the node from its
     /// durability backend as a cold-starting incarnation. The listener
     /// survives (the "new process" inherits the node's address) as do
     /// the pure observability accumulators (stats, counters, completion
@@ -1945,19 +1484,10 @@ where
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
         self.book = BatchBook::default();
-        self.abandoned += self.waiters.len() as u64;
-        self.waiters.clear();
         // A process kill severs every client socket, and subscriptions
         // die with their connections — subscribers re-subscribe on
-        // reconnect. The forest itself is volatile and vanishes.
-        self.abandoned += self
-            .insts
-            .values()
-            .map(|i| i.waiters.len() as u64)
-            .sum::<u64>();
-        self.insts.clear();
+        // reconnect. The instances go at the restore below.
         self.tree_subs.clear();
-        self.out.clear();
         self.downed.clear();
         self.stalled = false;
         // Forgive the dead incarnation's buffered frames: outstanding
@@ -2000,7 +1530,7 @@ where
         }
     }
 
-    /// Rebuilds the automaton + transport state from recovered durable
+    /// Rebuilds the automata + transport state from recovered durable
     /// state: the cold-start path, shared by spawn-over-existing-WAL and
     /// [`NodeRt::kill9_restart`]. Expects link sequence state to be at
     /// its zero value on entry.
@@ -2037,40 +1567,9 @@ where
         if recharged > 0 {
             ctx.in_flight.add(recharged);
         }
-        // A fresh automaton at a strictly newer epoch than any the dead
-        // incarnation could have used, persisted before anything else so
-        // the *next* incarnation moves past it even on a torn tail.
-        self.mech = MechNode::new(
-            ctx.tree,
-            self.id,
-            ctx.op.clone(),
-            ctx.spec.build(self.degree),
-            ctx.ghost,
-        );
-        self.epoch = self.epoch.max(state.epoch) + 1;
-        self.backend.log_epoch(self.epoch);
-        self.mech.set_epoch(self.epoch);
-        oat_obs::trace_event!(oat_obs::EventKind::Restart, self.id.0, 1, self.epoch);
-        let mut sink = Vec::new();
-        self.mech.handle_write(self.durable_val.clone(), &mut sink);
-        debug_assert!(sink.is_empty());
-        // Announce the new incarnation in FIFO position on every edge.
-        for wi in 0..self.links.len() {
-            if send_seq(
-                self.id,
-                &mut self.links[wi],
-                &mut *self.backend,
-                INNER_RESET,
-                &[],
-                ctx,
-            ) {
-                self.downed.push(wi);
-            }
-        }
-        self.settle_downed();
-        // The fresh mechanism holds no leases; log the zeroing of any
-        // recovered lease bits so the WAL tracks the truth.
-        self.sync_leases();
+        // A strictly newer epoch than any the dead incarnation could
+        // have used.
+        self.reincarnate(self.epoch.max(state.epoch) + 1, 1, ctx);
     }
 
     /// Marks every queued-down edge as down exactly once and arms the
@@ -2131,16 +1630,8 @@ where
                 conn.out.frame(TAG_HELLO_EDGE, &hello);
                 link.pending_dial = Some(conn);
             }
-            Err(_) => self.schedule_redial(wi),
+            Err(_) => link.schedule_redial(),
         }
-    }
-
-    fn schedule_redial(&mut self, wi: usize) {
-        let link = &mut self.links[wi];
-        let backoff = link.backoff_ms;
-        let jitter = link.next_jitter(backoff);
-        link.redial_at = Some(Instant::now() + Duration::from_millis(backoff + jitter));
-        link.backoff_ms = (backoff * 2).min(RECONNECT_CAP_MS);
     }
 
     /// Go-back-N on every up edge whose ack watermark stalled since the
@@ -2211,11 +1702,7 @@ where
                         Ok(drained) => blocked(conn, drained),
                         Err(_) => {
                             link.pending_dial = None;
-                            let backoff = link.backoff_ms;
-                            let jitter = link.next_jitter(backoff);
-                            link.redial_at =
-                                Some(Instant::now() + Duration::from_millis(backoff + jitter));
-                            link.backoff_ms = (backoff * 2).min(RECONNECT_CAP_MS);
+                            link.schedule_redial();
                         }
                     }
                 }
@@ -2330,13 +1817,14 @@ where
     fn snapshot_metrics(&self, ctx: &Ctx<'_, S, A>) -> NodeMetrics {
         let mut leases_taken = 0;
         let mut leases_granted = 0;
-        let mut edges = Vec::with_capacity(self.mech.nbrs().len());
+        let mech = &self.insts[&0].mech;
+        let mut edges = Vec::with_capacity(mech.nbrs().len());
         let mut dup_drops = 0;
-        for (vi, &v) in self.mech.nbrs().iter().enumerate() {
-            if self.mech.taken(vi) {
+        for (vi, &v) in mech.nbrs().iter().enumerate() {
+            if mech.taken(vi) {
                 leases_taken += 1;
             }
-            if self.mech.granted(vi) {
+            if mech.granted(vi) {
                 leases_granted += 1;
             }
             edges.push((
@@ -2356,7 +1844,7 @@ where
             leases_granted,
             queue_depth,
             queue_peak,
-            pending_combines: self.waiters.len() as u64,
+            pending_combines: self.insts[&0].waiters.len() as u64,
             combines_served: self.completions.len() as u64,
             reconnects: self.counters.reconnects,
             retransmits: self.counters.retransmits,
@@ -2499,7 +1987,6 @@ where
     pub(crate) fn finish(mut self) -> NodeReport<A::Value> {
         // Under faults a client may have given up on a combine; dropping
         // the waiter lets shutdown proceed and the count surfaces here.
-        self.abandoned += self.waiters.len() as u64;
         self.abandoned += self
             .insts
             .values()
@@ -2508,7 +1995,7 @@ where
         NodeReport {
             stats: self.stats,
             completions: self.completions,
-            log: self.mech.ghost().map(|g| g.log.clone()),
+            log: self.insts[&0].mech.ghost().map(|g| g.log.clone()),
             delivered: self.delivered,
             abandoned: self.abandoned,
             faults: self.counters,
@@ -2538,21 +2025,21 @@ fn send_seq<S, A: AggOp>(
     link: &mut EdgeLink,
     dur: &mut dyn Durability,
     inner: u8,
-    body: &[u8],
+    body: Vec<u8>,
     ctx: &Ctx<'_, S, A>,
 ) -> bool {
     ctx.in_flight.add(1);
     link.tx_seq += 1;
     let seq = link.tx_seq;
-    dur.log_send(link.peer.0, seq, inner, body);
+    dur.log_send(link.peer.0, seq, inner, &body);
     oat_obs::trace_event!(
         oat_obs::EventKind::FrameTx,
         from.0,
         link.peer.0,
         (seq << 8) | u64::from(inner)
     );
-    link.rtx
-        .push_back((seq, inner, body.to_vec(), Instant::now()));
+    link.rtx.push_back((seq, inner, body, Instant::now()));
+    let body = &link.rtx.back().expect("just pushed").2;
     let Some(conn) = link.conn.as_mut() else {
         // Edge down: the frame waits in the retransmit buffer and is
         // replayed when the connection comes back.
