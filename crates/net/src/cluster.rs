@@ -1064,10 +1064,9 @@ impl<V: WireValue> ClusterClient<V> {
     }
 
     /// Submits a write against forest tree `tree` without waiting;
-    /// returns its request id. Writes to trees ≥ 1 are volatile —
-    /// not WAL-logged — so a kill9 loses them; drive forest trees with
-    /// absolute values a caller can re-write to heal (the query engine
-    /// does exactly that).
+    /// returns its request id. Durable like a tree-0 write: with a WAL
+    /// backend it is logged before the ack, and every restart restores
+    /// it. `submit_write_tree(0, v)` is [`ClusterClient::submit_write`].
     pub fn submit_write_tree(&mut self, tree: u32, arg: V) -> io::Result<u64> {
         self.submit(tree, ReqOp::Write(arg))
     }

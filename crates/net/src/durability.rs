@@ -1,17 +1,20 @@
 //! Pluggable durability backends for a node's escrowed state.
 //!
-//! PR 3's crash recovery escrows the durable value and link watermarks
-//! *in memory* inside `NodeRt` — enough to survive an automaton panic,
-//! useless against a process kill. The [`Durability`] trait makes the
-//! escrow a backend decision:
+//! What a node must not lose is what the paper makes durable — every
+//! tree instance's last written value — plus its link watermarks and
+//! retransmit buffers. An in-process crash keeps them in `NodeRt`
+//! (enough to survive an automaton panic, useless against a process
+//! kill). The [`Durability`] trait makes the escrow a backend decision:
 //!
-//! * [`MemoryDurability`] — today's behavior and the default. Every hook
-//!   is a no-op ([`Durability::active`] is `false`, so the runtime skips
-//!   the calls entirely); simulator parity stays byte-for-byte.
-//! * [`WalDurability`] — wraps an [`oat_wal::Wal`]: write acks, edge
-//!   sequence watermarks, lease transitions, and epoch bumps are logged
-//!   write-ahead, so both `crash_restart` and the *cold-start* path
-//!   (process kill, `kill9`) can rebuild the node from disk.
+//! * [`MemoryDurability`] — the default. Every hook is a no-op
+//!   ([`Durability::active`] is `false`, so the runtime skips the calls
+//!   entirely); simulator parity stays byte-for-byte.
+//! * [`WalDurability`] — wraps an [`oat_wal::Wal`]: writes on every
+//!   tree, edge sequence watermarks and epoch bumps are logged
+//!   write-ahead, so the *cold-start* path (process kill, `kill9`, or a
+//!   cluster re-spawned on the same directory) can rebuild the node from
+//!   disk. Leases are not logged: a restarted node holds none and its
+//!   neighbours' RESET handling rebuilds them by probing.
 //!
 //! Backends are selected per cluster via `NetConfig::durability` and
 //! constructed per node in `Cluster::spawn_with`.
@@ -44,9 +47,10 @@ pub trait Durability: Send {
         false
     }
 
-    /// A client write was accepted; `val` is the wire encoding of the
-    /// new durable value. Must be durable before the ack goes out.
-    fn log_write(&mut self, _val: &[u8]) {}
+    /// A client write to `tree` was accepted; `val` is the wire encoding
+    /// of the instance's new value. Must be durable before the ack goes
+    /// out.
+    fn log_write(&mut self, _tree: u32, _val: &[u8]) {}
 
     /// Sequence number `seq` was assigned to an edge frame toward
     /// `peer`. Logged before the frame can reach a socket.
@@ -57,10 +61,6 @@ pub trait Durability: Send {
 
     /// `peer` acknowledged our frames through `acked`.
     fn log_ack(&mut self, _peer: u32, _acked: u64) {}
-
-    /// The lease state toward `peer` changed; `bits` packs
-    /// `(granted << 1) | taken`.
-    fn log_lease(&mut self, _peer: u32, _bits: u8) {}
 
     /// The incarnation epoch advanced.
     fn log_epoch(&mut self, _epoch: u64) {}
@@ -86,8 +86,8 @@ pub trait Durability: Send {
     }
 }
 
-/// The in-memory escrow: exactly PR 3's behavior. `NodeRt` keeps its
-/// own `durable_val` field for `crash_restart`, so this backend stores
+/// The in-memory escrow. `crash_restart` rebuilds every instance from
+/// the value it already holds in `NodeRt`, so this backend stores
 /// nothing at all.
 #[derive(Debug, Default)]
 pub struct MemoryDurability;
@@ -166,8 +166,8 @@ impl Durability for WalDurability {
         true
     }
 
-    fn log_write(&mut self, val: &[u8]) {
-        let _ = self.wal.append(&Record::Write { val: val.to_vec() });
+    fn log_write(&mut self, tree: u32, val: &[u8]) {
+        let _ = self.wal.append(&Record::write(tree, val.to_vec()));
         self.publish_faults();
     }
 
@@ -188,11 +188,6 @@ impl Durability for WalDurability {
 
     fn log_ack(&mut self, peer: u32, acked: u64) {
         let _ = self.wal.append(&Record::Ack { peer, acked });
-        self.publish_faults();
-    }
-
-    fn log_lease(&mut self, peer: u32, bits: u8) {
-        let _ = self.wal.append(&Record::Lease { peer, bits });
         self.publish_faults();
     }
 

@@ -27,9 +27,10 @@
 //! arms, the same outbox and the same waiter path; the frame layer
 //! alone decides how a tree id is encoded ([`EdgePayload`],
 //! [`decode_request`]). Instance 0 exists from birth. The others are
-//! created on the first frame that names their tree. Instance 0 is the
-//! only durable one: its writes and leases are WAL-logged, and it alone
-//! feeds the ghost log and the completion log (the sim-parity records).
+//! created on the first frame that names their tree. Every instance's
+//! last written value is durable (WAL-logged with the tree id); instance
+//! 0 alone feeds the ghost log and the completion log (the sim-parity
+//! records).
 //!
 //! ## The sequenced edge link
 //!
@@ -65,24 +66,25 @@
 //!
 //! ## Crash-restart supervision and durability grades
 //!
-//! The automaton instances (mechanism + policy + waiters) are
-//! *volatile*: an injected crash (or a caught panic — each dispatch
-//! runs under `catch_unwind`) destroys them all. The transport — edge
-//! links with their sequence state and retransmit buffers, client
-//! connections — and tree 0's last written `val` survive in [`NodeRt`].
-//! On restart the node rebuilds instance 0, restores `val`, and the new
-//! run's first act is a sequenced `RESET` on every edge; neighbours
-//! answer with the mechanism's peer-reset transition on every instance
-//! and a revoke cascade tears down every cached aggregate that included
-//! the crashed subtree. Clients re-drive lost requests via timeout +
-//! retry.
+//! An injected crash (or a caught panic — each dispatch runs under
+//! `catch_unwind`) destroys every automaton instance: leases, cached
+//! aggregates, waiters. What survives in [`NodeRt`] is the transport —
+//! edge links with their sequence state and retransmit buffers, client
+//! connections — and each instance's last written value, the one datum
+//! per tree the paper makes durable. On restart the node rebuilds every
+//! instance from its value, and the new run's first act is a sequenced
+//! `RESET` on every edge; neighbours answer with the mechanism's
+//! peer-reset transition on every instance and a revoke cascade tears
+//! down every cached aggregate that included the crashed subtree; the
+//! leases come back by probing. Clients re-drive lost requests via
+//! timeout + retry.
 //!
 //! A process-grade kill (`kill9` in the fault grammar) destroys the
 //! whole `NodeRt` — links, retransmit buffers, client connections, the
 //! in-memory escrow itself. Recovery then runs through the node's
 //! [`Durability`] backend: [`NodeRt::kill9_restart`] demolishes the
 //! runtime state, replays the write-ahead log into fresh link
-//! watermarks + retransmit buffers + durable value, bumps the
+//! watermarks + retransmit buffers + per-tree values, bumps the
 //! incarnation epoch, and broadcasts `RESET` exactly like an in-process
 //! crash. The same replay path serves *cold start*: a node spawned over
 //! an existing WAL directory rejoins with its history intact. With the
@@ -391,12 +393,11 @@ impl BatchBook {
 }
 
 /// The automaton instance serving one tree at this node, in the node's
-/// one instance table. Instance 0 exists from birth and is the only
-/// WAL-logged one; every other instance is created on the first frame
-/// that names its tree and is *volatile*: its writes are not logged,
-/// so a crash or kill9 loses it — the query engine owns re-driving
-/// those trees (its per-key accumulators are absolute values, so a
-/// re-write heals the tree).
+/// one instance table. Instance 0 exists from birth; every other
+/// instance is created on the first frame that names its tree. Either
+/// way its last written value — `mech.val()`, set by nothing but a
+/// write — is durable: logged before the write is acked, and restored
+/// into the fresh instance by every restart.
 struct Inst<N: oat_core::policy::NodePolicy, A: AggOp> {
     mech: MechNode<N, A>,
     /// Parked combine requests, answered at the next completion.
@@ -445,7 +446,6 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     /// This node's index in its reactor's shard: the node half of every
     /// [`Tok`] its sockets are registered under.
     slot: usize,
-    degree: usize,
     listener: Listener,
     links: Vec<EdgeLink>,
     /// Accepted connections that have not yet sent their hello.
@@ -463,9 +463,6 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     stats: MsgStats,
     completions: Vec<(NodeId, A::Value)>,
     delivered: u64,
-    /// Tree 0's last written value at this node; restored into the
-    /// fresh instance 0 on restart (writes are acknowledged durable).
-    durable_val: A::Value,
     /// The durability backend: in-memory (no-op) or write-ahead log.
     backend: Box<dyn Durability>,
     /// Cached `backend.active()` — gates every logging hook so the
@@ -475,9 +472,6 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     /// persisted through the backend so a recovered incarnation never
     /// reuses an epoch its predecessor already burned.
     epoch: u64,
-    /// Last lease bits `(granted << 1) | taken` logged per neighbour
-    /// index; transitions are WAL-logged as diffs against this cache.
-    lease_bits: Vec<u8>,
     /// Injected crash trigger: crash after this many delivered messages
     /// (cumulative across restarts). Consumed when it fires.
     crash_at: Option<u64>,
@@ -520,7 +514,6 @@ where
             listener,
             backend,
         } = seed;
-        let degree = ctx.tree.degree(id);
         // The listener stays registered for the reactor's lifetime (a
         // kill9 leaves it open: the "new process" inherits the address).
         ctx.poller
@@ -555,7 +548,7 @@ where
                 }
             })
             .collect();
-        let ready_sent = degree == 0;
+        let ready_sent = links.is_empty();
         if ready_sent {
             let _ = ready_tx.send(());
         }
@@ -563,7 +556,6 @@ where
         let mut node = NodeRt {
             id,
             slot,
-            degree,
             listener,
             links,
             pending: HashMap::new(),
@@ -576,11 +568,9 @@ where
             stats: MsgStats::new(ctx.tree),
             completions: Vec::new(),
             delivered: 0,
-            durable_val: ctx.op.identity(),
             backend,
             durable,
             epoch: 0,
-            lease_bits: vec![0; degree],
             crash_at: plan.crash_after(id),
             kill9_at: plan.kill9_after(id),
             kill9_pending: false,
@@ -1043,9 +1033,6 @@ where
             self.crash_restart(ctx);
         }
         self.settle_downed();
-        if self.durable {
-            self.sync_leases();
-        }
     }
 
     /// The body of [`NodeRt::dispatch`]: one arm per kind of input, the
@@ -1134,17 +1121,13 @@ where
                 let mut out = Vec::new();
                 match op {
                     ReqOp::Write(arg) => {
-                        if tree == 0 {
-                            if self.durable {
-                                // Logged (and fsynced — Write records
-                                // force a sync) before the ack below can
-                                // flush: an acknowledged write survives
-                                // any kill.
-                                let mut bytes = Vec::with_capacity(16);
-                                arg.encode(&mut bytes);
-                                self.backend.log_write(&bytes);
-                            }
-                            self.durable_val = arg.clone();
+                        if self.durable {
+                            // Logged (and fsynced — write records force a
+                            // sync) before the ack below can flush: an
+                            // acknowledged write survives any kill.
+                            let mut bytes = Vec::with_capacity(16);
+                            arg.encode(&mut bytes);
+                            self.backend.log_write(tree, &bytes);
                         }
                         self.inst(tree, ctx).mech.handle_write(arg, &mut out);
                         self.send_outbox(tree, out, ctx);
@@ -1222,20 +1205,6 @@ where
                     TAG_RESP_METRICS,
                     &payload,
                 );
-            }
-        }
-    }
-
-    /// Logs every lease transition of instance 0 since the last call as
-    /// a diff against the cached bits. Called after each dispatch when
-    /// durable.
-    fn sync_leases(&mut self) {
-        let mech = &self.insts[&0].mech;
-        for vi in 0..self.degree {
-            let bits = (u8::from(mech.granted(vi)) << 1) | u8::from(mech.taken(vi));
-            if bits != self.lease_bits[vi] {
-                self.lease_bits[vi] = bits;
-                self.backend.log_lease(self.links[vi].peer.0, bits);
             }
         }
     }
@@ -1401,12 +1370,12 @@ where
     }
 
     /// Destroys every automaton instance after a crash (injected or
-    /// panicked) and starts the next incarnation. The transport and the
-    /// durable value survive; waiters are dropped (clients recover via
-    /// timeout + retry). Subscriptions are transport state and survive
-    /// too, but fresh instances may regress below the last pushed value,
-    /// so subscribers are re-primed at the next refresh; the refinement
-    /// seq itself stays monotone across the restart.
+    /// panicked) and starts the next incarnation. The transport and each
+    /// instance's written value survive; waiters are dropped (clients
+    /// recover via timeout + retry). Subscriptions are transport state
+    /// and survive too, but fresh instances may regress below the last
+    /// pushed value, so subscribers are re-primed at the next refresh;
+    /// the refinement seq itself stays monotone across the restart.
     fn crash_restart(&mut self, ctx: &Ctx<'_, S, A>) {
         oat_obs::trace_event!(oat_obs::EventKind::Crash, self.id.0, 0, 0);
         self.counters.restarts += 1;
@@ -1416,20 +1385,32 @@ where
                 s.primed = false;
             }
         }
-        self.reincarnate(self.epoch + 1, 0, ctx);
+        let vals = self
+            .insts
+            .iter()
+            .map(|(&tree, inst)| (tree, inst.mech.val().clone()))
+            .collect();
+        self.reincarnate(self.epoch + 1, 0, vals, ctx);
     }
 
     /// Starts incarnation `epoch`, persisted before anything else so the
     /// *next* incarnation moves past it even on a torn tail. The epoch
     /// lets the new automata discard responses addressed to the one that
     /// died (see the epoch guard in `MechNode::handle_message`). Every
-    /// instance is dropped with its waiters; instance 0 comes back
-    /// holding the durable value; and the new run's first act is a
-    /// sequenced `RESET` on every edge — down edges queue it in the
-    /// retransmit buffer, so the peer learns of the restart in FIFO
-    /// position even across a connection failure. `kind` tags the trace
-    /// event: 0 for a crash, 1 for a recovery from the log.
-    fn reincarnate(&mut self, epoch: u64, kind: u32, ctx: &Ctx<'_, S, A>) {
+    /// instance is dropped with its waiters; one fresh instance per
+    /// entry of `vals` (which holds tree 0) comes back holding that
+    /// tree's written value; and the new run's first act is a sequenced
+    /// `RESET` on every edge — down edges queue it in the retransmit
+    /// buffer, so the peer learns of the restart in FIFO position even
+    /// across a connection failure. `kind` tags the trace event: 0 for a
+    /// crash, 1 for a recovery from the log.
+    fn reincarnate(
+        &mut self,
+        epoch: u64,
+        kind: u32,
+        vals: HashMap<u32, A::Value>,
+        ctx: &Ctx<'_, S, A>,
+    ) {
         self.abandoned += self
             .insts
             .values()
@@ -1440,22 +1421,24 @@ where
             self.backend.log_epoch(epoch);
         }
         oat_obs::trace_event!(oat_obs::EventKind::Restart, self.id.0, kind, epoch);
-        // The fresh instance holds no grants, so restoring the durable
-        // value emits nothing.
-        let mut inst = Self::new_inst(ctx, self.id, epoch, 0);
-        let mut sink = Vec::new();
-        inst.mech.handle_write(self.durable_val.clone(), &mut sink);
-        debug_assert!(sink.is_empty());
-        self.insts = HashMap::from([(0, inst)]);
+        // A fresh instance holds no grants, so restoring its value emits
+        // nothing.
+        let id = self.id;
+        self.insts = vals
+            .into_iter()
+            .map(|(tree, val)| {
+                let mut inst = Self::new_inst(ctx, id, epoch, tree);
+                let mut sink = Vec::new();
+                inst.mech.handle_write(val, &mut sink);
+                debug_assert!(sink.is_empty());
+                (tree, inst)
+            })
+            .collect();
+        debug_assert!(self.insts.contains_key(&0));
         for wi in 0..self.links.len() {
             self.send_edge(wi, EdgePayload::Reset, ctx);
         }
         self.settle_downed();
-        if self.durable {
-            // The fresh instance holds no leases; log the zeroing of any
-            // recovered lease bits so the WAL tracks the truth.
-            self.sync_leases();
-        }
     }
 
     /// Whether a kill9 fired during the last dispatch pass; consumes the
@@ -1466,7 +1449,7 @@ where
 
     /// Process-grade kill + recovery: demolish everything a SIGKILL
     /// would take — links, retransmit buffers, client connections, the
-    /// automata, the in-memory value — then rebuild the node from its
+    /// automata and their values — then rebuild the node from its
     /// durability backend as a cold-starting incarnation. The listener
     /// survives (the "new process" inherits the node's address) as do
     /// the pure observability accumulators (stats, counters, completion
@@ -1515,8 +1498,6 @@ where
             ctx.in_flight.sub(forgiven);
         }
         self.connected = 0;
-        self.durable_val = ctx.op.identity();
-        self.lease_bits.iter_mut().for_each(|b| *b = 0);
         // Rebuild from the log, exactly like a cold start...
         let state = self.backend.recover().unwrap_or_default();
         self.restore_from(state, ctx);
@@ -1535,11 +1516,11 @@ where
     /// [`NodeRt::kill9_restart`]. Expects link sequence state to be at
     /// its zero value on entry.
     fn restore_from(&mut self, state: WalState, ctx: &Ctx<'_, S, A>) {
-        // Restore the durable value (identity when nothing was written).
-        if let Some(bytes) = &state.val {
-            let mut r = WireReader::new(bytes);
-            if let Ok(v) = A::Value::decode(&mut r) {
-                self.durable_val = v;
+        // Every tree's written value; tree 0 at identity when it has none.
+        let mut vals = HashMap::from([(0, ctx.op.identity())]);
+        for (&tree, bytes) in &state.vals {
+            if let Ok(v) = A::Value::decode(&mut WireReader::new(bytes)) {
+                vals.insert(tree, v);
             }
         }
         // Restore per-edge sequence state and re-charge the recovered
@@ -1547,10 +1528,9 @@ where
         let now = Instant::now();
         let mut recharged = 0;
         for ls in &state.links {
-            let Some(wi) = self.links.iter().position(|l| l.peer.0 == ls.peer) else {
+            let Some(link) = self.links.iter_mut().find(|l| l.peer.0 == ls.peer) else {
                 continue;
             };
-            let link = &mut self.links[wi];
             link.tx_seq = ls.tx_seq;
             link.acked = ls.acked;
             link.acked_at_tick = ls.acked;
@@ -1562,14 +1542,13 @@ where
                 .map(|(seq, inner, body)| (*seq, *inner, body.clone(), now))
                 .collect();
             recharged += link.rtx.len() as i64;
-            self.lease_bits[wi] = ls.lease;
         }
         if recharged > 0 {
             ctx.in_flight.add(recharged);
         }
         // A strictly newer epoch than any the dead incarnation could
         // have used.
-        self.reincarnate(self.epoch.max(state.epoch) + 1, 1, ctx);
+        self.reincarnate(self.epoch.max(state.epoch) + 1, 1, vals, ctx);
     }
 
     /// Marks every queued-down edge as down exactly once and arms the
@@ -1789,21 +1768,25 @@ where
 
     /// Folds the node's durable state into a snapshot image.
     fn wal_state(&self) -> WalState {
-        let mut val = Vec::with_capacity(16);
-        self.durable_val.encode(&mut val);
         WalState {
             epoch: self.epoch,
-            val: Some(val),
+            vals: self
+                .insts
+                .iter()
+                .map(|(&tree, inst)| {
+                    let mut val = Vec::with_capacity(16);
+                    inst.mech.val().encode(&mut val);
+                    (tree, val)
+                })
+                .collect(),
             links: self
                 .links
                 .iter()
-                .enumerate()
-                .map(|(vi, l)| LinkState {
+                .map(|l| LinkState {
                     peer: l.peer.0,
                     tx_seq: l.tx_seq,
                     acked: l.acked,
                     rx_seq: l.rx_seq,
-                    lease: self.lease_bits[vi],
                     rtx: l
                         .rtx
                         .iter()
@@ -1975,7 +1958,7 @@ where
         }
         if !was_up {
             self.connected += 1;
-            if self.connected == self.degree && !self.ready_sent {
+            if self.connected == self.links.len() && !self.ready_sent {
                 self.ready_sent = true;
                 let _ = self.ready_tx.send(());
             }

@@ -9,13 +9,13 @@
 //! tree 0 stays the sim-parity built-in), multiplexed over the same
 //! nodes and connections as everything else.
 //!
-//! Facts are **sharded** round-robin across nodes. The engine keeps an
-//! absolute per-`(key, shard)` accumulator and writes the accumulator
-//! value — not the delta — on every fact. Absolute writes make the
-//! protocol self-healing: forest values are volatile (not WAL-logged),
-//! so after a crash or `kill9` the engine simply re-writes every
-//! accumulator during [`run`]'s settlement phase and the tree recovers
-//! exactly.
+//! Facts are **sharded** round-robin across nodes. A node's tree value
+//! is whatever was last written there, so the engine keeps an absolute
+//! per-`(key, shard)` accumulator — the running fold of the shard's
+//! facts — and writes the accumulator value, not the delta, on every
+//! fact. Every tree's written value is durable at its node (logged
+//! before the ack, restored by every crash or `kill9` restart), so
+//! nothing the engine has had acknowledged is ever written twice.
 //!
 //! ## Visibility contract
 //!
@@ -45,8 +45,8 @@
 //!    pipelined on the subscriber connection, one exact final per key,
 //!    and the keys' shards reset to identity.
 //! 3. **Settlement** — after the stream ends: one pre-final snapshot
-//!    per key, then heal (re-write all accumulators), the barrier, and
-//!    one exact final per key whose window is still open.
+//!    per key, the barrier, and one exact final per key whose window is
+//!    still open.
 //!
 //! The subscriber connection is FIFO, so every push sent before a
 //! combine's response is read — and emitted — before that response:
@@ -173,8 +173,9 @@ struct Driver<'a, A: AggOp<Value = i64>> {
     start: Instant,
     sub: ClusterClient<i64>,
     writers: Vec<ClusterClient<i64>>,
-    /// Absolute per-(key, shard) accumulators — the engine-side truth
-    /// the forest is healed from.
+    /// Absolute per-(key, shard) accumulators: the fold of the shard's
+    /// facts in the key's open window, which is the value every write
+    /// to that shard carries.
     accs: BTreeMap<(u32, usize), i64>,
     /// Shards written in the key's open window; a key is here exactly
     /// while a final is owed for it.
@@ -285,8 +286,8 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
     /// sequential client — the execution the paper's consistency
     /// guarantee is stated for — and each wait is where the pushes of
     /// earlier facts get the time to arrive. `is_fact` marks the one
-    /// write that carries a fact's contribution; refolds, window resets
-    /// and heal re-writes do not count towards coverage.
+    /// write that carries a fact's contribution; refolds and window
+    /// resets do not count towards coverage.
     fn write(&mut self, shard: usize, key: u32, value: i64, is_fact: bool) -> io::Result<()> {
         self.writers[shard].write_tree(Self::tree_of(key), value)?;
         if is_fact {
@@ -470,18 +471,10 @@ where
     // ---- Settlement ------------------------------------------------
     let keys: Vec<u32> = d.key_count.keys().copied().collect();
     // Pre-final snapshots: one last in-flight refinement per key before
-    // the heal, so consumers see where the answer stood at stream end.
+    // the barrier, so consumers see where the answer stood at stream end.
     let snapshots = d.combine_keys(&keys)?;
     for (&key, &v) in keys.iter().zip(&snapshots) {
         d.emit(key, d.window_of(key), v, false);
-    }
-    // Heal: forest values are volatile, so a crash or kill9 during the
-    // stream may have zeroed node-local state. Re-writing every
-    // absolute accumulator restores it exactly; with no faults these
-    // writes are no-op overwrites.
-    let heal: Vec<((u32, usize), i64)> = d.accs.iter().map(|(&k, &v)| (k, v)).collect();
-    for ((key, shard), v) in heal {
-        d.write(shard, key, v, false)?;
     }
     cluster.quiesce();
     // Exact finals for the windows still open (every key, unless the

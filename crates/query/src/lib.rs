@@ -16,8 +16,9 @@
 //!   key, all multiplexed over the same nodes, reactors, and
 //!   connections (tree ids ≥ 1; tree 0 stays the sim-parity pinned
 //!   built-in). Facts are sharded across nodes as absolute-valued
-//!   per-shard accumulators, so a crash or kill9 that loses volatile
-//!   forest state is healed by re-writing the accumulators,
+//!   per-shard accumulators; every tree's written value is durable at
+//!   its node, so finals stay exact across a crash or kill9 with
+//!   nothing written twice,
 //! * [`oracle`] — the sequential reference: the exact per-key,
 //!   per-window aggregate a single fold over the fact stream produces.
 //!   Engine finals must match it exactly at quiescence,

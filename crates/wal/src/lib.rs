@@ -25,8 +25,9 @@
 //! userspace buffering, so an in-process kill loses nothing that was
 //! appended), but `fsync` is batched: the log is synced once per
 //! [`WalOptions::fsync_every`] records. Two record classes override the
-//! batch and force a sync on append — [`Record::Write`] (a client write
-//! is acknowledged only after it is durable) and [`Record::Epoch`]
+//! batch and force a sync on append — writes ([`Record::Write`] for
+//! tree 0, [`Record::WriteTree`] for the others: a client write is
+//! acknowledged only after it is durable) and [`Record::Epoch`]
 //! (incarnation bumps must never regress). Only the batched region is at
 //! risk from a power loss, which is exactly what the seeded `torn-tail`
 //! disk fault simulates.
@@ -119,9 +120,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// corresponding side effect becomes externally visible (write-ahead).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Record {
-    /// A client write was accepted: `val` is the wire encoding of the
-    /// node's new durable value. Forces an fsync — the client's ack is
-    /// a durability promise.
+    /// A client write to tree 0 was accepted: `val` is the wire encoding
+    /// of the node's new value on that tree. Forces an fsync — the
+    /// client's ack is a durability promise. Build writes with
+    /// [`Record::write`], which picks this form for tree 0.
     Write {
         /// Wire-encoded aggregate value.
         val: Vec<u8>,
@@ -153,8 +155,9 @@ pub enum Record {
         acked: u64,
     },
     /// The lease state on the edge toward `peer` changed. `bits` packs
-    /// (granted << 1) | taken, mirroring the mechanism's two lease
-    /// directions.
+    /// (granted << 1) | taken. No longer written — a restarted node
+    /// holds no leases and rebuilds them by probing — but still decoded
+    /// and counted, so an older log replays; it folds to nothing.
     Lease {
         /// Neighbour id.
         peer: u32,
@@ -166,9 +169,26 @@ pub enum Record {
         /// New epoch value.
         epoch: u64,
     },
+    /// A client write to forest tree `tree` was accepted; otherwise
+    /// exactly [`Record::Write`], fsync included.
+    WriteTree {
+        /// Tree id.
+        tree: u32,
+        /// Wire-encoded aggregate value.
+        val: Vec<u8>,
+    },
 }
 
 impl Record {
+    /// The write record for `tree`: tree 0 keeps [`Record::Write`]'s
+    /// bytes, every other tree is a [`Record::WriteTree`].
+    pub fn write(tree: u32, val: Vec<u8>) -> Record {
+        match tree {
+            0 => Record::Write { val },
+            tree => Record::WriteTree { tree, val },
+        }
+    }
+
     /// The payload type tag (first payload byte).
     pub fn tag(&self) -> u8 {
         match self {
@@ -178,12 +198,16 @@ impl Record {
             Record::Ack { .. } => 4,
             Record::Lease { .. } => 5,
             Record::Epoch { .. } => 6,
+            Record::WriteTree { .. } => 7,
         }
     }
 
     /// Whether this record overrides group commit and syncs on append.
     pub fn forces_sync(&self) -> bool {
-        matches!(self, Record::Write { .. } | Record::Epoch { .. })
+        matches!(
+            self,
+            Record::Write { .. } | Record::WriteTree { .. } | Record::Epoch { .. }
+        )
     }
 
     /// Appends this record's payload (tag + fields) to `out`.
@@ -191,6 +215,10 @@ impl Record {
         out.push(self.tag());
         match self {
             Record::Write { val } => out.extend_from_slice(val),
+            Record::WriteTree { tree, val } => {
+                out.extend_from_slice(&tree.to_le_bytes());
+                out.extend_from_slice(val);
+            }
             Record::Send {
                 peer,
                 seq,
@@ -254,6 +282,10 @@ impl Record {
                 bits: r.u8()?,
             },
             6 => Record::Epoch { epoch: r.u64()? },
+            7 => Record::WriteTree {
+                tree: r.u32()?,
+                val: r.rest().to_vec(),
+            },
             _ => return None,
         };
         Some(rec)
@@ -298,10 +330,18 @@ impl<'a> Cursor<'a> {
         self.take(8)
             .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
     }
+    /// A `u32` length followed by that many bytes.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
+        let n = self.u32()? as usize;
+        self.take(n)
+    }
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.at..];
         self.at = self.buf.len();
         s
+    }
+    fn is_empty(&self) -> bool {
+        self.at == self.buf.len()
     }
 }
 
@@ -320,8 +360,6 @@ pub struct LinkState {
     pub acked: u64,
     /// Highest frame from `peer` we delivered.
     pub rx_seq: u64,
-    /// Last logged lease flags ((granted << 1) | taken).
-    pub lease: u8,
     /// Unacknowledged sends, ascending by sequence number:
     /// `(seq, inner_tag, body)` — the recovered retransmit buffer.
     pub rtx: Vec<(u64, u8, Vec<u8>)>,
@@ -333,8 +371,9 @@ pub struct LinkState {
 pub struct WalState {
     /// Incarnation epoch (highest logged).
     pub epoch: u64,
-    /// Wire encoding of the last acknowledged write, if any.
-    pub val: Option<Vec<u8>>,
+    /// Wire encoding of the last acknowledged write, per tree id; a
+    /// tree never written here has no entry.
+    pub vals: BTreeMap<u32, Vec<u8>>,
     /// Per-neighbour link state, sorted by peer id.
     pub links: Vec<LinkState>,
 }
@@ -371,7 +410,12 @@ pub struct Recovered {
 
 fn fold(state: &mut WalState, rec: &Record) {
     match rec {
-        Record::Write { val } => state.val = Some(val.clone()),
+        Record::Write { val } => {
+            state.vals.insert(0, val.clone());
+        }
+        Record::WriteTree { tree, val } => {
+            state.vals.insert(*tree, val.clone());
+        }
         Record::Send {
             peer,
             seq,
@@ -394,7 +438,7 @@ fn fold(state: &mut WalState, rec: &Record) {
             let upto = link.acked;
             link.rtx.retain(|(seq, _, _)| *seq > upto);
         }
-        Record::Lease { peer, bits } => link_mut(state, *peer).lease = *bits,
+        Record::Lease { .. } => {}
         Record::Epoch { epoch } => state.epoch = state.epoch.max(*epoch),
     }
 }
@@ -452,14 +496,25 @@ pub fn replay_log(base: WalState, log: &[u8]) -> Replay {
 }
 
 /// Encodes a snapshot blob (magic + framed, CRC-protected state).
+///
+/// Payload: epoch; tree 0's value (a presence byte, then length +
+/// bytes); the links, each with one reserved zero byte where the lease
+/// flags used to be; and, only when some other tree has a value, a
+/// count followed by `(tree, length, bytes)` per tree. A tree-0-only
+/// image thus has the layout snapshots had before forest trees were
+/// durable, so those older snapshots still decode (their lease flags
+/// ignored).
 pub fn encode_snapshot(state: &WalState) -> Vec<u8> {
+    let put_bytes = |out: &mut Vec<u8>, v: &[u8]| {
+        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        out.extend_from_slice(v);
+    };
     let mut payload = Vec::new();
     payload.extend_from_slice(&state.epoch.to_le_bytes());
-    match &state.val {
+    match state.vals.get(&0) {
         Some(v) => {
             payload.push(1);
-            payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            payload.extend_from_slice(v);
+            put_bytes(&mut payload, v);
         }
         None => payload.push(0),
     }
@@ -469,13 +524,20 @@ pub fn encode_snapshot(state: &WalState) -> Vec<u8> {
         payload.extend_from_slice(&l.tx_seq.to_le_bytes());
         payload.extend_from_slice(&l.acked.to_le_bytes());
         payload.extend_from_slice(&l.rx_seq.to_le_bytes());
-        payload.push(l.lease);
+        payload.push(0);
         payload.extend_from_slice(&(l.rtx.len() as u32).to_le_bytes());
         for (seq, inner, body) in &l.rtx {
             payload.extend_from_slice(&seq.to_le_bytes());
             payload.push(*inner);
-            payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            payload.extend_from_slice(body);
+            put_bytes(&mut payload, body);
+        }
+    }
+    let forest: Vec<_> = state.vals.range(1..).collect();
+    if !forest.is_empty() {
+        payload.extend_from_slice(&(forest.len() as u32).to_le_bytes());
+        for (tree, v) in forest {
+            payload.extend_from_slice(&tree.to_le_bytes());
+            put_bytes(&mut payload, v);
         }
     }
     let mut out = Vec::with_capacity(16 + payload.len());
@@ -506,8 +568,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<WalState> {
         ..WalState::default()
     };
     if p.u8()? != 0 {
-        let n = p.u32()? as usize;
-        state.val = Some(p.take(n)?.to_vec());
+        state.vals.insert(0, p.bytes()?.to_vec());
     }
     let nlinks = p.u32()?;
     let mut links = BTreeMap::new();
@@ -518,19 +579,24 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<WalState> {
             tx_seq: p.u64()?,
             acked: p.u64()?,
             rx_seq: p.u64()?,
-            lease: p.u8()?,
             rtx: Vec::new(),
         };
+        p.u8()?; // reserved: the retired lease flags
         let nrtx = p.u32()?;
         for _ in 0..nrtx {
             let seq = p.u64()?;
             let inner = p.u8()?;
-            let blen = p.u32()? as usize;
-            link.rtx.push((seq, inner, p.take(blen)?.to_vec()));
+            link.rtx.push((seq, inner, p.bytes()?.to_vec()));
         }
         links.insert(peer, link);
     }
     state.links = links.into_values().collect();
+    if !p.is_empty() {
+        for _ in 0..p.u32()? {
+            let tree = p.u32()?;
+            state.vals.insert(tree, p.bytes()?.to_vec());
+        }
+    }
     Some(state)
 }
 
@@ -886,12 +952,75 @@ mod tests {
                 bits: 0b10,
             },
             Record::Epoch { epoch: 4 },
+            Record::WriteTree {
+                tree: 3,
+                val: vec![4, 5],
+            },
         ];
         for rec in &recs {
             let mut buf = Vec::new();
             rec.encode_payload(&mut buf);
             assert_eq!(Record::decode_payload(&buf).as_ref(), Some(rec));
         }
+    }
+
+    /// Tags 1–6 keep the bytes every existing log was written with, and
+    /// a tree-0 write is still tag 1 — forest durability added tag 7
+    /// and changed nothing else on disk.
+    #[test]
+    fn record_bytes_are_golden() {
+        let golden: [(Record, &[u8]); 8] = [
+            (Record::Write { val: vec![7, 8] }, &[1, 7, 8]),
+            (
+                Record::Send {
+                    peer: 2,
+                    seq: 3,
+                    inner: 4,
+                    body: vec![5],
+                },
+                &[2, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4, 5],
+            ),
+            (
+                Record::Rx { peer: 1, rx_seq: 9 },
+                &[3, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                Record::Ack { peer: 1, acked: 9 },
+                &[4, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (Record::Lease { peer: 6, bits: 3 }, &[5, 6, 0, 0, 0, 3]),
+            (Record::Epoch { epoch: 2 }, &[6, 2, 0, 0, 0, 0, 0, 0, 0]),
+            (Record::write(0, vec![7, 8]), &[1, 7, 8]),
+            (Record::write(3, vec![7, 8]), &[7, 3, 0, 0, 0, 7, 8]),
+        ];
+        for (rec, bytes) in golden {
+            let mut buf = Vec::new();
+            rec.encode_payload(&mut buf);
+            assert_eq!(buf, bytes, "{rec:?}");
+        }
+        let mut framed = Vec::new();
+        encode_record(&Record::Write { val: vec![7, 8] }, &mut framed);
+        let mut want = vec![3, 0, 0, 0];
+        want.extend_from_slice(&crc32(&[1, 7, 8]).to_le_bytes());
+        want.extend_from_slice(&[1, 7, 8]);
+        assert_eq!(framed, want, "the record frame is unchanged too");
+    }
+
+    #[test]
+    fn replay_keeps_the_last_write_of_every_tree() {
+        let mut log = Vec::new();
+        for (tree, v) in [(0, 1), (3, 2), (7, 3), (3, 4), (0, 5), (7, 6), (3, 7)] {
+            encode_record(&Record::write(tree, vec![v]), &mut log);
+        }
+        // A lease record from an older log replays, counted, as a no-op.
+        encode_record(&Record::Lease { peer: 1, bits: 3 }, &mut log);
+        let r = replay_log(WalState::default(), &log);
+        assert_eq!(r.records, 8);
+        assert_eq!(
+            r.state.vals,
+            BTreeMap::from([(0, vec![5]), (3, vec![7]), (7, vec![6])])
+        );
+        assert!(r.state.links.is_empty(), "a lease record folds to nothing");
     }
 
     #[test]
@@ -921,7 +1050,7 @@ mod tests {
         assert_eq!(r.records, 6);
         assert_eq!(r.torn_bytes, 0);
         assert_eq!(r.state.epoch, 1);
-        assert_eq!(r.state.val.as_deref(), Some(&[7u8][..]));
+        assert_eq!(r.state.vals, BTreeMap::from([(0, vec![7])]));
         let link = &r.state.links[0];
         assert_eq!(
             (link.peer, link.tx_seq, link.acked, link.rx_seq),
@@ -964,28 +1093,71 @@ mod tests {
 
     #[test]
     fn snapshot_blob_roundtrips() {
-        let state = WalState {
+        let link = LinkState {
+            peer: 4,
+            tx_seq: 100,
+            acked: 98,
+            rx_seq: 55,
+            rtx: vec![(99, 1, vec![]), (100, 0, vec![5, 6])],
+        };
+        let tree0 = WalState {
             epoch: 9,
-            val: Some(vec![1, 2, 3]),
+            vals: BTreeMap::from([(0, vec![1, 2, 3])]),
+            links: vec![link.clone()],
+        };
+        let forest = WalState {
+            vals: BTreeMap::from([(0, vec![1, 2, 3]), (3, vec![4]), (7, vec![])]),
+            ..tree0.clone()
+        };
+        let no_tree0 = WalState {
+            vals: BTreeMap::from([(5, vec![6, 6])]),
+            ..tree0.clone()
+        };
+        for state in [tree0, forest, no_tree0, WalState::default()] {
+            let blob = encode_snapshot(&state);
+            assert_eq!(decode_snapshot(&blob), Some(state.clone()));
+            assert_eq!(
+                decode_snapshot(&blob[..blob.len() - 1]),
+                None,
+                "torn snapshot ignored"
+            );
+            let mut bad = blob.clone();
+            bad[20] ^= 1;
+            assert_eq!(decode_snapshot(&bad), None, "bit-flipped snapshot ignored");
+        }
+    }
+
+    /// A tree-0-only image has the bytes snapshots had before forest
+    /// trees were durable, lease byte included, so a snapshot written
+    /// by an older node still recovers — its lease flags are ignored.
+    #[test]
+    fn tree_zero_snapshot_bytes_are_golden() {
+        let state = WalState {
+            epoch: 2,
+            vals: BTreeMap::from([(0, vec![9])]),
             links: vec![LinkState {
-                peer: 4,
-                tx_seq: 100,
-                acked: 98,
-                rx_seq: 55,
-                lease: 3,
-                rtx: vec![(99, 1, vec![]), (100, 0, vec![5, 6])],
+                peer: 1,
+                tx_seq: 3,
+                acked: 3,
+                rx_seq: 4,
+                rtx: vec![],
             }],
         };
-        let blob = encode_snapshot(&state);
-        assert_eq!(decode_snapshot(&blob), Some(state));
-        assert_eq!(
-            decode_snapshot(&blob[..blob.len() - 1]),
-            None,
-            "torn snapshot ignored"
-        );
-        let mut bad = blob.clone();
-        bad[20] ^= 1;
-        assert_eq!(decode_snapshot(&bad), None, "bit-flipped snapshot ignored");
+        let mut payload = vec![2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 9, 1, 0, 0, 0];
+        payload.extend_from_slice(&[1, 0, 0, 0]);
+        payload.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
+        payload.extend_from_slice(&[4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        let frame = |payload: &[u8]| {
+            let mut blob = SNAP_MAGIC.to_vec();
+            blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            blob.extend_from_slice(&crc32(payload).to_le_bytes());
+            blob.extend_from_slice(payload);
+            blob
+        };
+        assert_eq!(encode_snapshot(&state), frame(&payload));
+        // The same image with lease flags 0b11, as an older node wrote it.
+        payload[46] = 3;
+        assert_eq!(decode_snapshot(&frame(&payload)), Some(state));
     }
 
     #[test]
@@ -1007,7 +1179,7 @@ mod tests {
         let rec = wal.recover().unwrap();
         assert!(rec.found);
         assert_eq!(rec.records, 2);
-        assert_eq!(rec.state.val.as_deref(), Some(&[42u8][..]));
+        assert_eq!(rec.state.vals.get(&0).map(Vec::as_slice), Some(&[42u8][..]));
         assert_eq!(rec.state.links[0].rtx.len(), 1);
         assert_eq!(wal.counters().replays, 1);
         let _ = fs::remove_dir_all(&dir);
@@ -1028,7 +1200,7 @@ mod tests {
         assert!(wal.wants_snapshot());
         let state = WalState {
             epoch: 2,
-            val: Some(vec![9]),
+            vals: BTreeMap::from([(0, vec![9])]),
             links: vec![],
         };
         wal.snapshot(&state).unwrap();
@@ -1040,7 +1212,7 @@ mod tests {
         let rec = wal.recover().unwrap();
         assert!(rec.found);
         assert_eq!(rec.state.epoch, 2, "epoch came from the snapshot");
-        assert_eq!(rec.state.val.as_deref(), Some(&[9u8][..]));
+        assert_eq!(rec.state.vals.get(&0).map(Vec::as_slice), Some(&[9u8][..]));
         assert_eq!(
             rec.state.links[0].rx_seq, 7,
             "post-snapshot log applied on top"
@@ -1055,7 +1227,7 @@ mod tests {
         wal.append(&Record::Write { val: vec![1] }).unwrap();
         fs::write(dir.join(SNAP_TMP), b"half-written garbage").unwrap();
         let rec = wal.recover().unwrap();
-        assert_eq!(rec.state.val.as_deref(), Some(&[1u8][..]));
+        assert_eq!(rec.state.vals.get(&0).map(Vec::as_slice), Some(&[1u8][..]));
         assert!(!dir.join(SNAP_TMP).exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1108,7 +1280,7 @@ mod tests {
         assert_eq!(wal.counters().torn_events, 1, "fault fired");
         assert!(rec.torn_bytes > 0);
         assert_eq!(
-            rec.state.val.as_deref(),
+            rec.state.vals.get(&0).map(Vec::as_slice),
             Some(&[5u8][..]),
             "synced write survives"
         );

@@ -448,11 +448,57 @@ fn torn_tail_recovery_converges_with_bounded_loss() {
 }
 
 #[test]
+fn crash_keeps_forest_values_without_a_rewrite() {
+    // The in-memory backend: a crash destroys every automaton instance,
+    // and each comes back holding its written value — forest trees as
+    // much as tree 0, with no client writing anything again. Combines
+    // from both path ends cross the crash site before and after the
+    // crash fires (at node 2's second delivered message, inside the
+    // first combine).
+    let tree = Tree::path(5);
+    let plan = FaultPlan {
+        seed: 11,
+        crashes: vec![CrashNode {
+            node: NodeId(2),
+            after_delivered: 2,
+        }],
+        ..FaultPlan::default()
+    };
+    let cluster = Cluster::spawn_with_faults(&tree, SumI64, &RwwSpec, false, plan).expect("spawn");
+    let mut clients: Vec<ClusterClient<i64>> = tree
+        .nodes()
+        .map(|u| {
+            let mut c = cluster.client(u).expect("client connect");
+            c.set_timeout(Some(CLIENT_TIMEOUT), CLIENT_RETRIES)
+                .expect("arm timeout");
+            c
+        })
+        .collect();
+    for (u, c) in clients.iter_mut().enumerate() {
+        c.write_tree(3, (u as i64 + 1) * 10).expect("forest write");
+    }
+    assert!(cluster.quiesce_for(DRAIN));
+    for round in 0..4 {
+        for end in [0, 4] {
+            let got = clients[end].combine_tree(3).expect("forest combine");
+            assert_eq!(got, 150, "round {round}: combine at node {end}");
+            assert!(cluster.quiesce_for(DRAIN));
+        }
+    }
+    let (_, _, _, _, crashes) = cluster.injected().snapshot();
+    assert_eq!(crashes, 1, "the scheduled crash must fire");
+    drop(clients);
+    let report = cluster.shutdown();
+    assert_eq!(report.faults.restarts, 1);
+    assert!(report.dead_nodes.is_empty());
+}
+
+#[test]
 fn cold_start_replays_the_wal_across_cluster_spawns() {
-    // Durability across process lifetimes: a cluster writes values and
-    // shuts down; a second cluster spawned on the same WAL directory
-    // recovers every node's durable value at cold start and serves the
-    // same total.
+    // Durability across process lifetimes: a cluster writes values on
+    // tree 0 and on forest trees 3 and 7, and shuts down; a second
+    // cluster spawned on the same WAL directory recovers every node's
+    // value on every tree at cold start and serves the same totals.
     let tree = Tree::path(3);
     let wal_dir = tmpdir("cold-start");
     let cfg = NetConfig {
@@ -472,6 +518,9 @@ fn cold_start_replays_the_wal_across_cluster_spawns() {
     for u in 0..3 {
         let mut c = cluster.client(NodeId(u)).expect("client");
         c.write((u as i64 + 1) * 100).expect("write");
+        c.write_tree(3, u as i64 + 1).expect("write tree 3");
+        c.write_tree(7, (u as i64 + 1) * 10_000)
+            .expect("write tree 7");
     }
     cluster.quiesce();
     let mut c = cluster.client(NodeId(0)).expect("client");
@@ -497,6 +546,19 @@ fn cold_start_replays_the_wal_across_cluster_spawns() {
     );
     cluster.quiesce();
     drop(c);
+    let mut root = cluster.client(NodeId(0)).expect("client");
+    root.set_timeout(Some(CLIENT_TIMEOUT), CLIENT_RETRIES)
+        .expect("arm timeout");
+    for (t, want) in [(3, 6), (7, 60_000)] {
+        assert_eq!(
+            root.combine_tree(t)
+                .expect("forest combine after cold start"),
+            want,
+            "tree {t}: recovered forest values must reproduce the pre-shutdown total"
+        );
+        cluster.quiesce();
+    }
+    drop(root);
     let report = cluster.shutdown();
     assert_eq!(
         report.wal.replays, 3,

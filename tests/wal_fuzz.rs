@@ -38,6 +38,10 @@ fn record_strategy() -> impl Strategy<Value = Record> {
         (any::<u32>(), 1u64..=500).prop_map(|(peer, acked)| Record::Ack { peer, acked }),
         (any::<u32>(), 0u8..=3).prop_map(|(peer, bits)| Record::Lease { peer, bits }),
         (1u64..=64).prop_map(|epoch| Record::Epoch { epoch }),
+        // Few tree ids, so prefixes overwrite each other's values; tree 0
+        // in the long form folds like a tag-1 write.
+        (0u32..=8, vec(any::<u8>(), 0..=24))
+            .prop_map(|(tree, val)| Record::WriteTree { tree, val }),
     ]
 }
 
