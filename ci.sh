@@ -27,69 +27,15 @@ echo "== tier 1: cargo test -q --workspace =="
 # oat-poll's, crates/query/tests/progressive.rs, ...).
 cargo test -q --workspace
 
-echo "== bench smoke: oat bench --quick --threads 2 --trace =="
-# Quick-mode run of the measured baseline: validates the oat-bench-v4
-# schema and fails on a sim<->TCP parity regression (`oat bench` exits
-# nonzero itself when parity breaks; the greps also pin the schema,
-# including the v3 additions — the config's transport tag and the
-# batched-client phase block — and the v4 addition: the nullable
-# progressive-query block from --query, which must show an exact
-# oracle match).
-# --threads 2 pins the reactor pool: the report must show exactly the
-# configured pool size, proving thread count is O(pool), not O(nodes)
-# (the quick tree has 10 nodes — the old runtime would report ~30).
-# --trace turns on oat-obs recording for the pipelined phase, so the
-# report must carry a real phase breakdown, not null.
-BENCH_OUT=$(mktemp /tmp/oat_bench_smoke.XXXXXX.json)
-./target/release/oat bench --quick --threads 2 --trace --mlap --query --out "$BENCH_OUT" > /dev/null
-for key in \
-  '"schema": "oat-bench-v4"' \
-  '"transport": "tcp"' \
-  '"mlap": {"workload": "adv:3:6"' \
-  '"within_bound": true' \
-  '"query": {"spec": "sum group by key window tumbling(100ms)"' \
-  '"oracle_match": true' \
-  '"coverage_monotone": true' \
-  '"first_partial_p50_ms"' \
-  '"sim":' \
-  '"net_sequential":' \
-  '"net_pipelined":' \
-  '"batch": {' \
-  '"batch_size": 32' \
-  '"req_per_s"' \
-  '"msg_per_s"' \
-  '"lat_p50_us"' \
-  '"lat_p99_us"' \
-  '"lat_p999_us"' \
-  '"queue_peak_max"' \
-  '"speedup_vs_sequential"' \
-  '"threads_spawned": 2' \
-  '"phase_breakdown": {"requests":' \
-  '"parity_ok": true'
-do
-  grep -qF "$key" "$BENCH_OUT" || {
-    echo "bench smoke: missing $key in $BENCH_OUT"
-    exit 1
-  }
-done
-rm -f "$BENCH_OUT"
-
-echo "== transport parity: oat bench --quick --transport {uds,ring} =="
-# The same quick workload over the other two transport backends (the TCP
-# run above covers the default). `oat bench` recomputes sim<->cluster
-# parity internally and exits nonzero on divergence; the greps pin that
-# the requested backend was actually used and that parity held on the
-# 10-node quick tree.
-for t in uds ring; do
-  T_OUT=$(mktemp /tmp/oat_bench_${t}.XXXXXX.json)
-  ./target/release/oat bench --quick --transport "$t" --out "$T_OUT" > /dev/null
-  for key in "\"transport\": \"$t\"" '"parity_ok": true'; do
-    grep -qF "$key" "$T_OUT" || {
-      echo "transport parity ($t): missing $key in $T_OUT"
-      exit 1
-    }
-  done
-  rm -f "$T_OUT"
+echo "== parity: oat chaos --faults none on tcp/uds/ring =="
+# Sim<->cluster parity from the CLI, on every transport backend. With an
+# empty fault plan `oat chaos` also runs the simulator on the same
+# workload and exits nonzero unless every combine equals the oracle and
+# the per-edge, per-kind message counts equal the simulator's exactly.
+for t in tcp uds ring; do
+  out=$(./target/release/oat chaos --tree kary:10:2 --workload uniform:0.5:120 \
+    --faults none --transport "$t")
+  grep -F 'parity: OK' <<<"$out" || { echo "parity ($t): no parity line"; exit 1; }
 done
 
 echo "== trace smoke: oat trace --workload =="

@@ -574,65 +574,6 @@ where
         })
     }
 
-    /// Replays `seq` with client-side batching: one client per node
-    /// that appears in the sequence, each slicing its subsequence into
-    /// chunks of `batch` requests and sending every chunk as a single
-    /// `REQ_BATCH` frame (one syscall carries N requests; the node
-    /// answers with one `RESP_BATCH` once all N resolve). Per-node
-    /// order is preserved inside and across chunks; cross-node order
-    /// is abandoned, like [`Cluster::replay_pipelined`]. Latencies are
-    /// per request but measured from the chunk's submit (batching
-    /// trades individual latency for throughput).
-    pub fn replay_batched(
-        &self,
-        seq: &[Request<A::Value>],
-        batch: usize,
-    ) -> io::Result<PipelinedChunk<A::Value>>
-    where
-        A::Value: Send,
-    {
-        let batch = batch.max(1);
-        let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); self.tree.len()];
-        for (i, q) in seq.iter().enumerate() {
-            by_node[q.node.idx()].push(i);
-        }
-        let start = Instant::now();
-        let mut results: Vec<io::Result<PerClientResults<A::Value>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (node_idx, indices) in by_node.iter().enumerate() {
-                if indices.is_empty() {
-                    continue;
-                }
-                let node = NodeId(node_idx as u32);
-                let addr = self.addrs[node_idx].clone();
-                handles.push(scope.spawn(move || {
-                    let mut client = ClusterClient::<A::Value>::connect(addr, node)?;
-                    client.run_batches(seq, indices, batch)
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("batched client thread panicked"));
-            }
-        });
-        let elapsed = start.elapsed();
-        let mut combines = Vec::new();
-        let mut latencies = vec![Duration::ZERO; seq.len()];
-        for r in results {
-            let r = r?;
-            combines.extend(r.combines);
-            for (i, d) in r.latencies {
-                latencies[i] = d;
-            }
-        }
-        combines.sort_by_key(|&(i, _)| i);
-        Ok(PipelinedChunk {
-            combines,
-            latencies,
-            elapsed,
-        })
-    }
-
     /// Graceful shutdown; returns the merged final state. Never hangs:
     /// reactor threads that fail to exit within the join deadline have
     /// their nodes reported in [`ClusterReport::dead_nodes`] instead.
@@ -1353,45 +1294,6 @@ impl<V: WireValue> ClusterClient<V> {
             latencies.push((i, started.elapsed()));
             if let Response::Combine(v) = resp {
                 combines.push((i, v));
-            }
-        }
-        Ok(PerClientResults {
-            combines,
-            latencies,
-        })
-    }
-
-    /// Runs the subsequence `indices` of `seq` through this connection
-    /// in batches of `batch` requests per `REQ_BATCH` frame.
-    fn run_batches(
-        &mut self,
-        seq: &[Request<V>],
-        indices: &[usize],
-        batch: usize,
-    ) -> io::Result<PerClientResults<V>>
-    where
-        V: Clone,
-    {
-        let mut combines = Vec::new();
-        let mut latencies = Vec::with_capacity(indices.len());
-        for chunk in indices.chunks(batch) {
-            let started = Instant::now();
-            let ops: Vec<ReqOp<V>> = chunk.iter().map(|&i| seq[i].op.clone()).collect();
-            let ids = self.submit_batch(&ops)?;
-            self.flush()?;
-            let mut want: HashMap<u64, usize> =
-                ids.into_iter().zip(chunk.iter().copied()).collect();
-            while !want.is_empty() {
-                let (id, resp) = self.next_response()?;
-                // next_response only surfaces pending ids, but stay
-                // defensive like run_window: skip, don't die.
-                let Some(i) = want.remove(&id) else {
-                    continue;
-                };
-                latencies.push((i, started.elapsed()));
-                if let Response::Combine(v) = resp {
-                    combines.push((i, v));
-                }
             }
         }
         Ok(PerClientResults {

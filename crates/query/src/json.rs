@@ -1,10 +1,9 @@
 //! The stable `oat-query-v1` report schema.
 //!
-//! Hand-rolled like the bench report (no serde in the offline image).
-//! The document is consumed three ways: the `oat query --json` CLI
-//! output, the `"query"` block of the `oat-bench-v4` report, and the CI
-//! query smoke (which greps the schema tag and the verdict fields), so
-//! field names here are pinned — add fields, never rename.
+//! Hand-rolled like the other JSON emitters (no serde in the offline
+//! image). The document is the `oat query --json` CLI output, and the CI
+//! query smoke greps its schema tag and verdict fields, so field names
+//! here are pinned — add fields, never rename.
 
 use crate::engine::QueryRun;
 use oat_workloads::facts::Fact;

@@ -1,16 +1,17 @@
-//! `oat` — command-line driver for the aggregation simulator.
+//! `oat` — command-line driver for the aggregation simulator and cluster.
 //!
 //! ```text
 //! oat run       --tree kary:64:2 --policy rww --workload uniform:0.5:1000 --seed 7
 //! oat compare   --tree star:32 --workload zipf:0.3:2000:1.0
 //! oat trace     --tree path:4 --script "c@0,w@3=10,w@3=20,c@0"
 //! oat serve     --tree kary:15:2 --policy rww
-//! oat bench     [--tree SPEC] [--workload SPEC] [--depth N] [--quick]
-//!               [--json] [--out PATH]
+//! oat chaos     --tree kary:10:2 --workload uniform:0.5:120 --faults none
 //! oat mlap      [--workload SPEC] [--policy SPEC] [--tree SPEC] [--seed N]
 //!               [--json]
 //! oat help
 //! ```
+//!
+//! Throughput and latency are measured by `benchmark/run.sh`, not here.
 //!
 //! Specs:
 //!
@@ -43,7 +44,6 @@ fn main() {
         Some("compare") => cmd_compare(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("mlap") => cmd_mlap(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
@@ -72,11 +72,6 @@ USAGE:
   oat top       [--tree SPEC] [--workload SPEC] [--policy SPEC] [--seed N]
                 [--pipeline N] [--interval-ms N] [--ticks N]
   oat serve     [--tree SPEC] [--policy SPEC] [--transport tcp|uds|ring]
-  oat bench     [--tree SPEC] [--workload SPEC] [--policy SPEC] [--seed N]
-                [--depth N] [--batch N] [--transport tcp|uds|ring]
-                [--threads N] [--sweep-depth A,B,C] [--quick]
-                [--json] [--out PATH] [--trace [PATH]]
-                [--durability memory|wal] [--fsync-every N]
   oat chaos     --tree SPEC --workload SPEC [--policy SPEC] [--seed N]
                 [--faults SPEC] [--kill9 NODE@DELIVERED[,..]]
                 [--transport tcp|uds|ring]
@@ -120,26 +115,6 @@ OBSERVABILITY (oat-obs event tracing):
 NET COMMANDS (oat-net TCP cluster on loopback):
   serve      spawns one server thread + TcpListener per tree node and reads
              commands from stdin: c@N | w@N=V | metrics [N] | stats | quit
-  bench      the measured baseline: runs one workload through the simulator,
-             the sequential replay, the pipelined replay, and the
-             batch-frame replay (--batch N requests per REQ_BATCH frame,
-             default 32); reports req/s, msg/s, p50/p99/p999 latency and
-             queue peaks, checks sim<->net parity, and writes
-             BENCH_<date>.json (oat-bench-v4 schema; --transport selects
-             the connection substrate for every cluster phase — tcp
-             (default), uds, or in-process ring — --out overrides the
-             path, --json also prints it, --quick shrinks the workload
-             for CI smoke runs, --threads N sets the reactor pool
-             serving the cluster phases, --sweep-depth 1,4,8,16 reruns
-             the pipelined phase at each listed depth and records the
-             throughput curve, --trace records the pipelined phase with
-             oat-obs — adding the poll/queue/dispatch/wire phase
-             breakdown to the JSON, printing per-edge wire latency, and,
-             with --trace PATH, writing the raw oat-trace-v1 JSONL —
-             and --durability wal puts every node on a write-ahead log
-             in a fresh temp dir with group commit every --fsync-every
-             records (default 8): the durability tax is the delta vs
-             the default in-memory run, see EXPERIMENTS.md E19)
   chaos      replays a seeded workload sequentially while the transport is
              subjected to --faults (seeded drop/dup/delay, scheduled
              connection kills, scheduled node crash-restarts, process
@@ -148,11 +123,14 @@ NET COMMANDS (oat-net TCP cluster on loopback):
              recovery counters, and WAL work, cross-checking that
              restarts == crashes + kill9s and (on a fresh WAL dir) that
              every WAL replay is a kill9 recovery; exits non-zero on any
-             divergence or a wedged cluster. --kill9 N@D appends process
-             kills to the plan; a kill9 needs durable state, so it
-             defaults --durability to a WAL in a fresh temp dir
-             (--durability wal:DIR pins the directory, --fsync-every and
-             --snapshot-every tune group commit and log truncation)
+             divergence or a wedged cluster. With --faults none it is
+             the sim<->cluster parity check: the per-edge, per-kind
+             message counts must equal the simulator's sequential run of
+             the same workload exactly (`parity: OK`). --kill9 N@D
+             appends process kills to the plan; a kill9 needs durable
+             state, so it defaults --durability to a WAL in a fresh temp
+             dir (--durability wal:DIR pins the directory, --fsync-every
+             and --snapshot-every tune group commit and log truncation)
 
 MLAP (oat-mlap second problem family — multi-level aggregation with
 delays and deadlines, arXiv:1507.02378 / arXiv:1701.01936):
@@ -161,9 +139,7 @@ delays and deadlines, arXiv:1507.02378 / arXiv:1701.01936):
              instance fits the oracle's candidate-time cap, and reports
              per-policy service/delay cost, deadline misses, flushes,
              messages, and the ratio vs OPT; --json emits a stable
-             oat-mlap-v1 document. `oat bench --mlap` adds the same
-             comparison as a bench phase (nullable `mlap` key in the
-             oat-bench-v2 JSON)
+             oat-mlap-v1 document
 
 QUERY (oat-query progressive online aggregation):
   query      runs one continuous query over a seeded fact stream
@@ -177,17 +153,14 @@ QUERY (oat-query progressive online aggregation):
              the stream applied), staleness bound, refinement seq — then
              the finals checked against the sequential oracle; exits
              non-zero on any mismatch or monotonicity violation. --json
-             emits the stable oat-query-v1 document instead.
-             `oat bench --query` runs the same engine as a bench phase
-             and records refinement-latency percentiles (nullable
-             `query` key in the oat-bench-v4 JSON)
+             emits the stable oat-query-v1 document instead
 
 EXAMPLES:
   oat run --tree kary:64:2 --policy rww --workload uniform:0.5:1000 --seed 7
   oat compare --tree star:32 --workload zipf:0.3:2000:1.0
   oat trace --tree path:4 --script \"c@0,w@3=10,w@3=20,c@0\"
   oat serve --tree kary:15:2 --policy rww
-  oat bench --tree kary:31:2 --workload uniform:0.5:600 --depth 8 --json
+  oat chaos --tree kary:10:2 --workload uniform:0.5:120 --faults none
   oat mlap --workload adv:4:8 --policy all --json
   oat mlap --workload bursty:6:4:5 --tree kary:15:2 --seed 7
   oat query 'sum group by key window tumbling(100ms)' --stream zipf --keys 4
@@ -582,6 +555,22 @@ where
         wires.hist.quantile_us(0.5),
         wires.hist.quantile_us(0.99),
     );
+    // Which links carried the load, and how long frames sat between
+    // enqueue-at-sender and decode-at-receiver on each.
+    let edges = oat_obs::wire_latency_by_edge(&trace.events);
+    const SHOW: usize = 24;
+    for ((from, to), w) in edges.iter().take(SHOW) {
+        println!(
+            "  {from:>3} -> {to:<3} {:>6} tx  {:>6} matched  p50 {:>8.1}us  p99 {:>9.1}us",
+            w.tx,
+            w.matched,
+            w.hist.quantile_us(0.5),
+            w.hist.quantile_us(0.99),
+        );
+    }
+    if edges.len() > SHOW {
+        println!("  ... and {} more edges", edges.len() - SHOW);
+    }
     println!("wrote {out}");
     if let Some(cp) = chrome {
         std::fs::write(cp, oat_obs::to_chrome(&trace)).map_err(|e| format!("write {cp}: {e}"))?;
@@ -1054,6 +1043,11 @@ where
     let kills_planned = plan.kills.len();
     let crashes_planned = plan.crashes.len();
     let kill9s_planned = plan.kill9s.len();
+    // Without faults a sequential replay is confluent, so the cluster
+    // must send exactly the simulator's messages, edge by edge.
+    let sim = plan
+        .is_empty()
+        .then(|| oat::sim::run_sequential(tree, SumI64, spec, Schedule::Fifo, seq, false));
     let durable = matches!(cfg.durability, DurabilityMode::Wal(_));
     let cluster = Cluster::spawn_with(tree, SumI64, spec, false, plan, cfg)
         .map_err(|e| format!("cluster spawn: {e}"))?;
@@ -1113,14 +1107,30 @@ where
         }
     }
     let elapsed = start.elapsed();
-    let (drops, dups, delays, kills, crashes) = cluster.injected().snapshot();
-    let (kill9s, torn_tails, fsync_fails) = cluster.injected().snapshot_process();
-    let report = cluster.shutdown();
     println!(
         "  {} combines, every one equal to the sequential oracle, in {:.3}s",
         combines,
         elapsed.as_secs_f64()
     );
+    if let Some(sim) = &sim {
+        let live = cluster.stats().map_err(|e| format!("stats: {e}"))?;
+        let want = sim.engine.stats();
+        if live.per_edge_counts() != want.per_edge_counts() {
+            return Err(format!(
+                "PARITY BROKEN: the cluster sent {} messages, the simulator {}, \
+                 and the per-edge counts differ",
+                live.total(),
+                want.total()
+            ));
+        }
+        println!(
+            "  parity: OK — per-edge counts equal the simulator's ({} messages)",
+            want.total()
+        );
+    }
+    let (drops, dups, delays, kills, crashes) = cluster.injected().snapshot();
+    let (kill9s, torn_tails, fsync_fails) = cluster.injected().snapshot_process();
+    let report = cluster.shutdown();
     println!(
         "  injected:  drops {drops}, dups {dups}, delays {delays}, \
          conns killed {kills}, crashes {crashes}, kill9s {kill9s}, \
@@ -1496,143 +1506,6 @@ fn cmd_query(args: &[String]) -> i32 {
         let ok = run.matches_oracle(&facts) && run.coverage_monotone() && run.refine_seq_monotone();
         if !ok {
             return Err("query verdicts failed (oracle match / monotonicity)".into());
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn cmd_bench(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let quick = args.iter().any(|a| a == "--quick");
-        // Defaults are the recorded-baseline configuration; --quick is a
-        // miniature with the same phases and schema for CI smoke runs.
-        let (tree_default, workload_default) = if quick {
-            ("kary:10:2", "uniform:0.5:120")
-        } else {
-            ("kary:31:2", "uniform:0.5:600")
-        };
-        let tree_spec = flag(args, "--tree").unwrap_or(tree_default);
-        let workload_spec = flag(args, "--workload").unwrap_or(workload_default);
-        let policy_spec = flag(args, "--policy").unwrap_or("rww");
-        let tree = parse_tree(tree_spec)?;
-        let policy = parse_policy(policy_spec)?;
-        let seed: u64 = flag(args, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "bad --seed")?;
-        let depth: usize = flag(args, "--depth")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|_| "bad --depth")?;
-        let batch: usize = flag(args, "--batch")
-            .unwrap_or("32")
-            .parse()
-            .map_err(|_| "bad --batch")?;
-        let transport = match flag(args, "--transport") {
-            None => oat::net::TransportKind::Tcp,
-            Some(s) => oat::net::TransportKind::parse(s)
-                .ok_or_else(|| format!("bad --transport `{s}` (want tcp | uds | ring)"))?,
-        };
-        let threads: Option<usize> = match flag(args, "--threads") {
-            Some(s) => Some(s.parse().map_err(|_| "bad --threads")?),
-            None => None,
-        };
-        let sweep_depths: Vec<usize> = match flag(args, "--sweep-depth") {
-            Some(s) => s
-                .split(',')
-                .map(|d| {
-                    d.trim()
-                        .parse()
-                        .map_err(|_| format!("bad --sweep-depth `{d}`"))
-                })
-                .collect::<Result<_, _>>()?,
-            None => Vec::new(),
-        };
-        let seq = parse_workload(workload_spec, &tree, seed)?;
-        // `--trace` turns on event recording for the pipelined phase; the
-        // optional PATH (not starting with `--`) also writes the raw
-        // oat-trace-v1 JSONL next to the bench JSON.
-        let (trace, trace_path) = match args.iter().position(|a| a == "--trace") {
-            Some(i) => (
-                true,
-                args.get(i + 1)
-                    .filter(|p| !p.starts_with("--"))
-                    .map(String::to_string),
-            ),
-            None => (false, None),
-        };
-        let wal_fsync_every: Option<u64> = match flag(args, "--durability") {
-            None | Some("memory") => None,
-            Some("wal") => Some(
-                flag(args, "--fsync-every")
-                    .unwrap_or("8")
-                    .parse()
-                    .map_err(|_| "bad --fsync-every")?,
-            ),
-            Some(s) => return Err(format!("bad --durability `{s}` (want memory | wal)")),
-        };
-        let config = oat::bench::BenchConfig {
-            tree_spec: tree_spec.to_string(),
-            policy_spec: policy_spec.to_string(),
-            workload_spec: workload_spec.to_string(),
-            seed,
-            depth,
-            batch,
-            transport,
-            threads,
-            sweep_depths,
-            quick,
-            trace,
-            mlap: args.iter().any(|a| a == "--mlap"),
-            query: args.iter().any(|a| a == "--query"),
-            wal_fsync_every,
-        };
-        let report =
-            with_policy!(&policy, spec => oat::bench::run_bench(config, &tree, &spec, &seq))?;
-        print!("{}", report.render_text());
-        if let Some(tr) = &report.trace {
-            // Per-edge wire transit of the traced (pipelined) phase:
-            // which links carried the load and how long frames sat
-            // between enqueue-at-sender and decode-at-receiver.
-            let edges = oat_obs::wire_latency_by_edge(&tr.events);
-            const SHOW: usize = 24;
-            println!("  per-edge wire latency (traced phase, tx→rx):");
-            for ((from, to), w) in edges.iter().take(SHOW) {
-                println!(
-                    "    {from:>3} -> {to:<3} {:>6} tx  {:>6} matched  p50 {:>8.1}us  p99 {:>9.1}us",
-                    w.tx,
-                    w.matched,
-                    w.hist.quantile_us(0.5),
-                    w.hist.quantile_us(0.99),
-                );
-            }
-            if edges.len() > SHOW {
-                println!("    ... and {} more edges", edges.len() - SHOW);
-            }
-        }
-        let json = report.to_json();
-        if args.iter().any(|a| a == "--json") {
-            println!("{json}");
-        }
-        let path = flag(args, "--out")
-            .map(str::to_string)
-            .unwrap_or_else(|| report.default_filename());
-        std::fs::write(&path, format!("{json}\n")).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
-        if let (Some(tp), Some(trace)) = (trace_path, &report.trace) {
-            std::fs::write(&tp, oat_obs::to_jsonl(trace))
-                .map_err(|e| format!("write {tp}: {e}"))?;
-            println!("wrote {tp} ({} events)", trace.events.len());
-        }
-        if !report.parity_ok {
-            return Err("parity FAILED: TCP sequential run diverged from the simulator".into());
         }
         Ok(())
     })();

@@ -40,15 +40,14 @@
 //! * [`modelcheck`] — exhaustive interleaving exploration,
 //! * [`workloads`] — topology and request generators,
 //! * [`concurrent`] — one-thread-per-node runtime,
-//! * [`net`] — TCP cluster runtime (`oat serve` / `oat bench`),
-//! * [`bench`] — the `oat bench` throughput/latency baseline harness,
+//! * [`net`] — TCP cluster runtime (`oat serve` / `oat chaos`),
+//! * [`query`] — progressive continuous queries over a forest of
+//!   per-key trees (`oat query`),
 //! * [`mlap`] — the second problem family: Multi-Level Aggregation
 //!   with deadline and linear-delay cost models (`oat mlap`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod bench;
 
 pub use oat_concurrent as concurrent;
 pub use oat_consistency as consistency;

@@ -23,29 +23,25 @@ use oat::core::policy::rww::RwwSpec;
 use oat::core::policy::PolicySpec;
 use oat::core::request::{ReqOp, Request};
 use oat::core::tree::{NodeId, Tree};
-use oat::net::{Cluster, ClusterClient, NetConfig, Response, TransportKind};
+use oat::net::{
+    Cluster, ClusterClient, ClusterReport, DurabilityMode, NetConfig, Response, TransportKind,
+    WalConfig,
+};
 use oat::sim::{run_sequential, Schedule};
 use oat::workloads::{hotspot, uniform};
+use std::collections::HashMap;
 
 /// Every transport backend the cluster can run on. Parity is a property
 /// of the protocol, not the byte pipe, so each one must pass unchanged.
 const TRANSPORTS: [TransportKind; 3] =
     [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring];
 
-/// Spawns a fault-free cluster on the given transport backend.
-fn spawn_on<S: PolicySpec>(
-    tree: &Tree,
-    spec: &S,
-    transport: TransportKind,
-) -> std::io::Result<Cluster<SumI64>>
-where
-    S::Node: 'static,
-{
-    let cfg = NetConfig {
+/// A fault-free in-memory configuration on the given transport backend.
+fn on(transport: TransportKind) -> NetConfig {
+    NetConfig {
         transport,
         ..NetConfig::default()
-    };
-    Cluster::spawn_with(tree, SumI64, spec, false, FaultPlan::default(), cfg)
+    }
 }
 
 /// Replays `seq` through both runtimes and asserts exact agreement.
@@ -53,22 +49,24 @@ fn assert_parity<S: PolicySpec>(label: &str, tree: &Tree, spec: &S, seq: &[Reque
 where
     S::Node: 'static,
 {
-    assert_parity_on(label, tree, spec, seq, TransportKind::Tcp);
+    assert_parity_on(label, tree, spec, seq, on(TransportKind::Tcp));
 }
 
-/// The transport-parameterized body of [`assert_parity`].
+/// The configuration-parameterized body of [`assert_parity`]; returns
+/// the cluster's shutdown report.
 fn assert_parity_on<S: PolicySpec>(
     label: &str,
     tree: &Tree,
     spec: &S,
     seq: &[Request<i64>],
-    transport: TransportKind,
-) where
+    cfg: NetConfig,
+) -> ClusterReport<i64>
+where
     S::Node: 'static,
 {
     let sim = run_sequential(tree, SumI64, spec, Schedule::Fifo, seq, false);
 
-    let cluster = spawn_on(tree, spec, transport)
+    let cluster = Cluster::spawn_with(tree, SumI64, spec, false, FaultPlan::default(), cfg)
         .unwrap_or_else(|e| panic!("{label}: cluster spawn failed: {e}"));
     let net = cluster
         .replay_sequential(seq)
@@ -112,6 +110,7 @@ fn assert_parity_on<S: PolicySpec>(
         reference.total(),
         "{label}: totals differ"
     );
+    report
 }
 
 fn topologies() -> Vec<(&'static str, Tree)> {
@@ -303,7 +302,7 @@ fn byte_parity_holds_on_every_transport() {
             &tree,
             &RwwSpec,
             &seq,
-            transport,
+            on(transport),
         );
         let seq = hotspot(&tree, 40, 0.4, 2, 2, 0xC0FFEE);
         assert_parity_on(
@@ -311,9 +310,77 @@ fn byte_parity_holds_on_every_transport() {
             &tree,
             &RwwSpec,
             &seq,
-            transport,
+            on(transport),
         );
     }
+}
+
+#[test]
+fn byte_parity_holds_with_a_write_ahead_log() {
+    // The same byte-for-byte check with every node on a write-ahead log
+    // in a fresh directory: the WAL hooks observe the protocol (they log
+    // every write and sync before the ack) but must not change a single
+    // message, on any transport.
+    let tree = Tree::kary(10, 3);
+    let seq = uniform(&tree, 60, 0.5, 0xA11CE);
+    for transport in TRANSPORTS {
+        let name = transport.name();
+        let dir =
+            std::env::temp_dir().join(format!("oat-parity-wal-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = NetConfig {
+            transport,
+            durability: DurabilityMode::Wal(WalConfig::new(&dir)),
+            ..NetConfig::default()
+        };
+        let report = assert_parity_on(
+            &format!("uniform/rww/kary(10,3)/{name}/wal"),
+            &tree,
+            &RwwSpec,
+            &seq,
+            cfg,
+        );
+        assert!(
+            report.wal.records > 0 && report.wal.fsyncs > 0,
+            "{name}: the log must actually have been written"
+        );
+        assert_eq!(report.wal.replays, 0, "{name}: a fresh log replays nothing");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Ships each `(client, request indices)` pair's requests as `REQ_BATCH`
+/// frames of `batch` requests, every client's frames submitted before any
+/// response is awaited, then drains every client. Returns the
+/// `(request index, response)` pairs in arrival order, asserting that no
+/// request is answered twice.
+fn batch_then_drain(
+    clients: Vec<(ClusterClient<i64>, Vec<usize>)>,
+    seq: &[Request<i64>],
+    batch: usize,
+) -> Vec<(usize, Response<i64>)> {
+    let mut waiting = Vec::with_capacity(clients.len());
+    for (mut client, indices) in clients {
+        let mut want = HashMap::new();
+        for chunk in indices.chunks(batch) {
+            let ops: Vec<ReqOp<i64>> = chunk.iter().map(|&i| seq[i].op.clone()).collect();
+            let ids = client.submit_batch(&ops).expect("submit batch");
+            want.extend(ids.into_iter().zip(chunk.iter().copied()));
+        }
+        client.flush().expect("flush batches");
+        waiting.push((client, want));
+    }
+    let mut answered = Vec::new();
+    for (client, want) in &mut waiting {
+        while !want.is_empty() {
+            let (id, resp) = client.next_response().expect("batch response");
+            let i = want
+                .remove(&id)
+                .unwrap_or_else(|| panic!("request id {id} answered twice"));
+            answered.push((i, resp));
+        }
+    }
+    answered
 }
 
 #[test]
@@ -350,25 +417,38 @@ fn batched_replay_matches_the_oracle_on_every_transport() {
         seq.extend(combines.iter().cloned());
         let sim = run_sequential(&tree, SumI64, &RwwSpec, Schedule::Fifo, &seq, false);
 
-        let cluster = spawn_on(&tree, &RwwSpec, transport)
-            .unwrap_or_else(|e| panic!("{name}: spawn failed: {e}"));
+        let cluster = Cluster::spawn_with(
+            &tree,
+            SumI64,
+            &RwwSpec,
+            false,
+            FaultPlan::default(),
+            on(transport),
+        )
+        .unwrap_or_else(|e| panic!("{name}: spawn failed: {e}"));
         let net_writes = cluster.replay_sequential(&writes).unwrap();
         assert!(net_writes.combines.is_empty());
 
-        let batched = cluster
-            .replay_batched(&combines, BATCH)
-            .unwrap_or_else(|e| panic!("{name}: batched replay failed: {e}"));
+        // One client at node 0 ships all the combines as REQ_BATCH frames.
+        let client = cluster
+            .client(NodeId(0))
+            .unwrap_or_else(|e| panic!("{name}: connect failed: {e}"));
+        let answered = batch_then_drain(vec![(client, (0..COMBINES).collect())], &combines, BATCH);
         cluster.quiesce();
 
         assert_eq!(
-            batched.combines.len(),
+            answered.len(),
             COMBINES,
             "{name}: every batched combine must be answered"
         );
-        for (i, v) in &batched.combines {
-            assert_eq!(*v, oracle, "{name}: batched combine {i} diverged");
+        for (i, resp) in &answered {
+            match resp {
+                Response::Combine(v) => {
+                    assert_eq!(*v, oracle, "{name}: batched combine {i} diverged")
+                }
+                other => panic!("{name}: combine {i} answered with {other:?}"),
+            }
         }
-        assert_eq!(batched.latencies.len(), COMBINES);
 
         let live = cluster.stats().unwrap();
         let reference = sim.engine.stats();
@@ -399,17 +479,39 @@ fn batched_mixed_workload_is_internally_consistent() {
     let expected_combines = seq.iter().filter(|q| q.op.is_combine()).count();
 
     let cluster = Cluster::spawn(&tree, SumI64, &RwwSpec, false).unwrap();
-    let batched = cluster.replay_batched(&seq, 16).unwrap();
+    // One client per node that appears in the sequence, each carrying
+    // that node's subsequence in order. Every node's frames are on the
+    // wire before any response is read, so the nodes run concurrently.
+    let mut by_node: Vec<Vec<usize>> = vec![Vec::new(); tree.len()];
+    for (i, q) in seq.iter().enumerate() {
+        by_node[q.node.idx()].push(i);
+    }
+    let clients = by_node
+        .into_iter()
+        .enumerate()
+        .filter(|(_, indices)| !indices.is_empty())
+        .map(|(u, indices)| (cluster.client(NodeId(u as u32)).unwrap(), indices))
+        .collect();
+    let answered = batch_then_drain(clients, &seq, 16);
     cluster.quiesce();
 
-    assert_eq!(batched.combines.len(), expected_combines);
-    for w in batched.combines.windows(2) {
-        assert!(w[0].0 < w[1].0, "combine indices must be strictly sorted");
+    assert_eq!(answered.len(), seq.len(), "every request answered once");
+    let mut combines: Vec<usize> = Vec::new();
+    for (i, resp) in &answered {
+        match resp {
+            Response::Combine(_) => combines.push(*i),
+            Response::Write => assert!(!seq[*i].op.is_combine(), "write ack for combine {i}"),
+            other => panic!("request {i} answered with {other:?}"),
+        }
     }
-    for (i, _) in &batched.combines {
+    combines.sort_unstable();
+    assert_eq!(combines.len(), expected_combines);
+    for w in combines.windows(2) {
+        assert!(w[0] < w[1], "combine indices must be strictly sorted");
+    }
+    for i in &combines {
         assert!(seq[*i].op.is_combine());
     }
-    assert_eq!(batched.latencies.len(), seq.len());
 
     let report = cluster.shutdown();
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Reactor-transport tests: the epoll event-loop runtime under loads
 //! and failure shapes the thread-per-connection runtime never hit.
 //!
-//! Five properties pinned here:
+//! Six properties pinned here:
 //!
 //! * **Incremental decoding** — a frame dribbled across several writes
 //!   (or a client read timeout firing mid-frame) never desynchronizes
@@ -23,6 +23,9 @@
 //!   `POLLOUT` without spinning and disarms it once drained, and a
 //!   client that hangs up while its node is stalled costs no wakeups
 //!   (both counted as `PollWake` events through `oat_obs`).
+//! * **Traceable requests** — in a fault-free traced pipelined run,
+//!   every request a client timed is matched to the node-side record
+//!   that served it, so the phase breakdown covers all of them.
 
 use std::io::Write;
 use std::net::TcpListener;
@@ -49,8 +52,10 @@ const CLIENT_RETRIES: u32 = 120;
 const DRAIN: Duration = Duration::from_secs(30);
 
 /// The `oat_obs` sink is process-global and `install` resets it, so the
-/// tests that count reactor wakeups take turns. Tests that do not trace
-/// may run alongside: their events land in their own threads' rings.
+/// tests that trace take turns. While one traces every thread records,
+/// and a node-side request event names its request only by ids that
+/// every cluster reuses (node, client connection, request id), so each
+/// test that serves client requests from a cluster takes a turn too.
 static TRACING: Mutex<()> = Mutex::new(());
 
 /// Per-thread ring size for the wakeup-counting tests: room for every
@@ -150,6 +155,7 @@ fn frame_dribbled_across_writes_is_reassembled_by_the_node() {
     // request with every frame split across three socket writes and
     // real pauses between them. The node's per-connection decoder must
     // reassemble silently; the write must land.
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let tree = Tree::pair();
     let cluster = Cluster::spawn(&tree, SumI64, &RwwSpec, false).expect("spawn");
 
@@ -418,6 +424,7 @@ fn high_fan_in_star_keeps_fifo_and_oracle_under_pipelining() {
     // answer must equal the full sum. dup_drops == 0 certifies per-edge
     // FIFO: the sequencer discards any frame that arrives out of order,
     // so a reordering transport could not keep it at zero.
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let fan = 64;
     let tree = Tree::kary(fan + 1, fan);
     let cfg = NetConfig {
@@ -478,6 +485,7 @@ fn high_fan_in_star_survives_chaos() {
     // The same star under probabilistic drops plus a scheduled kill of
     // a hub-leaf connection: sequential oracle replay must stay exact
     // and the killed edge must come back.
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let fan = 64;
     let tree = Tree::kary(fan + 1, fan);
     let plan = FaultPlan {
@@ -517,6 +525,7 @@ fn high_fan_in_star_survives_chaos() {
 fn thread_count_tracks_the_pool_not_the_nodes() {
     // 31 nodes on explicit pools of 1 and 3: threads_spawned reports
     // the pool, and an oversized request clamps to the node count.
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let tree = Tree::kary(31, 2);
     for pool in [1usize, 3] {
         let cfg = NetConfig {
@@ -557,4 +566,80 @@ fn thread_count_tracks_the_pool_not_the_nodes() {
         "pool must clamp to the node count"
     );
     cluster.shutdown();
+}
+
+#[test]
+fn traced_pipelined_requests_all_match_their_node_side_records() {
+    // Sixteen mixed requests on a 4-node path, pipelined from this
+    // thread: one client per node, each node's requests submitted before
+    // any response is read. With no faults every client-side
+    // ReqStart/ReqEnd window must pair with the ReqRecv/ReqServe/RespTx
+    // record of the node that served it, on every transport.
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    const MARKER: u64 = 0x7EAC_0000_0000;
+    let tree = Tree::path(4);
+    let seq: Vec<Request<i64>> = (0..16u32)
+        .map(|i| {
+            let node = NodeId(i % 4);
+            if i % 3 == 0 {
+                Request::combine(node)
+            } else {
+                Request::write(node, i64::from(i))
+            }
+        })
+        .collect();
+    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+        let cfg = NetConfig {
+            transport,
+            ..NetConfig::default()
+        };
+        let cluster =
+            Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, FaultPlan::default(), cfg)
+                .expect("spawn");
+        let mut clients: Vec<ClusterClient<i64>> = tree
+            .nodes()
+            .map(|u| cluster.client(u).expect("client"))
+            .collect();
+        oat_obs::install(TRACE_RING);
+        // Tags this thread's ring: other tests' clients may run while
+        // tracing is on, and only this thread's request windows count.
+        oat_obs::emit(oat_obs::EventKind::ReqStart, 0, u32::MAX, 0, MARKER);
+        let mut outstanding = vec![0usize; tree.len()];
+        for q in &seq {
+            let client = &mut clients[q.node.idx()];
+            match &q.op {
+                ReqOp::Combine => client.submit_combine().expect("submit combine"),
+                ReqOp::Write(v) => client.submit_write(*v).expect("submit write"),
+            };
+            outstanding[q.node.idx()] += 1;
+        }
+        for (client, n) in clients.iter_mut().zip(&outstanding) {
+            for _ in 0..*n {
+                client.next_response().expect("response");
+            }
+        }
+        assert!(cluster.quiesce_for(DRAIN));
+        oat_obs::disable();
+        let mut events = oat_obs::drain().events;
+        let mine = events
+            .iter()
+            .find(|e| e.kind == oat_obs::EventKind::ReqStart && e.c == MARKER)
+            .expect("the marker was traced")
+            .tid;
+        events.retain(|e| {
+            !matches!(
+                e.kind,
+                oat_obs::EventKind::ReqStart | oat_obs::EventKind::ReqEnd
+            ) || e.tid == mine
+        });
+        let b = oat_obs::phase_breakdown(&events);
+        let name = transport.name();
+        assert_eq!(b.requests, 16, "{name}: every request timed client-side");
+        assert_eq!(
+            b.matched, 16,
+            "{name}: fault-free pipelined requests all match"
+        );
+        drop(clients);
+        cluster.shutdown();
+    }
 }
