@@ -41,7 +41,7 @@ use oat_core::tree::{NodeId, Tree};
 use oat_core::wire::{put_u32, put_u64, WireReader, WireValue};
 use oat_sim::MsgStats;
 
-use crate::durability::{Durability, MemoryDurability, WalCounters, WalDurability};
+use crate::durability::{WalCounters, WalDurability};
 use crate::frame::{
     decode_batch, encode_batch, encode_request, write_frame, FrameDecoder, TAG_HELLO_CLIENT,
     TAG_PARTIAL, TAG_REQ_BATCH, TAG_REQ_METRICS, TAG_RESP_BATCH, TAG_RESP_COMBINE,
@@ -331,11 +331,11 @@ where
 
         let mut shard_seeds: Vec<Vec<NodeSeed>> = (0..pool).map(|_| Vec::new()).collect();
         for (u, listener) in tree.nodes().zip(listeners) {
-            // Backends open on the main thread, where an unwritable WAL
+            // Logs open on the main thread, where an unwritable WAL
             // directory can still fail the spawn with a real error.
-            let backend: Box<dyn Durability> = match &cfg.durability {
-                DurabilityMode::Memory => Box::new(MemoryDurability),
-                DurabilityMode::Wal(wal) => Box::new(WalDurability::open(
+            let wal = match &cfg.durability {
+                DurabilityMode::Memory => None,
+                DurabilityMode::Wal(wal) => Some(WalDurability::open(
                     &wal.dir.join(format!("node-{}", u.0)),
                     u,
                     wal.fsync_every,
@@ -347,7 +347,7 @@ where
             shard_seeds[u.idx() % pool].push(NodeSeed {
                 id: u,
                 listener,
-                backend,
+                wal,
             });
         }
 
@@ -1380,8 +1380,9 @@ impl<V: WireValue> ClusterClient<V> {
 
     /// Fetches this node's metrics snapshot.
     ///
-    /// Call with no combine/write outstanding on this connection: a
-    /// late response to an earlier retried request is discarded here.
+    /// Safe with combines and writes outstanding on this connection:
+    /// their answers arriving first are queued for the caller's next
+    /// [`ClusterClient::next_response`].
     pub fn metrics(&mut self) -> io::Result<NodeMetrics> {
         let id = self.fresh_id();
         let mut payload = Vec::with_capacity(8);
@@ -1408,31 +1409,28 @@ impl<V: WireValue> ClusterClient<V> {
                 }
                 Err(e) => return Err(e),
             };
-            if tag == TAG_RESP_BATCH {
-                // A pipelined batch resolving while we wait for metrics:
-                // park its members for the caller's next_response loop.
-                self.queued.extend(decode_batch(&body)?);
-                continue;
-            }
-            let mut r = WireReader::new(&body);
-            let got = r
-                .u64("response req id")
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             match tag {
-                TAG_RESP_METRICS if got == id => {
-                    return NodeMetrics::decode(&body[8..])
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-                }
-                // Stale duplicates of earlier retried requests.
-                TAG_RESP_METRICS => {}
-                TAG_RESP_COMBINE | TAG_RESP_WRITE => {
-                    self.pending.remove(&got);
-                }
+                // Pipelined answers resolving while we wait for metrics:
+                // queue them for the caller's next_response loop.
+                TAG_RESP_BATCH => self.queued.extend(decode_batch(&body)?),
+                TAG_RESP_COMBINE | TAG_RESP_WRITE => self.queued.push_back((tag, body)),
                 TAG_PARTIAL => {
                     // A pushed refinement while waiting for metrics:
                     // park it, exactly like the sync combine/write path.
                     if let Some(resolved) = self.accept_frame(tag, &body)? {
                         self.parked_partials.push_back(resolved);
+                    }
+                }
+                TAG_RESP_METRICS => {
+                    let got = WireReader::new(&body)
+                        .u64("response req id")
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                    // Anything else is a stale duplicate of an earlier
+                    // retried metrics request.
+                    if got == id {
+                        return NodeMetrics::decode(&body[8..]).map_err(|e| {
+                            io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+                        });
                     }
                 }
                 other => {

@@ -61,7 +61,7 @@ pub use cluster::{
     Cluster, ClusterClient, ClusterReport, DurabilityMode, NetConfig, NetSeqChunk, PipelinedChunk,
     Response, WalConfig,
 };
-pub use durability::{Durability, MemoryDurability, WalCounters, WalDurability, WalState};
+pub use durability::{WalCounters, WalDurability, WalState};
 pub use metrics::NodeMetrics;
 pub use node::FaultCounters;
 pub use transport::{NodeAddr, TransportKind};
@@ -310,5 +310,38 @@ mod tests {
     fn zero_wait_polls_return_at_once_ring() {
         zero_wait_polls_return_at_once(TransportKind::Ring, 1, 0);
         zero_wait_polls_return_at_once(TransportKind::Ring, 0, 5);
+    }
+
+    /// A write ack that arrives before the metrics reply on the same
+    /// connection is kept for the caller's next `next_response`.
+    #[test]
+    fn metrics_keeps_a_pipelined_ack_for_next_response() {
+        for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+            let cfg = NetConfig {
+                transport,
+                ..NetConfig::default()
+            };
+            let cluster = Cluster::spawn_with(
+                &Tree::pair(),
+                SumI64,
+                &RwwSpec,
+                false,
+                Default::default(),
+                cfg,
+            )
+            .unwrap();
+            let mut c = cluster.client(NodeId(0)).unwrap();
+            c.set_timeout(Some(Duration::from_millis(300)), 0).unwrap();
+            let id = c.submit_write(5).unwrap();
+            c.metrics().unwrap();
+            let got = c.next_response();
+            assert!(
+                matches!(got, Ok((got_id, Response::Write)) if got_id == id),
+                "{}: the ack for write {id} was lost: {got:?}",
+                transport.name()
+            );
+            cluster.quiesce();
+            cluster.shutdown();
+        }
     }
 }

@@ -82,7 +82,7 @@
 //! A process-grade kill (`kill9` in the fault grammar) destroys the
 //! whole `NodeRt` — links, retransmit buffers, client connections, the
 //! in-memory escrow itself. Recovery then runs through the node's
-//! [`Durability`] backend: [`NodeRt::kill9_restart`] demolishes the
+//! [`WalDurability`] log: [`NodeRt::kill9_restart`] demolishes the
 //! runtime state, replays the write-ahead log into fresh link
 //! watermarks + retransmit buffers + per-tree values, bumps the
 //! incarnation epoch, and broadcasts `RESET` exactly like an in-process
@@ -127,7 +127,7 @@ use oat_sim::stats::MsgStats;
 use std::os::unix::io::AsRawFd;
 use std::rc::Rc;
 
-use crate::durability::{Durability, LinkState, WalState};
+use crate::durability::{LinkState, WalDurability, WalState};
 use crate::frame::{
     decode_batch, decode_request, encode_batch, EdgePayload, TAG_ACK, TAG_HELLO_CLIENT,
     TAG_HELLO_EDGE, TAG_PARTIAL, TAG_REQ_BATCH, TAG_REQ_METRICS, TAG_RESP_BATCH, TAG_RESP_COMBINE,
@@ -203,7 +203,7 @@ pub(crate) struct NodeReport<V> {
     pub abandoned: u64,
     /// Fault-recovery counters accumulated across all incarnations.
     pub faults: FaultCounters,
-    /// Durability-backend counters (all zero for the Memory backend).
+    /// Write-ahead-log counters (all zero under `DurabilityMode::Memory`).
     pub wal: crate::durability::WalCounters,
 }
 
@@ -463,13 +463,11 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     stats: MsgStats,
     completions: Vec<(NodeId, A::Value)>,
     delivered: u64,
-    /// The durability backend: in-memory (no-op) or write-ahead log.
-    backend: Box<dyn Durability>,
-    /// Cached `backend.active()` — gates every logging hook so the
-    /// Memory backend costs nothing on the hot path.
-    durable: bool,
+    /// The write-ahead log, under `DurabilityMode::Wal`; `None` skips
+    /// every logging hook.
+    wal: Option<WalDurability>,
     /// Incarnation epoch: bumped on every restart (crash or kill9) and
-    /// persisted through the backend so a recovered incarnation never
+    /// persisted through the log so a recovered incarnation never
     /// reuses an epoch its predecessor already burned.
     epoch: u64,
     /// Injected crash trigger: crash after this many delivered messages
@@ -509,11 +507,7 @@ where
         plan: &FaultPlan,
         ready_tx: Sender<()>,
     ) -> NodeRt<S, A> {
-        let NodeSeed {
-            id,
-            listener,
-            backend,
-        } = seed;
+        let NodeSeed { id, listener, wal } = seed;
         // The listener stays registered for the reactor's lifetime (a
         // kill9 leaves it open: the "new process" inherits the address).
         ctx.poller
@@ -552,7 +546,6 @@ where
         if ready_sent {
             let _ = ready_tx.send(());
         }
-        let durable = backend.active();
         let mut node = NodeRt {
             id,
             slot,
@@ -568,8 +561,7 @@ where
             stats: MsgStats::new(ctx.tree),
             completions: Vec::new(),
             delivered: 0,
-            backend,
-            durable,
+            wal,
             epoch: 0,
             crash_at: plan.crash_after(id),
             kill9_at: plan.kill9_after(id),
@@ -584,13 +576,11 @@ where
             gauge: QueueGauge::default(),
             downed: Vec::new(),
         };
-        // Cold start: a durable backend with history means this node is
-        // a new incarnation of a previous process — replay the WAL and
-        // rejoin with watermarks, retransmit buffers, and value intact.
-        if durable {
-            if let Some(state) = node.backend.recover() {
-                node.restore_from(state, ctx);
-            }
+        // Cold start: a log with history means this node is a new
+        // incarnation of a previous process — replay the WAL and rejoin
+        // with watermarks, retransmit buffers, and value intact.
+        if let Some(state) = node.wal.as_mut().and_then(WalDurability::recover) {
+            node.restore_from(state, ctx);
         }
         node
     }
@@ -834,17 +824,17 @@ where
                 }
             }
         }
-        if self.durable {
+        if let Some(wal) = &mut self.wal {
             // One watermark record per drain, not per frame: the WAL
             // needs the high-water marks, not the arrival history. Rx is
             // logged before dispatch so the delivered frames' own log
             // records (sends they trigger) sort after their cause.
             let link = &self.links[wi];
             if link.rx_seq > rx_before {
-                self.backend.log_rx(link.peer.0, link.rx_seq);
+                wal.log_rx(link.peer.0, link.rx_seq);
             }
             if link.acked > acked_before {
-                self.backend.log_ack(link.peer.0, link.acked);
+                wal.log_ack(link.peer.0, link.acked);
             }
         }
         for w in work {
@@ -1121,13 +1111,13 @@ where
                 let mut out = Vec::new();
                 match op {
                     ReqOp::Write(arg) => {
-                        if self.durable {
+                        if let Some(wal) = &mut self.wal {
                             // Logged (and fsynced — write records force a
                             // sync) before the ack below can flush: an
                             // acknowledged write survives any kill.
                             let mut bytes = Vec::with_capacity(16);
                             arg.encode(&mut bytes);
-                            self.backend.log_write(tree, &bytes);
+                            wal.log_write(tree, &bytes);
                         }
                         self.inst(tree, ctx).mech.handle_write(arg, &mut out);
                         self.send_outbox(tree, out, ctx);
@@ -1264,7 +1254,7 @@ where
         if send_seq(
             self.id,
             &mut self.links[wi],
-            &mut *self.backend,
+            self.wal.as_mut(),
             inner,
             body,
             ctx,
@@ -1417,8 +1407,8 @@ where
             .map(|i| i.waiters.len() as u64)
             .sum::<u64>();
         self.epoch = epoch;
-        if self.durable {
-            self.backend.log_epoch(epoch);
+        if let Some(wal) = &mut self.wal {
+            wal.log_epoch(epoch);
         }
         oat_obs::trace_event!(oat_obs::EventKind::Restart, self.id.0, kind, epoch);
         // A fresh instance holds no grants, so restoring its value emits
@@ -1450,7 +1440,7 @@ where
     /// Process-grade kill + recovery: demolish everything a SIGKILL
     /// would take — links, retransmit buffers, client connections, the
     /// automata and their values — then rebuild the node from its
-    /// durability backend as a cold-starting incarnation. The listener
+    /// write-ahead log as a cold-starting incarnation. The listener
     /// survives (the "new process" inherits the node's address) as do
     /// the pure observability accumulators (stats, counters, completion
     /// log), which belong to the harness, not the process.
@@ -1499,7 +1489,11 @@ where
         }
         self.connected = 0;
         // Rebuild from the log, exactly like a cold start...
-        let state = self.backend.recover().unwrap_or_default();
+        let state = self
+            .wal
+            .as_mut()
+            .and_then(WalDurability::recover)
+            .unwrap_or_default();
         self.restore_from(state, ctx);
         // ...and start redialing immediately on edges we own.
         let now = Instant::now();
@@ -1759,11 +1753,20 @@ where
         }
         // Fold the log into a snapshot once enough has accumulated —
         // at the flush boundary the node's state is self-consistent.
-        if self.durable && self.backend.wants_snapshot() {
+        if self.wal.as_ref().is_some_and(WalDurability::wants_snapshot) {
             let state = self.wal_state();
-            self.backend.snapshot(&state);
+            if let Some(wal) = &mut self.wal {
+                wal.snapshot(&state);
+            }
         }
         backlog
+    }
+
+    /// The log's counters; all zero without one.
+    fn wal_counters(&self) -> crate::durability::WalCounters {
+        self.wal
+            .as_ref()
+            .map_or_else(Default::default, WalDurability::counters)
     }
 
     /// Folds the node's durable state into a snapshot image.
@@ -1817,7 +1820,7 @@ where
             dup_drops += self.links[vi].dup_drops;
         }
         let (queue_depth, queue_peak) = self.gauge.read();
-        let wal = self.backend.counters();
+        let wal = self.wal_counters();
         NodeMetrics {
             node: self.id.0,
             sent_by_kind: self.stats.kind_totals(),
@@ -1930,14 +1933,14 @@ where
         if settled > 0 {
             ctx.in_flight.sub(settled);
         }
-        if self.durable {
+        if let Some(wal) = &mut self.wal {
             // Persist any watermark moves the hello produced.
             let (rx_now, acked_now) = (self.links[wi].rx_seq, self.links[wi].acked);
             if rx_now > rx_before {
-                self.backend.log_rx(peer.0, rx_now);
+                wal.log_rx(peer.0, rx_now);
             }
             if acked_now > acked_before {
-                self.backend.log_ack(peer.0, acked_now);
+                wal.log_ack(peer.0, acked_now);
             }
         }
         let link = &mut self.links[wi];
@@ -1976,13 +1979,13 @@ where
             .map(|i| i.waiters.len() as u64)
             .sum::<u64>();
         NodeReport {
+            wal: self.wal_counters(),
             stats: self.stats,
             completions: self.completions,
             log: self.insts[&0].mech.ghost().map(|g| g.log.clone()),
             delivered: self.delivered,
             abandoned: self.abandoned,
             faults: self.counters,
-            wal: self.backend.counters(),
         }
     }
 }
@@ -1997,7 +2000,7 @@ fn queue_seq(out: &mut WriteQueue, seq: u64, inner: u8, body: &[u8]) {
 }
 
 /// Assigns the next sequence number on `link`, logs the send to the
-/// durability backend, appends the frame to the retransmit buffer
+/// node's write-ahead log (if any), appends the frame to the retransmit buffer
 /// (in-flight accounting happens here, exactly once per logical frame —
 /// the debt settles when the frame is trimmed after acknowledgement),
 /// and attempts first transmission — subject to the edge's
@@ -2006,7 +2009,7 @@ fn queue_seq(out: &mut WriteQueue, seq: u64, inner: u8, body: &[u8]) {
 fn send_seq<S, A: AggOp>(
     from: NodeId,
     link: &mut EdgeLink,
-    dur: &mut dyn Durability,
+    wal: Option<&mut WalDurability>,
     inner: u8,
     body: Vec<u8>,
     ctx: &Ctx<'_, S, A>,
@@ -2014,7 +2017,9 @@ fn send_seq<S, A: AggOp>(
     ctx.in_flight.add(1);
     link.tx_seq += 1;
     let seq = link.tx_seq;
-    dur.log_send(link.peer.0, seq, inner, &body);
+    if let Some(wal) = wal {
+        wal.log_send(link.peer.0, seq, inner, &body);
+    }
     oat_obs::trace_event!(
         oat_obs::EventKind::FrameTx,
         from.0,

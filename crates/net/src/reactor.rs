@@ -397,12 +397,13 @@ pub(crate) struct ReactorCfg<S, A: AggOp> {
 }
 
 /// One node assigned to a reactor: its pre-bound (non-blocking)
-/// listener and its durability backend (opened by the cluster on the
-/// main thread, where open errors can still fail the spawn).
+/// listener and, under `DurabilityMode::Wal`, its write-ahead log
+/// (opened by the cluster on the main thread, where open errors can
+/// still fail the spawn).
 pub(crate) struct NodeSeed {
     pub id: NodeId,
     pub listener: Listener,
-    pub backend: Box<dyn crate::durability::Durability>,
+    pub wal: Option<crate::durability::WalDurability>,
 }
 
 /// What a registered descriptor refers to; travels through the kernel

@@ -1,32 +1,16 @@
 //! `oat` — command-line driver for the aggregation simulator and cluster.
 //!
-//! ```text
-//! oat run       --tree kary:64:2 --policy rww --workload uniform:0.5:1000 --seed 7
-//! oat compare   --tree star:32 --workload zipf:0.3:2000:1.0
-//! oat trace     --tree path:4 --script "c@0,w@3=10,w@3=20,c@0"
-//! oat serve     --tree kary:15:2 --policy rww
-//! oat chaos     --tree kary:10:2 --workload uniform:0.5:120 --faults none
-//! oat mlap      [--workload SPEC] [--policy SPEC] [--tree SPEC] [--seed N]
-//!               [--json]
-//! oat help
-//! ```
-//!
-//! Throughput and latency are measured by `benchmark/run.sh`, not here.
-//!
-//! Specs:
-//!
-//! * tree: `pair` | `path:N` | `star:N` | `kary:N:K` | `random:N:SEED` |
-//!   `caterpillar:SPINE:LEGS`
-//! * policy: `rww` | `always` | `never` | `ab:A:B` | `randombreak:B:SEED`
-//! * workload: `uniform:WF:LEN` | `hotspot:WF:LEN:READERS:WRITERS` |
-//!   `zipf:WF:LEN:ALPHA` | `singlewriter:ROUNDS:WPR`
-//! * script: comma-separated `c@NODE` (combine) and `w@NODE=VALUE`
-//!   (write) items.
+//! Every subcommand is one entry of [`COMMANDS`]: its flags with their
+//! defaults, and its `oat help` paragraph. The parser, the USAGE block
+//! of `oat help` and every usage error read only that table, so a flag
+//! the table does not declare is an error (exit 2), never ignored. Run
+//! `oat help` for the usage. Throughput and latency are measured by
+//! `benchmark/run.sh`, not here.
 
-use oat::core::fault::{CrashNode, FaultPlan};
+use oat::core::fault::FaultPlan;
 use oat::core::policy::ab::AbSpec;
 use oat::core::policy::random::RandomBreakSpec;
-use oat::net::{Cluster, DurabilityMode, NetConfig, WalConfig};
+use oat::net::{Cluster, DurabilityMode, NetConfig, TransportKind, WalConfig};
 use oat::offline::nopt::nopt_total_lower_bound;
 use oat::offline::opt_dp::opt_total_cost;
 use oat::prelude::*;
@@ -35,129 +19,159 @@ use oat::sim::viz::render_leases;
 use oat::sim::{Engine, Schedule};
 use oat_core::policy::PolicySpec;
 use oat_core::request::{ReqOp, Request};
+use std::collections::HashMap;
 use std::io::BufRead;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("mlap") => cmd_mlap(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
-        Some("help") | None => {
-            print!("{}", HELP);
-            0
-        }
-        Some(other) => {
-            eprintln!("unknown command `{other}`\n{HELP}");
-            2
-        }
-    };
-    std::process::exit(code);
+/// One flag of a subcommand.
+struct Flag {
+    name: &'static str,
+    /// Placeholder for the value in usage lines; `None` for a switch.
+    metavar: Option<&'static str>,
+    /// Value when the flag is absent; `None` leaves it unset.
+    default: Option<&'static str>,
+    required: bool,
 }
 
-const HELP: &str = "\
-oat — online aggregation over trees (IPPS 2007), simulator CLI
+const fn req(name: &'static str, metavar: &'static str) -> Flag {
+    Flag {
+        name,
+        metavar: Some(metavar),
+        default: None,
+        required: true,
+    }
+}
 
-USAGE:
-  oat run       --tree SPEC --policy SPEC --workload SPEC [--seed N]
-  oat compare   --tree SPEC --workload SPEC [--seed N]
-  oat trace     --tree SPEC [--policy SPEC] --script ITEMS
-  oat trace     --tree SPEC --workload SPEC [--policy SPEC] [--seed N]
-                [--pipeline N] [--faults SPEC] [--out PATH] [--chrome PATH]
-  oat top       [--tree SPEC] [--workload SPEC] [--policy SPEC] [--seed N]
-                [--pipeline N] [--interval-ms N] [--ticks N]
-  oat serve     [--tree SPEC] [--policy SPEC] [--transport tcp|uds|ring]
-  oat chaos     --tree SPEC --workload SPEC [--policy SPEC] [--seed N]
-                [--faults SPEC] [--kill9 NODE@DELIVERED[,..]]
-                [--transport tcp|uds|ring]
-                [--durability memory|wal[:DIR]] [--fsync-every N]
-                [--snapshot-every N]
-  oat mlap      [--workload SPEC] [--policy SPEC] [--tree SPEC] [--seed N]
-                [--json]
-  oat query     SPEC [--tree SPEC] [--policy SPEC] [--facts N] [--keys K]
-                [--stream uniform|zipf|phases] [--gap-ms N] [--seed N]
-                [--transport tcp|uds|ring] [--json]
-  oat help
+const fn opt(name: &'static str, metavar: &'static str, default: Option<&'static str>) -> Flag {
+    Flag {
+        name,
+        metavar: Some(metavar),
+        default,
+        required: false,
+    }
+}
 
+const fn switch(name: &'static str) -> Flag {
+    Flag {
+        name,
+        metavar: None,
+        default: None,
+        required: false,
+    }
+}
+
+const TREE: Flag = req("--tree", "TREE");
+const WORKLOAD: Flag = req("--workload", "WORKLOAD");
+const POLICY: Flag = opt("--policy", "POLICY", Some("rww"));
+const SEED: Flag = opt("--seed", "N", Some("42"));
+const TRANSPORT: Flag = opt("--transport", "tcp|uds|ring", Some("tcp"));
+const JSON: Flag = switch("--json");
+
+/// One subcommand, or one form of it (`trace` has two).
+struct Command {
+    name: &'static str,
+    /// The flag that selects this form among entries sharing `name`.
+    form: Option<&'static str>,
+    /// Placeholder for the required leading non-flag words, joined into
+    /// one value (`query`'s spec); `None` when the command takes none.
+    positional: Option<&'static str>,
+    flags: &'static [Flag],
+    /// Paragraph for `oat help`.
+    about: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "run", form: None, positional: None, run: cmd_run,
+        flags: &[TREE, WORKLOAD, POLICY, SEED],
+        about: "bills a policy against the offline lease-based optimum (OPT) \
+                and the NOPT lower bound in the sequential simulator: \
+                messages, both ratios and read latency. --policy all bills \
+                rww, ab:1:3, ab:2:2, randombreak:2:SEED, always and never" },
+    Command { name: "trace", form: Some("--script"), positional: None, run: cmd_trace_script,
+        flags: &[TREE, req("--script", "ITEMS"), POLICY],
+        about: "with --script, renders the simulator's message-by-message \
+                run of a hand-written script under rww and the final leases" },
+    Command { name: "trace", form: Some("--workload"), positional: None, run: cmd_trace_workload,
+        flags: &[TREE, WORKLOAD, POLICY, SEED, opt("--pipeline", "N", Some("4")),
+            opt("--faults", "FAULTS", Some("none")), opt("--out", "PATH", Some("oat-trace.jsonl")),
+            opt("--chrome", "PATH", None)],
+        about: "with --workload, records an oat-obs trace of the workload \
+                run in the simulator, then pipelined on a cluster under \
+                --faults; prints event counts, phase p50s and per-edge wire \
+                latency, and writes oat-trace-v1 JSONL to --out (--chrome: \
+                Chrome trace_event JSON too)" },
+    Command { name: "top", form: None, positional: None, run: cmd_top,
+        flags: &[opt("--tree", "TREE", Some("kary:15:2")),
+            opt("--workload", "WORKLOAD", Some("uniform:0.5:400")), POLICY, SEED,
+            opt("--pipeline", "N", Some("8")), opt("--interval-ms", "N", Some("500")),
+            opt("--ticks", "N", Some("8"))],
+        about: "loops the workload pipelined on a cluster and redraws a live \
+                view every --interval-ms, --ticks times: request rate, phase \
+                p50s, event counts, and the busiest nodes' counters" },
+    Command { name: "serve", form: None, positional: None, run: cmd_serve,
+        flags: &[opt("--tree", "TREE", Some("kary:15:2")), POLICY, TRANSPORT],
+        about: "spawns a cluster on loopback — one listener per tree node on \
+                the chosen transport, all nodes served by a pool of at most \
+                four reactor threads — and reads commands from stdin: c@N | \
+                w@N=V | metrics [N] | stats | quit" },
+    Command { name: "chaos", form: None, positional: None, run: cmd_chaos,
+        flags: &[TREE, WORKLOAD, POLICY, SEED,
+            opt("--faults", "FAULTS", Some("seed:7,drop:0.05,dup:0.05,delay:0.05")),
+            opt("--kill9", "NODE@DELIVERED[,..]", None), TRANSPORT,
+            opt("--durability", "memory|wal[:DIR]", None), opt("--fsync-every", "N", Some("8")),
+            opt("--snapshot-every", "N", Some("4096"))],
+        about: "replays the workload sequentially under --faults and checks \
+                every combine against the oracle, every scheduled fault \
+                fired, and restarts == crashes + kill9s; exits non-zero on a \
+                divergence or a wedged cluster. With --faults none it is the \
+                sim<->cluster parity check (`parity: OK`). --kill9 adds \
+                process kills and defaults --durability to a fresh temp WAL" },
+    Command { name: "mlap", form: None, positional: None, run: cmd_mlap,
+        flags: &[opt("--workload", "MLAP_WORKLOAD", Some("adv:4:8")),
+            opt("--policy", "MLAP_POLICY", Some("all")), opt("--tree", "TREE", Some("kary:15:2")),
+            SEED, JSON],
+        about: "multi-level aggregation with delays and deadlines \
+                (arXiv:1507.02378, 1701.01936): per-policy service/delay \
+                cost, misses, flushes, messages and ratio vs the exact \
+                offline optimum; --json emits oat-mlap-v1" },
+    Command { name: "query", form: None, positional: Some("QUERY"), run: cmd_query,
+        flags: &[opt("--tree", "TREE", Some("kary:7:2")), POLICY,
+            opt("--facts", "N", Some("300")), opt("--keys", "K", Some("4")),
+            opt("--stream", "uniform|zipf|phases", Some("zipf")), opt("--gap-ms", "N", Some("4")),
+            SEED, TRANSPORT, JSON],
+        about: "runs a continuous query over a seeded fact stream on a live \
+                cluster, printing every partial (value, coverage, staleness, \
+                refine seq) and the finals checked against the sequential \
+                oracle; exits non-zero on a mismatch or a monotonicity \
+                violation. --json emits oat-query-v1" },
+    Command { name: "help", form: None, positional: None, flags: &[], about: "", run: cmd_help },
+];
+
+const SPECS: &str = "\
 SPECS:
-  tree:     pair | path:N | star:N | kary:N:K | random:N:SEED | caterpillar:S:L
-  policy:   rww | always | never | ab:A:B | randombreak:B:SEED
-  workload: uniform:WF:LEN | hotspot:WF:LEN:READERS:WRITERS
-            | zipf:WF:LEN:ALPHA | singlewriter:ROUNDS:WRITES_PER_ROUND
-  script:   comma-separated c@NODE and w@NODE=VALUE items
-  faults:   comma-separated seed:N | drop:P | dup:P | delay:P
-            | kill:FROM-TO@FRAMES | crash:NODE@DELIVERED
-            | kill9:NODE@DELIVERED | torn-tail:MAX | fsync-fail:P
-            (or `none`)
-  mlap workload: adv:DEPTH:LEGS | bursty:BURSTS:SIZE:WINDOW | delay:LEN:GAP
-                 (bursty/delay run on --tree, default kary:15:2)
-  mlap policy:   eager | odepth | odepth-prefetch | greedy | all
-  query:         OP [group by key] [window last-N | tumbling(Tms)]
+  TREE           pair | path:N | star:N | kary:N:K | random:N:SEED
+                 | caterpillar:SPINE:LEGS
+  POLICY         rww | always | never | ab:A:B | randombreak:B:SEED
+                 (`run` also takes all)
+  WORKLOAD       uniform:WF:LEN | hotspot:WF:LEN:READERS:WRITERS
+                 | zipf:WF:LEN:ALPHA | singlewriter:ROUNDS:WRITES_PER_ROUND
+  ITEMS          comma-separated c@NODE and w@NODE=VALUE items
+  FAULTS         comma-separated seed:N | drop:P | dup:P | delay:P
+                 | kill:FROM-TO@FRAMES | crash:NODE@DELIVERED
+                 | kill9:NODE@DELIVERED | torn-tail:MAX | fsync-fail:P
+                 (or `none`)
+  MLAP_WORKLOAD  adv:DEPTH:LEGS | bursty:BURSTS:SIZE:WINDOW | delay:LEN:GAP
+                 (bursty and delay run on --tree)
+  MLAP_POLICY    eager | odepth | odepth-prefetch | greedy | all
+  QUERY          OP [group by key] [window last-N | tumbling(Tms)]
                  with OP one of sum | min | max | count
+";
 
-OBSERVABILITY (oat-obs event tracing):
-  trace --workload  records a live oat-obs trace of one workload run twice
-             (deterministic simulator, then pipelined TCP replay; --faults
-             adds fault-category events) and writes it as oat-trace-v1
-             JSONL (--out, default oat-trace.jsonl); --chrome PATH also
-             writes Chrome trace_event JSON for chrome://tracing/Perfetto
-  top        spawns a cluster, drives pipelined load in the background,
-             and refreshes an in-place live view every --interval-ms
-             (default 500) for --ticks refreshes (default 8): request
-             rates, phase p50s from the live trace, per-category event
-             counts, and the busiest nodes' queue/lease/fault counters
-
-NET COMMANDS (oat-net TCP cluster on loopback):
-  serve      spawns one server thread + TcpListener per tree node and reads
-             commands from stdin: c@N | w@N=V | metrics [N] | stats | quit
-  chaos      replays a seeded workload sequentially while the transport is
-             subjected to --faults (seeded drop/dup/delay, scheduled
-             connection kills, scheduled node crash-restarts, process
-             kills, and seeded disk faults); asserts every combine equals
-             the running oracle, then reports the injection ledger,
-             recovery counters, and WAL work, cross-checking that
-             restarts == crashes + kill9s and (on a fresh WAL dir) that
-             every WAL replay is a kill9 recovery; exits non-zero on any
-             divergence or a wedged cluster. With --faults none it is
-             the sim<->cluster parity check: the per-edge, per-kind
-             message counts must equal the simulator's sequential run of
-             the same workload exactly (`parity: OK`). --kill9 N@D
-             appends process kills to the plan; a kill9 needs durable
-             state, so it defaults --durability to a WAL in a fresh temp
-             dir (--durability wal:DIR pins the directory, --fsync-every
-             and --snapshot-every tune group commit and log truncation)
-
-MLAP (oat-mlap second problem family — multi-level aggregation with
-delays and deadlines, arXiv:1507.02378 / arXiv:1701.01936):
-  mlap       runs one or all online flush policies on a seeded MLAP
-             workload, computes the exact offline optimum when the
-             instance fits the oracle's candidate-time cap, and reports
-             per-policy service/delay cost, deadline misses, flushes,
-             messages, and the ratio vs OPT; --json emits a stable
-             oat-mlap-v1 document
-
-QUERY (oat-query progressive online aggregation):
-  query      runs one continuous query over a seeded fact stream
-             (--stream uniform | zipf | phases; --facts/--keys/--gap-ms
-             size it) against a live cluster. `group by key` multiplexes
-             a forest of lazily-instantiated per-key trees over the one
-             cluster; windows are either sliding (last-N facts, expired
-             facts retired by refolding) or tumbling (fact-time windows,
-             finalized exactly at each boundary). Prints every partial
-             as it was emitted — value, coverage (monotone fraction of
-             the stream applied), staleness bound, refinement seq — then
-             the finals checked against the sequential oracle; exits
-             non-zero on any mismatch or monotonicity violation. --json
-             emits the stable oat-query-v1 document instead
-
+const EXAMPLES: &str = "\
 EXAMPLES:
   oat run --tree kary:64:2 --policy rww --workload uniform:0.5:1000 --seed 7
-  oat compare --tree star:32 --workload zipf:0.3:2000:1.0
+  oat run --tree star:32 --workload zipf:0.3:2000:1.0 --policy all
   oat trace --tree path:4 --script \"c@0,w@3=10,w@3=20,c@0\"
   oat serve --tree kary:15:2 --policy rww
   oat chaos --tree kary:10:2 --workload uniform:0.5:120 --faults none
@@ -167,42 +181,225 @@ EXAMPLES:
   oat query 'count group by key' --facts 200 --transport ring --json
 ";
 
-/// Minimal `--flag value` extraction.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+fn main() {
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    let (name, rest) = match tokens.split_first() {
+        Some((name, rest)) => (name.as_str(), rest),
+        None => ("help", &[][..]),
+    };
+    let Some(cmd) = Command::select(name, rest) else {
+        eprintln!("error: unknown command `{name}`\n\n{}", help());
+        std::process::exit(2);
+    };
+    let result = Args::parse(cmd, rest)
+        .map_err(|e| {
+            let usage: String = cmd.forms().map(Command::usage).collect();
+            format!("{e}\nusage:\n{}", usage.trim_end())
+        })
+        .and_then(|args| (cmd.run)(&args));
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
+impl Command {
+    /// The entry for `name`: of several forms, the one whose `form`
+    /// flag is among `tokens`, else the first.
+    fn select(name: &str, tokens: &[String]) -> Option<&'static Command> {
+        let mut forms = COMMANDS.iter().filter(|c| c.name == name);
+        let first = forms.clone().next()?;
+        Some(
+            forms
+                .find(|c| c.form.is_some_and(|f| tokens.iter().any(|t| t == f)))
+                .unwrap_or(first),
+        )
+    }
+
+    /// Every entry sharing this one's name, itself included.
+    fn forms(&self) -> impl Iterator<Item = &'static Command> + '_ {
+        COMMANDS.iter().filter(move |c| c.name == self.name)
+    }
+
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags.iter().find(|f| f.name == name)
+    }
+
+    /// This form's usage line, wrapped as `oat help` prints it.
+    fn usage(&self) -> String {
+        let items = self
+            .positional
+            .map(str::to_string)
+            .into_iter()
+            .chain(self.flags.iter().map(|f| {
+                let item = match f.metavar {
+                    Some(metavar) => format!("{} {metavar}", f.name),
+                    None => f.name.to_string(),
+                };
+                if f.required {
+                    item
+                } else {
+                    format!("[{item}]")
+                }
+            }));
+        wrap(&format!("  oat {:<9} ", self.name), items)
+    }
+}
+
+/// `head` followed by `items`, wrapped at 78 columns with continuation
+/// lines indented to `head`'s width (`head` is ASCII).
+fn wrap(head: &str, items: impl IntoIterator<Item = impl AsRef<str>>) -> String {
+    let mut out = String::new();
+    let mut line = head.to_string();
+    for item in items {
+        let item = item.as_ref();
+        if line.len() > head.len() && line.chars().count() + item.chars().count() > 78 {
+            out.push_str(line.trim_end());
+            out.push('\n');
+            line = " ".repeat(head.len());
+        }
+        line.push_str(item);
+        line.push(' ');
+    }
+    out.push_str(line.trim_end());
+    out.push('\n');
+    out
+}
+
+fn help() -> String {
+    let mut s =
+        String::from("oat — online aggregation over trees (IPPS 2007), simulator CLI\n\nUSAGE:\n");
+    s.extend(COMMANDS.iter().map(Command::usage));
+    s.push('\n');
+    s.push_str(SPECS);
+    s.push_str("\nCOMMANDS:\n");
+    for c in COMMANDS.iter().filter(|c| !c.about.is_empty()) {
+        s.push_str(&wrap(&format!("  {:<10} ", c.name), c.about.split(' ')));
+    }
+    s.push('\n');
+    s.push_str(EXAMPLES);
+    s
+}
+
+fn cmd_help(_: &Args) -> Result<(), String> {
+    print!("{}", help());
+    Ok(())
+}
+
+/// One subcommand's arguments, checked against its table entry.
+struct Args {
+    cmd: &'static Command,
+    /// The joined positional words (empty when the command takes none).
+    positional: String,
+    /// Flags given, by name; a switch maps to "".
+    given: HashMap<&'static str, String>,
+}
+
+impl Args {
+    /// Rejects an undeclared flag, a value flag without a value, a
+    /// repeated flag, a stray word and a missing required argument.
+    fn parse(cmd: &'static Command, tokens: &[String]) -> Result<Args, String> {
+        let mut words = Vec::new();
+        let mut given = HashMap::new();
+        let mut tokens = tokens.iter().peekable();
+        while let Some(tok) = tokens.next() {
+            if !tok.starts_with("--") {
+                if cmd.positional.is_none() || !given.is_empty() {
+                    return Err(format!("unexpected argument `{tok}`"));
+                }
+                words.push(tok.as_str());
+                continue;
+            }
+            let Some(flag) = cmd.flag(tok) else {
+                return Err(
+                    match (cmd.forms().any(|c| c.flag(tok).is_some()), cmd.form) {
+                        (true, Some(form)) => format!("`{tok}` cannot be combined with `{form}`"),
+                        _ => format!("unknown flag `{tok}`"),
+                    },
+                );
+            };
+            let value = match flag.metavar {
+                None => String::new(),
+                Some(metavar) => match tokens.next_if(|v| !v.starts_with("--")) {
+                    Some(v) => v.clone(),
+                    None => return Err(format!("`{tok}` needs a value ({metavar})")),
+                },
+            };
+            if given.insert(flag.name, value).is_some() {
+                return Err(format!("`{tok}` given twice"));
+            }
+        }
+        if let (Some(placeholder), true) = (cmd.positional, words.is_empty()) {
+            return Err(format!("missing {placeholder}"));
+        }
+        if let Some(f) = cmd
+            .flags
+            .iter()
+            .find(|f| f.required && !given.contains_key(f.name))
+        {
+            return Err(format!("missing `{}`", f.name));
+        }
+        Ok(Args {
+            cmd,
+            positional: words.join(" "),
+            given,
+        })
+    }
+
+    /// The value given for `name`, else its default.
+    fn get(&self, name: &str) -> Option<&str> {
+        let flag = self.cmd.flag(name).expect("flag declared in the table");
+        self.given.get(name).map(String::as_str).or(flag.default)
+    }
+
+    /// The value of a required or defaulted flag.
+    fn str(&self, name: &str) -> &str {
+        self.get(name).expect("a required or defaulted flag")
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
+        let s = self.str(name);
+        s.parse().map_err(|_| format!("bad {name} `{s}`"))
+    }
+
+    fn transport(&self) -> Result<TransportKind, String> {
+        let s = self.str("--transport");
+        TransportKind::parse(s)
+            .ok_or_else(|| format!("bad --transport `{s}` (want tcp | uds | ring)"))
+    }
+
+    /// `--workload` generated on `tree` from `--seed`.
+    fn workload(&self, tree: &Tree) -> Result<Vec<Request<i64>>, String> {
+        parse_workload(self.str("--workload"), tree, self.num("--seed")?)
+    }
+}
+
+/// A number inside a `kind` spec.
+fn spec_num<T: std::str::FromStr>(s: &str, kind: &str) -> Result<T, String> {
+    s.parse()
+        .map_err(|_| format!("bad number `{s}` in {kind} spec"))
 }
 
 fn parse_tree(spec: &str) -> Result<Tree, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let num = |s: &str| -> Result<usize, String> {
-        s.parse()
-            .map_err(|_| format!("bad number `{s}` in tree spec"))
-    };
-    match parts.as_slice() {
+    let num = |s: &str| spec_num::<usize>(s, "tree");
+    match spec.split(':').collect::<Vec<_>>().as_slice() {
         ["pair"] => Ok(Tree::pair()),
         ["path", n] => Ok(Tree::path(num(n)?)),
         ["star", n] => Ok(Tree::star(num(n)?)),
         ["kary", n, k] => Ok(Tree::kary(num(n)?, num(k)?)),
-        ["random", n, seed] => Ok(oat::workloads::random_tree(num(n)?, num(seed)? as u64)),
+        ["random", n, seed] => Ok(oat::workloads::random_tree(
+            num(n)?,
+            spec_num(seed, "tree")?,
+        )),
         ["caterpillar", s, l] => Ok(oat::workloads::caterpillar(num(s)?, num(l)?)),
         _ => Err(format!("bad tree spec `{spec}`")),
     }
 }
 
 fn parse_workload(spec: &str, tree: &Tree, seed: u64) -> Result<Vec<Request<i64>>, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let f = |s: &str| -> Result<f64, String> {
-        s.parse()
-            .map_err(|_| format!("bad float `{s}` in workload spec"))
-    };
-    let u = |s: &str| -> Result<usize, String> {
-        s.parse()
-            .map_err(|_| format!("bad number `{s}` in workload spec"))
-    };
-    match parts.as_slice() {
+    let f = |s: &str| spec_num::<f64>(s, "workload");
+    let u = |s: &str| spec_num::<usize>(s, "workload");
+    match spec.split(':').collect::<Vec<_>>().as_slice() {
         ["uniform", wf, len] => Ok(oat::workloads::uniform(tree, u(len)?, f(wf)?, seed)),
         ["hotspot", wf, len, r, w] => Ok(oat::workloads::hotspot(
             tree,
@@ -259,192 +456,21 @@ enum PolicyChoice {
 }
 
 fn parse_policy(spec: &str) -> Result<PolicyChoice, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let u = |s: &str| -> Result<u32, String> {
-        s.parse()
-            .map_err(|_| format!("bad number `{s}` in policy spec"))
-    };
-    match parts.as_slice() {
+    let u = |s: &str| spec_num::<u32>(s, "policy");
+    match spec.split(':').collect::<Vec<_>>().as_slice() {
         ["rww"] => Ok(PolicyChoice::Rww),
         ["always"] => Ok(PolicyChoice::Always),
         ["never"] => Ok(PolicyChoice::Never),
         ["ab", a, b] => Ok(PolicyChoice::Ab(u(a)?, u(b)?)),
-        ["randombreak", b, seed] => Ok(PolicyChoice::RandomBreak(u(b)?, u(seed)? as u64)),
+        ["randombreak", b, seed] => Ok(PolicyChoice::RandomBreak(u(b)?, spec_num(seed, "policy")?)),
         _ => Err(format!("bad policy spec `{spec}`")),
     }
 }
 
-struct RunStats {
-    name: String,
-    msgs: u64,
-    combines: usize,
-    read_lat_mean: f64,
-    reads_local_pct: f64,
-}
-
-fn run_one<S: PolicySpec>(spec: &S, tree: &Tree, seq: &[Request<i64>], prewarm: bool) -> RunStats {
-    let mut eng = Engine::new(tree.clone(), SumI64, spec, Schedule::Fifo, false);
-    if prewarm {
-        eng.prewarm_leases();
-    }
-    let chunk = oat::sim::sequential::run_sequential_on(&mut eng, seq, 0);
-    let read_lats: Vec<u32> = seq
-        .iter()
-        .zip(&chunk.per_request_latency)
-        .filter(|(q, _)| q.op.is_combine())
-        .map(|(_, &l)| l)
-        .collect();
-    let reads = read_lats.len().max(1);
-    RunStats {
-        name: spec.name(),
-        msgs: chunk.per_request_msgs.iter().sum(),
-        combines: chunk.combines.len(),
-        read_lat_mean: read_lats.iter().map(|&l| l as f64).sum::<f64>() / reads as f64,
-        reads_local_pct: read_lats.iter().filter(|&&l| l == 0).count() as f64 * 100.0
-            / reads as f64,
-    }
-}
-
-fn run_policy(choice: &PolicyChoice, tree: &Tree, seq: &[Request<i64>]) -> RunStats {
-    match choice {
-        PolicyChoice::Rww => run_one(&RwwSpec, tree, seq, false),
-        PolicyChoice::Always => run_one(&AlwaysLeaseSpec, tree, seq, true),
-        PolicyChoice::Never => run_one(&NeverLeaseSpec, tree, seq, false),
-        PolicyChoice::Ab(a, b) => run_one(&AbSpec::new(*a, *b), tree, seq, false),
-        PolicyChoice::RandomBreak(b, s) => run_one(&RandomBreakSpec::new(*b, *s), tree, seq, false),
-    }
-}
-
-fn print_stats_line(s: &RunStats, seq_len: usize, opt: u64, lb: u64) {
-    println!(
-        "  {:<18} {:>9} msgs  {:>7.3} msgs/req  ratio vs OPT {:>6}  vs NOPT-lb {:>6}  read lat {:>5.2} ({:>3.0}% local)",
-        s.name,
-        s.msgs,
-        s.msgs as f64 / seq_len as f64,
-        if opt > 0 { format!("{:.3}", s.msgs as f64 / opt as f64) } else { "-".into() },
-        if lb > 0 { format!("{:.3}", s.msgs as f64 / lb as f64) } else { "-".into() },
-        s.read_lat_mean,
-        s.reads_local_pct,
-    );
-}
-
-fn cmd_run(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let tree = parse_tree(flag(args, "--tree").ok_or("missing --tree")?)?;
-        let policy = parse_policy(flag(args, "--policy").unwrap_or("rww"))?;
-        let seed: u64 = flag(args, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "bad --seed")?;
-        let seq = parse_workload(
-            flag(args, "--workload").ok_or("missing --workload")?,
-            &tree,
-            seed,
-        )?;
-        let opt = opt_total_cost(&tree, &seq);
-        let lb = nopt_total_lower_bound(&tree, &seq);
-        let stats = run_policy(&policy, &tree, &seq);
-        println!(
-            "tree: {} nodes, {} edges; workload: {} requests ({} combines)",
-            tree.len(),
-            tree.num_edges(),
-            seq.len(),
-            stats.combines
-        );
-        print_stats_line(&stats, seq.len(), opt, lb);
-        println!(
-            "  {:<18} {opt:>9} msgs (offline lease-based optimum)",
-            "OPT"
-        );
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn cmd_compare(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let tree = parse_tree(flag(args, "--tree").ok_or("missing --tree")?)?;
-        let seed: u64 = flag(args, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "bad --seed")?;
-        let seq = parse_workload(
-            flag(args, "--workload").ok_or("missing --workload")?,
-            &tree,
-            seed,
-        )?;
-        let opt = opt_total_cost(&tree, &seq);
-        let lb = nopt_total_lower_bound(&tree, &seq);
-        println!(
-            "tree: {} nodes; workload: {} requests; OPT = {opt} msgs",
-            tree.len(),
-            seq.len()
-        );
-        for choice in [
-            PolicyChoice::Rww,
-            PolicyChoice::Ab(1, 3),
-            PolicyChoice::Ab(2, 2),
-            PolicyChoice::RandomBreak(2, seed),
-            PolicyChoice::Always,
-            PolicyChoice::Never,
-        ] {
-            let stats = run_policy(&choice, &tree, &seq);
-            print_stats_line(&stats, seq.len(), opt, lb);
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn cmd_trace(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        // Two modes: `--workload` records a live oat-obs trace of the sim
-        // and TCP runtimes; `--script` is the legacy step-by-step message
-        // renderer for tiny hand-written sequences.
-        if flag(args, "--workload").is_some() {
-            return trace_workload(args);
-        }
-        let tree = parse_tree(flag(args, "--tree").ok_or("missing --tree")?)?;
-        let script = parse_script(flag(args, "--script").ok_or("missing --script or --workload")?)?;
-        // Traces are policy-generic but the renderer needs a concrete
-        // engine; only RWW is supported here (the interesting one).
-        match parse_policy(flag(args, "--policy").unwrap_or("rww"))? {
-            PolicyChoice::Rww => {}
-            _ => return Err("trace currently supports --policy rww only".into()),
-        }
-        let mut eng: Engine<RwwSpec, SumI64> =
-            Engine::new(tree.clone(), SumI64, &RwwSpec, Schedule::Fifo, false);
-        let trace = record_sequential(&mut eng, &script);
-        print!("{}", trace.render());
-        println!("\nfinal lease graph:");
-        print!("{}", render_leases(&eng));
-        println!("\ntotal messages: {}", eng.stats().total());
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
 /// Runs `$body` with `$spec` bound to the concrete policy value named by
-/// `$choice` — the dynamic→static dispatch point for the net commands,
-/// which need a statically typed `PolicySpec` for `Cluster::spawn`.
+/// `$choice` — the one dynamic→static dispatch point for the commands,
+/// which need a statically typed `PolicySpec` for `Engine::new` or
+/// `Cluster::spawn`.
 macro_rules! with_policy {
     ($choice:expr, $spec:ident => $body:expr) => {
         match $choice {
@@ -472,29 +498,105 @@ macro_rules! with_policy {
     };
 }
 
+/// Replays `seq` under `spec` in the sequential simulator and prints
+/// its row of `oat run`: messages, ratios to OPT and to the NOPT lower
+/// bound `lb`, and combine latency.
+fn print_policy_row<S: PolicySpec>(
+    spec: &S,
+    tree: &Tree,
+    seq: &[Request<i64>],
+    prewarm: bool,
+    opt: u64,
+    lb: u64,
+) {
+    let mut eng = Engine::new(tree.clone(), SumI64, spec, Schedule::Fifo, false);
+    if prewarm {
+        eng.prewarm_leases();
+    }
+    let chunk = oat::sim::sequential::run_sequential_on(&mut eng, seq, 0);
+    let read_lats: Vec<u32> = seq
+        .iter()
+        .zip(&chunk.per_request_latency)
+        .filter(|(q, _)| q.op.is_combine())
+        .map(|(_, &l)| l)
+        .collect();
+    let reads = read_lats.len().max(1);
+    let msgs: u64 = chunk.per_request_msgs.iter().sum();
+    println!(
+        "  {:<18} {:>9} msgs  {:>7.3} msgs/req  ratio vs OPT {:>6}  vs NOPT-lb {:>6}  read lat {:>5.2} ({:>3.0}% local)",
+        spec.name(),
+        msgs,
+        msgs as f64 / seq.len() as f64,
+        if opt > 0 { format!("{:.3}", msgs as f64 / opt as f64) } else { "-".into() },
+        if lb > 0 { format!("{:.3}", msgs as f64 / lb as f64) } else { "-".into() },
+        read_lats.iter().map(|&l| l as f64).sum::<f64>() / reads as f64,
+        read_lats.iter().filter(|&&l| l == 0).count() as f64 * 100.0 / reads as f64,
+    );
+}
+
+fn cmd_run(a: &Args) -> Result<(), String> {
+    let tree = parse_tree(a.str("--tree"))?;
+    let seq = a.workload(&tree)?;
+    let choices = match a.str("--policy") {
+        "all" => vec![
+            PolicyChoice::Rww,
+            PolicyChoice::Ab(1, 3),
+            PolicyChoice::Ab(2, 2),
+            PolicyChoice::RandomBreak(2, a.num("--seed")?),
+            PolicyChoice::Always,
+            PolicyChoice::Never,
+        ],
+        spec => vec![parse_policy(spec)?],
+    };
+    let opt = opt_total_cost(&tree, &seq);
+    let lb = nopt_total_lower_bound(&tree, &seq);
+    println!(
+        "tree: {} nodes, {} edges; workload: {} requests ({} combines)",
+        tree.len(),
+        tree.num_edges(),
+        seq.len(),
+        seq.iter().filter(|q| q.op.is_combine()).count()
+    );
+    for choice in &choices {
+        // Always-lease is billed from its steady state: every lease set.
+        let prewarm = matches!(choice, PolicyChoice::Always);
+        with_policy!(choice, spec => print_policy_row(&spec, &tree, &seq, prewarm, opt, lb));
+    }
+    println!(
+        "  {:<18} {opt:>9} msgs (offline lease-based optimum)",
+        "OPT"
+    );
+    Ok(())
+}
+
+fn cmd_trace_script(a: &Args) -> Result<(), String> {
+    let tree = parse_tree(a.str("--tree"))?;
+    let script = parse_script(a.str("--script"))?;
+    // Traces are policy-generic but the renderer needs a concrete
+    // engine; only RWW is supported here (the interesting one).
+    if !matches!(parse_policy(a.str("--policy"))?, PolicyChoice::Rww) {
+        return Err("trace --script supports --policy rww only".into());
+    }
+    let mut eng: Engine<RwwSpec, SumI64> =
+        Engine::new(tree.clone(), SumI64, &RwwSpec, Schedule::Fifo, false);
+    let trace = record_sequential(&mut eng, &script);
+    print!("{}", trace.render());
+    println!("\nfinal lease graph:");
+    print!("{}", render_leases(&eng));
+    println!("\ntotal messages: {}", eng.stats().total());
+    Ok(())
+}
+
 /// `oat trace --workload`: record a live trace of the sim and net
 /// runtimes executing one workload, then export it.
-fn trace_workload(args: &[String]) -> Result<(), String> {
-    let tree = parse_tree(flag(args, "--tree").ok_or("missing --tree")?)?;
-    let policy = parse_policy(flag(args, "--policy").unwrap_or("rww"))?;
-    let seed: u64 = flag(args, "--seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let seq = parse_workload(
-        flag(args, "--workload").ok_or("missing --workload")?,
-        &tree,
-        seed,
-    )?;
-    let depth: usize = flag(args, "--pipeline")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| "bad --pipeline")?;
-    let plan = FaultPlan::parse(flag(args, "--faults").unwrap_or("none"))?;
-    let out = flag(args, "--out").unwrap_or("oat-trace.jsonl").to_string();
-    let chrome = flag(args, "--chrome").map(str::to_string);
-    with_policy!(&policy, spec =>
-        trace_record(&tree, &spec, &seq, depth, plan, &out, chrome.as_deref()))
+fn cmd_trace_workload(a: &Args) -> Result<(), String> {
+    let tree = parse_tree(a.str("--tree"))?;
+    let seq = a.workload(&tree)?;
+    let depth: usize = a.num("--pipeline")?;
+    let plan = FaultPlan::parse(a.str("--faults"))?;
+    let (out, chrome) = (a.str("--out"), a.get("--chrome"));
+    with_policy!(&parse_policy(a.str("--policy"))?, spec =>
+        trace_record(&tree, &spec, &seq, depth, plan, out, chrome))
 }
 
 fn trace_record<S: PolicySpec>(
@@ -579,40 +681,14 @@ where
     Ok(())
 }
 
-fn cmd_top(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let tree = parse_tree(flag(args, "--tree").unwrap_or("kary:15:2"))?;
-        let policy = parse_policy(flag(args, "--policy").unwrap_or("rww"))?;
-        let seed: u64 = flag(args, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "bad --seed")?;
-        let seq = parse_workload(
-            flag(args, "--workload").unwrap_or("uniform:0.5:400"),
-            &tree,
-            seed,
-        )?;
-        let depth: usize = flag(args, "--pipeline")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|_| "bad --pipeline")?;
-        let interval: u64 = flag(args, "--interval-ms")
-            .unwrap_or("500")
-            .parse()
-            .map_err(|_| "bad --interval-ms")?;
-        let ticks: u32 = flag(args, "--ticks")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|_| "bad --ticks")?;
-        with_policy!(&policy, spec => run_top(&tree, &spec, &seq, depth, interval, ticks))
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
+fn cmd_top(a: &Args) -> Result<(), String> {
+    let tree = parse_tree(a.str("--tree"))?;
+    let seq = a.workload(&tree)?;
+    let depth: usize = a.num("--pipeline")?;
+    let interval: u64 = a.num("--interval-ms")?;
+    let ticks: u32 = a.num("--ticks")?;
+    with_policy!(&parse_policy(a.str("--policy"))?, spec =>
+        run_top(&tree, &spec, &seq, depth, interval, ticks))
 }
 
 /// Persistent per-node metrics connections for `oat top`: one
@@ -814,24 +890,11 @@ where
     err.map_or(Ok(()), Err)
 }
 
-fn cmd_serve(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let tree = parse_tree(flag(args, "--tree").unwrap_or("kary:15:2"))?;
-        let policy = parse_policy(flag(args, "--policy").unwrap_or("rww"))?;
-        let transport = match flag(args, "--transport") {
-            None => oat::net::TransportKind::default(),
-            Some(s) => oat::net::TransportKind::parse(s)
-                .ok_or_else(|| format!("bad --transport `{s}` (want tcp | uds | ring)"))?,
-        };
-        with_policy!(&policy, spec => serve_cluster(&tree, &spec, transport))
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
+fn cmd_serve(a: &Args) -> Result<(), String> {
+    let tree = parse_tree(a.str("--tree"))?;
+    let transport = a.transport()?;
+    with_policy!(&parse_policy(a.str("--policy"))?, spec =>
+        serve_cluster(&tree, &spec, transport))
 }
 
 fn serve_cluster<S: PolicySpec>(
@@ -942,90 +1005,48 @@ fn serve_command(cluster: &Cluster<SumI64>, cmd: &str) -> Result<Option<String>,
     Ok(Some(out))
 }
 
-fn cmd_chaos(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let tree = parse_tree(flag(args, "--tree").ok_or("missing --tree")?)?;
-        let policy = parse_policy(flag(args, "--policy").unwrap_or("rww"))?;
-        let seed: u64 = flag(args, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "bad --seed")?;
-        let seq = parse_workload(
-            flag(args, "--workload").ok_or("missing --workload")?,
-            &tree,
-            seed,
-        )?;
-        let mut plan = FaultPlan::parse(
-            flag(args, "--faults").unwrap_or("seed:7,drop:0.05,dup:0.05,delay:0.05"),
-        )?;
-        if let Some(spec) = flag(args, "--kill9") {
-            for part in spec.split(',') {
-                let (n, d) = part
-                    .split_once('@')
-                    .ok_or_else(|| format!("bad --kill9 item `{part}` (want NODE@DELIVERED)"))?;
-                plan.kill9s.push(CrashNode {
-                    node: NodeId(n.parse().map_err(|_| format!("bad --kill9 node `{n}`"))?),
-                    after_delivered: d
-                        .parse()
-                        .map_err(|_| format!("bad --kill9 delivered `{d}`"))?,
-                });
-            }
-        }
-        let fsync_every: u64 = flag(args, "--fsync-every")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|_| "bad --fsync-every")?;
-        let snapshot_every: u64 = flag(args, "--snapshot-every")
-            .unwrap_or("4096")
-            .parse()
-            .map_err(|_| "bad --snapshot-every")?;
-        // A process kill needs somewhere durable to recover from, so
-        // `--kill9` without an explicit backend gets a fresh WAL in a
-        // temp dir. A fresh dir also arms the ci cross-check: cold
-        // start finds nothing, so every WAL replay is a kill9 recovery.
-        let fresh_wal_dir = || {
-            let dir = std::env::temp_dir().join(format!("oat-chaos-wal-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            dir
-        };
-        let (durability, fresh_wal) = match flag(args, "--durability") {
-            None if plan.kill9s.is_empty() => (DurabilityMode::Memory, false),
-            None | Some("wal") => {
-                let mut wal = WalConfig::new(fresh_wal_dir());
-                wal.fsync_every = fsync_every;
-                wal.snapshot_every = snapshot_every;
-                (DurabilityMode::Wal(wal), true)
-            }
-            Some("memory") => (DurabilityMode::Memory, false),
-            Some(s) => match s.strip_prefix("wal:") {
-                Some(dir) if !dir.is_empty() => {
-                    let mut wal = WalConfig::new(dir);
-                    wal.fsync_every = fsync_every;
-                    wal.snapshot_every = snapshot_every;
-                    (DurabilityMode::Wal(wal), false)
-                }
-                _ => return Err(format!("bad --durability `{s}` (want memory | wal[:DIR])")),
-            },
-        };
-        let transport = match flag(args, "--transport") {
-            None => oat::net::TransportKind::default(),
-            Some(s) => oat::net::TransportKind::parse(s)
-                .ok_or_else(|| format!("bad --transport `{s}` (want tcp | uds | ring)"))?,
-        };
-        let cfg = NetConfig {
-            durability,
-            transport,
-            ..NetConfig::default()
-        };
-        with_policy!(&policy, spec => chaos_run(&tree, &spec, &seq, plan, cfg, fresh_wal))
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
+fn cmd_chaos(a: &Args) -> Result<(), String> {
+    let tree = parse_tree(a.str("--tree"))?;
+    let seq = a.workload(&tree)?;
+    let mut plan = FaultPlan::parse(a.str("--faults"))?;
+    if let Some(kills) = a.get("--kill9") {
+        // Shorthand for the fault grammar's `kill9:NODE@DELIVERED` items.
+        let items: Vec<String> = kills.split(',').map(|k| format!("kill9:{k}")).collect();
+        plan.kill9s
+            .extend(FaultPlan::parse(&items.join(","))?.kill9s);
     }
+    let (fsync_every, snapshot_every) = (a.num("--fsync-every")?, a.num("--snapshot-every")?);
+    let wal = |dir: std::path::PathBuf| {
+        let mut wal = WalConfig::new(dir);
+        wal.fsync_every = fsync_every;
+        wal.snapshot_every = snapshot_every;
+        DurabilityMode::Wal(wal)
+    };
+    // A process kill needs somewhere durable to recover from, so
+    // `--kill9` without an explicit backend gets a fresh WAL in a
+    // temp dir. A fresh dir also arms the ci cross-check: cold
+    // start finds nothing, so every WAL replay is a kill9 recovery.
+    let fresh_wal_dir = || {
+        let dir = std::env::temp_dir().join(format!("oat-chaos-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (durability, fresh_wal) = match a.get("--durability") {
+        None if plan.kill9s.is_empty() => (DurabilityMode::Memory, false),
+        None | Some("wal") => (wal(fresh_wal_dir()), true),
+        Some("memory") => (DurabilityMode::Memory, false),
+        Some(s) => match s.strip_prefix("wal:") {
+            Some(dir) if !dir.is_empty() => (wal(dir.into()), false),
+            _ => return Err(format!("bad --durability `{s}` (want memory | wal[:DIR])")),
+        },
+    };
+    let cfg = NetConfig {
+        durability,
+        transport: a.transport()?,
+        ..NetConfig::default()
+    };
+    with_policy!(&parse_policy(a.str("--policy"))?, spec =>
+        chaos_run(&tree, &spec, &seq, plan, cfg, fresh_wal))
 }
 
 fn chaos_run<S: PolicySpec>(
@@ -1211,24 +1232,21 @@ fn parse_mlap_workload(
     tree: &Tree,
     seed: u64,
 ) -> Result<oat::mlap::MlapInstance, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let num = |s: &str| -> Result<usize, String> {
-        s.parse()
-            .map_err(|_| format!("bad number `{s}` in mlap workload spec"))
-    };
-    match parts.as_slice() {
+    let num = |s: &str| spec_num::<usize>(s, "mlap workload");
+    let time = |s: &str| spec_num::<u64>(s, "mlap workload");
+    match spec.split(':').collect::<Vec<_>>().as_slice() {
         ["adv", d, l] => Ok(oat::workloads::mlap::adversarial_deadline(num(d)?, num(l)?)),
         ["bursty", b, s, w] => Ok(oat::workloads::mlap::bursty_deadline(
             tree,
             num(b)?,
             num(s)?,
-            num(w)? as u64,
+            time(w)?,
             seed,
         )),
         ["delay", len, gap] => Ok(oat::workloads::mlap::uniform_delay(
             tree,
             num(len)?,
-            num(gap)? as u64,
+            time(gap)?,
             seed,
         )),
         _ => Err(format!(
@@ -1238,114 +1256,100 @@ fn parse_mlap_workload(
     }
 }
 
-fn cmd_mlap(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let tree = parse_tree(flag(args, "--tree").unwrap_or("kary:15:2"))?;
-        let seed: u64 = flag(args, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "bad --seed")?;
-        let wspec = flag(args, "--workload").unwrap_or("adv:4:8");
-        let inst = parse_mlap_workload(wspec, &tree, seed)?;
-        let pspec = flag(args, "--policy").unwrap_or("all");
-        let mut policies: Vec<Box<dyn oat::mlap::FlushPolicy>> = if pspec == "all" {
-            oat::mlap::all_policies()
-        } else {
-            vec![oat::mlap::parse_flush_policy(pspec)?]
-        };
-        let opt = oat::offline::mlap_opt(&inst);
-        let runs: Vec<oat::mlap::MlapRun> = policies
-            .iter_mut()
-            .map(|p| oat::mlap::run_mlap(&inst, p.as_mut(), Schedule::Fifo))
-            .collect();
-        let depth = inst.depth();
-        let ratio_of =
-            |total: u64| -> Option<f64> { opt.filter(|&o| o > 0).map(|o| total as f64 / o as f64) };
-        if args.iter().any(|a| a == "--json") {
-            use std::fmt::Write as _;
-            let mut pols = String::from("[");
-            for (i, r) in runs.iter().enumerate() {
-                if i > 0 {
-                    pols.push_str(", ");
-                }
-                let ratio =
-                    ratio_of(r.total_cost()).map_or("null".to_string(), |x| format!("{x:.3}"));
-                let _ = write!(
-                    pols,
-                    "{{\"name\": \"{}\", \"service_cost\": {}, \"delay_cost\": {}, \
-                     \"deadline_misses\": {}, \"flushes\": {}, \"messages\": {}, \
-                     \"total_cost\": {}, \"ratio_vs_opt\": {}}}",
-                    r.policy,
-                    r.service_cost,
-                    r.delay_cost,
-                    r.deadline_misses,
-                    r.flushes.len(),
-                    r.messages,
-                    r.total_cost(),
-                    ratio,
-                );
+fn cmd_mlap(a: &Args) -> Result<(), String> {
+    let tree = parse_tree(a.str("--tree"))?;
+    let seed: u64 = a.num("--seed")?;
+    let wspec = a.str("--workload");
+    let inst = parse_mlap_workload(wspec, &tree, seed)?;
+    let pspec = a.str("--policy");
+    let mut policies: Vec<Box<dyn oat::mlap::FlushPolicy>> = if pspec == "all" {
+        oat::mlap::all_policies()
+    } else {
+        vec![oat::mlap::parse_flush_policy(pspec)?]
+    };
+    let opt = oat::offline::mlap_opt(&inst);
+    let runs: Vec<oat::mlap::MlapRun> = policies
+        .iter_mut()
+        .map(|p| oat::mlap::run_mlap(&inst, p.as_mut(), Schedule::Fifo))
+        .collect();
+    let depth = inst.depth();
+    let ratio_of =
+        |total: u64| -> Option<f64> { opt.filter(|&o| o > 0).map(|o| total as f64 / o as f64) };
+    if a.get("--json").is_some() {
+        use std::fmt::Write as _;
+        let mut pols = String::from("[");
+        for (i, r) in runs.iter().enumerate() {
+            if i > 0 {
+                pols.push_str(", ");
             }
-            pols.push(']');
-            println!(
-                "{{\"schema\": \"oat-mlap-v1\", \"model\": \"{}\", \"workload\": \"{}\", \
-                 \"seed\": {}, \"nodes\": {}, \"depth\": {}, \"requests\": {}, \
-                 \"opt\": {}, \"policies\": {}}}",
-                inst.model.name(),
-                wspec,
-                seed,
-                inst.tree.len(),
-                depth,
-                inst.requests.len(),
-                opt.map_or("null".to_string(), |o| o.to_string()),
+            let ratio = ratio_of(r.total_cost()).map_or("null".to_string(), |x| format!("{x:.3}"));
+            let _ = write!(
                 pols,
+                "{{\"name\": \"{}\", \"service_cost\": {}, \"delay_cost\": {}, \
+                 \"deadline_misses\": {}, \"flushes\": {}, \"messages\": {}, \
+                 \"total_cost\": {}, \"ratio_vs_opt\": {}}}",
+                r.policy,
+                r.service_cost,
+                r.delay_cost,
+                r.deadline_misses,
+                r.flushes.len(),
+                r.messages,
+                r.total_cost(),
+                ratio,
             );
-        } else {
-            println!(
-                "mlap: {} model, {} nodes, depth {}, {} requests, OPT {}",
-                inst.model.name(),
-                inst.tree.len(),
-                depth,
-                inst.requests.len(),
-                opt.map_or_else(
-                    || "n/a (over the oracle's candidate-time cap)".to_string(),
-                    |o| o.to_string()
-                ),
-            );
+        }
+        pols.push(']');
+        println!(
+            "{{\"schema\": \"oat-mlap-v1\", \"model\": \"{}\", \"workload\": \"{}\", \
+             \"seed\": {}, \"nodes\": {}, \"depth\": {}, \"requests\": {}, \
+             \"opt\": {}, \"policies\": {}}}",
+            inst.model.name(),
+            wspec,
+            seed,
+            inst.tree.len(),
+            depth,
+            inst.requests.len(),
+            opt.map_or("null".to_string(), |o| o.to_string()),
+            pols,
+        );
+    } else {
+        println!(
+            "mlap: {} model, {} nodes, depth {}, {} requests, OPT {}",
+            inst.model.name(),
+            inst.tree.len(),
+            depth,
+            inst.requests.len(),
+            opt.map_or_else(
+                || "n/a (over the oracle's candidate-time cap)".to_string(),
+                |o| o.to_string()
+            ),
+        );
+        println!(
+            "  {:<16} {:>8} {:>7} {:>7} {:>8} {:>9} {:>8} {:>7}",
+            "policy", "service", "delay", "misses", "flushes", "messages", "total", "ratio"
+        );
+        for r in &runs {
             println!(
                 "  {:<16} {:>8} {:>7} {:>7} {:>8} {:>9} {:>8} {:>7}",
-                "policy", "service", "delay", "misses", "flushes", "messages", "total", "ratio"
+                r.policy,
+                r.service_cost,
+                r.delay_cost,
+                r.deadline_misses,
+                r.flushes.len(),
+                r.messages,
+                r.total_cost(),
+                ratio_of(r.total_cost()).map_or("n/a".to_string(), |x| format!("{x:.2}")),
             );
-            for r in &runs {
-                println!(
-                    "  {:<16} {:>8} {:>7} {:>7} {:>8} {:>9} {:>8} {:>7}",
-                    r.policy,
-                    r.service_cost,
-                    r.delay_cost,
-                    r.deadline_misses,
-                    r.flushes.len(),
-                    r.messages,
-                    r.total_cost(),
-                    ratio_of(r.total_cost()).map_or("n/a".to_string(), |x| format!("{x:.2}")),
-                );
-            }
-            if inst.model == oat::mlap::CostModel::Deadline {
-                println!(
-                    "  certified (unit weights): odepth service ≤ (depth+1)·OPT = {}·OPT",
-                    depth as u64 + 1
-                );
-            }
         }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
+        if inst.model == oat::mlap::CostModel::Deadline {
+            println!(
+                "  certified (unit weights): odepth service ≤ (depth+1)·OPT = {}·OPT",
+                depth as u64 + 1
+            );
         }
     }
+    Ok(())
 }
-
 /// Spawns a cluster under the right operator for the query op and runs
 /// the continuous-query engine against it.
 fn run_query_on<S: PolicySpec>(
@@ -1381,143 +1385,103 @@ where
     }
 }
 
-fn cmd_query(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        // The spec is the leading run of non-flag arguments, so both
-        // `oat query 'sum group by key'` and `oat query sum group by
-        // key` parse.
-        let split = args
-            .iter()
-            .position(|a| a.starts_with("--"))
-            .unwrap_or(args.len());
-        let spec_str = args[..split].join(" ");
-        if spec_str.is_empty() {
-            return Err(
-                "missing query spec, e.g. `sum group by key window tumbling(100ms)`".into(),
-            );
-        }
-        let qspec: oat::query::QuerySpec = spec_str.parse()?;
-        let rest = &args[split..];
-        let tree_spec = flag(rest, "--tree").unwrap_or("kary:7:2");
-        let tree = parse_tree(tree_spec)?;
-        let policy_spec = flag(rest, "--policy").unwrap_or("rww");
-        let policy = parse_policy(policy_spec)?;
-        let facts_n: usize = flag(rest, "--facts")
-            .unwrap_or("300")
-            .parse()
-            .map_err(|_| "bad --facts")?;
-        let keys: u32 = flag(rest, "--keys")
-            .unwrap_or("4")
-            .parse()
-            .map_err(|_| "bad --keys")?;
-        let gap_ms: u64 = flag(rest, "--gap-ms")
-            .unwrap_or("4")
-            .parse()
-            .map_err(|_| "bad --gap-ms")?;
-        let seed: u64 = flag(rest, "--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|_| "bad --seed")?;
-        let stream = flag(rest, "--stream").unwrap_or("zipf");
-        let facts = oat::workloads::facts::facts_by_name(stream, facts_n, keys, gap_ms, seed)
-            .ok_or_else(|| format!("bad --stream `{stream}` (want uniform | zipf | phases)"))?;
-        let transport = match flag(rest, "--transport") {
-            None => oat::net::TransportKind::Tcp,
-            Some(s) => oat::net::TransportKind::parse(s)
-                .ok_or_else(|| format!("bad --transport `{s}` (want tcp | uds | ring)"))?,
-        };
-        let cfg = NetConfig {
-            transport,
-            ..NetConfig::default()
-        };
-        let run = with_policy!(&policy, spec =>
-            run_query_on(&spec, &tree, &qspec, &facts, cfg))?;
-        let meta = oat::query::json::ReportMeta {
-            stream,
-            seed,
-            keys,
-            transport: transport.name(),
-            tree: tree_spec,
-            policy: policy_spec,
-        };
-        if rest.iter().any(|a| a == "--json") {
-            println!("{}", oat::query::json::report_json(&run, &facts, &meta));
-        } else {
+fn cmd_query(a: &Args) -> Result<(), String> {
+    let qspec: oat::query::QuerySpec = a.positional.parse()?;
+    let tree_spec = a.str("--tree");
+    let tree = parse_tree(tree_spec)?;
+    let policy_spec = a.str("--policy");
+    let policy = parse_policy(policy_spec)?;
+    let facts_n: usize = a.num("--facts")?;
+    let keys: u32 = a.num("--keys")?;
+    let gap_ms: u64 = a.num("--gap-ms")?;
+    let seed: u64 = a.num("--seed")?;
+    let stream = a.str("--stream");
+    let facts = oat::workloads::facts::facts_by_name(stream, facts_n, keys, gap_ms, seed)
+        .ok_or_else(|| format!("bad --stream `{stream}` (want uniform | zipf | phases)"))?;
+    let transport = a.transport()?;
+    let cfg = NetConfig {
+        transport,
+        ..NetConfig::default()
+    };
+    let run = with_policy!(&policy, spec =>
+        run_query_on(&spec, &tree, &qspec, &facts, cfg))?;
+    let meta = oat::query::json::ReportMeta {
+        stream,
+        seed,
+        keys,
+        transport: transport.name(),
+        tree: tree_spec,
+        policy: policy_spec,
+    };
+    if a.get("--json").is_some() {
+        println!("{}", oat::query::json::report_json(&run, &facts, &meta));
+    } else {
+        println!(
+            "query: {qspec}\n  stream {stream} facts={} keys={keys} seed={seed} \
+             gap={gap_ms}ms transport={} tree={tree_spec} policy={policy_spec}",
+            facts.len(),
+            transport.name(),
+        );
+        const SHOW: usize = 120;
+        for p in run.partials.iter().take(SHOW) {
             println!(
-                "query: {qspec}\n  stream {stream} facts={} keys={keys} seed={seed} \
-                 gap={gap_ms}ms transport={} tree={tree_spec} policy={policy_spec}",
-                facts.len(),
-                transport.name(),
+                "  {} key {:>3} win {:>3} seq {:>4}  value {:>12}  coverage {:>6.1}%  \
+                 stale {:>3}  at {:>6}ms  +{:>8.1}ms",
+                if p.is_final { "FINAL  " } else { "partial" },
+                p.key,
+                p.window,
+                p.refine_seq,
+                p.value,
+                p.coverage * 100.0,
+                p.staleness,
+                p.at_ms,
+                p.wall_ms,
             );
-            const SHOW: usize = 120;
-            for p in run.partials.iter().take(SHOW) {
-                println!(
-                    "  {} key {:>3} win {:>3} seq {:>4}  value {:>12}  coverage {:>6.1}%  \
-                     stale {:>3}  at {:>6}ms  +{:>8.1}ms",
-                    if p.is_final { "FINAL  " } else { "partial" },
-                    p.key,
-                    p.window,
-                    p.refine_seq,
-                    p.value,
-                    p.coverage * 100.0,
-                    p.staleness,
-                    p.at_ms,
-                    p.wall_ms,
-                );
-            }
-            if run.partials.len() > SHOW {
-                println!("  ... and {} more partials", run.partials.len() - SHOW);
-            }
-            let oracle = oat::query::oracle_finals(&qspec, &facts);
-            println!("finals vs sequential oracle:");
-            let mut finals = run.finals.clone();
-            finals.sort_by_key(|f| (f.key, f.window));
-            for f in &finals {
-                let want = oracle
-                    .iter()
-                    .find(|o| o.key == f.key && o.window == f.window)
-                    .map(|o| o.value);
-                println!(
-                    "  key {:>3} window {:>3}: {} (oracle {}) {}",
-                    f.key,
-                    f.window,
-                    f.value,
-                    want.map_or("?".to_string(), |v| v.to_string()),
-                    if want == Some(f.value) {
-                        "ok"
-                    } else {
-                        "MISMATCH"
-                    },
-                );
-            }
+        }
+        if run.partials.len() > SHOW {
+            println!("  ... and {} more partials", run.partials.len() - SHOW);
+        }
+        let oracle = oat::query::oracle_finals(&qspec, &facts);
+        println!("finals vs sequential oracle:");
+        let mut finals = run.finals.clone();
+        finals.sort_by_key(|f| (f.key, f.window));
+        for f in &finals {
+            let want = oracle
+                .iter()
+                .find(|o| o.key == f.key && o.window == f.window)
+                .map(|o| o.value);
             println!(
-                "refinement: first-partial p50 {:.1}ms p99 {:.1}ms, t95-coverage {}, \
-                 {} partials ({} pushed), min per key {}",
-                run.stats.first_partial_p50_ms,
-                run.stats.first_partial_p99_ms,
-                run.stats
-                    .t95_coverage_ms
-                    .map_or("n/a".to_string(), |t| format!("{t:.1}ms")),
-                run.stats.partials_total,
-                run.stats.pushes_rx,
-                run.min_partials_per_key(),
+                "  key {:>3} window {:>3}: {} (oracle {}) {}",
+                f.key,
+                f.window,
+                f.value,
+                want.map_or("?".to_string(), |v| v.to_string()),
+                if want == Some(f.value) {
+                    "ok"
+                } else {
+                    "MISMATCH"
+                },
             );
         }
-        let ok = run.matches_oracle(&facts) && run.coverage_monotone() && run.refine_seq_monotone();
-        if !ok {
-            return Err("query verdicts failed (oracle match / monotonicity)".into());
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
+        println!(
+            "refinement: first-partial p50 {:.1}ms p99 {:.1}ms, t95-coverage {}, \
+             {} partials ({} pushed), min per key {}",
+            run.stats.first_partial_p50_ms,
+            run.stats.first_partial_p99_ms,
+            run.stats
+                .t95_coverage_ms
+                .map_or("n/a".to_string(), |t| format!("{t:.1}ms")),
+            run.stats.partials_total,
+            run.stats.pushes_rx,
+            run.min_partials_per_key(),
+        );
     }
+    let ok = run.matches_oracle(&facts) && run.coverage_monotone() && run.refine_seq_monotone();
+    if !ok {
+        return Err("query verdicts failed (oracle match / monotonicity)".into());
+    }
+    Ok(())
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1570,14 +1534,38 @@ mod tests {
         assert!(parse_policy("ab:2").is_err());
     }
 
+    fn parse(line: &str) -> Result<Args, String> {
+        let tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        let cmd = Command::select(&tokens[0], &tokens[1..]).ok_or("unknown command")?;
+        Args::parse(cmd, &tokens[1..])
+    }
+
     #[test]
-    fn flag_extraction() {
-        let args: Vec<String> = ["--tree", "pair", "--seed", "9"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag(&args, "--tree"), Some("pair"));
-        assert_eq!(flag(&args, "--seed"), Some("9"));
-        assert_eq!(flag(&args, "--nope"), None);
+    fn args_follow_the_table() {
+        let a = parse("run --tree pair --seed 9 --workload uniform:0.5:9").unwrap();
+        assert_eq!((a.str("--tree"), a.num::<u64>("--seed")), ("pair", Ok(9)));
+        assert_eq!(a.str("--policy"), "rww", "defaulted");
+        let a = parse("trace --tree pair --workload uniform:0.5:9").unwrap();
+        assert_eq!(
+            (a.str("--out"), a.get("--chrome")),
+            ("oat-trace.jsonl", None)
+        );
+        let q = parse("query sum group by key --json").unwrap();
+        assert_eq!(
+            (q.positional.as_str(), q.get("--json")),
+            ("sum group by key", Some(""))
+        );
+        for (line, err) in [
+            ("run --tree pair", "missing `--workload`"),
+            ("query --json", "missing QUERY"),
+            ("query sum --json max", "unexpected argument `max`"),
+            (
+                "trace --tree pair --script c@0 --seed 1",
+                "`--seed` cannot be combined with `--script`",
+            ),
+            ("mlap --seed --json", "`--seed` needs a value (N)"),
+        ] {
+            assert_eq!(parse(line).err().as_deref(), Some(err), "{line}");
+        }
     }
 }
