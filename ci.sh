@@ -95,15 +95,16 @@ rm -f "$MLAP_OUT"
 
 echo "== query smoke: oat query on tcp/uds/ring =="
 # The progressive-query layer: a tumbling group-by over a short seeded
-# zipf fact stream, on every transport. Pins the oat-query-v1 schema
-# and the verdicts `oat query` itself computes (it exits nonzero when
-# any of them fail): finals equal the sequential oracle exactly,
+# zipf fact stream, on every transport, and one last-N run, whose
+# retire write shares its fact's write round. Pins the oat-query-v1
+# schema and the verdicts `oat query` itself computes (it exits nonzero
+# when any of them fail): finals equal the sequential oracle exactly,
 # coverage and per-key refinement sequences are monotone, and every
 # key refined at least three times.
-for t in tcp uds ring; do
-  Q_OUT=$(mktemp /tmp/oat_query_${t}.XXXXXX.json)
-  ./target/release/oat query 'sum group by key window tumbling(100ms)' \
-    --stream zipf --facts 120 --keys 3 --transport "$t" --json > "$Q_OUT"
+query_smoke() { # TRANSPORT QUERY
+  Q_OUT=$(mktemp /tmp/oat_query_$1.XXXXXX.json)
+  ./target/release/oat query "$2" \
+    --stream zipf --facts 120 --keys 3 --transport "$1" --json > "$Q_OUT"
   for key in \
     '"schema": "oat-query-v1"' \
     '"oracle_match": true' \
@@ -112,12 +113,16 @@ for t in tcp uds ring; do
     '"min_partials_per_key":'
   do
     grep -qF "$key" "$Q_OUT" || {
-      echo "query smoke ($t): missing $key in $Q_OUT"
+      echo "query smoke ($1, $2): missing $key in $Q_OUT"
       exit 1
     }
   done
   rm -f "$Q_OUT"
+}
+for t in tcp uds ring; do
+  query_smoke "$t" 'sum group by key window tumbling(100ms)'
 done
+query_smoke tcp 'max group by key window last-10'
 
 echo "== chaos smoke: oat chaos =="
 # Seeded fault injection against the sequential oracle: drops/dups/delays

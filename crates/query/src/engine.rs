@@ -25,9 +25,13 @@
 //! an exact read needs a **propagation barrier** first: every write
 //! acked, then [`Cluster::quiesce`] — sufficient because the engine is
 //! the cluster's only client and is blocked meanwhile. Nothing in the
-//! engine waits on a timer: it writes one fact at a time (a sequential
-//! client), waits for that ack, takes the pushes that have already
-//! arrived, and moves on.
+//! engine waits on a timer. It writes in **rounds**: every write of a
+//! round goes out before any ack is awaited, and the next round starts
+//! only once all of them are acked. A fact is one round (with its
+//! `last-N` retire write, if any), and so is a window boundary's whole
+//! set of shard resets. Facts still go one at a time, so the engine is
+//! a sequential client; after each fact's round it takes the pushes
+//! that have already arrived and moves on.
 //!
 //! ## Refinement sources
 //!
@@ -43,7 +47,7 @@
 //!    so the first fact of a later tumbling window closes every open
 //!    window at once: one propagation barrier, the keys' combines
 //!    pipelined on the subscriber connection, one exact final per key,
-//!    and the keys' shards reset to identity.
+//!    and the keys' shards reset to identity in one write round.
 //! 3. **Settlement** — after the stream ends: one pre-final snapshot
 //!    per key, the barrier, and one exact final per key whose window is
 //!    still open.
@@ -281,20 +285,32 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
         });
     }
 
-    /// Writes one absolute value to the key's tree at node `shard` and
-    /// waits for the ack. One write at a time keeps the engine a
-    /// sequential client — the execution the paper's consistency
-    /// guarantee is stated for — and each wait is where the pushes of
-    /// earlier facts get the time to arrive. `is_fact` marks the one
-    /// write that carries a fact's contribution; refolds and window
-    /// resets do not count towards coverage.
-    fn write(&mut self, shard: usize, key: u32, value: i64, is_fact: bool) -> io::Result<()> {
-        self.writers[shard].write_tree(Self::tree_of(key), value)?;
-        if is_fact {
-            self.acked += 1;
-            if self.t95_ms.is_none() && self.acked as f64 / self.total as f64 >= 0.95 {
-                self.t95_ms = Some(ms(self.start.elapsed()));
-            }
+    /// Writes `(shard, key, value)` absolute values as one round: every
+    /// write is submitted and its connection flushed before any ack is
+    /// awaited, so the round costs one round trip, not one per write. A
+    /// round writes no `(key, shard)` twice, and the next one starts
+    /// only once this one is acked, so a shard sees each key's writes
+    /// in order on its one FIFO connection. The ack waits are where the
+    /// pushes of earlier facts get the time to arrive. `facts` counts
+    /// the writes that carry a fact's contribution; refolds and window
+    /// resets add no coverage.
+    fn write_round(&mut self, writes: &[(usize, u32, i64)], facts: u64) -> io::Result<()> {
+        for &(shard, key, value) in writes {
+            self.writers[shard].submit_write_tree(Self::tree_of(key), value)?;
+        }
+        // A writer already flushed has nothing buffered: the repeat is free.
+        for &(shard, ..) in writes {
+            self.writers[shard].flush_retry()?;
+        }
+        // Writers hold no subscription, so every response is an ack of
+        // this round; an unanswered write is re-driven under the armed
+        // timeout and retry.
+        for &(shard, ..) in writes {
+            self.writers[shard].next_response()?;
+        }
+        self.acked += facts;
+        if self.t95_ms.is_none() && self.acked as f64 / self.total as f64 >= 0.95 {
+            self.t95_ms = Some(ms(self.start.elapsed()));
         }
         Ok(())
     }
@@ -359,7 +375,8 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
 
     /// Closes every open tumbling window — the stream's clock has moved
     /// on to window `next` — behind one shared propagation barrier: an
-    /// exact final per key, then the key's shards reset to identity.
+    /// exact final per key, then the keys' shards reset to identity in
+    /// one write round.
     fn close_windows(&mut self, next: u64) -> io::Result<()> {
         let open = std::mem::take(&mut self.touched);
         let keys: Vec<u32> = open.keys().copied().collect();
@@ -372,14 +389,15 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
             self.emit_final(key, v);
         }
         let ident = self.spec.op.identity();
+        let mut resets = Vec::new();
         for (key, shards) in open {
             self.cur_window.insert(key, next);
             for s in shards {
                 self.accs.insert((key, s), ident);
-                self.write(s, key, ident, false)?;
+                resets.push((s, key, ident));
             }
         }
-        Ok(())
+        self.write_round(&resets, 0)
     }
 
     fn process_fact(&mut self, f: &Fact) -> io::Result<()> {
@@ -441,12 +459,16 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
         self.at_hw = f.at_ms;
         let marks = self.touched.entry(key).or_default();
         marks.insert(shard);
-        if let Some((s, v)) = retired {
-            marks.insert(s);
-            self.write(s, key, v, false)?;
+        let fact = (shard, key, self.accs[&(key, shard)]);
+        match retired {
+            // The retired shard differs from the fact's, so the two
+            // writes share one round.
+            Some((s, v)) => {
+                marks.insert(s);
+                self.write_round(&[(s, key, v), fact], 1)?;
+            }
+            None => self.write_round(&[fact], 1)?,
         }
-        let v = self.accs[&(key, shard)];
-        self.write(shard, key, v, true)?;
         self.drain_pushes()
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end engine properties over the in-process ring transport
-//! (the barrier test runs all three): partial sequences are monotone in
+//! (the barrier and reset-order tests run all three): partial sequences are monotone in
 //! coverage, refinement sequences strictly increase per key, and finals
 //! converge to the sequential oracle exactly — per key and per window,
 //! across operators, window modes, and seeds.
@@ -128,6 +128,24 @@ fn window_finals_wait_for_propagation() {
         for seed in 0..20 {
             eprintln!("barrier: {} seed={seed}", transport.name());
             check_on(transport, &s, &zipf_facts(60, 4, 1.2, 2, seed), &tree);
+        }
+    }
+}
+
+#[test]
+fn window_reset_and_next_fact_stay_ordered_per_shard() {
+    // One key over two nodes alternates shards, and 2ms windows over
+    // 1ms gaps hold two facts each: every boundary resets both shards,
+    // and the next fact rewrites one of them right behind its reset. A
+    // reset applied after that fact erases it from the next final.
+    let tree = Tree::path(2);
+    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+        for op in [OpKind::Sum, OpKind::Min, OpKind::Max] {
+            for seed in 0..3 {
+                let s = spec(op, true, "tumbling(2ms)");
+                eprintln!("reset order: {} {s} seed={seed}", transport.name());
+                check_on(transport, &s, &uniform_facts(40, 1, 1, seed), &tree);
+            }
         }
     }
 }

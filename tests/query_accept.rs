@@ -1,7 +1,7 @@
 //! Acceptance tests for the progressive query layer (`oat-query`):
 //! the same declarative query converges to the sequential oracle on
-//! all three transports, and a kill9 chaos run never regresses its
-//! partial sequence.
+//! all three transports, and kill9 chaos runs, with and without
+//! tumbling windows, never regress their partial sequence.
 
 use oat::core::agg::SumI64;
 use oat::core::fault::{CrashNode, FaultPlan};
@@ -56,27 +56,15 @@ fn tumbling_group_by_accepts_on_all_three_transports() {
     }
 }
 
-/// Kill9 chaos: two process kills mid-stream, each after the last write
-/// to a shard the killed node holds. The stream opens with one fact of
-/// a cold key per node (key 3 never recurs); a fault-free run has
-/// delivered at most 7 messages at any node by then, so the kills at 10
-/// and 20 hit nodes 1 and 2 after key 3's only writes to them. The
-/// finals still equal the oracle because every tree's written value is
-/// durable at its node — nothing is written twice. The partial sequence
-/// (coverage, per-key refinement seq) never regresses across the kills.
-#[test]
-fn kill9_chaos_partials_never_regress_and_finals_stay_exact() {
+/// Runs `spec` over `facts` on `kary:7:2` with a WAL while nodes 1 and
+/// 2 are kill9'd once each node has delivered 10 and 20 messages, and
+/// checks what every kill9 run must hold: both kills fired, finals
+/// equal the sequential oracle, the partial sequence (coverage, per-key
+/// refinement seq) never regresses across the kills, and no node stays
+/// dead.
+fn check_under_kill9(name: &str, spec: &QuerySpec, facts: &[Fact]) {
     let tree = Tree::kary(7, 2);
-    let spec: QuerySpec = "sum group by key".parse().unwrap();
-    let mut facts: Vec<Fact> = (0..7)
-        .map(|i| Fact {
-            key: 3,
-            val: 100 + i,
-            at_ms: 0,
-        })
-        .collect();
-    facts.extend(zipf_facts(120, 3, 1.2, 2, 0x9111));
-    let wal_dir = tmpdir("kill9");
+    let wal_dir = tmpdir(name);
     let plan = FaultPlan {
         seed: 7,
         kill9s: vec![
@@ -97,23 +85,55 @@ fn kill9_chaos_partials_never_regress_and_finals_stay_exact() {
     };
     let cluster =
         Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg).expect("spawn kill9");
-    let result = run(&cluster, &spec, &facts).expect("query under kill9");
+    let result = run(&cluster, spec, facts).expect("query under kill9");
 
     let (kill9s, _, _) = cluster.injected().snapshot_process();
-    assert_eq!(kill9s, 2, "both scheduled process kills must fire");
+    assert_eq!(kill9s, 2, "{spec}: both scheduled process kills must fire");
     assert!(
-        result.matches_oracle(&facts),
-        "written values must survive kill9: finals diverge"
+        result.matches_oracle(facts),
+        "{spec}: written values must survive kill9: finals diverge"
     );
     assert!(
         result.coverage_monotone(),
-        "coverage regressed across kill9"
+        "{spec}: coverage regressed across kill9"
     );
-    assert!(result.refine_seq_monotone(), "refine_seq regressed");
+    assert!(result.refine_seq_monotone(), "{spec}: refine_seq regressed");
     assert!(result.min_partials_per_key() >= 3);
 
     let report = cluster.shutdown();
     assert_eq!(report.faults.kill9s, 2);
     assert!(report.dead_nodes.is_empty(), "no node may stay wedged");
     let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+/// Kill9 chaos: two process kills mid-stream, each after the last write
+/// to a shard the killed node holds. The stream opens with one fact of
+/// a cold key per node (key 3 never recurs); a fault-free run has
+/// delivered at most 7 messages at any node by then, so the kills at 10
+/// and 20 hit nodes 1 and 2 after key 3's only writes to them. The
+/// finals still equal the oracle because every tree's written value is
+/// durable at its node — nothing is written twice.
+#[test]
+fn kill9_chaos_partials_never_regress_and_finals_stay_exact() {
+    let spec: QuerySpec = "sum group by key".parse().unwrap();
+    let mut facts: Vec<Fact> = (0..7)
+        .map(|i| Fact {
+            key: 3,
+            val: 100 + i,
+            at_ms: 0,
+        })
+        .collect();
+    facts.extend(zipf_facts(120, 3, 1.2, 2, 0x9111));
+    check_under_kill9("kill9", &spec, &facts);
+}
+
+/// Kill9 chaos over tumbling windows: with 2 ms gaps a 10 ms window
+/// closes every five facts, so the kills and the reconnects they force
+/// fall among rounds of window resets. A reset lost to a kill leaves
+/// the closed window's value in the shard, and the next final misses
+/// the oracle.
+#[test]
+fn kill9_chaos_across_window_resets_keeps_finals_exact() {
+    let spec: QuerySpec = "sum group by key window tumbling(10ms)".parse().unwrap();
+    check_under_kill9("kill9-window", &spec, &zipf_facts(160, 3, 1.2, 2, 0x9111));
 }
