@@ -124,26 +124,31 @@ for t in tcp uds ring; do
 done
 query_smoke tcp 'max group by key window last-10'
 
-echo "== chaos smoke: oat chaos =="
+echo "== chaos smoke: oat chaos on tcp/uds/ring =="
 # Seeded fault injection against the sequential oracle: drops/dups/delays
 # on every edge, two scheduled connection kills, one node crash-restart.
 # `oat chaos` exits nonzero itself if any combine diverges, the cluster
 # wedges, or a scheduled fault fails to fire.
-./target/release/oat chaos --tree kary:10:3 --workload uniform:0.5:80 \
-  --faults "seed:7,drop:0.05,dup:0.05,delay:0.05,kill:0-1@3,kill:2-0@4,crash:2@5"
+for t in tcp uds ring; do
+  ./target/release/oat chaos --tree kary:10:3 --workload uniform:0.5:80 \
+    --faults "seed:7,drop:0.05,dup:0.05,delay:0.05,kill:0-1@3,kill:2-0@4,crash:2@5" \
+    --transport "$t"
+done
 
-echo "== crash-recovery smoke: oat chaos --kill9 =="
+echo "== crash-recovery smoke: oat chaos --kill9 on tcp/uds/ring =="
 # Process-kill recovery from the write-ahead log: drops and dups on every
 # edge, one connection kill, the root and an internal node kill9'd, plus
 # a seeded torn-tail disk fault at recovery. --kill9 auto-provisions a
-# WAL in a fresh temp dir, so chaos_run's internal cross-checks are
-# armed: every scheduled kill9 fired, the per-node restart counters sum
-# to crashes + kill9s, and every WAL recovery replay is accounted for by
-# exactly one kill9 (it exits nonzero on any mismatch, a diverged
-# combine, or a wedged cluster).
-./target/release/oat chaos --tree kary:10:3 --workload uniform:0.5:80 \
-  --faults "seed:7,drop:0.05,dup:0.05,kill:0-1@3,torn-tail:64" \
-  --kill9 0@6,2@5
+# WAL in a fresh temp dir (removed when the run ends), so chaos_run's
+# internal cross-checks are armed: every scheduled kill9 fired, the
+# per-node restart counters sum to crashes + kill9s, and every WAL
+# recovery replay is accounted for by exactly one kill9 (it exits
+# nonzero on any mismatch, a diverged combine, or a wedged cluster).
+for t in tcp uds ring; do
+  ./target/release/oat chaos --tree kary:10:3 --workload uniform:0.5:80 \
+    --faults "seed:7,drop:0.05,dup:0.05,kill:0-1@3,torn-tail:64" \
+    --kill9 0@6,2@5 --transport "$t"
+done
 
 echo "== benchmark gate: benchmark/smoke.sh =="
 # The standalone benchmark package (BENCHMARK.json's command): its own

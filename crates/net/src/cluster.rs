@@ -1317,26 +1317,29 @@ impl<V: WireValue> ClusterClient<V> {
     }
 
     fn await_combine(&mut self, id: u64) -> io::Result<V> {
+        match self.await_response(id)? {
+            Response::Combine(v) => Ok(v),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "write ack for a combine request id",
+            )),
+        }
+    }
+
+    /// Blocks for the response to request `id`, parking pushed partials
+    /// for `try_next_response` and skipping other ids.
+    fn await_response(&mut self, id: u64) -> io::Result<Response<V>> {
         loop {
             let (got, resp) = self.next_response()?;
             if let Response::Partial { .. } = resp {
-                // A pushed refinement arriving mid-call: park it for
-                // try_next_response, don't drop a subscription event.
+                // A pushed refinement arriving mid-call: park it, don't
+                // drop a subscription event.
                 self.parked_partials.push_back((got, resp));
-                continue;
+            } else if got == id {
+                return Ok(resp);
             }
-            if got != id {
-                // An older pipelined submission resolving late; the
-                // caller of this sync API gave up on pairing those.
-                continue;
-            }
-            return match resp {
-                Response::Combine(v) => Ok(v),
-                _ => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "write ack for a combine request id",
-                )),
-            };
+            // Otherwise an older pipelined submission resolving late; the
+            // caller of this sync API gave up on pairing those.
         }
     }
 
@@ -1359,22 +1362,12 @@ impl<V: WireValue> ClusterClient<V> {
     }
 
     fn await_write(&mut self, id: u64) -> io::Result<()> {
-        loop {
-            let (got, resp) = self.next_response()?;
-            if let Response::Partial { .. } = resp {
-                self.parked_partials.push_back((got, resp));
-                continue;
-            }
-            if got != id {
-                continue;
-            }
-            return match resp {
-                Response::Write => Ok(()),
-                _ => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "combine value for a write request id",
-                )),
-            };
+        match self.await_response(id)? {
+            Response::Write => Ok(()),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "combine value for a write request id",
+            )),
         }
     }
 

@@ -52,6 +52,7 @@
 pub mod cluster;
 pub mod durability;
 pub mod frame;
+mod link;
 pub mod metrics;
 mod node;
 mod reactor;

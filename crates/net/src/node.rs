@@ -4,13 +4,13 @@
 //!
 //! A node is plain data — [`NodeRt`] — owned by exactly one reactor
 //! thread (see [`crate::reactor`]): the automaton instances, the
-//! per-edge [`EdgeLink`]s (sequencing + retransmit buffer + the live
-//! connection), the client connections, and the per-node [`MsgStats`].
-//! There are no per-node threads, no inbox channel, and no locks: every
-//! byte this node reads or writes moves through its owning reactor's
-//! event loop, which calls the `on_*` handlers below when a socket is
-//! ready and [`NodeRt::flush`] after every wakeup that touched the node
-//! (an event, or a timer that fired).
+//! per-edge [`Edge`]s (sequenced link + the live connection), the
+//! client connections, and the per-node [`MsgStats`]. There are no
+//! per-node threads, no inbox channel, and no locks: every byte this
+//! node reads or writes moves through its owning reactor's event loop,
+//! which calls the `on_*` handlers below when a socket is ready and
+//! [`NodeRt::flush`] after every wakeup that touched the node (an
+//! event, or a timer that fired).
 //!
 //! Inbound bytes land in per-connection [`FrameDecoder`]s, so a frame
 //! split across arbitrarily many TCP segments (or a client that stalls
@@ -32,19 +32,10 @@
 //! 0 alone feeds the ghost log and the completion log (the sim-parity
 //! records).
 //!
-//! ## The sequenced edge link
+//! ## Edges and backpressure
 //!
-//! The paper assumes reliable FIFO channels; a single TCP connection
-//! provides that only while it lives. Every payload frame between
-//! neighbours therefore carries a per-directed-edge sequence number
-//! (`TAG_SEQ`), the receiver delivers exactly the next expected number
-//! and discards everything else, and acknowledges cumulatively
-//! (`TAG_ACK`) at flush boundaries. The sender keeps unacknowledged
-//! frames in a retransmit buffer and re-sends them (go-back-N) on an
-//! RTO tick or after a reconnect, resuming from the watermark the
-//! peer's hello reported. Together: per-edge FIFO **exactly-once**
-//! delivery that survives killed connections and injected
-//! drop/duplicate faults.
+//! Each [`Edge`] pairs its sequenced [`Link`] (`crate::link`) with the
+//! connection plumbing; [`NodeRt::apply`] carries out each link [`Step`].
 //!
 //! Exactly-once forbids dropping unacknowledged frames, so the
 //! retransmit buffer is bounded by *backpressure* instead of eviction:
@@ -57,12 +48,6 @@
 //! Edge connections are never stalled: acks and peer traffic must keep
 //! flowing or the stall could never clear. Stall entries are counted in
 //! [`NodeMetrics::backpressure_stalls`].
-//!
-//! Injected faults never touch the quiescence or message-count books:
-//! stats and the in-flight gauge are recorded once, when a frame is
-//! first buffered; retransmits and duplicates are not re-counted, and a
-//! discarded duplicate decrements nothing. A fault-free run and a
-//! faulty-but-recovered run have identical logical message counts.
 //!
 //! ## Crash-restart supervision and durability grades
 //!
@@ -94,28 +79,22 @@
 //! ## Quiescence accounting
 //!
 //! A cluster-wide counter ([`crate::reactor::InFlight`], an `AtomicI64`
-//! plus a condvar notified at zero) counts undelivered work. Client requests
-//! are counted at decode and settled when their dispatch ends. Edge
-//! frames settle on *acknowledgement*: the sender increments when a
-//! frame is assigned its sequence number and decrements once per frame
-//! trimmed from the retransmit buffer (cumulative ack, reconnect-hello
-//! watermark — each frame leaves exactly once). Outstanding edge debt
-//! therefore always equals the total frames parked in retransmit
-//! buffers, which is what makes kill9 accounting exact: demolishing a
-//! node forgives its buffered frames, replaying the WAL re-charges the
-//! recovered ones. Work spawned by a delivered frame is counted before
-//! the ack that settles its parent can be flushed, so the counter never
-//! dips to zero while logical work remains and `quiesce()` stays exact
-//! under connection kills and process kills alike.
+//! plus a condvar notified at zero) counts undelivered work. Client
+//! requests are counted at decode and settled when their dispatch ends;
+//! edge frames are charged and settled by their link (`crate::link`).
+//! Work spawned by a delivered frame is counted before the ack that
+//! settles its parent can be flushed, so the counter never dips to zero
+//! while logical work remains and `quiesce()` stays exact under
+//! connection kills and process kills alike.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::Shutdown;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use oat_core::agg::AggOp;
-use oat_core::fault::{EdgeFaults, FaultAction, FaultPlan, InjectedFaults};
+use oat_core::fault::{FaultPlan, InjectedFaults};
 use oat_core::ghost::GhostReq;
 use oat_core::mechanism::{CombineOutcome, MechNode, Outbox};
 use oat_core::policy::PolicySpec;
@@ -129,26 +108,17 @@ use std::rc::Rc;
 
 use crate::durability::{LinkState, WalDurability, WalState};
 use crate::frame::{
-    decode_batch, decode_request, encode_batch, EdgePayload, TAG_ACK, TAG_HELLO_CLIENT,
-    TAG_HELLO_EDGE, TAG_PARTIAL, TAG_REQ_BATCH, TAG_REQ_METRICS, TAG_RESP_BATCH, TAG_RESP_COMBINE,
-    TAG_RESP_METRICS, TAG_RESP_WRITE, TAG_SEQ, TAG_SUB,
+    decode_batch, decode_request, encode_batch, EdgePayload, TAG_HELLO_CLIENT, TAG_HELLO_EDGE,
+    TAG_PARTIAL, TAG_REQ_BATCH, TAG_REQ_METRICS, TAG_RESP_BATCH, TAG_RESP_COMBINE,
+    TAG_RESP_METRICS, TAG_RESP_WRITE, TAG_SUB,
 };
+use crate::link::{parse_hello, Link, Step};
 use crate::metrics::NodeMetrics;
-use crate::reactor::{Conn, InFlight, NodeSeed, Tok, WriteQueue};
+use crate::reactor::{Conn, InFlight, NodeSeed, Tok};
 use crate::transport::{Listener, NodeAddr, Stream};
 
 /// Identifies one client connection to one node.
 pub(crate) type ClientId = u64;
-
-/// Retransmission-timer granularity: when unacknowledged frames exist,
-/// the reactor wakes at this cadence and re-sends on edges whose ack
-/// watermark made no progress since the previous tick.
-pub(crate) const RTO: Duration = Duration::from_millis(30);
-
-/// Reconnect backoff: first delay, doubled per failed attempt up to the
-/// cap, with seeded jitter in `[0, delay)` added on top.
-const RECONNECT_BASE_MS: u64 = 2;
-const RECONNECT_CAP_MS: u64 = 200;
 
 /// Default retransmit-buffer backpressure watermarks (frames per edge):
 /// at the high mark the node parks its client intake, below the low
@@ -236,12 +206,12 @@ struct InFlightGuard<'a>(&'a InFlight);
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        self.0.sub(1);
+        self.0.add(-1);
     }
 }
 
-/// Cluster-shared context, borrowed by every handler. Immutable for the
-/// cluster's lifetime.
+/// Cluster-shared context, borrowed by every handler. Only `now`
+/// changes: the reactor reads its clock once per wakeup.
 pub(crate) struct Ctx<'a, S, A: AggOp> {
     pub tree: &'a Tree,
     pub addrs: &'a [NodeAddr],
@@ -259,70 +229,18 @@ pub(crate) struct Ctx<'a, S, A: AggOp> {
     pub rtx_low: usize,
     /// The owning reactor's poller; every [`Conn`] registers itself.
     pub poller: &'a Rc<Poller>,
+    pub now: Instant,
 }
 
-/// Send + receive state of one edge: the sequenced link, its live
-/// connection (if any), and the redial timer. Survives both reconnects
-/// and automaton crashes — the sequence space of an edge is continuous
-/// across both.
-struct EdgeLink {
-    peer: NodeId,
+/// One edge: its sequenced link and the connection plumbing under it.
+struct Edge {
+    link: Link<Instant>,
     /// The live connection; `None` while down.
     conn: Option<Conn>,
     /// A dial in progress: connected, hello sent, awaiting the reply.
     pending_dial: Option<Conn>,
-    /// When to attempt the next dial (dialer side, edge down).
-    redial_at: Option<Instant>,
-    backoff_ms: u64,
-    /// splitmix64 state for reconnect jitter, seeded per directed edge.
-    jitter_state: u64,
-    /// Last sequence number assigned to an outgoing frame.
-    tx_seq: u64,
-    /// Highest sequence number the peer has acknowledged.
-    acked: u64,
-    /// `acked` as of the previous RTO tick (progress detection).
-    acked_at_tick: u64,
-    /// Unacknowledged frames: `(seq, inner tag, body, last transmit)`.
-    /// The timestamp distinguishes a stalled peer from a frame sent just
-    /// before an RTO tick — only frames at least one RTO old are
-    /// eligible for go-back-N.
-    rtx: VecDeque<(u64, u8, Vec<u8>, Instant)>,
-    /// Highest in-order sequence number received from the peer.
-    rx_seq: u64,
-    /// Highest rx watermark we have acked back to the peer.
-    rx_acked: u64,
-    /// Re-send the cumulative ack at the next flush even though
-    /// `rx_seq` did not advance: the peer retransmitted frames we
-    /// already delivered, so our previous ack was evidently lost.
-    reack: bool,
-    /// Frames the sequencer discarded: duplicates, out-of-window
-    /// futures (go-back-N re-delivers them in order), undecodables.
-    dup_drops: u64,
-    /// True when this endpoint owns redialing (lower id dials higher).
-    dialer: bool,
     /// The edge was up at least once (distinguishes reconnects).
     ever_up: bool,
-    /// Seeded fault-decision stream for this directed edge.
-    faults: Option<EdgeFaults>,
-}
-
-impl EdgeLink {
-    fn next_jitter(&mut self, bound: u64) -> u64 {
-        self.jitter_state = self.jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.jitter_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % bound.max(1)
-    }
-
-    /// Arms the next dial attempt after a failed one: the current
-    /// backoff plus seeded jitter, then doubles the backoff up to the cap.
-    fn schedule_redial(&mut self) {
-        let backoff = self.backoff_ms;
-        let jitter = self.next_jitter(backoff);
-        self.redial_at = Some(Instant::now() + Duration::from_millis(backoff + jitter));
-        self.backoff_ms = (backoff * 2).min(RECONNECT_CAP_MS);
-    }
 }
 
 /// One unit of decoded work, dispatched in decode order.
@@ -447,7 +365,7 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     /// [`Tok`] its sockets are registered under.
     slot: usize,
     listener: Listener,
-    links: Vec<EdgeLink>,
+    links: Vec<Edge>,
     /// Accepted connections that have not yet sent their hello.
     pending: HashMap<u64, Conn>,
     next_pending: u64,
@@ -482,8 +400,6 @@ pub(crate) struct NodeRt<S: PolicySpec, A: AggOp> {
     /// Times the node entered a client-intake stall (see module docs).
     backpressure_stalls: u64,
     stalled: bool,
-    /// Edges currently up (for the ready signal).
-    connected: usize,
     ready_sent: bool,
     ready_tx: Sender<()>,
     abandoned: u64,
@@ -513,33 +429,15 @@ where
         ctx.poller
             .add(listener.as_raw_fd(), Tok::Listener(slot).pack(), POLLIN)
             .expect("register listener");
-        let now = Instant::now();
-        let links: Vec<EdgeLink> = ctx
+        let links: Vec<Edge> = ctx
             .tree
             .nbrs(id)
             .iter()
-            .map(|&v| {
-                let dialer = id.0 < v.0;
-                EdgeLink {
-                    peer: v,
-                    conn: None,
-                    pending_dial: None,
-                    // Dialers attempt immediately at the first timer pass.
-                    redial_at: dialer.then_some(now),
-                    backoff_ms: RECONNECT_BASE_MS,
-                    jitter_state: plan.jitter_seed(id, v),
-                    tx_seq: 0,
-                    acked: 0,
-                    acked_at_tick: 0,
-                    rtx: VecDeque::new(),
-                    rx_seq: 0,
-                    rx_acked: 0,
-                    reack: false,
-                    dup_drops: 0,
-                    dialer,
-                    ever_up: false,
-                    faults: (!plan.is_empty()).then(|| plan.edge_stream(id, v)),
-                }
+            .map(|&v| Edge {
+                link: Link::new(id, v, plan, ctx.now),
+                conn: None,
+                pending_dial: None,
+                ever_up: false,
             })
             .collect();
         let ready_sent = links.is_empty();
@@ -569,7 +467,6 @@ where
             counters: FaultCounters::default(),
             backpressure_stalls: 0,
             stalled: false,
-            connected: 0,
             ready_sent,
             ready_tx,
             abandoned: 0,
@@ -594,12 +491,12 @@ where
     pub(crate) fn wants_rto_tick(&self) -> bool {
         self.links
             .iter()
-            .any(|l| l.conn.is_some() && !l.rtx.is_empty())
+            .any(|e| e.conn.is_some() && e.link.unacked() > 0)
     }
 
     /// Earliest pending redial timer, if any.
     pub(crate) fn next_redial(&self) -> Option<Instant> {
-        self.links.iter().filter_map(|l| l.redial_at).min()
+        self.links.iter().filter_map(|e| e.link.next_redial()).min()
     }
 
     /// Accepts everything the listener has ready; connections park in
@@ -630,24 +527,11 @@ where
         };
         let closed = conn.read_ready(scratch);
         match conn.dec.try_frame() {
+            Ok(None) if !closed => {}
             Ok(Some((TAG_HELLO_EDGE, payload))) => {
                 let conn = self.pending.remove(&pid).expect("present above");
-                let mut r = WireReader::new(&payload);
-                let parsed = r.u32("hello node id").and_then(|id| {
-                    Ok((
-                        NodeId(id),
-                        r.u64("hello rx watermark")?,
-                        r.u64("hello ack watermark")?,
-                    ))
-                });
-                if let Ok((peer, peer_rx, peer_acked)) = parsed {
-                    if let Some(wi) = self.install_edge(peer, conn, peer_rx, peer_acked, true, ctx)
-                    {
-                        // The dialer may have pipelined nothing (it waits
-                        // for our reply), but a *reconnecting* peer's
-                        // replay can already sit behind the hello.
-                        self.drain_edge(wi, ctx);
-                    }
+                if let Some((peer, peer_rx, peer_acked)) = parse_hello(&payload) {
+                    self.install_edge(peer, conn, peer_rx, peer_acked, true, ctx);
                 }
             }
             Ok(Some((TAG_HELLO_CLIENT, _))) => {
@@ -662,13 +546,8 @@ where
                 // segment; serve whatever already decoded.
                 self.on_client_ready(cid, ctx, &mut []);
             }
-            Ok(Some(_)) | Err(_) => {
+            _ => {
                 self.pending.remove(&pid);
-            }
-            Ok(None) => {
-                if closed {
-                    self.pending.remove(&pid);
-                }
             }
         }
     }
@@ -677,42 +556,22 @@ where
     /// reply carrying the peer's receive watermark, then promote it to
     /// the live edge connection.
     pub(crate) fn on_dial_ready(&mut self, wi: usize, ctx: &Ctx<'_, S, A>, scratch: &mut [u8]) {
-        let link = &mut self.links[wi];
-        let Some(conn) = link.pending_dial.as_mut() else {
+        let e = &mut self.links[wi];
+        let Some(conn) = e.pending_dial.as_mut() else {
             return;
         };
         let closed = conn.read_ready(scratch);
-        match conn.dec.try_frame() {
-            Ok(Some((TAG_HELLO_EDGE, payload))) => {
-                let peer = link.peer;
-                let conn = link.pending_dial.take().expect("present above");
-                let mut r = WireReader::new(&payload);
-                let parsed = r
-                    .u32("hello reply id")
-                    .and_then(|id| Ok((id, r.u64("hello reply rx")?, r.u64("hello reply acked")?)));
-                match parsed {
-                    Ok((id, peer_rx, peer_acked)) if id == peer.0 => {
-                        if let Some(wi) =
-                            self.install_edge(peer, conn, peer_rx, peer_acked, false, ctx)
-                        {
-                            // The peer's replay may ride the same segment
-                            // as its hello reply; deliver it now.
-                            self.drain_edge(wi, ctx);
-                        }
-                    }
-                    _ => self.links[wi].schedule_redial(),
-                }
+        let hello = match conn.dec.try_frame() {
+            Ok(None) if !closed => return,
+            Ok(Some((TAG_HELLO_EDGE, payload))) => parse_hello(&payload),
+            _ => None,
+        };
+        let conn = e.pending_dial.take().expect("present above");
+        match hello {
+            Some((id, peer_rx, peer_acked)) if id == e.link.peer => {
+                self.install_edge(id, conn, peer_rx, peer_acked, false, ctx);
             }
-            Ok(Some(_)) | Err(_) => {
-                self.links[wi].pending_dial = None;
-                self.links[wi].schedule_redial();
-            }
-            Ok(None) => {
-                if closed {
-                    self.links[wi].pending_dial = None;
-                    self.links[wi].schedule_redial();
-                }
-            }
+            _ => e.link.dial_failed(ctx.now),
         }
     }
 
@@ -726,7 +585,7 @@ where
         let ok = self.drain_edge(wi, ctx);
         if closed || !ok {
             self.downed.push(wi);
-            self.settle_downed();
+            self.settle_downed(ctx);
         }
     }
 
@@ -735,108 +594,30 @@ where
     /// frame length) and must be torn down.
     fn drain_edge(&mut self, wi: usize, ctx: &Ctx<'_, S, A>) -> bool {
         let mut work: Vec<Work<A::Value>> = Vec::new();
-        let mut ok = true;
-        let rx_before = self.links[wi].rx_seq;
-        let acked_before = self.links[wi].acked;
-        {
-            let link = &mut self.links[wi];
-            let Some(conn) = link.conn.as_mut() else {
-                return true;
-            };
-            loop {
-                match conn.dec.try_frame() {
-                    Ok(None) => break,
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                    Ok(Some((TAG_SEQ, payload))) => {
-                        if payload.len() < 9 {
-                            link.dup_drops += 1;
-                            continue;
-                        }
-                        let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                        let inner = payload[8];
-                        let body = &payload[9..];
-                        if seq != link.rx_seq + 1 {
-                            // A duplicate (below the window) or a future
-                            // frame (something below it was lost — go-
-                            // back-N re-delivers in order). Discard; the
-                            // sender settles the logical frame's in-
-                            // flight debt when it is acked, so copies
-                            // are free.
-                            link.dup_drops += 1;
-                            if seq <= link.rx_seq {
-                                // Already-delivered frames coming back
-                                // mean the peer never saw our cumulative
-                                // ack; repeat it even though rx_seq is
-                                // not advancing.
-                                link.reack = true;
-                            }
-                            continue;
-                        }
-                        link.rx_seq = seq;
-                        oat_obs::trace_event!(
-                            oat_obs::EventKind::FrameRx,
-                            self.id.0,
-                            link.peer.0,
-                            (seq << 8) | u64::from(inner)
-                        );
-                        match EdgePayload::decode(inner, body) {
-                            Some(payload) => {
-                                self.gauge.on_enqueue();
-                                work.push(Work::Peer {
-                                    from: link.peer,
-                                    payload,
-                                });
-                            }
-                            // Undecodable payload: degrade, do not panic.
-                            // The cumulative ack below settles the
-                            // sender's account like any delivered frame.
-                            None => link.dup_drops += 1,
-                        }
-                    }
-                    Ok(Some((TAG_ACK, payload))) => {
-                        let mut r = WireReader::new(&payload);
-                        if let Ok(upto) = r.u64("ack watermark") {
-                            if upto > link.acked {
-                                link.acked = upto;
-                            }
-                            // Each trimmed frame settles its in-flight
-                            // debt — the one and only settle for an edge
-                            // frame (trims are the only rtx removals).
-                            let mut settled = 0;
-                            while link.rtx.front().is_some_and(|(s, ..)| *s <= link.acked) {
-                                link.rtx.pop_front();
-                                settled += 1;
-                            }
-                            if settled > 0 {
-                                ctx.in_flight.sub(settled);
-                            }
-                        } else {
-                            link.dup_drops += 1;
-                        }
-                    }
-                    // Unknown frame on an authenticated edge: count, skip.
-                    Ok(Some(_)) => {
-                        link.dup_drops += 1;
+        let mut step = Step::default();
+        let e = &mut self.links[wi];
+        let Some(conn) = e.conn.as_mut() else {
+            return true;
+        };
+        let ok = loop {
+            match conn.dec.try_frame() {
+                Ok(None) => break true,
+                Err(_) => break false,
+                Ok(Some((tag, payload))) => {
+                    let (s, got) = e.link.receive(tag, &payload, EdgePayload::decode);
+                    step += s;
+                    if let Some(payload) = got {
+                        self.gauge.on_enqueue();
+                        let from = e.link.peer;
+                        work.push(Work::Peer { from, payload });
                     }
                 }
             }
-        }
-        if let Some(wal) = &mut self.wal {
-            // One watermark record per drain, not per frame: the WAL
-            // needs the high-water marks, not the arrival history. Rx is
-            // logged before dispatch so the delivered frames' own log
-            // records (sends they trigger) sort after their cause.
-            let link = &self.links[wi];
-            if link.rx_seq > rx_before {
-                wal.log_rx(link.peer.0, link.rx_seq);
-            }
-            if link.acked > acked_before {
-                wal.log_ack(link.peer.0, link.acked);
-            }
-        }
+        };
+        // One watermark record per drain, not per frame, logged before
+        // dispatch so the delivered frames' own log records (sends they
+        // trigger) sort after their cause.
+        self.apply(wi, step, ctx);
         for w in work {
             self.dispatch(w, ctx);
         }
@@ -1022,7 +803,7 @@ where
         if run.is_err() {
             self.crash_restart(ctx);
         }
-        self.settle_downed();
+        self.settle_downed(ctx);
     }
 
     /// The body of [`NodeRt::dispatch`]: one arm per kind of input, the
@@ -1121,13 +902,7 @@ where
                         }
                         self.inst(tree, ctx).mech.handle_write(arg, &mut out);
                         self.send_outbox(tree, out, ctx);
-                        respond(
-                            &mut self.clients,
-                            &mut self.book,
-                            conn,
-                            TAG_RESP_WRITE,
-                            &req_id.to_le_bytes(),
-                        );
+                        self.respond(conn, TAG_RESP_WRITE, &req_id.to_le_bytes());
                         oat_obs::trace_event!(
                             oat_obs::EventKind::RespTx,
                             self.id.0,
@@ -1188,13 +963,7 @@ where
                 let mut payload = Vec::with_capacity(64);
                 put_u64(&mut payload, req_id);
                 metrics.encode(&mut payload);
-                respond(
-                    &mut self.clients,
-                    &mut self.book,
-                    conn,
-                    TAG_RESP_METRICS,
-                    &payload,
-                );
+                self.respond(conn, TAG_RESP_METRICS, &payload);
             }
         }
     }
@@ -1247,18 +1016,39 @@ where
         }
     }
 
-    /// Encodes `payload` and sends it on edge `wi`'s sequenced link.
+    /// Sends `payload` on edge `wi`, logged before it can reach a socket.
     fn send_edge(&mut self, wi: usize, payload: EdgePayload<A::Value>, ctx: &Ctx<'_, S, A>) {
         let mut body = Vec::with_capacity(36);
         let inner = payload.encode(&mut body);
-        if send_seq(
-            self.id,
-            &mut self.links[wi],
-            self.wal.as_mut(),
-            inner,
-            body,
-            ctx,
-        ) {
+        let e = &mut self.links[wi];
+        let out = e.conn.as_mut().map(|c| &mut c.out);
+        let step = e.link.send(ctx.now, inner, body, out, ctx.ledger);
+        if let Some(wal) = &mut self.wal {
+            let (seq, inner, body) = e.link.newest();
+            wal.log_send(e.link.peer.0, seq, inner, body);
+        }
+        self.apply(wi, step, ctx);
+    }
+
+    /// Carries out a link [`Step`]: debt to the in-flight gauge, moved
+    /// watermarks and renumberings to the log, counts, a sever.
+    fn apply(&mut self, wi: usize, step: Step, ctx: &Ctx<'_, S, A>) {
+        ctx.in_flight.add(step.debt);
+        self.counters.retransmits += step.resent;
+        self.counters.timeouts += step.timeouts;
+        if let Some(wal) = &mut self.wal {
+            let peer = self.links[wi].link.peer.0;
+            if let Some(rx) = step.rx {
+                wal.log_rx(peer, rx);
+            }
+            if let Some(acked) = step.acked {
+                wal.log_ack(peer, acked);
+            }
+        }
+        if step.renumbered {
+            self.snapshot_wal();
+        }
+        if step.sever {
             self.downed.push(wi);
         }
     }
@@ -1267,7 +1057,7 @@ where
     /// order — ascending, like every instance's neighbour table.
     fn nbr_index(&self, v: NodeId) -> usize {
         self.links
-            .binary_search_by_key(&v, |l| l.peer)
+            .binary_search_by_key(&v, |e| e.link.peer)
             .unwrap_or_else(|_| panic!("{v} is not a neighbour of {}", self.id))
     }
 
@@ -1286,17 +1076,39 @@ where
         let mut payload = Vec::with_capacity(16);
         put_u64(&mut payload, req_id);
         v.encode(&mut payload);
-        respond(
-            &mut self.clients,
-            &mut self.book,
-            conn,
-            TAG_RESP_COMBINE,
-            &payload,
-        );
+        self.respond(conn, TAG_RESP_COMBINE, &payload);
         oat_obs::trace_event!(oat_obs::EventKind::RespTx, self.id.0, conn as u32, req_id);
         if tree == 0 {
             // The completion log is a tree-0 sim-parity artifact.
             self.completions.push((self.id, v.clone()));
+        }
+    }
+
+    /// Queues one response frame for a client connection. A missing writer
+    /// means the client vanished; its responses are dropped — clients are
+    /// untrusted peers, their disappearance must not kill a node.
+    ///
+    /// Responses owed to an in-progress batch are routed into its
+    /// accumulator instead; the gathered items *stream* out as
+    /// `TAG_RESP_BATCH` frames at flush boundaries (see [`BatchBook`] and
+    /// [`NodeRt::stream_batches`]), so a completed member never waits
+    /// behind the roster's slowest one.
+    fn respond(&mut self, conn: ClientId, tag: u8, payload: &[u8]) {
+        if payload.len() >= 8 {
+            let req_id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+            if let Some(key) = self.book.member.remove(&(conn, req_id)) {
+                let acc = self
+                    .book
+                    .accs
+                    .get_mut(&(conn, key))
+                    .expect("member implies acc");
+                acc.items.push((tag, payload.to_vec()));
+                acc.remaining -= 1;
+                return;
+            }
+        }
+        if let Some(c) = self.clients.get_mut(&conn) {
+            c.out.frame(tag, payload);
         }
     }
 
@@ -1401,11 +1213,7 @@ where
         vals: HashMap<u32, A::Value>,
         ctx: &Ctx<'_, S, A>,
     ) {
-        self.abandoned += self
-            .insts
-            .values()
-            .map(|i| i.waiters.len() as u64)
-            .sum::<u64>();
+        self.abandoned += self.parked();
         self.epoch = epoch;
         if let Some(wal) = &mut self.wal {
             wal.log_epoch(epoch);
@@ -1428,7 +1236,12 @@ where
         for wi in 0..self.links.len() {
             self.send_edge(wi, EdgePayload::Reset, ctx);
         }
-        self.settle_downed();
+        self.settle_downed(ctx);
+    }
+
+    /// Combines parked on every instance, dropped unanswered with them.
+    fn parked(&self) -> u64 {
+        self.insts.values().map(|i| i.waiters.len() as u64).sum()
     }
 
     /// Whether a kill9 fired during the last dispatch pass; consumes the
@@ -1450,10 +1263,10 @@ where
         self.counters.restarts += 1;
         self.counters.kill9s += 1;
         // Sever every connection the dead process held.
-        for (_, conn) in self.pending.drain() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        for (_, conn) in self.clients.drain() {
+        let edges = self.links.iter_mut();
+        let edges = edges.flat_map(|e| [e.conn.take(), e.pending_dial.take()]);
+        let conns = self.pending.drain().chain(self.clients.drain());
+        for conn in conns.map(|(_, c)| c).chain(edges.flatten()) {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
         self.book = BatchBook::default();
@@ -1463,52 +1276,18 @@ where
         self.tree_subs.clear();
         self.downed.clear();
         self.stalled = false;
-        // Forgive the dead incarnation's buffered frames: outstanding
-        // edge debt equals Σ rtx lengths, so this is exact. Recovery
-        // below re-charges whatever the WAL preserved.
-        let mut forgiven = 0;
-        for link in &mut self.links {
-            if let Some(conn) = link.conn.take() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-            if let Some(conn) = link.pending_dial.take() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-            forgiven += link.rtx.len() as i64;
-            link.rtx.clear();
-            link.tx_seq = 0;
-            link.acked = 0;
-            link.acked_at_tick = 0;
-            link.rx_seq = 0;
-            link.rx_acked = 0;
-            link.reack = false;
-            link.redial_at = None;
-        }
-        if forgiven > 0 {
-            ctx.in_flight.sub(forgiven);
-        }
-        self.connected = 0;
-        // Rebuild from the log, exactly like a cold start...
+        // Rebuild from the log, exactly like a cold start.
         let state = self
             .wal
             .as_mut()
             .and_then(WalDurability::recover)
             .unwrap_or_default();
         self.restore_from(state, ctx);
-        // ...and start redialing immediately on edges we own.
-        let now = Instant::now();
-        for link in &mut self.links {
-            if link.dialer {
-                link.backoff_ms = RECONNECT_BASE_MS;
-                link.redial_at = Some(now);
-            }
-        }
     }
 
     /// Rebuilds the automata + transport state from recovered durable
     /// state: the cold-start path, shared by spawn-over-existing-WAL and
-    /// [`NodeRt::kill9_restart`]. Expects link sequence state to be at
-    /// its zero value on entry.
+    /// [`NodeRt::kill9_restart`].
     fn restore_from(&mut self, state: WalState, ctx: &Ctx<'_, S, A>) {
         // Every tree's written value; tree 0 at identity when it has none.
         let mut vals = HashMap::from([(0, ctx.op.identity())]);
@@ -1517,28 +1296,15 @@ where
                 vals.insert(tree, v);
             }
         }
-        // Restore per-edge sequence state and re-charge the recovered
-        // retransmit buffers into the in-flight gauge.
-        let now = Instant::now();
-        let mut recharged = 0;
-        for ls in &state.links {
-            let Some(link) = self.links.iter_mut().find(|l| l.peer.0 == ls.peer) else {
-                continue;
-            };
-            link.tx_seq = ls.tx_seq;
-            link.acked = ls.acked;
-            link.acked_at_tick = ls.acked;
-            link.rx_seq = ls.rx_seq;
-            link.rx_acked = ls.rx_seq;
-            link.rtx = ls
-                .rtx
-                .iter()
-                .map(|(seq, inner, body)| (*seq, *inner, body.clone(), now))
-                .collect();
-            recharged += link.rtx.len() as i64;
-        }
-        if recharged > 0 {
-            ctx.in_flight.add(recharged);
+        // Every link takes its recovered image (zero when the log has
+        // none): the dead incarnation's buffered frames are forgiven, the
+        // recovered ones re-charged.
+        let none = LinkState::default();
+        for wi in 0..self.links.len() {
+            let peer = self.links[wi].link.peer.0;
+            let image = state.links.iter().find(|l| l.peer == peer);
+            let step = self.links[wi].link.restore(ctx.now, image.unwrap_or(&none));
+            self.apply(wi, step, ctx);
         }
         // A strictly newer epoch than any the dead incarnation could
         // have used.
@@ -1547,17 +1313,15 @@ where
 
     /// Marks every queued-down edge as down exactly once and arms the
     /// redial timer when this endpoint owns the edge's dialing.
-    fn settle_downed(&mut self) {
+    fn settle_downed(&mut self, ctx: &Ctx<'_, S, A>) {
         while let Some(wi) = self.downed.pop() {
-            let link = &mut self.links[wi];
-            let Some(conn) = link.conn.take() else {
+            let e = &mut self.links[wi];
+            let Some(conn) = e.conn.take() else {
                 continue;
             };
             let _ = conn.stream.shutdown(Shutdown::Both);
-            self.connected -= 1;
-            if link.dialer && link.pending_dial.is_none() {
-                link.backoff_ms = RECONNECT_BASE_MS;
-                link.redial_at = Some(Instant::now());
+            if e.pending_dial.is_none() {
+                e.link.down(ctx.now);
             }
         }
     }
@@ -1566,79 +1330,45 @@ where
     /// `rto_tick` says the reactor's RTO cadence came round, and redials
     /// whose time has come. Memory-only unless something is due; returns
     /// `true` when a timer queued bytes, i.e. the node needs a flush.
-    pub(crate) fn run_timers(&mut self, ctx: &Ctx<'_, S, A>, now: Instant, rto_tick: bool) -> bool {
-        let mut fired = rto_tick && self.rto_tick();
+    pub(crate) fn run_timers(&mut self, ctx: &Ctx<'_, S, A>, rto_tick: bool) -> bool {
+        let mut fired = rto_tick && self.rto_tick(ctx);
         for wi in 0..self.links.len() {
-            let link = &mut self.links[wi];
-            if link.conn.is_some() || link.pending_dial.is_some() {
-                link.redial_at = None;
-                continue;
-            }
-            match link.redial_at {
-                Some(at) if at <= now => {
-                    // A blocking `connect` to a pre-bound loopback
-                    // listener completes (or fails) immediately, then
-                    // the hello waits for its reply like any other read.
-                    link.redial_at = None;
-                    self.try_dial(wi, ctx);
-                    fired = true;
-                }
-                _ => {}
+            let e = &mut self.links[wi];
+            let idle = e.conn.is_none() && e.pending_dial.is_none();
+            if e.link.redial_due(ctx.now, idle) {
+                // A blocking `connect` to a pre-bound loopback listener
+                // completes (or fails) immediately, then the hello waits
+                // for its reply like any other read.
+                self.try_dial(wi, ctx);
+                fired = true;
             }
         }
         fired
     }
 
     fn try_dial(&mut self, wi: usize, ctx: &Ctx<'_, S, A>) {
-        let link = &mut self.links[wi];
+        let e = &mut self.links[wi];
         let tok = Tok::Dial(self.slot, wi);
-        let attempt = Stream::connect(&ctx.addrs[link.peer.idx()])
+        let attempt = Stream::connect(&ctx.addrs[e.link.peer.idx()])
             .and_then(|stream| Conn::new(stream, ctx.poller, tok));
         match attempt {
             Ok(mut conn) => {
-                let mut hello = Vec::with_capacity(20);
-                put_u32(&mut hello, self.id.0);
-                put_u64(&mut hello, link.rx_seq);
-                put_u64(&mut hello, link.acked);
-                conn.out.frame(TAG_HELLO_EDGE, &hello);
-                link.pending_dial = Some(conn);
+                e.link.hello(&mut conn.out);
+                e.pending_dial = Some(conn);
             }
-            Err(_) => link.schedule_redial(),
+            Err(_) => e.link.dial_failed(ctx.now),
         }
     }
 
-    /// Go-back-N on every up edge whose ack watermark stalled since the
-    /// previous tick. A stalled watermark alone is not evidence of loss
-    /// — the oldest unacked frame must also be at least one RTO old.
-    /// Returns `true` when anything was re-queued.
-    fn rto_tick(&mut self) -> bool {
-        let id = self.id;
+    /// The RTO tick on every edge; `true` when anything was re-queued.
+    fn rto_tick(&mut self, ctx: &Ctx<'_, S, A>) -> bool {
         let mut resent = false;
-        for link in self.links.iter_mut() {
-            let stale = link
-                .rtx
-                .front()
-                .is_some_and(|(_, _, _, sent)| sent.elapsed() >= RTO);
-            if stale && link.acked == link.acked_at_tick {
-                if let Some(conn) = link.conn.as_mut() {
-                    self.counters.timeouts += 1;
-                    self.counters.retransmits += link.rtx.len() as u64;
-                    oat_obs::trace_event!(oat_obs::EventKind::RtoExpire, id.0, link.peer.0, 0);
-                    oat_obs::trace_event!(
-                        oat_obs::EventKind::Retransmit,
-                        id.0,
-                        link.peer.0,
-                        link.rtx.len() as u64
-                    );
-                    let now = Instant::now();
-                    for (seq, inner, body, sent) in link.rtx.iter_mut() {
-                        queue_seq(&mut conn.out, *seq, *inner, body);
-                        *sent = now;
-                    }
-                    resent = true;
-                }
-            }
-            link.acked_at_tick = link.acked;
+        for wi in 0..self.links.len() {
+            let e = &mut self.links[wi];
+            let out = e.conn.as_mut().map(|c| &mut c.out);
+            let step = e.link.rto_tick(ctx.now, out);
+            resent |= step.resent > 0;
+            self.apply(wi, step, ctx);
         }
         resent
     }
@@ -1668,24 +1398,20 @@ where
         let mut backlog = false;
         let mut blocked =
             |conn: &Conn, drained: bool| backlog |= !drained && !conn.stream.wants_pollout();
-        for (wi, link) in self.links.iter_mut().enumerate() {
-            if let Some(conn) = link.pending_dial.as_mut() {
+        for (wi, e) in self.links.iter_mut().enumerate() {
+            if let Some(conn) = e.pending_dial.as_mut() {
                 if !conn.out.is_empty() {
                     match conn.flush() {
                         Ok(drained) => blocked(conn, drained),
                         Err(_) => {
-                            link.pending_dial = None;
-                            link.schedule_redial();
+                            e.pending_dial = None;
+                            e.link.dial_failed(ctx.now);
                         }
                     }
                 }
             }
-            if let Some(conn) = link.conn.as_mut() {
-                if link.rx_seq > link.rx_acked || link.reack {
-                    conn.out.frame(TAG_ACK, &link.rx_seq.to_le_bytes());
-                    link.rx_acked = link.rx_seq;
-                    link.reack = false;
-                }
+            if let Some(conn) = e.conn.as_mut() {
+                e.link.flush_ack(&mut conn.out);
                 if !conn.out.is_empty() {
                     match conn.flush() {
                         Ok(drained) => blocked(conn, drained),
@@ -1694,15 +1420,15 @@ where
                 }
             }
         }
-        self.settle_downed();
+        self.settle_downed(ctx);
         // Backpressure: enter a stall at the high watermark, leave only
         // once *every* edge drained below the low one (hysteresis).
         if !self.stalled {
-            if self.links.iter().any(|l| l.rtx.len() >= ctx.rtx_high) {
+            if self.links.iter().any(|e| e.link.unacked() >= ctx.rtx_high) {
                 self.stalled = true;
                 self.backpressure_stalls += 1;
             }
-        } else if self.links.iter().all(|l| l.rtx.len() <= ctx.rtx_low) {
+        } else if self.links.iter().all(|e| e.link.unacked() <= ctx.rtx_low) {
             self.stalled = false;
         }
         backlog
@@ -1754,12 +1480,18 @@ where
         // Fold the log into a snapshot once enough has accumulated —
         // at the flush boundary the node's state is self-consistent.
         if self.wal.as_ref().is_some_and(WalDurability::wants_snapshot) {
-            let state = self.wal_state();
-            if let Some(wal) = &mut self.wal {
-                wal.snapshot(&state);
-            }
+            self.snapshot_wal();
         }
         backlog
+    }
+
+    /// Folds the node's durable state into a snapshot that replaces the
+    /// log so far.
+    fn snapshot_wal(&mut self) {
+        let state = self.wal_state();
+        if let Some(wal) = &mut self.wal {
+            wal.snapshot(&state);
+        }
     }
 
     /// The log's counters; all zero without one.
@@ -1782,59 +1514,33 @@ where
                     (tree, val)
                 })
                 .collect(),
-            links: self
-                .links
-                .iter()
-                .map(|l| LinkState {
-                    peer: l.peer.0,
-                    tx_seq: l.tx_seq,
-                    acked: l.acked,
-                    rx_seq: l.rx_seq,
-                    rtx: l
-                        .rtx
-                        .iter()
-                        .map(|(seq, inner, body, _)| (*seq, *inner, body.clone()))
-                        .collect(),
-                })
-                .collect(),
+            links: self.links.iter().map(|e| e.link.snapshot()).collect(),
         }
     }
 
     fn snapshot_metrics(&self, ctx: &Ctx<'_, S, A>) -> NodeMetrics {
-        let mut leases_taken = 0;
-        let mut leases_granted = 0;
         let mech = &self.insts[&0].mech;
-        let mut edges = Vec::with_capacity(mech.nbrs().len());
-        let mut dup_drops = 0;
-        for (vi, &v) in mech.nbrs().iter().enumerate() {
-            if mech.taken(vi) {
-                leases_taken += 1;
-            }
-            if mech.granted(vi) {
-                leases_granted += 1;
-            }
-            edges.push((
-                v.0,
-                self.stats.per_edge_counts()[ctx.tree.dir_edge_index(self.id, v)],
-            ));
-            dup_drops += self.links[vi].dup_drops;
-        }
+        let nbrs = 0..mech.nbrs().len();
+        let edges = mech.nbrs().iter().map(|&v| {
+            let sent = self.stats.per_edge_counts()[ctx.tree.dir_edge_index(self.id, v)];
+            (v.0, sent)
+        });
         let (queue_depth, queue_peak) = self.gauge.read();
         let wal = self.wal_counters();
         NodeMetrics {
             node: self.id.0,
             sent_by_kind: self.stats.kind_totals(),
             delivered: self.delivered,
-            edges,
-            leases_taken,
-            leases_granted,
+            edges: edges.collect(),
+            leases_taken: nbrs.clone().filter(|&vi| mech.taken(vi)).count() as u32,
+            leases_granted: nbrs.filter(|&vi| mech.granted(vi)).count() as u32,
             queue_depth,
             queue_peak,
             pending_combines: self.insts[&0].waiters.len() as u64,
             combines_served: self.completions.len() as u64,
             reconnects: self.counters.reconnects,
             retransmits: self.counters.retransmits,
-            dup_drops,
+            dup_drops: self.links.iter().map(|e| e.link.dup_drops).sum(),
             timeouts: self.counters.timeouts,
             restarts: self.counters.restarts,
             kill9s: self.counters.kill9s,
@@ -1847,20 +1553,9 @@ where
         }
     }
 
-    /// Installs a freshly connected edge stream: replies to the hello
-    /// when we are the accepting side, replaces any previous connection,
-    /// and replays every unacknowledged frame past the peer's receive
-    /// watermark. Returns the neighbour index on success.
-    ///
-    /// The peer's two hello watermarks also *heal* this side after a
-    /// torn-tail recovery, where our own log may understate what the
-    /// wire already saw: `peer_rx` (what the peer delivered from us)
-    /// fast-forwards our `tx_seq` so no sequence number is ever reused,
-    /// and `peer_acked` (the highest of the peer's own frames that a
-    /// previous incarnation of this node acknowledged) fast-forwards our
-    /// receive watermark so the peer never waits for an ack of frames it
-    /// already trimmed. Both are monotone maxes — no-ops on every
-    /// non-torn reconnect.
+    /// Installs a freshly connected edge stream: the link answers the
+    /// peer's hello into it, it replaces any previous connection, and
+    /// what already arrived behind the hello is served.
     fn install_edge(
         &mut self,
         peer: NodeId,
@@ -1869,115 +1564,46 @@ where
         peer_acked: u64,
         accepted: bool,
         ctx: &Ctx<'_, S, A>,
-    ) -> Option<usize> {
+    ) {
         // An unknown peer id is a protocol violation from an untrusted
         // connection: drop it.
-        let wi = ctx.tree.nbrs(self.id).iter().position(|&v| v == peer)?;
-        conn.retoken(Tok::Edge(self.slot, wi)).ok()?;
-        let rx_before = self.links[wi].rx_seq;
-        {
-            // Apply the peer's watermarks *before* composing our reply,
-            // so an accepting side's hello already reflects them.
-            let link = &mut self.links[wi];
-            if peer_acked > link.rx_seq {
-                link.rx_seq = peer_acked;
-            }
-            if peer_acked > link.rx_acked {
-                link.rx_acked = peer_acked;
-            }
-            if peer_rx > link.tx_seq {
-                link.tx_seq = peer_rx;
-            }
+        let Some(wi) = ctx.tree.nbrs(self.id).iter().position(|&v| v == peer) else {
+            return;
+        };
+        if conn.retoken(Tok::Edge(self.slot, wi)).is_err() {
+            return;
         }
-        if accepted {
-            // Reply with our id + watermarks so the dialer knows where
-            // to resume. Queued first, so it precedes the replay.
-            let link = &self.links[wi];
-            let mut hello = Vec::with_capacity(20);
-            put_u32(&mut hello, self.id.0);
-            put_u64(&mut hello, link.rx_seq);
-            put_u64(&mut hello, link.acked);
-            conn.out.frame(TAG_HELLO_EDGE, &hello);
-        }
-        let link = &mut self.links[wi];
-        let was_up = link.conn.is_some();
-        if let Some(old) = link.conn.take() {
+        let e = &mut self.links[wi];
+        let step = e
+            .link
+            .on_hello(ctx.now, peer_rx, peer_acked, accepted, &mut conn.out);
+        if let Some(old) = e.conn.replace(conn) {
             // Sever the replaced connection (its drop deregisters it).
             // Frames still buffered in its decoder or queues are dropped
-            // — the sequenced replay below (and the peer's own)
-            // re-delivers everything unacknowledged.
+            // — the sequenced replay (and the peer's own) re-delivers
+            // everything unacknowledged.
             let _ = old.stream.shutdown(Shutdown::Both);
         }
-        link.conn = Some(conn);
-        link.pending_dial = None;
-        link.redial_at = None;
-        link.backoff_ms = RECONNECT_BASE_MS;
-        if link.ever_up {
+        e.pending_dial = None;
+        if e.ever_up {
             self.counters.reconnects += 1;
             oat_obs::trace_event!(oat_obs::EventKind::Reconnect, self.id.0, peer.0, 0);
         }
-        link.ever_up = true;
-        // Resume the sequenced stream: everything the peer already has
-        // is acknowledged by its hello watermark; replay the rest in
-        // order (no fault actions — replays are recovery traffic). Each
-        // trimmed frame settles its in-flight debt here, its only exit.
-        let acked_before = link.acked;
-        if peer_rx > link.acked {
-            link.acked = peer_rx;
+        e.ever_up = true;
+        self.apply(wi, step, ctx);
+        if !self.ready_sent && self.links.iter().all(|e| e.conn.is_some()) {
+            self.ready_sent = true;
+            let _ = self.ready_tx.send(());
         }
-        let mut settled = 0;
-        while link.rtx.front().is_some_and(|(s, ..)| *s <= link.acked) {
-            link.rtx.pop_front();
-            settled += 1;
-        }
-        if settled > 0 {
-            ctx.in_flight.sub(settled);
-        }
-        if let Some(wal) = &mut self.wal {
-            // Persist any watermark moves the hello produced.
-            let (rx_now, acked_now) = (self.links[wi].rx_seq, self.links[wi].acked);
-            if rx_now > rx_before {
-                wal.log_rx(peer.0, rx_now);
-            }
-            if acked_now > acked_before {
-                wal.log_ack(peer.0, acked_now);
-            }
-        }
-        let link = &mut self.links[wi];
-        if !link.rtx.is_empty() {
-            self.counters.retransmits += link.rtx.len() as u64;
-            oat_obs::trace_event!(
-                oat_obs::EventKind::Retransmit,
-                self.id.0,
-                peer.0,
-                link.rtx.len() as u64
-            );
-            let out = &mut link.conn.as_mut().expect("just installed").out;
-            let now = Instant::now();
-            for (seq, inner, body, sent) in link.rtx.iter_mut() {
-                queue_seq(out, *seq, *inner, body);
-                *sent = now;
-            }
-        }
-        if !was_up {
-            self.connected += 1;
-            if self.connected == self.links.len() && !self.ready_sent {
-                self.ready_sent = true;
-                let _ = self.ready_tx.send(());
-            }
-        }
-        Some(wi)
+        // The peer's replay may ride the same segment as its hello.
+        self.drain_edge(wi, ctx);
     }
 
     /// Orderly end of the node: record what the automaton still held.
     pub(crate) fn finish(mut self) -> NodeReport<A::Value> {
         // Under faults a client may have given up on a combine; dropping
         // the waiter lets shutdown proceed and the count surfaces here.
-        self.abandoned += self
-            .insts
-            .values()
-            .map(|i| i.waiters.len() as u64)
-            .sum::<u64>();
+        self.abandoned += self.parked();
         NodeReport {
             wal: self.wal_counters(),
             stats: self.stats,
@@ -1987,114 +1613,5 @@ where
             abandoned: self.abandoned,
             faults: self.counters,
         }
-    }
-}
-
-/// Encodes one sequenced frame onto a write queue.
-fn queue_seq(out: &mut WriteQueue, seq: u64, inner: u8, body: &[u8]) {
-    let mut payload = Vec::with_capacity(9 + body.len());
-    put_u64(&mut payload, seq);
-    payload.push(inner);
-    payload.extend_from_slice(body);
-    out.frame(TAG_SEQ, &payload);
-}
-
-/// Assigns the next sequence number on `link`, logs the send to the
-/// node's write-ahead log (if any), appends the frame to the retransmit buffer
-/// (in-flight accounting happens here, exactly once per logical frame —
-/// the debt settles when the frame is trimmed after acknowledgement),
-/// and attempts first transmission — subject to the edge's
-/// fault-decision stream and kill schedule. Returns `true` when the
-/// connection must be marked down.
-fn send_seq<S, A: AggOp>(
-    from: NodeId,
-    link: &mut EdgeLink,
-    wal: Option<&mut WalDurability>,
-    inner: u8,
-    body: Vec<u8>,
-    ctx: &Ctx<'_, S, A>,
-) -> bool {
-    ctx.in_flight.add(1);
-    link.tx_seq += 1;
-    let seq = link.tx_seq;
-    if let Some(wal) = wal {
-        wal.log_send(link.peer.0, seq, inner, &body);
-    }
-    oat_obs::trace_event!(
-        oat_obs::EventKind::FrameTx,
-        from.0,
-        link.peer.0,
-        (seq << 8) | u64::from(inner)
-    );
-    link.rtx.push_back((seq, inner, body, Instant::now()));
-    let body = &link.rtx.back().expect("just pushed").2;
-    let Some(conn) = link.conn.as_mut() else {
-        // Edge down: the frame waits in the retransmit buffer and is
-        // replayed when the connection comes back.
-        return false;
-    };
-    let action = link
-        .faults
-        .as_mut()
-        .map(|f| f.next_action())
-        .unwrap_or(FaultAction::Deliver);
-    match action {
-        FaultAction::Deliver => queue_seq(&mut conn.out, seq, inner, body),
-        FaultAction::Drop => {
-            // First transmission suppressed; the RTO resend recovers it.
-            ctx.ledger.drops.fetch_add(1, Ordering::Relaxed);
-        }
-        FaultAction::Delay => {
-            // Modeled as a suppressed first transmission too — the frame
-            // arrives late, via the retransmission path, preserving
-            // per-edge FIFO (a true in-stream delay would reorder).
-            ctx.ledger.delays.fetch_add(1, Ordering::Relaxed);
-        }
-        FaultAction::Duplicate => {
-            queue_seq(&mut conn.out, seq, inner, body);
-            queue_seq(&mut conn.out, seq, inner, body);
-            ctx.ledger.dups.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if let Some(f) = link.faults.as_mut() {
-        if f.on_frame_carried() {
-            // Scheduled connection kill: sever the socket with frames
-            // potentially still in userspace/kernel buffers — they are
-            // genuinely lost and must come back via reconnect replay.
-            ctx.ledger.conns_killed.fetch_add(1, Ordering::Relaxed);
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            return true;
-        }
-    }
-    false
-}
-
-/// Queues one response frame for a client connection. A missing writer
-/// means the client vanished; its responses are dropped — clients are
-/// untrusted peers, their disappearance must not kill a node.
-///
-/// Responses owed to an in-progress batch are routed into its
-/// accumulator instead; the gathered items *stream* out as
-/// `TAG_RESP_BATCH` frames at flush boundaries (see [`BatchBook`] and
-/// [`NodeRt::stream_batches`]), so a completed member never waits
-/// behind the roster's slowest one.
-fn respond(
-    clients: &mut HashMap<ClientId, Conn>,
-    book: &mut BatchBook,
-    conn: ClientId,
-    tag: u8,
-    payload: &[u8],
-) {
-    if payload.len() >= 8 {
-        let req_id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        if let Some(key) = book.member.remove(&(conn, req_id)) {
-            let acc = book.accs.get_mut(&(conn, key)).expect("member implies acc");
-            acc.items.push((tag, payload.to_vec()));
-            acc.remaining -= 1;
-            return;
-        }
-    }
-    if let Some(c) = clients.get_mut(&conn) {
-        c.out.frame(tag, payload);
     }
 }

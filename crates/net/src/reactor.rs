@@ -67,13 +67,14 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 
 use crate::frame::{write_frame, FrameDecoder};
-use crate::node::{Ctx, NodeReport, NodeRt, RTO};
+use crate::link::{FrameSink, RTO};
+use crate::node::{Ctx, NodeReport, NodeRt};
 use crate::transport::{Listener, NodeAddr, Stream};
 
 /// Cluster-wide in-flight work counter with event-driven quiescence.
 ///
 /// Client requests and unacked edge frames each hold one unit of debt;
-/// [`InFlight::wait_zero`] parks on a condvar that [`InFlight::sub`]
+/// [`InFlight::wait_zero`] parks on a condvar that [`InFlight::add`]
 /// notifies exactly when the count hits zero — replacing the
 /// sleep-polling loop that used to dominate the sequential path.
 pub(crate) struct InFlight {
@@ -91,12 +92,9 @@ impl InFlight {
         }
     }
 
+    /// Charges `d` units of debt (settles `-d` when negative).
     pub(crate) fn add(&self, d: i64) {
-        self.n.fetch_add(d, Ordering::SeqCst);
-    }
-
-    pub(crate) fn sub(&self, d: i64) {
-        if self.n.fetch_sub(d, Ordering::SeqCst) - d == 0 {
+        if d != 0 && self.n.fetch_add(d, Ordering::SeqCst) + d == 0 {
             // Take the lock before notifying so a waiter that observed a
             // non-zero count cannot park between our decrement and this
             // notification (it re-checks the count under the lock).
@@ -222,6 +220,12 @@ impl WriteQueue {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+impl FrameSink for WriteQueue {
+    fn frame(&mut self, tag: u8, payload: &[u8]) {
+        WriteQueue::frame(self, tag, payload);
     }
 }
 
@@ -532,7 +536,7 @@ where
     poller
         .add(waker_rx.as_raw_fd(), Tok::Waker.pack(), POLLIN)
         .expect("register waker");
-    let ctx = Ctx {
+    let mut ctx = Ctx {
         tree: &tree,
         addrs: &addrs,
         op: &op,
@@ -544,6 +548,7 @@ where
         rtx_high,
         rtx_low,
         poller: &poller,
+        now: Instant::now(),
     };
     let mut nodes: Vec<NodeRt<S, A>> = shard_nodes
         .into_iter()
@@ -562,7 +567,7 @@ where
         rto: 0,
         redial: 0,
     };
-    let mut last_tick = Instant::now();
+    let mut last_tick = ctx.now;
     loop {
         // Dispatches only ever *queue* bytes; this is the single point
         // where they hit sockets — for the nodes the last wakeup
@@ -588,14 +593,13 @@ where
         // The nodes are walked only on a tick (33 Hz at most) or while
         // some edge is down; a node whose timer queued bytes is flushed
         // on the spot.
-        let now = Instant::now();
-        let tick = now.duration_since(last_tick) >= RTO;
+        let tick = ctx.now.duration_since(last_tick) >= RTO;
         if tick {
-            last_tick = now;
+            last_tick = ctx.now;
         }
         if tick || timers.redial > 0 {
             for (slot, node) in nodes.iter_mut().enumerate() {
-                if node.run_timers(&ctx, now, tick) && node.flush(&ctx) {
+                if node.run_timers(&ctx, tick) && node.flush(&ctx) {
                     touched.mark(slot);
                 }
                 timers.note(slot, node.wants_rto_tick(), node.next_redial().is_some());
@@ -609,13 +613,16 @@ where
             let redials = nodes.iter().filter_map(NodeRt::next_redial);
             deadline = deadline.into_iter().chain(redials).min();
         }
-        let timeout = deadline.map(|at| at.saturating_duration_since(now));
+        let timeout = deadline.map(|at| at.saturating_duration_since(ctx.now));
 
         // A wait error (EINTR aside, which is Ok(0)) leaves the buffer
         // empty and retries; nothing registered can make epoll_wait
         // fail persistently.
         let t_poll = oat_obs::now_ns();
         let _ = poller.wait(&mut events, timeout);
+        // The loop's one clock read: the handlers and timers of this
+        // pass all run at this instant.
+        ctx.now = Instant::now();
         if t_poll != 0 {
             let ready = events.len() as u32;
             oat_obs::trace_span!(oat_obs::EventKind::PollWake, t_poll, shard, ready, 0);

@@ -1024,16 +1024,16 @@ fn cmd_chaos(a: &Args) -> Result<(), String> {
     };
     // A process kill needs somewhere durable to recover from, so
     // `--kill9` without an explicit backend gets a fresh WAL in a
-    // temp dir. A fresh dir also arms the ci cross-check: cold
-    // start finds nothing, so every WAL replay is a kill9 recovery.
-    let fresh_wal_dir = || {
-        let dir = std::env::temp_dir().join(format!("oat-chaos-wal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
+    // temp dir, removed when the run ends. A fresh dir also arms the
+    // ci cross-check: cold start finds nothing, so every WAL replay
+    // is a kill9 recovery.
+    let fresh_dir = std::env::temp_dir().join(format!("oat-chaos-wal-{}", std::process::id()));
     let (durability, fresh_wal) = match a.get("--durability") {
         None if plan.kill9s.is_empty() => (DurabilityMode::Memory, false),
-        None | Some("wal") => (wal(fresh_wal_dir()), true),
+        None | Some("wal") => {
+            let _ = std::fs::remove_dir_all(&fresh_dir);
+            (wal(fresh_dir.clone()), true)
+        }
         Some("memory") => (DurabilityMode::Memory, false),
         Some(s) => match s.strip_prefix("wal:") {
             Some(dir) if !dir.is_empty() => (wal(dir.into()), false),
@@ -1045,8 +1045,13 @@ fn cmd_chaos(a: &Args) -> Result<(), String> {
         transport: a.transport()?,
         ..NetConfig::default()
     };
-    with_policy!(&parse_policy(a.str("--policy"))?, spec =>
-        chaos_run(&tree, &spec, &seq, plan, cfg, fresh_wal))
+    let choice = parse_policy(a.str("--policy"))?;
+    let verdict =
+        with_policy!(&choice, spec => chaos_run(&tree, &spec, &seq, plan, cfg, fresh_wal));
+    if fresh_wal {
+        let _ = std::fs::remove_dir_all(&fresh_dir);
+    }
+    verdict
 }
 
 fn chaos_run<S: PolicySpec>(

@@ -323,69 +323,146 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
     // kills — the root and an internal node — with state recovered
     // from the write-ahead log. Every combine must still equal the
     // oracle, and the ledger, per-node metrics, and cluster report
-    // must agree on what happened.
-    let tree = Tree::kary(10, 3);
-    let seq = uniform(&tree, 90, 0.5, 0xD15C);
-    let wal_dir = tmpdir("kill9-accept");
-    let plan = FaultPlan {
-        seed: 23,
-        drop_p: 0.05,
-        dup_p: 0.05,
-        kills: vec![KillConn {
-            from: NodeId(0),
-            to: NodeId(1),
-            after_frames: 3,
-        }],
-        // Node 0 is the root; node 2 is internal (children 7, 8, 9).
-        kill9s: vec![
-            CrashNode {
-                node: NodeId(0),
-                after_delivered: 6,
-            },
-            CrashNode {
+    // must agree on what happened — on every transport, since a kill9
+    // severs and redials every connection the node held.
+    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+        let name = transport.name();
+        let tree = Tree::kary(10, 3);
+        let seq = uniform(&tree, 90, 0.5, 0xD15C);
+        let wal_dir = tmpdir(&format!("kill9-accept-{name}"));
+        let plan = FaultPlan {
+            seed: 23,
+            drop_p: 0.05,
+            dup_p: 0.05,
+            kills: vec![KillConn {
+                from: NodeId(0),
+                to: NodeId(1),
+                after_frames: 3,
+            }],
+            // Node 0 is the root; node 2 is internal (children 7, 8, 9).
+            kill9s: vec![
+                CrashNode {
+                    node: NodeId(0),
+                    after_delivered: 6,
+                },
+                CrashNode {
+                    node: NodeId(2),
+                    after_delivered: 5,
+                },
+            ],
+            ..FaultPlan::default()
+        };
+        let cfg = NetConfig {
+            durability: DurabilityMode::Wal(WalConfig::new(&wal_dir)),
+            transport,
+            ..NetConfig::default()
+        };
+        let cluster = Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg)
+            .unwrap_or_else(|e| panic!("{name}: spawn kill9 failed: {e}"));
+        let combines = replay_against_oracle(&cluster, &seq);
+        assert!(
+            combines > 10,
+            "{name}: workload must actually exercise combines"
+        );
+
+        let (kill9s, _, _) = cluster.injected().snapshot_process();
+        assert_eq!(kill9s, 2, "{name}: both scheduled process kills must fire");
+        let (_, dups, _, kills, crashes) = cluster.injected().snapshot();
+        assert_eq!(kills, 1, "{name}");
+        assert_eq!(crashes, 0, "{name}");
+        assert!(
+            dups > 0,
+            "{name}: duplicates must have fired on a run this size"
+        );
+
+        // Per-node metrics surface the process kill and the WAL work.
+        let m2 = cluster.node_metrics(NodeId(2)).expect("metrics node 2");
+        assert_eq!(
+            m2.kill9s, 1,
+            "{name}: node 2 was process-killed exactly once"
+        );
+        assert_eq!(m2.restarts, 1, "{name}: a kill9 counts as a restart");
+        assert_eq!(
+            m2.wal_replays, 1,
+            "{name}: recovery replayed the node's log"
+        );
+        assert!(m2.wal_records > 0 && m2.wal_fsyncs > 0, "{name}");
+        let json = cluster.metrics_json().expect("metrics json");
+        assert!(json.contains("\"kill9s\": 1"), "{name}");
+
+        let report = cluster.shutdown();
+        assert!(
+            report.dead_nodes.is_empty(),
+            "{name}: no node may stay wedged"
+        );
+        assert_eq!(report.faults.kill9s, 2, "{name}");
+        assert_eq!(
+            report.faults.restarts, 2,
+            "{name}: restarts must equal crashes + kill9s"
+        );
+        // The WAL directory was fresh, so cold start found nothing: every
+        // replay on the books is a kill9 recovery.
+        assert_eq!(report.wal.replays, 2, "{name}");
+        assert!(report.wal.records > 0 && report.wal.fsyncs > 0, "{name}");
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+}
+
+#[test]
+fn torn_tail_kill9_renumbers_the_restart_past_what_the_peer_saw() {
+    // A torn tail can lose the log records of frames the peer already
+    // delivered, so the restored link numbers its first new frames —
+    // the RESET among them — with sequence numbers the peer has seen.
+    // The reconnect hello must move them up past the peer's watermark
+    // (and the node rewrites its log as a snapshot) rather than trim
+    // them as delivered: a lost RESET leaves the neighbour's leases on
+    // the dead incarnation standing, and a later combine diverges.
+    let mut renumbered = 0;
+    for seed in 1..=12 {
+        let tree = Tree::path(5);
+        let wal_dir = tmpdir(&format!("torn-renumber-{seed}"));
+        let plan = FaultPlan {
+            seed,
+            kill9s: vec![CrashNode {
                 node: NodeId(2),
-                after_delivered: 5,
-            },
-        ],
-        ..FaultPlan::default()
-    };
-    let cfg = NetConfig {
-        durability: DurabilityMode::Wal(WalConfig::new(&wal_dir)),
-        ..NetConfig::default()
-    };
-    let cluster =
-        Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg).expect("spawn kill9");
-    let combines = replay_against_oracle(&cluster, &seq);
-    assert!(combines > 10, "workload must actually exercise combines");
-
-    let (kill9s, _, _) = cluster.injected().snapshot_process();
-    assert_eq!(kill9s, 2, "both scheduled process kills must fire");
-    let (_, dups, _, kills, crashes) = cluster.injected().snapshot();
-    assert_eq!(kills, 1);
-    assert_eq!(crashes, 0);
-    assert!(dups > 0, "duplicates must have fired on a run this size");
-
-    // Per-node metrics surface the process kill and the WAL work.
-    let m2 = cluster.node_metrics(NodeId(2)).expect("metrics node 2");
-    assert_eq!(m2.kill9s, 1, "node 2 was process-killed exactly once");
-    assert_eq!(m2.restarts, 1, "a kill9 counts as a restart");
-    assert_eq!(m2.wal_replays, 1, "recovery replayed the node's log");
-    assert!(m2.wal_records > 0 && m2.wal_fsyncs > 0);
-    let json = cluster.metrics_json().expect("metrics json");
-    assert!(json.contains("\"kill9s\": 1"));
-
-    let report = cluster.shutdown();
-    assert!(report.dead_nodes.is_empty(), "no node may stay wedged");
-    assert_eq!(report.faults.kill9s, 2);
-    assert_eq!(
-        report.faults.restarts, 2,
-        "restarts must equal crashes + kill9s"
-    );
-    // The WAL directory was fresh, so cold start found nothing: every
-    // replay on the books is a kill9 recovery.
-    assert_eq!(report.wal.replays, 2);
-    assert!(report.wal.records > 0 && report.wal.fsyncs > 0);
-    let _ = std::fs::remove_dir_all(&wal_dir);
+                after_delivered: 6,
+            }],
+            torn_tail_max: 1 << 20,
+            ..FaultPlan::default()
+        };
+        // Only writes, epochs and the renumbering rewrite sync or
+        // snapshot the log, so the tear reaches back over link records.
+        let cfg = NetConfig {
+            durability: DurabilityMode::Wal(WalConfig {
+                dir: wal_dir.clone(),
+                fsync_every: 10_000,
+                snapshot_every: 1_000_000,
+            }),
+            ..NetConfig::default()
+        };
+        let cluster =
+            Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg).expect("spawn torn");
+        let mut seq = Vec::new();
+        for _ in 0..2 {
+            seq.push(Request::combine(NodeId(0)));
+            seq.push(Request::combine(NodeId(4)));
+        }
+        for u in 0..5 {
+            seq.push(Request::write(NodeId(u), (u as i64 + 1) * 11));
+        }
+        for _ in 0..4 {
+            seq.push(Request::combine(NodeId(0)));
+            seq.push(Request::combine(NodeId(4)));
+        }
+        assert_eq!(replay_against_oracle(&cluster, &seq), 12, "seed {seed}");
+        let report = cluster.shutdown();
+        assert!(report.dead_nodes.is_empty(), "seed {seed}");
+        assert_eq!(report.faults.kill9s, 1, "seed {seed}");
+        assert_eq!(report.wal.torn_events, 1, "seed {seed}");
+        renumbered += report.wal.snapshots;
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+    assert!(renumbered > 0, "no seed tore a delivered frame's record");
 }
 
 #[test]

@@ -54,6 +54,29 @@ fn a_misspelt_chaos_flag_exits_2_instead_of_injecting_faults() {
 }
 
 #[test]
+fn chaos_kill9_removes_the_wal_directory_it_provisioned() {
+    // `--kill9` without `--durability wal:DIR` logs to a fresh directory
+    // under the temp dir; the run must leave nothing behind there.
+    let tmp = std::env::temp_dir().join(format!("oat-cli-tmpdir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("create the temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_oat"))
+        .args("chaos --tree kary:10:3 --workload uniform:0.5:80 --kill9 2@5".split_whitespace())
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("run the oat binary");
+    let left: Vec<_> = std::fs::read_dir(&tmp)
+        .expect("read the temp dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    let _ = std::fs::remove_dir_all(&tmp);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("replays"), "a WAL was in use: {stdout}");
+    assert!(left.is_empty(), "left behind in TMPDIR: {left:?}");
+}
+
+#[test]
 fn run_policy_all_bills_the_six_policies_in_order() {
     let out = oat("run --policy all --tree star:8 --workload zipf:0.3:200:1.0");
     assert!(out.status.success());
