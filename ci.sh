@@ -20,6 +20,22 @@ echo "== paper tables: tables | diff docs/tables_output.txt =="
 cargo build --release -p oat-bench --bin tables
 ./target/release/tables 2>/dev/null | diff -u docs/tables_output.txt -
 
+echo "== examples: every program under examples/ =="
+# Each example runs from the release build and must exit 0. The
+# adversarial one also prints the simulator's RWW bill next to the
+# analytic replay and OPT; the grep pins all three on the Theorem-3
+# adversary, so a change to either the mechanism or the offline totals
+# that moves them fails here.
+cargo build --release --examples
+for src in examples/*.rs; do
+  name=$(basename "$src" .rs)
+  out=$("./target/release/examples/$name") || { echo "example $name exited nonzero"; exit 1; }
+  if [ "$name" = adversarial ]; then
+    grep -F 'simulated RWW: 2500 msgs; analytic replay: 2500 msgs; OPT: 1000; ratio 2.5000' <<<"$out" ||
+      { echo "example adversarial: the RWW/OPT bill line changed"; exit 1; }
+  fi
+done
+
 echo "== tier 1: cargo test -q --workspace =="
 # --workspace: a bare `cargo test` at the root runs only the root
 # package's tests/ and src/, not the member crates' own unit and

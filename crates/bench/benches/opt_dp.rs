@@ -58,10 +58,23 @@ fn bench_tree_totals(c: &mut Criterion) {
     g.finish();
 }
 
+/// The shape the cluster benchmark bills: `kary:31:2` with 200k
+/// `uniform:0.5` requests. Reported per request (elem/s).
+fn bench_cluster_shape(c: &mut Criterion) {
+    let mut g = c.benchmark_group("offline/kary31-200k");
+    let tree = Tree::kary(31, 2);
+    let seq = oat_workloads::uniform(&tree, 200_000, 0.5, 42);
+    g.throughput(Throughput::Elements(seq.len() as u64));
+    g.bench_function("opt", |b| b.iter(|| opt_total_cost(&tree, &seq)));
+    g.bench_function("rww-analytic", |b| b.iter(|| rww_total_cost(&tree, &seq)));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_edge_dp,
     bench_rww_automaton,
-    bench_tree_totals
+    bench_tree_totals,
+    bench_cluster_shape
 );
 criterion_main!(benches);

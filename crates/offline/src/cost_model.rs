@@ -88,6 +88,7 @@ impl RwwAutomaton {
     }
 
     /// Executes one event, returning its Figure-2 cost.
+    #[inline]
     pub fn step(&mut self, ev: EdgeEvent) -> u64 {
         let before = self.granted();
         let cost = match (self.f, ev) {
@@ -159,6 +160,7 @@ impl AbAutomaton {
     }
 
     /// Executes one event, returning its Figure-2 cost.
+    #[inline]
     pub fn step(&mut self, ev: EdgeEvent) -> u64 {
         let before = self.granted;
         let cost = if !self.granted {

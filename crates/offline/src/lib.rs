@@ -33,6 +33,7 @@ pub mod nopt;
 pub mod opt_dp;
 pub mod ratio;
 pub mod replay;
+mod sweep;
 
 pub use cost_model::{edge_cost, AbAutomaton, RwwAutomaton};
 pub use mlap_opt::{candidate_times, mlap_opt, MAX_CANDIDATE_TIMES};

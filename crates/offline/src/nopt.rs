@@ -17,24 +17,38 @@
 use oat_core::request::{sigma, EdgeEvent, Request};
 use oat_core::tree::{NodeId, Tree};
 
-/// Number of completed epochs (write→combine transitions) in an event
-/// sequence.
-pub fn epoch_count(events: &[EdgeEvent]) -> u64 {
-    let mut count = 0;
-    let mut prev_was_write = false;
-    for &e in events {
+use crate::sweep::sweep;
+
+/// The per-pair epoch counter: completed epochs so far, and whether the
+/// last non-noop event was a write.
+#[derive(Clone, Copy, Default)]
+struct Epochs {
+    count: u64,
+    prev_was_write: bool,
+}
+
+impl Epochs {
+    #[inline]
+    fn step(&mut self, e: EdgeEvent) {
         match e {
-            EdgeEvent::W => prev_was_write = true,
+            EdgeEvent::W => self.prev_was_write = true,
             EdgeEvent::R => {
-                if prev_was_write {
-                    count += 1;
+                if self.prev_was_write {
+                    self.count += 1;
                 }
-                prev_was_write = false;
+                self.prev_was_write = false;
             }
             EdgeEvent::N => {}
         }
     }
-    count
+}
+
+/// Number of completed epochs (write→combine transitions) in an event
+/// sequence.
+pub fn epoch_count(events: &[EdgeEvent]) -> u64 {
+    let mut epochs = Epochs::default();
+    events.iter().for_each(|&e| epochs.step(e));
+    epochs.count
 }
 
 /// Epoch lower bound for one ordered pair: `#epochs(σ(u,v))`.
@@ -44,8 +58,9 @@ pub fn nopt_pair_lower_bound<V>(tree: &Tree, seq: &[Request<V>], u: NodeId, v: N
 
 /// Epoch lower bound on `C_NOPT(σ)`: sum over all ordered pairs.
 pub fn nopt_total_lower_bound<V>(tree: &Tree, seq: &[Request<V>]) -> u64 {
-    tree.dir_edges()
-        .map(|(u, v)| nopt_pair_lower_bound(tree, seq, u, v))
+    sweep(tree, seq, Epochs::default(), Epochs::step)
+        .iter()
+        .map(|e| e.count)
         .sum()
 }
 

@@ -12,39 +12,98 @@
 //! The noop slots of `σ'(u,v)` model the paper's charging scheme for
 //! releases piggy-backed on writes of `σ(v,u)` (at most one release per
 //! noop, Lemma 4.6).
+//!
+//! The shortest path is a min-plus product of per-event 2×2 tables read
+//! off Figure 2. The totals compose each request's table with the noop
+//! that follows it in `σ'(u,v)`, so one table step per request and pair
+//! in the single sweep of [`crate::sweep`] replaces building `σ'(u,v)`.
 
 use oat_core::request::{sigma, sigma_prime_of, EdgeEvent, Request};
 use oat_core::tree::{NodeId, Tree};
 
 use crate::cost_model::edge_cost;
+use crate::sweep::sweep;
+
+/// Cost of a transition Figure 2 forbids. A sum of a few stays far from
+/// overflow, and a finite path (never granting) always exists, so no
+/// `INF` reaches a result.
+const INF: u64 = u64::MAX / 4;
+
+/// A min-plus step over `granted`: `m[s][t]` is the cheapest cost of
+/// moving from `granted == (s == 1)` to `granted == (t == 1)`.
+type Step = [[u64; 2]; 2];
+
+/// The Figure-2 rows of `ev` as a [`Step`]; without `noop_break` the
+/// `(true, N, false)` row is left out (see
+/// [`opt_edge_cost_realizable`]).
+fn step_table(ev: EdgeEvent, noop_break: bool) -> Step {
+    let mut m = [[INF; 2]; 2];
+    for (s, row) in m.iter_mut().enumerate() {
+        for (t, cell) in row.iter_mut().enumerate() {
+            if !noop_break && ev == EdgeEvent::N && s == 1 && t == 0 {
+                continue;
+            }
+            if let Some(c) = edge_cost(s == 1, ev, t == 1) {
+                *cell = c;
+            }
+        }
+    }
+    m
+}
+
+/// The cheapest cost of reaching each `granted` value after `m`, from
+/// the costs `dp` before it.
+#[inline]
+fn advance(dp: [u64; 2], m: &Step) -> [u64; 2] {
+    let to = |t: usize| (dp[0] + m[0][t]).min(dp[1] + m[1][t]);
+    [to(0), to(1)]
+}
+
+/// `a` followed by `b`, as one step.
+fn then(a: &Step, b: &Step) -> Step {
+    [advance(a[0], b), advance(a[1], b)]
+}
+
+/// The two-state shortest path over a `σ'(u,v)` event sequence,
+/// starting from `granted = false`.
+fn edge_dp(events: &[EdgeEvent], noop_break: bool) -> u64 {
+    let [r, w, n] = [EdgeEvent::R, EdgeEvent::W, EdgeEvent::N].map(|ev| step_table(ev, noop_break));
+    let dp = events.iter().fold([0, INF], |dp, &ev| {
+        let m = match ev {
+            EdgeEvent::R => &r,
+            EdgeEvent::W => &w,
+            EdgeEvent::N => &n,
+        };
+        advance(dp, m)
+    });
+    dp[0].min(dp[1])
+}
+
+/// Sum over all ordered pairs of [`edge_dp`] on `σ'(u,v)`, in one sweep
+/// over `seq`: each pair's state is stepped by "event, then noop".
+fn total_dp<V>(tree: &Tree, seq: &[Request<V>], noop_break: bool) -> u64 {
+    let noop = step_table(EdgeEvent::N, noop_break);
+    let read = then(&step_table(EdgeEvent::R, noop_break), &noop);
+    let write = then(&step_table(EdgeEvent::W, noop_break), &noop);
+    // `σ'(u,v)` opens with a noop.
+    let start = advance([0, INF], &noop);
+    sweep(tree, seq, start, |dp, ev| {
+        *dp = advance(*dp, if ev == EdgeEvent::W { &write } else { &read })
+    })
+    .iter()
+    .map(|dp| dp[0].min(dp[1]))
+    .sum()
+}
 
 /// Minimal Figure-2 cost of serving an `σ'(u,v)` event sequence, starting
 /// from `granted = false` (the paper's initial quiescent state).
 pub fn opt_edge_cost(events: &[EdgeEvent]) -> u64 {
-    const INF: u64 = u64::MAX / 4;
-    // dp[s] = cheapest cost so far ending with granted == (s == 1)
-    let mut dp = [0u64, INF];
-    for &ev in events {
-        let mut next = [INF, INF];
-        for (s, &cur) in dp.iter().enumerate() {
-            if cur >= INF {
-                continue;
-            }
-            for (t, slot) in next.iter_mut().enumerate() {
-                if let Some(c) = edge_cost(s == 1, ev, t == 1) {
-                    *slot = (*slot).min(cur + c);
-                }
-            }
-        }
-        dp = next;
-    }
-    dp[0].min(dp[1])
+    edge_dp(events, true)
 }
 
 /// The chosen optimal state trajectory (granted values after each event),
 /// reconstructed for diagnostics and the Figure-4 experiments.
 pub fn opt_edge_trajectory(events: &[EdgeEvent]) -> (u64, Vec<bool>) {
-    const INF: u64 = u64::MAX / 4;
     let n = events.len();
     let mut dp = vec![[INF; 2]; n + 1];
     let mut parent = vec![[0usize; 2]; n + 1];
@@ -92,33 +151,12 @@ pub fn opt_edge_trajectory(events: &[EdgeEvent]) -> (u64, Vec<bool>) {
 /// paper's bounds use the (more generous) [`opt_edge_cost`], so measured
 /// ratios against it are conservative.
 pub fn opt_edge_cost_realizable(events: &[EdgeEvent]) -> u64 {
-    const INF: u64 = u64::MAX / 4;
-    let mut dp = [0u64, INF];
-    for &ev in events {
-        let mut next = [INF, INF];
-        for (s, &cur) in dp.iter().enumerate() {
-            if cur >= INF {
-                continue;
-            }
-            for (t, slot) in next.iter_mut().enumerate() {
-                if ev == EdgeEvent::N && s == 1 && t == 0 {
-                    continue; // the noop break, disallowed here
-                }
-                if let Some(c) = edge_cost(s == 1, ev, t == 1) {
-                    *slot = (*slot).min(cur + c);
-                }
-            }
-        }
-        dp = next;
-    }
-    dp[0].min(dp[1])
+    edge_dp(events, false)
 }
 
 /// Sum of [`opt_edge_cost_realizable`] over all ordered pairs.
 pub fn opt_total_cost_realizable<V>(tree: &Tree, seq: &[Request<V>]) -> u64 {
-    tree.dir_edges()
-        .map(|(u, v)| opt_edge_cost_realizable(&sigma_prime_of(&sigma(tree, seq, u, v))))
-        .sum()
+    total_dp(tree, seq, false)
 }
 
 /// `C_OPT(σ)`: the sum of per-ordered-pair optima over all directed
@@ -140,9 +178,7 @@ pub fn opt_total_cost_realizable<V>(tree: &Tree, seq: &[Request<V>]) -> u64 {
 /// assert_eq!(opt_total_cost(&tree, &seq), 20);
 /// ```
 pub fn opt_total_cost<V>(tree: &Tree, seq: &[Request<V>]) -> u64 {
-    tree.dir_edges()
-        .map(|(u, v)| opt_pair_cost(tree, seq, u, v))
-        .sum()
+    total_dp(tree, seq, true)
 }
 
 /// `C_OPT(σ, u, v)` for one ordered pair.

@@ -10,11 +10,15 @@
 //! it ties the distributed mechanism (probes cascading through the tree,
 //! update identifiers, release bookkeeping) to the paper's per-edge
 //! accounting, edge by edge.
+//!
+//! The totals run each pair's automaton inside the one sweep of
+//! [`crate::sweep`]; the per-pair functions replay `σ(u,v)` itself.
 
-use oat_core::request::{sigma, Request};
+use oat_core::request::{sigma, EdgeEvent, Request};
 use oat_core::tree::{NodeId, Tree};
 
 use crate::cost_model::{AbAutomaton, RwwAutomaton};
+use crate::sweep::sweep;
 
 /// Analytic `C_RWW(σ, u, v)` for one ordered pair.
 pub fn rww_pair_cost<V>(tree: &Tree, seq: &[Request<V>], u: NodeId, v: NodeId) -> u64 {
@@ -23,9 +27,7 @@ pub fn rww_pair_cost<V>(tree: &Tree, seq: &[Request<V>], u: NodeId, v: NodeId) -
 
 /// Analytic `C_RWW(σ)`: sum over all ordered pairs.
 pub fn rww_total_cost<V>(tree: &Tree, seq: &[Request<V>]) -> u64 {
-    tree.dir_edges()
-        .map(|(u, v)| rww_pair_cost(tree, seq, u, v))
-        .sum()
+    billed_total(tree, seq, RwwAutomaton::new(), RwwAutomaton::step)
 }
 
 /// Analytic per-pair cost of the abstract `(a,b)`-algorithm.
@@ -42,9 +44,23 @@ pub fn ab_pair_cost<V>(
 
 /// Analytic total cost of the abstract `(a,b)`-algorithm.
 pub fn ab_total_cost<V>(tree: &Tree, seq: &[Request<V>], a: u32, b: u32) -> u64 {
-    tree.dir_edges()
-        .map(|(u, v)| ab_pair_cost(tree, seq, a, b, u, v))
-        .sum()
+    billed_total(tree, seq, AbAutomaton::new(a, b), AbAutomaton::step)
+}
+
+/// Sum over all ordered pairs of the Figure-2 costs an automaton, started
+/// as `init` on every pair, charges along `σ(u,v)`.
+fn billed_total<V, A: Clone>(
+    tree: &Tree,
+    seq: &[Request<V>],
+    init: A,
+    step: impl Fn(&mut A, EdgeEvent) -> u64,
+) -> u64 {
+    sweep(tree, seq, (init, 0u64), |(aut, cost), ev| {
+        *cost += step(aut, ev)
+    })
+    .iter()
+    .map(|(_, cost)| cost)
+    .sum()
 }
 
 #[cfg(test)]

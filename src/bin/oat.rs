@@ -382,44 +382,58 @@ fn spec_num<T: std::str::FromStr>(s: &str, kind: &str) -> Result<T, String> {
 
 fn parse_tree(spec: &str) -> Result<Tree, String> {
     let num = |s: &str| spec_num::<usize>(s, "tree");
+    // Every shape needs at least one node; a k-ary tree needs k ≥ 1.
+    let pos = |s: &str| match num(s)? {
+        0 => Err(format!("tree spec `{spec}` needs positive sizes")),
+        v => Ok(v),
+    };
     match spec.split(':').collect::<Vec<_>>().as_slice() {
         ["pair"] => Ok(Tree::pair()),
-        ["path", n] => Ok(Tree::path(num(n)?)),
-        ["star", n] => Ok(Tree::star(num(n)?)),
-        ["kary", n, k] => Ok(Tree::kary(num(n)?, num(k)?)),
+        ["path", n] => Ok(Tree::path(pos(n)?)),
+        ["star", n] => Ok(Tree::star(pos(n)?)),
+        ["kary", n, k] => Ok(Tree::kary(pos(n)?, pos(k)?)),
         ["random", n, seed] => Ok(oat::workloads::random_tree(
-            num(n)?,
+            pos(n)?,
             spec_num(seed, "tree")?,
         )),
-        ["caterpillar", s, l] => Ok(oat::workloads::caterpillar(num(s)?, num(l)?)),
+        ["caterpillar", s, l] => Ok(oat::workloads::caterpillar(pos(s)?, num(l)?)),
         _ => Err(format!("bad tree spec `{spec}`")),
     }
 }
 
 fn parse_workload(spec: &str, tree: &Tree, seed: u64) -> Result<Vec<Request<i64>>, String> {
-    let f = |s: &str| spec_num::<f64>(s, "workload");
+    let bad = |why: &str| format!("workload spec `{spec}`: {why}");
+    let wf = |s: &str| match spec_num::<f64>(s, "workload")? {
+        w if (0.0..=1.0).contains(&w) => Ok(w),
+        _ => Err(bad("the write fraction must be in [0, 1]")),
+    };
     let u = |s: &str| spec_num::<usize>(s, "workload");
-    match spec.split(':').collect::<Vec<_>>().as_slice() {
-        ["uniform", wf, len] => Ok(oat::workloads::uniform(tree, u(len)?, f(wf)?, seed)),
-        ["hotspot", wf, len, r, w] => Ok(oat::workloads::hotspot(
-            tree,
-            u(len)?,
-            f(wf)?,
-            u(r)?,
-            u(w)?,
-            seed,
-        )),
-        ["zipf", wf, len, alpha] => {
-            Ok(oat::workloads::zipf(tree, u(len)?, f(wf)?, f(alpha)?, seed))
+    // Hotspot reader and writer sets hold 1..=n nodes.
+    let nodes = |s: &str| match u(s)? {
+        k if (1..=tree.len()).contains(&k) => Ok(k),
+        _ => Err(bad(&format!("hotspot sets need 1..={} nodes", tree.len()))),
+    };
+    let seq = match spec.split(':').collect::<Vec<_>>().as_slice() {
+        ["uniform", w, len] => oat::workloads::uniform(tree, u(len)?, wf(w)?, seed),
+        ["hotspot", w, len, r, wr] => {
+            oat::workloads::hotspot(tree, u(len)?, wf(w)?, nodes(r)?, nodes(wr)?, seed)
         }
-        ["singlewriter", rounds, wpr] => Ok(oat::workloads::single_writer(
-            tree,
-            u(rounds)?,
-            u(wpr)?,
-            NodeId(0),
-        )),
-        _ => Err(format!("bad workload spec `{spec}`")),
+        ["zipf", w, len, alpha] => {
+            let alpha = match spec_num::<f64>(alpha, "workload")? {
+                a if a > 0.0 && a.is_finite() => a,
+                _ => return Err(bad("the zipf exponent must be positive")),
+            };
+            oat::workloads::zipf(tree, u(len)?, wf(w)?, alpha, seed)
+        }
+        ["singlewriter", rounds, wpr] => {
+            oat::workloads::single_writer(tree, u(rounds)?, u(wpr)?, NodeId(0))
+        }
+        _ => return Err(format!("bad workload spec `{spec}`")),
+    };
+    if seq.is_empty() {
+        return Err(bad("generates no requests"));
     }
+    Ok(seq)
 }
 
 fn parse_script(spec: &str) -> Result<Vec<Request<i64>>, String> {
@@ -456,7 +470,11 @@ enum PolicyChoice {
 }
 
 fn parse_policy(spec: &str) -> Result<PolicyChoice, String> {
-    let u = |s: &str| spec_num::<u32>(s, "policy");
+    // (a,b) and random-break parameters count requests: at least one.
+    let u = |s: &str| match spec_num::<u32>(s, "policy")? {
+        0 => Err(format!("policy spec `{spec}` needs positive parameters")),
+        v => Ok(v),
+    };
     match spec.split(':').collect::<Vec<_>>().as_slice() {
         ["rww"] => Ok(PolicyChoice::Rww),
         ["always"] => Ok(PolicyChoice::Always),
@@ -520,17 +538,25 @@ fn print_policy_row<S: PolicySpec>(
         .filter(|(q, _)| q.op.is_combine())
         .map(|(_, &l)| l)
         .collect();
-    let reads = read_lats.len().max(1);
+    let reads = read_lats.len();
+    // A workload without combines has no read latency to report.
+    let per_read = |x: f64, prec: usize| {
+        if reads > 0 {
+            format!("{:.prec$}", x / reads as f64)
+        } else {
+            "-".into()
+        }
+    };
     let msgs: u64 = chunk.per_request_msgs.iter().sum();
     println!(
-        "  {:<18} {:>9} msgs  {:>7.3} msgs/req  ratio vs OPT {:>6}  vs NOPT-lb {:>6}  read lat {:>5.2} ({:>3.0}% local)",
+        "  {:<18} {:>9} msgs  {:>7.3} msgs/req  ratio vs OPT {:>6}  vs NOPT-lb {:>6}  read lat {:>5} ({:>3}% local)",
         spec.name(),
         msgs,
         msgs as f64 / seq.len() as f64,
         if opt > 0 { format!("{:.3}", msgs as f64 / opt as f64) } else { "-".into() },
         if lb > 0 { format!("{:.3}", msgs as f64 / lb as f64) } else { "-".into() },
-        read_lats.iter().map(|&l| l as f64).sum::<f64>() / reads as f64,
-        read_lats.iter().filter(|&&l| l == 0).count() as f64 * 100.0 / reads as f64,
+        per_read(read_lats.iter().map(|&l| l as f64).sum(), 2),
+        per_read(read_lats.iter().filter(|&&l| l == 0).count() as f64 * 100.0, 0),
     );
 }
 

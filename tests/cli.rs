@@ -97,6 +97,42 @@ fn run_policy_all_bills_the_six_policies_in_order() {
     assert_eq!(rows, [&six[..], &["OPT"]].concat());
 }
 
+#[test]
+fn out_of_range_spec_parameters_exit_2_instead_of_panicking() {
+    for (flag, spec) in [
+        ("--policy", "ab:0:3"),
+        ("--policy", "ab:2:0"),
+        ("--policy", "randombreak:0:7"),
+        ("--tree", "kary:5:0"),
+        ("--tree", "path:0"),
+        ("--tree", "star:0"),
+        ("--tree", "random:0:1"),
+        ("--tree", "caterpillar:0:0"),
+        ("--workload", "uniform:1.5:20"),
+        ("--workload", "uniform:-0.1:20"),
+        ("--workload", "zipf:0.5:20:0"),
+        ("--workload", "hotspot:0.5:20:0:0"),
+        ("--workload", "hotspot:0.5:20:9:9"),
+        ("--workload", "uniform:0.5:0"),
+        ("--workload", "singlewriter:0:0"),
+    ] {
+        // The other two flags keep a valid value.
+        let line = [
+            ("--tree", "kary:7:2"),
+            ("--policy", "rww"),
+            ("--workload", "uniform:0.5:20"),
+        ]
+        .map(|(f, v)| format!("{f} {}", if f == flag { spec } else { v }))
+        .join(" ");
+        let line = format!("run {line}");
+        let out = oat(&line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{line}: {stderr}");
+        assert!(stderr.contains(&format!("`{spec}`")), "{line}: {stderr}");
+    }
+}
+
 /// Each subcommand form's flags, read from the USAGE block of `oat help`
 /// (which the binary generates from the table its parser reads).
 fn declared_forms() -> Vec<(String, Vec<String>)> {

@@ -11,7 +11,7 @@
 use oat::offline::adversary::{adv_sequence, adv_tree};
 use oat::offline::nopt::{epoch_count, rww_epoch_bound};
 use oat::offline::ratio::{measure_policy, measure_rww};
-use oat::offline::replay::{ab_total_cost, rww_pair_cost};
+use oat::offline::replay::{ab_total_cost, rww_pair_cost, rww_total_cost};
 use oat::offline::{opt_total_cost, RatioReport};
 use oat::prelude::*;
 use oat::sim::{run_sequential, Schedule};
@@ -138,6 +138,64 @@ fn baselines_can_be_arbitrarily_bad_but_rww_cannot() {
 
     let rww_wh = measure_rww(&tree, &write_heavy);
     assert!(rww_wh.ratio_vs_opt().unwrap() <= 2.5 + 1e-9);
+}
+
+#[test]
+fn lemma_4_5_analytic_bills_equal_the_simulator_on_random_shapes() {
+    // 200 seeded (tree, σ) cases over four shapes, n ≤ 64, |σ| ≤ 400:
+    // the analytic RWW and (1,3) totals are the simulator's message
+    // counts exactly. (a,b) with a > 1 is left out: `AbSpec` counts
+    // probes as a proxy for combines, and it cannot see a write whose
+    // update never reaches the granting node (oat-core's `policy::ab`),
+    // so (2,2) differs from its automaton on some shapes.
+    let mut s = 0x45u64;
+    let mut draw = |below: u64| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 33) % below
+    };
+    for case in 0..200 {
+        let n = 2 + draw(63) as usize;
+        let (name, tree) = match case % 4 {
+            0 => {
+                let seed = draw(1 << 30);
+                (
+                    format!("random:{n}:{seed}"),
+                    oat::workloads::random_tree(n, seed),
+                )
+            }
+            1 => {
+                let legs = draw(4) as usize;
+                let spine = (n / (legs + 1)).max(2);
+                (
+                    format!("caterpillar:{spine}:{legs}"),
+                    oat::workloads::caterpillar(spine, legs),
+                )
+            }
+            2 => (format!("star:{n}"), Tree::star(n)),
+            _ => (format!("path:{n}"), Tree::path(n)),
+        };
+        let len = 1 + draw(400) as usize;
+        let wf = draw(11) as f64 / 10.0;
+        let seq = oat::workloads::uniform(&tree, len, wf, draw(1 << 30));
+        let at = format!("case {case}: {name}, uniform:{wf}:{len}");
+        let sim = run_sequential(&tree, SumI64, &RwwSpec, Schedule::Fifo, &seq, false);
+        assert_eq!(rww_total_cost(&tree, &seq), sim.total_msgs(), "RWW, {at}");
+        let sim = run_sequential(
+            &tree,
+            SumI64,
+            &AbSpec::new(1, 3),
+            Schedule::Fifo,
+            &seq,
+            false,
+        );
+        assert_eq!(
+            ab_total_cost(&tree, &seq, 1, 3),
+            sim.total_msgs(),
+            "(1,3), {at}"
+        );
+    }
 }
 
 proptest! {
