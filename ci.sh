@@ -10,6 +10,15 @@ cargo fmt --all -- --check
 echo "== cargo clippy --workspace (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== sans-IO boundary: grep crates/net/src/core.rs =="
+# The node core (crates/net/src/core.rs) decides everything and touches
+# nothing: no clock read, no readiness registration, no quiescence
+# counter, no socket. Its driver, crates/net/src/reactor.rs, does those.
+if grep -nE 'Instant::now|Poller|InFlight|TcpStream|UnixStream' crates/net/src/core.rs; then
+  echo "sans-IO boundary: the node core must not read the clock or touch I/O"
+  exit 1
+fi
+
 echo "== tier 1: cargo build --release =="
 cargo build --release
 

@@ -119,6 +119,15 @@ pub struct MechNode<P: NodePolicy, A: AggOp> {
     probe_epoch: Vec<u64>,
     /// Stale-epoch responses discarded by `T4` (diagnostic counter).
     stale_responses: u64,
+    /// Per neighbour: a probe to it is in flight (sent, not answered).
+    /// Figure 1 reads this off `snt` (`v ∈ sntprobes()`), and on a
+    /// fault-free run the two agree; but a peer reset drops the reset
+    /// peer's fan-out from `snt` while that fan-out's probes to other
+    /// neighbours are still in flight, and a second probe sent beside
+    /// one of them would be answered twice — a `release` crossing the
+    /// second answer then leaves a lease taken at one end and not
+    /// granted at the other.
+    probing: Vec<bool>,
     /// Pruning watermark per neighbour `w`: every update id we sent to
     /// `w` *before* `watermark[w]` has been acknowledged (by a release
     /// from `w`, or because `w`'s lease was granted afresh with an empty
@@ -153,6 +162,7 @@ impl<P: NodePolicy + Clone, A: AggOp> Clone for MechNode<P, A> {
             epoch: self.epoch,
             probe_epoch: self.probe_epoch.clone(),
             stale_responses: self.stale_responses,
+            probing: self.probing.clone(),
             watermark: self.watermark.clone(),
             policy: self.policy.clone(),
             ghost: self.ghost.clone(),
@@ -194,6 +204,7 @@ where
         }
         self.epoch.hash(h);
         self.probe_epoch.hash(h);
+        self.probing.hash(h);
         self.watermark.hash(h);
         self.policy.hash(h);
         if let Some(g) = &self.ghost {
@@ -226,6 +237,7 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
             epoch: 0,
             probe_epoch: vec![0; k],
             stale_responses: 0,
+            probing: vec![false; k],
             policy,
             ghost: if ghost { Some(GhostState::new()) } else { None },
             nbrs,
@@ -390,16 +402,6 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         !self.grntd_nonempty_except(Some(wi))
     }
 
-    /// `v ∈ sntprobes()`: is `v` in any outstanding probe target set?
-    ///
-    /// Membership test instead of materializing the union: `send_probes`
-    /// queries it per neighbour on every probe fan-out, and the sets are
-    /// degree-bounded, so scanning beats allocating a sorted/deduped
-    /// `Vec` on each handler invocation.
-    fn probe_sent_to(&self, v: NodeId) -> bool {
-        self.snt.iter().any(|(_, s)| s.contains(&v))
-    }
-
     /// `newid()`.
     fn newid(&mut self) -> u64 {
         self.upcntr += 1;
@@ -432,15 +434,17 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
     }
 
     /// `sendprobes(w)`: mark `w` pending and probe every neighbour not
-    /// already leased, probed, or equal to `w`.
+    /// already leased, probed (`v ∈ sntprobes()`, kept in `probing`), or
+    /// equal to `w`.
     fn send_probes(&mut self, w: NodeId, out: &mut Outbox<A::Value>) {
         if !self.pndg.contains(&w) {
             self.pndg.push(w);
         }
         for (i, &v) in self.nbrs.iter().enumerate() {
-            if self.taken[i] || v == w || self.probe_sent_to(v) {
+            if self.taken[i] || v == w || self.probing[i] {
                 continue;
             }
+            self.probing[i] = true;
             out.push((v, Message::Probe { epoch: self.epoch }));
         }
     }
@@ -741,6 +745,7 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         out: &mut Outbox<A::Value>,
     ) -> Option<A::Value> {
         self.policy.on_response_rcvd(flag, wi);
+        self.probing[wi] = false;
         self.aval[wi] = x;
         if let (Some(gh), Some(wl)) = (self.ghost.as_mut(), wlog.as_ref()) {
             gh.merge_wlog(wl);
@@ -898,6 +903,8 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
             }
             need_probe = true;
         }
+        // The peer forgot any probe we sent it, too.
+        self.probing[wi] = need_probe;
         if need_probe {
             out.push((from, Message::Probe { epoch: self.epoch }));
         }
@@ -1173,6 +1180,38 @@ mod tests {
         assert_eq!(done, Some(13));
         assert!(m.pndg().is_empty());
         assert!(m.snt_all_empty());
+    }
+
+    #[test]
+    fn peer_reset_keeps_the_dropped_fan_out_s_probes_in_flight() {
+        let t = Tree::path(3); // 0 - 1 - 2
+        let mut m = node(&t, 1);
+        let mut out = Vec::new();
+        let probe = |epoch| Message::Probe { epoch };
+        let response = |x| Message::Response {
+            x,
+            flag: true,
+            epoch: 0,
+            wlog: None,
+        };
+
+        // 0 probes 1, which fans out to 2.
+        m.handle_message(n(0), probe(0), &mut out);
+        assert_eq!(out.len(), 1);
+        out.clear();
+        // 0 restarts: its fan-out is dropped, but the probe to 2 is
+        // still in flight. 0's fresh incarnation probes again: 1 must
+        // wait for the answer already on its way, not probe 2 a second
+        // time — two answers to one edge let a release (of the lease
+        // the first grants) cross the second grant.
+        m.handle_peer_reset(n(0), &mut out);
+        assert!(out.is_empty());
+        m.handle_message(n(0), probe(1), &mut out);
+        assert!(out.is_empty(), "a second probe to 2: {out:?}");
+        // The one answer completes the fresh fan-out, under 0's new epoch.
+        m.handle_message(n(2), response(5), &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(matches!(out[0], (v, Message::Response { x: 5, epoch: 1, .. }) if v == n(0)));
     }
 
     #[test]

@@ -38,9 +38,10 @@ use oat_core::message::MsgKind;
 use oat_core::policy::PolicySpec;
 use oat_core::request::{ReqOp, Request};
 use oat_core::tree::{NodeId, Tree};
-use oat_core::wire::{put_u32, put_u64, WireReader, WireValue};
+use oat_core::wire::{put_u32, put_u64, WireError, WireReader, WireValue};
 use oat_sim::MsgStats;
 
+use crate::core::{FaultCounters, NodeReport, RTX_DEFAULT_HIGH, RTX_DEFAULT_LOW};
 use crate::durability::{WalCounters, WalDurability};
 use crate::frame::{
     decode_batch, encode_batch, encode_request, write_frame, FrameDecoder, TAG_HELLO_CLIENT,
@@ -48,7 +49,6 @@ use crate::frame::{
     TAG_RESP_METRICS, TAG_RESP_WRITE, TAG_SUB,
 };
 use crate::metrics::NodeMetrics;
-use crate::node::{FaultCounters, NodeReport, RTX_DEFAULT_HIGH, RTX_DEFAULT_LOW};
 use crate::reactor::{reactor_main, waker_pair, InFlight, NodeSeed, ReactorCfg, Waker};
 use crate::transport::{ring_listen, ClientStream, Listener, NodeAddr, TransportKind, UdsDir};
 
@@ -607,12 +607,12 @@ impl<A: AggOp> Cluster<A> {
     /// Mechanism messages sent cluster-wide so far.
     ///
     /// Relaxed load: the count is only meaningful after
-    /// [`Cluster::quiesce`], whose SeqCst read of `in_flight`
-    /// synchronizes with the SeqCst handler-exit decrement that follows
-    /// every (relaxed) `total_sent` increment in the sending thread, so
-    /// all increments are visible here by then. Between quiescent points
-    /// the value is a monotone lower bound — fine for progress display,
-    /// not for exact windows.
+    /// [`Cluster::quiesce`], whose SeqCst read of `in_flight` synchronizes
+    /// with the SeqCst settle of each message's debt, which the sending
+    /// thread performs after its (relaxed) `total_sent` increment, so all
+    /// increments are visible here by then. Between quiescent points the
+    /// value is a monotone lower bound — fine for progress display, not
+    /// for exact windows.
     pub fn total_messages(&self) -> u64 {
         self.total_sent.load(Ordering::Relaxed)
     }
@@ -625,10 +625,10 @@ impl<A: AggOp> Cluster<A> {
     ///
     /// `in_flight` stays SeqCst on both sides: it is the cluster's one
     /// true synchronizer — the acquire edge its zero-read provides is
-    /// what licenses the relaxed orderings on `total_sent` and the
-    /// queue gauges. The wait itself is event-driven: reactors notify
-    /// a condvar when the count hits zero, so this parks instead of
-    /// spinning (see `crate::reactor::InFlight`).
+    /// what licenses the relaxed ordering on `total_sent`. The wait
+    /// itself is event-driven: reactors notify a condvar when the count
+    /// hits zero, so this parks instead of spinning (see
+    /// `crate::reactor::InFlight`).
     pub fn quiesce(&self) {
         self.in_flight.wait_zero(None);
     }
@@ -777,34 +777,25 @@ struct PerClientResults<V> {
 ///   time.
 ///
 /// Submissions are buffered — a burst of submits coalesces into one
-/// wire write; [`ClusterClient::next_response`] flushes before reading,
-/// so a client can never deadlock against its own unflushed requests.
+/// wire write; every read flushes first, so a client can never deadlock
+/// against its own unflushed requests. All reads go through one loop
+/// and an incremental [`FrameDecoder`]: a timeout that fires mid-frame
+/// loses nothing.
 ///
 /// ## Timeouts and idempotent retry
 ///
 /// With [`ClusterClient::set_timeout`] armed, a read that waits longer
-/// than the timeout re-sends every still-unanswered request frame —
-/// *same request ids* — and keeps reading. Batched submissions retry
-/// as *individual* frames: the node answers retried members directly
-/// and strikes them from the batch's roster, so every request resolves
-/// exactly once whether its batch response or its direct duplicate
-/// arrives first. The ids make the retry
-/// idempotent end to end: the node parks at most one combine waiter per
-/// `(connection, id)`, writes of the same value re-apply harmlessly,
-/// and the client discards any response whose id it no longer has
-/// outstanding (the duplicate from a request that was merely slow, not
-/// lost). This is the client-side half of crash recovery: a node
-/// restart destroys parked waiters, and the retry re-drives them.
-///
-/// Reads go through an incremental [`FrameDecoder`], so a timeout that
-/// fires mid-frame loses nothing: the partial bytes stay buffered and
-/// the next read resumes exactly where the stream left off.
-///
-/// With the retry policy armed the client also survives the *connection
-/// itself* dying (EOF/reset — what a `kill9`'d node does to its
-/// clients): it redials the same address, re-hellos, re-sends every
-/// unanswered request, and keeps reading. A partial frame from the old
-/// connection is discarded — the new connection starts a fresh stream.
+/// than the timeout re-sends every unanswered request — *same ids*,
+/// batch members as individual frames — and keeps reading. The ids make
+/// the retry idempotent end to end: the node parks at most one combine
+/// waiter per `(connection, id)`, strikes a batch member at its first
+/// answer, re-applies a written value harmlessly, and the client
+/// discards any response whose id it no longer has outstanding. This is
+/// the client-side half of crash recovery: a restart destroys parked
+/// waiters, and the retry re-drives them. The client also survives the
+/// *connection* dying (what a `kill9`'d node does to its clients): it
+/// redials, re-hellos, re-sends every unanswered request and
+/// subscription, and keeps reading on a fresh stream.
 pub struct ClusterClient<V> {
     node: NodeId,
     /// The node's address, kept for retry-policy reconnects.
@@ -843,6 +834,23 @@ pub struct ClusterClient<V> {
 /// A client stream read: [`ClientStream::read`] (waits up to the read
 /// timeout) or [`ClientStream::read_nowait`].
 type StreamRead = fn(&mut ClientStream, &mut [u8]) -> io::Result<usize>;
+
+/// What [`ClusterClient::read_loop`] waits for.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// The next response, with this many retries already spent.
+    Next(u32),
+    /// The next response, if one arrives within the read timeout.
+    Try,
+    /// The reply to metrics request `id`.
+    Metrics(u64),
+}
+
+/// What resolved a [`Wait`].
+enum Got<V> {
+    Resp(u64, Response<V>),
+    Metrics(NodeMetrics),
+}
 
 impl<V: WireValue> ClusterClient<V> {
     /// Connects and announces itself as a client. Accepts anything
@@ -951,17 +959,10 @@ impl<V: WireValue> ClusterClient<V> {
         self.next_id
     }
 
-    /// Reads the next frame through the incremental decoder. A timeout
-    /// (or any error) leaves partially received bytes buffered, so the
-    /// stream stays frame-aligned across retries.
-    fn read_frame_buffered(&mut self) -> io::Result<(u8, Vec<u8>)> {
-        self.read_frame_via(ClientStream::read)
-    }
-
-    /// [`ClusterClient::read_frame_buffered`] over either stream read:
-    /// with [`ClientStream::read_nowait`] a frame not yet complete is
-    /// `WouldBlock`, its bytes kept for the next call.
-    fn read_frame_via(&mut self, read: StreamRead) -> io::Result<(u8, Vec<u8>)> {
+    /// Reads the next frame through the incremental decoder: an error
+    /// (a timeout, `WouldBlock` from [`ClientStream::read_nowait`]) keeps
+    /// partial bytes buffered, so the stream stays frame-aligned.
+    fn read_frame(&mut self, read: StreamRead) -> io::Result<(u8, Vec<u8>)> {
         loop {
             if let Some(frame) = self.dec.try_frame()? {
                 return Ok(frame);
@@ -1120,67 +1121,85 @@ impl<V: WireValue> ClusterClient<V> {
                 return Err(e);
             }
         }
+        match self.read_loop(Wait::Next(retries), ClientStream::read)? {
+            Some(Got::Resp(id, resp)) => Ok((id, resp)),
+            _ => unreachable!("a blocking read resolves a response or fails"),
+        }
+    }
+
+    /// The one read loop: takes frames (unpacked batch responses first,
+    /// except for a metrics call) until [`ClusterClient::accept_frame`]
+    /// resolves `wait`. Under [`Wait::Try`] a timeout ends the wait with
+    /// `Ok(None)`, and so does a dead connection, replaced first.
+    /// Otherwise, up to the armed retries, a timeout re-sends every
+    /// unanswered request and a dead connection is redialed (a kill9'd
+    /// node's listener survives); a metrics call re-sends its own too.
+    fn read_loop(&mut self, wait: Wait, read: StreamRead) -> io::Result<Option<Got<V>>> {
+        let (mut retries, metrics) = match wait {
+            Wait::Next(spent) => (spent, None),
+            Wait::Try => (0, None),
+            Wait::Metrics(id) => (0, Some(id)),
+        };
         loop {
-            // Responses unpacked from an earlier RESP_BATCH come first.
-            let (tag, payload) = match self.queued.pop_front() {
-                Some(frame) => frame,
-                None => match self.read_frame_buffered() {
-                    Ok(frame) => frame,
-                    Err(e) if Self::is_timeout(&e) && retries < self.max_retries => {
-                        retries += 1;
-                        self.timeouts += 1;
-                        self.resend_pending()?;
-                        continue;
+            let queued = metrics.is_none().then(|| self.queued.pop_front()).flatten();
+            let (tag, payload) = match queued.map_or_else(|| self.read_frame(read), Ok) {
+                Ok(frame) => frame,
+                Err(e) if matches!(wait, Wait::Try) && Self::is_timeout(&e) => return Ok(None),
+                Err(e) if matches!(wait, Wait::Try) && Self::is_disconnect(&e) => {
+                    self.reconnect()?;
+                    return Ok(None);
+                }
+                Err(e) if Self::is_timeout(&e) && retries < self.max_retries => {
+                    retries += 1;
+                    self.timeouts += 1;
+                    if let Some(id) = metrics {
+                        Self::queue_metrics(&mut self.wbuf, id)?;
                     }
-                    Err(e) if Self::is_disconnect(&e) && retries < self.max_retries => {
-                        // The node's process died under us (kill9) or the
-                        // connection was severed; its listener survives, so
-                        // redial and re-drive everything unanswered.
-                        retries += 1;
-                        self.reconnect()?;
-                        continue;
+                    self.resend_pending()?;
+                    continue;
+                }
+                Err(e) if Self::is_disconnect(&e) && retries < self.max_retries => {
+                    retries += 1;
+                    self.reconnect()?;
+                    if let Some(id) = metrics {
+                        Self::queue_metrics(&mut self.wbuf, id)?;
+                        self.flush()?;
                     }
-                    Err(e) => return Err(e),
-                },
+                    continue;
+                }
+                Err(e) => return Err(e),
             };
-            if let Some(resolved) = self.accept_frame(tag, &payload)? {
-                return Ok(resolved);
+            if let Some(got) = self.accept_frame(tag, &payload, metrics)? {
+                return Ok(Some(got));
             }
         }
     }
 
-    /// Decodes one response frame. `Ok(None)` means the frame was
-    /// consumed without surfacing anything: a batch unpacked into the
-    /// queue, or a duplicate answer to a request already retried and
-    /// resolved (the client discards unknown ids).
-    fn accept_frame(&mut self, tag: u8, payload: &[u8]) -> io::Result<Option<(u64, Response<V>)>> {
+    /// Routes one frame; `Ok(None)` when it does not resolve the wait: a
+    /// batch unpacked into the queue, a duplicate (unknown ids are
+    /// discarded), or — while metrics reply `metrics` is awaited — an
+    /// answer queued for the next read or a partial parked for
+    /// [`ClusterClient::try_next_response`].
+    fn accept_frame(
+        &mut self,
+        tag: u8,
+        payload: &[u8],
+        metrics: Option<u64>,
+    ) -> io::Result<Option<Got<V>>> {
+        let invalid = |e: WireError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         if tag == TAG_RESP_BATCH {
             self.queued.extend(decode_batch(payload)?);
             return Ok(None);
         }
+        if metrics.is_some() && matches!(tag, TAG_RESP_COMBINE | TAG_RESP_WRITE) {
+            self.queued.push_back((tag, payload.to_vec()));
+            return Ok(None);
+        }
         let mut r = WireReader::new(payload);
-        let id = r
-            .u64("response req id")
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        match tag {
-            TAG_RESP_COMBINE => {
-                let v = V::decode(&mut r)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                if self.pending.remove(&id).is_some() {
-                    oat_obs::trace_event!(oat_obs::EventKind::ReqEnd, self.node.0, 0, id);
-                    return Ok(Some((id, Response::Combine(v))));
-                }
-                // Duplicate answer to a request we already retried
-                // and resolved: discard, keep reading.
-                Ok(None)
-            }
-            TAG_RESP_WRITE => {
-                if self.pending.remove(&id).is_some() {
-                    oat_obs::trace_event!(oat_obs::EventKind::ReqEnd, self.node.0, 0, id);
-                    return Ok(Some((id, Response::Write)));
-                }
-                Ok(None)
-            }
+        let id = r.u64("response req id").map_err(invalid)?;
+        let resp = match tag {
+            TAG_RESP_COMBINE => Response::Combine(V::decode(&mut r).map_err(invalid)?),
+            TAG_RESP_WRITE => Response::Write,
             TAG_PARTIAL => {
                 // An unsolicited pushed refinement; `id` is the sub id.
                 let parsed = r.u32("partial tree id").and_then(|tree| {
@@ -1188,33 +1207,41 @@ impl<V: WireValue> ClusterClient<V> {
                     let value = V::decode(&mut r)?;
                     Ok((tree, seq, value))
                 });
-                let (tree, seq, value) = parsed
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                let (tree, seq, value) = parsed.map_err(invalid)?;
                 oat_obs::trace_event!(oat_obs::EventKind::PartialRx, tree, 0, seq);
-                Ok(Some((id, Response::Partial { tree, seq, value })))
+                let partial = Response::Partial { tree, seq, value };
+                if metrics.is_some() {
+                    self.parked_partials.push_back((id, partial));
+                    return Ok(None);
+                }
+                return Ok(Some(Got::Resp(id, partial)));
             }
-            TAG_RESP_METRICS => {
-                // A duplicate answer to a metrics() call that was
-                // retried under timeout and already returned:
-                // discard, keep reading.
-                Ok(None)
+            TAG_RESP_METRICS if metrics == Some(id) => {
+                let m = NodeMetrics::decode(&payload[8..]).map_err(invalid)?;
+                return Ok(Some(Got::Metrics(m)));
             }
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected response tag {other}"),
-            )),
+            TAG_RESP_METRICS => return Ok(None),
+            other => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unexpected response tag {other}"),
+                ))
+            }
+        };
+        if self.pending.remove(&id).is_none() {
+            return Ok(None);
         }
+        oat_obs::trace_event!(oat_obs::EventKind::ReqEnd, self.node.0, 0, id);
+        Ok(Some(Got::Resp(id, resp)))
     }
 
     /// Waits up to `wait` for the next response (pushed partials
-    /// included); `Ok(None)` when nothing arrived in time. Unlike
-    /// [`ClusterClient::next_response`] this never blocks indefinitely,
-    /// so a subscriber can interleave polling for partials with
-    /// submitting work. `Duration::ZERO` means "do not block": it
-    /// returns what has already arrived, and an empty poll costs one
-    /// zero-timeout poll(2). A dead connection is replaced (with
-    /// pending requests re-driven and subscriptions re-registered) and
-    /// reported as `Ok(None)` for this round.
+    /// included); `Ok(None)` when nothing arrived in time, so a
+    /// subscriber can interleave polling with submitting work.
+    /// `Duration::ZERO` does not block: an empty poll costs one
+    /// zero-timeout poll(2). A dead connection is replaced (requests
+    /// re-driven, subscriptions re-registered) even with no retry policy
+    /// armed, and reported as `Ok(None)` for this round.
     pub fn try_next_response(&mut self, wait: Duration) -> io::Result<Option<(u64, Response<V>)>> {
         if let Some(parked) = self.parked_partials.pop_front() {
             return Ok(Some(parked));
@@ -1226,34 +1253,19 @@ impl<V: WireValue> ClusterClient<V> {
             }
             return Err(e);
         }
-        if wait.is_zero() {
-            return self.try_read_response(ClientStream::read_nowait);
-        }
-        // Swap the bounded wait in for this read only.
-        self.stream.set_read_timeout(Some(wait))?;
-        let got = self.try_read_response(ClientStream::read);
-        self.stream.set_read_timeout(self.timeout)?;
-        got
-    }
-
-    fn try_read_response(&mut self, read: StreamRead) -> io::Result<Option<(u64, Response<V>)>> {
-        loop {
-            let (tag, payload) = match self.queued.pop_front() {
-                Some(frame) => frame,
-                None => match self.read_frame_via(read) {
-                    Ok(frame) => frame,
-                    Err(e) if Self::is_timeout(&e) => return Ok(None),
-                    Err(e) if Self::is_disconnect(&e) => {
-                        self.reconnect()?;
-                        return Ok(None);
-                    }
-                    Err(e) => return Err(e),
-                },
-            };
-            if let Some(resolved) = self.accept_frame(tag, &payload)? {
-                return Ok(Some(resolved));
-            }
-        }
+        let got = if wait.is_zero() {
+            self.read_loop(Wait::Try, ClientStream::read_nowait)
+        } else {
+            // Swap the bounded wait in for this read only.
+            self.stream.set_read_timeout(Some(wait))?;
+            let got = self.read_loop(Wait::Try, ClientStream::read);
+            self.stream.set_read_timeout(self.timeout)?;
+            got
+        };
+        Ok(match got? {
+            Some(Got::Resp(id, resp)) => Some((id, resp)),
+            _ => None,
+        })
     }
 
     /// Runs the subsequence `indices` of `seq` through this connection
@@ -1378,62 +1390,17 @@ impl<V: WireValue> ClusterClient<V> {
     /// [`ClusterClient::next_response`].
     pub fn metrics(&mut self) -> io::Result<NodeMetrics> {
         let id = self.fresh_id();
-        let mut payload = Vec::with_capacity(8);
-        put_u64(&mut payload, id);
-        write_frame(&mut self.wbuf, TAG_REQ_METRICS, &payload)?;
+        Self::queue_metrics(&mut self.wbuf, id)?;
         self.flush()?;
-        let mut retries = 0;
-        loop {
-            let (tag, body) = match self.read_frame_buffered() {
-                Ok(frame) => frame,
-                Err(e) if Self::is_timeout(&e) && retries < self.max_retries => {
-                    retries += 1;
-                    self.timeouts += 1;
-                    write_frame(&mut self.wbuf, TAG_REQ_METRICS, &payload)?;
-                    self.resend_pending()?;
-                    continue;
-                }
-                Err(e) if Self::is_disconnect(&e) && retries < self.max_retries => {
-                    retries += 1;
-                    self.reconnect()?;
-                    write_frame(&mut self.wbuf, TAG_REQ_METRICS, &payload)?;
-                    self.flush()?;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            match tag {
-                // Pipelined answers resolving while we wait for metrics:
-                // queue them for the caller's next_response loop.
-                TAG_RESP_BATCH => self.queued.extend(decode_batch(&body)?),
-                TAG_RESP_COMBINE | TAG_RESP_WRITE => self.queued.push_back((tag, body)),
-                TAG_PARTIAL => {
-                    // A pushed refinement while waiting for metrics:
-                    // park it, exactly like the sync combine/write path.
-                    if let Some(resolved) = self.accept_frame(tag, &body)? {
-                        self.parked_partials.push_back(resolved);
-                    }
-                }
-                TAG_RESP_METRICS => {
-                    let got = WireReader::new(&body)
-                        .u64("response req id")
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                    // Anything else is a stale duplicate of an earlier
-                    // retried metrics request.
-                    if got == id {
-                        return NodeMetrics::decode(&body[8..]).map_err(|e| {
-                            io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-                        });
-                    }
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected response tag {other}"),
-                    ))
-                }
-            }
+        match self.read_loop(Wait::Metrics(id), ClientStream::read)? {
+            Some(Got::Metrics(m)) => Ok(m),
+            _ => unreachable!("a metrics read resolves the metrics reply or fails"),
         }
+    }
+
+    /// Buffers metrics request `id`.
+    fn queue_metrics(wbuf: &mut Vec<u8>, id: u64) -> io::Result<()> {
+        write_frame(wbuf, TAG_REQ_METRICS, &id.to_le_bytes())
     }
 
     /// Fetches this node's metrics as JSON.

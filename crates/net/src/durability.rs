@@ -2,18 +2,17 @@
 //!
 //! What a node must not lose is what the paper makes durable — every
 //! tree instance's last written value — plus its link watermarks and
-//! retransmit buffers. An in-process crash keeps them in `NodeRt`
-//! (enough to survive an automaton panic, useless against a process
-//! kill). With `NetConfig::durability` set to `DurabilityMode::Wal`,
-//! each node also owns a [`WalDurability`]: writes on every tree, edge
-//! sequence watermarks and epoch bumps are logged write-ahead, so the
-//! *cold-start* path (process kill, `kill9`, or a cluster re-spawned on
-//! the same directory) can rebuild the node from disk. Leases are not
-//! logged: a restarted node holds none and its neighbours' RESET
-//! handling rebuilds them by probing. With `DurabilityMode::Memory` a
-//! node has no log at all and the runtime skips every hook.
+//! retransmit buffers. An in-process crash keeps them in the node's
+//! core; a process kill does not. With `NetConfig::durability` set to
+//! `DurabilityMode::Wal`, the core emits a record for every write, sent
+//! frame, moved edge watermark and epoch bump, and the node's driver
+//! appends them to its [`WalDurability`] write-ahead, so a *cold start*
+//! (`kill9`, or a cluster re-spawned on the same directory) rebuilds the
+//! node from disk. Leases are not logged: a restarted node holds none
+//! and its neighbours' RESET handling rebuilds them by probing. Under
+//! `DurabilityMode::Memory` there is no log and the core builds no record.
 //!
-//! The hooks are infallible by design: a node that halts on a full disk
+//! Appends are infallible by design: a node that halts on a full disk
 //! takes its whole subtree's aggregate with it, so the log counts I/O
 //! errors and keeps serving (availability over durability — see
 //! `WalCounters::io_errors`).
@@ -24,11 +23,13 @@ use std::sync::Arc;
 
 use oat_core::fault::{FaultPlan, InjectedFaults};
 use oat_core::tree::NodeId;
-use oat_wal::{DiskFaults, Record, Wal, WalOptions};
+use oat_wal::{DiskFaults, Wal, WalOptions};
+
+use crate::core::WalOp;
 
 pub use oat_wal::{LinkState, WalCounters, WalState};
 
-/// A node's write-ahead log. All hooks delegate to [`oat_wal::Wal`];
+/// A node's write-ahead log, delegating to [`oat_wal::Wal`];
 /// disk-fault events (torn tails, failed fsyncs) are mirrored into the
 /// cluster's [`InjectedFaults`] ledger as they surface.
 pub struct WalDurability {
@@ -90,40 +91,16 @@ impl WalDurability {
         }
     }
 
-    /// A client write to `tree` was accepted; `val` is the wire encoding
-    /// of the instance's new value. Durable before the ack goes out.
-    pub(crate) fn log_write(&mut self, tree: u32, val: &[u8]) {
-        let _ = self.wal.append(&Record::write(tree, val.to_vec()));
-        self.publish_faults();
-    }
-
-    /// Sequence number `seq` was assigned to an edge frame toward
-    /// `peer`. Logged before the frame can reach a socket.
-    pub(crate) fn log_send(&mut self, peer: u32, seq: u64, inner: u8, body: &[u8]) {
-        let _ = self.wal.append(&Record::Send {
-            peer,
-            seq,
-            inner,
-            body: body.to_vec(),
-        });
-        self.publish_faults();
-    }
-
-    /// Frames from `peer` were delivered through `rx_seq`.
-    pub(crate) fn log_rx(&mut self, peer: u32, rx_seq: u64) {
-        let _ = self.wal.append(&Record::Rx { peer, rx_seq });
-        self.publish_faults();
-    }
-
-    /// `peer` acknowledged our frames through `acked`.
-    pub(crate) fn log_ack(&mut self, peer: u32, acked: u64) {
-        let _ = self.wal.append(&Record::Ack { peer, acked });
-        self.publish_faults();
-    }
-
-    /// The incarnation epoch advanced.
-    pub(crate) fn log_epoch(&mut self, epoch: u64) {
-        let _ = self.wal.append(&Record::Epoch { epoch });
+    /// Performs a node core's log operations, in order. Write and epoch
+    /// records force a sync, so a step's records are durable once this
+    /// returns — before its driver flushes any client queue.
+    pub(crate) fn apply(&mut self, ops: Vec<WalOp>) {
+        for op in ops {
+            let _ = match op {
+                WalOp::Append(rec) => self.wal.append(&rec),
+                WalOp::Snapshot(state) => self.wal.snapshot(&state),
+            };
+        }
         self.publish_faults();
     }
 

@@ -80,7 +80,8 @@
 //!
 //! [`NodeMetrics`]: crate::metrics::NodeMetrics
 
-use std::io::{self, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, IoSlice, Read, Write};
 
 use oat_core::message::Message;
 use oat_core::request::ReqOp;
@@ -265,6 +266,95 @@ impl FrameDecoder {
         let payload = avail[5..total].to_vec();
         self.start += total;
         Ok(Some((tag, payload)))
+    }
+}
+
+/// Target size for coalescing small frames into one owned chunk, and
+/// therefore one `iovec` of a vectored write.
+const COALESCE: usize = 8 * 1024;
+
+/// Max `iovec`s per vectored write.
+const MAX_IOVECS: usize = 32;
+
+/// The write side of a connection, as bytes: whole frames coalesced
+/// into chunks, drained by a vectored write the caller supplies. The node
+/// core fills these; its driver empties them into sockets.
+#[derive(Default)]
+pub(crate) struct WriteQueue {
+    pub(crate) chunks: VecDeque<Vec<u8>>,
+    /// Bytes of `chunks[0]` already written (a partial vectored write).
+    offset: usize,
+}
+
+impl WriteQueue {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// Drops everything queued: the connection it was for is gone.
+    pub(crate) fn clear(&mut self) {
+        self.chunks.clear();
+        self.offset = 0;
+    }
+
+    /// Encodes one frame onto the tail chunk (one future iovec), or a new
+    /// chunk once the tail is full. Runtime frames are far below
+    /// `MAX_FRAME`, so this cannot fail.
+    pub(crate) fn frame(&mut self, tag: u8, payload: &[u8]) {
+        match self.chunks.back_mut() {
+            Some(tail) if tail.len() < COALESCE => {
+                write_frame(tail, tag, payload).expect("runtime frames are bounded");
+            }
+            _ => {
+                let mut chunk = Vec::with_capacity((5 + payload.len()).max(64));
+                write_frame(&mut chunk, tag, payload).expect("runtime frames are bounded");
+                self.chunks.push_back(chunk);
+            }
+        }
+    }
+
+    /// Hands the queued bytes to `write` (returning how many it took)
+    /// until the queue drains, `Ok(true)`, or `write` blocks,
+    /// `Ok(false)`; `Err` means the connection is dead.
+    pub(crate) fn write_to(
+        &mut self,
+        mut write: impl FnMut(&[IoSlice<'_>]) -> io::Result<usize>,
+    ) -> io::Result<bool> {
+        loop {
+            if self.chunks.is_empty() {
+                return Ok(true);
+            }
+            let mut iovecs: Vec<IoSlice<'_>> =
+                Vec::with_capacity(MAX_IOVECS.min(self.chunks.len()));
+            for (i, chunk) in self.chunks.iter().take(MAX_IOVECS).enumerate() {
+                let skip = if i == 0 { self.offset } else { 0 };
+                iovecs.push(IoSlice::new(&chunk[skip..]));
+            }
+            match write(&iovecs) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "socket accepted zero bytes",
+                    ))
+                }
+                Ok(mut n) => {
+                    while n > 0 {
+                        let front_left = self.chunks[0].len() - self.offset;
+                        if n >= front_left {
+                            n -= front_left;
+                            self.chunks.pop_front();
+                            self.offset = 0;
+                        } else {
+                            self.offset += n;
+                            n = 0;
+                        }
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 

@@ -12,15 +12,12 @@
 //! with a socketpair doorbell — the protocol and every fault/recovery
 //! seam are identical across the three.
 //!
-//! The runtime is a readiness-based reactor over a persistent epoll(7)
-//! registration (a wakeup costs what is ready, not what is open;
-//! DESIGN.md §11): a fixed pool of event-loop threads
-//! (default `min(cores, 4)`, tunable via [`NetConfig`]) drives
-//! every connection non-blocking, with nodes sharded across the pool by
-//! `node_id % pool`. All of a node's connections live on its owning
-//! reactor thread, so node state needs no locks; reads decode frames
-//! incrementally from per-connection buffers, and writes batch frames
-//! into vectored `writev` calls. Thread count is O(pool), not O(nodes).
+//! Each node is a sans-IO core (`core.rs`: instances, links, clients,
+//! subscriptions, restarts, with no socket and no clock) driven by a
+//! readiness-based reactor over a persistent epoll(7) registration
+//! (`reactor.rs`; DESIGN.md §11): a fixed pool of event-loop threads
+//! (default `min(cores, 4)`, tunable via [`NetConfig`]) shards the nodes
+//! by `node_id % pool` and only moves bytes between sockets and cores.
 //!
 //! The node automaton is the *same* [`oat_core::MechNode`] the simulator
 //! drives — transports differ, the mechanism does not. Because sequential
@@ -50,21 +47,21 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod core;
 pub mod durability;
 pub mod frame;
 mod link;
 pub mod metrics;
-mod node;
 mod reactor;
 mod transport;
 
+pub use crate::core::FaultCounters;
 pub use cluster::{
     Cluster, ClusterClient, ClusterReport, DurabilityMode, NetConfig, NetSeqChunk, PipelinedChunk,
     Response, WalConfig,
 };
 pub use durability::{WalCounters, WalDurability, WalState};
 pub use metrics::NodeMetrics;
-pub use node::FaultCounters;
 pub use transport::{NodeAddr, TransportKind};
 
 #[cfg(test)]
@@ -149,13 +146,31 @@ mod tests {
         let m2 = cluster.node_metrics(NodeId(2)).unwrap();
         assert_eq!(m2.leases_taken, 1);
         assert_eq!(m2.combines_served, 1);
-        assert_eq!(m2.queue_depth, 0, "quiescent inbox");
+        assert_eq!(m2.queue_depth, 0, "nothing left undispatched");
 
         let json = cluster.metrics_json().unwrap();
         assert!(json.contains("\"node\": 0"));
         assert!(json.contains("\"node\": 2"));
         let stats_json = cluster.stats_json().unwrap();
         assert!(stats_json.contains("\"total\": 4"));
+    }
+
+    #[test]
+    fn metrics_count_forest_trees_too() {
+        // Forest-only traffic: a write and a combine on tree 3, none on
+        // tree 0. RWW leases tree 3 along the whole path, and the
+        // combine is served at node 2.
+        let cluster = Cluster::spawn(&Tree::path(3), SumI64, &RwwSpec, false).unwrap();
+        cluster.client(NodeId(0)).unwrap().write_tree(3, 4).unwrap();
+        let mut reader = cluster.client(NodeId(2)).unwrap();
+        assert_eq!(reader.combine_tree(3).unwrap(), 4);
+        cluster.quiesce();
+        let m2 = cluster.node_metrics(NodeId(2)).unwrap();
+        assert_eq!((m2.combines_served, m2.leases_taken), (1, 1));
+        let m0 = cluster.node_metrics(NodeId(0)).unwrap();
+        assert_eq!(m0.leases_granted, 1);
+        assert_eq!(m0.pending_combines, 0);
+        cluster.shutdown();
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Each node answers a metrics request with a [`NodeMetrics`] snapshot of
 //! its *own* activity: messages it has sent per outgoing directed edge and
-//! per kind, its current lease relationships, inbox gauge readings, and
-//! combine bookkeeping. Cluster-wide views are client-side merges of these
-//! per-node snapshots (see `Cluster::stats`).
+//! per kind, its current lease relationships over every tree it serves,
+//! work-queue gauge readings, and combine bookkeeping. Cluster-wide views
+//! are client-side merges of these per-node snapshots (see
+//! `Cluster::stats`).
 
 use oat_core::message::MsgKind;
 use oat_core::wire::{put_u32, put_u64, WireError, WireReader};
@@ -20,17 +21,20 @@ pub struct NodeMetrics {
     pub delivered: u64,
     /// Per outgoing directed edge: `(neighbour, counts per kind)`.
     pub edges: Vec<(u32, [u64; 4])>,
-    /// Neighbours this node currently holds a lease from (`taken`).
+    /// Leases this node currently holds from a neighbour (`taken`),
+    /// one per neighbour and tree.
     pub leases_taken: u32,
-    /// Neighbours this node has granted a lease to (`granted`).
+    /// Leases this node has granted a neighbour (`granted`), one per
+    /// neighbour and tree.
     pub leases_granted: u32,
-    /// Envelopes currently queued on the node's inbox.
+    /// Work items decoded but not yet dispatched. Decode and dispatch
+    /// share one input, so a snapshot (itself an input) reads 0.
     pub queue_depth: u64,
-    /// High-water mark of the inbox queue.
+    /// Most work items one input decoded before dispatching them.
     pub queue_peak: u64,
-    /// Combine requests parked awaiting responses.
+    /// Combine requests parked awaiting responses, on every tree.
     pub pending_combines: u64,
-    /// Combine requests this node has answered.
+    /// Combine requests this node has answered, on every tree.
     pub combines_served: u64,
     /// Edge connections re-established after a failure.
     pub reconnects: u64,

@@ -1,56 +1,51 @@
-//! The reactor runtime: event-loop threads driving non-blocking
-//! sockets through a persistent epoll registration.
+//! The reactor runtime: event-loop threads that move bytes between
+//! non-blocking sockets and the nodes' sans-IO cores.
 //!
 //! ## Thread model
 //!
 //! A cluster runs a small fixed pool of reactor threads (default
-//! `min(cores, 4)`), each owning the shard of nodes with
-//! `node_id % pool == shard`. *All* of a node's I/O — its listener, its
-//! edge connections, its client connections, its redial timers — is
-//! served by its owning reactor thread, so every per-node structure
-//! (automaton, sequenced links, waiters, stats) is plain single-owner
-//! state with no locks, no inbox channel, and no reader threads. The
-//! previous runtime spawned ~3 blocking threads per node; this one
-//! spawns exactly `pool` threads regardless of tree size (the figure
-//! `ClusterReport::threads_spawned` records).
+//! `min(cores, 4)`), each owning the nodes with `node_id % pool ==
+//! shard` and *all* of their I/O — listener, edge and client
+//! connections, redial timers, write-ahead log — so per-node state needs
+//! no locks, no inbox channel and no reader threads. Thread count is
+//! O(pool), not O(nodes) (`ClusterReport::threads_spawned`).
+//!
+//! ## Ownership
+//!
+//! Each node is a [`NodeIo`] around its [`NodeCore`] (`crate::core`),
+//! which decides everything and touches nothing. The `NodeIo` holds what
+//! the operating system hands out — the listener, the pre-hello, edge,
+//! dial and client [`Conn`]s, the [`WalDurability`] log — and carries out
+//! each [`CoreStep`]: log records appended, the cluster's [`InFlight`]
+//! counter charged or settled, severed edges closed, dials placed, a
+//! kill9 run at the end of the pass.
 //!
 //! ## The readiness loop
 //!
-//! Each reactor owns one [`Poller`]: a level-triggered epoll instance
-//! whose interest set lives in the kernel. A socket is registered once,
-//! where it is adopted — the waker and every listener at spawn, every
-//! other socket by [`Conn::new`] on accept or dial — under a packed
-//! [`Tok`] naming its node and role. A hello that promotes a connection
-//! to an edge or a client re-tokens it; [`Conn`]'s drop removes it
-//! before the descriptor closes, so a reused fd number never aliases a
-//! dead registration. `POLLOUT` is armed by the flush that hits
-//! `WouldBlock` and disarmed by the one that drains the queue.
+//! Each reactor owns one [`Poller`], a level-triggered epoll instance. A
+//! socket is registered once, where it is adopted (the waker and the
+//! listeners at spawn, every other socket by [`Conn::new`]), under a
+//! packed [`Tok`] naming its node and role; a hello that promotes it
+//! re-tokens it, and [`Conn`]'s drop removes it before the descriptor
+//! closes. `POLLOUT` is armed by a flush that hits `WouldBlock` and
+//! disarmed by one that drains. While a core is stalled (backpressure)
+//! its client sockets leave the poller outright ([`Conn::park`]): epoll
+//! reports a hangup whatever the mask, so a masked socket would spin.
 //!
-//! One wakeup then costs what is ready, not what exists. `wait` returns
-//! the ready `(token, bits)` pairs; each is read in bounded chunks into
-//! its connection's [`FrameDecoder`] (level-triggered: leftovers
-//! re-report) and every complete frame is dispatched inline on the
-//! owning node. Dispatches only *queue* bytes; afterwards exactly the
-//! nodes an event named — plus those whose retransmit or redial timer
-//! fired, plus any still holding bytes that no `POLLOUT` can announce
-//! (a ring link waiting for its space-freed nudge) — are flushed, the
-//! single point where bytes hit sockets: first every such node's edges
-//! ([`NodeRt::flush_edges`]), then every such node's clients
-//! ([`NodeRt::flush_clients`]), so the thread a client response wakes
-//! never runs ahead of mechanism frames already queued. The
-//! only per-iteration walk over all nodes is the memory-only timer scan
-//! that also yields the sleep bound. The cluster's waker nudges the
-//! loop for shutdown, the only cross-thread signal.
-//!
-//! Cross-node delivery needs no special case: a node writes to the TCP
-//! edge exactly as before, and the peer's socket becomes readable on
-//! its own reactor — whether that is the same thread (next iteration)
-//! or another one. Quiescence, sequencing, retransmission, and fault
-//! injection are all per-node state transitions and survive the move
-//! from threads to events wholesale (see [`crate::node`]).
+//! A wakeup costs what is ready, not what exists: each ready socket is
+//! read in bounded chunks into its [`FrameDecoder`] and its core takes
+//! the complete frames inline. Cores only *queue* bytes; then the nodes
+//! an event named, those whose timer fired and those holding bytes no
+//! `POLLOUT` announces (a ring link awaiting its space-freed nudge) are
+//! flushed — every such node's edges first ([`NodeIo::flush_edges`]),
+//! then their clients ([`NodeIo::flush_clients`]), so a client a response
+//! wakes never runs ahead of mechanism frames already queued. The only
+//! walk over all nodes is the memory-only timer scan that yields the
+//! sleep bound; the waker, for shutdown, is the only cross-thread signal.
 
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::collections::HashMap;
+use std::io::{self, Read, Write};
+use std::net::Shutdown;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -66,17 +61,15 @@ use oat_poll::{Events, Poller, POLLIN, POLLOUT};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 
-use crate::frame::{write_frame, FrameDecoder};
-use crate::link::{FrameSink, RTO};
-use crate::node::{Ctx, NodeReport, NodeRt};
+use crate::core::{ClientId, CoreStep, Env, NodeCore, NodeReport};
+use crate::durability::WalDurability;
+use crate::frame::{FrameDecoder, WriteQueue, TAG_HELLO_CLIENT, TAG_HELLO_EDGE};
+use crate::link::{parse_hello, RTO};
 use crate::transport::{Listener, NodeAddr, Stream};
 
-/// Cluster-wide in-flight work counter with event-driven quiescence.
-///
-/// Client requests and unacked edge frames each hold one unit of debt;
-/// [`InFlight::wait_zero`] parks on a condvar that [`InFlight::add`]
-/// notifies exactly when the count hits zero — replacing the
-/// sleep-polling loop that used to dominate the sequential path.
+/// Cluster-wide in-flight work counter: each unacked edge frame holds
+/// one unit of debt, and [`InFlight::wait_zero`] parks on a condvar that
+/// [`InFlight::add`] notifies exactly when the count hits zero.
 pub(crate) struct InFlight {
     n: AtomicI64,
     mu: Mutex<()>,
@@ -132,13 +125,6 @@ impl InFlight {
     }
 }
 
-/// Target size for coalescing small frames into one owned chunk, and
-/// therefore one `iovec` of the vectored write.
-const COALESCE: usize = 8 * 1024;
-
-/// Max `iovec`s per `write_vectored` call.
-const MAX_IOVECS: usize = 32;
-
 /// Bytes read per `read` call on a ready socket.
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
@@ -146,105 +132,19 @@ pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// (level-triggered `poll` re-reports anything left in the kernel).
 const READS_PER_EVENT: usize = 4;
 
-/// Outbound byte queue of one connection: whole frames, coalesced into
-/// chunks, drained with `write_vectored` and `WouldBlock` requeueing.
-#[derive(Default)]
-pub(crate) struct WriteQueue {
-    chunks: VecDeque<Vec<u8>>,
-    /// Bytes of `chunks[0]` already written (a partial vectored write).
-    offset: usize,
-}
-
-impl WriteQueue {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Encodes one frame onto the queue. Small frames append to the
-    /// tail chunk (one future iovec); a frame arriving at a full tail
-    /// starts a new chunk. Infallible: the queue is memory, and every
-    /// frame the runtime produces is well under `MAX_FRAME`.
-    pub(crate) fn frame(&mut self, tag: u8, payload: &[u8]) {
-        match self.chunks.back_mut() {
-            Some(tail) if tail.len() < COALESCE => {
-                write_frame(tail, tag, payload).expect("runtime frames are bounded");
-            }
-            _ => {
-                let mut chunk = Vec::with_capacity((5 + payload.len()).max(64));
-                write_frame(&mut chunk, tag, payload).expect("runtime frames are bounded");
-                self.chunks.push_back(chunk);
-            }
-        }
-    }
-
-    /// Writes as much as the socket accepts. `Ok(true)` means drained,
-    /// `Ok(false)` means `WouldBlock` with bytes still queued (the
-    /// caller arms `POLLOUT`), `Err` means the connection is dead.
-    pub(crate) fn flush(&mut self, stream: &mut Stream) -> io::Result<bool> {
-        loop {
-            if self.chunks.is_empty() {
-                return Ok(true);
-            }
-            let mut iovecs: Vec<IoSlice<'_>> =
-                Vec::with_capacity(MAX_IOVECS.min(self.chunks.len()));
-            for (i, chunk) in self.chunks.iter().take(MAX_IOVECS).enumerate() {
-                let slice = if i == 0 {
-                    &chunk[self.offset..]
-                } else {
-                    &chunk[..]
-                };
-                iovecs.push(IoSlice::new(slice));
-            }
-            match stream.write_vectored(&iovecs) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    ))
-                }
-                Ok(mut n) => {
-                    while n > 0 {
-                        let front_left = self.chunks[0].len() - self.offset;
-                        if n >= front_left {
-                            n -= front_left;
-                            self.chunks.pop_front();
-                            self.offset = 0;
-                        } else {
-                            self.offset += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-impl FrameSink for WriteQueue {
-    fn frame(&mut self, tag: u8, payload: &[u8]) {
-        WriteQueue::frame(self, tag, payload);
-    }
-}
-
 /// One non-blocking connection: the stream, its incremental frame
-/// decoder (read side) and write queue (write side), and its
-/// registration with the owning reactor's [`Poller`].
-///
-/// The connection owns that registration for its whole life: added on
-/// adoption, re-tokened when a hello reveals what it is, `POLLOUT`
-/// armed and disarmed by its own flushes, and removed on drop — before
-/// the descriptor closes.
+/// decoder, and its registration with the reactor's [`Poller`], which it
+/// owns for life (see the module docs). The bytes it writes live in a
+/// [`WriteQueue`] of its node's core.
 pub(crate) struct Conn {
     pub(crate) stream: Stream,
     pub(crate) dec: FrameDecoder,
-    pub(crate) out: WriteQueue,
     poller: Rc<Poller>,
     tok: Tok,
     /// Interest bits currently registered; `None` while parked.
     interest: Option<i16>,
+    /// The last flush left bytes queued.
+    backlog: bool,
 }
 
 impl Conn {
@@ -256,10 +156,10 @@ impl Conn {
         Ok(Conn {
             stream,
             dec: FrameDecoder::new(),
-            out: WriteQueue::default(),
             poller: Rc::clone(poller),
             tok,
             interest: Some(POLLIN),
+            backlog: false,
         })
     }
 
@@ -275,22 +175,18 @@ impl Conn {
         }
     }
 
-    /// The interest this connection should be registered with: reads,
-    /// plus writes while bytes are queued on a transport where `POLLOUT`
-    /// means something. Ring doorbells are almost always writable, so
-    /// arming `POLLOUT` on them would busy-spin; a blocked ring write
-    /// recovers via the peer's space-freed nudge (`POLLIN`).
+    /// Reads, plus writes while bytes are queued on a transport where
+    /// `POLLOUT` means something: ring doorbells are almost always
+    /// writable, so a blocked ring write waits for the peer's nudge.
     fn wanted(&self) -> i16 {
-        if !self.out.is_empty() && self.stream.wants_pollout() {
+        if self.backlog && self.stream.wants_pollout() {
             POLLIN | POLLOUT
         } else {
             POLLIN
         }
     }
 
-    /// Takes the socket out of the poller without closing it. A parked
-    /// connection reports nothing — not even a hangup, which epoll
-    /// delivers whatever the interest mask (so masking would not do).
+    /// Takes the socket out of the poller without closing it.
     pub(crate) fn park(&mut self) {
         if self.interest.take().is_some() {
             let _ = self.poller.remove(self.stream.as_raw_fd());
@@ -308,10 +204,9 @@ impl Conn {
         Ok(())
     }
 
-    /// Reads a bounded amount of whatever is available into the
-    /// decoder. Returns `true` when the connection is dead (EOF or a
-    /// hard error) — already-decoded bytes remain valid and must be
-    /// drained by the caller before tearing the connection down.
+    /// Reads a bounded amount of what is available into the decoder.
+    /// `true` when the connection is dead (EOF or a hard error); what
+    /// was decoded stays valid and must be served first.
     pub(crate) fn read_ready(&mut self, scratch: &mut [u8]) -> bool {
         let mut reads = 0;
         loop {
@@ -331,19 +226,25 @@ impl Conn {
         }
     }
 
-    /// Flushes the write queue (see [`WriteQueue::flush`]) and syncs
-    /// the registration to the outcome: `WouldBlock` arms `POLLOUT`, a
-    /// drained queue disarms it. One `epoll_ctl` per transition, none
-    /// in the steady state where every flush drains.
-    pub(crate) fn flush(&mut self) -> io::Result<bool> {
-        let drained = self.out.flush(&mut self.stream)?;
+    /// Writes `out` into the socket and syncs `POLLOUT` to the outcome
+    /// (one `epoll_ctl` per transition, none while every flush drains).
+    /// `Ok(true)` when bytes stay queued that no readiness event is
+    /// armed for (a ring link waiting for its space-freed nudge).
+    pub(crate) fn flush(&mut self, out: &mut WriteQueue) -> io::Result<bool> {
+        let stream = &mut self.stream;
+        self.backlog = !out.write_to(|iov| stream.write_vectored(iov))?;
         let bits = self.wanted();
         if self.interest.is_some_and(|cur| cur != bits) {
             self.poller
                 .set_interest(self.stream.as_raw_fd(), self.tok.pack(), bits)?;
             self.interest = Some(bits);
         }
-        Ok(drained)
+        Ok(self.backlog && !self.stream.wants_pollout())
+    }
+
+    /// Severs the connection (its drop then deregisters it).
+    fn close(self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -356,7 +257,7 @@ impl Drop for Conn {
 }
 
 /// Cross-thread nudge for a reactor parked in its wait: one byte down a
-/// socketpair whose read half is registered with the reactor's poller.
+/// socketpair whose read half the reactor polls.
 pub(crate) struct Waker {
     tx: UnixStream,
 }
@@ -401,13 +302,12 @@ pub(crate) struct ReactorCfg<S, A: AggOp> {
 }
 
 /// One node assigned to a reactor: its pre-bound (non-blocking)
-/// listener and, under `DurabilityMode::Wal`, its write-ahead log
-/// (opened by the cluster on the main thread, where open errors can
-/// still fail the spawn).
+/// listener and its write-ahead log, if any (opened on the main thread,
+/// where an open error can still fail the spawn).
 pub(crate) struct NodeSeed {
     pub id: NodeId,
     pub listener: Listener,
-    pub wal: Option<crate::durability::WalDurability>,
+    pub wal: Option<WalDurability>,
 }
 
 /// What a registered descriptor refers to; travels through the kernel
@@ -466,6 +366,389 @@ impl Tok {
     }
 }
 
+/// The reactor-wide handles. Only `now` changes: the loop reads its
+/// clock once per wakeup.
+struct Ctx<'a> {
+    addrs: &'a [NodeAddr],
+    in_flight: &'a InFlight,
+    /// Cluster-wide count of mechanism messages sent.
+    total_sent: &'a AtomicU64,
+    poller: &'a Rc<Poller>,
+    ready_tx: &'a Sender<()>,
+    now: Instant,
+}
+
+/// One node's socket half around its [`NodeCore`] (see the module docs).
+struct NodeIo<S: PolicySpec, A: AggOp> {
+    core: NodeCore<S, A, Instant>,
+    /// This node's index in the shard, in every [`Tok`] of its sockets.
+    slot: usize,
+    /// Survives a kill9: the "new process" inherits the address.
+    listener: Listener,
+    wal: Option<WalDurability>,
+    /// Per edge, the live connection, or the dial awaiting its hello
+    /// reply while the core [`NodeCore::is_dialing`].
+    conns: Vec<Option<Conn>>,
+    /// Accepted connections that have not yet sent their hello.
+    pending: HashMap<u64, Conn>,
+    next_pending: u64,
+    clients: HashMap<ClientId, Conn>,
+    ready_sent: bool,
+    /// A kill9 fired during the current pass.
+    kill9: bool,
+}
+
+impl<S, A> NodeIo<S, A>
+where
+    S: PolicySpec,
+    S::Node: 'static,
+    A: AggOp,
+    A::Value: WireValue,
+{
+    fn new(
+        slot: usize,
+        seed: NodeSeed,
+        env: &Rc<Env<S, A>>,
+        plan: &FaultPlan,
+        ctx: &Ctx<'_>,
+    ) -> Self {
+        let NodeSeed { id, listener, wal } = seed;
+        ctx.poller
+            .add(listener.as_raw_fd(), Tok::Listener(slot).pack(), POLLIN)
+            .expect("register listener");
+        let core = NodeCore::new(Rc::clone(env), id, plan, wal.is_some(), ctx.now);
+        let degree = core.degree();
+        let mut node = NodeIo {
+            core,
+            slot,
+            listener,
+            wal,
+            conns: (0..degree).map(|_| None).collect(),
+            pending: HashMap::new(),
+            next_pending: 0,
+            clients: HashMap::new(),
+            ready_sent: false,
+            kill9: false,
+        };
+        node.note_ready(ctx);
+        // Cold start: a log with history means this node is a new
+        // incarnation of a previous process — replay the WAL and rejoin
+        // with watermarks, retransmit buffers, and values intact.
+        if let Some(state) = node.wal.as_mut().and_then(WalDurability::recover) {
+            let step = node.core.restore(ctx.now, state);
+            node.absorb(step, ctx);
+        }
+        node
+    }
+
+    /// `(wants the RTO tick, has a redial pending)`.
+    fn timers(&self) -> (bool, bool) {
+        (
+            self.core.wants_rto_tick(),
+            self.core.next_redial().is_some(),
+        )
+    }
+
+    /// Signals the cluster once every edge of this node is up.
+    fn note_ready(&mut self, ctx: &Ctx<'_>) {
+        if !self.ready_sent && self.core.all_up() {
+            self.ready_sent = true;
+            let _ = ctx.ready_tx.send(());
+        }
+    }
+
+    /// Carries out a [`CoreStep`]: the log records first (durable before
+    /// any flush), the messages-sent count before the debt (a `quiesce()`
+    /// that sees zero then sees every message), then severs and kill9.
+    fn absorb(&mut self, step: CoreStep, ctx: &Ctx<'_>) {
+        if let Some(wal) = &mut self.wal {
+            if !step.records.is_empty() {
+                wal.apply(step.records);
+                self.core.set_wal_counters(wal.counters());
+            }
+        }
+        if step.sent > 0 {
+            ctx.total_sent.fetch_add(step.sent, Ordering::Relaxed);
+        }
+        ctx.in_flight.add(step.debt);
+        if step.severed {
+            for (wi, conn) in self.conns.iter_mut().enumerate() {
+                if !self.core.is_up(wi) && !self.core.is_dialing(wi) {
+                    if let Some(conn) = conn.take() {
+                        conn.close();
+                    }
+                }
+            }
+        }
+        self.kill9 |= step.kill9;
+    }
+
+    /// Accepts everything the listener has ready; connections park in
+    /// `pending` until their hello classifies them.
+    fn on_accept_ready(&mut self, ctx: &Ctx<'_>) {
+        loop {
+            match self.listener.accept() {
+                Ok(stream) => {
+                    let tok = Tok::Pending(self.slot, self.next_pending);
+                    if let Ok(conn) = Conn::new(stream, ctx.poller, tok) {
+                        self.pending.insert(self.next_pending, conn);
+                        self.next_pending += 1;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// A pre-hello connection became readable: classify it by its first
+    /// frame. Anything other than a well-formed hello is a stranger
+    /// speaking the wrong protocol — dropped, never fatal.
+    fn on_pending_ready(&mut self, pid: u64, ctx: &Ctx<'_>, scratch: &mut [u8]) {
+        let Some(conn) = self.pending.get_mut(&pid) else {
+            return;
+        };
+        let closed = conn.read_ready(scratch);
+        match conn.dec.try_frame() {
+            Ok(None) if !closed => {}
+            Ok(Some((TAG_HELLO_EDGE, payload))) => {
+                let conn = self.pending.remove(&pid).expect("present above");
+                if let Some((peer, rx, acked)) = parse_hello(&payload) {
+                    self.install_edge(peer, conn, (rx, acked), true, ctx);
+                }
+            }
+            Ok(Some((TAG_HELLO_CLIENT, _))) => {
+                let mut conn = self.pending.remove(&pid).expect("present above");
+                let cid = self.core.client_up();
+                if conn.retoken(Tok::Client(self.slot, cid)).is_err() {
+                    self.core.client_gone(cid);
+                    return;
+                }
+                self.clients.insert(cid, conn);
+                // Clients may pipeline requests behind the hello in one
+                // segment; serve whatever already decoded.
+                self.serve_client(cid, ctx, None);
+            }
+            _ => {
+                self.pending.remove(&pid);
+            }
+        }
+    }
+
+    /// A dial became readable: expect the hello reply, then promote the
+    /// dial to the edge's live connection.
+    fn on_dial_ready(&mut self, wi: usize, ctx: &Ctx<'_>, scratch: &mut [u8]) {
+        let dialing = self.core.is_dialing(wi);
+        let Some(conn) = self.conns[wi].as_mut().filter(|_| dialing) else {
+            return;
+        };
+        let closed = conn.read_ready(scratch);
+        let hello = match conn.dec.try_frame() {
+            Ok(None) if !closed => return,
+            Ok(Some((TAG_HELLO_EDGE, payload))) => parse_hello(&payload),
+            _ => None,
+        };
+        let conn = self.conns[wi].take().expect("present above");
+        match hello {
+            Some((id, rx, acked)) if id == self.core.peer(wi) => {
+                self.install_edge(id, conn, (rx, acked), false, ctx);
+            }
+            _ => self.core.edge_down(wi, ctx.now),
+        }
+    }
+
+    /// Installs a connection whose hello named `peer` in place of the
+    /// edge's previous one; the core answers the hello.
+    fn install_edge(
+        &mut self,
+        peer: NodeId,
+        mut conn: Conn,
+        marks: (u64, u64),
+        accepted: bool,
+        ctx: &Ctx<'_>,
+    ) {
+        // An unknown peer id is a protocol violation from an untrusted
+        // connection: drop it.
+        let Some(wi) = self.core.edge_index(peer) else {
+            return;
+        };
+        if conn.retoken(Tok::Edge(self.slot, wi)).is_err() {
+            if !accepted {
+                self.core.edge_down(wi, ctx.now);
+            }
+            return;
+        }
+        if let Some(old) = self.conns[wi].replace(conn) {
+            old.close();
+        }
+        let dec = &mut self.conns[wi].as_mut().expect("just installed").dec;
+        let step = self.core.edge_up(wi, ctx.now, marks, accepted, dec);
+        self.absorb(step, ctx);
+        self.note_ready(ctx);
+    }
+
+    /// A live edge connection became readable. (A token of the other
+    /// kind than the slot now holds is stale: level-triggered polling
+    /// re-reports the socket under its new token.)
+    fn on_edge_ready(&mut self, wi: usize, ctx: &Ctx<'_>, scratch: &mut [u8]) {
+        let up = self.core.is_up(wi);
+        let Some(conn) = self.conns[wi].as_mut().filter(|_| up) else {
+            return;
+        };
+        let closed = conn.read_ready(scratch);
+        // Frames decoded before EOF are valid: the core takes them first.
+        let step = self.core.on_edge(wi, ctx.now, &mut conn.dec);
+        self.absorb(step, ctx);
+        if closed {
+            if let Some(conn) = self.conns[wi].take() {
+                conn.close();
+                self.core.edge_down(wi, ctx.now);
+            }
+        }
+    }
+
+    /// Serves what client `cid` sent, reading into `scratch` first when
+    /// given one. At EOF every request was served (bytes are FIFO); EOF
+    /// or a protocol violation ends the connection, after a best-effort
+    /// flush of what the core still queued for it.
+    fn serve_client(&mut self, cid: ClientId, ctx: &Ctx<'_>, scratch: Option<&mut [u8]>) {
+        let Some(conn) = self.clients.get_mut(&cid) else {
+            return;
+        };
+        let closed = scratch.is_some_and(|s| conn.read_ready(s));
+        let step = self.core.on_client(cid, ctx.now, &mut conn.dec);
+        let reject = step.reject;
+        self.absorb(step, ctx);
+        if closed || reject {
+            let out = self.core.client_gone(cid);
+            if let (Some(mut conn), Some(mut out)) = (self.clients.remove(&cid), out) {
+                let _ = conn.flush(&mut out);
+            }
+        }
+    }
+
+    /// Fires this node's due timers (the RTO tick when `rto`, redials)
+    /// and places the dials; `true` when bytes were queued.
+    fn run_timers(&mut self, ctx: &Ctx<'_>, rto: bool) -> bool {
+        let step = self.core.tick(ctx.now, rto);
+        let (dial, fired) = (step.dial, step.dial || step.resent);
+        self.absorb(step, ctx);
+        for wi in (0..self.conns.len()).filter(|_| dial) {
+            if !self.core.is_dialing(wi) || self.conns[wi].is_some() {
+                continue;
+            }
+            // A blocking `connect` to a pre-bound local listener ends at
+            // once; the hello reply is awaited like any other read.
+            let tok = Tok::Dial(self.slot, wi);
+            let attempt = Stream::connect(&ctx.addrs[self.core.peer(wi).idx()])
+                .and_then(|stream| Conn::new(stream, ctx.poller, tok));
+            match attempt {
+                Ok(conn) => self.conns[wi] = Some(conn),
+                Err(_) => self.core.edge_down(wi, ctx.now),
+            }
+        }
+        fired
+    }
+
+    /// A node flushed alone (a timer, shutdown): both halves. `true` when
+    /// bytes stay queued that no readiness event is armed for (see
+    /// [`Conn::flush`]); the reactor retries those at every wakeup.
+    fn flush(&mut self, ctx: &Ctx<'_>) -> bool {
+        let edges = self.flush_edges(ctx);
+        self.flush_clients() | edges
+    }
+
+    /// The peer half of a flush: the core's flush boundary, then every
+    /// edge queue into its connection (or its dial: our hello).
+    fn flush_edges(&mut self, ctx: &Ctx<'_>) -> bool {
+        self.core.flush_prep();
+        let mut backlog = false;
+        for wi in 0..self.conns.len() {
+            let out = self.core.edge_out(wi);
+            let Some(conn) = self.conns[wi].as_mut().filter(|_| !out.is_empty()) else {
+                continue;
+            };
+            match conn.flush(out) {
+                Ok(blocked) => backlog |= blocked,
+                Err(_) => {
+                    self.conns[wi].take().expect("flushed above").close();
+                    self.core.edge_down(wi, ctx.now);
+                }
+            }
+        }
+        backlog
+    }
+
+    /// The client half, after [`NodeIo::flush_edges`]: every client queue
+    /// into its socket, each socket parked exactly while the core is
+    /// stalled, and the log folded into a snapshot when due.
+    fn flush_clients(&mut self) -> bool {
+        let mut backlog = false;
+        let stalled = self.core.stalled();
+        let core = &mut self.core;
+        // A client that cannot flush or rejoin is dropped like a dead one.
+        let mut dropped: Vec<ClientId> = Vec::new();
+        self.clients.retain(|&cid, conn| {
+            let mut serve = || {
+                if let Some(out) = core.client_out(cid).filter(|q| !q.is_empty()) {
+                    backlog |= conn.flush(out)?;
+                }
+                if stalled {
+                    conn.park();
+                    Ok(())
+                } else {
+                    conn.unpark()
+                }
+            };
+            let keep = serve().is_ok();
+            if !keep {
+                dropped.push(cid);
+            }
+            keep
+        });
+        for cid in dropped {
+            self.core.client_gone(cid);
+        }
+        // Fold the log into a snapshot once enough has accumulated — at
+        // the flush boundary the node's state is self-consistent.
+        if let Some(wal) = self.wal.as_mut().filter(|w| w.wants_snapshot()) {
+            wal.snapshot(&self.core.wal_state());
+            self.core.set_wal_counters(wal.counters());
+        }
+        backlog
+    }
+
+    /// Process-grade kill: every connection is severed and the core comes
+    /// back from the log.
+    fn kill9_restart(&mut self, ctx: &Ctx<'_>) {
+        self.kill9 = false;
+        let conns = self.pending.drain().chain(self.clients.drain());
+        let edges = self.conns.iter_mut().filter_map(Option::take);
+        for conn in conns.map(|(_, c)| c).chain(edges) {
+            conn.close();
+        }
+        let state = self
+            .wal
+            .as_mut()
+            .and_then(WalDurability::recover)
+            .unwrap_or_default();
+        let step = self.core.kill9(ctx.now, state);
+        self.absorb(step, ctx);
+    }
+
+    /// Orderly end of the node.
+    fn finish(mut self, ctx: &Ctx<'_>) -> (NodeId, NodeReport<A::Value>) {
+        self.flush(ctx);
+        let id = self.core.id();
+        let mut report = self.core.finish();
+        if let Some(wal) = &self.wal {
+            report.wal = wal.counters();
+        }
+        (id, report)
+    }
+}
+
 /// Events taken per wait. A fuller ready set re-reports on the next
 /// wait (level-triggered), so this bounds latency, not correctness.
 const EVENTS_PER_WAIT: usize = 256;
@@ -498,10 +781,10 @@ struct Timers {
 }
 
 impl Timers {
-    fn note(&mut self, slot: usize, wants_rto: bool, redialing: bool) {
-        let was = std::mem::replace(&mut self.noted[slot], (wants_rto, redialing));
-        self.rto = self.rto + usize::from(wants_rto) - usize::from(was.0);
-        self.redial = self.redial + usize::from(redialing) - usize::from(was.1);
+    fn note(&mut self, slot: usize, core: (bool, bool)) {
+        let was = std::mem::replace(&mut self.noted[slot], core);
+        self.rto = self.rto + usize::from(core.0) - usize::from(was.0);
+        self.redial = self.redial + usize::from(core.1) - usize::from(was.1);
     }
 }
 
@@ -536,24 +819,27 @@ where
     poller
         .add(waker_rx.as_raw_fd(), Tok::Waker.pack(), POLLIN)
         .expect("register waker");
-    let mut ctx = Ctx {
-        tree: &tree,
-        addrs: &addrs,
-        op: &op,
-        spec: &spec,
+    let env = Rc::new(Env {
+        tree,
+        op,
+        spec,
         ghost,
-        in_flight: &in_flight,
-        total_sent: &total_sent,
-        ledger: &ledger,
+        ledger,
         rtx_high,
         rtx_low,
+    });
+    let mut ctx = Ctx {
+        addrs: &addrs,
+        in_flight: &in_flight,
+        total_sent: &total_sent,
         poller: &poller,
+        ready_tx: &ready_tx,
         now: Instant::now(),
     };
-    let mut nodes: Vec<NodeRt<S, A>> = shard_nodes
+    let mut nodes: Vec<NodeIo<S, A>> = shard_nodes
         .into_iter()
         .enumerate()
-        .map(|(slot, seed)| NodeRt::new(slot, seed, &ctx, &plan, ready_tx.clone()))
+        .map(|(slot, seed)| NodeIo::new(slot, seed, &env, &plan, &ctx))
         .collect();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut events = Events::with_capacity(EVENTS_PER_WAIT);
@@ -569,10 +855,10 @@ where
     };
     let mut last_tick = ctx.now;
     loop {
-        // Dispatches only ever *queue* bytes; this is the single point
-        // where they hit sockets — for the nodes the last wakeup
-        // touched. A node stays listed while it holds bytes no POLLOUT
-        // will announce, and is retried at every wakeup.
+        // Cores only ever *queue* bytes; this is the single point where
+        // they hit sockets — for the nodes the last wakeup touched. A
+        // node stays listed while it holds bytes no POLLOUT will
+        // announce, and is retried at every wakeup.
         //
         // Two passes: every touched node's edges, then every touched
         // node's clients. A response written to a client wakes its
@@ -585,7 +871,7 @@ where
         touched.slots.retain(|&slot| {
             let node = &mut nodes[slot];
             touched.marked[slot] |= node.flush_clients();
-            timers.note(slot, node.wants_rto_tick(), node.next_redial().is_some());
+            timers.note(slot, node.timers());
             touched.marked[slot]
         });
 
@@ -602,7 +888,7 @@ where
                 if node.run_timers(&ctx, tick) && node.flush(&ctx) {
                     touched.mark(slot);
                 }
-                timers.note(slot, node.wants_rto_tick(), node.next_redial().is_some());
+                timers.note(slot, node.timers());
             }
         }
         // Sleep until the next RTO tick if anyone has unacked frames,
@@ -610,7 +896,7 @@ where
         // fires.
         let mut deadline = (timers.rto > 0).then(|| last_tick + RTO);
         if timers.redial > 0 {
-            let redials = nodes.iter().filter_map(NodeRt::next_redial);
+            let redials = nodes.iter().filter_map(|n| n.core.next_redial());
             deadline = deadline.into_iter().chain(redials).min();
         }
         let timeout = deadline.map(|at| at.saturating_duration_since(ctx.now));
@@ -620,8 +906,8 @@ where
         // fail persistently.
         let t_poll = oat_obs::now_ns();
         let _ = poller.wait(&mut events, timeout);
-        // The loop's one clock read: the handlers and timers of this
-        // pass all run at this instant.
+        // The loop's one clock read: the inputs and timers of this pass
+        // all run at this instant.
         ctx.now = Instant::now();
         if t_poll != 0 {
             let ready = events.len() as u32;
@@ -629,13 +915,7 @@ where
         }
 
         if shutting_down.load(Ordering::SeqCst) {
-            return nodes
-                .into_iter()
-                .map(|mut node| {
-                    node.flush(&ctx);
-                    (node.id(), node.finish())
-                })
-                .collect();
+            return nodes.into_iter().map(|node| node.finish(&ctx)).collect();
         }
 
         let t_dispatch = oat_obs::now_ns();
@@ -676,7 +956,7 @@ where
                 }
                 Some(Tok::Client(i, cid)) => {
                     if ev.readable() {
-                        nodes[i].on_client_ready(cid, &ctx, &mut scratch);
+                        nodes[i].serve_client(cid, &ctx, Some(&mut scratch));
                     }
                     i
                 }
@@ -685,11 +965,11 @@ where
             // the top of the next iteration makes the progress.
             touched.mark(slot);
         }
-        // A kill9 scheduled mid-dispatch demolishes the node's state, so
-        // it runs here, after the event loop is done touching it. Only a
-        // dispatch can schedule one, so only touched nodes are asked.
+        // A kill9 scheduled mid-pass demolishes the node's state, so it
+        // runs here, after the event loop is done touching it. Only an
+        // input can schedule one, so only touched nodes are asked.
         for &slot in &touched.slots {
-            if nodes[slot].take_kill9() {
+            if nodes[slot].kill9 {
                 nodes[slot].kill9_restart(&ctx);
             }
         }
@@ -703,6 +983,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::write_frame;
     use std::net::{TcpListener, TcpStream};
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
@@ -718,15 +999,18 @@ mod tests {
         let (a, mut b) = loopback_pair();
         let poller = Rc::new(Poller::new().unwrap());
         let mut conn = Conn::new(Stream::Tcp(a), &poller, Tok::Pending(0, 0)).unwrap();
+        let mut out = WriteQueue::default();
         let mut expected = Vec::new();
         for i in 0..100u8 {
             let payload = vec![i; 1 + (i as usize % 300)];
-            conn.out.frame(i, &payload);
+            out.frame(i, &payload);
             write_frame(&mut expected, i, &payload).unwrap();
         }
         // Small frames coalesce: far fewer chunks than frames.
-        assert!(conn.out.chunks.len() < 20, "got {}", conn.out.chunks.len());
-        while !conn.flush().unwrap() {}
+        assert!(out.chunks.len() < 20, "got {}", out.chunks.len());
+        while !out.is_empty() {
+            conn.flush(&mut out).unwrap();
+        }
         b.set_nonblocking(true).unwrap();
         let mut got = Vec::new();
         let mut buf = [0u8; 4096];
@@ -751,14 +1035,14 @@ mod tests {
         let (a, mut b) = loopback_pair();
         let poller = Rc::new(Poller::new().unwrap());
         let mut conn = Conn::new(Stream::Tcp(a), &poller, Tok::Pending(0, 0)).unwrap();
+        let mut out = WriteQueue::default();
         // Enough data to overwhelm the kernel buffers of an unread peer.
         let big = vec![0xAB; 256 * 1024];
         for _ in 0..32 {
-            conn.out.frame(9, &big);
+            out.frame(9, &big);
         }
-        let drained = conn.flush().unwrap();
-        assert!(!drained, "unread peer must WouldBlock eventually");
-        assert!(!conn.out.is_empty());
+        conn.flush(&mut out).unwrap();
+        assert!(!out.is_empty(), "unread peer must WouldBlock eventually");
         // Drain the peer concurrently, then finish the flush.
         let reader = std::thread::spawn(move || {
             let mut buf = vec![0u8; 64 * 1024];
@@ -772,7 +1056,8 @@ mod tests {
             }
         });
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !conn.flush().unwrap() {
+        while !out.is_empty() {
+            conn.flush(&mut out).unwrap();
             assert!(Instant::now() < deadline, "flush never completed");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -838,10 +1123,12 @@ mod tests {
         // Idle and writable, but POLLOUT is not armed: silence.
         assert!(wait(5).is_empty());
         let big = vec![0xCD; 256 * 1024];
+        let mut out = WriteQueue::default();
         for _ in 0..32 {
-            conn.out.frame(9, &big);
+            out.frame(9, &big);
         }
-        assert!(!conn.flush().unwrap(), "unread peer must WouldBlock");
+        conn.flush(&mut out).unwrap();
+        assert!(!out.is_empty(), "unread peer must WouldBlock");
         // Armed, but the kernel buffer is full: still silence (no spin).
         assert!(wait(5).is_empty());
         // The peer reads; writability is announced under the new token.
@@ -856,12 +1143,12 @@ mod tests {
                     assert_eq!(got.len(), 1);
                     assert_eq!(Tok::unpack(got[0].token), Some(tok));
                     assert!(got[0].writable());
-                    conn.flush().unwrap();
+                    conn.flush(&mut out).unwrap();
                 }
                 Err(e) => panic!("{e}"),
             }
         }
-        assert!(conn.out.is_empty());
+        assert!(out.is_empty());
         // Drained: disarmed again, so the writable socket is silent.
         assert!(wait(5).is_empty());
         // Parked sockets are silent even through a hangup; dropping the
