@@ -19,6 +19,16 @@ if grep -nE 'Instant::now|Poller|InFlight|TcpStream|UnixStream' crates/net/src/c
   exit 1
 fi
 
+echo "== one JSON writer: grep for hand-built JSON =="
+# Every JSON document the workspace emits is built as an oat_obs::Json
+# value and rendered by crates/obs/src/json.rs; a format string that
+# opens a JSON object (`{{\"` or, in a raw string, `{{"`) anywhere else
+# is a second writer.
+if grep -rnE --include='*.rs' '\{\{\\?"' crates/*/src src | grep -v '^crates/obs/src/json.rs:'; then
+  echo "one JSON writer: build JSON with oat_obs::Json, not format!"
+  exit 1
+fi
+
 echo "== tier 1: cargo build --release =="
 cargo build --release
 
@@ -49,7 +59,10 @@ echo "== tier 1: cargo test -q --workspace =="
 # --workspace: a bare `cargo test` at the root runs only the root
 # package's tests/ and src/, not the member crates' own unit and
 # integration tests (oat-core's mechanism tests, oat-net's reactor tests,
-# oat-poll's, crates/query/tests/progressive.rs, ...).
+# oat-poll's, crates/query/tests/progressive.rs, ...). tests/cli.rs also
+# runs `oat trace`, `oat mlap`, `oat query` on tcp/uds/ring and `oat
+# serve`, and checks the JSON documents they emit, parsed with
+# oat_obs::Json.
 cargo test -q --workspace
 
 echo "== parity: oat chaos --faults none on tcp/uds/ring =="
@@ -62,92 +75,6 @@ for t in tcp uds ring; do
     --faults none --transport "$t")
   grep -F 'parity: OK' <<<"$out" || { echo "parity ($t): no parity line"; exit 1; }
 done
-
-echo "== trace smoke: oat trace --workload =="
-# Records a live oat-obs trace of a 10-node workload (sim replay + faulted
-# pipelined TCP replay), then checks the oat-trace-v1 JSONL: every line
-# parses as JSON and at least one event of every category was captured.
-TRACE_OUT=$(mktemp /tmp/oat_trace_smoke.XXXXXX.jsonl)
-./target/release/oat trace --tree kary:10:2 --workload uniform:0.5:80 \
-  --pipeline 4 --faults "seed:7,drop:0.02,kill:1-0@3" --out "$TRACE_OUT" > /dev/null
-python3 - "$TRACE_OUT" <<'PY'
-import json, sys
-cats = {}
-with open(sys.argv[1]) as f:
-    header = json.loads(f.readline())
-    assert header["schema"] == "oat-trace-v1", header
-    for line in f:
-        e = json.loads(line)
-        cats[e["cat"]] = cats.get(e["cat"], 0) + 1
-want = {"request", "frame", "lease", "fault", "reactor", "sim"}
-missing = want - set(cats)
-assert not missing, f"categories missing from trace: {missing} (got {cats})"
-print(f"trace smoke: {sum(cats.values())} events, all {len(want)} categories present")
-PY
-rm -f "$TRACE_OUT"
-
-echo "== mlap smoke: oat mlap --workload adv:3:6 =="
-# The second problem family: both deadline policies plus the baselines on
-# the adversarial staggered-deadline spider, scored against the exact
-# offline optimum. Pins the oat-mlap-v1 schema, requires every policy to
-# cost at least OPT, and checks the lazy policy's unit-weight
-# certificate: zero deadline misses and service ≤ (depth+1)·OPT.
-MLAP_OUT=$(mktemp /tmp/oat_mlap_smoke.XXXXXX.json)
-./target/release/oat mlap --workload adv:3:6 --policy all --seed 7 --json > "$MLAP_OUT"
-python3 - "$MLAP_OUT" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "oat-mlap-v1", doc
-for key in ("model", "workload", "nodes", "depth", "requests", "opt", "policies"):
-    assert key in doc, f"missing {key}"
-opt, depth = doc["opt"], doc["depth"]
-assert opt is not None and opt > 0, doc
-names = set()
-for p in doc["policies"]:
-    for key in ("name", "service_cost", "delay_cost", "deadline_misses",
-                "flushes", "messages", "total_cost", "ratio_vs_opt"):
-        assert key in p, f"missing {key} in {p}"
-    assert p["total_cost"] >= opt, f"{p['name']} beat OPT?"
-    names.add(p["name"])
-assert {"odepth", "odepth-prefetch", "greedy", "eager"} <= names, names
-lazy = next(p for p in doc["policies"] if p["name"] == "odepth")
-assert lazy["deadline_misses"] == 0, lazy
-assert lazy["service_cost"] <= (depth + 1) * opt, lazy
-print(f"mlap smoke: {len(names)} policies, OPT {opt}, "
-      f"odepth ratio {lazy['ratio_vs_opt']} <= bound {depth + 1}")
-PY
-rm -f "$MLAP_OUT"
-
-echo "== query smoke: oat query on tcp/uds/ring =="
-# The progressive-query layer: a tumbling group-by over a short seeded
-# zipf fact stream, on every transport, and one last-N run, whose
-# retire write shares its fact's write round. Pins the oat-query-v1
-# schema and the verdicts `oat query` itself computes (it exits nonzero
-# when any of them fail): finals equal the sequential oracle exactly,
-# coverage and per-key refinement sequences are monotone, and every
-# key refined at least three times.
-query_smoke() { # TRANSPORT QUERY
-  Q_OUT=$(mktemp /tmp/oat_query_$1.XXXXXX.json)
-  ./target/release/oat query "$2" \
-    --stream zipf --facts 120 --keys 3 --transport "$1" --json > "$Q_OUT"
-  for key in \
-    '"schema": "oat-query-v1"' \
-    '"oracle_match": true' \
-    '"coverage_monotone": true' \
-    '"refine_seq_monotone": true' \
-    '"min_partials_per_key":'
-  do
-    grep -qF "$key" "$Q_OUT" || {
-      echo "query smoke ($1, $2): missing $key in $Q_OUT"
-      exit 1
-    }
-  done
-  rm -f "$Q_OUT"
-}
-for t in tcp uds ring; do
-  query_smoke "$t" 'sum group by key window tumbling(100ms)'
-done
-query_smoke tcp 'max group by key window last-10'
 
 echo "== chaos smoke: oat chaos on tcp/uds/ring =="
 # Seeded fault injection against the sequential oracle: drops/dups/delays

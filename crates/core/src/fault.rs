@@ -359,18 +359,6 @@ impl InjectedFaults {
         let (k9, tt, ff) = self.snapshot_process();
         d + u + l + k + c + k9 + tt + ff
     }
-
-    /// JSON rendering with deterministic field order.
-    pub fn to_json(&self) -> String {
-        let (drops, dups, delays, kills, crashes) = self.snapshot();
-        let (kill9s, torn_tails, fsync_fails) = self.snapshot_process();
-        format!(
-            "{{\"drops\": {drops}, \"dups\": {dups}, \"delays\": {delays}, \
-             \"conns_killed\": {kills}, \"crashes\": {crashes}, \
-             \"kill9s\": {kill9s}, \"torn_tails\": {torn_tails}, \
-             \"fsync_fails\": {fsync_fails}}}"
-        )
-    }
 }
 
 /// splitmix64: tiny, seedable, high-quality enough for fault decisions.
@@ -523,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_ledger_counts_and_renders() {
+    fn injected_ledger_counts() {
         let led = InjectedFaults::default();
         led.drops.fetch_add(2, Ordering::Relaxed);
         led.crashes.fetch_add(1, Ordering::Relaxed);
@@ -532,10 +520,5 @@ mod tests {
         assert_eq!(led.total(), 5);
         assert_eq!(led.snapshot(), (2, 0, 0, 0, 1));
         assert_eq!(led.snapshot_process(), (1, 1, 0));
-        assert_eq!(
-            led.to_json(),
-            "{\"drops\": 2, \"dups\": 0, \"delays\": 0, \"conns_killed\": 0, \"crashes\": 1, \
-             \"kill9s\": 1, \"torn_tails\": 1, \"fsync_fails\": 0}"
-        );
     }
 }

@@ -39,6 +39,7 @@ use oat_core::policy::PolicySpec;
 use oat_core::request::{ReqOp, Request};
 use oat_core::tree::{NodeId, Tree};
 use oat_core::wire::{put_u32, put_u64, WireError, WireReader, WireValue};
+use oat_obs::Json;
 use oat_sim::MsgStats;
 
 use crate::core::{FaultCounters, NodeReport, RTX_DEFAULT_HIGH, RTX_DEFAULT_LOW};
@@ -432,23 +433,20 @@ where
         Ok(stats)
     }
 
-    /// JSON export of the merged counters — same shape as
-    /// [`oat_sim::Engine::stats_json`].
+    /// The `stats` document of the merged counters, pretty-printed: the
+    /// [`MsgStats::to_json`] shape a simulator run gives too.
     pub fn stats_json(&self) -> io::Result<String> {
-        Ok(self.stats()?.to_json(&self.tree))
+        Ok(self.stats()?.to_json(&self.tree).to_pretty())
     }
 
-    /// JSON array of every node's metrics snapshot.
+    /// Every node's metrics document, in node order, as one
+    /// pretty-printed array.
     pub fn metrics_json(&self) -> io::Result<String> {
-        let mut out = String::from("[\n");
-        for u in self.tree.nodes() {
-            if u.0 > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&self.node_metrics(u)?.to_json());
-        }
-        out.push_str("\n]");
-        Ok(out)
+        let nodes = self
+            .tree
+            .nodes()
+            .map(|u| Ok(self.node_metrics(u)?.to_json()));
+        Ok(Json::Arr(nodes.collect::<io::Result<_>>()?).to_pretty())
     }
 
     /// Replays `seq` as a sequential execution: each request is sent to
@@ -1401,10 +1399,5 @@ impl<V: WireValue> ClusterClient<V> {
     /// Buffers metrics request `id`.
     fn queue_metrics(wbuf: &mut Vec<u8>, id: u64) -> io::Result<()> {
         write_frame(wbuf, TAG_REQ_METRICS, &id.to_le_bytes())
-    }
-
-    /// Fetches this node's metrics as JSON.
-    pub fn metrics_json(&mut self) -> io::Result<String> {
-        Ok(self.metrics()?.to_json())
     }
 }

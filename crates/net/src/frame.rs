@@ -81,7 +81,7 @@
 //! [`NodeMetrics`]: crate::metrics::NodeMetrics
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 
 use oat_core::message::Message;
 use oat_core::request::ReqOp;
@@ -144,10 +144,8 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> io::Result<(
             "frame exceeds MAX_FRAME",
         ));
     }
-    // Two write_all calls per frame; node outbound paths wrap the stream
-    // in a BufWriter and flush at batch boundaries, so consecutive frames
-    // for one connection coalesce into a single syscall (TCP_NODELAY is
-    // set on every stream, so flushed bytes leave promptly).
+    // Callers write into memory — a `WriteQueue` chunk or a client's
+    // send buffer — and hand whole batches of frames to the socket.
     let mut head = [0u8; 5];
     head[..4].copy_from_slice(&(len as u32).to_le_bytes());
     head[4] = tag;
@@ -155,57 +153,19 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> io::Result<(
     w.write_all(payload)
 }
 
-/// Reads one frame, returning `(tag, payload)`.
+/// Incremental frame decoder: the one reader of frames, for the
+/// reactor's connections and for `ClusterClient` alike.
 ///
-/// A clean EOF *before* any header byte maps to `ErrorKind::UnexpectedEof`
-/// with the message `"closed"`, letting callers distinguish an orderly
-/// peer shutdown from a mid-frame truncation.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
-    let mut head = [0u8; 4];
-    let mut filled = 0;
-    while filled < head.len() {
-        match r.read(&mut head[filled..]) {
-            Ok(0) => {
-                let msg = if filled == 0 {
-                    "closed"
-                } else {
-                    "truncated frame header"
-                };
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, msg));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(head);
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame length {len}"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let tag = body[0];
-    body.remove(0);
-    Ok((tag, body))
-}
-
-/// Incremental frame decoder for non-blocking reads.
-///
-/// [`read_frame`] assumes it may block until a whole frame arrives —
-/// fine on a dedicated reader thread, wrong on a reactor (a socket is
-/// read only when the kernel says it is readable, and what is readable
-/// may end mid-header) and wrong under client read timeouts (a timeout
-/// that fires mid-frame must not discard the bytes already consumed).
-/// The decoder owns that problem: feed it whatever bytes arrive with
-/// [`FrameDecoder::extend`], take complete frames out with
-/// [`FrameDecoder::try_frame`], and partial headers/bodies simply wait
-/// in the buffer for the next read — the stream can never desync.
-///
-/// Validation matches `read_frame` exactly: a zero or oversized length
-/// field is `InvalidData` before any allocation happens.
+/// A socket is read when the kernel says it is readable, and what is
+/// readable may end mid-header; a client read timeout may fire
+/// mid-frame. Neither may discard the bytes already consumed. Feed the
+/// decoder whatever bytes arrive with [`FrameDecoder::extend`], take
+/// complete frames out with [`FrameDecoder::try_frame`], and partial
+/// headers/bodies simply wait in the buffer for the next read — the
+/// stream can never desync. A zero or oversized length field is
+/// `InvalidData` as soon as its four bytes are in, before any
+/// allocation happens. At end of stream, [`FrameDecoder::is_empty`]
+/// tells an orderly close from a truncated frame.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -378,7 +338,7 @@ pub fn encode_batch(items: &[(u8, Vec<u8>)]) -> Vec<u8> {
 /// Rejects payloads whose declared count or item lengths disagree with
 /// the bytes actually present (including trailing garbage): a batch
 /// frame must be exactly self-describing, same spirit as the outer
-/// length check in [`read_frame`].
+/// length check in [`FrameDecoder::try_frame`].
 pub fn decode_batch(payload: &[u8]) -> io::Result<Vec<(u8, Vec<u8>)>> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     if payload.len() < 4 {
@@ -524,17 +484,6 @@ impl<V: WireValue> EdgePayload<V> {
     }
 }
 
-/// True when `err` means the peer closed the connection cleanly.
-pub fn is_clean_close(err: &io::Error) -> bool {
-    matches!(
-        err.kind(),
-        io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::BrokenPipe
-            | io::ErrorKind::ConnectionAborted
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,34 +493,25 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, TAG_REQ_COMBINE, &[1, 2, 3]).unwrap();
         write_frame(&mut buf, TAG_HELLO_CLIENT, &[]).unwrap();
-        let mut r = &buf[..];
+        let mut dec = FrameDecoder::new();
+        dec.extend(&buf);
         assert_eq!(
-            read_frame(&mut r).unwrap(),
-            (TAG_REQ_COMBINE, vec![1, 2, 3])
+            dec.try_frame().unwrap(),
+            Some((TAG_REQ_COMBINE, vec![1, 2, 3]))
         );
-        assert_eq!(read_frame(&mut r).unwrap(), (TAG_HELLO_CLIENT, vec![]));
-        let err = read_frame(&mut r).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(is_clean_close(&err));
-    }
-
-    #[test]
-    fn zero_length_frame_is_rejected() {
-        let mut r = &[0u8, 0, 0, 0][..];
-        assert_eq!(
-            read_frame(&mut r).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
+        assert_eq!(dec.try_frame().unwrap(), Some((TAG_HELLO_CLIENT, vec![])));
+        assert_eq!(dec.try_frame().unwrap(), None);
+        assert!(dec.is_empty(), "a close here is orderly");
     }
 
     #[test]
     fn truncated_header_is_distinguished_from_clean_close() {
         let mut buf = Vec::new();
         write_frame(&mut buf, TAG_REQ_COMBINE, &[9]).unwrap();
-        let mut r = &buf[..2];
-        let err = read_frame(&mut r).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert_eq!(err.to_string(), "truncated frame header");
+        let mut dec = FrameDecoder::new();
+        dec.extend(&buf[..2]);
+        assert_eq!(dec.try_frame().unwrap(), None);
+        assert!(!dec.is_empty(), "a close here truncates a frame");
     }
 
     #[test]
@@ -611,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn decoder_rejects_bad_lengths_like_read_frame() {
+    fn decoder_rejects_zero_and_oversized_lengths() {
         let mut dec = FrameDecoder::new();
         dec.extend(&[0, 0, 0, 0]);
         assert_eq!(

@@ -148,11 +148,15 @@ mod tests {
         assert_eq!(m2.combines_served, 1);
         assert_eq!(m2.queue_depth, 0, "nothing left undispatched");
 
-        let json = cluster.metrics_json().unwrap();
-        assert!(json.contains("\"node\": 0"));
-        assert!(json.contains("\"node\": 2"));
-        let stats_json = cluster.stats_json().unwrap();
-        assert!(stats_json.contains("\"total\": 4"));
+        let metrics = oat_obs::Json::parse(&cluster.metrics_json().unwrap()).unwrap();
+        let nodes: Vec<_> = metrics
+            .items()
+            .iter()
+            .map(|m| m.get("node").and_then(|n| n.as_u64()))
+            .collect();
+        assert_eq!(nodes, [Some(0), Some(1), Some(2)]);
+        let stats = oat_obs::Json::parse(&cluster.stats_json().unwrap()).unwrap();
+        assert_eq!(stats.get("total").and_then(|n| n.as_u64()), Some(4));
     }
 
     #[test]

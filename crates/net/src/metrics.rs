@@ -7,15 +7,17 @@
 //! are client-side merges of these per-node snapshots (see
 //! `Cluster::stats`).
 
-use oat_core::message::MsgKind;
 use oat_core::wire::{put_u32, put_u64, WireError, WireReader};
+use oat_obs::Json;
+use oat_sim::stats::with_kind_counts;
 
 /// A snapshot of one node's runtime counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeMetrics {
     /// The reporting node's id.
     pub node: u32,
-    /// Messages this node has *sent*, per kind ([`MsgKind::ALL`] order).
+    /// Messages this node has *sent*, per kind, in
+    /// [`MsgKind::ALL`](oat_core::message::MsgKind::ALL) order.
     pub sent_by_kind: [u64; 4],
     /// Network messages this node has *received* and processed.
     pub delivered: u64,
@@ -152,56 +154,58 @@ impl NodeMetrics {
         self.sent_by_kind.iter().sum()
     }
 
-    /// JSON rendering, deterministic field and edge order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 96 * self.edges.len());
-        out.push_str(&format!(
-            "{{\n  \"node\": {},\n  \"sent\": {{\"total\": {}",
-            self.node,
-            self.sent_total()
-        ));
-        for (kind, c) in MsgKind::ALL.iter().zip(self.sent_by_kind) {
-            out.push_str(&format!(", \"{}\": {}", kind.name(), c));
-        }
-        out.push_str(&format!(
-            "}},\n  \"delivered\": {},\n  \"edges\": [",
-            self.delivered
-        ));
-        for (i, (to, counts)) in self.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {{\"to\": {to}"));
-            for (kind, c) in MsgKind::ALL.iter().zip(counts) {
-                out.push_str(&format!(", \"{}\": {}", kind.name(), c));
-            }
-            out.push('}');
-        }
-        if !self.edges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"leases\": {{\"taken\": {}, \"granted\": {}}},\n  \"queue\": {{\"depth\": {}, \"peak\": {}}},\n  \"combines\": {{\"pending\": {}, \"served\": {}}},\n  \"faults\": {{\"reconnects\": {}, \"retransmits\": {}, \"dup_drops\": {}, \"timeouts\": {}, \"restarts\": {}, \"kill9s\": {}, \"backpressure_stalls\": {}}},\n  \"wal\": {{\"records\": {}, \"fsyncs\": {}, \"replays\": {}, \"torn_bytes\": {}, \"snapshots\": {}}}\n}}",
-            self.leases_taken,
-            self.leases_granted,
-            self.queue_depth,
-            self.queue_peak,
-            self.pending_combines,
-            self.combines_served,
-            self.reconnects,
-            self.retransmits,
-            self.dup_drops,
-            self.timeouts,
-            self.restarts,
-            self.kill9s,
-            self.backpressure_stalls,
-            self.wal_records,
-            self.wal_fsyncs,
-            self.wal_replays,
-            self.wal_torn_bytes,
-            self.wal_snapshots,
-        ));
-        out
+    /// The node's metrics document (`oat serve metrics N`): fields and
+    /// edges in a fixed order, message counts per
+    /// [`MsgKind`](oat_core::message::MsgKind).
+    pub fn to_json(&self) -> Json {
+        let sent = Json::obj().with("total", self.sent_total());
+        let edges = self
+            .edges
+            .iter()
+            .map(|(to, counts)| with_kind_counts(Json::obj().with("to", *to), counts));
+        Json::obj()
+            .with("node", self.node)
+            .with("sent", with_kind_counts(sent, &self.sent_by_kind))
+            .with("delivered", self.delivered)
+            .with("edges", edges.collect::<Vec<_>>())
+            .with(
+                "leases",
+                Json::obj()
+                    .with("taken", self.leases_taken)
+                    .with("granted", self.leases_granted),
+            )
+            .with(
+                "queue",
+                Json::obj()
+                    .with("depth", self.queue_depth)
+                    .with("peak", self.queue_peak),
+            )
+            .with(
+                "combines",
+                Json::obj()
+                    .with("pending", self.pending_combines)
+                    .with("served", self.combines_served),
+            )
+            .with(
+                "faults",
+                Json::obj()
+                    .with("reconnects", self.reconnects)
+                    .with("retransmits", self.retransmits)
+                    .with("dup_drops", self.dup_drops)
+                    .with("timeouts", self.timeouts)
+                    .with("restarts", self.restarts)
+                    .with("kill9s", self.kill9s)
+                    .with("backpressure_stalls", self.backpressure_stalls),
+            )
+            .with(
+                "wal",
+                Json::obj()
+                    .with("records", self.wal_records)
+                    .with("fsyncs", self.wal_fsyncs)
+                    .with("replays", self.wal_replays)
+                    .with("torn_bytes", self.wal_torn_bytes)
+                    .with("snapshots", self.wal_snapshots),
+            )
     }
 }
 
@@ -249,18 +253,49 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let json = sample().to_json();
-        assert!(json.contains("\"node\": 3"));
-        assert!(json.contains("\"total\": 10"));
-        assert!(json.contains("\"taken\": 2, \"granted\": 1"));
-        assert!(json.contains("\"to\": 7, \"probe\": 0, \"response\": 2"));
-        assert!(json.contains(
-            "\"faults\": {\"reconnects\": 1, \"retransmits\": 2, \"dup_drops\": 3, \"timeouts\": 4, \"restarts\": 5, \"kill9s\": 7, \"backpressure_stalls\": 6}"
-        ));
-        assert!(json.contains(
-            "\"wal\": {\"records\": 80, \"fsyncs\": 9, \"replays\": 2, \"torn_bytes\": 11, \"snapshots\": 1}"
-        ));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = Json::parse(&sample().to_json().to_pretty()).expect("metrics parse");
+        let num = |path: &[&str]| doc.at(path).and_then(Json::as_u64);
+        assert_eq!(num(&["node"]), Some(3));
+        assert_eq!(num(&["sent", "total"]), Some(10));
+        assert_eq!(num(&["leases", "taken"]), Some(2));
+        assert_eq!(num(&["leases", "granted"]), Some(1));
+        let edge = &doc.get("edges").expect("edges").items()[1];
+        let keys: Vec<&str> = edge.entries().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["to", "probe", "response", "update", "release"]);
+        assert_eq!(edge.get("to").and_then(Json::as_u64), Some(7));
+        assert_eq!(edge.get("response").and_then(Json::as_u64), Some(2));
+        for (group, want) in [
+            (
+                "faults",
+                &[
+                    ("reconnects", 1),
+                    ("retransmits", 2),
+                    ("dup_drops", 3),
+                    ("timeouts", 4),
+                    ("restarts", 5),
+                    ("kill9s", 7),
+                    ("backpressure_stalls", 6),
+                ][..],
+            ),
+            (
+                "wal",
+                &[
+                    ("records", 80),
+                    ("fsyncs", 9),
+                    ("replays", 2),
+                    ("torn_bytes", 11),
+                    ("snapshots", 1),
+                ][..],
+            ),
+        ] {
+            let got: Vec<(&str, u64)> = doc
+                .get(group)
+                .expect(group)
+                .entries()
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_u64().expect("a count")))
+                .collect();
+            assert_eq!(got, want, "{group}");
+        }
     }
 }

@@ -50,30 +50,6 @@ pub struct PhaseBreakdown {
     pub latency: LogHistogram,
 }
 
-impl PhaseBreakdown {
-    /// Compact JSON object (used inside the bench report): per phase, the
-    /// p50/p99 in microseconds, plus match accounting.
-    pub fn to_json(&self) -> String {
-        let hist = |h: &LogHistogram| {
-            format!(
-                "{{\"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-                h.quantile_us(0.50),
-                h.quantile_us(0.99)
-            )
-        };
-        format!(
-            "{{\"requests\": {}, \"matched\": {}, \"poll\": {}, \"queue\": {}, \"dispatch\": {}, \"wire\": {}, \"latency\": {}}}",
-            self.requests,
-            self.matched,
-            hist(&self.poll),
-            hist(&self.queue),
-            hist(&self.dispatch),
-            hist(&self.wire),
-            hist(&self.latency)
-        )
-    }
-}
-
 #[derive(Default, Clone, Copy)]
 struct NodeRecord {
     recv_ts: u64,
@@ -292,9 +268,6 @@ mod tests {
         assert_eq!((b.requests, b.matched), (1, 0));
         assert_eq!(b.latency.count(), 1);
         assert_eq!(b.poll.count(), 0);
-        let json = b.to_json();
-        assert!(json.contains("\"requests\": 1"));
-        assert!(json.contains("\"latency\": {\"p50_us\":"));
     }
 
     #[test]

@@ -20,34 +20,30 @@
 //! consumers can parse every line with one schema. All output is plain
 //! ASCII with deterministic key order.
 
-use std::fmt::Write as _;
-
 use crate::event::Event;
+use crate::json::Json;
 use crate::ring::Trace;
 
 /// Renders the `oat-trace-v1` JSONL document.
 pub fn to_jsonl(trace: &Trace) -> String {
-    let mut out = String::with_capacity(64 + trace.events.len() * 96);
-    let _ = writeln!(
-        out,
-        "{{\"schema\":\"oat-trace-v1\",\"events\":{},\"dropped\":{},\"rings\":{}}}",
-        trace.events.len(),
-        trace.dropped,
-        trace.rings
-    );
+    let header = Json::obj()
+        .with("schema", "oat-trace-v1")
+        .with("events", trace.events.len())
+        .with("dropped", trace.dropped)
+        .with("rings", trace.rings);
+    let mut out = header.to_line() + "\n";
     for e in &trace.events {
-        let _ = writeln!(
-            out,
-            "{{\"ts_ns\":{},\"kind\":\"{}\",\"cat\":\"{}\",\"tid\":{},\"a\":{},\"b\":{},\"c\":{},\"dur_ns\":{}}}",
-            e.ts_ns,
-            e.kind.name(),
-            e.kind.category(),
-            e.tid,
-            e.a,
-            e.b,
-            e.c,
-            e.dur_ns
-        );
+        let record = Json::obj()
+            .with("ts_ns", e.ts_ns)
+            .with("kind", e.kind.name())
+            .with("cat", e.kind.category())
+            .with("tid", e.tid)
+            .with("a", e.a)
+            .with("b", e.b)
+            .with("c", e.c)
+            .with("dur_ns", e.dur_ns);
+        out.push_str(&record.to_line());
+        out.push('\n');
     }
     out
 }
@@ -59,47 +55,30 @@ pub fn to_jsonl(trace: &Trace) -> String {
 /// (Chrome's native unit); instants become `ph:"i"` with thread scope.
 /// The payload words ride in `args`.
 pub fn to_chrome(trace: &Trace) -> String {
-    let mut out = String::with_capacity(128 + trace.events.len() * 160);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in trace.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  ");
-        chrome_record(&mut out, e);
-    }
-    out.push_str("\n]}\n");
-    out
+    let events = trace.events.iter().map(chrome_record).collect::<Vec<_>>();
+    Json::obj()
+        .with("displayTimeUnit", "ms")
+        .with("traceEvents", events)
+        .to_line()
+        + "\n"
 }
 
-fn chrome_record(out: &mut String, e: &Event) {
+fn chrome_record(e: &Event) -> Json {
     let ts_us = e.ts_ns as f64 / 1000.0;
-    if e.kind.is_span() {
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"a\":{},\"b\":{},\"c\":{}}}}}",
-            e.kind.name(),
-            e.kind.category(),
-            ts_us,
-            f64::from(e.dur_ns) / 1000.0,
-            e.tid,
-            e.a,
-            e.b,
-            e.c
-        );
+    let record = Json::obj()
+        .with("name", e.kind.name())
+        .with("cat", e.kind.category());
+    let record = if e.kind.is_span() {
+        let dur_us = f64::from(e.dur_ns) / 1000.0;
+        record.with("ph", "X").with("ts", ts_us).with("dur", dur_us)
     } else {
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"a\":{},\"b\":{},\"c\":{}}}}}",
-            e.kind.name(),
-            e.kind.category(),
-            ts_us,
-            e.tid,
-            e.a,
-            e.b,
-            e.c
-        );
-    }
+        record.with("ph", "i").with("s", "t").with("ts", ts_us)
+    };
+    let args = Json::obj().with("a", e.a).with("b", e.b).with("c", e.c);
+    record
+        .with("pid", 1u32)
+        .with("tid", e.tid)
+        .with("args", args)
 }
 
 #[cfg(test)]
@@ -134,35 +113,50 @@ mod tests {
     #[test]
     fn jsonl_golden() {
         let got = to_jsonl(&sample_trace());
-        let want = "\
-{\"schema\":\"oat-trace-v1\",\"events\":4,\"dropped\":5,\"rings\":3}
-{\"ts_ns\":1,\"kind\":\"req_start\",\"cat\":\"request\",\"tid\":0,\"a\":3,\"b\":0,\"c\":1,\"dur_ns\":0}
-{\"ts_ns\":1500,\"kind\":\"frame_rx\",\"cat\":\"frame\",\"tid\":1,\"a\":3,\"b\":1,\"c\":9,\"dur_ns\":0}
-{\"ts_ns\":2000,\"kind\":\"req_serve\",\"cat\":\"request\",\"tid\":1,\"a\":3,\"b\":7,\"c\":1,\"dur_ns\":250000}
-{\"ts_ns\":999999999,\"kind\":\"restart\",\"cat\":\"fault\",\"tid\":2,\"a\":4294967295,\"b\":0,\"c\":18446744073709551615,\"dur_ns\":0}
-";
+        let want = r#"{"schema":"oat-trace-v1","events":4,"dropped":5,"rings":3}
+{"ts_ns":1,"kind":"req_start","cat":"request","tid":0,"a":3,"b":0,"c":1,"dur_ns":0}
+{"ts_ns":1500,"kind":"frame_rx","cat":"frame","tid":1,"a":3,"b":1,"c":9,"dur_ns":0}
+{"ts_ns":2000,"kind":"req_serve","cat":"request","tid":1,"a":3,"b":7,"c":1,"dur_ns":250000}
+{"ts_ns":999999999,"kind":"restart","cat":"fault","tid":2,"a":4294967295,"b":0,"c":18446744073709551615,"dur_ns":0}
+"#;
         assert_eq!(got, want);
     }
 
     #[test]
     fn chrome_golden() {
         let got = to_chrome(&sample_trace());
-        let want = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[
-  {\"name\":\"req_start\",\"cat\":\"request\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.001,\"pid\":1,\"tid\":0,\"args\":{\"a\":3,\"b\":0,\"c\":1}},
-  {\"name\":\"frame_rx\",\"cat\":\"frame\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.500,\"pid\":1,\"tid\":1,\"args\":{\"a\":3,\"b\":1,\"c\":9}},
-  {\"name\":\"req_serve\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":2.000,\"dur\":250.000,\"pid\":1,\"tid\":1,\"args\":{\"a\":3,\"b\":7,\"c\":1}},
-  {\"name\":\"restart\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":999999.999,\"pid\":1,\"tid\":2,\"args\":{\"a\":4294967295,\"b\":0,\"c\":18446744073709551615}}
-]}
-";
+        let want = concat!(
+            r#"{"displayTimeUnit":"ms","traceEvents":["#,
+            r#"{"name":"req_start","cat":"request","ph":"i","s":"t","ts":0.001,"pid":1,"tid":0,"args":{"a":3,"b":0,"c":1}},"#,
+            r#"{"name":"frame_rx","cat":"frame","ph":"i","s":"t","ts":1.5,"pid":1,"tid":1,"args":{"a":3,"b":1,"c":9}},"#,
+            r#"{"name":"req_serve","cat":"request","ph":"X","ts":2.0,"dur":250.0,"pid":1,"tid":1,"args":{"a":3,"b":7,"c":1}},"#,
+            r#"{"name":"restart","cat":"fault","ph":"i","s":"t","ts":999999.999,"pid":1,"tid":2,"args":{"a":4294967295,"b":0,"c":18446744073709551615}}"#,
+            "]}\n"
+        );
         assert_eq!(got, want);
     }
 
     #[test]
-    fn jsonl_lines_are_balanced_json_objects() {
-        for line in to_jsonl(&sample_trace()).lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
-            assert_eq!(line.matches('"').count() % 2, 0);
+    fn jsonl_records_parse_back_to_the_events() {
+        let trace = sample_trace();
+        let text = to_jsonl(&trace);
+        let mut lines = text
+            .lines()
+            .map(|l| Json::parse(l).expect("one JSON value per line"));
+        let header = lines.next().expect("a header line");
+        assert_eq!(
+            header.get("schema").and_then(Json::as_str),
+            Some("oat-trace-v1")
+        );
+        assert_eq!(header.get("events").and_then(Json::as_u64), Some(4));
+        for (record, e) in lines.zip(&trace.events) {
+            let num = |k: &str| record.get(k).and_then(Json::as_u64);
+            assert_eq!(num("ts_ns"), Some(e.ts_ns));
+            assert_eq!(
+                record.get("cat").and_then(Json::as_str),
+                Some(e.kind.category())
+            );
+            assert_eq!(num("c"), Some(e.c), "u64 payloads are exact");
         }
     }
 }

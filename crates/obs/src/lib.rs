@@ -14,6 +14,8 @@
 //! * [`export`] — the stable `oat-trace-v1` JSONL schema and the Chrome
 //!   `trace_event` JSON format (loadable in `chrome://tracing` /
 //!   Perfetto).
+//! * [`json`] — the one JSON value, writer and strict reader behind
+//!   every document the workspace emits.
 //! * [`breakdown`] — matches client-side request events against node-side
 //!   serve events and attributes each request's wall time to
 //!   poll / queue / dispatch / wire phases.
@@ -29,6 +31,7 @@ pub mod breakdown;
 pub mod event;
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod ring;
 
 pub use breakdown::{
@@ -37,6 +40,7 @@ pub use breakdown::{
 pub use event::{Event, EventKind};
 pub use export::{to_chrome, to_jsonl};
 pub use hist::LogHistogram;
+pub use json::Json;
 pub use ring::{
     disable, drain, emit, enabled, install, now_ns, span, Trace, DEFAULT_RING_CAPACITY,
 };

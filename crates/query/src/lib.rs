@@ -21,9 +21,11 @@
 //!   nothing written twice,
 //! * [`oracle`] — the sequential reference: the exact per-key,
 //!   per-window aggregate a single fold over the fact stream produces.
-//!   Engine finals must match it exactly at quiescence,
-//! * [`json`] — the stable `oat-query-v1` report schema consumed by the
-//!   CLI, the bench harness, and the CI smoke.
+//!   Engine finals must match it exactly at quiescence.
+//!
+//! `oat query --json` reports a [`QueryRun`] as the `oat-query-v1`
+//! document (built in the CLI with `oat_obs::json`), and the benchmark's
+//! `query-groupby` workload drives [`run`] directly.
 //!
 //! Every emitted partial carries freshness metadata: the count of
 //! acknowledged writes it reflects (`last_write_seq`), the number of
@@ -36,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod json;
 pub mod oracle;
 pub mod spec;
 

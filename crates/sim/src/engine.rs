@@ -217,13 +217,6 @@ impl<S: PolicySpec, A: AggOp> Engine<S, A> {
         &self.stats
     }
 
-    /// JSON export of the per-edge, per-kind message counters — the same
-    /// shape `oat_net::Cluster::stats_json` produces, so simulator and TCP
-    /// trajectories diff cleanly.
-    pub fn stats_json(&self) -> String {
-        self.stats.to_json(&self.tree)
-    }
-
     /// The node automaton for `u`.
     pub fn node(&self, u: NodeId) -> &MechNode<S::Node, A> {
         &self.nodes[u.idx()]

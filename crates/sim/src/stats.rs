@@ -9,6 +9,7 @@
 
 use oat_core::message::MsgKind;
 use oat_core::tree::{NodeId, Tree};
+use oat_obs::Json;
 
 /// Per-directed-edge, per-kind message counters.
 #[derive(Clone, Debug)]
@@ -109,41 +110,34 @@ impl MsgStats {
         out
     }
 
-    /// JSON export of the full per-directed-edge, per-kind breakdown.
+    /// The `stats` document: totals, then every directed edge's
+    /// per-kind counts — Lemma 3.9's cost split.
     ///
-    /// Shared by `oat-sim` and `oat-net` so benchmark trajectories
-    /// (`BENCH_*.json`) are directly comparable across transports. The
-    /// output is deterministic: edges appear in dense directed-edge-index
-    /// order, kinds in [`MsgKind::ALL`] order.
-    pub fn to_json(&self, tree: &Tree) -> String {
-        let kinds = self.kind_totals();
-        let mut out = String::with_capacity(64 + 96 * self.per_edge.len());
-        out.push_str(&format!(
-            "{{\n  \"total\": {},\n  \"by_kind\": {{",
-            self.total()
-        ));
-        for (i, kind) in MsgKind::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", kind.name(), kinds[i]));
-        }
-        out.push_str("},\n  \"edges\": [\n");
-        for (i, counters) in self.per_edge.iter().enumerate() {
+    /// Shared by `oat-sim` and `oat-net`, so a simulator run and a live
+    /// cluster's `oat serve stats` compare field for field. Edges appear
+    /// in dense directed-edge-index order, kinds in [`MsgKind::ALL`]
+    /// order, zero counters included.
+    pub fn to_json(&self, tree: &Tree) -> Json {
+        let edges = self.per_edge.iter().enumerate().map(|(i, counts)| {
             let (from, to) = tree.dir_edge(i);
-            out.push_str(&format!("    {{\"from\": {}, \"to\": {}", from.0, to.0));
-            for (kind, c) in MsgKind::ALL.iter().zip(counters) {
-                out.push_str(&format!(", \"{}\": {}", kind.name(), c));
-            }
-            out.push('}');
-            if i + 1 < self.per_edge.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}");
-        out
+            with_kind_counts(Json::obj().with("from", from.0).with("to", to.0), counts)
+        });
+        Json::obj()
+            .with("total", self.total())
+            .with(
+                "by_kind",
+                with_kind_counts(Json::obj(), &self.kind_totals()),
+            )
+            .with("edges", edges.collect::<Vec<_>>())
     }
+}
+
+/// Appends one `kind: count` field per [`MsgKind::ALL`] kind to `obj`.
+pub fn with_kind_counts(obj: Json, counts: &[u64; 4]) -> Json {
+    MsgKind::ALL
+        .iter()
+        .zip(counts)
+        .fold(obj, |o, (kind, &c)| o.with(kind.name(), c))
 }
 
 #[cfg(test)]
@@ -194,17 +188,35 @@ mod tests {
         let mut s = MsgStats::new(&tree);
         s.record(tree.dir_edge_index(NodeId(1), NodeId(0)), MsgKind::Probe);
         s.record(tree.dir_edge_index(NodeId(0), NodeId(1)), MsgKind::Response);
-        let json = s.to_json(&tree);
-        assert!(json.contains("\"total\": 2"));
-        assert!(json.contains(
-            "\"by_kind\": {\"probe\": 1, \"response\": 1, \"update\": 0, \"release\": 0}"
-        ));
+        let text = s.to_json(&tree).to_pretty();
+        let doc = Json::parse(&text).expect("stats parse");
+        assert_eq!(doc.get("total").and_then(Json::as_u64), Some(2));
+        let by_kind: Vec<(&str, u64)> = doc
+            .get("by_kind")
+            .expect("by_kind")
+            .entries()
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_u64().expect("a count")))
+            .collect();
+        assert_eq!(
+            by_kind,
+            [("probe", 1), ("response", 1), ("update", 0), ("release", 0)]
+        );
         // Both directed edges appear, even the all-zero counters.
-        assert!(json.contains("\"from\": 0, \"to\": 1"));
-        assert!(json.contains("\"from\": 1, \"to\": 0"));
-        assert_eq!(json, s.to_json(&tree));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let ends: Vec<(u64, u64)> = doc
+            .get("edges")
+            .expect("edges")
+            .items()
+            .iter()
+            .map(|e| {
+                (
+                    e.get("from").and_then(Json::as_u64).unwrap(),
+                    e.get("to").and_then(Json::as_u64).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(ends.len(), 2);
+        assert!(ends.contains(&(0, 1)) && ends.contains(&(1, 0)));
+        assert_eq!(text, s.to_json(&tree).to_pretty());
     }
 }

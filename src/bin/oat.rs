@@ -19,6 +19,7 @@ use oat::sim::viz::render_leases;
 use oat::sim::{Engine, Schedule};
 use oat_core::policy::PolicySpec;
 use oat_core::request::{ReqOp, Request};
+use oat_obs::Json;
 use std::collections::HashMap;
 use std::io::BufRead;
 
@@ -1000,7 +1001,7 @@ fn serve_command(cluster: &Cluster<SumI64>, cmd: &str) -> Result<Option<String>,
         let n: u32 = rest.parse().map_err(|_| format!("bad node `{rest}`"))?;
         return cluster
             .node_metrics(check_node(NodeId(n))?)
-            .map(|m| Some(m.to_json()))
+            .map(|m| Some(m.to_json().to_pretty()))
             .map_err(|e| e.to_string());
     }
     let mut out = String::new();
@@ -1307,42 +1308,28 @@ fn cmd_mlap(a: &Args) -> Result<(), String> {
     let ratio_of =
         |total: u64| -> Option<f64> { opt.filter(|&o| o > 0).map(|o| total as f64 / o as f64) };
     if a.get("--json").is_some() {
-        use std::fmt::Write as _;
-        let mut pols = String::from("[");
-        for (i, r) in runs.iter().enumerate() {
-            if i > 0 {
-                pols.push_str(", ");
-            }
-            let ratio = ratio_of(r.total_cost()).map_or("null".to_string(), |x| format!("{x:.3}"));
-            let _ = write!(
-                pols,
-                "{{\"name\": \"{}\", \"service_cost\": {}, \"delay_cost\": {}, \
-                 \"deadline_misses\": {}, \"flushes\": {}, \"messages\": {}, \
-                 \"total_cost\": {}, \"ratio_vs_opt\": {}}}",
-                r.policy,
-                r.service_cost,
-                r.delay_cost,
-                r.deadline_misses,
-                r.flushes.len(),
-                r.messages,
-                r.total_cost(),
-                ratio,
-            );
-        }
-        pols.push(']');
-        println!(
-            "{{\"schema\": \"oat-mlap-v1\", \"model\": \"{}\", \"workload\": \"{}\", \
-             \"seed\": {}, \"nodes\": {}, \"depth\": {}, \"requests\": {}, \
-             \"opt\": {}, \"policies\": {}}}",
-            inst.model.name(),
-            wspec,
-            seed,
-            inst.tree.len(),
-            depth,
-            inst.requests.len(),
-            opt.map_or("null".to_string(), |o| o.to_string()),
-            pols,
-        );
+        let policies = runs.iter().map(|r| {
+            Json::obj()
+                .with("name", r.policy.as_str())
+                .with("service_cost", r.service_cost)
+                .with("delay_cost", r.delay_cost)
+                .with("deadline_misses", r.deadline_misses)
+                .with("flushes", r.flushes.len())
+                .with("messages", r.messages)
+                .with("total_cost", r.total_cost())
+                .with("ratio_vs_opt", ratio_of(r.total_cost()))
+        });
+        let doc = Json::obj()
+            .with("schema", "oat-mlap-v1")
+            .with("model", inst.model.name())
+            .with("workload", wspec)
+            .with("seed", seed)
+            .with("nodes", inst.tree.len())
+            .with("depth", depth)
+            .with("requests", inst.requests.len())
+            .with("opt", opt)
+            .with("policies", policies.collect::<Vec<_>>());
+        println!("{}", doc.to_line());
     } else {
         println!(
             "mlap: {} model, {} nodes, depth {}, {} requests, OPT {}",
@@ -1436,16 +1423,64 @@ fn cmd_query(a: &Args) -> Result<(), String> {
     };
     let run = with_policy!(&policy, spec =>
         run_query_on(&spec, &tree, &qspec, &facts, cfg))?;
-    let meta = oat::query::json::ReportMeta {
-        stream,
-        seed,
-        keys,
-        transport: transport.name(),
-        tree: tree_spec,
-        policy: policy_spec,
+    let oracle = oat::query::oracle_finals(&qspec, &facts);
+    let mut finals = run.finals.clone();
+    finals.sort_by_key(|f| (f.key, f.window));
+    let want = |f: &oat::query::Final| {
+        let o = oracle
+            .iter()
+            .find(|o| (o.key, o.window) == (f.key, f.window));
+        o.map(|o| o.value)
     };
     if a.get("--json").is_some() {
-        println!("{}", oat::query::json::report_json(&run, &facts, &meta));
+        let config = Json::obj()
+            .with("stream", stream)
+            .with("facts", facts.len())
+            .with("keys", keys)
+            .with("seed", seed)
+            .with("transport", transport.name())
+            .with("tree", tree_spec)
+            .with("policy", policy_spec);
+        let s = &run.stats;
+        let refinement = Json::obj()
+            .with("elapsed_ms", s.elapsed_ms)
+            .with("first_partial_p50_ms", s.first_partial_p50_ms)
+            .with("first_partial_p99_ms", s.first_partial_p99_ms)
+            .with("t95_coverage_ms", s.t95_coverage_ms)
+            .with("partials_total", s.partials_total)
+            .with("pushes_rx", s.pushes_rx);
+        let finals = finals.iter().map(|f| {
+            Json::obj()
+                .with("key", f.key)
+                .with("window", f.window)
+                .with("value", f.value)
+                .with("oracle", want(f))
+        });
+        let partials = run.partials.iter().map(|p| {
+            Json::obj()
+                .with("key", p.key)
+                .with("window", p.window)
+                .with("refine_seq", p.refine_seq)
+                .with("value", p.value)
+                .with("coverage", p.coverage)
+                .with("last_write_seq", p.last_write_seq)
+                .with("staleness", p.staleness)
+                .with("at_ms", p.at_ms)
+                .with("wall_ms", p.wall_ms)
+                .with("final", p.is_final)
+        });
+        let doc = Json::obj()
+            .with("schema", "oat-query-v1")
+            .with("spec", run.spec.to_string())
+            .with("config", config)
+            .with("oracle_match", run.matches_oracle(&facts))
+            .with("coverage_monotone", run.coverage_monotone())
+            .with("refine_seq_monotone", run.refine_seq_monotone())
+            .with("min_partials_per_key", run.min_partials_per_key())
+            .with("refinement", refinement)
+            .with("finals", finals.collect::<Vec<_>>())
+            .with("partials", partials.collect::<Vec<_>>());
+        println!("{}", doc.to_pretty());
     } else {
         println!(
             "query: {qspec}\n  stream {stream} facts={} keys={keys} seed={seed} \
@@ -1472,15 +1507,9 @@ fn cmd_query(a: &Args) -> Result<(), String> {
         if run.partials.len() > SHOW {
             println!("  ... and {} more partials", run.partials.len() - SHOW);
         }
-        let oracle = oat::query::oracle_finals(&qspec, &facts);
         println!("finals vs sequential oracle:");
-        let mut finals = run.finals.clone();
-        finals.sort_by_key(|f| (f.key, f.window));
         for f in &finals {
-            let want = oracle
-                .iter()
-                .find(|o| o.key == f.key && o.window == f.window)
-                .map(|o| o.value);
+            let want = want(f);
             println!(
                 "  key {:>3} window {:>3}: {} (oracle {}) {}",
                 f.key,

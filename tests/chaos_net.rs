@@ -27,6 +27,7 @@ use oat::core::request::{ReqOp, Request};
 use oat::core::tree::{NodeId, Tree};
 use oat::net::{Cluster, ClusterClient, DurabilityMode, NetConfig, TransportKind, WalConfig};
 use oat::workloads::uniform;
+use oat_obs::Json;
 
 /// Fresh per-test WAL directory under the system temp dir.
 fn tmpdir(name: &str) -> PathBuf {
@@ -144,8 +145,9 @@ fn full_chaos_run_matches_the_sequential_oracle() {
     // cluster is still alive (metrics_json is the operator's view).
     let m2 = cluster.node_metrics(NodeId(2)).expect("metrics node 2");
     assert_eq!(m2.restarts, 1, "node 2 was crashed exactly once");
-    let json = cluster.metrics_json().expect("metrics json");
-    assert!(json.contains("\"restarts\": 1"));
+    let metrics = Json::parse(&cluster.metrics_json().expect("metrics json")).expect("parse");
+    let restarts = metrics.items()[2].at(&["faults", "restarts"]);
+    assert_eq!(restarts.and_then(Json::as_u64), Some(1));
     // Exactly-once delivery: every injected duplicate was discarded by
     // a receiving sequencer (kill-replay overlap may add more).
     let mut dup_drops = 0;
@@ -387,8 +389,9 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
             "{name}: recovery replayed the node's log"
         );
         assert!(m2.wal_records > 0 && m2.wal_fsyncs > 0, "{name}");
-        let json = cluster.metrics_json().expect("metrics json");
-        assert!(json.contains("\"kill9s\": 1"), "{name}");
+        let metrics = Json::parse(&cluster.metrics_json().expect("metrics json")).expect("parse");
+        let kill9s = metrics.items()[2].at(&["faults", "kill9s"]);
+        assert_eq!(kill9s.and_then(Json::as_u64), Some(1), "{name}");
 
         let report = cluster.shutdown();
         assert!(

@@ -1,9 +1,15 @@
-//! The `oat` binary's argument handling, driven as a user drives it:
-//! every subcommand rejects a malformed command line with exit 2 and its
-//! usage line, and every `oat` command line in the docs and in `ci.sh`
-//! uses only flags that `oat help` declares.
+//! The `oat` binary driven as a user drives it: every subcommand rejects
+//! a malformed command line with exit 2 and its usage line, every `oat`
+//! command line in the docs and in `ci.sh` uses only flags that
+//! `oat help` declares, and every JSON document it emits (`serve`'s
+//! `stats` and `metrics`, `oat-trace-v1` and the Chrome trace,
+//! `oat-mlap-v1`, `oat-query-v1`) parses and carries the values the run
+//! implies.
 
-use std::process::{Command, Output};
+use std::io::Write;
+use std::process::{Command, Output, Stdio};
+
+use oat_obs::Json;
 
 /// Runs `oat` on the whitespace-separated words of `line`.
 fn oat(line: &str) -> Output {
@@ -130,6 +136,257 @@ fn out_of_range_spec_parameters_exit_2_instead_of_panicking() {
         assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
         assert!(!stderr.contains("panicked"), "{line}: {stderr}");
         assert!(stderr.contains(&format!("`{spec}`")), "{line}: {stderr}");
+    }
+}
+
+/// Runs `oat` on `args` and returns its stdout; a nonzero exit fails
+/// the test with stderr.
+fn oat_ok(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_oat"))
+        .args(args)
+        .output()
+        .expect("run the oat binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "oat {}: {stderr}", args.join(" "));
+    String::from_utf8(out.stdout).expect("UTF-8 output")
+}
+
+/// Parses one JSON document, failing the test with the text on error.
+fn parse(text: &str) -> Json {
+    Json::parse(text).unwrap_or_else(|e| panic!("{e}:\n{text}"))
+}
+
+fn num(doc: &Json, path: &[&str]) -> u64 {
+    let v = doc.at(path).and_then(Json::as_u64);
+    v.unwrap_or_else(|| panic!("no count at {path:?}"))
+}
+
+fn text<'a>(doc: &'a Json, path: &[&str]) -> &'a str {
+    let v = doc.at(path).and_then(Json::as_str);
+    v.unwrap_or_else(|| panic!("no string at {path:?}"))
+}
+
+#[test]
+fn serve_stats_and_metrics_are_json_documents() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_oat"))
+        .args(["serve", "--tree", "kary:15:2", "--policy", "rww"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn oat serve");
+    let stdin = child.stdin.as_mut().expect("stdin");
+    stdin
+        .write_all(b"c@0\nw@7=10\nc@0\nstats\nmetrics 1\nmetrics\nquit\n")
+        .expect("commands");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+    // Each document is pretty-printed: it opens with `{` or `[` at the
+    // start of a line and closes with the matching bracket alone on one.
+    let mut docs = Vec::new();
+    let mut open: Option<(usize, &str)> = None;
+    for (i, line) in stdout.lines().enumerate() {
+        match (open, line) {
+            (None, "{" | "[") => open = Some((i, if line == "{" { "}" } else { "]" })),
+            (Some((from, close)), _) if line == close => {
+                docs.push(parse(
+                    &stdout.lines().collect::<Vec<_>>()[from..=i].join("\n"),
+                ));
+                open = None;
+            }
+            _ => {}
+        }
+    }
+    let [stats, one, all] = &docs[..] else {
+        panic!("want the stats, metrics 1 and metrics documents:\n{stdout}");
+    };
+    // stats: 28 directed edges of a 15-node tree, counts that add up.
+    let edges = stats.get("edges").expect("edges").items();
+    assert_eq!(edges.len(), 28);
+    let kinds = ["probe", "response", "update", "release"];
+    let by_kind: u64 = kinds.iter().map(|k| num(stats, &["by_kind", k])).sum();
+    let per_edge: u64 = edges.iter().flat_map(|e| kinds.map(|k| num(e, &[k]))).sum();
+    assert_eq!(num(stats, &["total"]), by_kind);
+    assert_eq!(by_kind, per_edge);
+    assert!(by_kind > 0, "the combines and the write sent messages");
+    // metrics: node 1's document, then all 15 in node order, whose sent
+    // totals add up to the stats total.
+    assert_eq!(num(one, &["node"]), 1);
+    let nodes = all.items();
+    assert_eq!(nodes.len(), 15);
+    for (i, m) in nodes.iter().enumerate() {
+        assert_eq!(num(m, &["node"]), i as u64);
+        let sent: u64 = kinds.iter().map(|k| num(m, &["sent", k])).sum();
+        assert_eq!(num(m, &["sent", "total"]), sent);
+    }
+    assert_eq!(nodes[1], *one);
+    let sent: u64 = nodes.iter().map(|m| num(m, &["sent", "total"])).sum();
+    assert_eq!(sent, by_kind);
+}
+
+#[test]
+fn trace_writes_oat_trace_v1_and_a_chrome_trace() {
+    // A live trace of a 10-node workload (sim replay + faulted pipelined
+    // TCP replay): every JSONL line parses, the header counts the events,
+    // at least one event of every category was captured, and the Chrome
+    // export carries the same events.
+    let dir = std::env::temp_dir();
+    let jsonl = dir.join(format!("oat-cli-trace-{}.jsonl", std::process::id()));
+    let chrome = dir.join(format!("oat-cli-trace-{}.chrome.json", std::process::id()));
+    let (jsonl_arg, chrome_arg) = (jsonl.to_str().unwrap(), chrome.to_str().unwrap());
+    oat_ok(&[
+        "trace",
+        "--tree",
+        "kary:10:2",
+        "--workload",
+        "uniform:0.5:80",
+        "--pipeline",
+        "4",
+        "--faults",
+        "seed:7,drop:0.02,kill:1-0@3",
+        "--out",
+        jsonl_arg,
+        "--chrome",
+        chrome_arg,
+    ]);
+    let lines = std::fs::read_to_string(&jsonl).expect("read the trace");
+    let chrome_text = std::fs::read_to_string(&chrome).expect("read the Chrome trace");
+    let _ = (std::fs::remove_file(&jsonl), std::fs::remove_file(&chrome));
+    let mut records = lines.lines().map(parse);
+    let header = records.next().expect("a header line");
+    assert_eq!(text(&header, &["schema"]), "oat-trace-v1");
+    let records: Vec<Json> = records.collect();
+    assert_eq!(num(&header, &["events"]), records.len() as u64);
+    let mut cats = std::collections::BTreeSet::new();
+    for r in &records {
+        cats.insert(text(r, &["cat"]).to_string());
+    }
+    for want in ["request", "frame", "lease", "fault", "reactor", "sim"] {
+        assert!(cats.contains(want), "category {want} missing: {cats:?}");
+    }
+    let doc = parse(&chrome_text);
+    assert_eq!(text(&doc, &["displayTimeUnit"]), "ms");
+    let events = doc.get("traceEvents").expect("traceEvents").items();
+    assert_eq!(events.len(), records.len());
+    for (e, r) in events.iter().zip(&records) {
+        assert_eq!(text(e, &["name"]), text(r, &["kind"]));
+        assert_eq!(num(e, &["args", "c"]), num(r, &["c"]));
+        let ts_us = e.get("ts").and_then(Json::as_f64).expect("ts");
+        assert!((ts_us * 1000.0 - num(r, &["ts_ns"]) as f64).abs() < 1.0);
+    }
+}
+
+#[test]
+fn mlap_json_bills_every_policy_at_least_opt() {
+    // Both deadline policies plus the baselines on the adversarial
+    // staggered-deadline spider, scored against the exact offline
+    // optimum; the lazy policy's unit-weight certificate is zero
+    // deadline misses and service ≤ (depth+1)·OPT.
+    let out = oat_ok(&[
+        "mlap",
+        "--workload",
+        "adv:3:6",
+        "--policy",
+        "all",
+        "--seed",
+        "7",
+        "--json",
+    ]);
+    let doc = parse(&out);
+    assert_eq!(text(&doc, &["schema"]), "oat-mlap-v1");
+    let keys: Vec<&str> = doc.entries().iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        ["schema", "model", "workload", "seed", "nodes", "depth", "requests", "opt", "policies"]
+    );
+    let (opt, depth) = (num(&doc, &["opt"]), num(&doc, &["depth"]));
+    assert!(opt > 0);
+    let mut names = Vec::new();
+    for p in doc.get("policies").expect("policies").items() {
+        let keys: Vec<&str> = p.entries().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "name",
+                "service_cost",
+                "delay_cost",
+                "deadline_misses",
+                "flushes",
+                "messages",
+                "total_cost",
+                "ratio_vs_opt"
+            ]
+        );
+        let total = num(p, &["total_cost"]);
+        assert!(total >= opt, "{} beat OPT", text(p, &["name"]));
+        let ratio = p
+            .get("ratio_vs_opt")
+            .and_then(Json::as_f64)
+            .expect("a ratio");
+        assert!((ratio - total as f64 / opt as f64).abs() < 1e-9);
+        names.push(text(p, &["name"]));
+    }
+    for want in ["odepth", "odepth-prefetch", "greedy", "eager"] {
+        assert!(names.contains(&want), "{want} missing: {names:?}");
+    }
+    let lazy = &doc.get("policies").unwrap().items()[0];
+    assert_eq!(text(lazy, &["name"]), "odepth");
+    assert_eq!(num(lazy, &["deadline_misses"]), 0);
+    assert!(num(lazy, &["service_cost"]) <= (depth + 1) * opt);
+}
+
+#[test]
+fn query_json_verdicts_hold_on_every_transport() {
+    // A tumbling group-by over a short seeded zipf fact stream on every
+    // transport, and one last-N run, whose retire write shares its
+    // fact's write round. `oat query` exits nonzero itself when a verdict
+    // fails; the document must carry them too: finals equal the
+    // sequential oracle, coverage and per-key refinement sequences are
+    // monotone, and every key refined at least three times.
+    let tumbling = "sum group by key window tumbling(100ms)";
+    for (transport, query) in [
+        ("tcp", tumbling),
+        ("uds", tumbling),
+        ("ring", tumbling),
+        ("tcp", "max group by key window last-10"),
+    ] {
+        let out = oat_ok(&[
+            "query",
+            query,
+            "--stream",
+            "zipf",
+            "--facts",
+            "120",
+            "--keys",
+            "3",
+            "--transport",
+            transport,
+            "--json",
+        ]);
+        let doc = parse(&out);
+        let at = format!("{transport} `{query}`");
+        assert_eq!(text(&doc, &["schema"]), "oat-query-v1", "{at}");
+        assert_eq!(text(&doc, &["config", "transport"]), transport, "{at}");
+        assert_eq!(num(&doc, &["config", "facts"]), 120, "{at}");
+        for verdict in ["oracle_match", "coverage_monotone", "refine_seq_monotone"] {
+            assert_eq!(
+                doc.get(verdict).and_then(Json::as_bool),
+                Some(true),
+                "{at}: {verdict}"
+            );
+        }
+        assert!(num(&doc, &["min_partials_per_key"]) >= 3, "{at}");
+        let finals = doc.get("finals").expect("finals").items();
+        assert!(!finals.is_empty(), "{at}");
+        for f in finals {
+            assert_eq!(f.get("value"), f.get("oracle"), "{at}");
+        }
+        let partials = doc.get("partials").expect("partials").items();
+        assert_eq!(
+            num(&doc, &["refinement", "partials_total"]),
+            partials.len() as u64,
+            "{at}"
+        );
     }
 }
 

@@ -1,12 +1,16 @@
 //! Fuzz-style property tests for the wire frame codec.
 //!
 //! The framing layer (`oat::net::frame`) is the outermost parser of every
-//! byte that arrives off a socket — from peers, clients, or strangers. Its
-//! contract under hostile input is narrow and absolute: `read_frame`
-//! returns `Ok` or `Err`, it never panics, and a frame that round-trips
-//! through `write_frame` decodes to exactly what was written. These
-//! properties drive random payloads, truncations, bit flips, and raw
-//! garbage through the codec to pin that contract.
+//! byte that arrives off a socket — from peers, clients, or strangers.
+//! Every reader in the runtime (the reactor's connections and
+//! `ClusterClient`) decodes through one `FrameDecoder`, fed whatever a
+//! read returned. Its contract under hostile input is narrow and
+//! absolute: it returns a frame, "need more bytes", or `InvalidData`; it
+//! never panics; how the bytes were split across reads never changes
+//! what it decodes; and a frame that round-trips through `write_frame`
+//! decodes to exactly what was written. These properties drive random
+//! payloads, truncations, bit flips, and raw garbage through the decoder
+//! in seeded random chunk splits, from 1-byte dribbles to one read.
 //!
 //! (Runs on the vendored offline `proptest` subset: no shrinking, but
 //! deterministic per-test seeds, so any failure reproduces with plain
@@ -15,10 +19,59 @@
 use std::io;
 
 use oat::net::frame::{
-    decode_batch, encode_batch, is_clean_close, read_frame, write_frame, TAG_ACK, TAG_REQ_BATCH,
+    decode_batch, encode_batch, write_frame, FrameDecoder, TAG_ACK, TAG_REQ_BATCH,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// Chunk-split seed that feeds the whole input in one read.
+const ONE_READ: u64 = 3;
+
+/// What a reader sees when `bytes` arrive through one `FrameDecoder`
+/// in chunks drawn from `seed`: by `seed % 4`, 1-byte dribbles, random
+/// 1–8 or 1–64 byte reads, or everything in one read ([`ONE_READ`]).
+/// Returns every frame decoded, then the error that ends the stream:
+/// the decoder's own, or at end of input `UnexpectedEof` — "closed" on a
+/// frame boundary, "closed mid-frame" when a partial frame is buffered,
+/// as `ClusterClient` reports them.
+fn read_stream(bytes: &[u8], seed: u64) -> (Vec<(u8, Vec<u8>)>, io::Error) {
+    let mut rng = seed;
+    let mut dec = FrameDecoder::new();
+    let mut frames = Vec::new();
+    let mut rest = bytes;
+    loop {
+        loop {
+            match dec.try_frame() {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => break,
+                Err(e) => return (frames, e),
+            }
+        }
+        if rest.is_empty() {
+            let msg = if dec.is_empty() {
+                "closed"
+            } else {
+                "closed mid-frame"
+            };
+            return (frames, io::Error::new(io::ErrorKind::UnexpectedEof, msg));
+        }
+        // splitmix64 step.
+        rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let draw = (z ^ (z >> 31)) as usize;
+        let n = match seed % 4 {
+            0 => 1,
+            1 => 1 + draw % 8,
+            2 => 1 + draw % 64,
+            _ => rest.len(),
+        };
+        let (chunk, tail) = rest.split_at(n.min(rest.len()));
+        dec.extend(chunk);
+        rest = tail;
+    }
+}
 
 /// An arbitrary frame: any tag, payload up to 512 bytes.
 fn frame_strategy() -> impl Strategy<Value = (u8, Vec<u8>)> {
@@ -43,51 +96,59 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn roundtrip_is_identity((tag, payload) in frame_strategy()) {
+    fn roundtrip_is_identity((tag, payload) in frame_strategy(), seed in any::<u64>()) {
         let buf = encode(tag, &payload);
         prop_assert_eq!(buf.len(), 5 + payload.len(), "header is [u32 len][u8 tag]");
-        let mut r = &buf[..];
-        let (got_tag, got_payload) = read_frame(&mut r).expect("valid frame decodes");
-        prop_assert_eq!(got_tag, tag);
-        prop_assert_eq!(got_payload, payload);
-        prop_assert!(r.is_empty(), "decoder consumes exactly one frame");
+        let (frames, end) = read_stream(&buf, seed);
+        prop_assert_eq!(frames, vec![(tag, payload)]);
+        prop_assert_eq!(end.to_string(), "closed", "decoder consumes exactly one frame");
     }
 
     #[test]
     fn every_truncation_errs_and_never_panics(
         (tag, payload) in frame_strategy(),
         cut in any::<usize>(),
+        seed in any::<u64>(),
     ) {
-        // Every proper prefix of a valid frame is an error — either a
-        // truncated header or a short body — and is always UnexpectedEof,
-        // which the node runtime treats as a dead connection.
+        // Every proper prefix of a valid frame — a truncated header or a
+        // short body — decodes to nothing and leaves a partial frame
+        // buffered, so the end of the stream reads as a mid-frame close,
+        // which the runtime treats as a dead connection. Only the empty
+        // prefix is a clean close.
         let buf = encode(tag, &payload);
         let cut = cut % buf.len(); // strictly shorter than the frame
-        let mut r = &buf[..cut];
-        let err = read_frame(&mut r).expect_err("truncated frame must not decode");
-        prop_assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {}", cut);
-        prop_assert!(is_clean_close(&err));
+        let (frames, end) = read_stream(&buf[..cut], seed);
+        prop_assert!(frames.is_empty(), "cut at {}", cut);
+        prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof, "cut at {}", cut);
+        let want = if cut == 0 { "closed" } else { "closed mid-frame" };
+        prop_assert_eq!(end.to_string(), want, "cut at {}", cut);
     }
 
     #[test]
     fn oversized_length_headers_are_rejected_without_allocating(
         extra in 0u32..=u32::MAX - (64 << 20) - 1,
         junk in vec(any::<u8>(), 0..=64),
+        seed in any::<u64>(),
     ) {
-        // A length field beyond MAX_FRAME (64 MiB) is InvalidData up
-        // front; the decoder must not trust it and try to allocate or
-        // read that many bytes.
+        // A length field beyond MAX_FRAME (64 MiB) is InvalidData as soon
+        // as its four bytes are in; the decoder must not trust it and wait
+        // for (or allocate) that many bytes.
         let len = (64u32 << 20) + 1 + extra;
         let mut buf = len.to_le_bytes().to_vec();
         buf.extend_from_slice(&junk);
-        let err = read_frame(&mut &buf[..]).expect_err("oversized frame must not decode");
-        prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len = {}", len);
+        let (frames, end) = read_stream(&buf, seed);
+        prop_assert!(frames.is_empty());
+        prop_assert_eq!(end.kind(), io::ErrorKind::InvalidData, "len = {}", len);
+        let mut dec = FrameDecoder::new();
+        dec.extend(&buf[..4]);
+        prop_assert!(dec.try_frame().is_err(), "rejected from the header alone");
     }
 
     #[test]
     fn bit_flips_never_panic_and_corrupt_lengths_err(
         (tag, payload) in frame_strategy(),
         bit in any::<usize>(),
+        seed in any::<u64>(),
     ) {
         // Flip one bit anywhere in the encoded frame. The decoder must
         // return *something* without panicking; flips that land in the
@@ -97,58 +158,60 @@ proptest! {
         let bit = bit % (buf.len() * 8);
         buf[bit / 8] ^= 1 << (bit % 8);
         let flipped_length_field = bit < 32;
-        match read_frame(&mut &buf[..]) {
-            // A payload/tag flip decodes to a same-length frame with the
-            // corrupted bytes — framing itself cannot detect that, the
-            // typed payload decoders above it do. (A *length* flip may
-            // legitimately decode a shorter frame out of the same bytes.)
-            Ok((_, body)) => prop_assert!(
+        let (frames, end) = read_stream(&buf, seed);
+        // A payload/tag flip decodes to a same-length frame with the
+        // corrupted bytes — framing itself cannot detect that, the typed
+        // payload decoders above it do. (A *length* flip may legitimately
+        // decode a shorter frame out of the same bytes.)
+        if let Some((_, body)) = frames.first() {
+            prop_assert!(
                 flipped_length_field || body.len() == payload.len(),
                 "payload/tag flip changed the frame length"
-            ),
-            Err(e) => prop_assert!(
-                matches!(e.kind(), io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData),
-                "unexpected error kind {:?}",
-                e.kind()
-            ),
+            );
         }
+        prop_assert!(flipped_length_field || frames.len() == 1);
+        prop_assert!(
+            matches!(end.kind(), io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData),
+            "unexpected error kind {:?}",
+            end.kind()
+        );
     }
 
     #[test]
-    fn random_garbage_never_panics(bytes in vec(any::<u8>(), 0..=256)) {
+    fn random_garbage_never_panics(bytes in vec(any::<u8>(), 0..=256), seed in any::<u64>()) {
         // Raw noise straight off a socket: decode as many frames as the
-        // bytes happen to spell out, then hit a clean error. Nothing in
-        // this loop may panic, and progress must be monotone.
-        let mut r = &bytes[..];
-        loop {
-            let before = r.len();
-            match read_frame(&mut r) {
-                Ok((_, body)) => {
-                    prop_assert_eq!(before - r.len(), 5 + body.len());
-                }
-                Err(e) => {
-                    prop_assert!(
-                        matches!(
-                            e.kind(),
-                            io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
-                        ),
-                        "unexpected error kind {:?}",
-                        e.kind()
-                    );
-                    break;
-                }
+        // bytes happen to spell out, then hit a clean error. Nothing may
+        // panic, the frames account for a prefix of the input (all of it
+        // when the stream ends on a frame boundary), and the read split
+        // changes nothing: one read decodes the same frames and ends the
+        // same way.
+        let (frames, end) = read_stream(&bytes, seed);
+        let used: usize = frames.iter().map(|(_, body)| 5 + body.len()).sum();
+        prop_assert!(used <= bytes.len());
+        match end.kind() {
+            io::ErrorKind::UnexpectedEof if end.to_string() == "closed" => {
+                prop_assert_eq!(used, bytes.len());
             }
+            io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData => {
+                prop_assert!(used < bytes.len());
+            }
+            other => panic!("unexpected error kind {other:?}"),
         }
+        let (whole, whole_end) = read_stream(&bytes, ONE_READ);
+        prop_assert_eq!(frames, whole);
+        prop_assert_eq!(end.to_string(), whole_end.to_string());
     }
 
     #[test]
     fn back_to_back_frames_with_a_torn_tail(
         frames in vec(frame_strategy(), 1..=6),
         cut in any::<usize>(),
+        seed in any::<u64>(),
     ) {
         // A buffer of whole frames followed by a torn final frame: every
-        // whole frame decodes intact, the tail errs, nothing panics.
-        // This is exactly what a killed connection leaves in a reader.
+        // whole frame decodes intact, the tail stays buffered as a
+        // mid-frame close, nothing panics. This is exactly what a killed
+        // connection leaves in a reader.
         let mut buf = Vec::new();
         for (tag, payload) in &frames {
             buf.extend_from_slice(&encode(*tag, payload));
@@ -158,29 +221,26 @@ proptest! {
         let keep = cut % tail.len();
         buf.extend_from_slice(&tail[..keep]);
 
-        let mut r = &buf[..];
-        for (i, (tag, payload)) in frames.iter().enumerate() {
-            let (got_tag, got_payload) = read_frame(&mut r)
-                .unwrap_or_else(|e| panic!("whole frame {i} failed to decode: {e}"));
-            prop_assert_eq!(got_tag, *tag);
-            prop_assert_eq!(&got_payload, payload);
-        }
-        let err = read_frame(&mut r).expect_err("torn tail must not decode");
-        prop_assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let (got, end) = read_stream(&buf, seed);
+        prop_assert_eq!(&got, &frames);
+        prop_assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+        let want = if keep == 0 { "closed" } else { "closed mid-frame" };
+        prop_assert_eq!(end.to_string(), want);
     }
 
     #[test]
-    fn batch_roundtrip_is_identity(items in batch_strategy()) {
+    fn batch_roundtrip_is_identity(items in batch_strategy(), seed in any::<u64>()) {
         // A batch payload rides inside an ordinary frame: encode the
-        // items, wrap, unwrap with the real reader, decode — and get
+        // items, wrap, unwrap with the real decoder, decode — and get
         // back exactly what went in, in order.
         let payload = encode_batch(&items);
         let buf = encode(TAG_REQ_BATCH, &payload);
-        let mut r = &buf[..];
-        let (tag, body) = read_frame(&mut r).expect("valid frame decodes");
-        prop_assert_eq!(tag, TAG_REQ_BATCH);
-        prop_assert!(r.is_empty());
-        let got = decode_batch(&body).expect("valid batch decodes");
+        let (frames, end) = read_stream(&buf, seed);
+        prop_assert_eq!(end.to_string(), "closed");
+        prop_assert_eq!(frames.len(), 1);
+        let (tag, body) = &frames[0];
+        prop_assert_eq!(*tag, TAG_REQ_BATCH);
+        let got = decode_batch(body).expect("valid batch decodes");
         prop_assert_eq!(got, items);
     }
 

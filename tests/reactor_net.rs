@@ -6,7 +6,7 @@
 //! * **Incremental decoding** — a frame dribbled across several writes
 //!   (or a client read timeout firing mid-frame) never desynchronizes
 //!   the stream; this was an acknowledged caveat of the old blocking
-//!   transport (`read_frame` + read timeout could split a frame and
+//!   transport (a blocking frame read + read timeout could split a frame and
 //!   garble everything after it).
 //! * **Backpressure** — a node whose edge retransmit buffer crosses the
 //!   high watermark parks its *client* intake (never its edges, acks
@@ -27,7 +27,7 @@
 //!   every request a client timed is matched to the node-side record
 //!   that served it, so the phase breakdown covers all of them.
 
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
@@ -41,11 +41,12 @@ use oat::core::request::{ReqOp, Request};
 use oat::core::tree::{NodeId, Tree};
 use oat::core::wire::put_u64;
 use oat::net::frame::{
-    read_frame, write_frame, TAG_HELLO_CLIENT, TAG_REQ_COMBINE, TAG_REQ_WRITE, TAG_RESP_COMBINE,
+    write_frame, FrameDecoder, TAG_HELLO_CLIENT, TAG_REQ_COMBINE, TAG_REQ_WRITE, TAG_RESP_COMBINE,
     TAG_RESP_WRITE,
 };
 use oat::net::{Cluster, ClusterClient, NetConfig, NodeAddr, TransportKind};
 use oat::workloads::uniform;
+use oat_obs::Json;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_millis(250);
 const CLIENT_RETRIES: u32 = 120;
@@ -57,6 +58,22 @@ const DRAIN: Duration = Duration::from_secs(30);
 /// every cluster reuses (node, client connection, request id), so each
 /// test that serves client requests from a cluster takes a turn too.
 static TRACING: Mutex<()> = Mutex::new(());
+
+/// Reads the next whole frame off a blocking socket through the
+/// runtime's own decoder; `dec` keeps any bytes of later frames for the
+/// next call on the same socket.
+fn next_frame(s: &mut impl Read, dec: &mut FrameDecoder) -> io::Result<(u8, Vec<u8>)> {
+    loop {
+        if let Some(frame) = dec.try_frame()? {
+            return Ok(frame);
+        }
+        let mut chunk = [0u8; 4096];
+        match s.read(&mut chunk)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => dec.extend(&chunk[..n]),
+        }
+    }
+}
 
 /// Per-thread ring size for the wakeup-counting tests: room for every
 /// event their one reactor thread emits, so none is overwritten.
@@ -181,7 +198,7 @@ fn frame_dribbled_across_writes_is_reassembled_by_the_node() {
         from = cut;
         thread::sleep(Duration::from_millis(30));
     }
-    let (tag, resp) = read_frame(&mut s).expect("read ack");
+    let (tag, resp) = next_frame(&mut s, &mut FrameDecoder::new()).expect("read ack");
     assert_eq!(tag, TAG_RESP_WRITE);
     assert_eq!(resp[..8], 1u64.to_le_bytes());
     drop(s);
@@ -198,7 +215,7 @@ fn client_timeout_mid_frame_does_not_desync_the_stream() {
     // Node → client direction, against a scripted server so the dribble
     // is forced: the response frame arrives in three chunks spaced
     // wider than the client's read timeout. The old transport's
-    // blocking read_frame would split here and desynchronize; the
+    // blocking frame read would split here and desynchronize; the
     // buffered decoder must ride the timeouts (re-sending its pending
     // request each time — duplicates the server ignores) and still
     // return the value.
@@ -207,9 +224,10 @@ fn client_timeout_mid_frame_does_not_desync_the_stream() {
     let server = thread::spawn(move || {
         let (mut s, _) = listener.accept().expect("accept");
         s.set_nodelay(true).unwrap();
-        let (tag, _) = read_frame(&mut s).expect("hello");
+        let mut dec = FrameDecoder::new();
+        let (tag, _) = next_frame(&mut s, &mut dec).expect("hello");
         assert_eq!(tag, TAG_HELLO_CLIENT);
-        let (tag, req) = read_frame(&mut s).expect("req");
+        let (tag, req) = next_frame(&mut s, &mut dec).expect("req");
         assert_eq!(tag, TAG_REQ_COMBINE);
         let mut resp = Vec::new();
         resp.extend_from_slice(&req[..8]); // echo the request id
@@ -279,8 +297,9 @@ fn blocked_write_queue_waits_on_pollout_without_spinning() {
     thread::sleep(WINDOW);
     let blocked_to = oat_obs::now_ns();
 
+    let mut dec = FrameDecoder::new();
     for i in 0..N {
-        let (tag, resp) = read_frame(&mut s).expect("response");
+        let (tag, resp) = next_frame(&mut s, &mut dec).expect("response");
         assert_eq!(tag, TAG_RESP_COMBINE);
         assert_eq!(resp[..8], (BASE + i).to_le_bytes(), "response {i}");
     }
@@ -292,7 +311,7 @@ fn blocked_write_queue_waits_on_pollout_without_spinning() {
     let mut last = Vec::new();
     write_frame(&mut last, TAG_REQ_COMBINE, &MARKER.to_le_bytes()).unwrap();
     s.write_all(&last).expect("marker");
-    read_frame(&mut s).expect("marker response");
+    next_frame(&mut s, &mut dec).expect("marker response");
 
     drop(s);
     let report = cluster.shutdown();
@@ -377,7 +396,7 @@ fn backpressure_stalls_client_intake_and_recovers() {
         let id = BASE + 2 * i as u64;
         s.write_all(&hello_and_combines(id..id + 2))
             .expect("bystander combines");
-        let (tag, resp) = read_frame(&mut s).expect("bystander response");
+        let (tag, resp) = next_frame(&mut s, &mut FrameDecoder::new()).expect("bystander response");
         assert_eq!(tag, TAG_RESP_COMBINE);
         assert_eq!(resp[..8], id.to_le_bytes());
         assert!(cluster.quiesce_for(DRAIN));
@@ -396,8 +415,20 @@ fn backpressure_stalls_client_intake_and_recovers() {
         stalls >= 1,
         "a watermark of one frame must have parked client intake at least once"
     );
-    let json = cluster.metrics_json().expect("json");
-    assert!(json.contains("\"backpressure_stalls\""));
+    let metrics = Json::parse(&cluster.metrics_json().expect("json")).expect("parse");
+    let reported: u64 = metrics
+        .items()
+        .iter()
+        .map(|m| {
+            m.at(&["faults", "backpressure_stalls"])
+                .and_then(Json::as_u64)
+                .expect("a count")
+        })
+        .sum();
+    assert!(
+        reported >= stalls,
+        "the metrics document reports the stalls"
+    );
 
     let (drops, ..) = cluster.injected().snapshot();
     assert!(drops > 0, "the drop plan must actually have fired");
