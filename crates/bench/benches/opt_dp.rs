@@ -70,11 +70,25 @@ fn bench_cluster_shape(c: &mut Criterion) {
     g.finish();
 }
 
+/// Billing at scale: `kary:4095:2` with 200k `uniform:0.5` requests.
+/// The sweep's work per request grows with depth (11 here), not with
+/// the 8,188 ordered pairs.
+fn bench_large_tree(c: &mut Criterion) {
+    let mut g = c.benchmark_group("offline/kary4095-200k");
+    let tree = Tree::kary(4095, 2);
+    let seq = oat_workloads::uniform(&tree, 200_000, 0.5, 42);
+    g.throughput(Throughput::Elements(seq.len() as u64));
+    g.bench_function("opt", |b| b.iter(|| opt_total_cost(&tree, &seq)));
+    g.bench_function("rww-analytic", |b| b.iter(|| rww_total_cost(&tree, &seq)));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_edge_dp,
     bench_rww_automaton,
     bench_tree_totals,
-    bench_cluster_shape
+    bench_cluster_shape,
+    bench_large_tree
 );
 criterion_main!(benches);

@@ -65,14 +65,6 @@ pub struct Transition {
     pub opt_cost: u64,
 }
 
-impl Transition {
-    /// True when the transition contributes nothing to the LP
-    /// (`from == to` and both costs are zero: the inequality is `0 ≤ 0`).
-    pub fn is_trivial(&self) -> bool {
-        self.from == self.to && self.rww_cost == 0 && self.opt_cost == 0
-    }
-}
-
 /// RWW's deterministic move on an event, as `(next_y, cost)`.
 pub fn rww_step(y: u8, ev: EdgeEvent) -> (u8, u64) {
     let mut a = RwwAutomaton { f: y };

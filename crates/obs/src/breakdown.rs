@@ -141,35 +141,24 @@ pub struct WireLatency {
 }
 
 /// Matches each `frame_tx` against the `frame_rx` for the same frame and
-/// records the per-edge transit time. Both events carry
-/// `c = (link seq << 8) | tag`, and the per-link sequence number is
-/// unique per direction, so a tx at `(from, to, c)` pairs with exactly
-/// the rx at `(to, from, c)`.
+/// records the transit time: [`wire_latency_by_edge`] merged over edges.
 pub fn wire_latency(events: &[Event]) -> WireLatency {
-    let mut tx: HashMap<(u32, u32, u64), u64> = HashMap::new();
     let mut out = WireLatency::default();
-    for e in events {
-        if e.kind == EventKind::FrameTx {
-            out.tx += 1;
-            tx.insert((e.a, e.b, e.c), e.ts_ns);
-        }
-    }
-    for e in events {
-        if e.kind == EventKind::FrameRx {
-            if let Some(&sent) = tx.get(&(e.b, e.a, e.c)) {
-                if e.ts_ns >= sent {
-                    out.matched += 1;
-                    out.hist.record(e.ts_ns - sent);
-                }
-            }
-        }
+    for (_, w) in wire_latency_by_edge(events) {
+        out.tx += w.tx;
+        out.matched += w.matched;
+        out.hist.merge(&w.hist);
     }
     out
 }
 
-/// [`wire_latency`], split per directed edge: one [`WireLatency`] per
+/// Matches each `frame_tx` against the `frame_rx` for the same frame and
+/// records the transit time per directed edge: one [`WireLatency`] per
 /// `(from, to)` node pair that transmitted at least one frame, sorted
-/// by edge for stable display.
+/// by edge for stable display. Both events carry
+/// `c = (link seq << 8) | tag`, and the per-link sequence number is
+/// unique per direction, so a tx at `(from, to, c)` pairs with exactly
+/// the rx at `(to, from, c)`.
 pub fn wire_latency_by_edge(events: &[Event]) -> Vec<((u32, u32), WireLatency)> {
     let mut tx: HashMap<(u32, u32, u64), u64> = HashMap::new();
     let mut edges: HashMap<(u32, u32), WireLatency> = HashMap::new();

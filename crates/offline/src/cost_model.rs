@@ -91,27 +91,18 @@ impl RwwAutomaton {
     #[inline]
     pub fn step(&mut self, ev: EdgeEvent) -> u64 {
         let before = self.granted();
-        let cost = match (self.f, ev) {
-            (0, EdgeEvent::R) => {
-                self.f = 2;
-                2
-            }
-            (0, EdgeEvent::W) | (0, EdgeEvent::N) => 0,
-            (_, EdgeEvent::R) => {
-                self.f = 2;
-                0
-            }
-            (2, EdgeEvent::W) => {
-                self.f = 1;
-                1
-            }
-            (1, EdgeEvent::W) => {
-                self.f = 0;
-                2
-            }
-            (_, EdgeEvent::N) => 0,
-            (f, ev) => unreachable!("invalid RWW configuration {f} on {ev:?}"),
-        };
+        // `(next F, cost)` by `[F][event]`, events in `R, W, N` order: a
+        // combine refreshes F to 2 and pays only without a lease, a
+        // write under a lease spends one unit and pays 2 for the one
+        // that releases, a noop changes nothing. A table rather than a
+        // match keeps the sweep's runs free of unpredictable branches.
+        const NEXT: [[(u8, u64); 3]; 3] = [
+            [(2, 2), (0, 0), (0, 0)],
+            [(2, 0), (0, 2), (1, 0)],
+            [(2, 0), (1, 1), (2, 0)],
+        ];
+        let (f, cost) = NEXT[self.f as usize][ev as usize];
+        self.f = f;
         debug_assert_eq!(
             edge_cost(before, ev, self.granted()),
             Some(cost),
@@ -213,6 +204,66 @@ impl AbAutomaton {
     }
 }
 
+/// The summed cost of `k` calls of `step(state, ev)`, leaving `state`
+/// where they would. The automata are deterministic, so once one step
+/// leaves the state as it was, every later step repeats it at the same
+/// cost: this takes at most as many steps as the state needs to stop
+/// changing under `ev` (three for RWW, `max(a, b) + 1` for `(a,b)`).
+pub(crate) fn run<A: Copy + PartialEq>(
+    state: &mut A,
+    ev: EdgeEvent,
+    k: u64,
+    step: impl Fn(&mut A, EdgeEvent) -> u64,
+) -> u64 {
+    let mut cost = 0;
+    for done in 1..=k {
+        let before = *state;
+        let c = step(state, ev);
+        cost += c;
+        if *state == before {
+            return cost + c * (k - done);
+        }
+    }
+    cost
+}
+
+/// Checks [`run`] against `k` calls of `step` for `k` in `0..=64`, from
+/// every state reachable from `init`.
+#[cfg(test)]
+pub(crate) fn assert_run_is_repeated_step<A: Copy + PartialEq + std::fmt::Debug>(
+    init: A,
+    step: impl Fn(&mut A, EdgeEvent) -> u64,
+) {
+    let events = [EdgeEvent::R, EdgeEvent::W, EdgeEvent::N];
+    let mut reachable = vec![init];
+    let mut i = 0;
+    while let Some(&from) = reachable.get(i) {
+        i += 1;
+        for ev in events {
+            let mut next = from;
+            step(&mut next, ev);
+            if !reachable.contains(&next) {
+                reachable.push(next);
+            }
+        }
+    }
+    for from in reachable {
+        for ev in events {
+            let mut stepped = from;
+            let mut cost = 0;
+            for k in 0..=64 {
+                let mut ran = from;
+                assert_eq!(
+                    (run(&mut ran, ev, k, &step), ran),
+                    (cost, stepped),
+                    "{k} × {ev:?} from {from:?}"
+                );
+                cost += step(&mut stepped, ev);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +338,16 @@ mod tests {
                 AbAutomaton::replay(1, 2, &events),
                 RwwAutomaton::replay(&events)
             );
+        }
+    }
+
+    #[test]
+    fn runs_equal_repeated_steps() {
+        assert_run_is_repeated_step(RwwAutomaton::new(), RwwAutomaton::step);
+        for a in 1..=5 {
+            for b in 1..=5 {
+                assert_run_is_repeated_step(AbAutomaton::new(a, b), AbAutomaton::step);
+            }
         }
     }
 

@@ -17,28 +17,26 @@
 use oat_core::request::{sigma, EdgeEvent, Request};
 use oat_core::tree::{NodeId, Tree};
 
-use crate::sweep::sweep;
+use crate::replay::billed_total;
 
-/// The per-pair epoch counter: completed epochs so far, and whether the
-/// last non-noop event was a write.
-#[derive(Clone, Copy, Default)]
+/// The per-pair epoch counter's state: whether the last non-noop event
+/// was a write. A step returns the epochs it completes.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Epochs {
-    count: u64,
     prev_was_write: bool,
 }
 
 impl Epochs {
     #[inline]
-    fn step(&mut self, e: EdgeEvent) {
+    fn step(&mut self, e: EdgeEvent) -> u64 {
         match e {
-            EdgeEvent::W => self.prev_was_write = true,
-            EdgeEvent::R => {
-                if self.prev_was_write {
-                    self.count += 1;
-                }
-                self.prev_was_write = false;
+            EdgeEvent::W => {
+                self.prev_was_write = true;
+                0
             }
-            EdgeEvent::N => {}
+            // A combine after a write closes an epoch.
+            EdgeEvent::R => std::mem::take(&mut self.prev_was_write) as u64,
+            EdgeEvent::N => 0,
         }
     }
 }
@@ -47,8 +45,7 @@ impl Epochs {
 /// sequence.
 pub fn epoch_count(events: &[EdgeEvent]) -> u64 {
     let mut epochs = Epochs::default();
-    events.iter().for_each(|&e| epochs.step(e));
-    epochs.count
+    events.iter().map(|&e| epochs.step(e)).sum()
 }
 
 /// Epoch lower bound for one ordered pair: `#epochs(σ(u,v))`.
@@ -58,10 +55,7 @@ pub fn nopt_pair_lower_bound<V>(tree: &Tree, seq: &[Request<V>], u: NodeId, v: N
 
 /// Epoch lower bound on `C_NOPT(σ)`: sum over all ordered pairs.
 pub fn nopt_total_lower_bound<V>(tree: &Tree, seq: &[Request<V>]) -> u64 {
-    sweep(tree, seq, Epochs::default(), Epochs::step)
-        .iter()
-        .map(|e| e.count)
-        .sum()
+    billed_total(tree, seq, Epochs::default(), Epochs::step)
 }
 
 /// Per-pair RWW cost cap from Lemma 4.3: at most 5 messages per epoch plus
@@ -85,6 +79,11 @@ mod tests {
         assert_eq!(epoch_count(&[R, W, W, R, W, R, R, W]), 2);
         assert_eq!(epoch_count(&[W, N, R]), 1, "noops do not break epochs");
         assert_eq!(epoch_count(&[W, R, W, R, W, R]), 3);
+    }
+
+    #[test]
+    fn epoch_runs_equal_repeated_steps() {
+        crate::cost_model::assert_run_is_repeated_step(Epochs::default(), Epochs::step);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!
 //! The shortest path is a min-plus product of per-event 2×2 tables read
 //! off Figure 2. The totals compose each request's table with the noop
-//! that follows it in `σ'(u,v)`, so one table step per request and pair
-//! in the single sweep of [`crate::sweep`] replaces building `σ'(u,v)`.
+//! that follows it in `σ'(u,v)`, so a run of `k` identical requests is
+//! that table's `k`-th min-plus power, which has a closed form
+//! ([`Powers`]): the single sweep of [`crate::sweep`] advances a pair by
+//! a whole run in one table step, and `σ'(u,v)` is never built.
 
 use oat_core::request::{sigma, sigma_prime_of, EdgeEvent, Request};
 use oat_core::tree::{NodeId, Tree};
@@ -61,7 +63,70 @@ fn advance(dp: [u64; 2], m: &Step) -> [u64; 2] {
 
 /// `a` followed by `b`, as one step.
 fn then(a: &Step, b: &Step) -> Step {
-    [advance(a[0], b), advance(a[1], b)]
+    [advance(a[0], b), advance(a[1], b)].map(|row| row.map(|c| c.min(INF)))
+}
+
+/// `M^k`, the min-plus power that serves a run of `k` events of table
+/// `M`, in closed form for every `k`. Each table the totals use is
+/// linear in `k` from `k = 2` on, entry by entry:
+/// `M^k = M^2 + (k − 2)·(M^3 − M^2)`. With `noop_break`, "combine, then
+/// noop" has `R^k = R^2` and "write, then noop" has
+/// `W^k = [[0, ∞], [2, k]]`; without it, `R^k = [[2k, 2], [∞, 0]]`.
+struct Powers {
+    one: Step,
+    two: Step,
+    /// `M^3 − M^2`, and 0 where `M^2` is `INF`.
+    growth: Step,
+}
+
+impl Powers {
+    fn new(m: Step) -> Self {
+        let two = then(&m, &m);
+        let three = then(&two, &m);
+        let growth = minus(&three, &two);
+        assert_eq!(
+            minus(&then(&three, &m), &three),
+            growth,
+            "M^k must grow linearly from k = 2 on"
+        );
+        Powers {
+            one: m,
+            two,
+            growth,
+        }
+    }
+
+    #[inline]
+    fn pow(&self, k: u64) -> Step {
+        match k {
+            0 => [[0, INF], [INF, 0]],
+            1 => self.one,
+            _ => std::array::from_fn(|s| {
+                std::array::from_fn(|t| self.two[s][t] + (k - 2) * self.growth[s][t])
+            }),
+        }
+    }
+}
+
+/// `a − b` entry by entry, for `a` at least `b` and `INF` in the same
+/// places.
+fn minus(a: &Step, b: &Step) -> Step {
+    std::array::from_fn(|s| {
+        std::array::from_fn(|t| {
+            assert_eq!(
+                a[s][t] >= INF,
+                b[s][t] >= INF,
+                "a power gained or lost an INF"
+            );
+            if a[s][t] >= INF {
+                0
+            } else {
+                a[s][t]
+                    .checked_sub(b[s][t])
+                    .expect("a longer run never costs less")
+            }
+        })
+    })
 }
 
 /// The two-state shortest path over a `σ'(u,v)` event sequence,
@@ -80,15 +145,17 @@ fn edge_dp(events: &[EdgeEvent], noop_break: bool) -> u64 {
 }
 
 /// Sum over all ordered pairs of [`edge_dp`] on `σ'(u,v)`, in one sweep
-/// over `seq`: each pair's state is stepped by "event, then noop".
+/// over `seq`: a run of `k` requests steps each pair's state by
+/// "event, then noop" to the `k`-th power.
 fn total_dp<V>(tree: &Tree, seq: &[Request<V>], noop_break: bool) -> u64 {
     let noop = step_table(EdgeEvent::N, noop_break);
-    let read = then(&step_table(EdgeEvent::R, noop_break), &noop);
-    let write = then(&step_table(EdgeEvent::W, noop_break), &noop);
+    let [read, write] = [EdgeEvent::R, EdgeEvent::W]
+        .map(|ev| Powers::new(then(&step_table(ev, noop_break), &noop)));
     // `σ'(u,v)` opens with a noop.
     let start = advance([0, INF], &noop);
-    sweep(tree, seq, start, |dp, ev| {
-        *dp = advance(*dp, if ev == EdgeEvent::W { &write } else { &read })
+    sweep(tree, seq, start, |dp, ev, k| {
+        let run = if ev == EdgeEvent::W { &write } else { &read };
+        *dp = advance(*dp, &run.pow(k))
     })
     .iter()
     .map(|dp| dp[0].min(dp[1]))
@@ -209,6 +276,28 @@ mod tests {
             }
         }
         rec(events, false)
+    }
+
+    #[test]
+    fn powers_equal_repeated_tables() {
+        for noop_break in [true, false] {
+            let noop = step_table(N, noop_break);
+            for ev in [R, W] {
+                let m = then(&step_table(ev, noop_break), &noop);
+                let powers = Powers::new(m);
+                let mut want = [[0, INF], [INF, 0]];
+                for k in 0..=64 {
+                    assert_eq!(powers.pow(k), want, "{ev:?}^{k}, noop_break {noop_break}");
+                    want = then(&want, &m);
+                }
+            }
+        }
+        let noop = step_table(N, true);
+        let [r, w] = [R, W].map(|ev| Powers::new(then(&step_table(ev, true), &noop)));
+        for k in 2..=64 {
+            assert_eq!(r.pow(k), r.pow(2));
+            assert_eq!(w.pow(k), [[0, INF], [2, k]]);
+        }
     }
 
     #[test]

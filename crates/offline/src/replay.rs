@@ -12,12 +12,13 @@
 //! accounting, edge by edge.
 //!
 //! The totals run each pair's automaton inside the one sweep of
-//! [`crate::sweep`]; the per-pair functions replay `σ(u,v)` itself.
+//! [`crate::sweep`], which feeds it runs of identical events; the
+//! per-pair functions replay `σ(u,v)` itself.
 
 use oat_core::request::{sigma, EdgeEvent, Request};
 use oat_core::tree::{NodeId, Tree};
 
-use crate::cost_model::{AbAutomaton, RwwAutomaton};
+use crate::cost_model::{run, AbAutomaton, RwwAutomaton};
 use crate::sweep::sweep;
 
 /// Analytic `C_RWW(σ, u, v)` for one ordered pair.
@@ -47,16 +48,17 @@ pub fn ab_total_cost<V>(tree: &Tree, seq: &[Request<V>], a: u32, b: u32) -> u64 
     billed_total(tree, seq, AbAutomaton::new(a, b), AbAutomaton::step)
 }
 
-/// Sum over all ordered pairs of the Figure-2 costs an automaton, started
-/// as `init` on every pair, charges along `σ(u,v)`.
-fn billed_total<V, A: Clone>(
+/// Sum over all ordered pairs of the costs a deterministic automaton,
+/// started as `init` on every pair, charges along `σ(u,v)`; `step`
+/// executes one event and returns its cost.
+pub(crate) fn billed_total<V, A: Copy + PartialEq>(
     tree: &Tree,
     seq: &[Request<V>],
     init: A,
     step: impl Fn(&mut A, EdgeEvent) -> u64,
 ) -> u64 {
-    sweep(tree, seq, (init, 0u64), |(aut, cost), ev| {
-        *cost += step(aut, ev)
+    sweep(tree, seq, (init, 0u64), |(aut, cost), ev, k| {
+        *cost += run(aut, ev, k, &step)
     })
     .iter()
     .map(|(_, cost)| cost)

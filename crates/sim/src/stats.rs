@@ -55,11 +55,6 @@ impl MsgStats {
         self.per_edge.iter().map(|c| c[kind.index()]).sum()
     }
 
-    /// Count for a specific directed edge and kind.
-    pub fn edge_kind(&self, tree: &Tree, from: NodeId, to: NodeId, kind: MsgKind) -> u64 {
-        self.per_edge[tree.dir_edge_index(from, to)][kind.index()]
-    }
-
     /// The ordered-pair cost `C(σ, u, v)` of Lemma 3.9: probes `v→u`,
     /// responses `u→v`, updates `u→v`, releases `v→u`.
     pub fn pair_cost(&self, tree: &Tree, u: NodeId, v: NodeId) -> u64 {
@@ -76,11 +71,6 @@ impl MsgStats {
         let uv = tree.dir_edge_index(u, v);
         let vu = tree.dir_edge_index(v, u);
         self.per_edge[uv].iter().sum::<u64>() + self.per_edge[vu].iter().sum::<u64>()
-    }
-
-    /// Difference of totals — used for per-request message windows.
-    pub fn snapshot_total(&self) -> u64 {
-        self.total()
     }
 
     /// Adds every counter of `other` into `self`. Used by the TCP runtime,
