@@ -70,10 +70,14 @@ echo "== parity: oat chaos --faults none on tcp/uds/ring =="
 # empty fault plan `oat chaos` also runs the simulator on the same
 # workload and exits nonzero unless every combine equals the oracle and
 # the per-edge, per-kind message counts equal the simulator's exactly.
+# Without faults nothing may be re-sent either: an ack waits at most a
+# quarter of the RTO for a frame to ride, so no RTO expires.
 for t in tcp uds ring; do
   out=$(./target/release/oat chaos --tree kary:10:2 --workload uniform:0.5:120 \
     --faults none --transport "$t")
   grep -F 'parity: OK' <<<"$out" || { echo "parity ($t): no parity line"; exit 1; }
+  grep -F 'retransmits 0, rto expiries 0' <<<"$out" ||
+    { echo "parity ($t): a fault-free run re-sent frames"; exit 1; }
 done
 
 echo "== chaos smoke: oat chaos on tcp/uds/ring =="

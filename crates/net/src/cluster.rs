@@ -178,6 +178,9 @@ pub struct ClusterReport<V> {
     /// OS threads the cluster ran: the reactor pool size. Grows with
     /// the configured pool, *not* with the node count.
     pub threads_spawned: usize,
+    /// Acks summed over all nodes that no queued frame carried: each
+    /// one a write of its own.
+    pub standalone_acks: u64,
 }
 
 /// Result of [`Cluster::replay_sequential`] — the TCP analogue of
@@ -605,17 +608,22 @@ impl<A: AggOp> Cluster<A> {
     /// Mechanism messages sent cluster-wide so far.
     ///
     /// Relaxed load: the count is only meaningful after
-    /// [`Cluster::quiesce`], whose SeqCst read of `in_flight` synchronizes
-    /// with the SeqCst settle of each message's debt, which the sending
-    /// thread performs after its (relaxed) `total_sent` increment, so all
-    /// increments are visible here by then. Between quiescent points the
-    /// value is a monotone lower bound — fine for progress display, not
-    /// for exact windows.
+    /// [`Cluster::quiesce`]. Every step that sends a message performs a
+    /// SeqCst read-modify-write on `in_flight` after its (relaxed)
+    /// `total_sent` increment — even a forwarding step, whose charge for
+    /// the frames it sends and settle for the frame it delivered cancel
+    /// to zero. Every write to `in_flight` is such an RMW, so the
+    /// quiescing read that sees zero synchronizes with all of them, and
+    /// every increment is visible here by then. Between quiescent points
+    /// the value is a monotone lower bound — fine for progress display,
+    /// not for exact windows.
     pub fn total_messages(&self) -> u64 {
         self.total_sent.load(Ordering::Relaxed)
     }
 
-    /// Blocks until no mechanism message is queued or being handled.
+    /// Blocks until every edge frame sent has been delivered and handled:
+    /// no mechanism message is queued, on the wire or being handled.
+    /// Acks do not count; one may still be owed when this returns.
     ///
     /// Meaningful when no client request is concurrently outstanding —
     /// the sequential-execution contract of the paper (and of
@@ -664,6 +672,7 @@ impl<A: AggOp> Cluster<A> {
         let mut abandoned = 0;
         let mut faults = FaultCounters::default();
         let mut wal = WalCounters::default();
+        let mut standalone_acks = 0;
         let deadline = Instant::now() + JOIN_DEADLINE;
         for (shard, handle) in self.shards.drain(..).zip(self.handles.drain(..)) {
             // JoinHandle has no timed join; poll `is_finished` against
@@ -689,6 +698,7 @@ impl<A: AggOp> Cluster<A> {
                         faults.restarts += report.faults.restarts;
                         faults.kill9s += report.faults.kill9s;
                         wal.merge(&report.wal);
+                        standalone_acks += report.standalone_acks;
                         match report.log {
                             Some(log) => logs.push((u, log)),
                             None => have_logs = false,
@@ -714,6 +724,7 @@ impl<A: AggOp> Cluster<A> {
             faults,
             wal,
             threads_spawned: self.threads_spawned,
+            standalone_acks,
         })
     }
 }

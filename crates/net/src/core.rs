@@ -62,13 +62,17 @@
 //!
 //! ## Quiescence accounting
 //!
-//! An edge frame is charged when its link numbers it and settled when an
-//! ack trims it (`crate::link`). Each [`CoreStep`] carries the net change,
-//! which the driver applies before any byte of that input reaches a
-//! socket, so work a delivered frame spawns is counted before the ack
-//! that settles its cause can leave, and the cluster's counter never
-//! reaches zero while work remains. A client request is decoded and
-//! served within one input, so it carries no debt of its own.
+//! An edge frame is charged when its link numbers it and settled when the
+//! receiving link delivers it in order (`crate::link`), in the same input
+//! that handles it. Each [`CoreStep`] carries the net change, which the
+//! driver applies before any byte of that input reaches a socket, so a
+//! frame is charged before it can be delivered, the frames a delivery
+//! spawns are charged in the step that settles it, and the cluster's
+//! counter never reaches zero while a frame is undelivered or unhandled.
+//! Acks settle no frame: they only trim retransmit buffers, and the flush
+//! boundary sends one only when it can ride a queued frame or is due
+//! ([`NodeCore::flush_prep`]). A client request is decoded and served
+//! within one input, so it carries no debt of its own.
 
 use std::collections::HashMap;
 use std::ops::Add;
@@ -136,6 +140,9 @@ pub(crate) struct NodeReport<V> {
     pub abandoned: u64,
     pub faults: FaultCounters,
     pub wal: WalCounters,
+    /// Acks queued onto an otherwise empty edge queue: each one a write
+    /// of its own.
+    pub standalone_acks: u64,
 }
 
 /// Fault-recovery counters, accumulated across crash-restarts (and in
@@ -342,6 +349,7 @@ pub(crate) struct NodeCore<S: PolicySpec, A: AggOp, T> {
     backpressure_stalls: u64,
     stalled: bool,
     abandoned: u64,
+    standalone_acks: u64,
     /// Work decoded but not yet dispatched, and the most one input held.
     queue_depth: u64,
     queue_peak: u64,
@@ -402,6 +410,7 @@ where
             backpressure_stalls: 0,
             stalled: false,
             abandoned: 0,
+            standalone_acks: 0,
             queue_depth: 0,
             queue_peak: 0,
             downed: Vec::new(),
@@ -454,6 +463,13 @@ where
     /// Earliest pending redial timer, if any.
     pub(crate) fn next_redial(&self) -> Option<T> {
         self.edges.iter().filter_map(|e| e.link.next_redial()).min()
+    }
+
+    /// Earliest ack an up edge owes on its own, if any: the flush
+    /// boundary at or after it sends the ack.
+    pub(crate) fn next_ack(&self) -> Option<T> {
+        let up = self.edges.iter().filter(|e| e.state == EdgeState::Up);
+        up.filter_map(|e| e.link.next_ack()).min()
     }
 
     /// Bytes queued for edge `wi`'s connection (or dial).
@@ -574,13 +590,15 @@ where
         self.take_step()
     }
 
-    /// The flush boundary, before the driver writes any queue: acks where
-    /// a receive watermark moved, the backpressure state, and every batch
-    /// accumulator streamed into its client queue.
-    pub(crate) fn flush_prep(&mut self) {
+    /// The flush boundary at `now`, before the driver writes any queue:
+    /// the acks owed on edges that have a frame queued for them to ride,
+    /// or that are due ([`NodeCore::next_ack`]); the backpressure state;
+    /// and every batch accumulator streamed into its client queue.
+    pub(crate) fn flush_prep(&mut self, now: T) {
         for e in &mut self.edges {
-            if e.state == EdgeState::Up {
-                e.link.flush_ack(&mut e.out);
+            let riding = !e.out.is_empty();
+            if e.state == EdgeState::Up && e.link.flush_ack(now, riding, &mut e.out) && !riding {
+                self.standalone_acks += 1;
             }
         }
         // Enter a stall at the high watermark, leave only once *every*
@@ -627,9 +645,9 @@ where
                 vals.insert(tree, v);
             }
         }
-        // Every link takes its recovered image (zero without one): the
-        // dead incarnation's buffered frames are forgiven, the recovered
-        // ones re-charged.
+        // Every link takes its recovered image (zero without one). What
+        // that adds to the debt is charged now, what it removes at the
+        // edge's next hello.
         let none = LinkState::default();
         for wi in 0..self.edges.len() {
             let peer = self.edges[wi].link.peer.0;
@@ -671,6 +689,7 @@ where
             abandoned: self.abandoned,
             faults: self.counters,
             wal: self.wal,
+            standalone_acks: self.standalone_acks,
         }
     }
 
@@ -689,7 +708,7 @@ where
                 Ok(None) => break true,
                 Err(_) => break false,
                 Ok(Some((tag, payload))) => {
-                    let (s, got) = e.link.receive(tag, &payload, EdgePayload::decode);
+                    let (s, got) = e.link.receive(now, tag, &payload, EdgePayload::decode);
                     step += s;
                     if let Some(payload) = got {
                         work.push(Work::Peer {
@@ -1303,7 +1322,7 @@ fn new_inst<S: PolicySpec, A: AggOp>(
 mod tests {
     use super::*;
     use crate::frame::{encode_request, write_frame, TAG_HELLO_EDGE};
-    use crate::link::{parse_hello, RTO};
+    use crate::link::{parse_hello, ACK_DELAY, RTO};
     use oat_core::agg::SumI64;
     use oat_core::fault::{CrashNode, KillConn};
     use oat_core::policy::rww::RwwSpec;
@@ -1382,7 +1401,10 @@ mod tests {
         /// Undirected edges `(lo, hi)` with an open connection.
         open: HashMap<(usize, usize), bool>,
         now: Duration,
-        /// Σ debt over every step: the frames in retransmit buffers.
+        /// When the harness last ran the RTO tick.
+        last_rto: Duration,
+        /// Σ debt over every step: never below the frames numbered and
+        /// not yet delivered, and equal to them once every hello is done.
         debt: i64,
         sent: u64,
         /// splitmix64 state of the delivery order.
@@ -1419,6 +1441,7 @@ mod tests {
                 nodes,
                 open: HashMap::new(),
                 now: Duration::ZERO,
+                last_rto: Duration::ZERO,
                 debt: 0,
                 sent: 0,
                 rng: seed,
@@ -1534,15 +1557,15 @@ mod tests {
             true
         }
 
-        /// Moves bytes, in a seeded order, until nothing is queued,
-        /// ticking the clock while frames await an ack or an edge is
-        /// down.
+        /// Moves bytes, in a seeded order, until nothing is undelivered,
+        /// advancing the clock by [`ACK_DELAY`] (and running the RTO tick
+        /// at its cadence) while frames are stuck or an edge is down.
         fn run(&mut self) -> Result<(), String> {
-            for _ in 0..2000 {
+            for _ in 0..8000 {
                 let mut moved = false;
                 let (n, start) = (self.nodes.len(), self.below(self.nodes.len()));
                 for u in (0..n).map(|k| (start + k) % n) {
-                    self.nodes[u].core.flush_prep();
+                    self.nodes[u].core.flush_prep(self.now);
                     for wi in 0..self.nodes[u].core.degree() {
                         moved |= self.pump(u, wi);
                     }
@@ -1551,23 +1574,52 @@ mod tests {
                         node.replies.extend(&bytes_of(q));
                     }
                 }
-                let buffered: usize = self.nodes.iter().map(|n| n.core.rtx_len()).sum();
-                if self.debt != buffered as i64 {
-                    return Err(format!("debt {} but {buffered} frames buffered", self.debt));
-                }
+                self.check_debt()?;
                 if moved {
                     continue;
                 }
                 if self.debt == 0 && self.nodes.iter().all(|n| n.core.all_up()) {
                     return Ok(());
                 }
-                self.now += RTO;
+                self.now += ACK_DELAY;
+                let rto = self.now >= self.last_rto + RTO;
+                if rto {
+                    self.last_rto = self.now;
+                }
                 for u in 0..n {
-                    let step = self.nodes[u].core.tick(self.now, true);
+                    let step = self.nodes[u].core.tick(self.now, rto);
                     self.absorb(u, step);
                 }
             }
             Err("the network never settled".into())
+        }
+
+        /// The debt is never below the frames numbered and not yet
+        /// delivered, and equals Σ (sender `tx_seq` − receiver `rx_seq`)
+        /// over the directed edges once every edge is up with its hellos
+        /// done.
+        fn check_debt(&self) -> Result<(), String> {
+            let (mut undelivered, mut owed, mut settled) = (0, 0, true);
+            for (u, node) in self.nodes.iter().enumerate() {
+                for (wi, e) in node.core.edges.iter().enumerate() {
+                    let (v, wj, _) = self.far(u, wi);
+                    let far = &self.nodes[v].core.edges[wj];
+                    let peer_rx = far.link.seqs().1;
+                    undelivered += e.link.undelivered(peer_rx);
+                    owed += e.link.seqs().0 as i64 - peer_rx as i64;
+                    settled &= e.state == EdgeState::Up && e.link.restore_settled();
+                }
+            }
+            if self.debt < undelivered as i64 {
+                return Err(format!(
+                    "debt {} below {undelivered} undelivered frames",
+                    self.debt
+                ));
+            }
+            if settled && self.debt != owed {
+                return Err(format!("debt {} but Σ(tx − peer rx) = {owed}", self.debt));
+            }
+            Ok(())
         }
 
         /// Hands client `cid` of node `u` one frame.
@@ -1607,13 +1659,6 @@ mod tests {
                 stats.merge(&n.core.stats);
             }
             stats
-        }
-    }
-
-    impl Core {
-        /// Frames in every retransmit buffer: this node's in-flight debt.
-        fn rtx_len(&self) -> usize {
-            self.edges.iter().map(|e| e.link.unacked()).sum()
         }
     }
 

@@ -5,29 +5,49 @@
 //! neighbours therefore carries a per-directed-edge sequence number
 //! (`TAG_SEQ`), the receiver delivers exactly the next expected number
 //! and discards everything else, and acknowledges cumulatively
-//! (`TAG_ACK`) at flush boundaries. The sender keeps unacknowledged
-//! frames in a retransmit buffer and re-sends them (go-back-N) on an
-//! RTO tick or after a reconnect, resuming from the watermark the
-//! peer's hello reported. Together: per-edge FIFO **exactly-once**
-//! delivery that survives killed connections and injected
-//! drop/duplicate faults.
+//! (`TAG_ACK`). The sender keeps unacknowledged frames in a retransmit
+//! buffer and re-sends them (go-back-N) on an RTO tick or after a
+//! reconnect, resuming from the watermark the peer's hello reported.
+//! Together: per-edge FIFO **exactly-once** delivery that survives
+//! killed connections and injected drop/duplicate faults.
 //!
 //! Injected faults never touch the quiescence or message-count books:
-//! stats and the in-flight gauge are recorded once, when a frame is
-//! first buffered; retransmits and duplicates are not re-counted, and a
-//! discarded duplicate decrements nothing. A fault-free run and a
-//! faulty-but-recovered run have identical logical message counts.
+//! stats are recorded once, when a frame is numbered, and the in-flight
+//! gauge is charged then and settled once, when the frame is delivered;
+//! retransmits and duplicates are not re-counted, and a discarded
+//! duplicate settles nothing. A fault-free run and a faulty-but-recovered
+//! run have identical logical message counts.
 //!
 //! ## Quiescence accounting for edge frames
 //!
-//! Edge frames settle on *acknowledgement*: a frame charges one unit of
+//! Edge frames settle on *delivery*: a frame charges one unit of
 //! in-flight debt when it is assigned its sequence number and settles
-//! it once, when it is trimmed from the retransmit buffer (cumulative
-//! ack, reconnect-hello watermark — each frame leaves exactly once).
-//! Outstanding edge debt therefore always equals the total frames
-//! parked in retransmit buffers, which is what makes kill9 accounting
-//! exact: [`Link::restore`] forgives the dead incarnation's buffered
-//! frames and re-charges the recovered ones.
+//! it when the receiving end delivers it in order. Each end of a link
+//! therefore owes `tx_seq − rx_seq`, and the ends of every edge together
+//! owe Σ over its two directions of (sender `tx_seq` − receiver
+//! `rx_seq`): the frames numbered and not yet delivered.
+//!
+//! A restore ([`Link::restore`]: a kill9, or a cold start over a log)
+//! moves both watermarks at once. The moves that raise the debt (a
+//! `tx_seq` that grows, an `rx_seq` that falls back) are charged at once;
+//! the moves that lower it are held until both ends have applied the
+//! edge's next hello exchange, which also applies its own fast-forwards
+//! ([`Link::on_hello`]). Until then the peer may still deliver frames of
+//! the dead incarnation, and the peer's restore or renumbering may not
+//! have charged its frames yet, so the debt can only over-count during
+//! recovery, never under-count.
+//!
+//! ## Acks
+//!
+//! An ack trims the retransmit buffer and feeds the RTO; it settles no
+//! frame's debt, so no quiescence waits on it. [`Link::flush_ack`] sends
+//! one only when a frame is already queued on the connection (the ack
+//! rides its write), when a duplicate showed that the previous ack was
+//! lost, when the oldest unacknowledged delivery is [`ACK_DELAY`] old,
+//! or, once per connection, when the dialing end has just applied a
+//! hello exchange ([`Link::on_hello`]). The deadline keeps an ack well
+//! inside one RTO, so an RTO expiry means a frame or ack was lost, not
+//! that an ack was waiting.
 //!
 //! ## No sockets, no clock
 //!
@@ -51,6 +71,10 @@ use crate::frame::{TAG_ACK, TAG_HELLO_EDGE, TAG_SEQ};
 /// Retransmission-timer granularity: the reactor ticks at this cadence
 /// while frames are unacknowledged.
 pub(crate) const RTO: Duration = Duration::from_millis(30);
+
+/// How long a delivered frame may wait for its ack when no frame of the
+/// reverse direction comes to carry it: a quarter of [`RTO`].
+pub(crate) const ACK_DELAY: Duration = Duration::from_nanos(RTO.as_nanos() as u64 / 4);
 
 /// Reconnect backoff: first delay, doubled per failed attempt up to the
 /// cap, with seeded jitter in `[0, delay)` added on top.
@@ -128,10 +152,16 @@ pub(crate) struct Link<T> {
     /// `rx_seq` did not advance: the peer retransmitted frames already
     /// delivered, so the previous ack was evidently lost.
     reack: bool,
+    /// When the ack owed since the oldest delivery above `rx_acked` is
+    /// due on its own ([`ACK_DELAY`] after that delivery).
+    ack_at: Option<T>,
     /// `tx_seq` as the last restore found it, until the next hello.
     /// Frames numbered above it were assigned since and never left this
     /// end (a kill9 severs every connection), whatever the image says.
     restored_tx: Option<u64>,
+    /// Debt the restores since the last hello lowered, settled once both
+    /// ends applied the next hello exchange (see the module docs).
+    held: u64,
     /// Frames discarded: duplicates, out-of-window futures (go-back-N
     /// re-delivers them in order), undecodables, malformed acks.
     pub(crate) dup_drops: u64,
@@ -159,7 +189,9 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
             rx_seq: 0,
             rx_acked: 0,
             reack: false,
+            ack_at: None,
             restored_tx: None,
+            held: 0,
             dup_drops: 0,
             faults: (!plan.is_empty()).then(|| plan.edge_stream(me, peer)),
             redial_at: None,
@@ -170,7 +202,7 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         link
     }
 
-    /// Frames in the retransmit buffer: this link's in-flight debt.
+    /// Frames in the retransmit buffer.
     pub(crate) fn unacked(&self) -> usize {
         self.rtx.len()
     }
@@ -178,6 +210,11 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
     /// When the next dial is due, if one is armed.
     pub(crate) fn next_redial(&self) -> Option<T> {
         self.redial_at
+    }
+
+    /// When the owed ack is due on its own, if one is owed.
+    pub(crate) fn next_ack(&self) -> Option<T> {
+        self.ack_at
     }
 
     /// Numbers `(inner, body)` and buffers it, charging its debt once;
@@ -241,22 +278,28 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         (*seq, *inner, body)
     }
 
-    /// One frame read from the live connection. The next expected
-    /// `TAG_SEQ` frame is delivered through `decode`. Everything else,
-    /// and a delivered frame `decode` rejects (the rx watermark still
-    /// covers it, so the sender settles), counts in `dup_drops`.
+    /// One frame read from the live connection at `now`. The next
+    /// expected `TAG_SEQ` frame is delivered through `decode` and settles
+    /// its debt; the caller handles it in the same step. Everything
+    /// else, and a delivered frame `decode` rejects (the rx watermark
+    /// still covers it), counts in `dup_drops`.
     pub(crate) fn receive<X>(
         &mut self,
+        now: T,
         tag: u8,
         payload: &[u8],
         decode: impl FnOnce(u8, &[u8]) -> Option<X>,
     ) -> (Step, Option<X>) {
+        // Any frame after a hello shows that the peer applied its side of
+        // the exchange: what this end's restores held settles now.
+        let mut step = Step::debt(-(std::mem::take(&mut self.held) as i64));
         let word = payload
             .get(..8)
             .map(|b| u64::from_le_bytes(b.try_into().expect("8")));
         match (tag, word) {
             (TAG_SEQ, Some(seq)) if payload.len() > 8 && seq == self.rx_seq + 1 => {
                 self.rx_seq = seq;
+                self.ack_at = self.ack_at.or(Some(now + ACK_DELAY));
                 let inner = payload[8];
                 oat_obs::trace_event!(
                     oat_obs::EventKind::FrameRx,
@@ -266,10 +309,8 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
                 );
                 let got = decode(inner, &payload[9..]);
                 self.dup_drops += u64::from(got.is_none());
-                let step = Step {
-                    rx: Some(seq),
-                    ..Step::default()
-                };
+                step.debt -= 1;
+                step.rx = Some(seq);
                 return (step, got);
             }
             // A duplicate or a future frame (go-back-N re-delivers it in
@@ -279,22 +320,31 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
             // A cumulative ack is exactly one u64, never past a number
             // this end assigned (that would settle frames not yet sent).
             (TAG_ACK, Some(upto)) if payload.len() == 8 && upto <= self.tx_seq => {
-                return (self.trim(upto), None);
+                step += self.trim(upto);
+                return (step, None);
             }
             _ => {}
         }
         self.dup_drops += 1;
-        (Step::default(), None)
+        (step, None)
     }
 
-    /// Queues the cumulative ack when the rx watermark moved since the
-    /// last one, or when a re-delivered frame showed that one was lost.
-    pub(crate) fn flush_ack(&mut self, out: &mut impl FrameSink) {
-        if self.rx_seq > self.rx_acked || self.reack {
-            out.frame(TAG_ACK, &self.rx_seq.to_le_bytes());
-            self.rx_acked = self.rx_seq;
-            self.reack = false;
+    /// Queues the cumulative ack at `now` when a re-delivered frame
+    /// showed that the last one was lost, or when the rx watermark moved
+    /// since the last one and either `riding` (a frame is already queued
+    /// for the connection, so the ack shares its write) or the ack is
+    /// due. Returns whether it queued one.
+    pub(crate) fn flush_ack(&mut self, now: T, riding: bool, out: &mut impl FrameSink) -> bool {
+        let owed = self.rx_seq > self.rx_acked;
+        let due = self.ack_at.is_some_and(|at| at <= now);
+        if !(self.reack || owed && (riding || due)) {
+            return false;
         }
+        out.frame(TAG_ACK, &self.rx_seq.to_le_bytes());
+        self.rx_acked = self.rx_seq;
+        self.reack = false;
+        self.ack_at = None;
+        true
     }
 
     /// Queues our edge hello: id, rx watermark, ack watermark.
@@ -314,7 +364,16 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
     /// understate what the wire saw: `peer_rx` (what the peer delivered
     /// from us) fast-forwards `tx_seq`, carrying the frames numbered
     /// since the restore above it, and `peer_acked` (the peer's frames a
-    /// previous incarnation of ours acked) fast-forwards `rx_seq`.
+    /// previous incarnation of ours acked) fast-forwards `rx_seq`. The
+    /// step charges the first and settles the second. The two hellos
+    /// carried both rx watermarks, so no ack is owed after them.
+    ///
+    /// What the restores held settles once both ends applied the
+    /// exchange: here at the dialing end, which applies it last, and at
+    /// the accepting end with the dialer's first frame after it (see
+    /// [`Link::receive`]), which the dialer sends at once as a repeated
+    /// ack. Settled at the accepting end's hello, a rise in its `rx_seq`
+    /// could run ahead of the dialer's renumbering that charges for it.
     pub(crate) fn on_hello(
         &mut self,
         now: T,
@@ -325,7 +384,8 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
     ) -> Step {
         let rx_before = self.rx_seq;
         self.rx_seq = self.rx_seq.max(peer_acked);
-        self.rx_acked = self.rx_acked.max(peer_acked);
+        self.rx_acked = self.rx_seq;
+        self.ack_at = None;
         let base = self.restored_tx.take().unwrap_or(self.tx_seq);
         let shift = peer_rx.saturating_sub(base);
         let mut renumbered = false;
@@ -340,6 +400,14 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         self.redial_at = None;
         self.backoff_ms = RECONNECT_BASE_MS;
         let mut step = self.trim(peer_rx);
+        let held = if reply {
+            0
+        } else {
+            std::mem::take(&mut self.held)
+        };
+        self.reack |= !reply;
+        let settled = self.rx_seq - rx_before + held;
+        step.debt = shift as i64 - settled as i64;
         step.rx = (self.rx_seq > rx_before).then_some(self.rx_seq);
         step.resent = self.replay(now, out);
         step.renumbered = renumbered;
@@ -389,17 +457,21 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
     }
 
     /// A kill9 or cold start: the durable image (zero when the log has
-    /// none) replaces the sequence state, forgiving the buffered frames'
-    /// debt and re-charging the image's; a dialer redials at once.
+    /// none) replaces the sequence state; a dialer redials at once. Of
+    /// the debt `tx_seq − rx_seq` moves by, the rises are charged now
+    /// and the falls held until the next hello (see the module docs).
     pub(crate) fn restore(&mut self, now: T, image: &LinkState) -> Step {
-        let debt = image.rtx.len() as i64 - self.rtx.len() as i64;
-        self.tx_seq = image.tx_seq;
-        self.restored_tx = Some(image.tx_seq);
+        let (tx, rx) = (image.tx_seq, image.rx_seq);
+        let raise = tx.saturating_sub(self.tx_seq) + self.rx_seq.saturating_sub(rx);
+        self.held += self.tx_seq.saturating_sub(tx) + rx.saturating_sub(self.rx_seq);
+        self.tx_seq = tx;
+        self.restored_tx = Some(tx);
         self.acked = image.acked;
         self.acked_at_tick = image.acked;
-        self.rx_seq = image.rx_seq;
-        self.rx_acked = image.rx_seq;
+        self.rx_seq = rx;
+        self.rx_acked = rx;
         self.reack = false;
+        self.ack_at = None;
         self.rtx = image
             .rtx
             .iter()
@@ -407,7 +479,7 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
             .collect();
         self.redial_at = None;
         self.down(now);
-        Step::debt(debt)
+        Step::debt(raise as i64)
     }
 
     /// The durable image of this link.
@@ -425,19 +497,17 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         }
     }
 
-    /// Raises the ack watermark to `upto` and trims the frames it covers:
-    /// the one place an edge frame's debt settles.
+    /// Raises the ack watermark to `upto` and trims the frames it covers.
     fn trim(&mut self, upto: u64) -> Step {
         let before = self.acked;
         self.acked = self.acked.max(upto);
-        let mut settled = 0;
         while self.rtx.front().is_some_and(|f| f.0 <= self.acked) {
             self.rtx.pop_front();
-            settled += 1;
         }
-        let mut step = Step::debt(-settled);
-        step.acked = (self.acked > before).then_some(self.acked);
-        step
+        Step {
+            acked: (self.acked > before).then_some(self.acked),
+            ..Step::default()
+        }
     }
 
     /// Re-sends the retransmit buffer in order; returns its length.
@@ -460,6 +530,29 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         (z ^ (z >> 31)) % bound.max(1)
+    }
+}
+
+/// What the node core's tests read of a link's books.
+#[cfg(test)]
+impl<T> Link<T> {
+    /// `(tx_seq, rx_seq)`.
+    pub(crate) fn seqs(&self) -> (u64, u64) {
+        (self.tx_seq, self.rx_seq)
+    }
+
+    /// Buffered frames the peer has not delivered, given its rx
+    /// watermark: those above it, and those numbered since a restore
+    /// (the next hello moves them above it).
+    pub(crate) fn undelivered(&self, peer_rx: u64) -> usize {
+        let base = self.restored_tx.unwrap_or(u64::MAX);
+        let out = |f: &&(u64, u8, Vec<u8>, T)| f.0 > peer_rx || f.0 > base;
+        self.rtx.iter().filter(out).count()
+    }
+
+    /// No restore's debt awaits the next hello exchange.
+    pub(crate) fn restore_settled(&self) -> bool {
+        self.restored_tx.is_none() && self.held == 0
     }
 }
 
@@ -512,7 +605,7 @@ mod tests {
     /// One end of the edge with the books its caller would keep.
     struct End {
         link: Link<Duration>,
-        /// Σ step.debt: must equal the retransmit buffer's length.
+        /// Σ step.debt: this end's share of the in-flight counter.
         debt: i64,
         /// Bodies handed to `send`, in order.
         sent: Vec<u64>,
@@ -520,8 +613,21 @@ mod tests {
         got: Vec<(u64, u64)>,
     }
 
+    impl End {
+        fn new(me: u32, peer: u32) -> End {
+            let plan = FaultPlan::default();
+            End {
+                link: Link::new(NodeId(me), NodeId(peer), &plan, Duration::ZERO),
+                debt: 0,
+                sent: Vec::new(),
+                got: Vec::new(),
+            }
+        }
+    }
+
     /// Two links joined by an in-memory connection on a virtual clock.
-    /// End 0 dials (the lower id); end 1 accepts.
+    /// End 0 dials (the lower id); end 1 accepts. Every input is followed
+    /// by an audit of the debt, whose first failure is kept.
     struct Pair {
         ends: [End; 2],
         /// `wire[i]`: frames from end `i` to end `1 - i`.
@@ -530,25 +636,67 @@ mod tests {
         now: Duration,
         next_body: u64,
         ledger: InjectedFaults,
+        broken: Option<String>,
     }
 
     impl Pair {
         fn new() -> Pair {
-            let plan = FaultPlan::default();
-            let end = |me, peer| End {
-                link: Link::new(NodeId(me), NodeId(peer), &plan, Duration::ZERO),
-                debt: 0,
-                sent: Vec::new(),
-                got: Vec::new(),
-            };
             Pair {
-                ends: [end(0, 1), end(1, 0)],
+                ends: [End::new(0, 1), End::new(1, 0)],
                 wire: Default::default(),
                 up: false,
                 now: Duration::ZERO,
                 next_body: 0,
                 ledger: InjectedFaults::default(),
+                broken: None,
             }
+        }
+
+        /// A connected pair after `frames` frames each way, delivered
+        /// and acked, so no image of it starts at zero.
+        fn warm(frames: usize) -> Pair {
+            let mut p = Pair::new();
+            p.connect();
+            for _ in 0..frames {
+                p.send(0);
+                p.send(1);
+            }
+            assert!(p.drain());
+            p
+        }
+
+        /// The debt each end charged equals `tx_seq − rx_seq` plus what
+        /// it holds for the next hello; the two together are never below
+        /// the frames still to be delivered, and once the connection is
+        /// up with nothing held (both ends applied the hellos) equal
+        /// Σ (sender `tx_seq` − receiver `rx_seq`) over both directions.
+        fn audit(&mut self, what: &str) {
+            if self.broken.is_some() {
+                return;
+            }
+            let [a, b] = &self.ends;
+            let fail = if let Some(e) = [a, b].into_iter().find(|e| {
+                let l = &e.link;
+                e.debt != l.tx_seq as i64 - l.rx_seq as i64 + l.held as i64
+            }) {
+                Some(format!("end {} charged {}", e.link.me.0, e.debt))
+            } else {
+                let debt = a.debt + b.debt;
+                let undelivered =
+                    a.link.undelivered(b.link.rx_seq) + b.link.undelivered(a.link.rx_seq);
+                let owed = a.link.tx_seq as i64 - b.link.rx_seq as i64 + b.link.tx_seq as i64
+                    - a.link.rx_seq as i64;
+                if debt < undelivered as i64 {
+                    Some(format!(
+                        "debt {debt} below {undelivered} undelivered frames"
+                    ))
+                } else if self.up && a.link.held + b.link.held == 0 && debt != owed {
+                    Some(format!("debt {debt} but Σ(tx − peer rx) = {owed}"))
+                } else {
+                    None
+                }
+            };
+            self.broken = fail.map(|f| format!("after {what}: {f}"));
         }
 
         fn send(&mut self, i: usize) {
@@ -565,6 +713,7 @@ mod tests {
             );
             end.debt += step.debt;
             end.sent.push(body);
+            self.audit("a send");
         }
 
         /// Hands end `1 - i` the next frame end `i` put on the wire.
@@ -573,7 +722,7 @@ mod tests {
                 return;
             };
             let end = &mut self.ends[1 - i];
-            let (step, got) = end.link.receive(tag, &payload, |inner, body| {
+            let (step, got) = end.link.receive(self.now, tag, &payload, |inner, body| {
                 assert_eq!(inner, INNER);
                 body.try_into().ok().map(u64::from_le_bytes)
             });
@@ -581,11 +730,23 @@ mod tests {
             if let Some(body) = got {
                 end.got.push((end.link.rx_seq, body));
             }
+            self.audit("a delivery");
         }
 
-        fn flush_ack(&mut self, i: usize) {
+        /// Delivers both directions until the wire is empty.
+        fn flow(&mut self) {
+            while !self.wire[0].is_empty() || !self.wire[1].is_empty() {
+                self.deliver(0);
+                self.deliver(1);
+            }
+        }
+
+        /// End `i`'s flush boundary, with a frame queued to ride on when
+        /// `riding`.
+        fn flush_ack(&mut self, i: usize, riding: bool) {
             if self.up {
-                self.ends[i].link.flush_ack(&mut self.wire[i]);
+                let link = &mut self.ends[i].link;
+                let _ = link.flush_ack(self.now, riding, &mut self.wire[i]);
             }
         }
 
@@ -596,6 +757,7 @@ mod tests {
                 let step = self.ends[i].link.rto_tick(self.now, out);
                 self.ends[i].debt += step.debt;
             }
+            self.audit("an RTO tick");
         }
 
         /// The connection dies with whatever it carried.
@@ -605,12 +767,12 @@ mod tests {
             for end in &mut self.ends {
                 end.link.down(self.now);
             }
+            self.audit("a connection kill");
         }
 
         /// A fresh connection: end 0's hello, end 1's reply and replay,
         /// then end 0's replay.
         fn connect(&mut self) {
-            self.up = true;
             let mut hello = Wire::new();
             self.ends[0].link.hello(&mut hello);
             let (_, rx, acked) = parse_hello(&hello[0].1).expect("well-formed hello");
@@ -618,6 +780,7 @@ mod tests {
                 .link
                 .on_hello(self.now, rx, acked, true, &mut self.wire[1]);
             self.ends[1].debt += step.debt;
+            self.audit("the accepting end's hello");
             let (tag, reply) = self.wire[1].pop_front().expect("the reply leads");
             assert_eq!(tag, TAG_HELLO_EDGE);
             let (id, rx, acked) = parse_hello(&reply).expect("well-formed reply");
@@ -626,6 +789,8 @@ mod tests {
                 .link
                 .on_hello(self.now, rx, acked, false, &mut self.wire[0]);
             self.ends[0].debt += step.debt;
+            self.up = true;
+            self.audit("the dialing end's hello");
         }
 
         /// End `k` is killed and restored from `image`.
@@ -633,10 +798,7 @@ mod tests {
             self.kill_conn();
             let end = &mut self.ends[k];
             end.debt += end.link.restore(self.now, image).debt;
-        }
-
-        fn books_balance(&self) -> bool {
-            self.ends.iter().all(|e| e.debt == e.link.unacked() as i64)
+            self.audit("a restore");
         }
 
         /// Runs fault-free until both retransmit buffers drain; `false`
@@ -646,20 +808,37 @@ mod tests {
                 self.connect();
             }
             for _ in 0..64 {
-                for _ in 0..2 {
-                    while !self.wire[0].is_empty() || !self.wire[1].is_empty() {
-                        self.deliver(0);
-                        self.deliver(1);
-                    }
-                    self.flush_ack(0);
-                    self.flush_ack(1);
-                }
+                self.flow();
+                self.now += ACK_DELAY;
+                self.flush_ack(0, false);
+                self.flush_ack(1, false);
+                self.flow();
                 if self.ends.iter().all(|e| e.link.unacked() == 0) {
                     return true;
                 }
                 self.tick();
             }
             false
+        }
+
+        /// Both ends' bodies as the peer delivered them.
+        fn bodies(&self, to: usize) -> Vec<u64> {
+            self.ends[to].got.iter().map(|&(_, b)| b).collect()
+        }
+
+        /// The audit held throughout, and the drained pair owes nothing.
+        fn settled(mut self) -> Result<Pair, String> {
+            if !self.drain() {
+                return Err("the retransmit buffers never drained".into());
+            }
+            if let Some(e) = self.broken.take() {
+                return Err(e);
+            }
+            let debt = self.ends[0].debt + self.ends[1].debt;
+            if debt != 0 {
+                return Err(format!("the drained pair still owes {debt}"));
+            }
+            Ok(self)
         }
     }
 
@@ -676,10 +855,11 @@ mod tests {
             .collect()
     }
 
-    /// One seeded schedule: sends, deliveries, drops, duplicates, acks,
-    /// RTO ticks, connection kills with hello exchanges, and one kill9
-    /// of either end, restored from its exact image (even seeds) or an
-    /// older one (odd seeds, a torn log). Returns why it failed.
+    /// One seeded schedule: sends, deliveries, drops, duplicates, acks
+    /// (riding or not), RTO ticks, connection kills with hello exchanges,
+    /// and one kill9 of either end, restored from its exact image (even
+    /// seeds) or an older one (odd seeds, a torn log). The debt is
+    /// audited after every input. Returns why it failed.
     fn run(seed: u64) -> Result<(), String> {
         let mut rng = Rng(seed);
         let mut p = Pair::new();
@@ -713,23 +893,19 @@ mod tests {
                         p.wire[i].insert(at, f);
                     }
                 }
-                70..85 => p.flush_ack(i),
+                70..80 => p.flush_ack(i, rng.below(2) == 0),
+                80..85 => p.now += ACK_DELAY,
                 85..89 => p.tick(),
                 89..92 if p.up => p.kill_conn(),
                 92..97 if !p.up => p.connect(),
                 97..100 if cut.is_none() => image = p.ends[k].link.snapshot(),
                 _ => {}
             }
-            if !p.books_balance() {
-                return Err(format!("step {step}: debt differs from the rtx length"));
+            if let Some(e) = p.broken.take() {
+                return Err(format!("step {step}: {e}"));
             }
         }
-        if !p.drain() {
-            return Err("the retransmit buffers never drained".into());
-        }
-        if !p.books_balance() {
-            return Err("debt differs from the rtx length after the drain".into());
-        }
+        let p = p.settled()?;
         let (sent_cut, got_cut) = cut.expect("the kill9 fired");
         for (i, &sent_cut) in sent_cut.iter().enumerate() {
             let (from, to) = (&p.ends[i], &p.ends[1 - i]);
@@ -741,7 +917,7 @@ mod tests {
             if !ascending(got) || (1 - i == k && !ascending(&to.got[..got_cut])) {
                 return Err(format!("end {} delivered a seq twice", 1 - i));
             }
-            let whole: Vec<u64> = to.got.iter().map(|&(_, b)| b).collect();
+            let whole = p.bodies(1 - i);
             if !torn && whole != from.sent {
                 return Err(format!(
                     "exact image: end {} got {whole:?}, end {i} sent {:?}",
@@ -773,13 +949,194 @@ mod tests {
         );
     }
 
+    /// The sender dies with frames on the wire and comes back from an
+    /// exact image: its watermarks do not move, so neither does the
+    /// debt, and the replay delivers what the wire lost.
+    #[test]
+    fn a_sender_restored_from_an_exact_image_owes_what_it_owed() {
+        let mut p = Pair::warm(2);
+        for _ in 0..4 {
+            p.send(0);
+        }
+        p.deliver(0);
+        p.deliver(0);
+        let before = p.ends[0].debt + p.ends[1].debt;
+        let image = p.ends[0].link.snapshot();
+        p.kill9(0, &image);
+        assert_eq!(p.ends[0].debt + p.ends[1].debt, before);
+        let p = p.settled().unwrap();
+        assert_eq!(p.bodies(1), p.ends[0].sent);
+    }
+
+    /// The sender comes back from an older image: `tx_seq` falls, and
+    /// the fall is held until the hello, which also renumbers the frame
+    /// sent since the restore above what the receiver delivered.
+    #[test]
+    fn a_sender_restored_from_a_torn_image_holds_the_fall_until_the_hello() {
+        let mut p = Pair::warm(2);
+        let image = p.ends[0].link.snapshot();
+        for _ in 0..4 {
+            p.send(0);
+        }
+        for _ in 0..3 {
+            p.deliver(0);
+        }
+        let before = p.ends[0].debt + p.ends[1].debt;
+        p.kill9(0, &image);
+        assert_eq!(p.ends[0].link.held, 4, "tx_seq fell by four");
+        assert_eq!(
+            p.ends[0].debt + p.ends[1].debt,
+            before,
+            "nothing settled yet"
+        );
+        p.send(0);
+        let fresh = *p.ends[0].sent.last().unwrap();
+        p.connect();
+        assert_eq!(p.ends[0].link.held, 0);
+        let p = p.settled().unwrap();
+        let got = p.bodies(1);
+        assert_eq!(got.iter().filter(|&&b| b == fresh).count(), 1);
+        assert!(ascending(&p.ends[1].got));
+    }
+
+    /// The receiver comes back from an exact image, then from an older
+    /// one: the second lowers `rx_seq`, which is charged at once, and the
+    /// hello's fast-forward to the sender's ack watermark settles it once.
+    #[test]
+    fn a_restored_receiver_is_charged_at_once_and_settled_by_the_hello() {
+        for torn in [false, true] {
+            let mut p = Pair::warm(2);
+            let old = p.ends[1].link.snapshot();
+            for _ in 0..4 {
+                p.send(0);
+            }
+            for _ in 0..3 {
+                p.deliver(0);
+            }
+            p.flush_ack(1, true);
+            p.deliver(1);
+            p.deliver(0);
+            let image = if torn { old } else { p.ends[1].link.snapshot() };
+            let before = p.ends[0].debt + p.ends[1].debt;
+            p.kill9(1, &image);
+            let raised = p.ends[0].debt + p.ends[1].debt - before;
+            assert_eq!(raised, if torn { 4 } else { 0 }, "torn {torn}");
+            let p = p.settled().unwrap();
+            if !torn {
+                assert_eq!(p.bodies(1), p.ends[0].sent);
+            }
+        }
+    }
+
+    /// Both ends die with traffic both ways, one from an exact image and
+    /// one from an older one, and come back in either order.
+    #[test]
+    fn both_ends_restored_over_count_until_both_hellos() {
+        for first in 0..2 {
+            let mut p = Pair::warm(3);
+            let old = p.ends[1 - first].link.snapshot();
+            for _ in 0..3 {
+                p.send(0);
+                p.send(1);
+            }
+            p.deliver(0);
+            p.deliver(1);
+            p.flush_ack(0, false);
+            let exact = p.ends[first].link.snapshot();
+            p.kill9(first, &exact);
+            p.kill9(1 - first, &old);
+            let p = p.settled().unwrap();
+            assert!(ascending(&p.ends[first].got[3..]), "first {first}");
+        }
+    }
+
+    /// A cold start over a log: fresh links, which owe nothing, take
+    /// their images. The rise in `tx_seq` is charged at once, the rise
+    /// in `rx_seq` is held until both ends applied the hellos, and the
+    /// frames the images buffered are delivered once. In the torn case
+    /// the dialer's log lost the frames the acceptor's log says it
+    /// delivered, so only the dialer's renumbering at the second hello
+    /// charges for them.
+    #[test]
+    fn a_cold_start_charges_the_images_and_settles_after_the_hellos() {
+        for torn in [false, true] {
+            let mut old = Pair::warm(usize::from(!torn) * 3);
+            let early = old.ends[0].link.snapshot();
+            for _ in 0..3 {
+                old.send(0);
+                if !torn {
+                    old.send(1);
+                }
+            }
+            old.deliver(0);
+            old.deliver(1);
+            let mut images = [0, 1].map(|i| old.ends[i].link.snapshot());
+            if torn {
+                images[0] = early;
+            }
+            let mut p = Pair::new();
+            p.next_body = old.next_body;
+            for (i, image) in images.iter().enumerate() {
+                let end = &mut p.ends[i];
+                end.debt += end.link.restore(p.now, image).debt;
+                p.audit("a cold start");
+            }
+            let charged = p.ends[0].debt + p.ends[1].debt;
+            assert_eq!(charged, (images[0].tx_seq + images[1].tx_seq) as i64);
+            let p = p.settled().unwrap_or_else(|e| panic!("torn {torn}: {e}"));
+            // What each image buffered above the peer's rx watermark.
+            for i in 0..2 {
+                let rx = images[1 - i].rx_seq;
+                let want: Vec<u64> = images[i]
+                    .rtx
+                    .iter()
+                    .filter(|f| f.0 > rx)
+                    .map(|f| u64::from_le_bytes(f.2[..].try_into().unwrap()))
+                    .collect();
+                assert_eq!(p.bodies(1 - i), want, "torn {torn}: end {}", 1 - i);
+            }
+        }
+    }
+
+    /// A delivery owes an ack that rides the next queued frame, or goes
+    /// out on its own once [`ACK_DELAY`] old; a duplicate makes it due
+    /// at once.
+    #[test]
+    fn acks_ride_a_queued_frame_or_wait_for_their_deadline() {
+        let mut p = Pair::warm(1);
+        p.send(0);
+        p.deliver(0);
+        let b = &mut p.ends[1].link;
+        assert_eq!(b.next_ack(), Some(p.now + ACK_DELAY));
+        let mut out = Wire::new();
+        assert!(!b.flush_ack(p.now, false, &mut out), "not due yet");
+        assert!(b.flush_ack(p.now, true, &mut out), "rides a queued frame");
+        assert_eq!(b.next_ack(), None);
+        p.send(0);
+        p.deliver(0);
+        let b = &mut p.ends[1].link;
+        let due = p.now + ACK_DELAY;
+        assert!(!b.flush_ack(due - Duration::from_nanos(1), false, &mut out));
+        assert!(b.flush_ack(due, false, &mut out), "due on its own");
+        // A re-delivered frame makes the lost ack due at once.
+        let mut dup = Wire::new();
+        put_seq(&mut dup, 1, INNER, &0u64.to_le_bytes());
+        let (tag, frame) = dup.pop_front().unwrap();
+        let (step, got) = b.receive(p.now, tag, &frame, |_, _| Some(()));
+        assert!(
+            got.is_none() && step.debt == 0,
+            "a duplicate settles nothing"
+        );
+        assert!(b.flush_ack(p.now, false, &mut out));
+    }
+
     #[test]
     fn bogus_acks_change_nothing() {
         let mut p = Pair::new();
         p.connect();
         let a = &mut p.ends[0].link;
         for bad in [&5u64.to_le_bytes()[..], &[0u8; 9][..]] {
-            let (step, _) = a.receive(TAG_ACK, bad, |_, _| Some(()));
+            let (step, _) = a.receive(p.now, TAG_ACK, bad, |_, _| Some(()));
             assert_eq!(step, Step::default());
         }
         assert_eq!(a.dup_drops, 2);
@@ -787,10 +1144,11 @@ mod tests {
             p.send(0);
         }
         p.wire[0].clear();
-        let (step, _) = p.ends[0]
-            .link
-            .receive(TAG_ACK, &0u64.to_le_bytes(), |_, _| Some(()));
-        assert_eq!(step.debt, 0);
+        let (step, _) =
+            p.ends[0]
+                .link
+                .receive(p.now, TAG_ACK, &0u64.to_le_bytes(), |_, _| Some(()));
+        assert_eq!(step, Step::default());
         assert_eq!(p.ends[0].link.unacked(), 3);
         p.tick();
         let resent: Vec<u64> = p.wire[0]

@@ -18,7 +18,9 @@
 //! dial and client [`Conn`]s, the [`WalDurability`] log — and carries out
 //! each [`CoreStep`]: log records appended, the cluster's [`InFlight`]
 //! counter charged or settled, severed edges closed, dials placed, a
-//! kill9 run at the end of the pass.
+//! kill9 run at the end of the pass. Its timers are the RTO tick,
+//! redials and ack deadlines: an ack no frame carried goes out on its
+//! own at the first flush past its deadline.
 //!
 //! ## The readiness loop
 //!
@@ -67,9 +69,12 @@ use crate::frame::{FrameDecoder, WriteQueue, TAG_HELLO_CLIENT, TAG_HELLO_EDGE};
 use crate::link::{parse_hello, RTO};
 use crate::transport::{Listener, NodeAddr, Stream};
 
-/// Cluster-wide in-flight work counter: each unacked edge frame holds
-/// one unit of debt, and [`InFlight::wait_zero`] parks on a condvar that
-/// [`InFlight::add`] notifies exactly when the count hits zero.
+/// Cluster-wide in-flight work counter: each edge frame holds one unit
+/// of debt from the step that numbers it to the step that delivers and
+/// handles it (`crate::link`, "Quiescence accounting"), and
+/// [`InFlight::wait_zero`] parks on a condvar that [`InFlight::add`]
+/// notifies exactly when the count hits zero. Acks settle no frame, so
+/// the count never waits on one.
 pub(crate) struct InFlight {
     n: AtomicI64,
     mu: Mutex<()>,
@@ -85,9 +90,14 @@ impl InFlight {
         }
     }
 
-    /// Charges `d` units of debt (settles `-d` when negative).
+    /// Charges `d` units of debt (settles `-d` when negative). A step
+    /// whose charges and settles cancel still calls this with 0: the
+    /// read-modify-write is what orders its `total_sent` increment
+    /// before a `quiesce()` that sees zero (`Cluster::total_messages`).
     pub(crate) fn add(&self, d: i64) {
-        if d != 0 && self.n.fetch_add(d, Ordering::SeqCst) + d == 0 {
+        let n = self.n.fetch_add(d, Ordering::SeqCst) + d;
+        debug_assert!(n >= 0, "in-flight debt went negative: {n}");
+        if n == 0 {
             // Take the lock before notifying so a waiter that observed a
             // non-zero count cannot park between our decrement and this
             // notification (it re-checks the count under the lock).
@@ -441,12 +451,13 @@ where
         node
     }
 
-    /// `(wants the RTO tick, has a redial pending)`.
-    fn timers(&self) -> (bool, bool) {
-        (
-            self.core.wants_rto_tick(),
-            self.core.next_redial().is_some(),
-        )
+    /// What the reactor's timer scan needs to know of this node.
+    fn timers(&self) -> NodeTimers {
+        NodeTimers {
+            rto: self.core.wants_rto_tick(),
+            redial: self.core.next_redial().is_some(),
+            ack: self.core.next_ack(),
+        }
     }
 
     /// Signals the cluster once every edge of this node is up.
@@ -470,7 +481,9 @@ where
         if step.sent > 0 {
             ctx.total_sent.fetch_add(step.sent, Ordering::Relaxed);
         }
-        ctx.in_flight.add(step.debt);
+        if step.sent > 0 || step.debt != 0 {
+            ctx.in_flight.add(step.debt);
+        }
         if step.severed {
             for (wi, conn) in self.conns.iter_mut().enumerate() {
                 if !self.core.is_up(wi) && !self.core.is_dialing(wi) {
@@ -629,10 +642,12 @@ where
     }
 
     /// Fires this node's due timers (the RTO tick when `rto`, redials)
-    /// and places the dials; `true` when bytes were queued.
+    /// and places the dials; `true` when bytes were queued or an ack is
+    /// due, so the node must be flushed.
     fn run_timers(&mut self, ctx: &Ctx<'_>, rto: bool) -> bool {
         let step = self.core.tick(ctx.now, rto);
-        let (dial, fired) = (step.dial, step.dial || step.resent);
+        let ack_due = self.core.next_ack().is_some_and(|at| at <= ctx.now);
+        let (dial, fired) = (step.dial, step.dial || step.resent || ack_due);
         self.absorb(step, ctx);
         for wi in (0..self.conns.len()).filter(|_| dial) {
             if !self.core.is_dialing(wi) || self.conns[wi].is_some() {
@@ -651,18 +666,11 @@ where
         fired
     }
 
-    /// A node flushed alone (a timer, shutdown): both halves. `true` when
-    /// bytes stay queued that no readiness event is armed for (see
-    /// [`Conn::flush`]); the reactor retries those at every wakeup.
-    fn flush(&mut self, ctx: &Ctx<'_>) -> bool {
-        let edges = self.flush_edges(ctx);
-        self.flush_clients() | edges
-    }
-
-    /// The peer half of a flush: the core's flush boundary, then every
-    /// edge queue into its connection (or its dial: our hello).
+    /// The peer half of a flush: the core's flush boundary (acks that
+    /// ride or are due), then every edge queue into its connection (or
+    /// its dial: our hello).
     fn flush_edges(&mut self, ctx: &Ctx<'_>) -> bool {
-        self.core.flush_prep();
+        self.core.flush_prep(ctx.now);
         let mut backlog = false;
         for wi in 0..self.conns.len() {
             let out = self.core.edge_out(wi);
@@ -739,7 +747,8 @@ where
 
     /// Orderly end of the node.
     fn finish(mut self, ctx: &Ctx<'_>) -> (NodeId, NodeReport<A::Value>) {
-        self.flush(ctx);
+        self.flush_edges(ctx);
+        self.flush_clients();
         let id = self.core.id();
         let mut report = self.core.finish();
         if let Some(wal) = &self.wal {
@@ -768,23 +777,39 @@ impl Touched {
     }
 }
 
-/// How many of the shard's nodes have a timer pending, so the loop
-/// knows its sleep bound — and whether any timer work exists at all —
-/// without walking them. Every wakeup that changes a node ends in that
-/// node's flush, after which [`Timers::note`] brings its entry up to
-/// date.
+/// One node's pending timers, as its last flush left them.
+#[derive(Clone, Copy, Default)]
+struct NodeTimers {
+    /// An up edge holds unacked frames: the RTO tick applies.
+    rto: bool,
+    /// A redial is armed.
+    redial: bool,
+    /// The earliest ack an up edge owes on its own.
+    ack: Option<Instant>,
+}
+
+/// How many of the shard's nodes want the RTO tick or have a redial
+/// pending, and each node's earliest ack deadline, so the loop knows its
+/// sleep bound — and whether any timer work exists at all — without
+/// walking the nodes. Every wakeup that changes a node ends in
+/// that node's flush, after which [`Timers::note`] brings its entry up
+/// to date.
 struct Timers {
-    /// Per slot: `(wants the RTO tick, has a redial pending)`.
-    noted: Vec<(bool, bool)>,
+    noted: Vec<NodeTimers>,
     rto: usize,
     redial: usize,
 }
 
 impl Timers {
-    fn note(&mut self, slot: usize, core: (bool, bool)) {
-        let was = std::mem::replace(&mut self.noted[slot], core);
-        self.rto = self.rto + usize::from(core.0) - usize::from(was.0);
-        self.redial = self.redial + usize::from(core.1) - usize::from(was.1);
+    fn note(&mut self, slot: usize, now: NodeTimers) {
+        let was = std::mem::replace(&mut self.noted[slot], now);
+        self.rto = self.rto + usize::from(now.rto) - usize::from(was.rto);
+        self.redial = self.redial + usize::from(now.redial) - usize::from(was.redial);
+    }
+
+    /// The earliest ack deadline noted, if any node owes one.
+    fn next_ack(&self) -> Option<Instant> {
+        self.noted.iter().filter_map(|t| t.ack).min()
     }
 }
 
@@ -849,7 +874,7 @@ where
         slots: (0..nodes.len()).collect(),
     };
     let mut timers = Timers {
-        noted: vec![(false, false); nodes.len()],
+        noted: vec![NodeTimers::default(); nodes.len()],
         rto: 0,
         redial: 0,
     };
@@ -875,31 +900,20 @@ where
             touched.marked[slot]
         });
 
-        // Timers: the retransmission tick at RTO cadence, redials due.
-        // The nodes are walked only on a tick (33 Hz at most) or while
-        // some edge is down; a node whose timer queued bytes is flushed
-        // on the spot.
-        let tick = ctx.now.duration_since(last_tick) >= RTO;
-        if tick {
-            last_tick = ctx.now;
-        }
-        if tick || timers.redial > 0 {
-            for (slot, node) in nodes.iter_mut().enumerate() {
-                if node.run_timers(&ctx, tick) && node.flush(&ctx) {
-                    touched.mark(slot);
-                }
-                timers.note(slot, node.timers());
-            }
-        }
-        // Sleep until the next RTO tick if anyone has unacked frames,
-        // the earliest redial timer, else until a socket or the waker
-        // fires.
+        // Sleep until the next RTO tick if anyone has unacked frames, the
+        // earliest redial timer or ack deadline, else until a socket or
+        // the waker fires. The wait counts whole milliseconds, so round
+        // up: rounding down wakes the loop just before the deadline.
         let mut deadline = (timers.rto > 0).then(|| last_tick + RTO);
+        deadline = deadline.into_iter().chain(timers.next_ack()).min();
         if timers.redial > 0 {
             let redials = nodes.iter().filter_map(|n| n.core.next_redial());
             deadline = deadline.into_iter().chain(redials).min();
         }
-        let timeout = deadline.map(|at| at.saturating_duration_since(ctx.now));
+        let timeout = deadline.map(|at| {
+            let left = at.saturating_duration_since(ctx.now);
+            Duration::from_millis(left.as_micros().div_ceil(1000) as u64)
+        });
 
         // A wait error (EINTR aside, which is Ok(0)) leaves the buffer
         // empty and retries; nothing registered can make epoll_wait
@@ -976,6 +990,27 @@ where
         if !events.is_empty() {
             let handled = events.len() as u32;
             oat_obs::trace_span!(oat_obs::EventKind::Dispatch, t_dispatch, shard, handled, 0);
+        }
+
+        // Timers: the retransmission tick at RTO cadence, redials and
+        // acks due. They run after the pass has read every socket the
+        // wait reported, so an ack that arrived during a long pass is
+        // seen before its frame is judged lost. The nodes are walked
+        // only on a tick (33 Hz at most), while some edge is down, or
+        // once an ack deadline has passed; a node whose timer queued
+        // bytes or owes a due ack is flushed at the top of the loop.
+        let tick = ctx.now.duration_since(last_tick) >= RTO;
+        if tick {
+            last_tick = ctx.now;
+        }
+        let next_ack = timers.next_ack();
+        if tick || timers.redial > 0 || next_ack.is_some_and(|at| at <= ctx.now) {
+            for (slot, node) in nodes.iter_mut().enumerate() {
+                if node.run_timers(&ctx, tick) {
+                    touched.mark(slot);
+                }
+                timers.note(slot, node.timers());
+            }
         }
     }
 }

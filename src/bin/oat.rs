@@ -1198,6 +1198,11 @@ where
         report.faults.restarts,
         report.faults.kill9s,
     );
+    println!(
+        "  acks:      {:.3} standalone per request ({} in all)",
+        report.standalone_acks as f64 / seq.len() as f64,
+        report.standalone_acks,
+    );
     if durable {
         println!(
             "  wal:       {} records ({} B), {} fsyncs ({} failed), \

@@ -52,6 +52,27 @@ fn every_subcommand_rejects_a_malformed_command_line() {
 }
 
 #[test]
+fn a_fault_free_chaos_run_sends_few_standalone_acks() {
+    // Acks ride data frames, or go out alone at most once per directed
+    // edge per RTO/4; sending one per delivery cost about 6.2 writes of
+    // their own per request on this shape.
+    let line = "chaos --tree kary:31:2 --workload uniform:0.5:2000 --faults none --transport tcp";
+    let out = oat(line);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{line}: {stdout}");
+    assert!(
+        stdout.contains("retransmits 0, rto expiries 0"),
+        "{line} re-sent frames: {stdout}"
+    );
+    let acks = stdout
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("acks:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok())
+        .unwrap_or_else(|| panic!("{line}: no acks line in {stdout}"));
+    assert!(acks < 1.0, "{acks} standalone acks per request");
+}
+
+#[test]
 fn a_misspelt_chaos_flag_exits_2_instead_of_injecting_faults() {
     let out = oat("chaos --tree kary:10:2 --workload uniform:0.5:120 --fault none");
     assert_eq!(out.status.code(), Some(2));

@@ -1,7 +1,7 @@
 //! Reactor-transport tests: the epoll event-loop runtime under loads
 //! and failure shapes the thread-per-connection runtime never hit.
 //!
-//! Six properties pinned here:
+//! Seven properties pinned here:
 //!
 //! * **Incremental decoding** — a frame dribbled across several writes
 //!   (or a client read timeout firing mid-frame) never desynchronizes
@@ -26,6 +26,9 @@
 //! * **Traceable requests** — in a fault-free traced pipelined run,
 //!   every request a client timed is matched to the node-side record
 //!   that served it, so the phase breakdown covers all of them.
+//! * **No spurious recovery** — a fault-free run re-sends nothing on
+//!   any transport: acks that wait for a frame to ride stay well inside
+//!   one RTO.
 
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
@@ -444,6 +447,58 @@ fn backpressure_stalls_client_intake_and_recovers() {
         wakeups < 2_000,
         "{wakeups} reactor wakeups for 60 requests: a hung-up client spun a stalled node"
     );
+}
+
+#[test]
+fn fault_free_runs_resend_nothing() {
+    // An ack waits for a frame to ride on for at most a quarter of the
+    // 30 ms RTO, so without injected faults no RTO may expire: no
+    // retransmit, no RTO expiry, no reconnect, and no duplicate for a
+    // receiver to drop. The sequential replay leaves edges idle between
+    // requests, so its acks go out at their deadline; the pipelined one
+    // keeps edges busy, so its acks mostly ride. It runs two frontends,
+    // as the benchmark's pipelined workloads do: with more client
+    // threads than CPUs a starved reactor pass can outlast the RTO
+    // whatever the acks do. The pause before the books are read
+    // outlasts three RTOs: an ack owed that long would have shown as a
+    // re-send.
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = Tree::kary(15, 2);
+    let seq = uniform(&tree, 300, 0.5, 0xACE);
+    let frontends = [NodeId(7), NodeId(14)];
+    let piped: Vec<Request<i64>> = (seq.iter().enumerate())
+        .map(|(i, r)| Request {
+            node: frontends[i % 2],
+            op: r.op.clone(),
+        })
+        .collect();
+    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+        let cfg = NetConfig {
+            transport,
+            ..NetConfig::default()
+        };
+        let cluster =
+            Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, FaultPlan::default(), cfg)
+                .expect("spawn");
+        cluster.replay_sequential(&seq).expect("sequential replay");
+        cluster
+            .replay_pipelined(&piped, 8)
+            .expect("pipelined replay");
+        assert!(cluster.quiesce_for(DRAIN), "{transport:?}: never drained");
+        thread::sleep(Duration::from_millis(100));
+        for u in tree.nodes() {
+            let m = cluster.node_metrics(u).expect("metrics");
+            assert_eq!(m.dup_drops, 0, "{transport:?}: node {} dropped frames", u.0);
+        }
+        let report = cluster.shutdown();
+        assert!(report.dead_nodes.is_empty());
+        let f = report.faults;
+        assert_eq!(
+            (f.retransmits, f.timeouts, f.reconnects),
+            (0, 0, 0),
+            "{transport:?}: retransmits, RTO expiries, reconnects without a fault"
+        );
+    }
 }
 
 #[test]
