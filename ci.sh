@@ -70,14 +70,15 @@ echo "== parity: oat chaos --faults none on tcp/uds/ring =="
 # empty fault plan `oat chaos` also runs the simulator on the same
 # workload and exits nonzero unless every combine equals the oracle and
 # the per-edge, per-kind message counts equal the simulator's exactly.
-# Without faults nothing may be re-sent either: an ack waits at most a
-# quarter of the RTO for a frame to ride, so no RTO expires.
+# Without faults no connection may be lost and nothing re-sent: a lost
+# frame or a sequence gap severs its connection, which shows as a
+# reconnect.
 for t in tcp uds ring; do
   out=$(./target/release/oat chaos --tree kary:10:2 --workload uniform:0.5:120 \
     --faults none --transport "$t")
   grep -F 'parity: OK' <<<"$out" || { echo "parity ($t): no parity line"; exit 1; }
-  grep -F 'retransmits 0, rto expiries 0' <<<"$out" ||
-    { echo "parity ($t): a fault-free run re-sent frames"; exit 1; }
+  grep -F 'reconnects 0, retransmits 0' <<<"$out" ||
+    { echo "parity ($t): a fault-free run lost a connection or re-sent frames"; exit 1; }
 done
 
 echo "== chaos smoke: oat chaos on tcp/uds/ring =="
@@ -89,6 +90,16 @@ for t in tcp uds ring; do
   ./target/release/oat chaos --tree kary:10:3 --workload uniform:0.5:80 \
     --faults "seed:7,drop:0.05,dup:0.05,delay:0.05,kill:0-1@3,kill:2-0@4,crash:2@5" \
     --transport "$t"
+done
+
+echo "== chaos at size: drop-heavy oat chaos on tcp/uds/ring =="
+# Every injected drop or delay severs its connection and the reconnect
+# replays what was lost: at 5 % of frames on a 31-node tree, hundreds of
+# reconnects per run, each one hello exchange, so the run takes well
+# under a second. It must still answer every combine as the oracle does.
+for t in tcp uds ring; do
+  ./target/release/oat chaos --tree kary:31:2 --workload uniform:0.5:4000 \
+    --faults "seed:7,drop:0.05,dup:0.05,delay:0.05" --transport "$t"
 done
 
 echo "== crash-recovery smoke: oat chaos --kill9 on tcp/uds/ring =="

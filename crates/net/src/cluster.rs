@@ -694,7 +694,6 @@ impl<A: AggOp> Cluster<A> {
                         abandoned += report.abandoned;
                         faults.reconnects += report.faults.reconnects;
                         faults.retransmits += report.faults.retransmits;
-                        faults.timeouts += report.faults.timeouts;
                         faults.restarts += report.faults.restarts;
                         faults.kill9s += report.faults.kill9s;
                         wal.merge(&report.wal);

@@ -16,7 +16,11 @@
 //! There is one plain method per input — frames on an edge or from a
 //! client, a client gone, an edge hello, up or down, a timer tick, a
 //! kill9, a recovered [`WalState`] — each taking `now` (an `Instant` in
-//! the runtime, a virtual `Duration` in the tests below). Frames leave
+//! the runtime, a virtual `Duration` in the tests below). The core's only
+//! timers are redials and ack deadlines, and [`NodeCore::next_deadline`]
+//! names the earliest: no timer re-sends a frame, because a lost frame
+//! severs its connection and the reconnect replays it (`crate::link`,
+//! "Loss is a connection event"). Frames leave
 //! through the core's byte queues; the rest comes back as a [`CoreStep`]:
 //! the in-flight debt, the messages sent, the log records to append in
 //! order, severs, a kill9 due, dials due. Nothing is allocated per frame
@@ -151,10 +155,8 @@ pub(crate) struct NodeReport<V> {
 pub struct FaultCounters {
     /// Edge connections re-established after a failure.
     pub reconnects: u64,
-    /// Sequenced frames re-sent (RTO expiry or post-reconnect replay).
+    /// Sequenced frames re-sent by post-reconnect replays.
     pub retransmits: u64,
-    /// Retransmission-timer expirations that triggered a resend.
-    pub timeouts: u64,
     /// Automaton restarts performed by the supervisor — in-process
     /// crash-restarts plus process-grade kill9 recoveries.
     pub restarts: u64,
@@ -190,8 +192,6 @@ pub(crate) struct CoreStep {
     pub kill9: bool,
     /// Dial each edge that [`NodeCore::is_dialing`] without a dial.
     pub dial: bool,
-    /// The retransmission tick re-queued frames.
-    pub resent: bool,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -453,23 +453,15 @@ where
         self.stalled
     }
 
-    /// Whether an RTO tick could re-send: an up edge holds unacked frames.
-    pub(crate) fn wants_rto_tick(&self) -> bool {
-        self.edges
-            .iter()
-            .any(|e| e.state == EdgeState::Up && e.link.unacked() > 0)
-    }
-
-    /// Earliest pending redial timer, if any.
-    pub(crate) fn next_redial(&self) -> Option<T> {
-        self.edges.iter().filter_map(|e| e.link.next_redial()).min()
-    }
-
-    /// Earliest ack an up edge owes on its own, if any: the flush
-    /// boundary at or after it sends the ack.
-    pub(crate) fn next_ack(&self) -> Option<T> {
-        let up = self.edges.iter().filter(|e| e.state == EdgeState::Up);
-        up.filter_map(|e| e.link.next_ack()).min()
+    /// When this node's timers next have work, if ever: the earliest
+    /// redial, or ack an up edge owes on its own. [`NodeCore::tick`]
+    /// dials, and the flush boundary at or after it sends the ack.
+    pub(crate) fn next_deadline(&self) -> Option<T> {
+        let due = |e: &Edge<T>| {
+            let ack = e.link.next_ack().filter(|_| e.state == EdgeState::Up);
+            e.link.next_redial().into_iter().chain(ack)
+        };
+        self.edges.iter().flat_map(due).min()
     }
 
     /// Bytes queued for edge `wi`'s connection (or dial).
@@ -486,8 +478,8 @@ where
     }
 
     /// Frames decoded on edge `wi`'s live connection. A corrupt stream
-    /// (bad frame length) severs the edge; frames decoded before it
-    /// still count.
+    /// (a bad frame length, a sequence gap) severs the edge; frames
+    /// decoded before it still count.
     pub(crate) fn on_edge(&mut self, wi: usize, now: T, dec: &mut FrameDecoder) -> CoreStep {
         if self.edges[wi].state == EdgeState::Up && !self.drain_edge(wi, now, dec) {
             self.downed.push(wi);
@@ -545,7 +537,7 @@ where
         if accepted {
             e.out.clear();
         }
-        let step = e.link.on_hello(now, peer.0, peer.1, accepted, &mut e.out);
+        let step = e.link.on_hello(peer.0, peer.1, accepted, &mut e.out);
         e.state = EdgeState::Up;
         if std::mem::replace(&mut e.ever_up, true) {
             self.counters.reconnects += 1;
@@ -568,18 +560,9 @@ where
         e.out.clear();
     }
 
-    /// The timers: the retransmission tick on every up edge when `rto`
-    /// (the driver's RTO cadence came round), and every redial due.
-    pub(crate) fn tick(&mut self, now: T, rto: bool) -> CoreStep {
-        for wi in 0..self.edges.len() {
-            let e = &mut self.edges[wi];
-            if rto {
-                let out = (e.state == EdgeState::Up).then_some(&mut e.out);
-                let step = e.link.rto_tick(now, out);
-                self.step.resent |= step.resent > 0;
-                self.apply(wi, step);
-            }
-            let e = &mut self.edges[wi];
+    /// The timers: every redial due at `now`.
+    pub(crate) fn tick(&mut self, now: T) -> CoreStep {
+        for e in &mut self.edges {
             if e.link.redial_due(now, e.state == EdgeState::Down) {
                 e.state = EdgeState::Dialing;
                 e.out.clear();
@@ -592,7 +575,7 @@ where
 
     /// The flush boundary at `now`, before the driver writes any queue:
     /// the acks owed on edges that have a frame queued for them to ride,
-    /// or that are due ([`NodeCore::next_ack`]); the backpressure state;
+    /// or that are due ([`NodeCore::next_deadline`]); the backpressure state;
     /// and every batch accumulator streamed into its client queue.
     pub(crate) fn flush_prep(&mut self, now: T) {
         for e in &mut self.edges {
@@ -698,7 +681,8 @@ where
     }
 
     /// Decodes and dispatches everything buffered on edge `wi`. Returns
-    /// `false` when the stream is corrupt.
+    /// `false` when the stream is corrupt: a bad frame length, or a gap
+    /// in the sequence.
     fn drain_edge(&mut self, wi: usize, now: T, dec: &mut FrameDecoder) -> bool {
         let mut work = std::mem::take(&mut self.work);
         let mut step = Step::default();
@@ -715,6 +699,10 @@ where
                             from: e.link.peer,
                             payload,
                         });
+                    }
+                    // A gap: what follows on this connection is lost too.
+                    if s.sever {
+                        break false;
                     }
                 }
             }
@@ -840,7 +828,7 @@ where
                 self.delivered += 1;
                 let mut out = Vec::new();
                 let done = self.inst(tree).mech.handle_message(from, msg, &mut out);
-                self.send_outbox(tree, out, now);
+                self.send_outbox(tree, out);
                 match done {
                     Some(v) => {
                         self.answer_waiters(tree, &v);
@@ -848,7 +836,7 @@ where
                     }
                     // Propagated updates/invalidates refresh any
                     // subscribers served at this node.
-                    None => self.refresh_tree(tree, now),
+                    None => self.refresh_tree(tree),
                 }
                 // Injected-fault triggers count delivered messages,
                 // whatever tree carried them.
@@ -877,9 +865,9 @@ where
                 for tree in trees {
                     let mut out = Vec::new();
                     let revokes = self.inst(tree).mech.handle_peer_reset(from, &mut out);
-                    self.send_outbox(tree, out, now);
-                    self.send_revokes(tree, revokes, now);
-                    self.refresh_tree(tree, now);
+                    self.send_outbox(tree, out);
+                    self.send_revokes(tree, revokes);
+                    self.refresh_tree(tree);
                 }
             }
             Work::Peer {
@@ -893,9 +881,9 @@ where
                 };
                 let mut out = Vec::new();
                 let next_hops = inst.mech.handle_revoke(from, &mut out);
-                self.send_outbox(tree, out, now);
-                self.send_revokes(tree, next_hops, now);
-                self.refresh_tree(tree, now);
+                self.send_outbox(tree, out);
+                self.send_revokes(tree, next_hops);
+                self.refresh_tree(tree);
             }
             Work::Client {
                 conn,
@@ -915,7 +903,7 @@ where
                             self.log(Record::write(tree, bytes));
                         }
                         self.inst(tree).mech.handle_write(arg, &mut out);
-                        self.send_outbox(tree, out, now);
+                        self.send_outbox(tree, out);
                         self.respond(conn, TAG_RESP_WRITE, &req_id.to_le_bytes());
                         oat_obs::trace_event!(
                             oat_obs::EventKind::RespTx,
@@ -923,7 +911,7 @@ where
                             conn as u32,
                             req_id
                         );
-                        self.refresh_tree(tree, now);
+                        self.refresh_tree(tree);
                     }
                     ReqOp::Combine => {
                         let inst = self.inst(tree);
@@ -935,14 +923,14 @@ where
                         {
                             inst.waiters.push((conn, req_id));
                         }
-                        self.send_outbox(tree, out, now);
+                        self.send_outbox(tree, out);
                         match outcome {
                             CombineOutcome::Done(v) => {
                                 self.answer(tree, conn, req_id, &v);
                                 self.push_partial(tree, &v);
                             }
                             CombineOutcome::Pending | CombineOutcome::Coalesced => {
-                                self.refresh_tree(tree, now)
+                                self.refresh_tree(tree)
                             }
                         }
                     }
@@ -968,7 +956,7 @@ where
                 }
                 oat_obs::trace_event!(oat_obs::EventKind::SubStart, self.id.0, conn as u32, sub_id);
                 // Prime the subscriber with the current value now.
-                self.refresh_tree(tree, now);
+                self.refresh_tree(tree);
             }
             Work::Metrics { conn, req_id } => {
                 let metrics = self.snapshot_metrics();
@@ -994,31 +982,31 @@ where
 
     /// Buffers a handler's outbox for `tree` onto the sequenced links,
     /// recording stats per frame.
-    fn send_outbox(&mut self, tree: u32, out: Outbox<A::Value>, now: T) {
+    fn send_outbox(&mut self, tree: u32, out: Outbox<A::Value>) {
         for (to, msg) in out {
             self.stats
                 .record(self.env.tree.dir_edge_index(self.id, to), msg.kind());
             self.step.sent += 1;
             let wi = self.edge_index(to).expect("messages go to neighbours");
-            self.send_edge(wi, EdgePayload::Net { tree, msg }, now);
+            self.send_edge(wi, EdgePayload::Net { tree, msg });
         }
     }
 
     /// Queues a revoke for `tree` toward each of `to`.
-    fn send_revokes(&mut self, tree: u32, to: Vec<NodeId>, now: T) {
+    fn send_revokes(&mut self, tree: u32, to: Vec<NodeId>) {
         for t in to {
             let wi = self.edge_index(t).expect("revokes go to neighbours");
-            self.send_edge(wi, EdgePayload::Revoke { tree }, now);
+            self.send_edge(wi, EdgePayload::Revoke { tree });
         }
     }
 
     /// Sends `payload` on edge `wi`, logged before it can reach a socket.
-    fn send_edge(&mut self, wi: usize, payload: EdgePayload<A::Value>, now: T) {
+    fn send_edge(&mut self, wi: usize, payload: EdgePayload<A::Value>) {
         let mut body = Vec::with_capacity(36);
         let inner = payload.encode(&mut body);
         let e = &mut self.edges[wi];
         let out = (e.state == EdgeState::Up).then_some(&mut e.out);
-        let step = e.link.send(now, inner, body, out, &self.env.ledger);
+        let step = e.link.send(inner, body, out, &self.env.ledger);
         if self.durable {
             let (seq, inner, body) = e.link.newest();
             let send = Record::Send {
@@ -1037,7 +1025,6 @@ where
     fn apply(&mut self, wi: usize, step: Step) {
         self.step.debt += step.debt;
         self.counters.retransmits += step.resent;
-        self.counters.timeouts += step.timeouts;
         if self.durable {
             let peer = self.edges[wi].link.peer.0;
             if let Some(rx_seq) = step.rx {
@@ -1176,7 +1163,7 @@ where
     /// Re-runs the combine of a tree with subscribers here whenever work
     /// touched it: a `Done` pushes now, a pending probe's completion
     /// pushes from the message arm. No-op without subscribers.
-    fn refresh_tree(&mut self, tree: u32, now: T) {
+    fn refresh_tree(&mut self, tree: u32) {
         if self
             .tree_subs
             .get(&tree)
@@ -1186,7 +1173,7 @@ where
         }
         let mut out = Vec::new();
         let outcome = self.inst(tree).mech.handle_combine(&mut out);
-        self.send_outbox(tree, out, now);
+        self.send_outbox(tree, out);
         if let CombineOutcome::Done(v) = outcome {
             self.push_partial(tree, &v);
         }
@@ -1243,7 +1230,7 @@ where
             .collect();
         debug_assert!(self.insts.contains_key(&0));
         for wi in 0..self.edges.len() {
-            self.send_edge(wi, EdgePayload::Reset, now);
+            self.send_edge(wi, EdgePayload::Reset);
         }
         self.settle(now);
     }
@@ -1282,7 +1269,7 @@ where
             reconnects: self.counters.reconnects,
             retransmits: self.counters.retransmits,
             dup_drops: self.edges.iter().map(|e| e.link.dup_drops).sum(),
-            timeouts: self.counters.timeouts,
+            timeouts: 0,
             restarts: self.counters.restarts,
             kill9s: self.counters.kill9s,
             backpressure_stalls: self.backpressure_stalls,
@@ -1322,7 +1309,7 @@ fn new_inst<S: PolicySpec, A: AggOp>(
 mod tests {
     use super::*;
     use crate::frame::{encode_request, write_frame, TAG_HELLO_EDGE};
-    use crate::link::{parse_hello, ACK_DELAY, RTO};
+    use crate::link::parse_hello;
     use oat_core::agg::SumI64;
     use oat_core::fault::{CrashNode, KillConn};
     use oat_core::policy::rww::RwwSpec;
@@ -1401,8 +1388,6 @@ mod tests {
         /// Undirected edges `(lo, hi)` with an open connection.
         open: HashMap<(usize, usize), bool>,
         now: Duration,
-        /// When the harness last ran the RTO tick.
-        last_rto: Duration,
         /// Σ debt over every step: never below the frames numbered and
         /// not yet delivered, and equal to them once every hello is done.
         debt: i64,
@@ -1441,7 +1426,6 @@ mod tests {
                 nodes,
                 open: HashMap::new(),
                 now: Duration::ZERO,
-                last_rto: Duration::ZERO,
                 debt: 0,
                 sent: 0,
                 rng: seed,
@@ -1558,8 +1542,8 @@ mod tests {
         }
 
         /// Moves bytes, in a seeded order, until nothing is undelivered,
-        /// advancing the clock by [`ACK_DELAY`] (and running the RTO tick
-        /// at its cadence) while frames are stuck or an edge is down.
+        /// advancing the clock to the earliest timer (a redial, an ack
+        /// due) whenever no byte moves.
         fn run(&mut self) -> Result<(), String> {
             for _ in 0..8000 {
                 let mut moved = false;
@@ -1581,13 +1565,13 @@ mod tests {
                 if self.debt == 0 && self.nodes.iter().all(|n| n.core.all_up()) {
                     return Ok(());
                 }
-                self.now += ACK_DELAY;
-                let rto = self.now >= self.last_rto + RTO;
-                if rto {
-                    self.last_rto = self.now;
-                }
+                let deadlines = self.nodes.iter().filter_map(|n| n.core.next_deadline());
+                let Some(next) = deadlines.min() else {
+                    return Err("the network wedged: nothing moves, no timer is armed".into());
+                };
+                self.now = self.now.max(next);
                 for u in 0..n {
-                    let step = self.nodes[u].core.tick(self.now, rto);
+                    let step = self.nodes[u].core.tick(self.now);
                     self.absorb(u, step);
                 }
             }

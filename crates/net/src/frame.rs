@@ -61,13 +61,13 @@
 //! Every payload-bearing frame between neighbours rides inside a tag-9
 //! frame stamped with a per-directed-edge sequence number (1, 2, 3, …).
 //! The receiver delivers exactly the next expected seq and discards
-//! everything else (duplicates *and* out-of-window futures — recovery is
-//! go-back-N); it acknowledges cumulatively with tag 10 at its batch
-//! boundaries. The sender buffers unacknowledged frames and retransmits
-//! them on an RTO tick or after a reconnect. The edge hello carries the
-//! receiver's watermark (how many in-order frames it has seen) so a
-//! redialed connection resumes the stream exactly where it left off:
-//! per-edge FIFO exactly-once delivery survives killed connections.
+//! duplicates; a frame past a gap severs the connection. It acknowledges
+//! cumulatively with tag 10, on a frame it sends anyway or at a deadline.
+//! The sender buffers unacknowledged frames and retransmits them after a
+//! reconnect. The edge hello carries the receiver's watermark (how many
+//! in-order frames it has seen) so a redialed connection resumes the
+//! stream exactly where it left off: per-edge FIFO exactly-once delivery
+//! survives killed connections.
 //!
 //! Inner tags inside a tag-9 frame:
 //!

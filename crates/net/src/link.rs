@@ -1,15 +1,25 @@
 //! The sequenced edge link: the protocol half of one tree edge.
 //!
-//! The paper assumes reliable FIFO channels; a single TCP connection
+//! The paper assumes reliable FIFO channels; a single connection
 //! provides that only while it lives. Every payload frame between
 //! neighbours therefore carries a per-directed-edge sequence number
 //! (`TAG_SEQ`), the receiver delivers exactly the next expected number
-//! and discards everything else, and acknowledges cumulatively
-//! (`TAG_ACK`). The sender keeps unacknowledged frames in a retransmit
-//! buffer and re-sends them (go-back-N) on an RTO tick or after a
-//! reconnect, resuming from the watermark the peer's hello reported.
-//! Together: per-edge FIFO **exactly-once** delivery that survives
-//! killed connections and injected drop/duplicate faults.
+//! and discards duplicates, and acknowledges cumulatively (`TAG_ACK`).
+//! The sender keeps unacknowledged frames in a retransmit buffer and
+//! re-sends them after a reconnect, resuming from the watermark the
+//! peer's hello reported. Together: per-edge FIFO **exactly-once**
+//! delivery that survives killed connections and injected faults.
+//!
+//! ## Loss is a connection event
+//!
+//! A byte stream never loses one frame and then delivers the next, so a
+//! lost frame is a lost connection. An injected drop or delay suppresses
+//! the frame and severs the connection after it, as a scheduled kill
+//! does ([`Link::send`]); a frame above the next expected number on a
+//! live connection is a corrupt stream and severs it too
+//! ([`Link::receive`]). The reconnect's hello exchange and replay is the
+//! only way a frame is ever re-sent, so no timer judges a frame lost: a
+//! delayed frame arrives late and in order, through the replay.
 //!
 //! Injected faults never touch the quiescence or message-count books:
 //! stats are recorded once, when a frame is numbered, and the in-flight
@@ -39,22 +49,21 @@
 //!
 //! ## Acks
 //!
-//! An ack trims the retransmit buffer and feeds the RTO; it settles no
-//! frame's debt, so no quiescence waits on it. [`Link::flush_ack`] sends
-//! one only when a frame is already queued on the connection (the ack
-//! rides its write), when a duplicate showed that the previous ack was
-//! lost, when the oldest unacknowledged delivery is [`ACK_DELAY`] old,
-//! or, once per connection, when the dialing end has just applied a
-//! hello exchange ([`Link::on_hello`]). The deadline keeps an ack well
-//! inside one RTO, so an RTO expiry means a frame or ack was lost, not
-//! that an ack was waiting.
+//! An ack trims the retransmit buffer; it settles no frame's debt, so no
+//! quiescence waits on it, and it is lost only together with its
+//! connection, whose next hello carries the watermark. [`Link::flush_ack`]
+//! sends one only when a frame is already queued on the connection (the
+//! ack rides its write), when the oldest unacknowledged delivery is
+//! [`ACK_DELAY`] old, or, once per connection, when the dialing end has
+//! just applied a hello exchange ([`Link::on_hello`]).
 //!
 //! ## No sockets, no clock
 //!
-//! A [`Link`] has one plain method per input. Each takes `now` (an
-//! `Instant` in the runtime, a virtual `Duration` in the tests below),
-//! writes frames into a [`FrameSink`] the caller supplies, and returns
-//! a [`Step`]: what the caller must charge, settle, log, count or sever.
+//! A [`Link`] has one plain method per input. One that arms a timer (an
+//! ack deadline, a redial) takes `now` (an `Instant` in the runtime, a
+//! virtual `Duration` in the tests below); each writes frames into a
+//! [`FrameSink`] the caller supplies and returns a [`Step`]: what the
+//! caller must charge, settle, log, count or sever.
 
 use std::collections::VecDeque;
 use std::ops::{Add, AddAssign};
@@ -68,13 +77,12 @@ use oat_core::wire::{put_u32, put_u64, WireReader};
 use crate::durability::LinkState;
 use crate::frame::{TAG_ACK, TAG_HELLO_EDGE, TAG_SEQ};
 
-/// Retransmission-timer granularity: the reactor ticks at this cadence
-/// while frames are unacknowledged.
-pub(crate) const RTO: Duration = Duration::from_millis(30);
-
 /// How long a delivered frame may wait for its ack when no frame of the
-/// reverse direction comes to carry it: a quarter of [`RTO`].
-pub(crate) const ACK_DELAY: Duration = Duration::from_nanos(RTO.as_nanos() as u64 / 4);
+/// reverse direction comes to carry it. Only an ack trims the sender's
+/// retransmit buffer, so the deadline bounds that buffer's growth on an
+/// edge whose traffic runs one way, and lets a node stalled at its high
+/// watermark leave backpressure (`rtx_low`).
+pub(crate) const ACK_DELAY: Duration = Duration::from_micros(7_500);
 
 /// Reconnect backoff: first delay, doubled per failed attempt up to the
 /// cap, with seeded jitter in `[0, delay)` added on top.
@@ -96,11 +104,10 @@ pub(crate) struct Step {
     pub(crate) rx: Option<u64>,
     /// The ack watermark, when this step advanced it.
     pub(crate) acked: Option<u64>,
-    /// Sequenced frames re-sent (RTO expiry or post-hello replay).
+    /// Sequenced frames re-sent by the post-hello replay.
     pub(crate) resent: u64,
-    /// Retransmission-timer expirations that triggered a resend.
-    pub(crate) timeouts: u64,
-    /// A scheduled connection kill fired: sever the connection.
+    /// The connection lost a frame (an injected drop or delay, a gap) or
+    /// a scheduled kill fired: sever it.
     pub(crate) sever: bool,
     /// Buffered frames took new sequence numbers, so the sends logged
     /// for them are stale: the caller must rewrite its durable image.
@@ -122,7 +129,6 @@ impl AddAssign for Step {
         self.rx = s.rx.or(self.rx);
         self.acked = s.acked.or(self.acked);
         self.resent += s.resent;
-        self.timeouts += s.timeouts;
         self.sever |= s.sever;
         self.renumbered |= s.renumbered;
     }
@@ -137,20 +143,15 @@ pub(crate) struct Link<T> {
     tx_seq: u64,
     /// Highest sequence number the peer has acknowledged.
     acked: u64,
-    /// `acked` as of the previous RTO tick (progress detection).
-    acked_at_tick: u64,
-    /// Unacknowledged frames: `(seq, inner tag, body, last transmit)`.
-    /// The timestamp distinguishes a stalled peer from a frame sent just
-    /// before an RTO tick — only frames at least one RTO old are
-    /// eligible for go-back-N.
-    rtx: VecDeque<(u64, u8, Vec<u8>, T)>,
+    /// Unacknowledged frames: `(seq, inner tag, body)`.
+    rtx: VecDeque<(u64, u8, Vec<u8>)>,
     /// Highest in-order sequence number received from the peer.
     rx_seq: u64,
     /// Highest rx watermark acked back to the peer.
     rx_acked: u64,
-    /// Re-send the cumulative ack at the next flush even though
-    /// `rx_seq` did not advance: the peer retransmitted frames already
-    /// delivered, so the previous ack was evidently lost.
+    /// Send the cumulative ack at the next flush even though `rx_seq`
+    /// did not advance: the dialing end just applied a hello exchange,
+    /// and the accepting end settles what it held on that frame.
     reack: bool,
     /// When the ack owed since the oldest delivery above `rx_acked` is
     /// due on its own ([`ACK_DELAY`] after that delivery).
@@ -162,8 +163,8 @@ pub(crate) struct Link<T> {
     /// Debt the restores since the last hello lowered, settled once both
     /// ends applied the next hello exchange (see the module docs).
     held: u64,
-    /// Frames discarded: duplicates, out-of-window futures (go-back-N
-    /// re-delivers them in order), undecodables, malformed acks.
+    /// Frames discarded: duplicates, a frame past a gap (which severs),
+    /// undecodables, malformed acks.
     pub(crate) dup_drops: u64,
     /// Seeded fault-decision stream for this directed edge.
     faults: Option<EdgeFaults>,
@@ -184,7 +185,6 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
             peer,
             tx_seq: 0,
             acked: 0,
-            acked_at_tick: 0,
             rtx: VecDeque::new(),
             rx_seq: 0,
             rx_acked: 0,
@@ -222,7 +222,6 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
     /// to the edge's fault stream, whose injections go to `ledger`.
     pub(crate) fn send(
         &mut self,
-        now: T,
         inner: u8,
         body: Vec<u8>,
         out: Option<&mut impl FrameSink>,
@@ -236,16 +235,16 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
             self.peer.0,
             (seq << 8) | u64::from(inner)
         );
-        self.rtx.push_back((seq, inner, body, now));
+        self.rtx.push_back((seq, inner, body));
         let mut step = Step::debt(1);
         let Some(out) = out else {
             return step;
         };
         let body = &self.rtx.back().expect("just pushed").2;
         let action = self.faults.as_mut().map(EdgeFaults::next_action);
-        // A drop suppresses the first transmission; the RTO resend
-        // recovers the frame. A delay is modeled the same way, so the
-        // frame arrives late but in per-edge FIFO order.
+        // A drop or a delay suppresses the frame and severs the
+        // connection after it (see the module docs): the reconnect
+        // replays it, late but in per-edge FIFO order.
         let (copies, injected) = match action {
             None | Some(FaultAction::Deliver) => (1, None),
             Some(FaultAction::Drop) => (0, Some(&ledger.drops)),
@@ -258,6 +257,7 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         if let Some(counter) = injected {
             counter.fetch_add(1, Ordering::Relaxed);
         }
+        step.sever = copies == 0;
         if self
             .faults
             .as_mut()
@@ -274,15 +274,16 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
 
     /// The frame the last [`Link::send`] buffered: `(seq, inner, body)`.
     pub(crate) fn newest(&self) -> (u64, u8, &[u8]) {
-        let (seq, inner, body, _) = self.rtx.back().expect("a frame was sent");
+        let (seq, inner, body) = self.rtx.back().expect("a frame was sent");
         (*seq, *inner, body)
     }
 
     /// One frame read from the live connection at `now`. The next
     /// expected `TAG_SEQ` frame is delivered through `decode` and settles
-    /// its debt; the caller handles it in the same step. Everything
-    /// else, and a delivered frame `decode` rejects (the rx watermark
-    /// still covers it), counts in `dup_drops`.
+    /// its debt; the caller handles it in the same step. A later one
+    /// shows a gap, so the step severs the connection (see the module
+    /// docs). It, everything else, and a delivered frame `decode`
+    /// rejects (the rx watermark still covers it), count in `dup_drops`.
     pub(crate) fn receive<X>(
         &mut self,
         now: T,
@@ -313,10 +314,8 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
                 step.rx = Some(seq);
                 return (step, got);
             }
-            // A duplicate or a future frame (go-back-N re-delivers it in
-            // order). Already-delivered frames coming back mean the peer
-            // never saw our cumulative ack: repeat it.
-            (TAG_SEQ, Some(seq)) if payload.len() > 8 => self.reack |= seq <= self.rx_seq,
+            // A frame past a gap: the next hello replays from the gap.
+            (TAG_SEQ, Some(seq)) if payload.len() > 8 && seq > self.rx_seq => step.sever = true,
             // A cumulative ack is exactly one u64, never past a number
             // this end assigned (that would settle frames not yet sent).
             (TAG_ACK, Some(upto)) if payload.len() == 8 && upto <= self.tx_seq => {
@@ -329,11 +328,11 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         (step, None)
     }
 
-    /// Queues the cumulative ack at `now` when a re-delivered frame
-    /// showed that the last one was lost, or when the rx watermark moved
-    /// since the last one and either `riding` (a frame is already queued
-    /// for the connection, so the ack shares its write) or the ack is
-    /// due. Returns whether it queued one.
+    /// Queues the cumulative ack at `now` once after the dialing end's
+    /// hello, or when the rx watermark moved since the last one and
+    /// either `riding` (a frame is already queued for the connection, so
+    /// the ack shares its write) or the ack is due. Returns whether it
+    /// queued one.
     pub(crate) fn flush_ack(&mut self, now: T, riding: bool, out: &mut impl FrameSink) -> bool {
         let owed = self.rx_seq > self.rx_acked;
         let due = self.ack_at.is_some_and(|at| at <= now);
@@ -376,7 +375,6 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
     /// could run ahead of the dialer's renumbering that charges for it.
     pub(crate) fn on_hello(
         &mut self,
-        now: T,
         peer_rx: u64,
         peer_acked: u64,
         reply: bool,
@@ -409,23 +407,8 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         let settled = self.rx_seq - rx_before + held;
         step.debt = shift as i64 - settled as i64;
         step.rx = (self.rx_seq > rx_before).then_some(self.rx_seq);
-        step.resent = self.replay(now, out);
+        step.resent = self.replay(out);
         step.renumbered = renumbered;
-        step
-    }
-
-    /// The RTO tick: go-back-N on an up edge when the ack watermark
-    /// stalled since the previous tick *and* the oldest unacked frame is
-    /// at least one RTO old (a stalled watermark alone is no loss).
-    pub(crate) fn rto_tick(&mut self, now: T, out: Option<&mut impl FrameSink>) -> Step {
-        let stale = self.rtx.front().is_some_and(|f| f.3 + RTO <= now);
-        let mut step = Step::default();
-        if let Some(out) = out.filter(|_| stale && self.acked == self.acked_at_tick) {
-            oat_obs::trace_event!(oat_obs::EventKind::RtoExpire, self.me.0, self.peer.0, 0);
-            step.timeouts = 1;
-            step.resent = self.replay(now, out);
-        }
-        self.acked_at_tick = self.acked;
         step
     }
 
@@ -467,16 +450,11 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         self.tx_seq = tx;
         self.restored_tx = Some(tx);
         self.acked = image.acked;
-        self.acked_at_tick = image.acked;
         self.rx_seq = rx;
         self.rx_acked = rx;
         self.reack = false;
         self.ack_at = None;
-        self.rtx = image
-            .rtx
-            .iter()
-            .map(|(seq, inner, body)| (*seq, *inner, body.clone(), now))
-            .collect();
+        self.rtx = image.rtx.iter().cloned().collect();
         self.redial_at = None;
         self.down(now);
         Step::debt(raise as i64)
@@ -489,11 +467,7 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
             tx_seq: self.tx_seq,
             acked: self.acked,
             rx_seq: self.rx_seq,
-            rtx: self
-                .rtx
-                .iter()
-                .map(|(seq, inner, body, _)| (*seq, *inner, body.clone()))
-                .collect(),
+            rtx: self.rtx.iter().cloned().collect(),
         }
     }
 
@@ -511,15 +485,14 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
     }
 
     /// Re-sends the retransmit buffer in order; returns its length.
-    fn replay(&mut self, now: T, out: &mut impl FrameSink) -> u64 {
+    fn replay(&self, out: &mut impl FrameSink) -> u64 {
         if self.rtx.is_empty() {
             return 0;
         }
         let n = self.rtx.len() as u64;
         oat_obs::trace_event!(oat_obs::EventKind::Retransmit, self.me.0, self.peer.0, n);
-        for (seq, inner, body, sent) in self.rtx.iter_mut() {
+        for (seq, inner, body) in &self.rtx {
             put_seq(out, *seq, *inner, body);
-            *sent = now;
         }
         n
     }
@@ -546,7 +519,7 @@ impl<T> Link<T> {
     /// (the next hello moves them above it).
     pub(crate) fn undelivered(&self, peer_rx: u64) -> usize {
         let base = self.restored_tx.unwrap_or(u64::MAX);
-        let out = |f: &&(u64, u8, Vec<u8>, T)| f.0 > peer_rx || f.0 > base;
+        let out = |f: &&(u64, u8, Vec<u8>)| f.0 > peer_rx || f.0 > base;
         self.rtx.iter().filter(out).count()
     }
 
@@ -704,19 +677,16 @@ mod tests {
             self.next_body += 1;
             let end = &mut self.ends[i];
             let out = self.up.then_some(&mut self.wire[i]);
-            let step = end.link.send(
-                self.now,
-                INNER,
-                body.to_le_bytes().to_vec(),
-                out,
-                &self.ledger,
-            );
+            let step = end
+                .link
+                .send(INNER, body.to_le_bytes().to_vec(), out, &self.ledger);
             end.debt += step.debt;
             end.sent.push(body);
             self.audit("a send");
         }
 
-        /// Hands end `1 - i` the next frame end `i` put on the wire.
+        /// Hands end `1 - i` the next frame end `i` put on the wire; the
+        /// connection dies when the frame shows a gap.
         fn deliver(&mut self, i: usize) {
             let Some((tag, payload)) = self.wire[i].pop_front() else {
                 return;
@@ -731,6 +701,9 @@ mod tests {
                 end.got.push((end.link.rx_seq, body));
             }
             self.audit("a delivery");
+            if step.sever {
+                self.kill_conn();
+            }
         }
 
         /// Delivers both directions until the wire is empty.
@@ -748,16 +721,6 @@ mod tests {
                 let link = &mut self.ends[i].link;
                 let _ = link.flush_ack(self.now, riding, &mut self.wire[i]);
             }
-        }
-
-        fn tick(&mut self) {
-            self.now += RTO;
-            for i in 0..2 {
-                let out = self.up.then_some(&mut self.wire[i]);
-                let step = self.ends[i].link.rto_tick(self.now, out);
-                self.ends[i].debt += step.debt;
-            }
-            self.audit("an RTO tick");
         }
 
         /// The connection dies with whatever it carried.
@@ -778,7 +741,7 @@ mod tests {
             let (_, rx, acked) = parse_hello(&hello[0].1).expect("well-formed hello");
             let step = self.ends[1]
                 .link
-                .on_hello(self.now, rx, acked, true, &mut self.wire[1]);
+                .on_hello(rx, acked, true, &mut self.wire[1]);
             self.ends[1].debt += step.debt;
             self.audit("the accepting end's hello");
             let (tag, reply) = self.wire[1].pop_front().expect("the reply leads");
@@ -787,7 +750,7 @@ mod tests {
             assert_eq!(id, NodeId(1));
             let step = self.ends[0]
                 .link
-                .on_hello(self.now, rx, acked, false, &mut self.wire[0]);
+                .on_hello(rx, acked, false, &mut self.wire[0]);
             self.ends[0].debt += step.debt;
             self.up = true;
             self.audit("the dialing end's hello");
@@ -801,24 +764,19 @@ mod tests {
             self.audit("a restore");
         }
 
-        /// Runs fault-free until both retransmit buffers drain; `false`
-        /// when they never do.
+        /// Runs fault-free, connecting first when down, until every frame
+        /// is delivered and every ack due; `false` when a retransmit
+        /// buffer still holds a frame.
         fn drain(&mut self) -> bool {
             if !self.up {
                 self.connect();
             }
-            for _ in 0..64 {
-                self.flow();
-                self.now += ACK_DELAY;
-                self.flush_ack(0, false);
-                self.flush_ack(1, false);
-                self.flow();
-                if self.ends.iter().all(|e| e.link.unacked() == 0) {
-                    return true;
-                }
-                self.tick();
-            }
-            false
+            self.flow();
+            self.now += ACK_DELAY;
+            self.flush_ack(0, false);
+            self.flush_ack(1, false);
+            self.flow();
+            self.ends.iter().all(|e| e.link.unacked() == 0)
         }
 
         /// Both ends' bodies as the peer delivered them.
@@ -855,11 +813,12 @@ mod tests {
             .collect()
     }
 
-    /// One seeded schedule: sends, deliveries, drops, duplicates, acks
-    /// (riding or not), RTO ticks, connection kills with hello exchanges,
-    /// and one kill9 of either end, restored from its exact image (even
-    /// seeds) or an older one (odd seeds, a torn log). The debt is
-    /// audited after every input. Returns why it failed.
+    /// One seeded schedule: sends, deliveries, drops (each losing its
+    /// connection, as in the runtime), duplicates, acks (riding or not),
+    /// the clock, connection kills with hello exchanges, and one kill9 of
+    /// either end, restored from its exact image (even seeds) or an older
+    /// one (odd seeds, a torn log). The debt is audited after every
+    /// input. Returns why it failed.
     fn run(seed: u64) -> Result<(), String> {
         let mut rng = Rng(seed);
         let mut p = Pair::new();
@@ -887,15 +846,17 @@ mod tests {
                 // with every frame delivered and only acks at stake.
                 0..25 if step < 150 => p.send(i),
                 25..60 => p.deliver(i),
-                60..66 => drop(p.wire[i].remove(at)),
+                60..66 if p.up => {
+                    drop(p.wire[i].remove(at));
+                    p.kill_conn();
+                }
                 66..70 => {
                     if let Some(f) = p.wire[i].get(at).cloned() {
                         p.wire[i].insert(at, f);
                     }
                 }
                 70..80 => p.flush_ack(i, rng.below(2) == 0),
-                80..85 => p.now += ACK_DELAY,
-                85..89 => p.tick(),
+                80..89 => p.now += ACK_DELAY,
                 89..92 if p.up => p.kill_conn(),
                 92..97 if !p.up => p.connect(),
                 97..100 if cut.is_none() => image = p.ends[k].link.snapshot(),
@@ -1099,8 +1060,7 @@ mod tests {
     }
 
     /// A delivery owes an ack that rides the next queued frame, or goes
-    /// out on its own once [`ACK_DELAY`] old; a duplicate makes it due
-    /// at once.
+    /// out on its own once [`ACK_DELAY`] old; a duplicate owes none.
     #[test]
     fn acks_ride_a_queued_frame_or_wait_for_their_deadline() {
         let mut p = Pair::warm(1);
@@ -1118,16 +1078,26 @@ mod tests {
         let due = p.now + ACK_DELAY;
         assert!(!b.flush_ack(due - Duration::from_nanos(1), false, &mut out));
         assert!(b.flush_ack(due, false, &mut out), "due on its own");
-        // A re-delivered frame makes the lost ack due at once.
+        // An ack is lost only with its connection, whose next hello
+        // carries the watermark: a re-delivered frame asks for nothing.
         let mut dup = Wire::new();
         put_seq(&mut dup, 1, INNER, &0u64.to_le_bytes());
         let (tag, frame) = dup.pop_front().unwrap();
         let (step, got) = b.receive(p.now, tag, &frame, |_, _| Some(()));
-        assert!(
-            got.is_none() && step.debt == 0,
+        assert_eq!(
+            (step, got),
+            (Step::default(), None),
             "a duplicate settles nothing"
         );
-        assert!(b.flush_ack(p.now, false, &mut out));
+        assert!(!b.flush_ack(due, true, &mut out), "a duplicate owes no ack");
+    }
+
+    /// The sequence numbers of the `TAG_SEQ` frames on `wire`.
+    fn seqs_on(wire: &Wire) -> Vec<u64> {
+        wire.iter()
+            .filter(|(tag, _)| *tag == TAG_SEQ)
+            .map(|(_, f)| u64::from_le_bytes(f[..8].try_into().expect("seq")))
+            .collect()
     }
 
     #[test]
@@ -1150,18 +1120,57 @@ mod tests {
                 .receive(p.now, TAG_ACK, &0u64.to_le_bytes(), |_, _| Some(()));
         assert_eq!(step, Step::default());
         assert_eq!(p.ends[0].link.unacked(), 3);
-        p.tick();
-        let resent: Vec<u64> = p.wire[0]
-            .iter()
-            .map(|(tag, f)| {
-                assert_eq!(*tag, TAG_SEQ);
-                u64::from_le_bytes(f[..8].try_into().expect("seq"))
-            })
-            .collect();
+        p.kill_conn();
+        p.connect();
         assert_eq!(
-            resent,
+            seqs_on(&p.wire[0]),
             [1, 2, 3],
-            "all three frames re-sent on the RTO tick"
+            "the hello replays all three"
         );
+    }
+
+    /// A frame past a gap on a live connection is not delivered: it
+    /// severs the connection, and the next hello replays from the gap.
+    #[test]
+    fn a_gap_on_a_live_connection_severs() {
+        let mut p = Pair::warm(1);
+        for _ in 0..3 {
+            p.send(0);
+        }
+        p.wire[0].pop_front();
+        let (tag, frame) = p.wire[0].pop_front().expect("the frame after the gap");
+        let b = &mut p.ends[1].link;
+        let (step, got) = b.receive(p.now, tag, &frame, |_, _| Some(()));
+        assert!(step.sever, "the gap severs");
+        assert_eq!(
+            (got, step.debt, b.seqs().1),
+            (None, 0, 1),
+            "nothing delivered"
+        );
+        p.kill_conn();
+        p.connect();
+        assert_eq!(seqs_on(&p.wire[0]), [2, 3, 4], "replayed from the gap");
+        let p = p.settled().unwrap();
+        assert_eq!(p.bodies(1), p.ends[0].sent);
+    }
+
+    /// No timer re-sends: with acks held back, however much time passes,
+    /// a flush queues the owed ack and no sequenced frame.
+    #[test]
+    fn time_alone_resends_nothing() {
+        let mut p = Pair::warm(1);
+        for _ in 0..3 {
+            p.send(0);
+        }
+        p.flow();
+        p.now += Duration::from_secs(10);
+        p.flush_ack(0, false);
+        p.flush_ack(1, false);
+        assert!(seqs_on(&p.wire[0]).is_empty(), "nothing re-sent");
+        assert_eq!(p.ends[0].link.unacked(), 3);
+        assert_eq!(p.wire[1].len(), 1, "only the owed ack");
+        p.flow();
+        assert_eq!(p.ends[0].link.unacked(), 0);
+        p.settled().unwrap();
     }
 }

@@ -40,12 +40,14 @@ pub struct NodeMetrics {
     pub combines_served: u64,
     /// Edge connections re-established after a failure.
     pub reconnects: u64,
-    /// Sequenced frames re-sent (RTO expiry or post-reconnect replay).
+    /// Sequenced frames re-sent by post-reconnect replays.
     pub retransmits: u64,
     /// Frames discarded by the edge sequencer (duplicates, out-of-window
     /// arrivals, undecodable payloads).
     pub dup_drops: u64,
-    /// Retransmission-timer expirations that triggered a resend.
+    /// Always 0: no timer re-sends a frame since a lost frame severs its
+    /// connection. The field and its slot in the metrics frame stay while
+    /// the benchmark's retries ledger still reads them.
     pub timeouts: u64,
     /// Times this node's automaton crashed and was restarted.
     pub restarts: u64,

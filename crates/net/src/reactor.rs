@@ -18,9 +18,12 @@
 //! dial and client [`Conn`]s, the [`WalDurability`] log — and carries out
 //! each [`CoreStep`]: log records appended, the cluster's [`InFlight`]
 //! counter charged or settled, severed edges closed, dials placed, a
-//! kill9 run at the end of the pass. Its timers are the RTO tick,
-//! redials and ack deadlines: an ack no frame carried goes out on its
-//! own at the first flush past its deadline.
+//! kill9 run at the end of the pass. Its timers are the core's redials
+//! and ack deadlines, of which the reactor keeps one per node, the
+//! earliest ([`NodeCore::next_deadline`]): an ack no frame carried goes
+//! out on its own at the first flush past its deadline. No timer
+//! re-sends a frame: a lost frame severs its connection, and the
+//! reconnect replays it.
 //!
 //! ## The readiness loop
 //!
@@ -42,8 +45,9 @@
 //! flushed — every such node's edges first ([`NodeIo::flush_edges`]),
 //! then their clients ([`NodeIo::flush_clients`]), so a client a response
 //! wakes never runs ahead of mechanism frames already queued. The only
-//! walk over all nodes is the memory-only timer scan that yields the
-//! sleep bound; the waker, for shutdown, is the only cross-thread signal.
+//! walk over all nodes is the memory-only scan of their deadlines, which
+//! yields the sleep bound and the nodes whose timers are due; the waker,
+//! for shutdown, is the only cross-thread signal.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -66,7 +70,7 @@ use std::os::unix::net::UnixStream;
 use crate::core::{ClientId, CoreStep, Env, NodeCore, NodeReport};
 use crate::durability::WalDurability;
 use crate::frame::{FrameDecoder, WriteQueue, TAG_HELLO_CLIENT, TAG_HELLO_EDGE};
-use crate::link::{parse_hello, RTO};
+use crate::link::parse_hello;
 use crate::transport::{Listener, NodeAddr, Stream};
 
 /// Cluster-wide in-flight work counter: each edge frame holds one unit
@@ -451,15 +455,6 @@ where
         node
     }
 
-    /// What the reactor's timer scan needs to know of this node.
-    fn timers(&self) -> NodeTimers {
-        NodeTimers {
-            rto: self.core.wants_rto_tick(),
-            redial: self.core.next_redial().is_some(),
-            ack: self.core.next_ack(),
-        }
-    }
-
     /// Signals the cluster once every edge of this node is up.
     fn note_ready(&mut self, ctx: &Ctx<'_>) {
         if !self.ready_sent && self.core.all_up() {
@@ -641,13 +636,11 @@ where
         }
     }
 
-    /// Fires this node's due timers (the RTO tick when `rto`, redials)
-    /// and places the dials; `true` when bytes were queued or an ack is
-    /// due, so the node must be flushed.
-    fn run_timers(&mut self, ctx: &Ctx<'_>, rto: bool) -> bool {
-        let step = self.core.tick(ctx.now, rto);
-        let ack_due = self.core.next_ack().is_some_and(|at| at <= ctx.now);
-        let (dial, fired) = (step.dial, step.dial || step.resent || ack_due);
+    /// Fires this node's due redials and places the dials. An ack due
+    /// goes out at the flush that follows.
+    fn run_timers(&mut self, ctx: &Ctx<'_>) {
+        let step = self.core.tick(ctx.now);
+        let dial = step.dial;
         self.absorb(step, ctx);
         for wi in (0..self.conns.len()).filter(|_| dial) {
             if !self.core.is_dialing(wi) || self.conns[wi].is_some() {
@@ -663,7 +656,6 @@ where
                 Err(_) => self.core.edge_down(wi, ctx.now),
             }
         }
-        fired
     }
 
     /// The peer half of a flush: the core's flush boundary (acks that
@@ -777,42 +769,6 @@ impl Touched {
     }
 }
 
-/// One node's pending timers, as its last flush left them.
-#[derive(Clone, Copy, Default)]
-struct NodeTimers {
-    /// An up edge holds unacked frames: the RTO tick applies.
-    rto: bool,
-    /// A redial is armed.
-    redial: bool,
-    /// The earliest ack an up edge owes on its own.
-    ack: Option<Instant>,
-}
-
-/// How many of the shard's nodes want the RTO tick or have a redial
-/// pending, and each node's earliest ack deadline, so the loop knows its
-/// sleep bound — and whether any timer work exists at all — without
-/// walking the nodes. Every wakeup that changes a node ends in
-/// that node's flush, after which [`Timers::note`] brings its entry up
-/// to date.
-struct Timers {
-    noted: Vec<NodeTimers>,
-    rto: usize,
-    redial: usize,
-}
-
-impl Timers {
-    fn note(&mut self, slot: usize, now: NodeTimers) {
-        let was = std::mem::replace(&mut self.noted[slot], now);
-        self.rto = self.rto + usize::from(now.rto) - usize::from(was.rto);
-        self.redial = self.redial + usize::from(now.redial) - usize::from(was.redial);
-    }
-
-    /// The earliest ack deadline noted, if any node owes one.
-    fn next_ack(&self) -> Option<Instant> {
-        self.noted.iter().filter_map(|t| t.ack).min()
-    }
-}
-
 /// The reactor thread body: serves its shard until cluster shutdown,
 /// then returns every owned node's final report.
 pub(crate) fn reactor_main<S, A>(cfg: ReactorCfg<S, A>) -> Vec<(NodeId, NodeReport<A::Value>)>
@@ -873,12 +829,10 @@ where
         marked: vec![true; nodes.len()],
         slots: (0..nodes.len()).collect(),
     };
-    let mut timers = Timers {
-        noted: vec![NodeTimers::default(); nodes.len()],
-        rto: 0,
-        redial: 0,
-    };
-    let mut last_tick = ctx.now;
+    // Each node's earliest timer, as its last flush left it: every
+    // wakeup that changes a node ends in that node's flush, which notes
+    // its deadline anew, so the loop never asks a core between flushes.
+    let mut deadlines: Vec<Option<Instant>> = vec![None; nodes.len()];
     loop {
         // Cores only ever *queue* bytes; this is the single point where
         // they hit sockets — for the nodes the last wakeup touched. A
@@ -896,21 +850,14 @@ where
         touched.slots.retain(|&slot| {
             let node = &mut nodes[slot];
             touched.marked[slot] |= node.flush_clients();
-            timers.note(slot, node.timers());
+            deadlines[slot] = node.core.next_deadline();
             touched.marked[slot]
         });
 
-        // Sleep until the next RTO tick if anyone has unacked frames, the
-        // earliest redial timer or ack deadline, else until a socket or
-        // the waker fires. The wait counts whole milliseconds, so round
-        // up: rounding down wakes the loop just before the deadline.
-        let mut deadline = (timers.rto > 0).then(|| last_tick + RTO);
-        deadline = deadline.into_iter().chain(timers.next_ack()).min();
-        if timers.redial > 0 {
-            let redials = nodes.iter().filter_map(|n| n.core.next_redial());
-            deadline = deadline.into_iter().chain(redials).min();
-        }
-        let timeout = deadline.map(|at| {
+        // Sleep until the earliest deadline, else until a socket or the
+        // waker fires. The wait counts whole milliseconds, so round up:
+        // rounding down wakes the loop just before the deadline.
+        let timeout = deadlines.iter().flatten().min().map(|at| {
             let left = at.saturating_duration_since(ctx.now);
             Duration::from_millis(left.as_micros().div_ceil(1000) as u64)
         });
@@ -992,24 +939,13 @@ where
             oat_obs::trace_span!(oat_obs::EventKind::Dispatch, t_dispatch, shard, handled, 0);
         }
 
-        // Timers: the retransmission tick at RTO cadence, redials and
-        // acks due. They run after the pass has read every socket the
-        // wait reported, so an ack that arrived during a long pass is
-        // seen before its frame is judged lost. The nodes are walked
-        // only on a tick (33 Hz at most), while some edge is down, or
-        // once an ack deadline has passed; a node whose timer queued
-        // bytes or owes a due ack is flushed at the top of the loop.
-        let tick = ctx.now.duration_since(last_tick) >= RTO;
-        if tick {
-            last_tick = ctx.now;
-        }
-        let next_ack = timers.next_ack();
-        if tick || timers.redial > 0 || next_ack.is_some_and(|at| at <= ctx.now) {
-            for (slot, node) in nodes.iter_mut().enumerate() {
-                if node.run_timers(&ctx, tick) {
-                    touched.mark(slot);
-                }
-                timers.note(slot, node.timers());
+        // Timers: only the nodes whose deadline has passed, each flushed
+        // at the top of the loop, which sends the acks due and notes the
+        // node's next deadline.
+        for (slot, node) in nodes.iter_mut().enumerate() {
+            if deadlines[slot].is_some_and(|at| at <= ctx.now) {
+                node.run_timers(&ctx);
+                touched.mark(slot);
             }
         }
     }

@@ -33,7 +33,7 @@ pub enum EventKind {
     /// latency (see `wire_latency`).
     FrameTx = 6,
     /// A frame was decoded off a connection (in sequence order; dups and
-    /// go-back-N re-deliveries are dropped before this event). `a`=node,
+    /// replayed frames already delivered are dropped before this event). `a`=node,
     /// `b`=peer, `c`=`(link seq << 8) | frame tag`, matching the
     /// originating [`EventKind::FrameTx`].
     FrameRx = 7,
@@ -50,56 +50,54 @@ pub enum EventKind {
     LeaseRevoke = 11,
     /// Sequenced frames were re-sent. `a`=node, `b`=peer, `c`=frames.
     Retransmit = 12,
-    /// A retransmission timer expired. `a`=node, `b`=peer.
-    RtoExpire = 13,
     /// An edge connection was re-established. `a`=node, `b`=peer.
-    Reconnect = 14,
+    Reconnect = 13,
     /// A stale-epoch response was discarded by the prober. `a`=node,
     /// `b`=peer, `c`=stale epoch.
-    StaleDrop = 15,
+    StaleDrop = 14,
     /// A node's automaton panicked / was killed. `a`=node.
-    Crash = 16,
+    Crash = 15,
     /// A node's automaton was restarted. `a`=node, `c`=new epoch.
-    Restart = 17,
+    Restart = 16,
     /// A reactor readiness wait. Span: `ts`=entry, `dur`=blocked time.
     /// `a`=shard, `b`=ready events returned.
-    PollWake = 18,
+    PollWake = 17,
     /// One reactor readiness-dispatch pass. Span. `a`=shard,
     /// `b`=descriptors handled.
-    Dispatch = 19,
+    Dispatch = 18,
     /// The simulator delivered one message. `a`=from, `b`=to,
     /// `c`=message kind index (the MLAP engine reuses this with `c`=4
     /// for a flush edge child→parent).
-    SimDeliver = 20,
+    SimDeliver = 19,
     /// The simulator initiated a request. `a`=node, `c`=0 combine /
     /// 1 write / 2 MLAP request arrival.
-    SimInitiate = 21,
+    SimInitiate = 20,
     /// A WAL record was appended (`write(2)`, not yet necessarily
     /// synced). `a`=node, `b`=record type tag, `c`=framed bytes.
-    WalAppend = 22,
+    WalAppend = 21,
     /// A WAL group-commit fsync completed. `a`=node, `c`=records in the
     /// batch.
-    WalFsync = 23,
+    WalFsync = 22,
     /// A WAL recovery replay ran. `a`=node, `b`=torn bytes discarded,
     /// `c`=records replayed.
-    WalRecover = 24,
+    WalRecover = 23,
     /// A continuous-query subscription was registered. `a`=node,
     /// `b`=client conn id, `c`=sub id.
-    SubStart = 25,
+    SubStart = 24,
     /// A node pushed a `TAG_PARTIAL` refinement. `a`=node, `b`=client
     /// conn id, `c`=per-tree refinement seq.
-    PartialTx = 26,
+    PartialTx = 25,
     /// A client decoded a pushed partial. `a`=tree id, `c`=refinement
     /// seq.
-    PartialRx = 27,
+    PartialRx = 26,
     /// The query engine emitted one refined partial to its consumer.
     /// `a`=group key, `b`=window index, `c`=engine refine seq.
-    QueryEmit = 28,
+    QueryEmit = 27,
 }
 
 impl EventKind {
     /// Every kind, for exhaustive iteration in tests and exporters.
-    pub const ALL: [EventKind; 28] = [
+    pub const ALL: [EventKind; 27] = [
         EventKind::ReqStart,
         EventKind::ReqEnd,
         EventKind::ReqRecv,
@@ -112,7 +110,6 @@ impl EventKind {
         EventKind::LeaseBreak,
         EventKind::LeaseRevoke,
         EventKind::Retransmit,
-        EventKind::RtoExpire,
         EventKind::Reconnect,
         EventKind::StaleDrop,
         EventKind::Crash,
@@ -150,7 +147,6 @@ impl EventKind {
             EventKind::LeaseBreak => "lease_break",
             EventKind::LeaseRevoke => "lease_revoke",
             EventKind::Retransmit => "retransmit",
-            EventKind::RtoExpire => "rto_expire",
             EventKind::Reconnect => "reconnect",
             EventKind::StaleDrop => "stale_drop",
             EventKind::Crash => "crash",
@@ -186,7 +182,6 @@ impl EventKind {
             | EventKind::LeaseBreak
             | EventKind::LeaseRevoke => "lease",
             EventKind::Retransmit
-            | EventKind::RtoExpire
             | EventKind::Reconnect
             | EventKind::StaleDrop
             | EventKind::Crash

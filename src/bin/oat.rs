@@ -817,8 +817,8 @@ fn top_frame(
     );
     let _ = writeln!(
         s,
-        "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>6} {:>5} {:>8}",
-        "node", "served", "queue", "peak", "taken", "granted", "reconn", "rto", "restarts"
+        "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>6} {:>8}",
+        "node", "served", "queue", "peak", "taken", "granted", "reconn", "restarts"
     );
     // The busiest nodes by combines served; nodes whose poll failed (a
     // node may be mid-crash-restart under --faults) become dimmed rows.
@@ -828,7 +828,7 @@ fn top_frame(
     for m in ok.iter().take(8) {
         let _ = writeln!(
             s,
-            "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>6} {:>5} {:>8}",
+            "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>6} {:>8}",
             m.node,
             m.combines_served,
             m.queue_depth,
@@ -836,7 +836,6 @@ fn top_frame(
             m.leases_taken,
             m.leases_granted,
             m.reconnects,
-            m.timeouts,
             m.restarts,
         );
     }
@@ -1190,11 +1189,9 @@ where
          torn tails {torn_tails}, fsync fails {fsync_fails}"
     );
     println!(
-        "  recovered: reconnects {}, retransmits {}, rto expiries {}, \
-         restarts {} (kill9 {})",
+        "  recovered: reconnects {}, retransmits {}, restarts {} (kill9 {})",
         report.faults.reconnects,
         report.faults.retransmits,
-        report.faults.timeouts,
         report.faults.restarts,
         report.faults.kill9s,
     );

@@ -36,8 +36,9 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-/// Per-read client timeout. Far above one RTO (30 ms), so a retry means
-/// real loss (a crashed waiter), not impatience with recovery latency.
+/// Per-read client timeout. Far above one reconnect (a few ms), so a retry
+/// means real loss (a crashed waiter), not impatience with recovery
+/// latency.
 const CLIENT_TIMEOUT: Duration = Duration::from_millis(250);
 /// Retries per blocking read before a client gives up (generous: the
 /// test asserts completion, the timeout only bounds a true wedge).

@@ -26,9 +26,9 @@
 //! * **Traceable requests** — in a fault-free traced pipelined run,
 //!   every request a client timed is matched to the node-side record
 //!   that served it, so the phase breakdown covers all of them.
-//! * **No spurious recovery** — a fault-free run re-sends nothing on
-//!   any transport: acks that wait for a frame to ride stay well inside
-//!   one RTO.
+//! * **No spurious recovery** — a fault-free run loses no connection and
+//!   re-sends nothing on any transport: only a lost connection re-sends,
+//!   however long an ack waits for a frame to ride.
 
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
@@ -336,18 +336,19 @@ fn blocked_write_queue_waits_on_pollout_without_spinning() {
 #[test]
 fn backpressure_stalls_client_intake_and_recovers() {
     // A watermark of 1 makes any unacked sequenced frame trip the
-    // stall, and heavy injected drops keep frames unacked long enough
-    // for the flush pass to observe them. Client intake parks; acks
-    // (which never stall) eventually drain the retransmit buffers and
-    // intake resumes. Everything still completes and matches the
-    // oracle.
+    // stall, and heavy injected drops sever connections whose frames
+    // stay unacked until the reconnect replays them. Client intake
+    // parks; acks (which never stall) eventually drain the retransmit
+    // buffers and intake resumes. Everything still completes and
+    // matches the oracle.
     //
     // Each round also leaves a bystander client on node 0 that hangs up
     // right after a write there tripped the stall. A stalled node's
     // client sockets are out of the poller, so the hangup costs nothing
     // until the stall clears and the socket is retired; were they only
     // masked, epoll would report the hangup on every wait and the loop
-    // would spin through each dropped frame's 30 ms RTO.
+    // would spin until the stall clears: for the ack's deadline, or
+    // through a reconnect when the frame was dropped.
     let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     oat_obs::install(TRACE_RING);
     const BASE: u64 = 0x57A1_0000_0000;
@@ -372,9 +373,9 @@ fn backpressure_stalls_client_intake_and_recovers() {
     let mut seq = Vec::new();
     for round in 0..12i64 {
         seq.push(Request::write(NodeId(0), round + 1));
-        seq.push(Request::write(NodeId(2), -round));
         seq.push(Request::combine(NodeId(1)));
         seq.push(Request::combine(NodeId(2)));
+        seq.push(Request::write(NodeId(2), -round));
     }
     let mut bystander = None;
     let combines = replay_with_hook(&cluster, &seq, |i, answered| {
@@ -384,24 +385,32 @@ fn backpressure_stalls_client_intake_and_recovers() {
         // Around each round's write at node 0. From the second round on
         // node 1 holds a lease there, so the write sends an update: it
         // is unacked at the flush that answers the write, and the node
-        // stalls — for a whole RTO when the frame was dropped.
+        // stalls until the ack comes back. The combines that follow are
+        // served from leases, so no frame comes back to carry it: the
+        // stall lasts until node 1's ack deadline, or through a
+        // reconnect when the update was dropped.
         if answered {
             bystander = None;
             return;
         }
-        // The bystander is a served client before the stall: the first
-        // of its two combines (unique ids, which also mark the reactor
-        // thread in the trace) has been answered. The second answer is
-        // left unread so that closing the socket resets it — a bare FIN
-        // only raises POLLIN, a reset is the ERR|HUP no mask filters.
+        // The bystander is a served client before the stall: its two
+        // combines (unique ids, which also mark the reactor thread in the
+        // trace) have been answered. The second answer arrives after the
+        // first was read, and stays unread so that closing the socket
+        // resets it — a bare FIN only raises POLLIN, a reset is the
+        // ERR|HUP no mask filters.
         let mut s = std::net::TcpStream::connect(addr).expect("connect");
         s.set_nodelay(true).unwrap();
         let id = BASE + 2 * i as u64;
-        s.write_all(&hello_and_combines(id..id + 2))
-            .expect("bystander combines");
+        s.write_all(&hello_and_combines(id..id + 1))
+            .expect("bystander combine");
         let (tag, resp) = next_frame(&mut s, &mut FrameDecoder::new()).expect("bystander response");
         assert_eq!(tag, TAG_RESP_COMBINE);
         assert_eq!(resp[..8], id.to_le_bytes());
+        let mut second = Vec::new();
+        write_frame(&mut second, TAG_REQ_COMBINE, &(id + 1).to_le_bytes()).unwrap();
+        s.write_all(&second).expect("bystander's second combine");
+        s.peek(&mut [0u8; 1]).expect("the second answer arrived");
         assert!(cluster.quiesce_for(DRAIN));
         bystander = Some(s);
     });
@@ -440,8 +449,9 @@ fn backpressure_stalls_client_intake_and_recovers() {
     assert!(report.faults.retransmits > 0);
     let finished = oat_obs::now_ns();
     oat_obs::disable();
-    // Healthy runs read ~230; a hangup spinning through the stalls
-    // reads ~20 000. The marker is the last bystander's first combine.
+    // Healthy runs read ~260; a hangup spinning through the stalls
+    // (client sockets masked and skipped instead of removed) reads
+    // 32 000–40 000. The marker is the last bystander's first combine.
     let wakeups = wakeups_between(&oat_obs::drain(), BASE + 2 * 44, started, finished);
     assert!(
         wakeups < 2_000,
@@ -451,17 +461,15 @@ fn backpressure_stalls_client_intake_and_recovers() {
 
 #[test]
 fn fault_free_runs_resend_nothing() {
-    // An ack waits for a frame to ride on for at most a quarter of the
-    // 30 ms RTO, so without injected faults no RTO may expire: no
-    // retransmit, no RTO expiry, no reconnect, and no duplicate for a
-    // receiver to drop. The sequential replay leaves edges idle between
-    // requests, so its acks go out at their deadline; the pipelined one
-    // keeps edges busy, so its acks mostly ride. It runs two frontends,
-    // as the benchmark's pipelined workloads do: with more client
-    // threads than CPUs a starved reactor pass can outlast the RTO
-    // whatever the acks do. The pause before the books are read
-    // outlasts three RTOs: an ack owed that long would have shown as a
-    // re-send.
+    // Only a lost connection re-sends a frame, and without injected
+    // faults no connection is lost: no reconnect, no retransmit, and no
+    // duplicate for a receiver to drop, however long a reactor pass or
+    // an ack waits. A sequence gap would sever, and show as a reconnect.
+    // The sequential replay leaves edges idle between requests, so its
+    // acks go out at their deadline; the pipelined one keeps edges busy,
+    // so its acks mostly ride. It runs two frontends, as the benchmark's
+    // pipelined workloads do. The pause before the books are read
+    // outlasts every ack deadline.
     let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let tree = Tree::kary(15, 2);
     let seq = uniform(&tree, 300, 0.5, 0xACE);
@@ -494,9 +502,9 @@ fn fault_free_runs_resend_nothing() {
         assert!(report.dead_nodes.is_empty());
         let f = report.faults;
         assert_eq!(
-            (f.retransmits, f.timeouts, f.reconnects),
-            (0, 0, 0),
-            "{transport:?}: retransmits, RTO expiries, reconnects without a fault"
+            (f.retransmits, f.reconnects),
+            (0, 0),
+            "{transport:?}: retransmits, reconnects without a fault"
         );
     }
 }
