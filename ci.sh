@@ -72,13 +72,18 @@ echo "== parity: oat chaos --faults none on tcp/uds/ring =="
 # the per-edge, per-kind message counts equal the simulator's exactly.
 # Without faults no connection may be lost and nothing re-sent: a lost
 # frame or a sequence gap severs its connection, which shows as a
-# reconnect.
-for t in tcp uds ring; do
-  out=$(./target/release/oat chaos --tree kary:10:2 --workload uniform:0.5:120 \
-    --faults none --transport "$t")
-  grep -F 'parity: OK' <<<"$out" || { echo "parity ($t): no parity line"; exit 1; }
-  grep -F 'reconnects 0, retransmits 0' <<<"$out" ||
-    { echo "parity ($t): a fault-free run lost a connection or re-sent frames"; exit 1; }
+# reconnect. The second shape is the benchmark's: with two reactors its
+# placement leaves one tree edge (0-1) crossing reactors, so nearly every
+# hop stays on one thread.
+for shape in "kary:10:2 uniform:0.5:120" "kary:31:2 uniform:0.5:2000"; do
+  read -r tree workload <<<"$shape"
+  for t in tcp uds ring; do
+    out=$(./target/release/oat chaos --tree "$tree" --workload "$workload" \
+      --faults none --transport "$t")
+    grep -F 'parity: OK' <<<"$out" || { echo "parity ($tree, $t): no parity line"; exit 1; }
+    grep -F 'reconnects 0, retransmits 0' <<<"$out" ||
+      { echo "parity ($tree, $t): a fault-free run lost a connection or re-sent frames"; exit 1; }
+  done
 done
 
 echo "== chaos smoke: oat chaos on tcp/uds/ring =="

@@ -4,7 +4,8 @@
 //! configured transport (loopback TCP, Unix-domain sockets, or
 //! in-process SPSC rings — see [`TransportKind`]), starts a fixed pool
 //! of reactor threads (default `min(cores, 4)`; see [`NetConfig`])
-//! that share the nodes by `node_id % pool`, waits until every tree
+//! that own contiguous blocks of a depth-first preorder of the tree
+//! (connected subtrees; `crate::placement`), waits until every tree
 //! edge has a live connection, and returns a handle that can mint
 //! [`ClusterClient`]s, wait for quiescence, collect metrics, and shut
 //! the whole thing down gracefully.
@@ -50,6 +51,7 @@ use crate::frame::{
     TAG_RESP_METRICS, TAG_RESP_WRITE, TAG_SUB,
 };
 use crate::metrics::NodeMetrics;
+use crate::placement::place;
 use crate::reactor::{reactor_main, waker_pair, InFlight, NodeSeed, ReactorCfg, Waker};
 use crate::transport::{ring_listen, ClientStream, Listener, NodeAddr, TransportKind, UdsDir};
 
@@ -140,8 +142,9 @@ pub struct Cluster<A: AggOp> {
     tree: Tree,
     addrs: Vec<NodeAddr>,
     wakers: Vec<Waker>,
-    /// Node ids owned by each reactor, indexed like `handles`.
-    shards: Vec<Vec<NodeId>>,
+    /// The reactor owning each node, indexed by node id; reactors are
+    /// indexed like `handles`.
+    placement: Vec<usize>,
     in_flight: Arc<InFlight>,
     total_sent: Arc<AtomicU64>,
     shutting_down: Arc<AtomicBool>,
@@ -333,6 +336,7 @@ where
         let ledger = Arc::new(InjectedFaults::default());
         let (ready_tx, ready_rx) = channel();
 
+        let placement = place(tree, pool);
         let mut shard_seeds: Vec<Vec<NodeSeed>> = (0..pool).map(|_| Vec::new()).collect();
         for (u, listener) in tree.nodes().zip(listeners) {
             // Logs open on the main thread, where an unwritable WAL
@@ -348,7 +352,7 @@ where
                     Arc::clone(&ledger),
                 )?),
             };
-            shard_seeds[u.idx() % pool].push(NodeSeed {
+            shard_seeds[placement[u.idx()]].push(NodeSeed {
                 id: u,
                 listener,
                 wal,
@@ -356,11 +360,9 @@ where
         }
 
         let mut wakers = Vec::with_capacity(pool);
-        let mut shards = Vec::with_capacity(pool);
         let mut handles = Vec::with_capacity(pool);
         for (shard, seeds) in shard_seeds.into_iter().enumerate() {
             let (waker, waker_rx) = waker_pair()?;
-            shards.push(seeds.iter().map(|s| s.id).collect::<Vec<_>>());
             let rcfg = ReactorCfg {
                 shard: shard as u32,
                 shard_nodes: seeds,
@@ -397,7 +399,7 @@ where
             tree: tree.clone(),
             addrs,
             wakers,
-            shards,
+            placement,
             in_flight,
             total_sent,
             shutting_down,
@@ -605,6 +607,11 @@ impl<A: AggOp> Cluster<A> {
         self.threads_spawned
     }
 
+    /// The reactor thread (`0..threads_spawned()`) that owns `node`.
+    pub fn reactor_of(&self, node: NodeId) -> usize {
+        self.placement[node.idx()]
+    }
+
     /// Mechanism messages sent cluster-wide so far.
     ///
     /// Relaxed load: the count is only meaningful after
@@ -674,7 +681,11 @@ impl<A: AggOp> Cluster<A> {
         let mut wal = WalCounters::default();
         let mut standalone_acks = 0;
         let deadline = Instant::now() + JOIN_DEADLINE;
-        for (shard, handle) in self.shards.drain(..).zip(self.handles.drain(..)) {
+        for (shard, handle) in self.handles.drain(..).enumerate() {
+            let shard_nodes = self
+                .tree
+                .nodes()
+                .filter(|u| self.placement[u.idx()] == shard);
             // JoinHandle has no timed join; poll `is_finished` against
             // the deadline and leak the thread if it never exits — a
             // dead reactor must not turn shutdown into a hang.
@@ -682,7 +693,7 @@ impl<A: AggOp> Cluster<A> {
                 std::thread::sleep(Duration::from_millis(1));
             }
             if !handle.is_finished() {
-                dead_nodes.extend(shard);
+                dead_nodes.extend(shard_nodes);
                 continue;
             }
             match handle.join() {
@@ -707,7 +718,7 @@ impl<A: AggOp> Cluster<A> {
                 // The reactor itself panicked (it already absorbs
                 // automaton panics, so this is a harness bug, not an
                 // injected fault) — report, don't propagate.
-                Err(_) => dead_nodes.extend(shard),
+                Err(_) => dead_nodes.extend(shard_nodes),
             }
         }
         // Reactors return their shards in node order within a shard but

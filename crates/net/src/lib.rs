@@ -16,8 +16,10 @@
 //! subscriptions, restarts, with no socket and no clock) driven by a
 //! readiness-based reactor over a persistent epoll(7) registration
 //! (`reactor.rs`; DESIGN.md §11): a fixed pool of event-loop threads
-//! (default `min(cores, 4)`, tunable via [`NetConfig`]) shards the nodes
-//! by `node_id % pool` and only moves bytes between sockets and cores.
+//! (default `min(cores, 4)`, tunable via [`NetConfig`]) owns the nodes in
+//! contiguous depth-first preorder blocks — connected subtrees, so a
+//! sequential request's hops mostly stay on one thread (`placement.rs`)
+//! — and only moves bytes between sockets and cores.
 //!
 //! The node automaton is the *same* [`oat_core::MechNode`] the simulator
 //! drives — transports differ, the mechanism does not. Because sequential
@@ -52,6 +54,7 @@ pub mod durability;
 pub mod frame;
 mod link;
 pub mod metrics;
+mod placement;
 mod reactor;
 mod transport;
 

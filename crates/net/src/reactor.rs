@@ -4,11 +4,13 @@
 //! ## Thread model
 //!
 //! A cluster runs a small fixed pool of reactor threads (default
-//! `min(cores, 4)`), each owning the nodes with `node_id % pool ==
-//! shard` and *all* of their I/O — listener, edge and client
-//! connections, redial timers, write-ahead log — so per-node state needs
-//! no locks, no inbox channel and no reader threads. Thread count is
-//! O(pool), not O(nodes) (`ClusterReport::threads_spawned`).
+//! `min(cores, 4)`), each owning one contiguous block of a depth-first
+//! preorder of the tree (`crate::placement`: connected subtrees, so most
+//! edges join two nodes of one thread) and *all* of their I/O —
+//! listener, edge and client connections, redial timers, write-ahead
+//! log — so per-node state needs no locks, no inbox channel and no
+//! reader threads. Thread count is O(pool), not O(nodes)
+//! (`ClusterReport::threads_spawned`).
 //!
 //! ## Ownership
 //!

@@ -167,6 +167,30 @@ impl QueryRun {
         got.sort_by_key(|f| (f.key, f.window));
         got == want
     }
+
+    /// Every verdict the run must pass over `facts`: finals equal the
+    /// oracle, coverage and per-key refine seqs are monotone, and —
+    /// when there were facts — every key emitted at least three
+    /// partials (priming push, pre-final snapshot, final). The error
+    /// names the first verdict that failed, as `oat-query-v1` spells it.
+    pub fn verdict(&self, facts: &[Fact]) -> Result<(), String> {
+        if !self.matches_oracle(facts) {
+            return Err("oracle_match failed: a final differs from the sequential oracle".into());
+        }
+        if !self.coverage_monotone() {
+            return Err("coverage_monotone failed: coverage fell between partials".into());
+        }
+        if !self.refine_seq_monotone() {
+            return Err("refine_seq_monotone failed: a key's refine seq did not rise".into());
+        }
+        let min = self.min_partials_per_key();
+        if !facts.is_empty() && min < 3 {
+            return Err(format!(
+                "min_partials_per_key failed: a key emitted {min} partials, fewer than 3"
+            ));
+        }
+        Ok(())
+    }
 }
 
 struct Driver<'a, A: AggOp<Value = i64>> {
@@ -531,4 +555,77 @@ where
         finals: d.finals,
         stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn partial(refine_seq: u64, value: i64, coverage: f64, is_final: bool) -> PartialRecord {
+        PartialRecord {
+            key: 0,
+            window: 0,
+            refine_seq,
+            value,
+            coverage,
+            last_write_seq: 0,
+            staleness: 0,
+            at_ms: 0,
+            wall_ms: 0.0,
+            is_final,
+        }
+    }
+
+    #[test]
+    fn verdict_requires_three_partials_per_key() {
+        let facts = [
+            Fact {
+                key: 0,
+                val: 5,
+                at_ms: 0,
+            },
+            Fact {
+                key: 0,
+                val: 7,
+                at_ms: 1,
+            },
+        ];
+        let stats = RefineStats {
+            elapsed_ms: 1.0,
+            first_partial_p50_ms: 0.0,
+            first_partial_p99_ms: 0.0,
+            t95_coverage_ms: None,
+            partials_total: 2,
+            pushes_rx: 1,
+        };
+        // Key 0 was refined twice: a pushed partial, then its final.
+        let mut run = QueryRun {
+            spec: "sum".parse().unwrap(),
+            partials: vec![partial(1, 5, 0.5, false), partial(2, 12, 1.0, true)],
+            finals: vec![Final {
+                key: 0,
+                window: 0,
+                value: 12,
+            }],
+            stats,
+        };
+        assert!(run.matches_oracle(&facts));
+        assert!(run.coverage_monotone() && run.refine_seq_monotone());
+        let err = run.verdict(&facts).unwrap_err();
+        assert!(err.starts_with("min_partials_per_key"), "{err}");
+        // With no facts there is no key to refine.
+        run.finals.clear();
+        assert_eq!(run.verdict(&[]), Ok(()));
+        // A third refinement passes; a wrong final names the oracle.
+        run.finals.push(Final {
+            key: 0,
+            window: 0,
+            value: 12,
+        });
+        run.partials.insert(1, partial(2, 12, 1.0, false));
+        run.partials[2].refine_seq = 3;
+        assert_eq!(run.verdict(&facts), Ok(()));
+        run.finals[0].value = 13;
+        assert!(run.verdict(&facts).unwrap_err().starts_with("oracle_match"));
+    }
 }

@@ -1080,6 +1080,29 @@ fn cmd_chaos(a: &Args) -> Result<(), String> {
     verdict
 }
 
+/// How the cluster's nodes sit on its reactor threads: the pool size,
+/// the smallest and largest share, and how many tree edges join nodes on
+/// different reactors (each hop over one is a thread switch).
+fn placement_summary(cluster: &Cluster<SumI64>) -> String {
+    let tree = cluster.tree();
+    let pool = cluster.threads_spawned();
+    let mut sizes = vec![0usize; pool];
+    for u in tree.nodes() {
+        sizes[cluster.reactor_of(u)] += 1;
+    }
+    let edges = tree.undirected_edges();
+    let crossing = edges
+        .iter()
+        .filter(|&&(a, b)| cluster.reactor_of(a) != cluster.reactor_of(b))
+        .count();
+    format!(
+        "{pool} reactors ({}–{} nodes each), {crossing} of {} tree edges cross reactors",
+        sizes.iter().min().unwrap_or(&0),
+        sizes.iter().max().unwrap_or(&0),
+        edges.len(),
+    )
+}
+
 fn chaos_run<S: PolicySpec>(
     tree: &Tree,
     spec: &S,
@@ -1182,6 +1205,7 @@ where
     }
     let (drops, dups, delays, kills, crashes) = cluster.injected().snapshot();
     let (kill9s, torn_tails, fsync_fails) = cluster.injected().snapshot_process();
+    let placement = placement_summary(&cluster);
     let report = cluster.shutdown();
     println!(
         "  injected:  drops {drops}, dups {dups}, delays {delays}, \
@@ -1200,6 +1224,7 @@ where
         report.standalone_acks as f64 / seq.len() as f64,
         report.standalone_acks,
     );
+    println!("  placement: {placement}");
     if durable {
         println!(
             "  wal:       {} records ({} B), {} fsyncs ({} failed), \
@@ -1538,11 +1563,8 @@ fn cmd_query(a: &Args) -> Result<(), String> {
             run.min_partials_per_key(),
         );
     }
-    let ok = run.matches_oracle(&facts) && run.coverage_monotone() && run.refine_seq_monotone();
-    if !ok {
-        return Err("query verdicts failed (oracle match / monotonicity)".into());
-    }
-    Ok(())
+    run.verdict(&facts)
+        .map_err(|e| format!("query verdict {e}"))
 }
 #[cfg(test)]
 mod tests {

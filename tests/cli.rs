@@ -75,6 +75,37 @@ fn a_fault_free_chaos_run_sends_few_standalone_acks() {
 }
 
 #[test]
+fn chaos_prints_a_balanced_placement_with_few_crossing_edges() {
+    // Reactors own contiguous preorder blocks, so a binary tree crosses
+    // reactors on a handful of edges; dealing nodes by id modulo the pool
+    // crossed on half of them.
+    let line = "chaos --tree kary:31:2 --workload uniform:0.5:50 --faults none";
+    let out = oat(line);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{line}: {stdout}");
+    let rest = stdout
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("placement: "))
+        .unwrap_or_else(|| panic!("{line}: no placement line in {stdout}"));
+    // "P reactors (a–b nodes each), X of Y tree edges cross reactors"
+    let words: Vec<&str> = rest.split_whitespace().collect();
+    let num = |w: &str| -> usize {
+        w.trim_matches(|c: char| !c.is_ascii_digit())
+            .parse()
+            .unwrap_or_else(|_| panic!("`{w}` in `{rest}`"))
+    };
+    let (a, b) = words[2]
+        .split_once('–')
+        .unwrap_or_else(|| panic!("no a–b range in `{rest}`"));
+    let (a, b) = (num(a), num(b));
+    let (crossing, edges) = (num(words[5]), num(words[7]));
+    assert!(num(words[0]) >= 1, "{rest}");
+    assert!(a <= b && b - a <= 1, "unbalanced: {rest}");
+    assert_eq!(edges, 30, "{rest}");
+    assert!(2 * crossing < edges, "{rest}");
+}
+
+#[test]
 fn a_misspelt_chaos_flag_exits_2_instead_of_injecting_faults() {
     let out = oat("chaos --tree kary:10:2 --workload uniform:0.5:120 --fault none");
     assert_eq!(out.status.code(), Some(2));
