@@ -6,7 +6,10 @@
 //! of reactor threads (default `min(cores, 4)`; see [`NetConfig`])
 //! that own contiguous blocks of a depth-first preorder of the tree
 //! (connected subtrees; `crate::placement`), waits until every tree
-//! edge has a live connection, and returns a handle that can mint
+//! edge has a live connection — a local pipe when both ends share a
+//! reactor, a transport connection when they do not; clients always use
+//! the transport ([`ClusterReport::io`] counts both) — and returns a
+//! handle that can mint
 //! [`ClusterClient`]s, wait for quiescence, collect metrics, and shut
 //! the whole thing down gracefully.
 //!
@@ -43,7 +46,7 @@ use oat_core::wire::{put_u32, put_u64, WireError, WireReader, WireValue};
 use oat_obs::Json;
 use oat_sim::MsgStats;
 
-use crate::core::{FaultCounters, NodeReport, RTX_DEFAULT_HIGH, RTX_DEFAULT_LOW};
+use crate::core::{FaultCounters, RTX_DEFAULT_HIGH, RTX_DEFAULT_LOW};
 use crate::durability::{WalCounters, WalDurability};
 use crate::frame::{
     decode_batch, encode_batch, encode_request, write_frame, FrameDecoder, TAG_HELLO_CLIENT,
@@ -52,7 +55,9 @@ use crate::frame::{
 };
 use crate::metrics::NodeMetrics;
 use crate::placement::place;
-use crate::reactor::{reactor_main, waker_pair, InFlight, NodeSeed, ReactorCfg, Waker};
+use crate::reactor::{
+    reactor_main, waker_pair, InFlight, NodeSeed, ReactorCfg, ShardReport, Waker,
+};
 use crate::transport::{ring_listen, ClientStream, Listener, NodeAddr, TransportKind, UdsDir};
 
 /// How long [`Cluster::shutdown`] waits for a reactor thread to exit
@@ -75,9 +80,11 @@ pub struct NetConfig {
     pub rtx_low: usize,
     /// Durability backend for node state (default: in-memory).
     pub durability: DurabilityMode,
-    /// Connection transport for edges and clients (default: TCP).
-    /// Framing, sequencing, retransmit, and fault injection are
-    /// identical across transports — only the byte substrate differs.
+    /// Connection transport for clients and for the edges that cross
+    /// reactor threads (default: TCP); an edge inside one reactor is a
+    /// local pipe whatever this says. Framing, sequencing, retransmit,
+    /// and fault injection are identical across transports — only the
+    /// byte substrate differs.
     pub transport: TransportKind,
 }
 
@@ -132,9 +139,7 @@ impl WalConfig {
     }
 }
 
-/// What a reactor thread returns at shutdown: the final report of every
-/// node in its shard.
-type ShardHandle<V> = JoinHandle<Vec<(NodeId, NodeReport<V>)>>;
+type ShardHandle<V> = JoinHandle<ShardReport<V>>;
 
 /// A running cluster: a reactor pool serving one listener per node
 /// over the configured transport.
@@ -184,6 +189,41 @@ pub struct ClusterReport<V> {
     /// Acks summed over all nodes that no queued frame carried: each
     /// one a write of its own.
     pub standalone_acks: u64,
+    /// Kernel crossings and edge bytes summed over the reactors.
+    pub io: IoCounts,
+}
+
+/// What one reactor's connections cost in system calls, and where its
+/// edge bytes went: a tree edge whose ends share a reactor is a local
+/// pipe, which costs none; the rest use the configured transport.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IoCounts {
+    /// `writev` calls on sockets (edges and clients).
+    pub writev: u64,
+    /// `read` calls on sockets (edges and clients).
+    pub read: u64,
+    /// `epoll_wait` calls: one per loop iteration.
+    pub epoll_wait: u64,
+    /// Edge bytes flushed into local pipes.
+    pub local_edge_bytes: u64,
+    /// Edge bytes flushed into transport sockets.
+    pub transport_edge_bytes: u64,
+}
+
+impl IoCounts {
+    fn merge(&mut self, o: &IoCounts) {
+        self.writev += o.writev;
+        self.read += o.read;
+        self.epoll_wait += o.epoll_wait;
+        self.local_edge_bytes += o.local_edge_bytes;
+        self.transport_edge_bytes += o.transport_edge_bytes;
+    }
+
+    /// The share of edge bytes that stayed in-process, in `[0, 1]`.
+    pub fn local_share(&self) -> f64 {
+        let total = self.local_edge_bytes + self.transport_edge_bytes;
+        self.local_edge_bytes as f64 / total.max(1) as f64
+    }
 }
 
 /// Result of [`Cluster::replay_sequential`] — the TCP analogue of
@@ -680,6 +720,7 @@ impl<A: AggOp> Cluster<A> {
         let mut faults = FaultCounters::default();
         let mut wal = WalCounters::default();
         let mut standalone_acks = 0;
+        let mut io = IoCounts::default();
         let deadline = Instant::now() + JOIN_DEADLINE;
         for (shard, handle) in self.handles.drain(..).enumerate() {
             let shard_nodes = self
@@ -697,7 +738,8 @@ impl<A: AggOp> Cluster<A> {
                 continue;
             }
             match handle.join() {
-                Ok(reports) => {
+                Ok((reports, counts)) => {
+                    io.merge(&counts);
                     for (u, report) in reports {
                         stats.merge(&report.stats);
                         combines.extend(report.completions);
@@ -735,6 +777,7 @@ impl<A: AggOp> Cluster<A> {
             wal,
             threads_spawned: self.threads_spawned,
             standalone_acks,
+            io,
         })
     }
 }

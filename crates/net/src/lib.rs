@@ -10,7 +10,10 @@
 //! ([`transport`], selected by [`NetConfig::transport`]): loopback TCP
 //! (the default), Unix-domain sockets, or in-process SPSC byte rings
 //! with a socketpair doorbell — the protocol and every fault/recovery
-//! seam are identical across the three.
+//! seam are identical across the three. The transport carries the
+//! clients and the tree edges that cross reactor threads; an edge whose
+//! two ends share a reactor is always a reactor-local pipe, which makes
+//! no system call.
 //!
 //! Each node is a sans-IO core (`core.rs`: instances, links, clients,
 //! subscriptions, restarts, with no socket and no clock) driven by a
@@ -60,8 +63,8 @@ mod transport;
 
 pub use crate::core::FaultCounters;
 pub use cluster::{
-    Cluster, ClusterClient, ClusterReport, DurabilityMode, NetConfig, NetSeqChunk, PipelinedChunk,
-    Response, WalConfig,
+    Cluster, ClusterClient, ClusterReport, DurabilityMode, IoCounts, NetConfig, NetSeqChunk,
+    PipelinedChunk, Response, WalConfig,
 };
 pub use durability::{WalCounters, WalDurability, WalState};
 pub use metrics::NodeMetrics;

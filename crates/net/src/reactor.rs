@@ -1,5 +1,6 @@
 //! The reactor runtime: event-loop threads that move bytes between
-//! non-blocking sockets and the nodes' sans-IO cores.
+//! non-blocking sockets (or, for an edge inside one thread, local pipes)
+//! and the nodes' sans-IO cores.
 //!
 //! ## Thread model
 //!
@@ -10,7 +11,13 @@
 //! listener, edge and client connections, redial timers, write-ahead
 //! log — so per-node state needs no locks, no inbox channel and no
 //! reader threads. Thread count is O(pool), not O(nodes)
-//! (`ClusterReport::threads_spawned`).
+//! (`ClusterReport::threads_spawned`). A dial to a peer the same reactor
+//! owns is placed in-process ([`NodeIo::run_timers`]): a [`LocalStream`]
+//! pair, one end the dial, the other adopted into the peer's pending
+//! connections as if accepted, so no descriptor or system call carries
+//! the edge. Hellos, sequencing, severs, kill9s and redials run over it
+//! unchanged; only clients and edges that cross reactors use the
+//! configured transport.
 //!
 //! ## Ownership
 //!
@@ -29,7 +36,8 @@
 //!
 //! ## The readiness loop
 //!
-//! Each reactor owns one [`Poller`], a level-triggered epoll instance. A
+//! Each reactor owns one [`Readiness`]: a [`Poller`], a level-triggered
+//! epoll instance, and the [`ReadyList`] of its local pipes. A
 //! socket is registered once, where it is adopted (the waker and the
 //! listeners at spawn, every other socket by [`Conn::new`]), under a
 //! packed [`Tok`] naming its node and role; a hello that promotes it
@@ -37,11 +45,17 @@
 //! closes. `POLLOUT` is armed by a flush that hits `WouldBlock` and
 //! disarmed by one that drains. While a core is stalled (backpressure)
 //! its client sockets leave the poller outright ([`Conn::park`]): epoll
-//! reports a hangup whatever the mask, so a masked socket would spin.
+//! reports a hangup whatever the mask, so a masked socket would spin. A
+//! local pipe has no registration: its reader's token goes on the ready
+//! list when a write makes the pipe non-empty, when a read leaves bytes
+//! behind, and when the peer closes, and [`Conn::retoken`] keeps that
+//! token current.
 //!
-//! A wakeup costs what is ready, not what exists: each ready socket is
-//! read in bounded chunks into its [`FrameDecoder`] and its core takes
-//! the complete frames inline. Cores only *queue* bytes; then the nodes
+//! A wakeup costs what is ready, not what exists: each ready socket, and
+//! each pipe on the ready list, is read in bounded chunks into its
+//! [`FrameDecoder`] and its core takes the complete frames inline. Every
+//! loop makes one `epoll_wait`, with a zero timeout while the ready list
+//! is non-empty, and dispatches the list's batch beside its events. Cores only *queue* bytes; then the nodes
 //! an event named, those whose timer fired and those holding bytes no
 //! `POLLOUT` announces (a ring link awaiting its space-freed nudge) are
 //! flushed — every such node's edges first ([`NodeIo::flush_edges`]),
@@ -51,6 +65,7 @@
 //! yields the sleep bound and the nodes whose timers are due; the waker,
 //! for shutdown, is the only cross-thread signal.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::Shutdown;
@@ -69,11 +84,12 @@ use oat_poll::{Events, Poller, POLLIN, POLLOUT};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 
+use crate::cluster::IoCounts;
 use crate::core::{ClientId, CoreStep, Env, NodeCore, NodeReport};
 use crate::durability::WalDurability;
 use crate::frame::{FrameDecoder, WriteQueue, TAG_HELLO_CLIENT, TAG_HELLO_EDGE};
 use crate::link::parse_hello;
-use crate::transport::{Listener, NodeAddr, Stream};
+use crate::transport::{Listener, LocalStream, NodeAddr, ReadyList, Stream};
 
 /// Cluster-wide in-flight work counter: each edge frame holds one unit
 /// of debt from the step that numbers it to the step that delivers and
@@ -145,19 +161,47 @@ impl InFlight {
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Reads issued per readiness event before yielding back to the loop
-/// (level-triggered `poll` re-reports anything left in the kernel).
+/// (level-triggered `poll` re-reports anything left in the kernel; a
+/// local pipe requeues its reader).
 const READS_PER_EVENT: usize = 4;
 
+/// The readiness sources every connection of one reactor reports to:
+/// the poller its sockets are registered with, the ready list its local
+/// pipes queue on, and the count of the kernel crossings they cost.
+pub(crate) struct Readiness {
+    poller: Poller,
+    ready: Rc<ReadyList>,
+    counts: Cell<IoCounts>,
+}
+
+impl Readiness {
+    pub(crate) fn new() -> io::Result<Rc<Readiness>> {
+        Ok(Rc::new(Readiness {
+            poller: Poller::new()?,
+            ready: Rc::default(),
+            counts: Cell::default(),
+        }))
+    }
+
+    fn count(&self, f: impl FnOnce(&mut IoCounts)) {
+        let mut c = self.counts.get();
+        f(&mut c);
+        self.counts.set(c);
+    }
+}
+
 /// One non-blocking connection: the stream, its incremental frame
-/// decoder, and its registration with the reactor's [`Poller`], which it
-/// owns for life (see the module docs). The bytes it writes live in a
-/// [`WriteQueue`] of its node's core.
+/// decoder, and its registration with the reactor's [`Readiness`] (a
+/// socket's with the poller, which it owns for life; a local pipe's by
+/// the token it queues). The bytes it writes live in a [`WriteQueue`]
+/// of its node's core.
 pub(crate) struct Conn {
     pub(crate) stream: Stream,
     pub(crate) dec: FrameDecoder,
-    poller: Rc<Poller>,
+    rd: Rc<Readiness>,
     tok: Tok,
-    /// Interest bits currently registered; `None` while parked.
+    /// Interest bits currently registered; `None` while parked, and
+    /// always for a local pipe.
     interest: Option<i16>,
     /// The last flush left bytes queued.
     backlog: bool,
@@ -166,28 +210,31 @@ pub(crate) struct Conn {
 impl Conn {
     /// Adopts a freshly accepted/connected stream into reactor mode and
     /// registers it for reads under `tok`.
-    pub(crate) fn new(stream: Stream, poller: &Rc<Poller>, tok: Tok) -> io::Result<Conn> {
+    pub(crate) fn new(stream: Stream, rd: &Rc<Readiness>, tok: Tok) -> io::Result<Conn> {
         stream.prepare()?;
-        poller.add(stream.as_raw_fd(), tok.pack(), POLLIN)?;
-        Ok(Conn {
+        let mut conn = Conn {
             stream,
             dec: FrameDecoder::new(),
-            poller: Rc::clone(poller),
+            rd: Rc::clone(rd),
             tok,
-            interest: Some(POLLIN),
+            interest: None,
             backlog: false,
-        })
+        };
+        conn.retoken(tok)?;
+        conn.unpark()?;
+        Ok(conn)
     }
 
     /// Re-registers the connection under a new token (a hello promoted
     /// it from pending/dialing to an edge or a client).
     pub(crate) fn retoken(&mut self, tok: Tok) -> io::Result<()> {
         self.tok = tok;
-        match self.interest {
-            Some(bits) => self
-                .poller
-                .set_interest(self.stream.as_raw_fd(), tok.pack(), bits),
-            None => Ok(()),
+        if let Stream::Local(pipe) = &self.stream {
+            pipe.set_token(tok.pack());
+        }
+        match (self.interest, self.stream.fd()) {
+            (Some(bits), Some(fd)) => self.rd.poller.set_interest(fd, tok.pack(), bits),
+            _ => Ok(()),
         }
     }
 
@@ -204,17 +251,16 @@ impl Conn {
 
     /// Takes the socket out of the poller without closing it.
     pub(crate) fn park(&mut self) {
-        if self.interest.take().is_some() {
-            let _ = self.poller.remove(self.stream.as_raw_fd());
+        if let (Some(_), Some(fd)) = (self.interest.take(), self.stream.fd()) {
+            let _ = self.rd.poller.remove(fd);
         }
     }
 
     /// Puts a parked socket back, with `POLLOUT` if bytes are waiting.
     pub(crate) fn unpark(&mut self) -> io::Result<()> {
-        if self.interest.is_none() {
+        if let (None, Some(fd)) = (self.interest, self.stream.fd()) {
             let bits = self.wanted();
-            self.poller
-                .add(self.stream.as_raw_fd(), self.tok.pack(), bits)?;
+            self.rd.poller.add(fd, self.tok.pack(), bits)?;
             self.interest = Some(bits);
         }
         Ok(())
@@ -224,8 +270,12 @@ impl Conn {
     /// `true` when the connection is dead (EOF or a hard error); what
     /// was decoded stays valid and must be served first.
     pub(crate) fn read_ready(&mut self, scratch: &mut [u8]) -> bool {
+        let syscall = self.stream.fd().is_some();
         let mut reads = 0;
         loop {
+            if syscall {
+                self.rd.count(|c| c.read += 1);
+            }
             match self.stream.read(scratch) {
                 Ok(0) => return true,
                 Ok(n) => {
@@ -242,18 +292,33 @@ impl Conn {
         }
     }
 
-    /// Writes `out` into the socket and syncs `POLLOUT` to the outcome
+    /// Writes `out` into the stream and syncs `POLLOUT` to the outcome
     /// (one `epoll_ctl` per transition, none while every flush drains).
     /// `Ok(true)` when bytes stay queued that no readiness event is
     /// armed for (a ring link waiting for its space-freed nudge).
     pub(crate) fn flush(&mut self, out: &mut WriteQueue) -> io::Result<bool> {
-        let stream = &mut self.stream;
-        self.backlog = !out.write_to(|iov| stream.write_vectored(iov))?;
+        let local = self.stream.fd().is_none();
+        let edge = matches!(self.tok, Tok::Edge(..) | Tok::Dial(..));
+        let (stream, rd) = (&mut self.stream, &self.rd);
+        self.backlog = !out.write_to(|iov| {
+            let n = stream.write_vectored(iov);
+            let wrote = n.as_ref().map_or(0, |&w| w as u64);
+            rd.count(|c| {
+                c.writev += u64::from(!local);
+                match (edge, local) {
+                    (true, true) => c.local_edge_bytes += wrote,
+                    (true, false) => c.transport_edge_bytes += wrote,
+                    _ => {}
+                }
+            });
+            n
+        })?;
         let bits = self.wanted();
-        if self.interest.is_some_and(|cur| cur != bits) {
-            self.poller
-                .set_interest(self.stream.as_raw_fd(), self.tok.pack(), bits)?;
-            self.interest = Some(bits);
+        if let (Some(cur), Some(fd)) = (self.interest, self.stream.fd()) {
+            if cur != bits {
+                self.rd.poller.set_interest(fd, self.tok.pack(), bits)?;
+                self.interest = Some(bits);
+            }
         }
         Ok(self.backlog && !self.stream.wants_pollout())
     }
@@ -389,7 +454,9 @@ struct Ctx<'a> {
     in_flight: &'a InFlight,
     /// Cluster-wide count of mechanism messages sent.
     total_sent: &'a AtomicU64,
-    poller: &'a Rc<Poller>,
+    rd: &'a Rc<Readiness>,
+    /// Per node id, its shard slot if this reactor owns it.
+    local: &'a [Option<usize>],
     ready_tx: &'a Sender<()>,
     now: Instant,
 }
@@ -429,7 +496,8 @@ where
         ctx: &Ctx<'_>,
     ) -> Self {
         let NodeSeed { id, listener, wal } = seed;
-        ctx.poller
+        ctx.rd
+            .poller
             .add(listener.as_raw_fd(), Tok::Listener(slot).pack(), POLLIN)
             .expect("register listener");
         let core = NodeCore::new(Rc::clone(env), id, plan, wal.is_some(), ctx.now);
@@ -493,22 +561,26 @@ where
         self.kill9 |= step.kill9;
     }
 
-    /// Accepts everything the listener has ready; connections park in
-    /// `pending` until their hello classifies them.
+    /// Accepts everything the listener has ready.
     fn on_accept_ready(&mut self, ctx: &Ctx<'_>) {
         loop {
             match self.listener.accept() {
-                Ok(stream) => {
-                    let tok = Tok::Pending(self.slot, self.next_pending);
-                    if let Ok(conn) = Conn::new(stream, ctx.poller, tok) {
-                        self.pending.insert(self.next_pending, conn);
-                        self.next_pending += 1;
-                    }
-                }
+                Ok(stream) => self.adopt(stream, ctx),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
+        }
+    }
+
+    /// Takes in an accepted connection, off the listener or the local
+    /// end of a dial from this reactor: it parks in `pending` until its
+    /// hello classifies it.
+    fn adopt(&mut self, stream: Stream, ctx: &Ctx<'_>) {
+        let tok = Tok::Pending(self.slot, self.next_pending);
+        if let Ok(conn) = Conn::new(stream, ctx.rd, tok) {
+            self.pending.insert(self.next_pending, conn);
+            self.next_pending += 1;
         }
     }
 
@@ -638,9 +710,11 @@ where
         }
     }
 
-    /// Fires this node's due redials and places the dials. An ack due
-    /// goes out at the flush that follows.
-    fn run_timers(&mut self, ctx: &Ctx<'_>) {
+    /// Fires this node's due redials and places the dials. A peer this
+    /// reactor owns is dialed in-process: the far end of a local pipe
+    /// pair goes to `accepted`, for the peer to adopt. An ack due goes
+    /// out at the flush that follows.
+    fn run_timers(&mut self, ctx: &Ctx<'_>, accepted: &mut Vec<(usize, Stream)>) {
         let step = self.core.tick(ctx.now);
         let dial = step.dial;
         self.absorb(step, ctx);
@@ -648,12 +722,19 @@ where
             if !self.core.is_dialing(wi) || self.conns[wi].is_some() {
                 continue;
             }
-            // A blocking `connect` to a pre-bound local listener ends at
-            // once; the hello reply is awaited like any other read.
             let tok = Tok::Dial(self.slot, wi);
-            let attempt = Stream::connect(&ctx.addrs[self.core.peer(wi).idx()])
-                .and_then(|stream| Conn::new(stream, ctx.poller, tok));
-            match attempt {
+            let peer = self.core.peer(wi).idx();
+            let stream = match ctx.local[peer] {
+                Some(slot) => {
+                    let (ours, theirs) = LocalStream::pair(&ctx.rd.ready);
+                    accepted.push((slot, Stream::Local(theirs)));
+                    Ok(Stream::Local(ours))
+                }
+                // A blocking `connect` to a pre-bound listener ends at
+                // once; the hello reply is awaited like any other read.
+                None => Stream::connect(&ctx.addrs[peer]),
+            };
+            match stream.and_then(|stream| Conn::new(stream, ctx.rd, tok)) {
                 Ok(conn) => self.conns[wi] = Some(conn),
                 Err(_) => self.core.edge_down(wi, ctx.now),
             }
@@ -771,9 +852,13 @@ impl Touched {
     }
 }
 
+/// What a reactor returns at shutdown: the final report of every node
+/// in its shard, and the reactor's kernel crossings.
+pub(crate) type ShardReport<V> = (Vec<(NodeId, NodeReport<V>)>, IoCounts);
+
 /// The reactor thread body: serves its shard until cluster shutdown,
-/// then returns every owned node's final report.
-pub(crate) fn reactor_main<S, A>(cfg: ReactorCfg<S, A>) -> Vec<(NodeId, NodeReport<A::Value>)>
+/// then returns its [`ShardReport`].
+pub(crate) fn reactor_main<S, A>(cfg: ReactorCfg<S, A>) -> ShardReport<A::Value>
 where
     S: PolicySpec,
     S::Node: 'static,
@@ -798,10 +883,14 @@ where
         rtx_high,
         rtx_low,
     } = cfg;
-    let poller = Rc::new(Poller::new().expect("create poller"));
-    poller
+    let rd = Readiness::new().expect("create poller");
+    rd.poller
         .add(waker_rx.as_raw_fd(), Tok::Waker.pack(), POLLIN)
         .expect("register waker");
+    let mut local = vec![None; tree.len()];
+    for (slot, seed) in shard_nodes.iter().enumerate() {
+        local[seed.id.idx()] = Some(slot);
+    }
     let env = Rc::new(Env {
         tree,
         op,
@@ -815,7 +904,8 @@ where
         addrs: &addrs,
         in_flight: &in_flight,
         total_sent: &total_sent,
-        poller: &poller,
+        rd: &rd,
+        local: &local,
         ready_tx: &ready_tx,
         now: Instant::now(),
     };
@@ -826,6 +916,8 @@ where
         .collect();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut events = Events::with_capacity(EVENTS_PER_WAIT);
+    let mut ready_pipes: Vec<u64> = Vec::new();
+    let mut accepted: Vec<(usize, Stream)> = Vec::new();
     // Every node starts touched: dialers are born with a redial due.
     let mut touched = Touched {
         marked: vec![true; nodes.len()],
@@ -837,9 +929,9 @@ where
     let mut deadlines: Vec<Option<Instant>> = vec![None; nodes.len()];
     loop {
         // Cores only ever *queue* bytes; this is the single point where
-        // they hit sockets — for the nodes the last wakeup touched. A
-        // node stays listed while it holds bytes no POLLOUT will
-        // announce, and is retried at every wakeup.
+        // they hit sockets and pipes — for the nodes the last wakeup
+        // touched. A node stays listed while it holds bytes no POLLOUT
+        // will announce, and is retried at every wakeup.
         //
         // Two passes: every touched node's edges, then every touched
         // node's clients. A response written to a client wakes its
@@ -857,36 +949,49 @@ where
         });
 
         // Sleep until the earliest deadline, else until a socket or the
-        // waker fires. The wait counts whole milliseconds, so round up:
+        // waker fires; not at all while a local pipe has a reader to
+        // run. The wait counts whole milliseconds, so round up:
         // rounding down wakes the loop just before the deadline.
-        let timeout = deadlines.iter().flatten().min().map(|at| {
-            let left = at.saturating_duration_since(ctx.now);
-            Duration::from_millis(left.as_micros().div_ceil(1000) as u64)
-        });
+        let timeout = if rd.ready.is_empty() {
+            deadlines.iter().flatten().min().map(|at| {
+                let left = at.saturating_duration_since(ctx.now);
+                Duration::from_millis(left.as_micros().div_ceil(1000) as u64)
+            })
+        } else {
+            Some(Duration::ZERO)
+        };
 
         // A wait error (EINTR aside, which is Ok(0)) leaves the buffer
         // empty and retries; nothing registered can make epoll_wait
         // fail persistently.
         let t_poll = oat_obs::now_ns();
-        let _ = poller.wait(&mut events, timeout);
+        let _ = rd.poller.wait(&mut events, timeout);
+        rd.count(|c| c.epoll_wait += 1);
+        // The pipes ready now are this pass's batch; a reader requeued
+        // while it runs waits for the next pass, as a socket left
+        // readable waits for the next wait.
+        rd.ready.take_into(&mut ready_pipes);
         // The loop's one clock read: the inputs and timers of this pass
         // all run at this instant.
         ctx.now = Instant::now();
+        let ready = (events.len() + ready_pipes.len()) as u32;
         if t_poll != 0 {
-            let ready = events.len() as u32;
             oat_obs::trace_span!(oat_obs::EventKind::PollWake, t_poll, shard, ready, 0);
         }
 
         if shutting_down.load(Ordering::SeqCst) {
-            return nodes.into_iter().map(|node| node.finish(&ctx)).collect();
+            let reports = nodes.into_iter().map(|node| node.finish(&ctx)).collect();
+            return (reports, rd.counts.get());
         }
 
         let t_dispatch = oat_obs::now_ns();
-        for ev in events.iter() {
+        let sockets = events.iter().map(|ev| (ev.token, ev.readable()));
+        let pipes = ready_pipes.drain(..).map(|token| (token, true));
+        for (token, readable) in sockets.chain(pipes) {
             // Handlers tolerate a token whose connection is gone or was
             // replaced earlier in this batch: the lookup misses, or the
             // spurious read returns WouldBlock.
-            let slot = match Tok::unpack(ev.token) {
+            let slot = match Tok::unpack(token) {
                 None => continue,
                 Some(Tok::Waker) => {
                     // Drain the nudge bytes; the flag check above is the
@@ -900,25 +1005,25 @@ where
                     i
                 }
                 Some(Tok::Pending(i, pid)) => {
-                    if ev.readable() {
+                    if readable {
                         nodes[i].on_pending_ready(pid, &ctx, &mut scratch);
                     }
                     i
                 }
                 Some(Tok::Dial(i, wi)) => {
-                    if ev.readable() {
+                    if readable {
                         nodes[i].on_dial_ready(wi, &ctx, &mut scratch);
                     }
                     i
                 }
                 Some(Tok::Edge(i, wi)) => {
-                    if ev.readable() {
+                    if readable {
                         nodes[i].on_edge_ready(wi, &ctx, &mut scratch);
                     }
                     i
                 }
                 Some(Tok::Client(i, cid)) => {
-                    if ev.readable() {
+                    if readable {
                         nodes[i].serve_client(cid, &ctx, Some(&mut scratch));
                     }
                     i
@@ -936,19 +1041,22 @@ where
                 nodes[slot].kill9_restart(&ctx);
             }
         }
-        if !events.is_empty() {
-            let handled = events.len() as u32;
-            oat_obs::trace_span!(oat_obs::EventKind::Dispatch, t_dispatch, shard, handled, 0);
+        if ready > 0 {
+            oat_obs::trace_span!(oat_obs::EventKind::Dispatch, t_dispatch, shard, ready, 0);
         }
 
         // Timers: only the nodes whose deadline has passed, each flushed
         // at the top of the loop, which sends the acks due and notes the
-        // node's next deadline.
+        // node's next deadline. Their local dials land in the peers'
+        // `pending` here.
         for (slot, node) in nodes.iter_mut().enumerate() {
             if deadlines[slot].is_some_and(|at| at <= ctx.now) {
-                node.run_timers(&ctx);
+                node.run_timers(&ctx, &mut accepted);
                 touched.mark(slot);
             }
+        }
+        for (slot, stream) in accepted.drain(..) {
+            nodes[slot].adopt(stream, &ctx);
         }
     }
 }
@@ -970,8 +1078,8 @@ mod tests {
     #[test]
     fn write_queue_coalesces_and_survives_partial_drains() {
         let (a, mut b) = loopback_pair();
-        let poller = Rc::new(Poller::new().unwrap());
-        let mut conn = Conn::new(Stream::Tcp(a), &poller, Tok::Pending(0, 0)).unwrap();
+        let rd = Readiness::new().unwrap();
+        let mut conn = Conn::new(Stream::Tcp(a), &rd, Tok::Pending(0, 0)).unwrap();
         let mut out = WriteQueue::default();
         let mut expected = Vec::new();
         for i in 0..100u8 {
@@ -1006,8 +1114,8 @@ mod tests {
     #[test]
     fn write_queue_requeues_on_wouldblock_and_finishes_later() {
         let (a, mut b) = loopback_pair();
-        let poller = Rc::new(Poller::new().unwrap());
-        let mut conn = Conn::new(Stream::Tcp(a), &poller, Tok::Pending(0, 0)).unwrap();
+        let rd = Readiness::new().unwrap();
+        let mut conn = Conn::new(Stream::Tcp(a), &rd, Tok::Pending(0, 0)).unwrap();
         let mut out = WriteQueue::default();
         // Enough data to overwhelm the kernel buffers of an unread peer.
         let big = vec![0xAB; 256 * 1024];
@@ -1082,13 +1190,13 @@ mod tests {
     #[test]
     fn conn_arms_pollout_on_wouldblock_and_disarms_when_drained() {
         let (a, mut b) = loopback_pair();
-        let poller = Rc::new(Poller::new().unwrap());
+        let rd = Readiness::new().unwrap();
         let tok = Tok::Client(2, 9);
-        let mut conn = Conn::new(Stream::Tcp(a), &poller, Tok::Pending(2, 0)).unwrap();
+        let mut conn = Conn::new(Stream::Tcp(a), &rd, Tok::Pending(2, 0)).unwrap();
         conn.retoken(tok).unwrap();
         let mut events = Events::with_capacity(4);
         let mut wait = |ms| {
-            poller
+            rd.poller
                 .wait(&mut events, Some(Duration::from_millis(ms)))
                 .unwrap();
             events.iter().collect::<Vec<_>>()

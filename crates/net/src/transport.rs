@@ -1,10 +1,13 @@
 //! Pluggable connection transports: TCP, Unix-domain sockets, and
-//! in-process SPSC byte rings.
+//! in-process SPSC byte rings, plus the reactor-local pipe that carries
+//! every tree edge whose two ends share a reactor thread.
 //!
 //! Every transport presents the same byte-stream surface to the reactor
 //! (non-blocking `read` / `write_vectored` / `shutdown` plus a pollable
 //! fd) and to the blocking client (`ClientStream`), so framing,
 //! sequencing, retransmit, and fault injection are transport-agnostic.
+//! The configured transport carries the clients and the edges that cross
+//! reactors; an edge inside one reactor is always a [`LocalStream`].
 //!
 //! The ring transport is a pair of lock-free single-producer /
 //! single-consumer byte rings (one per direction) with a socketpair
@@ -12,20 +15,29 @@
 //! half so the peer's poll loop (or blocking read) wakes up. Rings are
 //! level-triggered from the reactor's point of view because doorbell
 //! bytes are only drained once the ring itself is empty.
+//!
+//! The local pipe has no descriptor and no doorbell: both ends live on
+//! one thread, so a pair of `Rc`-shared byte queues is the whole
+//! connection. Its readiness is the reactor's [`ReadyList`]: a reader's
+//! token is queued when a write makes its pipe non-empty, when a read
+//! leaves bytes behind, and when the peer closes.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use oat_poll::{poll_fds, PollFd, POLLIN};
 
-/// Which connection transport a cluster uses for edges and clients.
+/// Which connection transport a cluster uses for its clients and for
+/// the edges that cross reactor threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// Loopback TCP sockets (the portable default).
@@ -513,6 +525,145 @@ impl AsRawFd for RingListener {
 }
 
 // ---------------------------------------------------------------------------
+// Reactor-local pipe
+// ---------------------------------------------------------------------------
+
+/// One direction of a [`LocalStream`]: what its writer flushed and its
+/// reader has not read yet, and the token the reader is dispatched under.
+struct Pipe {
+    bytes: RefCell<VecDeque<u8>>,
+    /// Either end shut down or was dropped.
+    closed: Cell<bool>,
+    /// The reading end's packed reactor token.
+    reader: Cell<u64>,
+    /// `reader` sits on the ready list, not yet taken.
+    queued: Cell<bool>,
+}
+
+impl Pipe {
+    fn new() -> Rc<Pipe> {
+        Rc::new(Pipe {
+            bytes: RefCell::new(VecDeque::new()),
+            closed: Cell::new(false),
+            reader: Cell::new(0),
+            queued: Cell::new(false),
+        })
+    }
+}
+
+/// The readiness source of a reactor's local pipes, dispatched beside
+/// its epoll events: the readers that have bytes or an EOF to see, each
+/// listed at most once. A wakeup so costs what is ready, as with epoll:
+/// nothing walks the pipes that exist.
+#[derive(Default)]
+pub(crate) struct ReadyList {
+    pipes: RefCell<Vec<Rc<Pipe>>>,
+}
+
+impl ReadyList {
+    fn queue(&self, pipe: &Rc<Pipe>) {
+        if !pipe.queued.replace(true) {
+            self.pipes.borrow_mut().push(Rc::clone(pipe));
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pipes.borrow().is_empty()
+    }
+
+    /// Moves every queued reader's current token into `out`, oldest
+    /// first; from here on each reader can be queued again.
+    pub(crate) fn take_into(&self, out: &mut Vec<u64>) {
+        for pipe in self.pipes.borrow_mut().drain(..) {
+            pipe.queued.set(false);
+            out.push(pipe.reader.get());
+        }
+    }
+}
+
+/// One end of an in-process connection between two nodes of one reactor
+/// thread: it reads `rx` and writes `tx`, and its peer the reverse. It
+/// carries exactly the bytes a socket would; only the readiness differs
+/// (see the module docs).
+pub(crate) struct LocalStream {
+    rx: Rc<Pipe>,
+    tx: Rc<Pipe>,
+    ready: Rc<ReadyList>,
+}
+
+impl LocalStream {
+    /// A connected pair whose readers queue on `ready`.
+    pub(crate) fn pair(ready: &Rc<ReadyList>) -> (LocalStream, LocalStream) {
+        let (a2b, b2a) = (Pipe::new(), Pipe::new());
+        let end = |rx: &Rc<Pipe>, tx: &Rc<Pipe>| LocalStream {
+            rx: Rc::clone(rx),
+            tx: Rc::clone(tx),
+            ready: Rc::clone(ready),
+        };
+        (end(&b2a, &a2b), end(&a2b, &b2a))
+    }
+
+    /// The token this end's reader is dispatched under from now on.
+    pub(crate) fn set_token(&self, tok: u64) {
+        self.rx.reader.set(tok);
+    }
+
+    /// FIFO drain into `out`; `WouldBlock` while empty, `Ok(0)` once the
+    /// pipe is closed and drained. Bytes left behind requeue the reader.
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let mut bytes = self.rx.bytes.borrow_mut();
+        if bytes.is_empty() && self.rx.closed.get() {
+            return Ok(0);
+        }
+        if bytes.is_empty() {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let n = out.len().min(bytes.len());
+        let (front, back) = bytes.as_slices();
+        let split = n.min(front.len());
+        out[..split].copy_from_slice(&front[..split]);
+        out[split..n].copy_from_slice(&back[..n - split]);
+        bytes.drain(..n);
+        if !bytes.is_empty() {
+            self.ready.queue(&self.rx);
+        }
+        Ok(n)
+    }
+
+    /// Appends every buffer; a write into an empty pipe queues the
+    /// reader (into a non-empty one, the reader is queued already).
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        if self.tx.closed.get() {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
+        }
+        let mut bytes = self.tx.bytes.borrow_mut();
+        let was_empty = bytes.is_empty();
+        for b in bufs {
+            bytes.extend(b.iter());
+        }
+        if was_empty && !bytes.is_empty() {
+            self.ready.queue(&self.tx);
+        }
+        Ok(bufs.iter().map(|b| b.len()).sum())
+    }
+
+    /// Closes both directions; the peer reads what is buffered, then
+    /// EOF, and its next write is `BrokenPipe`. Idempotent.
+    fn shutdown(&self) {
+        self.rx.closed.set(true);
+        if !self.tx.closed.replace(true) {
+            self.ready.queue(&self.tx);
+        }
+    }
+}
+
+impl Drop for LocalStream {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // UDS temp-dir guard
 // ---------------------------------------------------------------------------
 
@@ -546,11 +697,13 @@ impl Drop for UdsDir {
 // Reactor-side stream / listener
 // ---------------------------------------------------------------------------
 
-/// A non-blocking reactor-side connection over any transport.
+/// A non-blocking reactor-side connection over any transport, or over
+/// a reactor-local pipe.
 pub(crate) enum Stream {
     Tcp(TcpStream),
     Uds(UnixStream),
     Ring(RingStream),
+    Local(LocalStream),
 }
 
 impl Stream {
@@ -575,6 +728,7 @@ impl Stream {
             }
             Stream::Uds(s) => s.set_nonblocking(true),
             Stream::Ring(s) => s.sock.set_nonblocking(true),
+            Stream::Local(_) => Ok(()),
         }
     }
 
@@ -583,6 +737,7 @@ impl Stream {
             Stream::Tcp(s) => s.read(buf),
             Stream::Uds(s) => s.read(buf),
             Stream::Ring(s) => s.read(buf),
+            Stream::Local(s) => s.read(buf),
         }
     }
 
@@ -591,6 +746,7 @@ impl Stream {
             Stream::Tcp(s) => s.write_vectored(bufs),
             Stream::Uds(s) => s.write_vectored(bufs),
             Stream::Ring(s) => s.write_vectored(bufs),
+            Stream::Local(s) => s.write_vectored(bufs),
         }
     }
 
@@ -602,24 +758,29 @@ impl Stream {
                 s.shutdown();
                 Ok(())
             }
+            Stream::Local(s) => {
+                s.shutdown();
+                Ok(())
+            }
         }
     }
 
     /// Whether POLLOUT is meaningful for this transport. Ring
     /// doorbells are almost always writable, so polling them for
     /// write-readiness would busy-spin; blocked ring writes recover
-    /// via the peer's space-freed nudge (POLLIN) instead.
+    /// via the peer's space-freed nudge (POLLIN) instead. A local pipe
+    /// takes every write whole.
     pub(crate) fn wants_pollout(&self) -> bool {
-        !matches!(self, Stream::Ring(_))
+        !matches!(self, Stream::Ring(_) | Stream::Local(_))
     }
-}
 
-impl AsRawFd for Stream {
-    fn as_raw_fd(&self) -> RawFd {
+    /// The descriptor the reactor polls; a local pipe has none.
+    pub(crate) fn fd(&self) -> Option<RawFd> {
         match self {
-            Stream::Tcp(s) => s.as_raw_fd(),
-            Stream::Uds(s) => s.as_raw_fd(),
-            Stream::Ring(s) => s.as_raw_fd(),
+            Stream::Tcp(s) => Some(s.as_raw_fd()),
+            Stream::Uds(s) => Some(s.as_raw_fd()),
+            Stream::Ring(s) => Some(s.as_raw_fd()),
+            Stream::Local(_) => None,
         }
     }
 }
@@ -842,6 +1003,121 @@ mod tests {
         drop(l);
         let err = ring_connect(id).err().expect("deregistered listener");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    /// Drains `ready` into a fresh vector.
+    fn taken(ready: &ReadyList) -> Vec<u64> {
+        let mut out = Vec::new();
+        ready.take_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn local_pipe_keeps_fifo_order_across_writes_and_short_reads() {
+        let ready = Rc::new(ReadyList::default());
+        let (mut a, mut b) = LocalStream::pair(&ready);
+        let sent: Vec<u8> = (0..10_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        for chunk in sent.chunks(97) {
+            let (x, y) = chunk.split_at(chunk.len() / 3);
+            let n = a.write_vectored(&[IoSlice::new(x), IoSlice::new(y)]);
+            assert_eq!(n.unwrap(), chunk.len());
+        }
+        let mut got = Vec::new();
+        let mut buf = [0u8; 13];
+        loop {
+            match b.read(&mut buf) {
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+                    break;
+                }
+            }
+        }
+        assert_eq!(got, sent);
+        // The other direction is its own pipe.
+        b.write_vectored(&[IoSlice::new(b"back")]).unwrap();
+        assert_eq!(a.read(&mut buf).unwrap(), 4);
+        assert_eq!(&buf[..4], b"back");
+    }
+
+    #[test]
+    fn local_pipe_read_would_block_while_empty() {
+        let ready = Rc::new(ReadyList::default());
+        let (mut a, mut b) = LocalStream::pair(&ready);
+        let mut buf = [0u8; 8];
+        let err = b.read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        a.write_vectored(&[IoSlice::new(b"x")]).unwrap();
+        assert_eq!(b.read(&mut buf).unwrap(), 1);
+        let err = b.read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn local_pipe_delivers_buffered_bytes_then_eof() {
+        let ready = Rc::new(ReadyList::default());
+        // Closed by shutdown, then by drop.
+        for drop_it in [false, true] {
+            let (mut a, mut b) = LocalStream::pair(&ready);
+            a.write_vectored(&[IoSlice::new(b"tail")]).unwrap();
+            if drop_it {
+                drop(a);
+            } else {
+                a.shutdown();
+            }
+            let mut buf = [0u8; 16];
+            assert_eq!(b.read(&mut buf).unwrap(), 4);
+            assert_eq!(&buf[..4], b"tail");
+            assert_eq!(b.read(&mut buf).unwrap(), 0);
+            assert_eq!(b.read(&mut buf).unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn local_pipe_write_after_peer_close_is_broken_pipe() {
+        let ready = Rc::new(ReadyList::default());
+        let (mut a, b) = LocalStream::pair(&ready);
+        drop(b);
+        let err = a.write_vectored(&[IoSlice::new(b"x")]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        let (mut a, b) = LocalStream::pair(&ready);
+        b.shutdown();
+        let err = a.write_vectored(&[IoSlice::new(b"x")]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn local_pipe_queues_its_reader_on_what_the_reader_must_see() {
+        let ready = Rc::new(ReadyList::default());
+        let (mut a, mut b) = LocalStream::pair(&ready);
+        a.set_token(1);
+        b.set_token(2);
+        assert!(ready.is_empty());
+        // Empty → non-empty queues the reader once; a write into the
+        // non-empty pipe queues nothing more.
+        a.write_vectored(&[IoSlice::new(b"abc")]).unwrap();
+        a.write_vectored(&[IoSlice::new(b"def")]).unwrap();
+        assert_eq!(taken(&ready), [2]);
+        assert!(ready.is_empty());
+        a.write_vectored(&[IoSlice::new(b"ghi")]).unwrap();
+        assert!(ready.is_empty(), "the pipe was non-empty");
+        // A read that leaves bytes behind queues the reader again, and
+        // only once however many such reads run before it is taken.
+        let mut buf = [0u8; 2];
+        b.read(&mut buf).unwrap();
+        b.read(&mut buf).unwrap();
+        assert_eq!(taken(&ready), [2]);
+        // A read that drains the pipe queues nothing.
+        let mut big = [0u8; 64];
+        assert_eq!(b.read(&mut big).unwrap(), 5);
+        assert!(ready.is_empty());
+        // A retoken moves the queued token; the peer's close queues it.
+        b.set_token(3);
+        drop(a);
+        assert_eq!(taken(&ready), [3]);
+        assert_eq!(b.read(&mut big).unwrap(), 0);
+        drop(b);
+        assert!(ready.is_empty(), "nobody reads a pipe both ends closed");
     }
 
     #[test]

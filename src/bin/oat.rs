@@ -1225,6 +1225,15 @@ where
         report.standalone_acks,
     );
     println!("  placement: {placement}");
+    let per_req = |n: u64| n as f64 / seq.len() as f64;
+    println!(
+        "  io:        {:.2} writev, {:.2} read, {:.2} epoll_wait per request; \
+         {:.1} % of edge bytes in-process",
+        per_req(report.io.writev),
+        per_req(report.io.read),
+        per_req(report.io.epoll_wait),
+        100.0 * report.io.local_share(),
+    );
     if durable {
         println!(
             "  wal:       {} records ({} B), {} fsyncs ({} failed), \

@@ -327,12 +327,19 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
     // from the write-ahead log. Every combine must still equal the
     // oracle, and the ledger, per-node metrics, and cluster report
     // must agree on what happened — on every transport, since a kill9
-    // severs and redials every connection the node held.
-    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
-        let name = transport.name();
-        let tree = Tree::kary(10, 3);
+    // severs and redials every connection the node held, and on both
+    // kinds of edge: with one reactor every edge is a local pipe, so the
+    // drops, dups, the connection kill and both kill9s all land
+    // in-process; with one reactor per node every edge is a socket.
+    let tree = Tree::kary(10, 3);
+    let transports = [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring];
+    let runs = transports
+        .into_iter()
+        .flat_map(|t| [1, tree.len()].map(|pool| (t, pool)));
+    for (transport, pool) in runs {
+        let name = format!("{}/pool {pool}", transport.name());
         let seq = uniform(&tree, 90, 0.5, 0xD15C);
-        let wal_dir = tmpdir(&format!("kill9-accept-{name}"));
+        let wal_dir = tmpdir(&format!("kill9-accept-{}-{pool}", transport.name()));
         let plan = FaultPlan {
             seed: 23,
             drop_p: 0.05,
@@ -358,6 +365,7 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
         let cfg = NetConfig {
             durability: DurabilityMode::Wal(WalConfig::new(&wal_dir)),
             transport,
+            threads: Some(pool),
             ..NetConfig::default()
         };
         let cluster = Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg)

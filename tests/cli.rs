@@ -106,6 +106,45 @@ fn chaos_prints_a_balanced_placement_with_few_crossing_edges() {
 }
 
 #[test]
+fn chaos_keeps_co_resident_edges_out_of_the_kernel() {
+    // A tree edge whose two ends share a reactor is a local pipe, so on
+    // this shape a request costs about one `writev` (its response) where
+    // a socket on every edge cost about 8.2. `oat chaos` runs
+    // min(cores, 4) reactors: with one or two, at most one edge crosses
+    // and over 80 % of the edge bytes stay in-process; with three or
+    // four, a few edges near the root cross and carry about a quarter.
+    let line = "chaos --tree kary:31:2 --workload uniform:0.5:2000 --faults none --transport tcp";
+    let out = oat(line);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{line}: {stdout}");
+    let after = |prefix: &str| -> Vec<String> {
+        let rest = stdout
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix(prefix))
+            .unwrap_or_else(|| panic!("{line}: no `{prefix}` line in {stdout}"));
+        rest.split_whitespace().map(str::to_owned).collect()
+    };
+    let num = |w: &str| -> f64 {
+        w.trim_end_matches(',')
+            .parse()
+            .unwrap_or_else(|_| panic!("`{w}` in {stdout}"))
+    };
+    // "P reactors (a–b nodes each), X of Y tree edges cross reactors"
+    let crossing = num(&after("placement:")[5]);
+    // "W writev, R read, E epoll_wait per request; S % of edge bytes in-process"
+    let io = after("io:");
+    let (writev, read, share) = (num(&io[0]), num(&io[2]), num(&io[8]));
+    let (max_writev, min_share) = if crossing <= 1.0 {
+        (3.0, 80.0)
+    } else {
+        (4.0, 50.0)
+    };
+    assert!(writev < max_writev, "{writev} writev per request: {stdout}");
+    assert!(read < max_writev, "{read} read per request: {stdout}");
+    assert!(share > min_share, "{share} % in-process: {stdout}");
+}
+
+#[test]
 fn a_misspelt_chaos_flag_exits_2_instead_of_injecting_faults() {
     let out = oat("chaos --tree kary:10:2 --workload uniform:0.5:120 --fault none");
     assert_eq!(out.status.code(), Some(2));

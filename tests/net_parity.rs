@@ -291,27 +291,44 @@ fn replay_pipelined_is_internally_consistent() {
 fn byte_parity_holds_on_every_transport() {
     // The full byte-for-byte parity check — combine values, per-request
     // message counts, per-kind totals, the complete per-directed-edge
-    // count matrix — repeated over every transport backend. The SPSC
-    // ring, the Unix socket, and TCP must be indistinguishable above
-    // the framing layer.
+    // count matrix — repeated over every transport backend and on both
+    // kinds of edge. An edge whose two ends share a reactor is a local
+    // pipe; one that crosses reactors uses the transport. One reactor
+    // puts every edge in-process, two mix the kinds, and one reactor per
+    // node puts every edge on the transport. The SPSC ring, the Unix
+    // socket, TCP and the local pipe must be indistinguishable above the
+    // framing layer.
     let tree = Tree::kary(10, 3);
     for transport in TRANSPORTS {
-        let seq = uniform(&tree, 60, 0.5, 0xA11CE);
-        assert_parity_on(
-            &format!("uniform/rww/kary(10,3)/{}", transport.name()),
-            &tree,
-            &RwwSpec,
-            &seq,
-            on(transport),
-        );
-        let seq = hotspot(&tree, 40, 0.4, 2, 2, 0xC0FFEE);
-        assert_parity_on(
-            &format!("hotspot/rww/kary(10,3)/{}", transport.name()),
-            &tree,
-            &RwwSpec,
-            &seq,
-            on(transport),
-        );
+        for pool in [1, 2, tree.len()] {
+            let cfg = || NetConfig {
+                threads: Some(pool),
+                ..on(transport)
+            };
+            let name = transport.name();
+            let seq = uniform(&tree, 60, 0.5, 0xA11CE);
+            let report = assert_parity_on(
+                &format!("uniform/rww/kary(10,3)/{name}/pool {pool}"),
+                &tree,
+                &RwwSpec,
+                &seq,
+                cfg(),
+            );
+            let io = report.io;
+            match pool {
+                1 => assert_eq!(io.transport_edge_bytes, 0, "{name}: {io:?}"),
+                2 => assert!(io.local_edge_bytes > 0 && io.transport_edge_bytes > 0),
+                _ => assert_eq!(io.local_edge_bytes, 0, "{name}: {io:?}"),
+            }
+            let seq = hotspot(&tree, 40, 0.4, 2, 2, 0xC0FFEE);
+            assert_parity_on(
+                &format!("hotspot/rww/kary(10,3)/{name}/pool {pool}"),
+                &tree,
+                &RwwSpec,
+                &seq,
+                cfg(),
+            );
+        }
     }
 }
 

@@ -511,13 +511,15 @@ fn fault_free_runs_resend_nothing() {
 
 #[test]
 fn high_fan_in_star_keeps_fifo_and_oracle_under_pipelining() {
-    // 64 leaves, one hub: all 64 edge connections (plus the pipelined
-    // clients) multiplex onto a fixed two-thread pool. Phase 1 writes a
-    // known value at every leaf under depth-8 two-client pipelining;
-    // after quiescence, phase 2 pipelines combines everywhere and every
-    // answer must equal the full sum. dup_drops == 0 certifies per-edge
-    // FIFO: the sequencer discards any frame that arrives out of order,
-    // so a reordering transport could not keep it at zero.
+    // 64 leaves, one hub, on a fixed two-thread pool: the hub's reactor
+    // holds 32 of the leaves, whose edges are local pipes, and the other
+    // 32 edge connections (plus the pipelined clients) multiplex onto
+    // TCP sockets across the two threads. Phase 1 writes a known value
+    // at every leaf under depth-8 two-client pipelining; after
+    // quiescence, phase 2 pipelines combines everywhere and every answer
+    // must equal the full sum. dup_drops == 0 certifies per-edge FIFO:
+    // the sequencer discards any frame that arrives out of order, so a
+    // reordering pipe or transport could not keep it at zero.
     let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let fan = 64;
     let tree = Tree::kary(fan + 1, fan);
