@@ -72,11 +72,11 @@ echo "== parity: oat chaos --faults none on tcp/uds/ring =="
 # the per-edge, per-kind message counts equal the simulator's exactly.
 # Without faults no connection may be lost and nothing re-sent: a lost
 # frame or a sequence gap severs its connection, which shows as a
-# reconnect. A tree edge whose two ends share a reactor is always a local
-# pipe, so each leg's transport carries the clients and the edges that
-# cross reactors: on the benchmark's shape, the second, two reactors
-# leave one such edge (0-1). tests/net_parity.rs runs parity with one
-# reactor per node, which puts every edge on the transport.
+# reconnect. No tree edge ever uses the transport: an edge whose two ends
+# share a reactor is a local pipe and one that crosses reactors a Unix
+# socketpair, so each leg's transport carries the clients only.
+# tests/net_parity.rs runs parity with one reactor per node, which puts
+# every edge on a socketpair.
 for shape in "kary:10:2 uniform:0.5:120" "kary:31:2 uniform:0.5:2000"; do
   read -r tree workload <<<"$shape"
   for t in tcp uds ring; do
@@ -104,17 +104,20 @@ echo "== chaos at size: drop-heavy oat chaos on tcp/uds/ring =="
 # replays what was lost: at 5 % of frames on a 31-node tree, hundreds of
 # reconnects per run, each one hello exchange, so the run takes well
 # under a second. It must still answer every combine as the oracle does.
-# The tcp leg also guards the in-process fast path: with at most one edge
-# crossing reactors (one or two reactors) over 80 % of the edge bytes must
-# stay in local pipes, over half with more; a change that sends
-# co-resident edges through the kernel fails here.
+# Edges never use the transport (local pipes inside a reactor, socketpairs
+# between reactors), so the legs differ only in the client hop. The tcp
+# leg also guards the in-process fast path: it pins two reactors, so one
+# edge (0-1) crosses on every host, and over 80 % of the edge bytes must
+# stay in local pipes (about 89 % do); a change that sends co-resident
+# edges through the kernel fails here.
 for t in tcp uds ring; do
+  if [ "$t" = tcp ]; then pool="--threads 2"; else pool=""; fi
   out=$(./target/release/oat chaos --tree kary:31:2 --workload uniform:0.5:4000 \
-    --faults "seed:7,drop:0.05,dup:0.05,delay:0.05" --transport "$t")
+    --faults "seed:7,drop:0.05,dup:0.05,delay:0.05" --transport "$t" $pool)
   echo "$out"
   if [ "$t" = tcp ]; then
-    awk '/placement:/ { crossing = $7 } /io:/ { share = $10 }
-      END { min = crossing <= 1 ? 80 : 50; exit !(share + 0 > min) }' <<<"$out" ||
+    # "io: W writev, R read, E epoll_wait per request; S % of edge bytes in local pipes"
+    awk '/io:/ { share = $10 } END { exit !(share + 0 > 80) }' <<<"$out" ||
       { echo "chaos at size: co-resident edges went through the kernel"; exit 1; }
   fi
 done

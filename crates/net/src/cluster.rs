@@ -7,9 +7,9 @@
 //! that own contiguous blocks of a depth-first preorder of the tree
 //! (connected subtrees; `crate::placement`), waits until every tree
 //! edge has a live connection — a local pipe when both ends share a
-//! reactor, a transport connection when they do not; clients always use
-//! the transport ([`ClusterReport::io`] counts both) — and returns a
-//! handle that can mint
+//! reactor, a socketpair when they do not ([`ClusterReport::io`] counts
+//! both); only clients use the transport — and returns a handle that
+//! can mint
 //! [`ClusterClient`]s, wait for quiescence, collect metrics, and shut
 //! the whole thing down gracefully.
 //!
@@ -17,7 +17,7 @@
 //!
 //! 1. wait for quiescence (no mechanism message in flight),
 //! 2. raise the cluster-wide `shutting_down` flag,
-//! 3. wake every reactor through its waker socketpair — each reactor
+//! 3. wake every reactor through its mailbox's waker — each reactor
 //!    observes the flag at the top of its loop, flushes every write
 //!    queue one final time, and returns its nodes' final reports,
 //! 4. join the reactor threads and merge the reports.
@@ -55,9 +55,7 @@ use crate::frame::{
 };
 use crate::metrics::NodeMetrics;
 use crate::placement::place;
-use crate::reactor::{
-    reactor_main, waker_pair, InFlight, NodeSeed, ReactorCfg, ShardReport, Waker,
-};
+use crate::reactor::{reactor_main, InFlight, Mailbox, NodeSeed, ReactorCfg, ShardReport};
 use crate::transport::{ring_listen, ClientStream, Listener, NodeAddr, TransportKind, UdsDir};
 
 /// How long [`Cluster::shutdown`] waits for a reactor thread to exit
@@ -80,11 +78,11 @@ pub struct NetConfig {
     pub rtx_low: usize,
     /// Durability backend for node state (default: in-memory).
     pub durability: DurabilityMode,
-    /// Connection transport for clients and for the edges that cross
-    /// reactor threads (default: TCP); an edge inside one reactor is a
-    /// local pipe whatever this says. Framing, sequencing, retransmit,
-    /// and fault injection are identical across transports — only the
-    /// byte substrate differs.
+    /// Connection transport for clients (default: TCP). No tree edge
+    /// uses it: an edge inside one reactor is a local pipe and one that
+    /// crosses reactors a Unix socketpair, whatever this says. Framing,
+    /// sequencing, retransmit, and fault injection are identical across
+    /// transports — only the byte substrate differs.
     pub transport: TransportKind,
 }
 
@@ -146,7 +144,8 @@ type ShardHandle<V> = JoinHandle<ShardReport<V>>;
 pub struct Cluster<A: AggOp> {
     tree: Tree,
     addrs: Vec<NodeAddr>,
-    wakers: Vec<Waker>,
+    /// Per reactor, its mailbox; shutdown wakes each through it.
+    mailboxes: Arc<[Mailbox]>,
     /// The reactor owning each node, indexed by node id; reactors are
     /// indexed like `handles`.
     placement: Vec<usize>,
@@ -195,7 +194,7 @@ pub struct ClusterReport<V> {
 
 /// What one reactor's connections cost in system calls, and where its
 /// edge bytes went: a tree edge whose ends share a reactor is a local
-/// pipe, which costs none; the rest use the configured transport.
+/// pipe, which costs none; one that crosses reactors is a socketpair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoCounts {
     /// `writev` calls on sockets (edges and clients).
@@ -206,8 +205,8 @@ pub struct IoCounts {
     pub epoll_wait: u64,
     /// Edge bytes flushed into local pipes.
     pub local_edge_bytes: u64,
-    /// Edge bytes flushed into transport sockets.
-    pub transport_edge_bytes: u64,
+    /// Edge bytes flushed into the socketpairs between reactors.
+    pub socket_edge_bytes: u64,
 }
 
 impl IoCounts {
@@ -216,12 +215,13 @@ impl IoCounts {
         self.read += o.read;
         self.epoll_wait += o.epoll_wait;
         self.local_edge_bytes += o.local_edge_bytes;
-        self.transport_edge_bytes += o.transport_edge_bytes;
+        self.socket_edge_bytes += o.socket_edge_bytes;
     }
 
-    /// The share of edge bytes that stayed in-process, in `[0, 1]`.
+    /// The share of edge bytes that went through local pipes, in
+    /// `[0, 1]`.
     pub fn local_share(&self) -> f64 {
-        let total = self.local_edge_bytes + self.transport_edge_bytes;
+        let total = self.local_edge_bytes + self.socket_edge_bytes;
         self.local_edge_bytes as f64 / total.max(1) as f64
     }
 }
@@ -270,9 +270,9 @@ where
     /// Boots an `n`-node cluster for `tree` on loopback over a reliable
     /// substrate (no injected faults).
     ///
-    /// Binds every listener first (so dial order cannot race), starts
-    /// the reactor pool, and returns once every tree edge has a live
-    /// TCP connection.
+    /// Binds every listener first (so a client can connect as soon as
+    /// this returns), starts the reactor pool, and returns once every
+    /// tree edge has a live connection.
     pub fn spawn<S: PolicySpec>(tree: &Tree, op: A, spec: &S, ghost: bool) -> io::Result<Self>
     where
         S::Node: 'static,
@@ -377,6 +377,7 @@ where
         let (ready_tx, ready_rx) = channel();
 
         let placement = place(tree, pool);
+        let mut homes = Vec::with_capacity(n);
         let mut shard_seeds: Vec<Vec<NodeSeed>> = (0..pool).map(|_| Vec::new()).collect();
         for (u, listener) in tree.nodes().zip(listeners) {
             // Logs open on the main thread, where an unwritable WAL
@@ -392,22 +393,29 @@ where
                     Arc::clone(&ledger),
                 )?),
             };
-            shard_seeds[placement[u.idx()]].push(NodeSeed {
+            let seeds = &mut shard_seeds[placement[u.idx()]];
+            homes.push((placement[u.idx()], seeds.len()));
+            seeds.push(NodeSeed {
                 id: u,
                 listener,
                 wal,
             });
         }
 
-        let mut wakers = Vec::with_capacity(pool);
+        let (mailboxes, waker_rxs): (Vec<Mailbox>, Vec<_>) = (0..pool)
+            .map(|_| Mailbox::new())
+            .collect::<io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        let mailboxes: Arc<[Mailbox]> = mailboxes.into();
         let mut handles = Vec::with_capacity(pool);
-        for (shard, seeds) in shard_seeds.into_iter().enumerate() {
-            let (waker, waker_rx) = waker_pair()?;
+        for (shard, (seeds, waker_rx)) in shard_seeds.into_iter().zip(waker_rxs).enumerate() {
             let rcfg = ReactorCfg {
                 shard: shard as u32,
                 shard_nodes: seeds,
                 tree: tree.clone(),
-                addrs: addrs.clone(),
+                homes: homes.clone(),
+                mailboxes: Arc::clone(&mailboxes),
                 op: op.clone(),
                 // Reactors get the spec, not a built policy: every
                 // crash-restart rebuilds a fresh policy state.
@@ -424,7 +432,6 @@ where
                 rtx_low,
             };
             handles.push(std::thread::spawn(move || reactor_main::<S, A>(rcfg)));
-            wakers.push(waker);
         }
         drop(ready_tx);
 
@@ -438,7 +445,7 @@ where
         Ok(Cluster {
             tree: tree.clone(),
             addrs,
-            wakers,
+            mailboxes,
             placement,
             in_flight,
             total_sent,
@@ -707,8 +714,8 @@ impl<A: AggOp> Cluster<A> {
         // a hang — it gets reported as dead below instead.
         self.quiesce_for(JOIN_DEADLINE);
         self.shutting_down.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            waker.wake();
+        for mailbox in self.mailboxes.iter() {
+            mailbox.wake();
         }
         let mut stats = MsgStats::new(&self.tree);
         let mut combines = Vec::new();

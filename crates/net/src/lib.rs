@@ -6,14 +6,14 @@
 //! listener, every tree edge is a persistent connection carrying
 //! length-prefixed frames ([`frame`]), and clients talk to any node
 //! over the same protocol to issue `combine` / `write` requests or
-//! pull metrics snapshots. The byte pipe underneath is pluggable
+//! pull metrics snapshots. The clients' byte pipe is pluggable
 //! ([`transport`], selected by [`NetConfig::transport`]): loopback TCP
 //! (the default), Unix-domain sockets, or in-process SPSC byte rings
 //! with a socketpair doorbell — the protocol and every fault/recovery
 //! seam are identical across the three. The transport carries the
-//! clients and the tree edges that cross reactor threads; an edge whose
-//! two ends share a reactor is always a reactor-local pipe, which makes
-//! no system call.
+//! clients only: an edge whose two ends share a reactor is always a
+//! reactor-local pipe, which makes no system call, and one between two
+//! reactor threads a Unix socketpair.
 //!
 //! Each node is a sans-IO core (`core.rs`: instances, links, clients,
 //! subscriptions, restarts, with no socket and no clock) driven by a
@@ -233,6 +233,40 @@ mod tests {
         assert_eq!(c.combine().unwrap(), 9);
         cluster.quiesce();
         cluster.shutdown();
+    }
+
+    #[test]
+    fn an_edge_hello_on_a_listener_is_dropped() {
+        use std::io::Read;
+        let tree = Tree::path(3);
+        let cluster = Cluster::spawn(&tree, SumI64, &RwwSpec, false).unwrap();
+        cluster.client(NodeId(2)).unwrap().write(9).unwrap();
+        cluster.quiesce();
+
+        // Every edge is made inside the process, so a stranger that dials
+        // node 1's listener and claims to be its neighbour 0 is dropped
+        // unanswered instead of replacing the live edge.
+        let NodeAddr::Tcp(addr) = cluster.addrs()[1].clone() else {
+            panic!("default transport is TCP");
+        };
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        let mut hello = 0u32.to_le_bytes().to_vec();
+        hello.extend_from_slice(&[0; 16]);
+        frame::write_frame(&mut s, frame::TAG_HELLO_EDGE, &hello).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match s.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("the node answered an edge hello on its listener: {other:?}"),
+        }
+        drop(s);
+
+        // The edge 0–1 the cluster made is still the one in use.
+        let mut c = cluster.client(NodeId(0)).unwrap();
+        assert_eq!(c.combine().unwrap(), 9);
+        cluster.quiesce();
+        let report = cluster.shutdown();
+        assert_eq!(report.faults.reconnects, 0);
     }
 
     #[test]

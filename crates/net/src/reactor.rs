@@ -11,13 +11,16 @@
 //! listener, edge and client connections, redial timers, write-ahead
 //! log — so per-node state needs no locks, no inbox channel and no
 //! reader threads. Thread count is O(pool), not O(nodes)
-//! (`ClusterReport::threads_spawned`). A dial to a peer the same reactor
-//! owns is placed in-process ([`NodeIo::run_timers`]): a [`LocalStream`]
-//! pair, one end the dial, the other adopted into the peer's pending
-//! connections as if accepted, so no descriptor or system call carries
-//! the edge. Hellos, sequencing, severs, kill9s and redials run over it
-//! unchanged; only clients and edges that cross reactors use the
-//! configured transport.
+//! (`ClusterReport::threads_spawned`). No edge dials a listener: the
+//! dialing reactor makes both ends of the connection
+//! ([`NodeIo::run_timers`]). To a peer the same reactor owns it places a
+//! [`LocalStream`] pair, one end the dial, the other adopted into the
+//! peer's pending connections as if accepted, so no descriptor or system
+//! call carries the edge. To a peer on another reactor it places a
+//! `UnixStream` socketpair, the far end posted to that reactor's
+//! [`Mailbox`], which adopts it the same way when its waker fires. Hellos,
+//! sequencing, severs, kill9s and redials run over both unchanged; only
+//! clients use the configured transport.
 //!
 //! ## Ownership
 //!
@@ -63,7 +66,8 @@
 //! wakes never runs ahead of mechanism frames already queued. The only
 //! walk over all nodes is the memory-only scan of their deadlines, which
 //! yields the sleep bound and the nodes whose timers are due; the waker,
-//! for shutdown, is the only cross-thread signal.
+//! for shutdown and for a posted crossing edge, is the only cross-thread
+//! signal.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -89,7 +93,7 @@ use crate::core::{ClientId, CoreStep, Env, NodeCore, NodeReport};
 use crate::durability::WalDurability;
 use crate::frame::{FrameDecoder, WriteQueue, TAG_HELLO_CLIENT, TAG_HELLO_EDGE};
 use crate::link::parse_hello;
-use crate::transport::{Listener, LocalStream, NodeAddr, ReadyList, Stream};
+use crate::transport::{Listener, LocalStream, ReadyList, Stream};
 
 /// Cluster-wide in-flight work counter: each edge frame holds one unit
 /// of debt from the step that numbers it to the step that delivers and
@@ -101,6 +105,10 @@ pub(crate) struct InFlight {
     n: AtomicI64,
     mu: Mutex<()>,
     cv: Condvar,
+    /// Parks that ran out their timeout with the count already at zero:
+    /// a wakeup the notify missed.
+    #[cfg(test)]
+    missed: std::sync::atomic::AtomicUsize,
 }
 
 impl InFlight {
@@ -109,6 +117,8 @@ impl InFlight {
             n: AtomicI64::new(0),
             mu: Mutex::new(()),
             cv: Condvar::new(),
+            #[cfg(test)]
+            missed: Default::default(),
         }
     }
 
@@ -120,10 +130,12 @@ impl InFlight {
         let n = self.n.fetch_add(d, Ordering::SeqCst) + d;
         debug_assert!(n >= 0, "in-flight debt went negative: {n}");
         if n == 0 {
-            // Take the lock before notifying so a waiter that observed a
-            // non-zero count cannot park between our decrement and this
-            // notification (it re-checks the count under the lock).
-            let _g = self.mu.lock().unwrap();
+            // Pass through the lock before notifying so a waiter that
+            // observed a non-zero count cannot park between our decrement
+            // and this notification (it re-checks the count under the
+            // lock). Notify after releasing it: a woken waiter that runs
+            // at once would otherwise block on the lock we still hold.
+            drop(self.mu.lock().expect("no thread panics holding `mu`"));
             self.cv.notify_all();
         }
     }
@@ -152,7 +164,11 @@ impl InFlight {
                 }
                 wait = wait.min(left);
             }
-            let _ = self.cv.wait_timeout(guard, wait).unwrap();
+            let (_guard, _timeout) = self.cv.wait_timeout(guard, wait).unwrap();
+            #[cfg(test)]
+            if _timeout.timed_out() && self.load() == 0 {
+                self.missed.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -307,7 +323,7 @@ impl Conn {
                 c.writev += u64::from(!local);
                 match (edge, local) {
                     (true, true) => c.local_edge_bytes += wrote,
-                    (true, false) => c.transport_edge_bytes += wrote,
+                    (true, false) => c.socket_edge_bytes += wrote,
                     _ => {}
                 }
             });
@@ -337,26 +353,46 @@ impl Drop for Conn {
     }
 }
 
-/// Cross-thread nudge for a reactor parked in its wait: one byte down a
-/// socketpair whose read half the reactor polls.
-pub(crate) struct Waker {
-    tx: UnixStream,
+/// A reactor's inbox from the rest of the cluster: the far ends of the
+/// edge socketpairs other reactors dialed to its nodes, each with its
+/// node's shard slot, and the waker that announces them (and shutdown) —
+/// one byte down a socketpair whose read half the reactor polls.
+pub(crate) struct Mailbox {
+    conns: Mutex<Vec<(usize, UnixStream)>>,
+    waker: UnixStream,
 }
 
-impl Waker {
+impl Mailbox {
+    /// An empty mailbox and the read half of its waker.
+    pub(crate) fn new() -> io::Result<(Mailbox, UnixStream)> {
+        let (waker, rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        let conns = Mutex::new(Vec::new());
+        Ok((Mailbox { conns, waker }, rx))
+    }
+
+    /// Nudges the reactor out of its wait.
     pub(crate) fn wake(&self) {
         // A full pipe already guarantees a pending wakeup; errors are
         // irrelevant.
-        let _ = (&self.tx).write(&[1]);
+        let _ = (&self.waker).write(&[1]);
     }
-}
 
-/// Creates a waker and the read half the reactor polls.
-pub(crate) fn waker_pair() -> io::Result<(Waker, UnixStream)> {
-    let (tx, rx) = UnixStream::pair()?;
-    tx.set_nonblocking(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((Waker { tx }, rx))
+    /// Hands `stream` to the owner's node at `slot`, then wakes it.
+    fn post(&self, slot: usize, stream: UnixStream) {
+        let mut conns = self.conns.lock().expect("no thread panics holding it");
+        conns.push((slot, stream));
+        drop(conns);
+        self.wake();
+    }
+
+    /// Everything posted so far. The owner drains its waker first, so a
+    /// post that misses this take leaves a wake byte for the next wait.
+    fn take(&self) -> Vec<(usize, UnixStream)> {
+        let mut conns = self.conns.lock().expect("no thread panics holding it");
+        std::mem::take(&mut *conns)
+    }
 }
 
 /// Everything one reactor thread needs: its shard of nodes plus the
@@ -367,7 +403,10 @@ pub(crate) struct ReactorCfg<S, A: AggOp> {
     pub shard: u32,
     pub shard_nodes: Vec<NodeSeed>,
     pub tree: Tree,
-    pub addrs: Vec<NodeAddr>,
+    /// Per node id, its reactor and its slot in that reactor's shard.
+    pub homes: Vec<(usize, usize)>,
+    /// Every reactor's mailbox, indexed like `shard`.
+    pub mailboxes: Arc<[Mailbox]>,
     pub op: A,
     pub spec: S,
     pub ghost: bool,
@@ -450,13 +489,15 @@ impl Tok {
 /// The reactor-wide handles. Only `now` changes: the loop reads its
 /// clock once per wakeup.
 struct Ctx<'a> {
-    addrs: &'a [NodeAddr],
     in_flight: &'a InFlight,
     /// Cluster-wide count of mechanism messages sent.
     total_sent: &'a AtomicU64,
     rd: &'a Rc<Readiness>,
-    /// Per node id, its shard slot if this reactor owns it.
-    local: &'a [Option<usize>],
+    /// This reactor's index in `mailboxes`.
+    shard: usize,
+    /// Per node id, its reactor and its shard slot there.
+    homes: &'a [(usize, usize)],
+    mailboxes: &'a [Mailbox],
     ready_tx: &'a Sender<()>,
     now: Instant,
 }
@@ -472,8 +513,10 @@ struct NodeIo<S: PolicySpec, A: AggOp> {
     /// Per edge, the live connection, or the dial awaiting its hello
     /// reply while the core [`NodeCore::is_dialing`].
     conns: Vec<Option<Conn>>,
-    /// Accepted connections that have not yet sent their hello.
-    pending: HashMap<u64, Conn>,
+    /// Connections that have not yet sent their hello, each with the one
+    /// hello tag its origin allows: a client's on the listener, an
+    /// edge's on a local pipe or a socketpair from the mailbox.
+    pending: HashMap<u64, (u8, Conn)>,
     next_pending: u64,
     clients: HashMap<ClientId, Conn>,
     ready_sent: bool,
@@ -565,7 +608,7 @@ where
     fn on_accept_ready(&mut self, ctx: &Ctx<'_>) {
         loop {
             match self.listener.accept() {
-                Ok(stream) => self.adopt(stream, ctx),
+                Ok(stream) => self.adopt(stream, TAG_HELLO_CLIENT, ctx),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
@@ -573,35 +616,39 @@ where
         }
     }
 
-    /// Takes in an accepted connection, off the listener or the local
-    /// end of a dial from this reactor: it parks in `pending` until its
-    /// hello classifies it.
-    fn adopt(&mut self, stream: Stream, ctx: &Ctx<'_>) {
+    /// Takes in an accepted connection, off the listener, the far end of
+    /// a local dial or a socketpair from the mailbox: it parks in
+    /// `pending` until its hello, which must carry tag `hello`, classifies
+    /// it.
+    fn adopt(&mut self, stream: Stream, hello: u8, ctx: &Ctx<'_>) {
         let tok = Tok::Pending(self.slot, self.next_pending);
         if let Ok(conn) = Conn::new(stream, ctx.rd, tok) {
-            self.pending.insert(self.next_pending, conn);
+            self.pending.insert(self.next_pending, (hello, conn));
             self.next_pending += 1;
         }
     }
 
     /// A pre-hello connection became readable: classify it by its first
-    /// frame. Anything other than a well-formed hello is a stranger
-    /// speaking the wrong protocol — dropped, never fatal.
+    /// frame. Anything other than a well-formed hello of the kind its
+    /// origin allows is a stranger speaking the wrong protocol — dropped,
+    /// never fatal. An edge hello on the listener is one: every edge is
+    /// made in-process, so it could only replace a live edge with a
+    /// stranger's socket.
     fn on_pending_ready(&mut self, pid: u64, ctx: &Ctx<'_>, scratch: &mut [u8]) {
-        let Some(conn) = self.pending.get_mut(&pid) else {
+        let Some(&mut (allowed, ref mut conn)) = self.pending.get_mut(&pid) else {
             return;
         };
         let closed = conn.read_ready(scratch);
         match conn.dec.try_frame() {
             Ok(None) if !closed => {}
-            Ok(Some((TAG_HELLO_EDGE, payload))) => {
-                let conn = self.pending.remove(&pid).expect("present above");
+            Ok(Some((TAG_HELLO_EDGE, payload))) if allowed == TAG_HELLO_EDGE => {
+                let (_, conn) = self.pending.remove(&pid).expect("present above");
                 if let Some((peer, rx, acked)) = parse_hello(&payload) {
                     self.install_edge(peer, conn, (rx, acked), true, ctx);
                 }
             }
-            Ok(Some((TAG_HELLO_CLIENT, _))) => {
-                let mut conn = self.pending.remove(&pid).expect("present above");
+            Ok(Some((TAG_HELLO_CLIENT, _))) if allowed == TAG_HELLO_CLIENT => {
+                let (_, mut conn) = self.pending.remove(&pid).expect("present above");
                 let cid = self.core.client_up();
                 if conn.retoken(Tok::Client(self.slot, cid)).is_err() {
                     self.core.client_gone(cid);
@@ -712,8 +759,9 @@ where
 
     /// Fires this node's due redials and places the dials. A peer this
     /// reactor owns is dialed in-process: the far end of a local pipe
-    /// pair goes to `accepted`, for the peer to adopt. An ack due goes
-    /// out at the flush that follows.
+    /// pair goes to `accepted`, for the peer to adopt. A peer on another
+    /// reactor gets the far end of a socketpair through that reactor's
+    /// mailbox. An ack due goes out at the flush that follows.
     fn run_timers(&mut self, ctx: &Ctx<'_>, accepted: &mut Vec<(usize, Stream)>) {
         let step = self.core.tick(ctx.now);
         let dial = step.dial;
@@ -723,16 +771,16 @@ where
                 continue;
             }
             let tok = Tok::Dial(self.slot, wi);
-            let peer = self.core.peer(wi).idx();
-            let stream = match ctx.local[peer] {
-                Some(slot) => {
-                    let (ours, theirs) = LocalStream::pair(&ctx.rd.ready);
-                    accepted.push((slot, Stream::Local(theirs)));
-                    Ok(Stream::Local(ours))
-                }
-                // A blocking `connect` to a pre-bound listener ends at
-                // once; the hello reply is awaited like any other read.
-                None => Stream::connect(&ctx.addrs[peer]),
+            let (shard, slot) = ctx.homes[self.core.peer(wi).idx()];
+            let stream = if shard == ctx.shard {
+                let (ours, theirs) = LocalStream::pair(&ctx.rd.ready);
+                accepted.push((slot, Stream::Local(theirs)));
+                Ok(Stream::Local(ours))
+            } else {
+                UnixStream::pair().map(|(ours, theirs)| {
+                    ctx.mailboxes[shard].post(slot, theirs);
+                    Stream::Uds(ours)
+                })
             };
             match stream.and_then(|stream| Conn::new(stream, ctx.rd, tok)) {
                 Ok(conn) => self.conns[wi] = Some(conn),
@@ -806,9 +854,10 @@ where
     /// back from the log.
     fn kill9_restart(&mut self, ctx: &Ctx<'_>) {
         self.kill9 = false;
-        let conns = self.pending.drain().chain(self.clients.drain());
+        let pending = self.pending.drain().map(|(_, (_, c))| c);
+        let clients = self.clients.drain().map(|(_, c)| c);
         let edges = self.conns.iter_mut().filter_map(Option::take);
-        for conn in conns.map(|(_, c)| c).chain(edges) {
+        for conn in pending.chain(clients).chain(edges) {
             conn.close();
         }
         let state = self
@@ -869,7 +918,8 @@ where
         shard,
         shard_nodes,
         tree,
-        addrs,
+        homes,
+        mailboxes,
         op,
         spec,
         ghost,
@@ -887,10 +937,6 @@ where
     rd.poller
         .add(waker_rx.as_raw_fd(), Tok::Waker.pack(), POLLIN)
         .expect("register waker");
-    let mut local = vec![None; tree.len()];
-    for (slot, seed) in shard_nodes.iter().enumerate() {
-        local[seed.id.idx()] = Some(slot);
-    }
     let env = Rc::new(Env {
         tree,
         op,
@@ -901,11 +947,12 @@ where
         rtx_low,
     });
     let mut ctx = Ctx {
-        addrs: &addrs,
         in_flight: &in_flight,
         total_sent: &total_sent,
         rd: &rd,
-        local: &local,
+        shard: shard as usize,
+        homes: &homes,
+        mailboxes: &mailboxes,
         ready_tx: &ready_tx,
         now: Instant::now(),
     };
@@ -994,10 +1041,13 @@ where
             let slot = match Tok::unpack(token) {
                 None => continue,
                 Some(Tok::Waker) => {
-                    // Drain the nudge bytes; the flag check above is the
-                    // actual signal.
+                    // Drain the nudge bytes, then adopt what the other
+                    // reactors posted; the shutdown flag was checked above.
                     let mut byte = [0u8; 64];
                     while matches!((&waker_rx).read(&mut byte), Ok(n) if n > 0) {}
+                    for (slot, stream) in mailboxes[shard as usize].take() {
+                        nodes[slot].adopt(Stream::Uds(stream), TAG_HELLO_EDGE, &ctx);
+                    }
                     continue;
                 }
                 Some(Tok::Listener(i)) => {
@@ -1056,7 +1106,7 @@ where
             }
         }
         for (slot, stream) in accepted.drain(..) {
-            nodes[slot].adopt(stream, &ctx);
+            nodes[slot].adopt(stream, TAG_HELLO_EDGE, &ctx);
         }
     }
 }
@@ -1149,7 +1199,7 @@ mod tests {
 
     #[test]
     fn waker_unblocks_a_wait() {
-        let (waker, rx) = waker_pair().unwrap();
+        let (mailbox, rx) = Mailbox::new().unwrap();
         let h = std::thread::spawn(move || {
             let poller = Poller::new().unwrap();
             poller
@@ -1162,9 +1212,56 @@ mod tests {
             events.iter().map(|ev| Tok::unpack(ev.token)).collect()
         });
         std::thread::sleep(Duration::from_millis(10));
-        waker.wake();
+        mailbox.wake();
         let got: Vec<Option<Tok>> = h.join().unwrap();
         assert_eq!(got, vec![Some(Tok::Waker)]);
+    }
+
+    #[test]
+    fn in_flight_wakes_every_wait_without_the_safety_net() {
+        // The waiter charges a unit and waits; the settler, polling the
+        // count, settles it at once, so each round the count goes
+        // 0 → 1 → 0 and the settle races the waiter's check and park. A
+        // lost wakeup leaves the waiter parked until the 50 ms cap with
+        // the count already at zero, which `missed` counts; a thread
+        // descheduled for a while on a loaded host does not.
+        const ROUNDS: usize = 10_000;
+        let in_flight = InFlight::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..ROUNDS {
+                    while in_flight.load() == 0 {
+                        std::thread::yield_now();
+                    }
+                    in_flight.add(-1);
+                }
+            });
+            for _ in 0..ROUNDS {
+                in_flight.add(1);
+                assert!(in_flight.wait_zero(None));
+            }
+        });
+        assert_eq!(in_flight.load(), 0);
+        let missed = in_flight.missed.load(Ordering::Relaxed);
+        assert_eq!(missed, 0, "waits that ran into the safety net");
+    }
+
+    #[test]
+    fn in_flight_deadline_wait_reports_whether_the_count_drained() {
+        let in_flight = InFlight::new();
+        in_flight.add(2);
+        let deadline = Instant::now() + Duration::from_millis(20);
+        assert!(
+            !in_flight.wait_zero(Some(deadline)),
+            "the count is stuck at 2"
+        );
+        assert!(Instant::now() >= deadline);
+        in_flight.add(-1);
+        let soon = Some(Instant::now() + Duration::from_millis(5));
+        assert!(!in_flight.wait_zero(soon), "the count is stuck at 1");
+        in_flight.add(-1);
+        // At zero, even a deadline already past reports drained.
+        assert!(in_flight.wait_zero(Some(Instant::now())));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! (non-blocking `read` / `write_vectored` / `shutdown` plus a pollable
 //! fd) and to the blocking client (`ClientStream`), so framing,
 //! sequencing, retransmit, and fault injection are transport-agnostic.
-//! The configured transport carries the clients and the edges that cross
-//! reactors; an edge inside one reactor is always a [`LocalStream`].
+//! The configured transport carries the clients. No tree edge uses it:
+//! an edge inside one reactor is always a [`LocalStream`], and one that
+//! crosses reactors a `UnixStream` socketpair ([`Stream::Uds`]) that the
+//! dialing reactor makes.
 //!
 //! The ring transport is a pair of lock-free single-producer /
 //! single-consumer byte rings (one per direction) with a socketpair
@@ -36,8 +38,7 @@ use std::time::Duration;
 
 use oat_poll::{poll_fds, PollFd, POLLIN};
 
-/// Which connection transport a cluster uses for its clients and for
-/// the edges that cross reactor threads.
+/// Which connection transport a cluster uses for its clients.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// Loopback TCP sockets (the portable default).
@@ -698,7 +699,8 @@ impl Drop for UdsDir {
 // ---------------------------------------------------------------------------
 
 /// A non-blocking reactor-side connection over any transport, or over
-/// a reactor-local pipe.
+/// a reactor-local pipe. `Uds` also holds either end of an edge
+/// socketpair between two reactors.
 pub(crate) enum Stream {
     Tcp(TcpStream),
     Uds(UnixStream),
@@ -707,17 +709,6 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
-    /// Dial `addr` and prepare the result for the reactor.
-    pub(crate) fn connect(addr: &NodeAddr) -> io::Result<Stream> {
-        let s = match addr {
-            NodeAddr::Tcp(a) => Stream::Tcp(TcpStream::connect(a)?),
-            NodeAddr::Uds(p) => Stream::Uds(UnixStream::connect(p)?),
-            NodeAddr::Ring(id) => Stream::Ring(ring_connect(*id)?),
-        };
-        s.prepare()?;
-        Ok(s)
-    }
-
     /// Set per-transport socket options for reactor use
     /// (non-blocking; TCP_NODELAY where it applies).
     pub(crate) fn prepare(&self) -> io::Result<()> {

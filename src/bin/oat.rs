@@ -119,7 +119,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "chaos", form: None, positional: None, run: cmd_chaos,
         flags: &[TREE, WORKLOAD, POLICY, SEED,
             opt("--faults", "FAULTS", Some("seed:7,drop:0.05,dup:0.05,delay:0.05")),
-            opt("--kill9", "NODE@DELIVERED[,..]", None), TRANSPORT,
+            opt("--kill9", "NODE@DELIVERED[,..]", None), TRANSPORT, opt("--threads", "N", None),
             opt("--durability", "memory|wal[:DIR]", None), opt("--fsync-every", "N", Some("8")),
             opt("--snapshot-every", "N", Some("4096"))],
         about: "replays the workload sequentially under --faults and checks \
@@ -367,6 +367,18 @@ impl Args {
         let s = self.str("--transport");
         TransportKind::parse(s)
             .ok_or_else(|| format!("bad --transport `{s}` (want tcp | uds | ring)"))
+    }
+
+    /// `--threads`: the reactor pool size, `None` (the cluster's
+    /// default, `min(cores, 4)`) when the flag is absent.
+    fn threads(&self) -> Result<Option<usize>, String> {
+        match self.get("--threads") {
+            None => Ok(None),
+            Some(s) => match s.parse() {
+                Ok(n) if n > 0 => Ok(Some(n)),
+                _ => Err(format!("bad --threads `{s}` (want a positive count)")),
+            },
+        }
     }
 
     /// `--workload` generated on `tree` from `--seed`.
@@ -1067,6 +1079,7 @@ fn cmd_chaos(a: &Args) -> Result<(), String> {
         },
     };
     let cfg = NetConfig {
+        threads: a.threads()?,
         durability,
         transport: a.transport()?,
         ..NetConfig::default()
@@ -1228,7 +1241,7 @@ where
     let per_req = |n: u64| n as f64 / seq.len() as f64;
     println!(
         "  io:        {:.2} writev, {:.2} read, {:.2} epoll_wait per request; \
-         {:.1} % of edge bytes in-process",
+         {:.1} % of edge bytes in local pipes",
         per_req(report.io.writev),
         per_req(report.io.read),
         per_req(report.io.epoll_wait),

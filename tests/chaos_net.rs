@@ -330,12 +330,15 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
     // severs and redials every connection the node held, and on both
     // kinds of edge: with one reactor every edge is a local pipe, so the
     // drops, dups, the connection kill and both kill9s all land
-    // in-process; with one reactor per node every edge is a socket.
+    // in-process; with one reactor per node every edge is a socketpair.
+    // With two reactors the killed edge 0–1 is the one between them: its
+    // dialer redials, and the fresh socketpair crosses the peer
+    // reactor's mailbox mid-run.
     let tree = Tree::kary(10, 3);
     let transports = [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring];
     let runs = transports
         .into_iter()
-        .flat_map(|t| [1, tree.len()].map(|pool| (t, pool)));
+        .flat_map(|t| [1, 2, tree.len()].map(|pool| (t, pool)));
     for (transport, pool) in runs {
         let name = format!("{}/pool {pool}", transport.name());
         let seq = uniform(&tree, 90, 0.5, 0xD15C);
@@ -370,6 +373,8 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
         };
         let cluster = Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg)
             .unwrap_or_else(|e| panic!("{name}: spawn kill9 failed: {e}"));
+        let crossing = cluster.reactor_of(NodeId(0)) != cluster.reactor_of(NodeId(1));
+        assert_eq!(crossing, pool > 1, "{name}: where the killed edge sits");
         let combines = replay_against_oracle(&cluster, &seq);
         assert!(
             combines > 10,
@@ -411,6 +416,13 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
         assert_eq!(
             report.faults.restarts, 2,
             "{name}: restarts must equal crashes + kill9s"
+        );
+        assert!(report.faults.reconnects >= 1, "{name}: {:?}", report.faults);
+        assert_eq!(
+            report.io.socket_edge_bytes > 0,
+            pool > 1,
+            "{name}: {:?}",
+            report.io
         );
         // The WAL directory was fresh, so cold start found nothing: every
         // replay on the books is a kill9 recovery.

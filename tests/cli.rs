@@ -78,8 +78,9 @@ fn a_fault_free_chaos_run_sends_few_standalone_acks() {
 fn chaos_prints_a_balanced_placement_with_few_crossing_edges() {
     // Reactors own contiguous preorder blocks, so a binary tree crosses
     // reactors on a handful of edges; dealing nodes by id modulo the pool
-    // crossed on half of them.
-    let line = "chaos --tree kary:31:2 --workload uniform:0.5:50 --faults none";
+    // crossed on half of them. `--threads 2` makes the pool the same on
+    // every host.
+    let line = "chaos --tree kary:31:2 --workload uniform:0.5:50 --faults none --threads 2";
     let out = oat(line);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{line}: {stdout}");
@@ -99,7 +100,7 @@ fn chaos_prints_a_balanced_placement_with_few_crossing_edges() {
         .unwrap_or_else(|| panic!("no a–b range in `{rest}`"));
     let (a, b) = (num(a), num(b));
     let (crossing, edges) = (num(words[5]), num(words[7]));
-    assert!(num(words[0]) >= 1, "{rest}");
+    assert_eq!(num(words[0]), 2, "{rest}");
     assert!(a <= b && b - a <= 1, "unbalanced: {rest}");
     assert_eq!(edges, 30, "{rest}");
     assert!(2 * crossing < edges, "{rest}");
@@ -108,12 +109,12 @@ fn chaos_prints_a_balanced_placement_with_few_crossing_edges() {
 #[test]
 fn chaos_keeps_co_resident_edges_out_of_the_kernel() {
     // A tree edge whose two ends share a reactor is a local pipe, so on
-    // this shape a request costs about one `writev` (its response) where
-    // a socket on every edge cost about 8.2. `oat chaos` runs
-    // min(cores, 4) reactors: with one or two, at most one edge crosses
-    // and over 80 % of the edge bytes stay in-process; with three or
-    // four, a few edges near the root cross and carry about a quarter.
-    let line = "chaos --tree kary:31:2 --workload uniform:0.5:2000 --faults none --transport tcp";
+    // this shape a request costs about 1.75 `writev` (its response, and
+    // the one edge between the two reactors, a socketpair) where a socket
+    // on every edge cost about 8.2. With two reactors one edge crosses,
+    // and over 80 % of the edge bytes stay in local pipes.
+    let line = "chaos --tree kary:31:2 --workload uniform:0.5:2000 --faults none --transport tcp \
+                --threads 2";
     let out = oat(line);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{line}: {stdout}");
@@ -130,18 +131,13 @@ fn chaos_keeps_co_resident_edges_out_of_the_kernel() {
             .unwrap_or_else(|_| panic!("`{w}` in {stdout}"))
     };
     // "P reactors (a–b nodes each), X of Y tree edges cross reactors"
-    let crossing = num(&after("placement:")[5]);
-    // "W writev, R read, E epoll_wait per request; S % of edge bytes in-process"
+    assert_eq!(num(&after("placement:")[5]), 1.0, "{stdout}");
+    // "W writev, R read, E epoll_wait per request; S % of edge bytes in local pipes"
     let io = after("io:");
     let (writev, read, share) = (num(&io[0]), num(&io[2]), num(&io[8]));
-    let (max_writev, min_share) = if crossing <= 1.0 {
-        (3.0, 80.0)
-    } else {
-        (4.0, 50.0)
-    };
-    assert!(writev < max_writev, "{writev} writev per request: {stdout}");
-    assert!(read < max_writev, "{read} read per request: {stdout}");
-    assert!(share > min_share, "{share} % in-process: {stdout}");
+    assert!(writev < 3.0, "{writev} writev per request: {stdout}");
+    assert!(read < 3.0, "{read} read per request: {stdout}");
+    assert!(share > 80.0, "{share} % in local pipes: {stdout}");
 }
 
 #[test]
@@ -230,6 +226,15 @@ fn out_of_range_spec_parameters_exit_2_instead_of_panicking() {
         assert!(!stderr.contains("panicked"), "{line}: {stderr}");
         assert!(stderr.contains(&format!("`{spec}`")), "{line}: {stderr}");
     }
+}
+
+#[test]
+fn a_reactor_pool_of_zero_threads_exits_2() {
+    let line = "chaos --tree kary:7:2 --workload uniform:0.5:20 --threads 0";
+    let out = oat(line);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+    assert!(stderr.contains("bad --threads `0`"), "{line}: {stderr}");
 }
 
 /// Runs `oat` on `args` and returns its stdout; a nonzero exit fails

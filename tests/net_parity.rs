@@ -293,11 +293,12 @@ fn byte_parity_holds_on_every_transport() {
     // message counts, per-kind totals, the complete per-directed-edge
     // count matrix — repeated over every transport backend and on both
     // kinds of edge. An edge whose two ends share a reactor is a local
-    // pipe; one that crosses reactors uses the transport. One reactor
-    // puts every edge in-process, two mix the kinds, and one reactor per
-    // node puts every edge on the transport. The SPSC ring, the Unix
-    // socket, TCP and the local pipe must be indistinguishable above the
-    // framing layer.
+    // pipe; one that crosses reactors is a Unix socketpair. One reactor
+    // puts every edge in a local pipe, two mix the kinds, and one reactor
+    // per node puts every edge on a socketpair. No edge uses the
+    // transport, so the transport matrix varies only the client hop. The
+    // SPSC ring, the Unix socket, TCP, the socketpair and the local pipe
+    // must be indistinguishable above the framing layer.
     let tree = Tree::kary(10, 3);
     for transport in TRANSPORTS {
         for pool in [1, 2, tree.len()] {
@@ -316,8 +317,8 @@ fn byte_parity_holds_on_every_transport() {
             );
             let io = report.io;
             match pool {
-                1 => assert_eq!(io.transport_edge_bytes, 0, "{name}: {io:?}"),
-                2 => assert!(io.local_edge_bytes > 0 && io.transport_edge_bytes > 0),
+                1 => assert_eq!(io.socket_edge_bytes, 0, "{name}: {io:?}"),
+                2 => assert!(io.local_edge_bytes > 0 && io.socket_edge_bytes > 0),
                 _ => assert_eq!(io.local_edge_bytes, 0, "{name}: {io:?}"),
             }
             let seq = hotspot(&tree, 40, 0.4, 2, 2, 0xC0FFEE);
