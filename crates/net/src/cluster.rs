@@ -156,6 +156,8 @@ pub struct Cluster<A: AggOp> {
     policy_name: String,
     ledger: Arc<InjectedFaults>,
     threads_spawned: usize,
+    /// A clone of the operator every node folds with.
+    op: A,
     /// Keeps the UDS socket directory alive (and removed on drop).
     _uds_dir: Option<UdsDir>,
 }
@@ -454,6 +456,7 @@ where
             policy_name: spec.name(),
             ledger,
             threads_spawned: pool,
+            op,
             _uds_dir: uds_dir,
         })
     }
@@ -634,6 +637,11 @@ where
 
 // Methods that need no wire-codec bound (notably everything Drop uses).
 impl<A: AggOp> Cluster<A> {
+    /// The aggregation operator the nodes fold with.
+    pub fn op(&self) -> &A {
+        &self.op
+    }
+
     /// The tree this cluster serves.
     pub fn tree(&self) -> &Tree {
         &self.tree

@@ -17,6 +17,22 @@
 //! before the ack, restored by every crash or `kill9` restart), so
 //! nothing the engine has had acknowledged is ever written twice.
 //!
+//! ## Retiring facts
+//!
+//! A window retires facts: a closed tumbling window, or the fact a
+//! `last-N` window evicts. Which write retires them depends on the
+//! operator's algebra ([`OpKind::is_group`]):
+//!
+//! * `sum`/`count` have an inverse. Accumulators are never reset; the
+//!   engine keeps a per-key `retired` total, and every write to node 0
+//!   carries `acc(key, 0) − retired`, so the tree's aggregate is
+//!   exactly the open window (or the last N facts) for any reader. A
+//!   closed window costs one node-0 write per key, an eviction at most
+//!   one node-0 write in its fact's round.
+//! * `min`/`max` do not. A closed window resets the key's touched
+//!   shards to identity; an eviction refolds the expired fact's shard
+//!   from the surviving ring and re-writes it.
+//!
 //! ## Visibility contract
 //!
 //! A write ack means "applied at that node"; the updates it caused may
@@ -29,7 +45,7 @@
 //! round goes out before any ack is awaited, and the next round starts
 //! only once all of them are acked. A fact is one round (with its
 //! `last-N` retire write, if any), and so is a window boundary's whole
-//! set of shard resets. Facts still go one at a time, so the engine is
+//! set of retire writes. Facts still go one at a time, so the engine is
 //! a sequential client; after each fact's round it takes the pushes
 //! that have already arrived and moves on.
 //!
@@ -47,7 +63,7 @@
 //!    so the first fact of a later tumbling window closes every open
 //!    window at once: one propagation barrier, the keys' combines
 //!    pipelined on the subscriber connection, one exact final per key,
-//!    and the keys' shards reset to identity in one write round.
+//!    and the keys' retire writes in one write round.
 //! 3. **Settlement** — after the stream ends: one pre-final snapshot
 //!    per key, the barrier, and one exact final per key whose window is
 //!    still open.
@@ -61,7 +77,7 @@
 //! exactly ([`QueryRun::matches_oracle`]).
 
 use crate::oracle::{oracle_finals, Final};
-use crate::spec::{QuerySpec, WindowSpec};
+use crate::spec::{OpKind, QuerySpec, WindowSpec};
 use oat_core::agg::AggOp;
 use oat_core::tree::NodeId;
 use oat_net::{Cluster, ClusterClient, Response};
@@ -202,9 +218,14 @@ struct Driver<'a, A: AggOp<Value = i64>> {
     sub: ClusterClient<i64>,
     writers: Vec<ClusterClient<i64>>,
     /// Absolute per-(key, shard) accumulators: the fold of the shard's
-    /// facts in the key's open window, which is the value every write
-    /// to that shard carries.
+    /// facts — since the stream began for a group operator, in the
+    /// key's open window for `min`/`max` — which is the value every
+    /// write to that shard carries (see [`Driver::written`]).
     accs: BTreeMap<(u32, usize), i64>,
+    /// Group operators only: per key, the wrapping total of everything
+    /// closed windows and `last-N` evictions retired, which node 0's
+    /// writes subtract.
+    retired: HashMap<u32, i64>,
     /// Shards written in the key's open window; a key is here exactly
     /// while a final is owed for it.
     touched: BTreeMap<u32, BTreeSet<usize>>,
@@ -256,6 +277,7 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
             sub,
             writers,
             accs: BTreeMap::new(),
+            retired: HashMap::new(),
             touched: BTreeMap::new(),
             rings: HashMap::new(),
             cur_window: HashMap::new(),
@@ -274,6 +296,22 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
 
     fn tree_of(key: u32) -> u32 {
         key + 1
+    }
+
+    /// The value a write of `key` to `shard` carries: the shard's
+    /// accumulator, less — at node 0, where every read is made — what
+    /// the key has retired, so the tree's aggregate is exactly the open
+    /// window.
+    fn written(&self, key: u32, shard: usize) -> i64 {
+        let acc = self
+            .accs
+            .get(&(key, shard))
+            .copied()
+            .unwrap_or_else(|| self.spec.op.identity());
+        match self.retired.get(&key) {
+            Some(&r) if shard == 0 => acc.wrapping_sub(r),
+            _ => acc,
+        }
     }
 
     /// The window `key`'s tree is accumulating (0 unless tumbling).
@@ -399,8 +437,10 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
 
     /// Closes every open tumbling window — the stream's clock has moved
     /// on to window `next` — behind one shared propagation barrier: an
-    /// exact final per key, then the keys' shards reset to identity in
-    /// one write round.
+    /// exact final per key, then one write round that empties the keys'
+    /// trees. A group operator cancels each closed window with one
+    /// write at node 0 that subtracts the total the root just answered;
+    /// `min`/`max` reset the key's touched shards to identity.
     fn close_windows(&mut self, next: u64) -> io::Result<()> {
         let open = std::mem::take(&mut self.touched);
         let keys: Vec<u32> = open.keys().copied().collect();
@@ -412,16 +452,24 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
         for (&key, &v) in keys.iter().zip(&values) {
             self.emit_final(key, v);
         }
-        let ident = self.spec.op.identity();
-        let mut resets = Vec::new();
-        for (key, shards) in open {
+        let op = self.spec.op;
+        let mut round = Vec::new();
+        for ((key, shards), total) in open.into_iter().zip(values) {
             self.cur_window.insert(key, next);
-            for s in shards {
-                self.accs.insert((key, s), ident);
-                resets.push((s, key, ident));
+            if op.is_group() {
+                // Only node 0 reads, so this write updates no leased
+                // edge: the window is gone from the tree at once.
+                let r = self.retired.entry(key).or_insert(0);
+                *r = r.wrapping_add(total);
+                round.push((0, key, self.written(key, 0)));
+            } else {
+                for s in shards {
+                    self.accs.insert((key, s), op.identity());
+                    round.push((s, key, op.identity()));
+                }
             }
         }
-        self.write_round(&resets, 0)
+        self.write_round(&round, 0)
     }
 
     fn process_fact(&mut self, f: &Fact) -> io::Result<()> {
@@ -441,60 +489,62 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
         *cnt += 1;
         let op = self.spec.op;
         let mv = op.map_val(f.val);
-        let mut retired: Option<(usize, i64)> = None;
-        match self.spec.window {
-            WindowSpec::LastN(cap) => {
-                let ring = self.rings.entry(key).or_default();
-                ring.push_back((mv, shard));
-                if ring.len() > cap {
-                    // Retire-on-expiry: refold every shard the eviction
+        let acc = self.accs.entry((key, shard)).or_insert(op.identity());
+        *acc = op.combine(*acc, mv);
+        // A `last-N` eviction rewrites one more shard in the fact's round.
+        let mut retire: Option<usize> = None;
+        if let WindowSpec::LastN(cap) = self.spec.window {
+            let ring = self.rings.entry(key).or_default();
+            ring.push_back((mv, shard));
+            if ring.len() > cap {
+                let (expired, expired_shard) = ring.pop_front().expect("ring non-empty");
+                if op.is_group() {
+                    // Subtract-on-evict: node 0 cancels the expired value.
+                    let r = self.retired.entry(key).or_insert(0);
+                    *r = r.wrapping_add(expired);
+                    retire = Some(0);
+                } else {
+                    // Retire-on-expiry: refold both shards the eviction
                     // touched from the surviving ring contents.
-                    let (_, evicted_shard) = ring.pop_front().expect("ring non-empty");
-                    let refold = |s: usize, ring: &VecDeque<(i64, usize)>| {
-                        ring.iter()
+                    for s in [shard, expired_shard] {
+                        let v = ring
+                            .iter()
                             .filter(|&&(_, rs)| rs == s)
-                            .fold(op.identity(), |a, &(v, _)| op.combine(a, v))
-                    };
-                    let nv = refold(shard, ring);
-                    if evicted_shard != shard {
-                        let ev = refold(evicted_shard, ring);
-                        retired = Some((evicted_shard, ev));
-                    }
-                    self.accs.insert((key, shard), nv);
-                    if let Some((s, v)) = retired {
+                            .fold(op.identity(), |a, &(v, _)| op.combine(a, v));
                         self.accs.insert((key, s), v);
                     }
-                } else {
-                    let e = self
-                        .accs
-                        .entry((key, shard))
-                        .or_insert_with(|| op.identity());
-                    *e = op.combine(*e, mv);
+                    retire = Some(expired_shard);
                 }
-            }
-            _ => {
-                let e = self
-                    .accs
-                    .entry((key, shard))
-                    .or_insert_with(|| op.identity());
-                *e = op.combine(*e, mv);
             }
         }
         self.at_hw = f.at_ms;
-        let marks = self.touched.entry(key).or_default();
-        marks.insert(shard);
-        let fact = (shard, key, self.accs[&(key, shard)]);
-        match retired {
-            // The retired shard differs from the fact's, so the two
-            // writes share one round.
-            Some((s, v)) => {
-                marks.insert(s);
-                self.write_round(&[(s, key, v), fact], 1)?;
+        let fact = (shard, key, self.written(key, shard));
+        match retire.filter(|&s| s != shard) {
+            // The retire write goes to another shard, so the two share
+            // one round; it is submitted first, so a push rarely shows
+            // the new fact without the retirement.
+            Some(s) => {
+                self.touched.entry(key).or_default().extend([s, shard]);
+                let retire = (s, key, self.written(key, s));
+                self.write_round(&[retire, fact], 1)?;
             }
-            None => self.write_round(&[fact], 1)?,
+            None => {
+                self.touched.entry(key).or_default().insert(shard);
+                self.write_round(&[fact], 1)?;
+            }
         }
         self.drain_pushes()
     }
+}
+
+/// Whether the cluster folds the monoid `op` names, judged by its
+/// identity and two probe combines (one of them past `i64::MAX`, which
+/// the `sum`/`count` retire writes rely on wrapping).
+fn same_monoid<A: AggOp<Value = i64>>(cluster_op: &A, op: OpKind) -> bool {
+    cluster_op.identity() == op.identity()
+        && [(3, -5), (i64::MAX, 1)]
+            .iter()
+            .all(|&(a, b)| cluster_op.combine(&a, &b) == op.combine(a, b))
 }
 
 /// Runs `spec` over `facts` against `cluster`, blocking until the
@@ -502,13 +552,23 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
 ///
 /// The cluster's operator must implement the same monoid over `i64` as
 /// `spec.op` (`sum`/`count` → `SumI64`, `min` → `MinI64`, `max` →
-/// `MaxI64`); the engine folds its shard accumulators with `spec.op`
-/// and the nodes fold shard values with the cluster's operator, so a
-/// mismatch silently corrupts finals.
+/// `MaxI64`): the engine folds its shard accumulators with `spec.op`
+/// and the nodes fold shard values with the cluster's operator. A
+/// mismatch is an `InvalidInput` error naming both operators.
 pub fn run<A>(cluster: &Cluster<A>, spec: &QuerySpec, facts: &[Fact]) -> io::Result<QueryRun>
 where
     A: AggOp<Value = i64>,
 {
+    if !same_monoid(cluster.op(), spec.op) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "query operator `{}` does not match the cluster's operator `{}`",
+                spec.op.name(),
+                cluster.op().name()
+            ),
+        ));
+    }
     let mut d = Driver::new(cluster, spec, facts.len())?;
     for f in facts {
         d.process_fact(f)?;

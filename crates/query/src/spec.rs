@@ -57,6 +57,13 @@ impl OpKind {
         }
     }
 
+    /// Whether `⊕` has an inverse: `sum` and `count` form a group under
+    /// wrapping addition, so a retired contribution is cancelled by
+    /// adding its negation; `min` and `max` must refold what survives.
+    pub fn is_group(self) -> bool {
+        matches!(self, OpKind::Sum | OpKind::Count)
+    }
+
     /// Spec keyword for this operator.
     pub fn name(self) -> &'static str {
         match self {
@@ -74,12 +81,15 @@ pub enum WindowSpec {
     /// Unwindowed: the aggregate covers the whole stream.
     None,
     /// Sliding window over the last `N` facts of each group. Expiring
-    /// facts are *retired*: the affected shard accumulator is refolded
-    /// from the surviving ring contents and re-written.
+    /// facts are *retired*: under `sum`/`count` node 0 subtracts the
+    /// expired value; under `min`/`max` the expired fact's shard is
+    /// refolded from the surviving ring contents and re-written.
     LastN(usize),
     /// Tumbling fact-time windows of the given width in milliseconds.
     /// A group's window is finalized (exactly) when its first fact of a
-    /// later window arrives, and the group's shards reset to identity.
+    /// later window arrives; then node 0 cancels the closed window's
+    /// total (`sum`/`count`) or the group's shards reset to identity
+    /// (`min`/`max`).
     Tumbling(u64),
 }
 
@@ -257,5 +267,7 @@ mod tests {
             }
         }
         assert_eq!(OpKind::Count.map_val(-100), 1);
+        assert!(OpKind::Sum.is_group() && OpKind::Count.is_group());
+        assert!(!OpKind::Min.is_group() && !OpKind::Max.is_group());
     }
 }

@@ -1,43 +1,48 @@
 //! End-to-end engine properties over the in-process ring transport
-//! (the barrier and reset-order tests run all three): partial sequences are monotone in
-//! coverage, refinement sequences strictly increase per key, and finals
-//! converge to the sequential oracle exactly — per key and per window,
-//! across operators, window modes, and seeds.
+//! (the barrier, retire-order and partial-bound tests run all three):
+//! partial sequences are monotone in coverage, refinement sequences
+//! strictly increase per key, and finals converge to the sequential
+//! oracle exactly — per key and per window, across operators, window
+//! modes, and seeds.
 
-use oat_core::agg::{MaxI64, MinI64, SumI64};
+use oat_core::agg::{AggOp, MaxI64, MinI64, SumI64};
 use oat_core::policy::rww::RwwSpec;
 use oat_core::tree::Tree;
 use oat_net::{Cluster, NetConfig, TransportKind};
-use oat_query::{oracle_finals, run, OpKind, QuerySpec};
+use oat_query::{oracle_finals, run, OpKind, QueryRun, QuerySpec};
 use oat_workloads::facts::{phase_facts, uniform_facts, zipf_facts, Fact};
 use std::collections::HashMap;
+use std::io;
 
 fn check(spec: &QuerySpec, facts: &[Fact], tree: &Tree) {
     check_on(TransportKind::Ring, spec, facts, tree);
 }
 
-fn check_on(transport: TransportKind, spec: &QuerySpec, facts: &[Fact], tree: &Tree) {
+/// Runs `spec` on a fresh cluster folding with `op`.
+fn run_under<A: AggOp<Value = i64>>(
+    op: A,
+    transport: TransportKind,
+    spec: &QuerySpec,
+    facts: &[Fact],
+    tree: &Tree,
+) -> io::Result<QueryRun> {
     let cfg = NetConfig {
         transport,
         ..NetConfig::default()
     };
+    let c = Cluster::spawn_with(tree, op, &RwwSpec, false, Default::default(), cfg)?;
+    run(&c, spec, facts)
+}
+
+/// Runs `spec` under the operator `oat query` pairs with it and checks
+/// every verdict; returns the run for further checks.
+fn check_on(transport: TransportKind, spec: &QuerySpec, facts: &[Fact], tree: &Tree) -> QueryRun {
     let run = match spec.op {
-        OpKind::Sum | OpKind::Count => {
-            let c = Cluster::spawn_with(tree, SumI64, &RwwSpec, false, Default::default(), cfg)
-                .unwrap();
-            run(&c, spec, facts).unwrap()
-        }
-        OpKind::Min => {
-            let c = Cluster::spawn_with(tree, MinI64, &RwwSpec, false, Default::default(), cfg)
-                .unwrap();
-            run(&c, spec, facts).unwrap()
-        }
-        OpKind::Max => {
-            let c = Cluster::spawn_with(tree, MaxI64, &RwwSpec, false, Default::default(), cfg)
-                .unwrap();
-            run(&c, spec, facts).unwrap()
-        }
-    };
+        OpKind::Sum | OpKind::Count => run_under(SumI64, transport, spec, facts, tree),
+        OpKind::Min => run_under(MinI64, transport, spec, facts, tree),
+        OpKind::Max => run_under(MaxI64, transport, spec, facts, tree),
+    }
+    .unwrap();
     assert!(run.coverage_monotone(), "{spec}: coverage regressed");
     assert!(run.refine_seq_monotone(), "{spec}: refine_seq regressed");
     assert!(
@@ -72,6 +77,7 @@ fn check_on(transport: TransportKind, spec: &QuerySpec, facts: &[Fact], tree: &T
         );
         assert_eq!(last.staleness, 0, "{spec}: final staleness");
     }
+    run
 }
 
 fn spec(op: OpKind, group: bool, window: &str) -> QuerySpec {
@@ -135,16 +141,103 @@ fn window_finals_wait_for_propagation() {
 #[test]
 fn window_reset_and_next_fact_stay_ordered_per_shard() {
     // One key over two nodes alternates shards, and 2ms windows over
-    // 1ms gaps hold two facts each: every boundary resets both shards,
-    // and the next fact rewrites one of them right behind its reset. A
-    // reset applied after that fact erases it from the next final.
+    // 1ms gaps hold two facts each: under min/max every boundary resets
+    // both shards, and the next fact rewrites one of them right behind
+    // its reset. A reset applied after that fact erases it from the
+    // next final.
     let tree = Tree::path(2);
     for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
-        for op in [OpKind::Sum, OpKind::Min, OpKind::Max] {
+        for op in [OpKind::Min, OpKind::Max] {
             for seed in 0..3 {
                 let s = spec(op, true, "tumbling(2ms)");
                 eprintln!("reset order: {} {s} seed={seed}", transport.name());
                 check_on(transport, &s, &uniform_facts(40, 1, 1, seed), &tree);
+            }
+        }
+    }
+}
+
+#[test]
+fn window_compensation_and_next_fact_share_writer_zero() {
+    // The same stream under sum: each window's first fact goes to node
+    // 0, right behind the boundary's compensation write on writer 0's
+    // connection. Both carry node 0's absolute value, so applied out of
+    // order the compensation erases that fact from the next final.
+    let tree = Tree::path(2);
+    let s = spec(OpKind::Sum, true, "tumbling(2ms)");
+    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+        for seed in 0..3 {
+            eprintln!("compensation order: {} seed={seed}", transport.name());
+            check_on(transport, &s, &uniform_facts(40, 1, 1, seed), &tree);
+        }
+    }
+}
+
+#[test]
+fn count_partials_stay_within_their_final() {
+    // A count only grows within a window, so no partial of a (key,
+    // window) may exceed that window's final. Resetting the closed
+    // window's shards broke this: the resets reached the root after the
+    // final, and the pushes they caused mixed the old window's counts
+    // into the new one's partials. 5 ms windows over 1 ms gaps close a
+    // window every five facts.
+    let tree = Tree::kary(7, 2);
+    let s = spec(OpKind::Count, true, "tumbling(5ms)");
+    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+        for seed in 1..=3 {
+            let run = check_on(transport, &s, &zipf_facts(400, 4, 1.2, 1, seed), &tree);
+            let finals: HashMap<(u32, u64), i64> = run
+                .finals
+                .iter()
+                .map(|f| ((f.key, f.window), f.value))
+                .collect();
+            let over: Vec<_> = run
+                .partials
+                .iter()
+                .filter(|p| !p.is_final)
+                .filter(|p| finals.get(&(p.key, p.window)).is_some_and(|&f| p.value > f))
+                .collect();
+            assert!(
+                over.is_empty(),
+                "{} seed={seed}: {} partials exceed their window's final, first {:?}",
+                transport.name(),
+                over.len(),
+                over[0]
+            );
+        }
+    }
+}
+
+#[test]
+fn run_refuses_a_cluster_of_another_monoid() {
+    // The engine's accumulators fold with the query's operator and the
+    // nodes with the cluster's; only the pairings `oat query` uses run.
+    let tree = Tree::path(3);
+    let facts = uniform_facts(20, 2, 1, 1);
+    let ring = TransportKind::Ring;
+    for op in [OpKind::Sum, OpKind::Count, OpKind::Min, OpKind::Max] {
+        let s = spec(op, true, "");
+        for (cluster_op, res) in [
+            ("sum(i64)", run_under(SumI64, ring, &s, &facts, &tree)),
+            ("min(i64)", run_under(MinI64, ring, &s, &facts, &tree)),
+            ("max(i64)", run_under(MaxI64, ring, &s, &facts, &tree)),
+        ] {
+            let paired = match op {
+                OpKind::Sum | OpKind::Count => "sum(i64)",
+                OpKind::Min => "min(i64)",
+                OpKind::Max => "max(i64)",
+            };
+            match res {
+                Ok(run) => {
+                    assert_eq!(cluster_op, paired, "{s} ran on {cluster_op}");
+                    assert!(run.matches_oracle(&facts), "{s} on {cluster_op}");
+                }
+                Err(e) => {
+                    assert_ne!(cluster_op, paired, "{s} on {cluster_op}: {e}");
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}");
+                    let msg = e.to_string();
+                    assert!(msg.contains(op.name()) && msg.contains(cluster_op), "{msg}");
+                }
             }
         }
     }

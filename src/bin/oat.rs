@@ -1417,15 +1417,16 @@ fn cmd_mlap(a: &Args) -> Result<(), String> {
     }
     Ok(())
 }
-/// Spawns a cluster under the right operator for the query op and runs
-/// the continuous-query engine against it.
+/// Spawns a cluster under the right operator for the query op, runs
+/// the continuous-query engine against it, and returns the run with the
+/// mechanism messages the shutdown report counts over every tree.
 fn run_query_on<S: PolicySpec>(
     spec: &S,
     tree: &Tree,
     qspec: &oat::query::QuerySpec,
     facts: &[oat::workloads::facts::Fact],
     cfg: NetConfig,
-) -> Result<oat::query::QueryRun, String>
+) -> Result<(oat::query::QueryRun, u64), String>
 where
     S::Node: 'static,
 {
@@ -1436,13 +1437,14 @@ where
         qspec: &oat::query::QuerySpec,
         facts: &[oat::workloads::facts::Fact],
         cfg: NetConfig,
-    ) -> Result<oat::query::QueryRun, String>
+    ) -> Result<(oat::query::QueryRun, u64), String>
     where
         S::Node: 'static,
     {
         let cluster = Cluster::spawn_with(tree, op, spec, false, FaultPlan::default(), cfg)
             .map_err(|e| format!("cluster spawn: {e}"))?;
-        oat::query::run(&cluster, qspec, facts).map_err(|e| format!("query run: {e}"))
+        let run = oat::query::run(&cluster, qspec, facts).map_err(|e| format!("query run: {e}"))?;
+        Ok((run, cluster.shutdown().stats.total()))
     }
     use oat::query::OpKind;
     match qspec.op {
@@ -1470,8 +1472,10 @@ fn cmd_query(a: &Args) -> Result<(), String> {
         transport,
         ..NetConfig::default()
     };
-    let run = with_policy!(&policy, spec =>
+    let (run, msgs) = with_policy!(&policy, spec =>
         run_query_on(&spec, &tree, &qspec, &facts, cfg))?;
+    // Tree 0 carries nothing here: every message is a forest tree's.
+    let msgs_per_fact = msgs as f64 / facts.len().max(1) as f64;
     let oracle = oat::query::oracle_finals(&qspec, &facts);
     let mut finals = run.finals.clone();
     finals.sort_by_key(|f| (f.key, f.window));
@@ -1526,14 +1530,16 @@ fn cmd_query(a: &Args) -> Result<(), String> {
             .with("coverage_monotone", run.coverage_monotone())
             .with("refine_seq_monotone", run.refine_seq_monotone())
             .with("min_partials_per_key", run.min_partials_per_key())
+            .with("msgs_per_fact", msgs_per_fact)
             .with("refinement", refinement)
             .with("finals", finals.collect::<Vec<_>>())
             .with("partials", partials.collect::<Vec<_>>());
         println!("{}", doc.to_pretty());
     } else {
         println!(
-            "query: {qspec}\n  stream {stream} facts={} keys={keys} seed={seed} \
-             gap={gap_ms}ms transport={} tree={tree_spec} policy={policy_spec}",
+            "query: {qspec}  ({msgs_per_fact:.2} forest msgs/fact)\n  stream {stream} \
+             facts={} keys={keys} seed={seed} gap={gap_ms}ms transport={} tree={tree_spec} \
+             policy={policy_spec}",
             facts.len(),
             transport.name(),
         );

@@ -436,8 +436,9 @@ fn mlap_json_bills_every_policy_at_least_opt() {
 #[test]
 fn query_json_verdicts_hold_on_every_transport() {
     // A tumbling group-by over a short seeded zipf fact stream on every
-    // transport, and one last-N run, whose retire write shares its
-    // fact's write round. `oat query` exits nonzero itself when a verdict
+    // transport, and runs of both retire rules: `min`/`max` reset or
+    // refold shards, `count` cancels evictions at node 0 in the fact's
+    // write round. `oat query` exits nonzero itself when a verdict
     // fails; the document must carry them too: finals equal the
     // sequential oracle, coverage and per-key refinement sequences are
     // monotone, and every key refined at least three times.
@@ -447,6 +448,8 @@ fn query_json_verdicts_hold_on_every_transport() {
         ("uds", tumbling),
         ("ring", tumbling),
         ("tcp", "max group by key window last-10"),
+        ("tcp", "min group by key window tumbling(100ms)"),
+        ("tcp", "count group by key window last-10"),
     ] {
         let out = oat_ok(&[
             "query",
@@ -474,6 +477,11 @@ fn query_json_verdicts_hold_on_every_transport() {
             );
         }
         assert!(num(&doc, &["min_partials_per_key"]) >= 3, "{at}");
+        let msgs = doc.get("msgs_per_fact").and_then(Json::as_f64);
+        assert!(
+            msgs.is_some_and(|m| m > 0.0),
+            "{at}: msgs_per_fact {msgs:?}"
+        );
         let finals = doc.get("finals").expect("finals").items();
         assert!(!finals.is_empty(), "{at}");
         for f in finals {

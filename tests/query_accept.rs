@@ -1,7 +1,8 @@
 //! Acceptance tests for the progressive query layer (`oat-query`):
 //! the same declarative query converges to the sequential oracle on
 //! all three transports, and kill9 chaos runs, with and without
-//! tumbling windows, never regress their partial sequence.
+//! windows, never regress their partial sequence — including runs that
+//! kill node 0, which holds every `sum`/`count` retire write.
 
 use oat::core::agg::SumI64;
 use oat::core::fault::{CrashNode, FaultPlan};
@@ -56,27 +57,25 @@ fn tumbling_group_by_accepts_on_all_three_transports() {
     }
 }
 
-/// Runs `spec` over `facts` on `kary:7:2` with a WAL while nodes 1 and
-/// 2 are kill9'd once each node has delivered 10 and 20 messages, and
-/// checks what every kill9 run must hold: both kills fired, finals
-/// equal the sequential oracle, the partial sequence (coverage, per-key
-/// refinement seq) never regresses across the kills, and no node stays
-/// dead.
-fn check_under_kill9(name: &str, spec: &QuerySpec, facts: &[Fact]) {
+/// Runs `spec` over `facts` on `kary:7:2` with a WAL while the two
+/// `victims` are kill9'd once each has delivered 10 and 20 messages
+/// respectively, and checks what every kill9 run must hold: both kills
+/// fired, finals equal the sequential oracle, the partial sequence
+/// (coverage, per-key refinement seq) never regresses across the kills,
+/// and no node stays dead.
+fn check_under_kill9(name: &str, victims: [u32; 2], spec: &QuerySpec, facts: &[Fact]) {
     let tree = Tree::kary(7, 2);
     let wal_dir = tmpdir(name);
     let plan = FaultPlan {
         seed: 7,
-        kill9s: vec![
-            CrashNode {
-                node: NodeId(1),
-                after_delivered: 10,
-            },
-            CrashNode {
-                node: NodeId(2),
-                after_delivered: 20,
-            },
-        ],
+        kill9s: victims
+            .into_iter()
+            .zip([10, 20])
+            .map(|(node, after_delivered)| CrashNode {
+                node: NodeId(node),
+                after_delivered,
+            })
+            .collect(),
         ..FaultPlan::default()
     };
     let cfg = NetConfig {
@@ -124,16 +123,43 @@ fn kill9_chaos_partials_never_regress_and_finals_stay_exact() {
         })
         .collect();
     facts.extend(zipf_facts(120, 3, 1.2, 2, 0x9111));
-    check_under_kill9("kill9", &spec, &facts);
+    check_under_kill9("kill9", [1, 2], &spec, &facts);
 }
 
 /// Kill9 chaos over tumbling windows: with 2 ms gaps a 10 ms window
 /// closes every five facts, so the kills and the reconnects they force
-/// fall among rounds of window resets. A reset lost to a kill leaves
-/// the closed window's value in the shard, and the next final misses
-/// the oracle.
+/// fall among the rounds that close windows — under `sum`, one
+/// compensating write per closed key at node 0. The compensation
+/// cancels the running folds the killed nodes hold, so a restart that
+/// lost an acked shard value leaves the next final off the oracle.
 #[test]
 fn kill9_chaos_across_window_resets_keeps_finals_exact() {
     let spec: QuerySpec = "sum group by key window tumbling(10ms)".parse().unwrap();
-    check_under_kill9("kill9-window", &spec, &zipf_facts(160, 3, 1.2, 2, 0x9111));
+    check_under_kill9(
+        "kill9-window",
+        [1, 2],
+        &spec,
+        &zipf_facts(160, 3, 1.2, 2, 0x9111),
+    );
+}
+
+/// Kill9 of the node that holds the compensation: node 0 carries every
+/// `sum`/`count` retire write — one per closed tumbling window and key,
+/// one per `last-N` eviction — and is killed first, then node 1. Its
+/// restart must restore the compensated value it acked, or the finals
+/// after the kill count retired facts again.
+#[test]
+fn kill9_of_node_zero_keeps_compensated_finals_exact() {
+    for query in [
+        "sum group by key window tumbling(10ms)",
+        "count group by key window tumbling(10ms)",
+        "sum group by key window last-5",
+    ] {
+        let spec: QuerySpec = query.parse().unwrap();
+        for seed in 1..=3 {
+            eprintln!("kill9 of node 0: `{spec}` seed={seed}");
+            let facts = zipf_facts(160, 3, 1.2, 2, seed);
+            check_under_kill9("kill9-node0", [0, 1], &spec, &facts);
+        }
+    }
 }
