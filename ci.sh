@@ -136,6 +136,23 @@ for t in tcp uds ring; do
     --faults "seed:7,drop:0.05,dup:0.05,kill:0-1@3,torn-tail:64" \
     --kill9 0@6,2@5 --transport "$t"
 done
+# The WAL bill: a node logs only its writes and its epochs (one at first
+# boot, one per restart), so a fault-free durable run logs about one
+# record per write. Fail past two epochs per node.
+wal_dir=$(mktemp -d)
+out=$(./target/release/oat chaos --tree kary:31:2 --workload uniform:0.5:4000 \
+  --faults none --transport tcp --durability "wal:$wal_dir")
+rm -rf "$wal_dir"
+echo "$out"
+# "chaos: N nodes, policy P, R requests; ...", "  C combines, ...",
+# "  wal:       W records (B B), ..."
+awk '/^chaos:/ { nodes = $2; for (i = 2; i < NF; i++) if ($(i + 1) ~ /^requests/) requests = $i }
+     /combines, every one/ { combines = $1 }
+     /wal:/ { records = $2 }
+     END { bound = requests - combines + 2 * nodes
+           printf "wal bill: %d records, at most %d allowed\n", records, bound
+           exit !(records > 0 && records <= bound) }' <<<"$out" ||
+  { echo "crash-recovery: the WAL logs more than writes and epochs"; exit 1; }
 
 echo "== benchmark gate: benchmark/smoke.sh =="
 # The standalone benchmark package (BENCHMARK.json's command): its own

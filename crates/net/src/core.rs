@@ -23,8 +23,8 @@
 //! "Loss is a connection event"). Frames leave
 //! through the core's byte queues; the rest comes back as a [`CoreStep`]:
 //! the in-flight debt, the messages sent, the log records to append in
-//! order, severs, a kill9 due, dials due. Nothing is allocated per frame
-//! for the hand-off.
+//! order (writes and epochs), severs, a kill9 due, dials due. Nothing is
+//! allocated per frame for the hand-off.
 //!
 //! ## Automaton instances
 //!
@@ -60,9 +60,11 @@
 //!
 //! A kill9 ([`NodeCore::kill9`]) also destroys what a process holds —
 //! links, retransmit buffers, client queues, batches, subscriptions —
-//! and the node comes back from the state its driver recovered from the
-//! log, then resets its edges like a crash. A cold start over an existing
-//! log takes the same path ([`NodeCore::restore`]).
+//! and the node comes back from the values and epoch its driver
+//! recovered from the log, with every link reset into a new incarnation
+//! (`crate::link`, "A restart is a reset"), then resets its edges like a
+//! crash. A cold start over an existing log takes the same path
+//! ([`NodeCore::restore`]).
 //!
 //! ## Quiescence accounting
 //!
@@ -95,14 +97,14 @@ use oat_core::request::ReqOp;
 use oat_core::tree::{NodeId, Tree};
 use oat_core::wire::{put_u32, put_u64, WireReader, WireValue};
 use oat_sim::stats::MsgStats;
-use oat_wal::{LinkState, Record, WalCounters, WalState};
+use oat_wal::{Record, WalCounters, WalState};
 
 use crate::frame::{
     decode_batch, decode_request, encode_batch, EdgePayload, FrameDecoder, WriteQueue, TAG_PARTIAL,
     TAG_REQ_BATCH, TAG_REQ_METRICS, TAG_RESP_BATCH, TAG_RESP_COMBINE, TAG_RESP_METRICS,
     TAG_RESP_WRITE, TAG_SUB,
 };
-use crate::link::{FrameSink, Link, Step};
+use crate::link::{FrameSink, Hello, Link, Step};
 use crate::metrics::NodeMetrics;
 
 /// Identifies one client connection to one node.
@@ -165,14 +167,6 @@ pub struct FaultCounters {
     pub kill9s: u64,
 }
 
-/// One write-ahead-log operation, in the order the core made it.
-pub(crate) enum WalOp {
-    Append(Record),
-    /// Fold the log into this image (links took new sequence numbers,
-    /// so the sends logged for them are stale).
-    Snapshot(WalState),
-}
-
 /// What one input asks of the driver.
 #[must_use]
 #[derive(Default)]
@@ -181,8 +175,8 @@ pub(crate) struct CoreStep {
     pub debt: i64,
     /// Mechanism messages sent.
     pub sent: u64,
-    /// Log operations, to perform before any client queue is flushed.
-    pub records: Vec<WalOp>,
+    /// Log records, to append before any client queue is flushed.
+    pub records: Vec<Record>,
     /// An edge went down in the core (a connection kill, a corrupt
     /// stream): close each connection whose edge is not [`NodeCore::is_up`].
     pub severed: bool,
@@ -529,7 +523,7 @@ where
         &mut self,
         wi: usize,
         now: T,
-        peer: (u64, u64),
+        hello: &Hello,
         accepted: bool,
         dec: &mut FrameDecoder,
     ) -> CoreStep {
@@ -537,7 +531,7 @@ where
         if accepted {
             e.out.clear();
         }
-        let step = e.link.on_hello(peer.0, peer.1, accepted, &mut e.out);
+        let step = e.link.on_hello(hello, accepted, &mut e.out);
         e.state = EdgeState::Up;
         if std::mem::replace(&mut e.ever_up, true) {
             self.counters.reconnects += 1;
@@ -600,7 +594,9 @@ where
     /// Process-grade kill: what a SIGKILL takes goes — links, queues,
     /// batches, subscriptions, automata — and the node comes back from
     /// `state`, which its driver recovered from the log. Stats, counters
-    /// and the completion log belong to the harness and survive.
+    /// and the completion log belong to the harness and survive, and so
+    /// does the dead process's share of the in-flight debt, which the
+    /// links settle as their peers learn of the reset (`crate::link`).
     pub(crate) fn kill9(&mut self, now: T, state: WalState) -> CoreStep {
         oat_obs::trace_event!(oat_obs::EventKind::Crash, self.id.0, 1, 0);
         self.env.ledger.kill9s.fetch_add(1, Ordering::Relaxed);
@@ -618,6 +614,19 @@ where
         self.restore(now, state)
     }
 
+    /// The start over a log: a restore from `state` when the log held
+    /// any, else a first boot, which logs its epoch so that a later
+    /// kill9 finds the log it recovers from.
+    pub(crate) fn start(&mut self, now: T, state: Option<WalState>) -> CoreStep {
+        match state {
+            Some(state) => self.restore(now, state),
+            None => {
+                self.log(Record::Epoch { epoch: self.epoch });
+                self.take_step()
+            }
+        }
+    }
+
     /// Rebuilds automata and links from recovered durable state: a cold
     /// start over an existing log, and the second half of a kill9.
     pub(crate) fn restore(&mut self, now: T, state: WalState) -> CoreStep {
@@ -628,18 +637,14 @@ where
                 vals.insert(tree, v);
             }
         }
-        // Every link takes its recovered image (zero without one). What
-        // that adds to the debt is charged now, what it removes at the
-        // edge's next hello.
-        let none = LinkState::default();
+        // Newer than any epoch the dead incarnation could have used, so
+        // it also names the links' new incarnation to their peers.
+        let epoch = self.epoch.max(state.epoch) + 1;
         for wi in 0..self.edges.len() {
-            let peer = self.edges[wi].link.peer.0;
-            let image = state.links.iter().find(|l| l.peer == peer);
-            let step = self.edges[wi].link.restore(now, image.unwrap_or(&none));
+            let step = self.edges[wi].link.reset(now, epoch);
             self.apply(wi, step);
         }
-        // Newer than any epoch the dead incarnation could have used.
-        self.reincarnate(self.epoch.max(state.epoch) + 1, 1, vals, now);
+        self.reincarnate(epoch, 1, vals, now);
         self.take_step()
     }
 
@@ -656,7 +661,6 @@ where
                     (tree, val)
                 })
                 .collect(),
-            links: self.edges.iter().map(|e| e.link.snapshot()).collect(),
         }
     }
 
@@ -707,9 +711,6 @@ where
                 }
             }
         };
-        // One watermark record per drain, not per frame, logged before
-        // dispatch so the delivered frames' own log records (sends they
-        // trigger) sort after their cause.
         self.apply(wi, step);
         self.run_work(work, now);
         ok
@@ -977,7 +978,7 @@ where
     }
 
     fn log(&mut self, rec: Record) {
-        self.step.records.push(WalOp::Append(rec));
+        self.step.records.push(rec);
     }
 
     /// Buffers a handler's outbox for `tree` onto the sequenced links,
@@ -1000,44 +1001,20 @@ where
         }
     }
 
-    /// Sends `payload` on edge `wi`, logged before it can reach a socket.
+    /// Sends `payload` on edge `wi`.
     fn send_edge(&mut self, wi: usize, payload: EdgePayload<A::Value>) {
         let mut body = Vec::with_capacity(36);
         let inner = payload.encode(&mut body);
         let e = &mut self.edges[wi];
         let out = (e.state == EdgeState::Up).then_some(&mut e.out);
         let step = e.link.send(inner, body, out, &self.env.ledger);
-        if self.durable {
-            let (seq, inner, body) = e.link.newest();
-            let send = Record::Send {
-                peer: e.link.peer.0,
-                seq,
-                inner,
-                body: body.to_vec(),
-            };
-            self.log(send);
-        }
         self.apply(wi, step);
     }
 
-    /// Takes in a link [`Step`]: debt, moved watermarks and renumberings
-    /// for the log, counts, a sever.
+    /// Takes in a link [`Step`]: debt, counts, a sever.
     fn apply(&mut self, wi: usize, step: Step) {
         self.step.debt += step.debt;
         self.counters.retransmits += step.resent;
-        if self.durable {
-            let peer = self.edges[wi].link.peer.0;
-            if let Some(rx_seq) = step.rx {
-                self.log(Record::Rx { peer, rx_seq });
-            }
-            if let Some(acked) = step.acked {
-                self.log(Record::Ack { peer, acked });
-            }
-            if step.renumbered {
-                let image = self.wal_state();
-                self.step.records.push(WalOp::Snapshot(image));
-            }
-        }
         if step.sever {
             self.downed.push(wi);
         }
@@ -1309,7 +1286,7 @@ fn new_inst<S: PolicySpec, A: AggOp>(
 mod tests {
     use super::*;
     use crate::frame::{encode_request, write_frame, TAG_HELLO_EDGE};
-    use crate::link::parse_hello;
+    use crate::link::Hello;
     use oat_core::agg::SumI64;
     use oat_core::fault::{CrashNode, KillConn};
     use oat_core::policy::rww::RwwSpec;
@@ -1455,14 +1432,8 @@ mod tests {
             self.debt += step.debt;
             self.sent += step.sent;
             let n = &mut self.nodes[u];
-            for op in step.records {
-                match op {
-                    WalOp::Append(rec) => encode_record(&rec, &mut n.log),
-                    WalOp::Snapshot(image) => {
-                        n.base = image;
-                        n.log.clear();
-                    }
-                }
+            for rec in &step.records {
+                encode_record(rec, &mut n.log);
             }
             // Fold the log now and then, like the driver's snapshots.
             if n.log.len() > 4096 {
@@ -1530,9 +1501,9 @@ mod tests {
                     None => return true,
                     Some((TAG_HELLO_EDGE, p)) => {
                         *hello = true;
-                        let (id, rx, acked) = parse_hello(&p).unwrap();
-                        assert_eq!(id.idx(), u);
-                        n.core.edge_up(wj, self.now, (rx, acked), v > u, dec)
+                        let hello = Hello::parse(&p).unwrap();
+                        assert_eq!(hello.id.idx(), u);
+                        n.core.edge_up(wj, self.now, &hello, v > u, dec)
                     }
                     Some(other) => panic!("{other:?} before the hello"),
                 }
@@ -1578,20 +1549,19 @@ mod tests {
             Err("the network never settled".into())
         }
 
-        /// The debt is never below the frames numbered and not yet
+        /// The debt is never below the frames numbered and still to be
         /// delivered, and equals Σ (sender `tx_seq` − receiver `rx_seq`)
         /// over the directed edges once every edge is up with its hellos
-        /// done.
+        /// done and no dead incarnation's debt is left.
         fn check_debt(&self) -> Result<(), String> {
             let (mut undelivered, mut owed, mut settled) = (0, 0, true);
             for (u, node) in self.nodes.iter().enumerate() {
                 for (wi, e) in node.core.edges.iter().enumerate() {
                     let (v, wj, _) = self.far(u, wi);
                     let far = &self.nodes[v].core.edges[wj];
-                    let peer_rx = far.link.seqs().1;
-                    undelivered += e.link.undelivered(peer_rx);
-                    owed += e.link.seqs().0 as i64 - peer_rx as i64;
-                    settled &= e.state == EdgeState::Up && e.link.restore_settled();
+                    undelivered += e.link.undelivered(&far.link);
+                    owed += e.link.seqs().0 as i64 - far.link.seqs().1 as i64;
+                    settled &= e.state == EdgeState::Up && e.link.dead() == 0;
                 }
             }
             if self.debt < undelivered as i64 {

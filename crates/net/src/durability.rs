@@ -1,15 +1,18 @@
 //! The write-ahead-log escrow for a node's durable state.
 //!
 //! What a node must not lose is what the paper makes durable — every
-//! tree instance's last written value — plus its link watermarks and
-//! retransmit buffers. An in-process crash keeps them in the node's
-//! core; a process kill does not. With `NetConfig::durability` set to
-//! `DurabilityMode::Wal`, the core emits a record for every write, sent
-//! frame, moved edge watermark and epoch bump, and the node's driver
-//! appends them to its [`WalDurability`] write-ahead, so a *cold start*
-//! (`kill9`, or a cluster re-spawned on the same directory) rebuilds the
-//! node from disk. Leases are not logged: a restarted node holds none
-//! and its neighbours' RESET handling rebuilds them by probing. Under
+//! tree instance's last written value — and its epoch, which must never
+//! regress. An in-process crash keeps them in the node's core; a process
+//! kill does not. With `NetConfig::durability` set to
+//! `DurabilityMode::Wal`, the core emits a record for every write and
+//! every epoch bump, and the node's driver appends them to its
+//! [`WalDurability`] write-ahead, each synced before the step's client
+//! queues flush, so a *cold start* (`kill9`, or a cluster re-spawned on
+//! the same directory) rebuilds the node's values from disk. Nothing
+//! else is logged. Leases are not: a restarted node holds none and its
+//! neighbours' RESET handling rebuilds them by probing. Links are not:
+//! a restart resets them, and the peers drop what was in flight
+//! (`crate::link`, "A restart is a reset"). Under
 //! `DurabilityMode::Memory` there is no log and the core builds no record.
 //!
 //! Appends are infallible by design: a node that halts on a full disk
@@ -23,11 +26,9 @@ use std::sync::Arc;
 
 use oat_core::fault::{FaultPlan, InjectedFaults};
 use oat_core::tree::NodeId;
-use oat_wal::{DiskFaults, Wal, WalOptions};
+use oat_wal::{DiskFaults, Record, Wal, WalOptions};
 
-use crate::core::WalOp;
-
-pub use oat_wal::{LinkState, WalCounters, WalState};
+pub use oat_wal::{WalCounters, WalState};
 
 /// A node's write-ahead log, delegating to [`oat_wal::Wal`];
 /// disk-fault events (torn tails, failed fsyncs) are mirrored into the
@@ -91,15 +92,12 @@ impl WalDurability {
         }
     }
 
-    /// Performs a node core's log operations, in order. Write and epoch
-    /// records force a sync, so a step's records are durable once this
-    /// returns — before its driver flushes any client queue.
-    pub(crate) fn apply(&mut self, ops: Vec<WalOp>) {
-        for op in ops {
-            let _ = match op {
-                WalOp::Append(rec) => self.wal.append(&rec),
-                WalOp::Snapshot(state) => self.wal.snapshot(&state),
-            };
+    /// Appends a node core's records, in order. Write and epoch records
+    /// force a sync, so a step's records are durable once this returns —
+    /// before its driver flushes any client queue.
+    pub(crate) fn apply(&mut self, records: Vec<Record>) {
+        for rec in &records {
+            let _ = self.wal.append(rec);
         }
         self.publish_faults();
     }

@@ -9,7 +9,7 @@
 //!
 //! | tag | frame              | payload                              |
 //! |-----|--------------------|--------------------------------------|
-//! | 0   | hello (edge peer)  | `u32` node id, `u64` rx watermark    |
+//! | 0   | hello (edge peer)  | `u32` node id, `u64` rx watermark, `u64` incarnation, `u64` peer incarnation seen |
 //! | 1   | hello (client)     | empty                                |
 //! | 2   | *(unassigned)*     |                                      |
 //! | 3   | combine request    | `u64` request id                     |
@@ -67,7 +67,10 @@
 //! reconnect. The edge hello carries the receiver's watermark (how many
 //! in-order frames it has seen) so a redialed connection resumes the
 //! stream exactly where it left off: per-edge FIFO exactly-once delivery
-//! survives killed connections.
+//! survives killed connections. It also carries the sender's incarnation,
+//! which only a kill9 or a cold start changes, and the receiver's
+//! incarnation the watermark was kept for (`crate::link`, "A restart is
+//! a reset").
 //!
 //! Inner tags inside a tag-9 frame:
 //!

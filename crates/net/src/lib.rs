@@ -251,7 +251,7 @@ mod tests {
         };
         let mut s = std::net::TcpStream::connect(addr).unwrap();
         let mut hello = 0u32.to_le_bytes().to_vec();
-        hello.extend_from_slice(&[0; 16]);
+        hello.extend_from_slice(&[0; 24]);
         frame::write_frame(&mut s, frame::TAG_HELLO_EDGE, &hello).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         match s.read(&mut [0u8; 64]) {

@@ -8,7 +8,8 @@
 //! The sender keeps unacknowledged frames in a retransmit buffer and
 //! re-sends them after a reconnect, resuming from the watermark the
 //! peer's hello reported. Together: per-edge FIFO **exactly-once**
-//! delivery that survives killed connections and injected faults.
+//! delivery within one incarnation of each end, across killed
+//! connections and injected faults.
 //!
 //! ## Loss is a connection event
 //!
@@ -28,6 +29,20 @@
 //! duplicate settles nothing. A fault-free run and a faulty-but-recovered
 //! run have identical logical message counts.
 //!
+//! ## A restart is a reset
+//!
+//! A link's state lives only in memory. A kill9 or a cold start loses it
+//! ([`Link::reset`]): the end comes back with `tx_seq = rx_seq = 0`, an
+//! empty retransmit buffer and a new *incarnation* token, which its edge
+//! hello carries. An in-process crash keeps the links and the token. A
+//! peer whose hello shows a new incarnation of the far end drops its
+//! retransmit buffer toward it and zeroes both watermarks
+//! ([`Link::on_hello`]): every frame either end had in flight was for a
+//! dead incarnation, and the restarted node's `RESET`, the first frame of
+//! its new stream, makes the peer void what those frames carried. The
+//! hello also names the incarnation of the receiver its watermark was
+//! kept for, so a watermark about a dead incarnation trims nothing.
+//!
 //! ## Quiescence accounting for edge frames
 //!
 //! Edge frames settle on *delivery*: a frame charges one unit of
@@ -37,15 +52,15 @@
 //! owe Σ over its two directions of (sender `tx_seq` − receiver
 //! `rx_seq`): the frames numbered and not yet delivered.
 //!
-//! A restore ([`Link::restore`]: a kill9, or a cold start over a log)
-//! moves both watermarks at once. The moves that raise the debt (a
-//! `tx_seq` that grows, an `rx_seq` that falls back) are charged at once;
-//! the moves that lower it are held until both ends have applied the
-//! edge's next hello exchange, which also applies its own fast-forwards
-//! ([`Link::on_hello`]). Until then the peer may still deliver frames of
-//! the dead incarnation, and the peer's restore or renumbering may not
-//! have charged its frames yet, so the debt can only over-count during
-//! recovery, never under-count.
+//! A reset leaves what the dead incarnation owed on the books as the
+//! link's `dead` debt, except that a negative balance settles at once.
+//! Until the peer applies the new incarnation's hello it may still
+//! deliver frames of the dead one from the old stream, and the dead debt
+//! covers them. The peer settles its own share when it applies that
+//! hello and zeroes its watermarks; the reset end settles the dead debt
+//! once it knows the peer did: at the peer's reply when it dialed, and
+//! at the dialer's first frame after the exchange when it accepted. So
+//! the debt can only over-count during recovery, never under-count.
 //!
 //! ## Acks
 //!
@@ -63,7 +78,7 @@
 //! ack deadline, a redial) takes `now` (an `Instant` in the runtime, a
 //! virtual `Duration` in the tests below); each writes frames into a
 //! [`FrameSink`] the caller supplies and returns a [`Step`]: what the
-//! caller must charge, settle, log, count or sever.
+//! caller must charge, settle, count or sever.
 
 use std::collections::VecDeque;
 use std::ops::{Add, AddAssign};
@@ -74,7 +89,6 @@ use oat_core::fault::{EdgeFaults, FaultAction, FaultPlan, InjectedFaults};
 use oat_core::tree::NodeId;
 use oat_core::wire::{put_u32, put_u64, WireReader};
 
-use crate::durability::LinkState;
 use crate::frame::{TAG_ACK, TAG_HELLO_EDGE, TAG_SEQ};
 
 /// How long a delivered frame may wait for its ack when no frame of the
@@ -100,18 +114,11 @@ pub(crate) trait FrameSink {
 pub(crate) struct Step {
     /// In-flight debt: frames charged (positive) or settled (negative).
     pub(crate) debt: i64,
-    /// The receive watermark, when this step advanced it.
-    pub(crate) rx: Option<u64>,
-    /// The ack watermark, when this step advanced it.
-    pub(crate) acked: Option<u64>,
     /// Sequenced frames re-sent by the post-hello replay.
     pub(crate) resent: u64,
     /// The connection lost a frame (an injected drop or delay, a gap) or
     /// a scheduled kill fired: sever it.
     pub(crate) sever: bool,
-    /// Buffered frames took new sequence numbers, so the sends logged
-    /// for them are stale: the caller must rewrite its durable image.
-    pub(crate) renumbered: bool,
 }
 
 impl Step {
@@ -126,23 +133,52 @@ impl Step {
 impl AddAssign for Step {
     fn add_assign(&mut self, s: Step) {
         self.debt += s.debt;
-        self.rx = s.rx.or(self.rx);
-        self.acked = s.acked.or(self.acked);
         self.resent += s.resent;
         self.sever |= s.sever;
-        self.renumbered |= s.renumbered;
+    }
+}
+
+/// An edge hello: the first frame each end writes on a new connection.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Hello {
+    /// The sender's node id.
+    pub(crate) id: NodeId,
+    /// The sender's rx watermark on the edge.
+    pub(crate) rx: u64,
+    /// The sender's incarnation: it changes only when the sender lost
+    /// its link state (a kill9, a cold start).
+    pub(crate) inc: u64,
+    /// The receiver's incarnation that `rx` was kept for.
+    pub(crate) seen: u64,
+}
+
+impl Hello {
+    /// Parses a hello payload: `[u32 id][u64 rx][u64 inc][u64 seen]`.
+    pub(crate) fn parse(payload: &[u8]) -> Option<Hello> {
+        let mut r = WireReader::new(payload);
+        let hello = Hello {
+            id: NodeId(r.u32("hello node id").ok()?),
+            rx: r.u64("hello rx watermark").ok()?,
+            inc: r.u64("hello incarnation").ok()?,
+            seen: r.u64("hello seen incarnation").ok()?,
+        };
+        r.finish("hello trailing bytes").ok()?;
+        Some(hello)
     }
 }
 
 /// Both directions of one edge, seen from one end. The sequence space
-/// survives reconnects and crashes; a kill9 takes the log's image.
+/// survives reconnects and crashes; a kill9 resets it.
 pub(crate) struct Link<T> {
     me: NodeId,
     pub(crate) peer: NodeId,
+    /// This end's incarnation, carried by its hellos.
+    inc: u64,
+    /// The peer's incarnation as the last hello applied since this end's
+    /// own birth or reset named it.
+    peer_inc: Option<u64>,
     /// Last sequence number assigned to an outgoing frame.
     tx_seq: u64,
-    /// Highest sequence number the peer has acknowledged.
-    acked: u64,
     /// Unacknowledged frames: `(seq, inner tag, body)`.
     rtx: VecDeque<(u64, u8, Vec<u8>)>,
     /// Highest in-order sequence number received from the peer.
@@ -151,18 +187,14 @@ pub(crate) struct Link<T> {
     rx_acked: u64,
     /// Send the cumulative ack at the next flush even though `rx_seq`
     /// did not advance: the dialing end just applied a hello exchange,
-    /// and the accepting end settles what it held on that frame.
+    /// and the accepting end settles its dead debt on that frame.
     reack: bool,
     /// When the ack owed since the oldest delivery above `rx_acked` is
     /// due on its own ([`ACK_DELAY`] after that delivery).
     ack_at: Option<T>,
-    /// `tx_seq` as the last restore found it, until the next hello.
-    /// Frames numbered above it were assigned since and never left this
-    /// end (a kill9 severs every connection), whatever the image says.
-    restored_tx: Option<u64>,
-    /// Debt the restores since the last hello lowered, settled once both
-    /// ends applied the next hello exchange (see the module docs).
-    held: u64,
+    /// What dead incarnations of this end owed, settled once the peer
+    /// applied this incarnation's hello (see the module docs).
+    dead: u64,
     /// Frames discarded: duplicates, a frame past a gap (which severs),
     /// undecodables, malformed acks.
     pub(crate) dup_drops: u64,
@@ -177,21 +209,22 @@ pub(crate) struct Link<T> {
 
 /// `T` is the clock: anything ordered that a `Duration` can be added to.
 impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
-    /// The link from `me` to `peer`, down; a dialer is due to dial at
-    /// `now`. Faults are drawn from `plan`'s stream for this edge.
+    /// The link from `me` to `peer`, down, in incarnation 0; a dialer is
+    /// due to dial at `now`. Faults are drawn from `plan`'s stream for
+    /// this edge.
     pub(crate) fn new(me: NodeId, peer: NodeId, plan: &FaultPlan, now: T) -> Link<T> {
         let mut link = Link {
             me,
             peer,
+            inc: 0,
+            peer_inc: None,
             tx_seq: 0,
-            acked: 0,
             rtx: VecDeque::new(),
             rx_seq: 0,
             rx_acked: 0,
             reack: false,
             ack_at: None,
-            restored_tx: None,
-            held: 0,
+            dead: 0,
             dup_drops: 0,
             faults: (!plan.is_empty()).then(|| plan.edge_stream(me, peer)),
             redial_at: None,
@@ -272,12 +305,6 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         step
     }
 
-    /// The frame the last [`Link::send`] buffered: `(seq, inner, body)`.
-    pub(crate) fn newest(&self) -> (u64, u8, &[u8]) {
-        let (seq, inner, body) = self.rtx.back().expect("a frame was sent");
-        (*seq, *inner, body)
-    }
-
     /// One frame read from the live connection at `now`. The next
     /// expected `TAG_SEQ` frame is delivered through `decode` and settles
     /// its debt; the caller handles it in the same step. A later one
@@ -292,8 +319,8 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         decode: impl FnOnce(u8, &[u8]) -> Option<X>,
     ) -> (Step, Option<X>) {
         // Any frame after a hello shows that the peer applied its side of
-        // the exchange: what this end's restores held settles now.
-        let mut step = Step::debt(-(std::mem::take(&mut self.held) as i64));
+        // the exchange: the dead debt settles now.
+        let mut step = Step::debt(-(std::mem::take(&mut self.dead) as i64));
         let word = payload
             .get(..8)
             .map(|b| u64::from_le_bytes(b.try_into().expect("8")));
@@ -311,7 +338,6 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
                 let got = decode(inner, &payload[9..]);
                 self.dup_drops += u64::from(got.is_none());
                 step.debt -= 1;
-                step.rx = Some(seq);
                 return (step, got);
             }
             // A frame past a gap: the next hello replays from the gap.
@@ -319,7 +345,7 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
             // A cumulative ack is exactly one u64, never past a number
             // this end assigned (that would settle frames not yet sent).
             (TAG_ACK, Some(upto)) if payload.len() == 8 && upto <= self.tx_seq => {
-                step += self.trim(upto);
+                self.trim(upto);
                 return (step, None);
             }
             _ => {}
@@ -346,69 +372,62 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         true
     }
 
-    /// Queues our edge hello: id, rx watermark, ack watermark.
+    /// Queues our edge hello (see [`Hello`]). A link that has applied no
+    /// hello since its birth or reset holds no watermark, so the peer
+    /// incarnation it names then is immaterial.
     pub(crate) fn hello(&self, out: &mut impl FrameSink) {
-        let mut hello = Vec::with_capacity(20);
+        let mut hello = Vec::with_capacity(28);
         put_u32(&mut hello, self.me.0);
         put_u64(&mut hello, self.rx_seq);
-        put_u64(&mut hello, self.acked);
+        put_u64(&mut hello, self.inc);
+        put_u64(&mut hello, self.peer_inc.unwrap_or(0));
         out.frame(TAG_HELLO_EDGE, &hello);
     }
 
-    /// A new connection carried the peer's hello: apply its watermarks,
-    /// queue our hello first when `reply` (the accepting end), trim what
-    /// the peer has and replay the rest, with no fault actions.
+    /// A new connection carried the peer's hello: queue our hello first
+    /// when `reply` (the accepting end), trim what the peer has and
+    /// replay the rest, with no fault actions.
     ///
-    /// The watermarks also *heal* a torn-tail recovery, whose image may
-    /// understate what the wire saw: `peer_rx` (what the peer delivered
-    /// from us) fast-forwards `tx_seq`, carrying the frames numbered
-    /// since the restore above it, and `peer_acked` (the peer's frames a
-    /// previous incarnation of ours acked) fast-forwards `rx_seq`. The
-    /// step charges the first and settles the second. The two hellos
-    /// carried both rx watermarks, so no ack is owed after them.
+    /// A hello from a new incarnation of the peer first resets this end
+    /// toward it: the retransmit buffer goes, both watermarks return to
+    /// zero, and the step settles what this end owed (see the module
+    /// docs). A watermark kept for a dead incarnation of this end trims
+    /// nothing. The two hellos carried both rx watermarks, so no ack is
+    /// owed after them.
     ///
-    /// What the restores held settles once both ends applied the
-    /// exchange: here at the dialing end, which applies it last, and at
-    /// the accepting end with the dialer's first frame after it (see
-    /// [`Link::receive`]), which the dialer sends at once as a repeated
-    /// ack. Settled at the accepting end's hello, a rise in its `rx_seq`
-    /// could run ahead of the dialer's renumbering that charges for it.
+    /// The dead debt settles once both ends applied the exchange: here at
+    /// the dialing end, which applies it last, and at the accepting end
+    /// with the dialer's first frame after it (see [`Link::receive`]),
+    /// which the dialer sends at once as a repeated ack.
     pub(crate) fn on_hello(
         &mut self,
-        peer_rx: u64,
-        peer_acked: u64,
+        hello: &Hello,
         reply: bool,
         out: &mut impl FrameSink,
     ) -> Step {
-        let rx_before = self.rx_seq;
-        self.rx_seq = self.rx_seq.max(peer_acked);
+        let mut step = Step::default();
+        if self.peer_inc.is_some_and(|p| p != hello.inc) {
+            step.debt -= self.tx_seq as i64 - self.rx_seq as i64;
+            self.tx_seq = 0;
+            self.rtx.clear();
+            self.rx_seq = 0;
+        }
+        self.peer_inc = Some(hello.inc);
         self.rx_acked = self.rx_seq;
         self.ack_at = None;
-        let base = self.restored_tx.take().unwrap_or(self.tx_seq);
-        let shift = peer_rx.saturating_sub(base);
-        let mut renumbered = false;
-        for frame in self.rtx.iter_mut().filter(|f| f.0 > base) {
-            frame.0 += shift;
-            renumbered |= shift > 0;
-        }
-        self.tx_seq += shift;
         if reply {
             self.hello(out);
         }
         self.redial_at = None;
         self.backoff_ms = RECONNECT_BASE_MS;
-        let mut step = self.trim(peer_rx);
-        let held = if reply {
-            0
-        } else {
-            std::mem::take(&mut self.held)
-        };
-        self.reack |= !reply;
-        let settled = self.rx_seq - rx_before + held;
-        step.debt = shift as i64 - settled as i64;
-        step.rx = (self.rx_seq > rx_before).then_some(self.rx_seq);
+        if hello.seen == self.inc {
+            self.trim(hello.rx.min(self.tx_seq));
+        }
+        if !reply {
+            step.debt -= std::mem::take(&mut self.dead) as i64;
+            self.reack = true;
+        }
         step.resent = self.replay(out);
-        step.renumbered = renumbered;
         step
     }
 
@@ -439,48 +458,31 @@ impl<T: Copy + Ord + Add<Duration, Output = T>> Link<T> {
         due
     }
 
-    /// A kill9 or cold start: the durable image (zero when the log has
-    /// none) replaces the sequence state; a dialer redials at once. Of
-    /// the debt `tx_seq − rx_seq` moves by, the rises are charged now
-    /// and the falls held until the next hello (see the module docs).
-    pub(crate) fn restore(&mut self, now: T, image: &LinkState) -> Step {
-        let (tx, rx) = (image.tx_seq, image.rx_seq);
-        let raise = tx.saturating_sub(self.tx_seq) + self.rx_seq.saturating_sub(rx);
-        self.held += self.tx_seq.saturating_sub(tx) + rx.saturating_sub(self.rx_seq);
-        self.tx_seq = tx;
-        self.restored_tx = Some(tx);
-        self.acked = image.acked;
-        self.rx_seq = rx;
-        self.rx_acked = rx;
+    /// A kill9 or a cold start: this end lost its link state and comes
+    /// back as incarnation `inc`, with fresh sequence state; a dialer
+    /// redials at once. What the lost incarnation owed stays on the books
+    /// as dead debt, except that a negative balance settles now (see the
+    /// module docs). The fault and jitter streams go on where they were.
+    pub(crate) fn reset(&mut self, now: T, inc: u64) -> Step {
+        let owed = self.tx_seq as i64 - self.rx_seq as i64;
+        self.dead += owed.max(0) as u64;
+        self.inc = inc;
+        self.peer_inc = None;
+        self.tx_seq = 0;
+        self.rtx.clear();
+        self.rx_seq = 0;
+        self.rx_acked = 0;
         self.reack = false;
         self.ack_at = None;
-        self.rtx = image.rtx.iter().cloned().collect();
         self.redial_at = None;
         self.down(now);
-        Step::debt(raise as i64)
+        Step::debt((-owed).max(0))
     }
 
-    /// The durable image of this link.
-    pub(crate) fn snapshot(&self) -> LinkState {
-        LinkState {
-            peer: self.peer.0,
-            tx_seq: self.tx_seq,
-            acked: self.acked,
-            rx_seq: self.rx_seq,
-            rtx: self.rtx.iter().cloned().collect(),
-        }
-    }
-
-    /// Raises the ack watermark to `upto` and trims the frames it covers.
-    fn trim(&mut self, upto: u64) -> Step {
-        let before = self.acked;
-        self.acked = self.acked.max(upto);
-        while self.rtx.front().is_some_and(|f| f.0 <= self.acked) {
+    /// Trims the frames the peer's watermark `upto` covers.
+    fn trim(&mut self, upto: u64) {
+        while self.rtx.front().is_some_and(|f| f.0 <= upto) {
             self.rtx.pop_front();
-        }
-        Step {
-            acked: (self.acked > before).then_some(self.acked),
-            ..Step::default()
         }
     }
 
@@ -514,28 +516,25 @@ impl<T> Link<T> {
         (self.tx_seq, self.rx_seq)
     }
 
-    /// Buffered frames the peer has not delivered, given its rx
-    /// watermark: those above it, and those numbered since a restore
-    /// (the next hello moves them above it).
-    pub(crate) fn undelivered(&self, peer_rx: u64) -> usize {
-        let base = self.restored_tx.unwrap_or(u64::MAX);
-        let out = |f: &&(u64, u8, Vec<u8>)| f.0 > peer_rx || f.0 > base;
-        self.rtx.iter().filter(out).count()
+    /// The dead debt not yet settled.
+    pub(crate) fn dead(&self) -> u64 {
+        self.dead
     }
 
-    /// No restore's debt awaits the next hello exchange.
-    pub(crate) fn restore_settled(&self) -> bool {
-        self.restored_tx.is_none() && self.held == 0
+    /// Buffered frames the far end `far` has not delivered and will: none
+    /// when they were buffered for a dead incarnation of it (its next
+    /// hello drops them), else those above its rx watermark, which is 0
+    /// for this incarnation when `far` last heard from a dead one.
+    pub(crate) fn undelivered(&self, far: &Link<T>) -> usize {
+        if self.peer_inc.is_some_and(|inc| inc != far.inc) {
+            return 0;
+        }
+        let peer_rx = match far.peer_inc {
+            Some(inc) if inc != self.inc => 0,
+            _ => far.rx_seq,
+        };
+        self.rtx.iter().filter(|f| f.0 > peer_rx).count()
     }
-}
-
-/// Parses an edge hello into `(id, rx watermark, ack watermark)`.
-pub(crate) fn parse_hello(payload: &[u8]) -> Option<(NodeId, u64, u64)> {
-    let mut r = WireReader::new(payload);
-    let id = r.u32("hello node id").ok()?;
-    let rx = r.u64("hello rx watermark").ok()?;
-    let acked = r.u64("hello ack watermark").ok()?;
-    Some((NodeId(id), rx, acked))
 }
 
 /// Encodes one sequenced frame into `out`.
@@ -584,6 +583,8 @@ mod tests {
         sent: Vec<u64>,
         /// `(seq, body)` per delivered frame, in delivery order.
         got: Vec<(u64, u64)>,
+        /// `sent.len()` at each hello that dropped this end's buffer.
+        drops: Vec<usize>,
     }
 
     impl End {
@@ -594,7 +595,16 @@ mod tests {
                 debt: 0,
                 sent: Vec::new(),
                 got: Vec::new(),
+                drops: Vec::new(),
             }
+        }
+
+        /// Applies `hello`, noting whether it dropped the buffer.
+        fn on_hello(&mut self, hello: &Hello, reply: bool, out: &mut Wire) {
+            if self.link.peer_inc.is_some_and(|p| p != hello.inc) {
+                self.drops.push(self.sent.len());
+            }
+            self.debt += self.link.on_hello(hello, reply, out).debt;
         }
     }
 
@@ -608,6 +618,8 @@ mod tests {
         up: bool,
         now: Duration,
         next_body: u64,
+        /// The last incarnation a reset handed out.
+        inc: u64,
         ledger: InjectedFaults,
         broken: Option<String>,
     }
@@ -620,13 +632,14 @@ mod tests {
                 up: false,
                 now: Duration::ZERO,
                 next_body: 0,
+                inc: 0,
                 ledger: InjectedFaults::default(),
                 broken: None,
             }
         }
 
         /// A connected pair after `frames` frames each way, delivered
-        /// and acked, so no image of it starts at zero.
+        /// and acked.
         fn warm(frames: usize) -> Pair {
             let mut p = Pair::new();
             p.connect();
@@ -638,32 +651,32 @@ mod tests {
             p
         }
 
-        /// The debt each end charged equals `tx_seq − rx_seq` plus what
-        /// it holds for the next hello; the two together are never below
-        /// the frames still to be delivered, and once the connection is
-        /// up with nothing held (both ends applied the hellos) equal
-        /// Σ (sender `tx_seq` − receiver `rx_seq`) over both directions.
+        /// The debt each end charged equals `tx_seq − rx_seq` plus its
+        /// dead debt; the two together are never below the frames still
+        /// to be delivered, and once the connection is up with no dead
+        /// debt left (both ends applied the hellos) equal Σ (sender
+        /// `tx_seq` − receiver `rx_seq`) over both directions.
         fn audit(&mut self, what: &str) {
             if self.broken.is_some() {
                 return;
             }
             let [a, b] = &self.ends;
+            let (la, lb) = (&a.link, &b.link);
             let fail = if let Some(e) = [a, b].into_iter().find(|e| {
                 let l = &e.link;
-                e.debt != l.tx_seq as i64 - l.rx_seq as i64 + l.held as i64
+                e.debt != l.tx_seq as i64 - l.rx_seq as i64 + l.dead as i64
             }) {
                 Some(format!("end {} charged {}", e.link.me.0, e.debt))
             } else {
                 let debt = a.debt + b.debt;
-                let undelivered =
-                    a.link.undelivered(b.link.rx_seq) + b.link.undelivered(a.link.rx_seq);
-                let owed = a.link.tx_seq as i64 - b.link.rx_seq as i64 + b.link.tx_seq as i64
-                    - a.link.rx_seq as i64;
+                let undelivered = la.undelivered(lb) + lb.undelivered(la);
+                let owed =
+                    la.tx_seq as i64 - lb.rx_seq as i64 + lb.tx_seq as i64 - la.rx_seq as i64;
                 if debt < undelivered as i64 {
                     Some(format!(
                         "debt {debt} below {undelivered} undelivered frames"
                     ))
-                } else if self.up && a.link.held + b.link.held == 0 && debt != owed {
+                } else if self.up && la.dead + lb.dead == 0 && debt != owed {
                     Some(format!("debt {debt} but Σ(tx − peer rx) = {owed}"))
                 } else {
                     None
@@ -733,35 +746,51 @@ mod tests {
             self.audit("a connection kill");
         }
 
+        /// End `i`'s hello, as the far end parses it.
+        fn hello_of(&self, i: usize) -> Hello {
+            let mut wire = Wire::new();
+            self.ends[i].link.hello(&mut wire);
+            let (tag, payload) = wire.pop_front().expect("one hello");
+            assert_eq!(tag, TAG_HELLO_EDGE);
+            let hello = Hello::parse(&payload).expect("well-formed hello");
+            assert_eq!(hello.id, NodeId(i as u32));
+            hello
+        }
+
+        /// The accepting end applies end 0's hello and replies; the reply
+        /// leads its wire.
+        fn accept(&mut self) {
+            let hello = self.hello_of(0);
+            self.ends[1].on_hello(&hello, true, &mut self.wire[1]);
+            self.audit("the accepting end's hello");
+        }
+
         /// A fresh connection: end 0's hello, end 1's reply and replay,
         /// then end 0's replay.
         fn connect(&mut self) {
-            let mut hello = Wire::new();
-            self.ends[0].link.hello(&mut hello);
-            let (_, rx, acked) = parse_hello(&hello[0].1).expect("well-formed hello");
-            let step = self.ends[1]
-                .link
-                .on_hello(rx, acked, true, &mut self.wire[1]);
-            self.ends[1].debt += step.debt;
-            self.audit("the accepting end's hello");
-            let (tag, reply) = self.wire[1].pop_front().expect("the reply leads");
-            assert_eq!(tag, TAG_HELLO_EDGE);
-            let (id, rx, acked) = parse_hello(&reply).expect("well-formed reply");
-            assert_eq!(id, NodeId(1));
-            let step = self.ends[0]
-                .link
-                .on_hello(rx, acked, false, &mut self.wire[0]);
-            self.ends[0].debt += step.debt;
+            self.accept();
+            let (_, reply) = self.wire[1].pop_front().expect("the reply leads");
+            let reply = Hello::parse(&reply).expect("well-formed reply");
+            assert_eq!(reply, self.hello_of(1));
+            self.ends[0].on_hello(&reply, false, &mut self.wire[0]);
             self.up = true;
             self.audit("the dialing end's hello");
         }
 
-        /// End `k` is killed and restored from `image`.
-        fn kill9(&mut self, k: usize, image: &LinkState) {
+        /// The accepting end applies end 0's hello, and the connection
+        /// dies before the reply reaches end 0.
+        fn half_connect(&mut self) {
+            self.accept();
             self.kill_conn();
+        }
+
+        /// End `k` loses its process and resets into a new incarnation.
+        fn kill9(&mut self, k: usize) {
+            self.kill_conn();
+            self.inc += 1;
             let end = &mut self.ends[k];
-            end.debt += end.link.restore(self.now, image).debt;
-            self.audit("a restore");
+            end.debt += end.link.reset(self.now, self.inc).debt;
+            self.audit("a reset");
         }
 
         /// Runs fault-free, connecting first when down, until every frame
@@ -779,7 +808,7 @@ mod tests {
             self.ends.iter().all(|e| e.link.unacked() == 0)
         }
 
-        /// Both ends' bodies as the peer delivered them.
+        /// End `to`'s delivered bodies.
         fn bodies(&self, to: usize) -> Vec<u64> {
             self.ends[to].got.iter().map(|&(_, b)| b).collect()
         }
@@ -800,44 +829,26 @@ mod tests {
         }
     }
 
-    /// Every seq of `got` above the one before it.
-    fn ascending(got: &[(u64, u64)]) -> bool {
-        got.windows(2).all(|w| w[0].0 < w[1].0)
-    }
-
-    /// The bodies of `got` that belong to `want`, in delivery order.
-    fn among(got: &[(u64, u64)], want: &[u64]) -> Vec<u64> {
-        got.iter()
-            .map(|&(_, b)| b)
-            .filter(|b| want.contains(b))
-            .collect()
-    }
-
     /// One seeded schedule: sends, deliveries, drops (each losing its
     /// connection, as in the runtime), duplicates, acks (riding or not),
-    /// the clock, connection kills with hello exchanges, and one kill9 of
-    /// either end, restored from its exact image (even seeds) or an older
-    /// one (odd seeds, a torn log). The debt is audited after every
-    /// input. Returns why it failed.
+    /// the clock, connection kills, hello exchanges whole or cut after
+    /// the accepting end's half, and, on odd seeds, one kill9 of either
+    /// end. The debt is audited after every input. Within one incarnation
+    /// of each end delivery is exactly once and in order; the survivor of
+    /// the kill9 drops its buffer exactly once, at the first hello of the
+    /// new incarnation, and never on even seeds. Returns why it failed.
     fn run(seed: u64) -> Result<(), String> {
         let mut rng = Rng(seed);
         let mut p = Pair::new();
         p.connect();
-        let torn = seed % 2 == 1;
-        let k = rng.below(2) as usize;
+        let killed = (seed % 2 == 1).then(|| rng.below(2) as usize);
         let kill_at = 20 + rng.below(120);
-        let mut image = p.ends[k].link.snapshot();
+        // `(sent.len(), got.len())` of both ends at the kill9.
         let mut cut = None;
         for step in 0..200 {
-            if step == kill_at {
-                if !torn {
-                    image = p.ends[k].link.snapshot();
-                }
-                p.kill9(k, &image);
-                cut = Some((
-                    [p.ends[0].sent.len(), p.ends[1].sent.len()],
-                    p.ends[k].got.len(),
-                ));
+            if let Some(k) = killed.filter(|_| step == kill_at) {
+                cut = Some(p.ends.each_ref().map(|e| (e.sent.len(), e.got.len())));
+                p.kill9(k);
             }
             let i = rng.below(2) as usize;
             let at = rng.below(p.wire[i].len() as u64 + 1) as usize;
@@ -859,7 +870,7 @@ mod tests {
                 80..89 => p.now += ACK_DELAY,
                 89..92 if p.up => p.kill_conn(),
                 92..97 if !p.up => p.connect(),
-                97..100 if cut.is_none() => image = p.ends[k].link.snapshot(),
+                97..100 if !p.up => p.half_connect(),
                 _ => {}
             }
             if let Some(e) = p.broken.take() {
@@ -867,30 +878,38 @@ mod tests {
             }
         }
         let p = p.settled()?;
-        let (sent_cut, got_cut) = cut.expect("the kill9 fired");
-        for (i, &sent_cut) in sent_cut.iter().enumerate() {
+        for i in 0..2 {
             let (from, to) = (&p.ends[i], &p.ends[1 - i]);
-            let got = if 1 - i == k {
-                &to.got[got_cut..]
-            } else {
-                &to.got[..]
+            // What end `1 - i` must have delivered, one run of sequence
+            // numbers from 1 per incarnation of the pair.
+            let want: Vec<&[u64]> = match (cut, killed) {
+                (Some(cut), Some(k)) if k == i => {
+                    // The survivor delivered what it had of the dead
+                    // sender, then everything the new incarnation sent.
+                    vec![&from.sent[..cut[1 - i].1], &from.sent[cut[i].0..]]
+                }
+                (Some(cut), Some(_)) => match from.drops[..] {
+                    // The killed receiver delivered what it had, then
+                    // everything the survivor sent since it dropped its
+                    // buffer, at the new incarnation's first hello.
+                    [at] => vec![&from.sent[..cut[1 - i].1], &from.sent[at..]],
+                    _ => return Err(format!("the survivor dropped at {:?}", from.drops)),
+                },
+                _ => vec![&from.sent[..]],
             };
-            if !ascending(got) || (1 - i == k && !ascending(&to.got[..got_cut])) {
-                return Err(format!("end {} delivered a seq twice", 1 - i));
+            // Only the survivor of a kill9 ever drops its buffer.
+            if killed.is_none_or(|k| k == i) && !from.drops.is_empty() {
+                return Err(format!("end {i} dropped its buffer at {:?}", from.drops));
             }
-            let whole = p.bodies(1 - i);
-            if !torn && whole != from.sent {
+            let runs = want
+                .iter()
+                .flat_map(|run| (1..=run.len() as u64).zip(run.iter().copied()));
+            if !to.got.iter().copied().eq(runs) {
                 return Err(format!(
-                    "exact image: end {} got {whole:?}, end {i} sent {:?}",
+                    "end {} got {:?}, want {want:?} from end {i}'s {:?}",
                     1 - i,
+                    to.got,
                     from.sent
-                ));
-            }
-            let after = &from.sent[sent_cut..];
-            if among(got, after) != after {
-                return Err(format!(
-                    "end {} lost or repeated a frame sent after the restore",
-                    1 - i
                 ));
             }
         }
@@ -898,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn seeded_schedules_deliver_exactly_once_in_order_across_kills() {
+    fn seeded_schedules_deliver_exactly_once_in_order_per_incarnation() {
         let failed: Vec<String> = (0..1000u64)
             .filter_map(|seed| run(seed).err().map(|e| format!("seed {seed}: {e}")))
             .collect();
@@ -910,11 +929,12 @@ mod tests {
         );
     }
 
-    /// The sender dies with frames on the wire and comes back from an
-    /// exact image: its watermarks do not move, so neither does the
-    /// debt, and the replay delivers what the wire lost.
+    /// The sender dies with frames on the wire: its dead debt keeps the
+    /// counter where it was, the survivor's hello drops what it buffered
+    /// for the dead incarnation, and the new incarnation's first frame
+    /// is the first the survivor delivers after what it had.
     #[test]
-    fn a_sender_restored_from_an_exact_image_owes_what_it_owed() {
+    fn a_killed_sender_holds_its_debt_until_the_peer_applies_its_hello() {
         let mut p = Pair::warm(2);
         for _ in 0..4 {
             p.send(0);
@@ -922,143 +942,129 @@ mod tests {
         p.deliver(0);
         p.deliver(0);
         let before = p.ends[0].debt + p.ends[1].debt;
-        let image = p.ends[0].link.snapshot();
-        p.kill9(0, &image);
-        assert_eq!(p.ends[0].debt + p.ends[1].debt, before);
+        p.kill9(0);
+        assert_eq!(p.ends[0].debt + p.ends[1].debt, before, "nothing settled");
+        assert_eq!(p.ends[0].link.dead, 4, "tx 6 − rx 2");
+        p.send(0);
+        p.accept();
+        assert_eq!(p.ends[1].drops, [2], "the survivor drops at the hello");
+        assert_eq!(p.ends[0].link.dead, 4, "the dialer has not seen the reply");
+        p.kill_conn();
+        p.connect();
+        assert_eq!(p.ends[1].drops, [2], "once");
+        assert_eq!(p.ends[0].link.dead, 0);
+        let p = p.settled().unwrap();
+        let sent = &p.ends[0].sent;
+        let want: Vec<u64> = sent[..4].iter().chain(&sent[6..]).copied().collect();
+        assert_eq!(p.bodies(1), want, "the two in flight died with the sender");
+    }
+
+    /// A receiver that delivered more than it sent dies: its negative
+    /// balance settles at once (a raise), and the survivor's reset
+    /// settles what it charged for frames the dead end never acked.
+    #[test]
+    fn a_killed_receiver_with_a_negative_balance_is_charged_at_once() {
+        let mut p = Pair::warm(1);
+        for _ in 0..3 {
+            p.send(0);
+        }
+        p.flow();
+        let before = p.ends[0].debt + p.ends[1].debt;
+        assert_eq!(before, 0, "everything delivered");
+        p.kill9(1);
+        assert_eq!(p.ends[1].debt, 0, "rx 4 − tx 1 raised at once");
+        assert_eq!(p.ends[1].link.dead, 0);
+        assert_eq!(p.ends[0].debt, 3, "an over-count until the survivor resets");
+        p.connect();
+        assert_eq!(p.ends[0].drops, [4]);
+        assert!(
+            seqs_on(&p.wire[0]).is_empty(),
+            "nothing replayed to the new end"
+        );
         let p = p.settled().unwrap();
         assert_eq!(p.bodies(1), p.ends[0].sent);
     }
 
-    /// The sender comes back from an older image: `tx_seq` falls, and
-    /// the fall is held until the hello, which also renumbers the frame
-    /// sent since the restore above what the receiver delivered.
+    /// Reconnects replay the buffer whatever the peer did in process (a
+    /// crash keeps its links, its incarnation and its sequence space, and
+    /// its `RESET` is one more frame); only a hello from a new
+    /// incarnation drops it.
     #[test]
-    fn a_sender_restored_from_a_torn_image_holds_the_fall_until_the_hello() {
-        let mut p = Pair::warm(2);
-        let image = p.ends[0].link.snapshot();
-        for _ in 0..4 {
+    fn a_peer_drops_its_buffer_only_on_a_new_incarnation() {
+        let mut p = Pair::warm(1);
+        for _ in 0..3 {
             p.send(0);
         }
-        for _ in 0..3 {
-            p.deliver(0);
-        }
-        let before = p.ends[0].debt + p.ends[1].debt;
-        p.kill9(0, &image);
-        assert_eq!(p.ends[0].link.held, 4, "tx_seq fell by four");
-        assert_eq!(
-            p.ends[0].debt + p.ends[1].debt,
-            before,
-            "nothing settled yet"
-        );
-        p.send(0);
-        let fresh = *p.ends[0].sent.last().unwrap();
+        p.kill_conn();
         p.connect();
-        assert_eq!(p.ends[0].link.held, 0);
+        assert_eq!(seqs_on(&p.wire[0]), [2, 3, 4], "a plain reconnect replays");
+        p.kill_conn();
+        p.send(1);
+        p.connect();
+        assert_eq!(seqs_on(&p.wire[0]), [2, 3, 4], "a crash of end 1 too");
+        assert_eq!(seqs_on(&p.wire[1]), [2]);
+        assert!(p.ends.iter().all(|e| e.drops.is_empty()));
+        p.kill9(1);
+        p.send(1);
+        p.connect();
+        assert_eq!(p.ends[0].drops, [4], "a kill9 of end 1 drops it once");
+        assert!(seqs_on(&p.wire[0]).is_empty());
+        assert_eq!(
+            seqs_on(&p.wire[1]),
+            [1],
+            "the new incarnation numbers from 1"
+        );
         let p = p.settled().unwrap();
-        let got = p.bodies(1);
-        assert_eq!(got.iter().filter(|&&b| b == fresh).count(), 1);
-        assert!(ascending(&p.ends[1].got));
+        assert_eq!(p.bodies(0), [p.ends[1].sent[0], p.ends[1].sent[2]]);
     }
 
-    /// The receiver comes back from an exact image, then from an older
-    /// one: the second lowers `rx_seq`, which is charged at once, and the
-    /// hello's fast-forward to the sender's ack watermark settles it once.
+    /// Both ends die, or a cold start meets two fresh links: neither end
+    /// knows a dead incarnation of the other, so no hello drops a buffer,
+    /// and what each sent since is delivered once.
     #[test]
-    fn a_restored_receiver_is_charged_at_once_and_settled_by_the_hello() {
-        for torn in [false, true] {
-            let mut p = Pair::warm(2);
-            let old = p.ends[1].link.snapshot();
-            for _ in 0..4 {
-                p.send(0);
-            }
-            for _ in 0..3 {
-                p.deliver(0);
-            }
-            p.flush_ack(1, true);
-            p.deliver(1);
-            p.deliver(0);
-            let image = if torn { old } else { p.ends[1].link.snapshot() };
-            let before = p.ends[0].debt + p.ends[1].debt;
-            p.kill9(1, &image);
-            let raised = p.ends[0].debt + p.ends[1].debt - before;
-            assert_eq!(raised, if torn { 4 } else { 0 }, "torn {torn}");
-            let p = p.settled().unwrap();
-            if !torn {
-                assert_eq!(p.bodies(1), p.ends[0].sent);
-            }
-        }
-    }
-
-    /// Both ends die with traffic both ways, one from an exact image and
-    /// one from an older one, and come back in either order.
-    #[test]
-    fn both_ends_restored_over_count_until_both_hellos() {
-        for first in 0..2 {
-            let mut p = Pair::warm(3);
-            let old = p.ends[1 - first].link.snapshot();
+    fn ends_killed_together_drop_nothing_they_sent_since() {
+        for warm in [0, 3] {
+            let mut p = Pair::warm(warm);
             for _ in 0..3 {
                 p.send(0);
                 p.send(1);
             }
             p.deliver(0);
             p.deliver(1);
-            p.flush_ack(0, false);
-            let exact = p.ends[first].link.snapshot();
-            p.kill9(first, &exact);
-            p.kill9(1 - first, &old);
-            let p = p.settled().unwrap();
-            assert!(ascending(&p.ends[first].got[3..]), "first {first}");
-        }
-    }
-
-    /// A cold start over a log: fresh links, which owe nothing, take
-    /// their images. The rise in `tx_seq` is charged at once, the rise
-    /// in `rx_seq` is held until both ends applied the hellos, and the
-    /// frames the images buffered are delivered once. In the torn case
-    /// the dialer's log lost the frames the acceptor's log says it
-    /// delivered, so only the dialer's renumbering at the second hello
-    /// charges for them.
-    #[test]
-    fn a_cold_start_charges_the_images_and_settles_after_the_hellos() {
-        for torn in [false, true] {
-            let mut old = Pair::warm(usize::from(!torn) * 3);
-            let early = old.ends[0].link.snapshot();
-            for _ in 0..3 {
-                old.send(0);
-                if !torn {
-                    old.send(1);
-                }
-            }
-            old.deliver(0);
-            old.deliver(1);
-            let mut images = [0, 1].map(|i| old.ends[i].link.snapshot());
-            if torn {
-                images[0] = early;
-            }
-            let mut p = Pair::new();
-            p.next_body = old.next_body;
-            for (i, image) in images.iter().enumerate() {
-                let end = &mut p.ends[i];
-                end.debt += end.link.restore(p.now, image).debt;
-                p.audit("a cold start");
-            }
-            let charged = p.ends[0].debt + p.ends[1].debt;
-            assert_eq!(charged, (images[0].tx_seq + images[1].tx_seq) as i64);
-            let p = p.settled().unwrap_or_else(|e| panic!("torn {torn}: {e}"));
-            // What each image buffered above the peer's rx watermark.
+            p.kill9(0);
+            p.kill9(1);
+            p.send(0);
+            p.send(1);
+            let p = p.settled().unwrap_or_else(|e| panic!("warm {warm}: {e}"));
+            assert!(p.ends.iter().all(|e| e.drops.is_empty()));
             for i in 0..2 {
-                let rx = images[1 - i].rx_seq;
-                let want: Vec<u64> = images[i]
-                    .rtx
-                    .iter()
-                    .filter(|f| f.0 > rx)
-                    .map(|f| u64::from_le_bytes(f.2[..].try_into().unwrap()))
-                    .collect();
-                assert_eq!(p.bodies(1 - i), want, "torn {torn}: end {}", 1 - i);
+                let sent = &p.ends[1 - i].sent;
+                let had = warm + 1;
+                let want: Vec<u64> = sent[..had].iter().chain(sent.last()).copied().collect();
+                assert_eq!(p.bodies(i), want, "warm {warm}: end {i}");
             }
         }
     }
 
+    /// A restarted acceptor answers a hello whose watermark was kept for
+    /// its dead incarnation: the watermark trims none of its new frames,
+    /// and when the connection dies before the reply lands, the next
+    /// exchange drops the survivor's buffer once.
+    #[test]
+    fn a_stale_watermark_trims_nothing() {
+        let mut p = Pair::warm(4);
+        p.kill9(1);
+        p.send(1);
+        p.send(1);
+        assert!(p.hello_of(0).rx > 2, "end 0 delivered four frames");
+        p.half_connect();
+        assert_eq!(p.ends[1].link.unacked(), 2, "nothing trimmed");
+        assert!(p.ends[0].drops.is_empty(), "end 0 never saw the reply");
+        p.connect();
+        assert_eq!(p.ends[0].drops, [4]);
+        let p = p.settled().unwrap();
+        assert_eq!(p.bodies(0)[4..], p.ends[1].sent[4..]);
+    }
     /// A delivery owes an ack that rides the next queued frame, or goes
     /// out on its own once [`ACK_DELAY`] old; a duplicate owes none.
     #[test]

@@ -92,7 +92,7 @@ use crate::cluster::IoCounts;
 use crate::core::{ClientId, CoreStep, Env, NodeCore, NodeReport};
 use crate::durability::WalDurability;
 use crate::frame::{FrameDecoder, WriteQueue, TAG_HELLO_CLIENT, TAG_HELLO_EDGE};
-use crate::link::parse_hello;
+use crate::link::Hello;
 use crate::transport::{Listener, LocalStream, ReadyList, Stream};
 
 /// Cluster-wide in-flight work counter: each edge frame holds one unit
@@ -560,9 +560,9 @@ where
         node.note_ready(ctx);
         // Cold start: a log with history means this node is a new
         // incarnation of a previous process — replay the WAL and rejoin
-        // with watermarks, retransmit buffers, and values intact.
-        if let Some(state) = node.wal.as_mut().and_then(WalDurability::recover) {
-            let step = node.core.restore(ctx.now, state);
+        // with its values and epoch, its links reset.
+        if let Some(state) = node.wal.as_mut().map(WalDurability::recover) {
+            let step = node.core.start(ctx.now, state);
             node.absorb(step, ctx);
         }
         node
@@ -643,8 +643,8 @@ where
             Ok(None) if !closed => {}
             Ok(Some((TAG_HELLO_EDGE, payload))) if allowed == TAG_HELLO_EDGE => {
                 let (_, conn) = self.pending.remove(&pid).expect("present above");
-                if let Some((peer, rx, acked)) = parse_hello(&payload) {
-                    self.install_edge(peer, conn, (rx, acked), true, ctx);
+                if let Some(hello) = Hello::parse(&payload) {
+                    self.install_edge(conn, &hello, true, ctx);
                 }
             }
             Ok(Some((TAG_HELLO_CLIENT, _))) if allowed == TAG_HELLO_CLIENT => {
@@ -675,31 +675,24 @@ where
         let closed = conn.read_ready(scratch);
         let hello = match conn.dec.try_frame() {
             Ok(None) if !closed => return,
-            Ok(Some((TAG_HELLO_EDGE, payload))) => parse_hello(&payload),
+            Ok(Some((TAG_HELLO_EDGE, payload))) => Hello::parse(&payload),
             _ => None,
         };
         let conn = self.conns[wi].take().expect("present above");
         match hello {
-            Some((id, rx, acked)) if id == self.core.peer(wi) => {
-                self.install_edge(id, conn, (rx, acked), false, ctx);
+            Some(hello) if hello.id == self.core.peer(wi) => {
+                self.install_edge(conn, &hello, false, ctx);
             }
             _ => self.core.edge_down(wi, ctx.now),
         }
     }
 
-    /// Installs a connection whose hello named `peer` in place of the
-    /// edge's previous one; the core answers the hello.
-    fn install_edge(
-        &mut self,
-        peer: NodeId,
-        mut conn: Conn,
-        marks: (u64, u64),
-        accepted: bool,
-        ctx: &Ctx<'_>,
-    ) {
+    /// Installs a connection whose `hello` named its peer in place of
+    /// the edge's previous one; the core answers the hello.
+    fn install_edge(&mut self, mut conn: Conn, hello: &Hello, accepted: bool, ctx: &Ctx<'_>) {
         // An unknown peer id is a protocol violation from an untrusted
         // connection: drop it.
-        let Some(wi) = self.core.edge_index(peer) else {
+        let Some(wi) = self.core.edge_index(hello.id) else {
             return;
         };
         if conn.retoken(Tok::Edge(self.slot, wi)).is_err() {
@@ -712,7 +705,7 @@ where
             old.close();
         }
         let dec = &mut self.conns[wi].as_mut().expect("just installed").dec;
-        let step = self.core.edge_up(wi, ctx.now, marks, accepted, dec);
+        let step = self.core.edge_up(wi, ctx.now, hello, accepted, dec);
         self.absorb(step, ctx);
         self.note_ready(ctx);
     }

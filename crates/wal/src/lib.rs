@@ -2,8 +2,10 @@
 //!
 //! Per-node durability for the TCP runtime (`oat-net`): an append-only
 //! write-ahead log plus periodic snapshots, built so a node can be
-//! SIGKILLed mid-request and rejoin the tree with its write history and
-//! exactly-once edge sequencing intact.
+//! SIGKILLed mid-request and rejoin the tree with every tree's last
+//! written value and its epoch intact. A node logs nothing else: its
+//! edge links restart from zero, and its neighbours drop what was in
+//! flight to the dead process.
 //!
 //! ## Log format
 //!
@@ -19,18 +21,18 @@
 //! *expected* after a machine crash, never an error, and the number of
 //! discarded bytes is reported ([`Recovered::torn_bytes`]).
 //!
-//! ## Group commit
+//! ## Syncs
 //!
 //! Every [`Wal::append`] issues a `write(2)` immediately (there is no
 //! userspace buffering, so an in-process kill loses nothing that was
-//! appended), but `fsync` is batched: the log is synced once per
-//! [`WalOptions::fsync_every`] records. Two record classes override the
-//! batch and force a sync on append — writes ([`Record::Write`] for
-//! tree 0, [`Record::WriteTree`] for the others: a client write is
-//! acknowledged only after it is durable) and [`Record::Epoch`]
-//! (incarnation bumps must never regress). Only the batched region is at
-//! risk from a power loss, which is exactly what the seeded `torn-tail`
-//! disk fault simulates.
+//! appended). The records a node writes all force an `fsync` on append
+//! — writes ([`Record::Write`] for tree 0, [`Record::WriteTree`] for the
+//! others: a client write is acknowledged only after it is durable) and
+//! [`Record::Epoch`] (incarnation bumps must never regress). The other
+//! tags are decoded, not written; appended by hand they are group
+//! committed, synced once per [`WalOptions::fsync_every`] records. Only
+//! such a batched region is at risk from a power loss, which is exactly
+//! what the seeded `torn-tail` disk fault simulates.
 //!
 //! ## Snapshots
 //!
@@ -129,7 +131,10 @@ pub enum Record {
         val: Vec<u8>,
     },
     /// An edge frame was assigned sequence number `seq` toward `peer`.
-    /// Replay rebuilds the retransmit buffer from unacked `Send`s.
+    /// No longer written — a restarted node's links start from zero —
+    /// but still decoded and counted, so an older log replays; it folds
+    /// to nothing, as do [`Record::Rx`], [`Record::Ack`] and
+    /// [`Record::Lease`].
     Send {
         /// Destination neighbour id.
         peer: u32,
@@ -141,6 +146,7 @@ pub enum Record {
         body: Vec<u8>,
     },
     /// Frames from `peer` were delivered up to and including `rx_seq`.
+    /// Decoded, not written.
     Rx {
         /// Source neighbour id.
         peer: u32,
@@ -148,6 +154,7 @@ pub enum Record {
         rx_seq: u64,
     },
     /// `peer` acknowledged our frames up to and including `acked`.
+    /// Decoded, not written.
     Ack {
         /// Destination neighbour id.
         peer: u32,
@@ -349,22 +356,6 @@ impl<'a> Cursor<'a> {
 // Recovered state
 // ---------------------------------------------------------------------------
 
-/// Durable state of one directed-edge pair (us ↔ `peer`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LinkState {
-    /// Neighbour id.
-    pub peer: u32,
-    /// Highest sequence number we assigned toward `peer`.
-    pub tx_seq: u64,
-    /// Highest of our frames `peer` has acknowledged.
-    pub acked: u64,
-    /// Highest frame from `peer` we delivered.
-    pub rx_seq: u64,
-    /// Unacknowledged sends, ascending by sequence number:
-    /// `(seq, inner_tag, body)` — the recovered retransmit buffer.
-    pub rtx: Vec<(u64, u8, Vec<u8>)>,
-}
-
 /// The full durable image of a node: what a snapshot stores and what
 /// replay produces.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -374,8 +365,6 @@ pub struct WalState {
     /// Wire encoding of the last acknowledged write, per tree id; a
     /// tree never written here has no entry.
     pub vals: BTreeMap<u32, Vec<u8>>,
-    /// Per-neighbour link state, sorted by peer id.
-    pub links: Vec<LinkState>,
 }
 
 /// The outcome of replaying a log (optionally seeded from a snapshot).
@@ -416,47 +405,8 @@ fn fold(state: &mut WalState, rec: &Record) {
         Record::WriteTree { tree, val } => {
             state.vals.insert(*tree, val.clone());
         }
-        Record::Send {
-            peer,
-            seq,
-            inner,
-            body,
-        } => {
-            let link = link_mut(state, *peer);
-            link.tx_seq = link.tx_seq.max(*seq);
-            if *seq > link.acked {
-                link.rtx.push((*seq, *inner, body.clone()));
-            }
-        }
-        Record::Rx { peer, rx_seq } => {
-            let link = link_mut(state, *peer);
-            link.rx_seq = link.rx_seq.max(*rx_seq);
-        }
-        Record::Ack { peer, acked } => {
-            let link = link_mut(state, *peer);
-            link.acked = link.acked.max(*acked);
-            let upto = link.acked;
-            link.rtx.retain(|(seq, _, _)| *seq > upto);
-        }
-        Record::Lease { .. } => {}
         Record::Epoch { epoch } => state.epoch = state.epoch.max(*epoch),
-    }
-}
-
-fn link_mut(state: &mut WalState, peer: u32) -> &mut LinkState {
-    // Links stay sorted by peer; trees are narrow so a linear probe wins.
-    match state.links.binary_search_by_key(&peer, |l| l.peer) {
-        Ok(i) => &mut state.links[i],
-        Err(i) => {
-            state.links.insert(
-                i,
-                LinkState {
-                    peer,
-                    ..LinkState::default()
-                },
-            );
-            &mut state.links[i]
-        }
+        Record::Send { .. } | Record::Rx { .. } | Record::Ack { .. } | Record::Lease { .. } => {}
     }
 }
 
@@ -498,12 +448,9 @@ pub fn replay_log(base: WalState, log: &[u8]) -> Replay {
 /// Encodes a snapshot blob (magic + framed, CRC-protected state).
 ///
 /// Payload: epoch; tree 0's value (a presence byte, then length +
-/// bytes); the links, each with one reserved zero byte where the lease
-/// flags used to be; and, only when some other tree has a value, a
-/// count followed by `(tree, length, bytes)` per tree. A tree-0-only
-/// image thus has the layout snapshots had before forest trees were
-/// durable, so those older snapshots still decode (their lease flags
-/// ignored).
+/// bytes); a zero link count; and, only when some other tree has a
+/// value, a count followed by `(tree, length, bytes)` per tree. Older
+/// snapshots hold link images after the count, which decoding skips.
 pub fn encode_snapshot(state: &WalState) -> Vec<u8> {
     let put_bytes = |out: &mut Vec<u8>, v: &[u8]| {
         out.extend_from_slice(&(v.len() as u32).to_le_bytes());
@@ -518,20 +465,7 @@ pub fn encode_snapshot(state: &WalState) -> Vec<u8> {
         }
         None => payload.push(0),
     }
-    payload.extend_from_slice(&(state.links.len() as u32).to_le_bytes());
-    for l in &state.links {
-        payload.extend_from_slice(&l.peer.to_le_bytes());
-        payload.extend_from_slice(&l.tx_seq.to_le_bytes());
-        payload.extend_from_slice(&l.acked.to_le_bytes());
-        payload.extend_from_slice(&l.rx_seq.to_le_bytes());
-        payload.push(0);
-        payload.extend_from_slice(&(l.rtx.len() as u32).to_le_bytes());
-        for (seq, inner, body) in &l.rtx {
-            payload.extend_from_slice(&seq.to_le_bytes());
-            payload.push(*inner);
-            put_bytes(&mut payload, body);
-        }
-    }
+    payload.extend_from_slice(&0u32.to_le_bytes());
     let forest: Vec<_> = state.vals.range(1..).collect();
     if !forest.is_empty() {
         payload.extend_from_slice(&(forest.len() as u32).to_le_bytes());
@@ -570,27 +504,15 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<WalState> {
     if p.u8()? != 0 {
         state.vals.insert(0, p.bytes()?.to_vec());
     }
-    let nlinks = p.u32()?;
-    let mut links = BTreeMap::new();
-    for _ in 0..nlinks {
-        let peer = p.u32()?;
-        let mut link = LinkState {
-            peer,
-            tx_seq: p.u64()?,
-            acked: p.u64()?,
-            rx_seq: p.u64()?,
-            rtx: Vec::new(),
-        };
-        p.u8()?; // reserved: the retired lease flags
-        let nrtx = p.u32()?;
-        for _ in 0..nrtx {
-            let seq = p.u64()?;
-            let inner = p.u8()?;
-            link.rtx.push((seq, inner, p.bytes()?.to_vec()));
+    // Link images of an older snapshot: peer, three watermarks, the
+    // retired lease flags, then the retransmit buffer. Skipped.
+    for _ in 0..p.u32()? {
+        p.take(4 + 3 * 8 + 1)?;
+        for _ in 0..p.u32()? {
+            p.take(8 + 1)?;
+            p.bytes()?;
         }
-        links.insert(peer, link);
     }
-    state.links = links.into_values().collect();
     if !p.is_empty() {
         for _ in 0..p.u32()? {
             let tree = p.u32()?;
@@ -662,7 +584,8 @@ pub struct WalOptions {
     /// Node id, used only to label obs events.
     pub node: u32,
     /// Group-commit batch: fsync once per this many records (≥ 1).
-    /// `Write` and `Epoch` records always sync regardless.
+    /// `Write`, `WriteTree` and `Epoch` records, all a node writes,
+    /// always sync regardless.
     pub fsync_every: u64,
     /// Snapshot (and truncate the log) after this many records.
     pub snapshot_every: u64,
@@ -932,41 +855,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn record_payloads_roundtrip() {
-        let recs = [
-            Record::Write { val: vec![1, 2, 3] },
-            Record::Send {
-                peer: 7,
-                seq: 42,
-                inner: 2,
-                body: vec![9; 5],
-            },
-            Record::Rx {
-                peer: 1,
-                rx_seq: 10,
-            },
-            Record::Ack { peer: 1, acked: 9 },
-            Record::Lease {
-                peer: 3,
-                bits: 0b10,
-            },
-            Record::Epoch { epoch: 4 },
-            Record::WriteTree {
-                tree: 3,
-                val: vec![4, 5],
-            },
-        ];
-        for rec in &recs {
-            let mut buf = Vec::new();
-            rec.encode_payload(&mut buf);
-            assert_eq!(Record::decode_payload(&buf).as_ref(), Some(rec));
-        }
-    }
-
     /// Tags 1–6 keep the bytes every existing log was written with, and
     /// a tree-0 write is still tag 1 — forest durability added tag 7
-    /// and changed nothing else on disk.
+    /// and changed nothing else on disk. Each decodes back to itself.
     #[test]
     fn record_bytes_are_golden() {
         let golden: [(Record, &[u8]); 8] = [
@@ -997,6 +888,7 @@ mod tests {
             let mut buf = Vec::new();
             rec.encode_payload(&mut buf);
             assert_eq!(buf, bytes, "{rec:?}");
+            assert_eq!(Record::decode_payload(bytes), Some(rec));
         }
         let mut framed = Vec::new();
         encode_record(&Record::Write { val: vec![7, 8] }, &mut framed);
@@ -1020,90 +912,106 @@ mod tests {
             r.state.vals,
             BTreeMap::from([(0, vec![5]), (3, vec![7]), (7, vec![6])])
         );
-        assert!(r.state.links.is_empty(), "a lease record folds to nothing");
     }
 
+    /// A log written when links were durable: sends, watermarks, acks
+    /// and lease flags between the writes and epochs, on top of a
+    /// snapshot that holds link images. It recovers the epoch and values
+    /// of the writes and epochs alone, and every record counts.
     #[test]
-    fn replay_folds_watermarks_and_rtx() {
-        let mut log = Vec::new();
-        for rec in [
-            Record::Epoch { epoch: 1 },
-            Record::Send {
-                peer: 2,
-                seq: 1,
-                inner: 0,
-                body: vec![0xAA],
-            },
-            Record::Send {
-                peer: 2,
-                seq: 2,
-                inner: 0,
-                body: vec![0xBB],
-            },
-            Record::Rx { peer: 2, rx_seq: 5 },
-            Record::Ack { peer: 2, acked: 1 },
-            Record::Write { val: vec![7] },
-        ] {
-            encode_record(&rec, &mut log);
+    fn an_old_log_with_link_records_replays() {
+        let put = |out: &mut Vec<u8>, bytes: &[u8]| {
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
+        };
+        // Epoch 9, tree 0's value, two links (peer, tx, acked, rx, lease
+        // flags, buffered frames), then tree 5's value.
+        let mut old = [&9u64.to_le_bytes()[..], &[1]].concat();
+        put(&mut old, &[1, 4]);
+        old.extend_from_slice(&2u32.to_le_bytes());
+        for (peer, rtx) in [(1u32, &[(7u64, &[0xAA][..]), (8, &[])][..]), (4, &[])] {
+            old.extend_from_slice(&peer.to_le_bytes());
+            [8u64, 6, 3]
+                .iter()
+                .for_each(|m| old.extend_from_slice(&m.to_le_bytes()));
+            old.push(0b11);
+            old.extend_from_slice(&(rtx.len() as u32).to_le_bytes());
+            for &(seq, body) in rtx {
+                old.extend_from_slice(&[&seq.to_le_bytes()[..], &[2]].concat());
+                put(&mut old, body);
+            }
         }
-        let r = replay_log(WalState::default(), &log);
-        assert_eq!(r.records, 6);
-        assert_eq!(r.torn_bytes, 0);
-        assert_eq!(r.state.epoch, 1);
-        assert_eq!(r.state.vals, BTreeMap::from([(0, vec![7])]));
-        let link = &r.state.links[0];
-        assert_eq!(
-            (link.peer, link.tx_seq, link.acked, link.rx_seq),
-            (2, 2, 1, 5)
-        );
-        assert_eq!(
-            link.rtx,
-            vec![(2, 0, vec![0xBB])],
-            "acked sends are trimmed"
-        );
+        old.extend_from_slice(&[1, 0, 0, 0, 5, 0, 0, 0]);
+        put(&mut old, &[6, 6]);
+        let len_crc = [(old.len() as u32).to_le_bytes(), crc32(&old).to_le_bytes()].concat();
+        let snap = [&SNAP_MAGIC[..], &len_crc, &old].concat();
+        let base = decode_snapshot(&snap).expect("an old snapshot decodes");
+        let vals = BTreeMap::from([(0, vec![1, 4]), (5, vec![6, 6])]);
+        assert_eq!(base, WalState { epoch: 9, vals });
+
+        let live = [
+            Record::Epoch { epoch: 10 },
+            Record::Write { val: vec![7] },
+            Record::write(5, vec![8]),
+        ];
+        let send = Record::Send {
+            peer: 1,
+            seq: 9,
+            inner: 0,
+            body: vec![0xBB],
+        };
+        let retired = [
+            send,
+            Record::Rx { peer: 4, rx_seq: 5 },
+            Record::Ack { peer: 1, acked: 9 },
+        ];
+        let (mut mixed, mut writes) = (Vec::new(), Vec::new());
+        for (old, rec) in retired.iter().zip(&live) {
+            encode_record(old, &mut mixed);
+            encode_record(rec, &mut mixed);
+            encode_record(rec, &mut writes);
+        }
+        encode_record(&Record::Lease { peer: 4, bits: 1 }, &mut mixed);
+        let r = replay_log(base.clone(), &mixed);
+        assert_eq!((r.records, r.skipped, r.torn_bytes), (7, 0, 0));
+        assert_eq!(r.state, replay_log(base, &writes).state);
+        assert_eq!(r.state.epoch, 10);
+        assert_eq!(r.state.vals, BTreeMap::from([(0, vec![7]), (5, vec![8])]));
     }
 
     #[test]
     fn replay_stops_at_torn_tail_and_reports_it() {
         let mut log = Vec::new();
-        encode_record(&Record::Rx { peer: 1, rx_seq: 3 }, &mut log);
+        encode_record(&Record::Epoch { epoch: 3 }, &mut log);
         let whole = log.len();
-        encode_record(&Record::Rx { peer: 1, rx_seq: 4 }, &mut log);
+        encode_record(&Record::Epoch { epoch: 4 }, &mut log);
         for cut in whole + 1..log.len() {
             let r = replay_log(WalState::default(), &log[..cut]);
             assert_eq!(r.records, 1, "cut at {cut}");
             assert_eq!(r.valid_len, whole as u64);
             assert_eq!(r.torn_bytes, (cut - whole) as u64);
-            assert_eq!(r.state.links[0].rx_seq, 3);
+            assert_eq!(r.state.epoch, 3);
         }
     }
 
     #[test]
     fn replay_stops_at_crc_mismatch() {
         let mut log = Vec::new();
-        encode_record(&Record::Rx { peer: 1, rx_seq: 3 }, &mut log);
-        encode_record(&Record::Rx { peer: 1, rx_seq: 4 }, &mut log);
+        encode_record(&Record::Epoch { epoch: 3 }, &mut log);
+        encode_record(&Record::Epoch { epoch: 4 }, &mut log);
         let n = log.len();
-        log[n - 1] ^= 0x40; // corrupt the final record's body
+        log[n - 2] ^= 0x40; // corrupt the final record's body
         let r = replay_log(WalState::default(), &log);
         assert_eq!(r.records, 1);
         assert!(r.torn_bytes > 0);
-        assert_eq!(r.state.links[0].rx_seq, 3);
+        assert_eq!(r.state.epoch, 3);
     }
 
     #[test]
     fn snapshot_blob_roundtrips() {
-        let link = LinkState {
-            peer: 4,
-            tx_seq: 100,
-            acked: 98,
-            rx_seq: 55,
-            rtx: vec![(99, 1, vec![]), (100, 0, vec![5, 6])],
-        };
         let tree0 = WalState {
             epoch: 9,
             vals: BTreeMap::from([(0, vec![1, 2, 3])]),
-            links: vec![link.clone()],
         };
         let forest = WalState {
             vals: BTreeMap::from([(0, vec![1, 2, 3]), (3, vec![4]), (7, vec![])]),
@@ -1128,36 +1036,20 @@ mod tests {
     }
 
     /// A tree-0-only image has the bytes snapshots had before forest
-    /// trees were durable, lease byte included, so a snapshot written
-    /// by an older node still recovers — its lease flags are ignored.
+    /// trees were durable, with no link images, so an older node can
+    /// read it too.
     #[test]
     fn tree_zero_snapshot_bytes_are_golden() {
         let state = WalState {
             epoch: 2,
             vals: BTreeMap::from([(0, vec![9])]),
-            links: vec![LinkState {
-                peer: 1,
-                tx_seq: 3,
-                acked: 3,
-                rx_seq: 4,
-                rtx: vec![],
-            }],
         };
-        let mut payload = vec![2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 9, 1, 0, 0, 0];
-        payload.extend_from_slice(&[1, 0, 0, 0]);
-        payload.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
-        payload.extend_from_slice(&[4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
-        let frame = |payload: &[u8]| {
-            let mut blob = SNAP_MAGIC.to_vec();
-            blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            blob.extend_from_slice(&crc32(payload).to_le_bytes());
-            blob.extend_from_slice(payload);
-            blob
-        };
-        assert_eq!(encode_snapshot(&state), frame(&payload));
-        // The same image with lease flags 0b11, as an older node wrote it.
-        payload[46] = 3;
-        assert_eq!(decode_snapshot(&frame(&payload)), Some(state));
+        let payload = [2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 9, 0, 0, 0, 0];
+        let mut blob = SNAP_MAGIC.to_vec();
+        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        blob.extend_from_slice(&crc32(&payload).to_le_bytes());
+        blob.extend_from_slice(&payload);
+        assert_eq!(encode_snapshot(&state), blob);
     }
 
     #[test]
@@ -1166,13 +1058,7 @@ mod tests {
         let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
         assert!(!wal.recover().unwrap().found, "fresh dir has nothing");
         wal.append(&Record::Write { val: vec![42] }).unwrap();
-        wal.append(&Record::Send {
-            peer: 1,
-            seq: 1,
-            inner: 0,
-            body: vec![1],
-        })
-        .unwrap();
+        wal.append(&Record::Epoch { epoch: 3 }).unwrap();
         drop(wal);
 
         let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
@@ -1180,7 +1066,7 @@ mod tests {
         assert!(rec.found);
         assert_eq!(rec.records, 2);
         assert_eq!(rec.state.vals.get(&0).map(Vec::as_slice), Some(&[42u8][..]));
-        assert_eq!(rec.state.links[0].rtx.len(), 1);
+        assert_eq!(rec.state.epoch, 3);
         assert_eq!(wal.counters().replays, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1201,20 +1087,19 @@ mod tests {
         let state = WalState {
             epoch: 2,
             vals: BTreeMap::from([(0, vec![9])]),
-            links: vec![],
         };
         wal.snapshot(&state).unwrap();
         assert_eq!(fs::metadata(dir.join(LOG_FILE)).unwrap().len(), 0);
-        wal.append(&Record::Rx { peer: 1, rx_seq: 7 }).unwrap();
+        wal.append(&Record::write(3, vec![7])).unwrap();
         drop(wal);
 
         let mut wal = Wal::open(&dir, WalOptions::default()).unwrap();
         let rec = wal.recover().unwrap();
         assert!(rec.found);
         assert_eq!(rec.state.epoch, 2, "epoch came from the snapshot");
-        assert_eq!(rec.state.vals.get(&0).map(Vec::as_slice), Some(&[9u8][..]));
         assert_eq!(
-            rec.state.links[0].rx_seq, 7,
+            rec.state.vals,
+            BTreeMap::from([(0, vec![9]), (3, vec![7])]),
             "post-snapshot log applied on top"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -1284,10 +1169,7 @@ mod tests {
             Some(&[5u8][..]),
             "synced write survives"
         );
-        assert!(
-            rec.state.links.first().map_or(0, |l| l.rx_seq) < 20,
-            "tail records lost"
-        );
+        assert!(rec.records < 21, "tail records lost");
 
         // Appends resume cleanly after the truncation, and synced bytes
         // are immune to the fault on the next recovery.
@@ -1303,7 +1185,7 @@ mod tests {
             1,
             "nothing unsynced, fault idle"
         );
-        assert_eq!(rec2.state.links[0].rx_seq, 99);
+        assert_eq!(rec2.records, rec.records + 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1328,7 +1210,7 @@ mod tests {
         assert_eq!(c.fsyncs, 0);
         assert_eq!(c.fsync_failures, 5);
         // The data itself was written — recovery still sees it.
-        assert_eq!(wal.recover().unwrap().state.links[0].rx_seq, 4);
+        assert_eq!(wal.recover().unwrap().records, 5);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -21,7 +21,35 @@ use oat_core::policy::PolicySpec;
 use oat_core::request::{ReqOp, Request};
 use oat_obs::Json;
 use std::collections::HashMap;
-use std::io::BufRead;
+use std::io::{self, BufRead, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+// Every subcommand prints through these two, which shadow the std
+// macros: those panic once stdout's reader is gone (`oat query … |
+// head -1`), these drop the rest of the output (see [`out`]).
+macro_rules! print {
+    ($($arg:tt)*) => { out(format_args!($($arg)*)) };
+}
+
+macro_rules! println {
+    () => { out(format_args!("\n")) };
+    ($($arg:tt)*) => { out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes to stdout. Once a write finds the reader gone, every later one
+/// is dropped: the command still runs to its end, cleans up and exits
+/// with its own status, quietly.
+fn out(args: std::fmt::Arguments<'_>) {
+    static GONE: AtomicBool = AtomicBool::new(false);
+    if GONE.load(Ordering::Relaxed) {
+        return;
+    }
+    match io::stdout().write_fmt(args) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => GONE.store(true, Ordering::Relaxed),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+        Ok(()) => {}
+    }
+}
 
 /// One flag of a subcommand.
 struct Flag {
@@ -120,7 +148,7 @@ const COMMANDS: &[Command] = &[
         flags: &[TREE, WORKLOAD, POLICY, SEED,
             opt("--faults", "FAULTS", Some("seed:7,drop:0.05,dup:0.05,delay:0.05")),
             opt("--kill9", "NODE@DELIVERED[,..]", None), TRANSPORT, opt("--threads", "N", None),
-            opt("--durability", "memory|wal[:DIR]", None), opt("--fsync-every", "N", Some("8")),
+            opt("--durability", "memory|wal[:DIR]", None),
             opt("--snapshot-every", "N", Some("4096"))],
         about: "replays the workload sequentially under --faults and checks \
                 every combine against the oracle, every scheduled fault \
@@ -1053,10 +1081,9 @@ fn cmd_chaos(a: &Args) -> Result<(), String> {
         plan.kill9s
             .extend(FaultPlan::parse(&items.join(","))?.kill9s);
     }
-    let (fsync_every, snapshot_every) = (a.num("--fsync-every")?, a.num("--snapshot-every")?);
+    let snapshot_every = a.num("--snapshot-every")?;
     let wal = |dir: std::path::PathBuf| {
         let mut wal = WalConfig::new(dir);
-        wal.fsync_every = fsync_every;
         wal.snapshot_every = snapshot_every;
         DurabilityMode::Wal(wal)
     };

@@ -6,7 +6,7 @@
 //! `oat-mlap-v1`, `oat-query-v1`) parses and carries the values the run
 //! implies.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Output, Stdio};
 
 use oat_obs::Json;
@@ -169,6 +169,31 @@ fn chaos_kill9_removes_the_wal_directory_it_provisioned() {
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("replays"), "a WAL was in use: {stdout}");
     assert!(left.is_empty(), "left behind in TMPDIR: {left:?}");
+}
+
+#[test]
+fn a_reader_that_leaves_after_one_line_ends_the_output_quietly() {
+    // `oat query … | head -1`. The JSON document is larger than a pipe
+    // holds, so the write is still blocked when the reader goes, and
+    // fails with a broken pipe: the rest of the output is dropped and
+    // the run ends with its own verdict, not a panic.
+    let flags = "--facts 1000 --json";
+    let mut child = Command::new(env!("CARGO_BIN_EXE_oat"))
+        .args(["query", "min group by key window tumbling(100ms)"])
+        .args(flags.split_whitespace())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run the oat binary");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read one line");
+    let out = child.wait_with_output().expect("wait for oat");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(first, "{\n");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{flags}: {stderr}");
 }
 
 #[test]
