@@ -433,17 +433,19 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
 }
 
 #[test]
-fn torn_tail_recovery_converges_with_bounded_loss() {
-    // A machine crash that loses the page cache: the torn-tail fault
-    // chops unsynced bytes off the log at recovery, here at a kill9
-    // mid-workload, on twelve seeds. The restarted node's links start
-    // from zero and its neighbours drop what was in flight to it, so the
-    // log holds nothing but writes and epochs, each synced before the
-    // node acts on it whatever the group-commit batch says. The loss is
-    // bounded by zero, and every combine equals the oracle.
+fn torn_tail_kill9_renumbers_the_restart_past_what_the_peer_saw() {
+    // A kill9 resets the node's links: its first frames after the
+    // restart — the RESET among them — carry sequence numbers from 1
+    // again, numbers the peer has already delivered. The new
+    // incarnation in the reconnect hello is what moves them past the
+    // peer's watermark: the peer zeroes it and drops what it buffered
+    // for the dead incarnation rather than trim the new frames as
+    // delivered. A lost RESET leaves the neighbour's leases on the dead
+    // incarnation standing, and a later combine diverges. Twelve seeds,
+    // with the torn-tail fault armed; nothing rewrites the log.
     for seed in 1..=12 {
         let tree = Tree::path(5);
-        let wal_dir = tmpdir(&format!("torn-tail-{seed}"));
+        let wal_dir = tmpdir(&format!("torn-renumber-{seed}"));
         let plan = FaultPlan {
             seed,
             kill9s: vec![CrashNode {
@@ -479,20 +481,80 @@ fn torn_tail_recovery_converges_with_bounded_loss() {
             seq.push(Request::combine(NodeId(4)));
         }
         assert_eq!(replay_against_oracle(&cluster, &seq), 12, "seed {seed}");
-        let (kill9s, torn_tails, _) = cluster.injected().snapshot_process();
-        assert_eq!((kill9s, torn_tails), (1, 0), "seed {seed}");
         let report = cluster.shutdown();
         assert!(report.dead_nodes.is_empty(), "seed {seed}");
-        let wal = report.wal;
-        assert_eq!(wal.replays, 1, "seed {seed}");
-        assert_eq!((wal.torn_events, wal.torn_bytes), (0, 0), "seed {seed}");
-        assert_eq!(wal.fsyncs, wal.records, "seed {seed}: every record synced");
-        // Five writes, one birth epoch per node and the restart's epoch;
-        // a write the kill9 cut off before its ack is retried and logged
-        // again.
-        assert!((11..=13).contains(&wal.records), "seed {seed}: {wal:?}");
+        assert_eq!(report.faults.kill9s, 1, "seed {seed}");
+        assert!(
+            report.faults.reconnects >= 1,
+            "seed {seed}: {:?}",
+            report.faults
+        );
+        assert_eq!(report.wal.replays, 1, "seed {seed}");
+        assert_eq!(
+            report.wal.snapshots, 0,
+            "seed {seed}: nothing rewrites the log"
+        );
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
+}
+
+#[test]
+fn torn_tail_recovery_converges_with_bounded_loss() {
+    // A machine crash that loses the page cache: the torn-tail fault
+    // chops unsynced bytes off the log at recovery, here at a kill9
+    // mid-workload. The log holds nothing but writes and epochs, each
+    // synced before the node acts on it whatever the group-commit batch
+    // says, so the loss is bounded by zero, and every combine equals
+    // the oracle.
+    let tree = Tree::path(5);
+    let wal_dir = tmpdir("torn-tail");
+    let plan = FaultPlan {
+        seed: 29,
+        kill9s: vec![CrashNode {
+            node: NodeId(2),
+            after_delivered: 4,
+        }],
+        torn_tail_max: 64,
+        ..FaultPlan::default()
+    };
+    let cfg = NetConfig {
+        durability: DurabilityMode::Wal(WalConfig {
+            dir: wal_dir.clone(),
+            fsync_every: 10_000,
+            snapshot_every: 1_000_000,
+        }),
+        ..NetConfig::default()
+    };
+    let cluster =
+        Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg).expect("spawn torn");
+
+    // Two cold full-path combines push node 2 past the kill threshold
+    // on pure link traffic (probes/responses, no local writes), then
+    // writes and combines check recovery end to end.
+    let mut seq = vec![Request::combine(NodeId(0)), Request::combine(NodeId(4))];
+    for u in 0..5 {
+        seq.push(Request::write(NodeId(u), (u as i64 + 1) * 11));
+    }
+    for _ in 0..4 {
+        seq.push(Request::combine(NodeId(0)));
+        seq.push(Request::combine(NodeId(4)));
+    }
+    assert_eq!(replay_against_oracle(&cluster, &seq), 10);
+
+    let (kill9s, torn_tails, _) = cluster.injected().snapshot_process();
+    assert_eq!(kill9s, 1, "the scheduled process kill must fire");
+    assert_eq!(torn_tails, 0, "every record was synced: nothing to tear");
+    let report = cluster.shutdown();
+    assert!(report.dead_nodes.is_empty());
+    let wal = report.wal;
+    assert_eq!(wal.replays, 1);
+    assert_eq!((wal.torn_events, wal.torn_bytes), (0, 0));
+    assert_eq!(wal.fsyncs, wal.records, "every record synced");
+    // Five writes, one birth epoch per node and the restart's epoch; a
+    // write the kill9 cut off before its ack is retried and logged
+    // again.
+    assert!((11..=13).contains(&wal.records), "{wal:?}");
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 #[test]
