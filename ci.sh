@@ -60,12 +60,12 @@ echo "== tier 1: cargo test -q --workspace =="
 # package's tests/ and src/, not the member crates' own unit and
 # integration tests (oat-core's mechanism tests, oat-net's reactor tests,
 # oat-poll's, crates/query/tests/progressive.rs, ...). tests/cli.rs also
-# runs `oat trace`, `oat mlap`, `oat query` on tcp/uds/ring and `oat
+# runs `oat trace`, `oat mlap`, `oat query` on tcp/uds and `oat
 # serve`, and checks the JSON documents they emit, parsed with
 # oat_obs::Json.
 cargo test -q --workspace
 
-echo "== parity: oat chaos --faults none on tcp/uds/ring =="
+echo "== parity: oat chaos --faults none on tcp/uds =="
 # Sim<->cluster parity from the CLI, on every transport backend. With an
 # empty fault plan `oat chaos` also runs the simulator on the same
 # workload and exits nonzero unless every combine equals the oracle and
@@ -79,7 +79,7 @@ echo "== parity: oat chaos --faults none on tcp/uds/ring =="
 # every edge on a socketpair.
 for shape in "kary:10:2 uniform:0.5:120" "kary:31:2 uniform:0.5:2000"; do
   read -r tree workload <<<"$shape"
-  for t in tcp uds ring; do
+  for t in tcp uds; do
     out=$(./target/release/oat chaos --tree "$tree" --workload "$workload" \
       --faults none --transport "$t")
     grep -F 'parity: OK' <<<"$out" || { echo "parity ($tree, $t): no parity line"; exit 1; }
@@ -88,18 +88,18 @@ for shape in "kary:10:2 uniform:0.5:120" "kary:31:2 uniform:0.5:2000"; do
   done
 done
 
-echo "== chaos smoke: oat chaos on tcp/uds/ring =="
+echo "== chaos smoke: oat chaos on tcp/uds =="
 # Seeded fault injection against the sequential oracle: drops/dups/delays
 # on every edge, two scheduled connection kills, one node crash-restart.
 # `oat chaos` exits nonzero itself if any combine diverges, the cluster
 # wedges, or a scheduled fault fails to fire.
-for t in tcp uds ring; do
+for t in tcp uds; do
   ./target/release/oat chaos --tree kary:10:3 --workload uniform:0.5:80 \
     --faults "seed:7,drop:0.05,dup:0.05,delay:0.05,kill:0-1@3,kill:2-0@4,crash:2@5" \
     --transport "$t"
 done
 
-echo "== chaos at size: drop-heavy oat chaos on tcp/uds/ring =="
+echo "== chaos at size: drop-heavy oat chaos on tcp/uds =="
 # Every injected drop or delay severs its connection and the reconnect
 # replays what was lost: at 5 % of frames on a 31-node tree, hundreds of
 # reconnects per run, each one hello exchange, so the run takes well
@@ -110,7 +110,7 @@ echo "== chaos at size: drop-heavy oat chaos on tcp/uds/ring =="
 # edge (0-1) crosses on every host, and over 80 % of the edge bytes must
 # stay in local pipes (about 89 % do); a change that sends co-resident
 # edges through the kernel fails here.
-for t in tcp uds ring; do
+for t in tcp uds; do
   if [ "$t" = tcp ]; then pool="--threads 2"; else pool=""; fi
   out=$(./target/release/oat chaos --tree kary:31:2 --workload uniform:0.5:4000 \
     --faults "seed:7,drop:0.05,dup:0.05,delay:0.05" --transport "$t" $pool)
@@ -122,7 +122,7 @@ for t in tcp uds ring; do
   fi
 done
 
-echo "== crash-recovery smoke: oat chaos --kill9 on tcp/uds/ring =="
+echo "== crash-recovery smoke: oat chaos --kill9 on tcp/uds =="
 # Process-kill recovery from the write-ahead log: drops and dups on every
 # edge, one connection kill, the root and an internal node kill9'd, plus
 # a seeded torn-tail disk fault at recovery. --kill9 auto-provisions a
@@ -131,7 +131,7 @@ echo "== crash-recovery smoke: oat chaos --kill9 on tcp/uds/ring =="
 # per-node restart counters sum to crashes + kill9s, and every WAL
 # recovery replay is accounted for by exactly one kill9 (it exits
 # nonzero on any mismatch, a diverged combine, or a wedged cluster).
-for t in tcp uds ring; do
+for t in tcp uds; do
   ./target/release/oat chaos --tree kary:10:3 --workload uniform:0.5:80 \
     --faults "seed:7,drop:0.05,dup:0.05,kill:0-1@3,torn-tail:64" \
     --kill9 0@6,2@5 --transport "$t"

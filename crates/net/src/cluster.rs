@@ -1,8 +1,8 @@
 //! The cluster harness and its blocking client.
 //!
 //! [`Cluster::spawn`] binds one listener per tree node on the
-//! configured transport (loopback TCP, Unix-domain sockets, or
-//! in-process SPSC rings — see [`TransportKind`]), starts a fixed pool
+//! configured transport (loopback TCP or Unix-domain sockets — see
+//! [`TransportKind`]), starts a fixed pool
 //! of reactor threads (default `min(cores, 4)`; see [`NetConfig`])
 //! that own contiguous blocks of a depth-first preorder of the tree
 //! (connected subtrees; `crate::placement`), waits until every tree
@@ -56,7 +56,7 @@ use crate::frame::{
 use crate::metrics::NodeMetrics;
 use crate::placement::place;
 use crate::reactor::{reactor_main, InFlight, Mailbox, NodeSeed, ReactorCfg, ShardReport};
-use crate::transport::{ring_listen, ClientStream, Listener, NodeAddr, TransportKind, UdsDir};
+use crate::transport::{ClientStream, Listener, NodeAddr, TransportKind, UdsDir};
 
 /// How long [`Cluster::shutdown`] waits for a reactor thread to exit
 /// before declaring its nodes dead and abandoning the join (the thread
@@ -330,9 +330,10 @@ where
                 "kill9 faults require the Wal durability backend (NetConfig::durability)",
             ));
         }
+        // `Ring` is a library alias of `Uds`.
         let uds_dir = match cfg.transport {
-            TransportKind::Uds => Some(UdsDir::new()?),
-            _ => None,
+            TransportKind::Tcp => None,
+            TransportKind::Uds | TransportKind::Ring => Some(UdsDir::new()?),
         };
         let mut listeners = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
@@ -344,17 +345,12 @@ where
                     addrs.push(NodeAddr::Tcp(listener.local_addr()?));
                     listeners.push(Listener::Tcp(listener));
                 }
-                TransportKind::Uds => {
+                TransportKind::Uds | TransportKind::Ring => {
                     let path = uds_dir.as_ref().expect("uds dir").sock_path(i);
                     let listener = UnixListener::bind(&path)?;
                     listener.set_nonblocking(true)?;
                     addrs.push(NodeAddr::Uds(path));
                     listeners.push(Listener::Uds(listener));
-                }
-                TransportKind::Ring => {
-                    let listener = ring_listen()?;
-                    addrs.push(NodeAddr::Ring(listener.id()));
-                    listeners.push(Listener::Ring(listener));
                 }
             }
         }

@@ -8,9 +8,8 @@
 //! over the same protocol to issue `combine` / `write` requests or
 //! pull metrics snapshots. The clients' byte pipe is pluggable
 //! ([`transport`], selected by [`NetConfig::transport`]): loopback TCP
-//! (the default), Unix-domain sockets, or in-process SPSC byte rings
-//! with a socketpair doorbell — the protocol and every fault/recovery
-//! seam are identical across the three. The transport carries the
+//! (the default) or Unix-domain sockets — the protocol and every
+//! fault/recovery seam are identical across the two. The transport carries the
 //! clients only: an edge whose two ends share a reactor is always a
 //! reactor-local pipe, which makes no system call, and one between two
 //! reactor threads a Unix socketpair.
@@ -366,17 +365,11 @@ mod tests {
         zero_wait_polls_return_at_once(TransportKind::Uds, 0, 5);
     }
 
-    #[test]
-    fn zero_wait_polls_return_at_once_ring() {
-        zero_wait_polls_return_at_once(TransportKind::Ring, 1, 0);
-        zero_wait_polls_return_at_once(TransportKind::Ring, 0, 5);
-    }
-
     /// A write ack that arrives before the metrics reply on the same
     /// connection is kept for the caller's next `next_response`.
     #[test]
     fn metrics_keeps_a_pipelined_ack_for_next_response() {
-        for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+        for transport in [TransportKind::Tcp, TransportKind::Uds] {
             let cfg = NetConfig {
                 transport,
                 ..NetConfig::default()

@@ -59,9 +59,8 @@
 //! [`FrameDecoder`] and its core takes the complete frames inline. Every
 //! loop makes one `epoll_wait`, with a zero timeout while the ready list
 //! is non-empty, and dispatches the list's batch beside its events. Cores only *queue* bytes; then the nodes
-//! an event named, those whose timer fired and those holding bytes no
-//! `POLLOUT` announces (a ring link awaiting its space-freed nudge) are
-//! flushed — every such node's edges first ([`NodeIo::flush_edges`]),
+//! an event named and those whose timer fired are flushed — every such
+//! node's edges first ([`NodeIo::flush_edges`]),
 //! then their clients ([`NodeIo::flush_clients`]), so a client a response
 //! wakes never runs ahead of mechanism frames already queued. The only
 //! walk over all nodes is the memory-only scan of their deadlines, which
@@ -254,11 +253,10 @@ impl Conn {
         }
     }
 
-    /// Reads, plus writes while bytes are queued on a transport where
-    /// `POLLOUT` means something: ring doorbells are almost always
-    /// writable, so a blocked ring write waits for the peer's nudge.
+    /// Reads, plus writes while bytes are queued (a local pipe takes
+    /// every write whole, so it never has a backlog).
     fn wanted(&self) -> i16 {
-        if self.backlog && self.stream.wants_pollout() {
+        if self.backlog {
             POLLIN | POLLOUT
         } else {
             POLLIN
@@ -310,9 +308,7 @@ impl Conn {
 
     /// Writes `out` into the stream and syncs `POLLOUT` to the outcome
     /// (one `epoll_ctl` per transition, none while every flush drains).
-    /// `Ok(true)` when bytes stay queued that no readiness event is
-    /// armed for (a ring link waiting for its space-freed nudge).
-    pub(crate) fn flush(&mut self, out: &mut WriteQueue) -> io::Result<bool> {
+    pub(crate) fn flush(&mut self, out: &mut WriteQueue) -> io::Result<()> {
         let local = self.stream.fd().is_none();
         let edge = matches!(self.tok, Tok::Edge(..) | Tok::Dial(..));
         let (stream, rd) = (&mut self.stream, &self.rd);
@@ -336,7 +332,7 @@ impl Conn {
                 self.interest = Some(bits);
             }
         }
-        Ok(self.backlog && !self.stream.wants_pollout())
+        Ok(())
     }
 
     /// Severs the connection (its drop then deregisters it).
@@ -785,30 +781,24 @@ where
     /// The peer half of a flush: the core's flush boundary (acks that
     /// ride or are due), then every edge queue into its connection (or
     /// its dial: our hello).
-    fn flush_edges(&mut self, ctx: &Ctx<'_>) -> bool {
+    fn flush_edges(&mut self, ctx: &Ctx<'_>) {
         self.core.flush_prep(ctx.now);
-        let mut backlog = false;
         for wi in 0..self.conns.len() {
             let out = self.core.edge_out(wi);
             let Some(conn) = self.conns[wi].as_mut().filter(|_| !out.is_empty()) else {
                 continue;
             };
-            match conn.flush(out) {
-                Ok(blocked) => backlog |= blocked,
-                Err(_) => {
-                    self.conns[wi].take().expect("flushed above").close();
-                    self.core.edge_down(wi, ctx.now);
-                }
+            if conn.flush(out).is_err() {
+                self.conns[wi].take().expect("flushed above").close();
+                self.core.edge_down(wi, ctx.now);
             }
         }
-        backlog
     }
 
     /// The client half, after [`NodeIo::flush_edges`]: every client queue
     /// into its socket, each socket parked exactly while the core is
     /// stalled, and the log folded into a snapshot when due.
-    fn flush_clients(&mut self) -> bool {
-        let mut backlog = false;
+    fn flush_clients(&mut self) {
         let stalled = self.core.stalled();
         let core = &mut self.core;
         // A client that cannot flush or rejoin is dropped like a dead one.
@@ -816,7 +806,7 @@ where
         self.clients.retain(|&cid, conn| {
             let mut serve = || {
                 if let Some(out) = core.client_out(cid).filter(|q| !q.is_empty()) {
-                    backlog |= conn.flush(out)?;
+                    conn.flush(out)?;
                 }
                 if stalled {
                     conn.park();
@@ -840,7 +830,6 @@ where
             wal.snapshot(&self.core.wal_state());
             self.core.set_wal_counters(wal.counters());
         }
-        backlog
     }
 
     /// Process-grade kill: every connection is severed and the core comes
@@ -970,8 +959,7 @@ where
     loop {
         // Cores only ever *queue* bytes; this is the single point where
         // they hit sockets and pipes — for the nodes the last wakeup
-        // touched. A node stays listed while it holds bytes no POLLOUT
-        // will announce, and is retried at every wakeup.
+        // touched.
         //
         // Two passes: every touched node's edges, then every touched
         // node's clients. A response written to a client wakes its
@@ -979,14 +967,14 @@ where
         // place; node by node, that held back the mechanism frames the
         // nodes further down the list had already queued.
         for &slot in &touched.slots {
-            touched.marked[slot] = nodes[slot].flush_edges(&ctx);
+            nodes[slot].flush_edges(&ctx);
         }
-        touched.slots.retain(|&slot| {
+        for slot in touched.slots.drain(..) {
             let node = &mut nodes[slot];
-            touched.marked[slot] |= node.flush_clients();
+            node.flush_clients();
             deadlines[slot] = node.core.next_deadline();
-            touched.marked[slot]
-        });
+            touched.marked[slot] = false;
+        }
 
         // Sleep until the earliest deadline, else until a socket or the
         // waker fires; not at all while a local pipe has a reader to

@@ -63,18 +63,25 @@
 //!    so the first fact of a later tumbling window closes every open
 //!    window at once: one propagation barrier, the keys' combines
 //!    pipelined on the subscriber connection, one exact final per key,
-//!    and the keys' retire writes in one write round.
+//!    and the keys' retire writes in one write round. A key that only
+//!    its priming push has refined is read once more before the
+//!    barrier, a pre-final snapshot.
 //! 3. **Settlement** — after the stream ends: one pre-final snapshot
-//!    per key, the barrier, and one exact final per key whose window is
-//!    still open.
+//!    per key whose window is still open, the barrier, and its exact
+//!    final.
 //!
-//! The subscriber connection is FIFO, so every push sent before a
-//! combine's response is read — and emitted — before that response:
-//! no partial of a window surfaces after the window's final.
+//! A key's window is open from its first fact in it until its final.
+//! Only an open window is refined: a push that arrives while the key
+//! has none (the one its retire write causes, say) is counted and
+//! dropped, so every partial's `(key, window)` gets a final. The
+//! subscriber connection is FIFO, so every push sent before a combine's
+//! response is read — and emitted — before that response: no partial
+//! of a window surfaces after the window's final.
 //!
-//! Every key therefore emits at least three partials (priming push,
-//! pre-final snapshot, final), and finals equal the sequential oracle
-//! exactly ([`QueryRun::matches_oracle`]).
+//! Every key therefore emits at least three partials (its priming push,
+//! a pushed refinement or a pre-final snapshot, and a final), and
+//! finals equal the sequential oracle exactly
+//! ([`QueryRun::matches_oracle`]).
 
 use crate::oracle::{oracle_finals, Final};
 use crate::spec::{OpKind, QuerySpec, WindowSpec};
@@ -187,7 +194,7 @@ impl QueryRun {
     /// Every verdict the run must pass over `facts`: finals equal the
     /// oracle, coverage and per-key refine seqs are monotone, and —
     /// when there were facts — every key emitted at least three
-    /// partials (priming push, pre-final snapshot, final). The error
+    /// partials (priming push, a refinement, final). The error
     /// names the first verdict that failed, as `oat-query-v1` spells it.
     pub fn verdict(&self, facts: &[Fact]) -> Result<(), String> {
         if !self.matches_oracle(facts) {
@@ -377,12 +384,16 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
         Ok(())
     }
 
-    /// Emits one partial for a pushed refinement.
+    /// Emits one partial for a pushed refinement of a key whose window
+    /// is open; a push between a key's final and its next fact (the one
+    /// its retire write causes, say) refines no window and is dropped.
     fn on_push(&mut self, resp: Response<i64>) {
         if let Response::Partial { tree, value, .. } = resp {
             self.pushes_rx += 1;
             let key = tree - 1;
-            self.emit(key, self.window_of(key), value, false);
+            if self.touched.contains_key(&key) {
+                self.emit(key, self.window_of(key), value, false);
+            }
         }
     }
 
@@ -435,27 +446,47 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
         self.finals.push(Final { key, window, value });
     }
 
-    /// Closes every open tumbling window — the stream's clock has moved
-    /// on to window `next` — behind one shared propagation barrier: an
-    /// exact final per key, then one write round that empties the keys'
-    /// trees. A group operator cancels each closed window with one
-    /// write at node 0 that subtracts the total the root just answered;
-    /// `min`/`max` reset the key's touched shards to identity.
-    fn close_windows(&mut self, next: u64) -> io::Result<()> {
-        let open = std::mem::take(&mut self.touched);
-        let keys: Vec<u32> = open.keys().copied().collect();
+    /// Ends every open window: a pre-final snapshot for each key of
+    /// `snap` — where its answer stood when the window ended — then one
+    /// shared propagation barrier and an exact final per key, returned
+    /// in `touched`'s key order.
+    fn end_windows(&mut self, snap: &[u32]) -> io::Result<Vec<i64>> {
+        let snapshots = self.combine_keys(snap)?;
+        for (&key, &v) in snap.iter().zip(&snapshots) {
+            self.emit(key, self.window_of(key), v, false);
+        }
         // The propagation barrier: every write is acked, so once the
         // cluster is quiet a combine at the root is the sequential fold
         // of everything written so far.
         self.cluster.quiesce();
+        let keys: Vec<u32> = self.touched.keys().copied().collect();
         let values = self.combine_keys(&keys)?;
         for (&key, &v) in keys.iter().zip(&values) {
             self.emit_final(key, v);
         }
+        Ok(values)
+    }
+
+    /// Closes every open tumbling window — the stream's clock has moved
+    /// on — with [`Driver::end_windows`], then one write round that
+    /// empties the keys' trees. A group operator cancels each closed
+    /// window with one write at node 0 that subtracts the total the root
+    /// just answered; `min`/`max` reset the key's touched shards to
+    /// identity.
+    fn close_windows(&mut self) -> io::Result<()> {
+        // Only a key its priming push alone has refined gets a snapshot
+        // before its final, so every key emits at least three partials
+        // and a window whose pushes refined it costs no extra read.
+        let thin: Vec<u32> = (self.touched.keys().copied())
+            .filter(|key| self.refine_seq.get(key).is_none_or(|&n| n < 2))
+            .collect();
+        let finals = self.end_windows(&thin)?;
+        // The keys leave `touched`: a key's next window opens with its
+        // next fact.
+        let closed = std::mem::take(&mut self.touched);
         let op = self.spec.op;
         let mut round = Vec::new();
-        for ((key, shards), total) in open.into_iter().zip(values) {
-            self.cur_window.insert(key, next);
+        for ((key, shards), total) in closed.into_iter().zip(finals) {
             if op.is_group() {
                 // Only node 0 reads, so this write updates no leased
                 // edge: the window is gone from the tree at once.
@@ -477,7 +508,7 @@ impl<'a, A: AggOp<Value = i64>> Driver<'a, A> {
         if let WindowSpec::Tumbling(width) = self.spec.window {
             let w = f.at_ms / width;
             if w > self.at_hw / width && !self.touched.is_empty() {
-                self.close_windows(w)?;
+                self.close_windows()?;
             }
             self.cur_window.insert(key, w);
         }
@@ -574,22 +605,11 @@ where
         d.process_fact(f)?;
     }
 
-    // ---- Settlement ------------------------------------------------
-    let keys: Vec<u32> = d.key_count.keys().copied().collect();
-    // Pre-final snapshots: one last in-flight refinement per key before
-    // the barrier, so consumers see where the answer stood at stream end.
-    let snapshots = d.combine_keys(&keys)?;
-    for (&key, &v) in keys.iter().zip(&snapshots) {
-        d.emit(key, d.window_of(key), v, false);
-    }
-    cluster.quiesce();
-    // Exact finals for the windows still open (every key, unless the
-    // query tumbles and the key's last window already closed).
+    // Settlement: every window still open ends with a pre-final
+    // snapshot, so consumers see where each answer stood at stream end,
+    // and nothing to retire.
     let open: Vec<u32> = d.touched.keys().copied().collect();
-    let values = d.combine_keys(&open)?;
-    for (&key, &v) in open.iter().zip(&values) {
-        d.emit_final(key, v);
-    }
+    d.end_windows(&open)?;
 
     let elapsed_ms = ms(d.start.elapsed());
     let mut firsts: Vec<f64> = d.first_partial_ms.values().copied().collect();

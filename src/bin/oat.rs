@@ -92,7 +92,7 @@ const TREE: Flag = req("--tree", "TREE");
 const WORKLOAD: Flag = req("--workload", "WORKLOAD");
 const POLICY: Flag = opt("--policy", "POLICY", Some("rww"));
 const SEED: Flag = opt("--seed", "N", Some("42"));
-const TRANSPORT: Flag = opt("--transport", "tcp|uds|ring", Some("tcp"));
+const TRANSPORT: Flag = opt("--transport", "tcp|uds", Some("tcp"));
 const JSON: Flag = switch("--json");
 
 /// One subcommand, or one form of it (`trace` has two).
@@ -207,7 +207,7 @@ EXAMPLES:
   oat mlap --workload adv:4:8 --policy all --json
   oat mlap --workload bursty:6:4:5 --tree kary:15:2 --seed 7
   oat query 'sum group by key window tumbling(100ms)' --stream zipf --keys 4
-  oat query 'count group by key' --facts 200 --transport ring --json
+  oat query 'count group by key' --facts 200 --transport uds --json
 ";
 
 fn main() {
@@ -393,8 +393,7 @@ impl Args {
 
     fn transport(&self) -> Result<TransportKind, String> {
         let s = self.str("--transport");
-        TransportKind::parse(s)
-            .ok_or_else(|| format!("bad --transport `{s}` (want tcp | uds | ring)"))
+        TransportKind::parse(s).ok_or_else(|| format!("bad --transport `{s}` (want tcp | uds)"))
     }
 
     /// `--threads`: the reactor pool size, `None` (the cluster's

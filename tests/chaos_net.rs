@@ -184,11 +184,11 @@ fn chaos_run_matches_the_oracle_on_every_transport() {
     // The fault seams sit *above* the byte pipe (the injector acts on
     // sequenced sends, the kill severs the stream object), so drop,
     // duplicate, delay, and connection-kill must all fire — and all be
-    // recovered from — identically on TCP, Unix sockets, and the
-    // in-process SPSC ring. The ring honoring the injectors is the
-    // point: a transport with no kernel underneath still misbehaves on
+    // recovered from — identically on TCP and Unix sockets, and on the
+    // local pipes and socketpairs that carry the edges whatever the
+    // transport: a pipe with no kernel underneath still misbehaves on
     // demand.
-    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+    for transport in [TransportKind::Tcp, TransportKind::Uds] {
         let name = transport.name();
         let tree = Tree::kary(10, 3);
         let seq = uniform(&tree, 70, 0.5, 0x5AFE);
@@ -335,7 +335,7 @@ fn kill9_chaos_with_wal_recovers_and_matches_the_oracle() {
     // dialer redials, and the fresh socketpair crosses the peer
     // reactor's mailbox mid-run.
     let tree = Tree::kary(10, 3);
-    let transports = [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring];
+    let transports = [TransportKind::Tcp, TransportKind::Uds];
     let runs = transports
         .into_iter()
         .flat_map(|t| [1, 2, tree.len()].map(|pool| (t, pool)));

@@ -149,6 +149,28 @@ fn a_misspelt_chaos_flag_exits_2_instead_of_injecting_faults() {
 }
 
 #[test]
+fn the_removed_ring_transport_exits_2_and_names_uds() {
+    // Clients reach a node over tcp or uds; `ring` is refused like any
+    // other unknown transport, before a cluster starts.
+    for line in [
+        "chaos --tree kary:10:2 --workload uniform:0.5:120 --faults none --transport ring",
+        "query sum --facts 20 --transport ring",
+        "serve --tree pair --transport ring",
+    ] {
+        let out = oat(line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(
+            stderr.contains("bad --transport `ring`"),
+            "{line}: {stderr}"
+        );
+        assert!(stderr.contains("uds"), "{line}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line} ran anyway");
+    }
+}
+
+#[test]
 fn chaos_kill9_removes_the_wal_directory_it_provisioned() {
     // `--kill9` without `--durability wal:DIR` logs to a fresh directory
     // under the temp dir; the run must leave nothing behind there.
@@ -471,7 +493,6 @@ fn query_json_verdicts_hold_on_every_transport() {
     for (transport, query) in [
         ("tcp", tumbling),
         ("uds", tumbling),
-        ("ring", tumbling),
         ("tcp", "max group by key window last-10"),
         ("tcp", "min group by key window tumbling(100ms)"),
         ("tcp", "count group by key window last-10"),

@@ -33,8 +33,7 @@ use std::collections::HashMap;
 
 /// Every transport backend the cluster can run on. Parity is a property
 /// of the protocol, not the byte pipe, so each one must pass unchanged.
-const TRANSPORTS: [TransportKind; 3] =
-    [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring];
+const TRANSPORTS: [TransportKind; 2] = [TransportKind::Tcp, TransportKind::Uds];
 
 /// A fault-free in-memory configuration on the given transport backend.
 fn on(transport: TransportKind) -> NetConfig {
@@ -297,8 +296,8 @@ fn byte_parity_holds_on_every_transport() {
     // puts every edge in a local pipe, two mix the kinds, and one reactor
     // per node puts every edge on a socketpair. No edge uses the
     // transport, so the transport matrix varies only the client hop. The
-    // SPSC ring, the Unix socket, TCP, the socketpair and the local pipe
-    // must be indistinguishable above the framing layer.
+    // Unix socket, TCP, the socketpair and the local pipe must be
+    // indistinguishable above the framing layer.
     let tree = Tree::kary(10, 3);
     for transport in TRANSPORTS {
         for pool in [1, 2, tree.len()] {

@@ -1,6 +1,6 @@
 //! Acceptance tests for the progressive query layer (`oat-query`):
 //! the same declarative query converges to the sequential oracle on
-//! all three transports, and kill9 chaos runs, with and without
+//! both client transports, and kill9 chaos runs, with and without
 //! windows, never regress their partial sequence — including runs that
 //! kill node 0, which holds every `sum`/`count` retire write.
 
@@ -22,15 +22,16 @@ fn tmpdir(name: &str) -> PathBuf {
 /// The ISSUE acceptance scenario: `sum group by key window
 /// tumbling(100ms)` over a seeded zipf fact stream emits at least three
 /// progressively refined partials per key whose finals match the
-/// sequential oracle exactly, with monotone coverage — on every
-/// transport.
+/// sequential oracle exactly, with monotone coverage — on both client
+/// transports, tcp and uds (the name counts a third, in-process transport
+/// that no longer exists).
 #[test]
 fn tumbling_group_by_accepts_on_all_three_transports() {
     let tree = Tree::kary(5, 2);
     let spec: QuerySpec = "sum group by key window tumbling(100ms)".parse().unwrap();
     // 4 ms gaps: 25 facts per 100 ms window, 6 windows over the run.
     let facts = zipf_facts(150, 3, 1.2, 4, 0xACC);
-    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+    for transport in [TransportKind::Tcp, TransportKind::Uds] {
         let cfg = NetConfig {
             transport,
             ..NetConfig::default()

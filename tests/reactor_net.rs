@@ -480,7 +480,7 @@ fn fault_free_runs_resend_nothing() {
             op: r.op.clone(),
         })
         .collect();
-    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+    for transport in [TransportKind::Tcp, TransportKind::Uds] {
         let cfg = NetConfig {
             transport,
             ..NetConfig::default()
@@ -684,7 +684,7 @@ fn traced_pipelined_requests_all_match_their_node_side_records() {
             }
         })
         .collect();
-    for transport in [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring] {
+    for transport in [TransportKind::Tcp, TransportKind::Uds] {
         let cfg = NetConfig {
             transport,
             ..NetConfig::default()
